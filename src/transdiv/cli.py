@@ -4,7 +4,7 @@ Subcommands map one-to-one onto the library operations; each emits a
 human-readable text report or a JSON document (``--format json``) that
 re-parses with every numeric field bit-exact.
 
-Exit codes: 0 success, 1 usage or schema error, 2 math-domain error,
+Exit codes: 0 success, 1 usage, schema or file error, 2 math-domain error,
 3 model/field validation failure.
 """
 
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .catalog import BUILTIN_NAMES, builtin_model, is_builtin
-from .connection import christoffel, mean_curvature, transverse_divergence
+from .connection import christoffel, mean_curvature
 from .expr import DomainError, EvalError, ExprError, ParseError
 from .model import (
     FoliationSplit,
@@ -51,9 +52,8 @@ from .tautness import (
     TautnessVerdict,
     alvarez_candidate,
     classify_divergence,
-    covering_projection,
+    compare_with_cover,
     green_check,
-    lift_to_cover,
     volume_preservation_check,
 )
 
@@ -179,12 +179,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    tolerance = getattr(args, "tol", 1e-9)
+    if not math.isfinite(tolerance):
+        raise UsageError(f"--tol must be a finite number, got {tolerance!r}")
     return RunConfig(
         subcommand=args.subcommand,
         model_source=getattr(args, "model", None),
         field_source=getattr(args, "field", None),
         grid=_parse_grid(getattr(args, "grid", None)),
-        tolerance=getattr(args, "tol", 1e-9),
+        tolerance=tolerance,
         out_format=args.format,
         output_path=args.output,
         matrix_text=getattr(args, "matrix", None),
@@ -228,15 +231,16 @@ def _resolve_field(
     return load_field(document, model), source
 
 
-def _grid_for(model: FrameModel, config: RunConfig) -> Grid:
-    resolution: int | tuple[int, ...]
+def _resolution(config: RunConfig) -> int | tuple[int, ...]:
     if config.grid is None:
-        resolution = DEFAULT_RESOLUTION
-    elif len(config.grid) == 1:
-        resolution = config.grid[0]
-    else:
-        resolution = config.grid
-    return sample_grid(model, resolution)
+        return DEFAULT_RESOLUTION
+    if len(config.grid) == 1:
+        return config.grid[0]
+    return config.grid
+
+
+def _grid_for(model: FrameModel, config: RunConfig) -> Grid:
+    return sample_grid(model, _resolution(config))
 
 
 def _point(point: tuple[float, ...] | None) -> list[float] | None:
@@ -507,23 +511,13 @@ def _cmd_cover(config: RunConfig) -> tuple[dict, list[str], int]:
         raise UsageError(f"--coord must be in 1..{model.dim}")
     if config.fold < 1:
         raise UsageError("--fold must be >= 1")
-    lifted, lifted_split, lifted_field = lift_to_cover(
-        model, split, field_spec, config.coord - 1, config.fold
+    comparison = compare_with_cover(
+        model, split, field_spec, config.coord - 1, config.fold,
+        _resolution(config), config.tolerance,
     )
-    base_grid = _grid_for(model, config)
-    lifted_grid = _grid_for(lifted, config)
-    base_verdict = classify_divergence(model, split, field_spec, base_grid, config.tolerance)
-    lifted_verdict = classify_divergence(
-        lifted, lifted_split, lifted_field, lifted_grid, config.tolerance
-    )
-    worst = 0.0
-    for point in lifted_grid.points:
-        down = covering_projection(lifted, point)
-        difference = abs(
-            transverse_divergence(lifted, lifted_split, lifted_field, point)
-            - transverse_divergence(model, split, field_spec, down)
-        )
-        worst = max(worst, difference)
+    base_verdict, lifted_verdict = comparison.base_verdict, comparison.cover_verdict
+    worst = comparison.max_pointwise_difference
+    lifted = comparison.cover
     payload = {
         "subcommand": "cover",
         "model": model.name,
@@ -592,7 +586,10 @@ _HANDLERS = {
 
 def _emit(payload: dict, lines: list[str], config: RunConfig) -> None:
     if config.out_format == "json":
-        text = json.dumps(payload, indent=2) + "\n"
+        try:
+            text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        except ValueError as exc:  # a NaN or infinity is not JSON
+            raise DomainError(f"report holds a non-finite value: {exc}") from None
     else:
         text = "\n".join(lines) + "\n"
     if config.output_path:
@@ -606,11 +603,18 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         config = _config_from_args(args)
-        payload, lines, code = _HANDLERS[config.subcommand](config)
+        # every NaN or infinity is refused by an explicit check, so
+        # NumPy's floating-point warnings would only add noise
+        with np.errstate(all="ignore"):
+            payload, lines, code = _HANDLERS[config.subcommand](config)
+        _emit(payload, lines, config)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SchemaError, ParseError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:  # an unreadable input or unwritable output path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SingularFrameError, NotBasicError, InadmissibleMatrixError, ModelError) as exc:
@@ -619,7 +623,6 @@ def main(argv: list[str] | None = None) -> int:
     except (DomainError, EvalError, ExprError, SpectralError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    _emit(payload, lines, config)
     return code
 
 

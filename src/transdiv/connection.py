@@ -5,27 +5,24 @@ to a purely algebraic expression in the structure functions,
 
     Gamma_ij^k = (C_ij^k + C_ki^j + C_kj^i) / 2,
 
-with Gamma_ij^k = g(nabla_{E_i} E_j, E_k).  Everything here is computed
-per point with no caching contract; callers may memoize over grids.
+with Gamma_ij^k = g(nabla_{E_i} E_j, E_k).  The functions here evaluate
+at a single point; each is a one-point block of ``model.FrameData``,
+which grid sweeps read block by block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
 
-from . import expr
 from .model import (
     FoliationSplit,
     FrameModel,
     ModelError,
     VectorFieldSpec,
-    frame_matrix,
-    point_env,
-    structure_functions,
+    frame_data,
 )
 
 
@@ -57,9 +54,7 @@ class MeanCurvatureVector:
 
 def christoffel(model: FrameModel, point: tuple[float, ...]) -> ChristoffelTable:
     """Connection coefficients at ``point`` in the orthonormal frame."""
-    c = structure_functions(model, point)
-    values = 0.5 * (c + np.einsum("kij->ijk", c) + np.einsum("kji->ijk", c))
-    return ChristoffelTable(values=values, point=point)
+    return ChristoffelTable(values=frame_data(model, (point,)).gamma[0], point=point)
 
 
 def _check_indices(model: FrameModel, indices: Iterable[int]) -> tuple[int, ...]:
@@ -69,15 +64,6 @@ def _check_indices(model: FrameModel, indices: Iterable[int]) -> tuple[int, ...]
     if ordered[0] < 0 or ordered[-1] >= model.dim:
         raise ModelError(f"index set {ordered} out of range for dim {model.dim}")
     return ordered
-
-
-@lru_cache(maxsize=256)
-def _field_partials(field_spec: VectorFieldSpec, coords: tuple[str, ...]) -> tuple:
-    """partials[k][c] = d v^k / d x_c as expression trees."""
-    return tuple(
-        tuple(expr.differentiate(comp, c) for c in coords)
-        for comp in field_spec.components
-    )
 
 
 def covariant_rows(
@@ -90,23 +76,7 @@ def covariant_rows(
     where E_i(v^k) is a symbolic directional derivative on chart models
     and zero on constant-structure models.
     """
-    if field_spec.dim != model.dim:
-        raise ModelError(
-            f"field has {field_spec.dim} components, model has dim {model.dim}"
-        )
-    n = model.dim
-    env = point_env(model, point)
-    gamma = christoffel(model, point).values
-    comps = np.array([expr.evaluate(c, env) for c in field_spec.components])
-    rows = np.einsum("j,ijk->ik", comps, gamma)
-    if model.is_chart:
-        partials = _field_partials(field_spec, model.coordinate_names())
-        a = frame_matrix(model, point)
-        dvals = np.array(
-            [[expr.evaluate(d, env) for d in row] for row in partials]
-        )  # dvals[k, c] = d v^k / d x_c
-        rows = rows + a @ dvals.T
-    return rows
+    return frame_data(model, (point,), field_spec).rows[0]
 
 
 def covariant_derivative(
@@ -128,8 +98,7 @@ def divergence_sub(
 ) -> float:
     """div^D v = sum_{i in D} g(nabla_{E_i} v, E_i) for D = ``indices``."""
     ordered = _check_indices(model, indices)
-    rows = covariant_rows(model, field_spec, point)
-    return float(sum(rows[i, i] for i in ordered))
+    return float(frame_data(model, (point,), field_spec).divergence(ordered)[0])
 
 
 def full_divergence(
@@ -156,12 +125,7 @@ def mean_curvature(
     ordered = _check_indices(model, indices)
     if len(ordered) == model.dim:
         raise ModelError("mean curvature needs a proper sub-distribution")
-    gamma = christoffel(model, point).values
-    components = np.zeros(model.dim)
-    for k in range(model.dim):
-        if k in ordered:
-            continue
-        components[k] = sum(gamma[a, a, k] for a in ordered)
+    components = frame_data(model, (point,)).mean_curvature(ordered)[0]
     return MeanCurvatureVector(
         components=components, indices=frozenset(ordered), point=point
     )

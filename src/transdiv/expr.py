@@ -16,9 +16,12 @@ variable; whether it names a chart coordinate or a declared parameter
 is checked when the expression is bound to a model, not here.
 
 Expression nodes are immutable, so evaluation and differentiation are
-pure and thread-safe.  No simplification is attempted beyond folding
-literal zeros and ones out of derivative terms; correctness is always
-checked pointwise, never by canonical form.
+pure.  ``compile`` turns a node into a function over NumPy arrays for
+grid sweeps; ``evaluate`` is its scalar reference.  Compiled functions
+and partial derivatives are built once per node and kept on it.  No
+simplification is attempted beyond folding literal zeros and ones out of
+derivative terms; correctness is always checked pointwise, never by
+canonical form.
 """
 
 from __future__ import annotations
@@ -26,11 +29,17 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Any, Callable, Mapping
+
+import numpy as np
 
 
 class ExprError(Exception):
     """Base class for expression-language failures."""
+
+    #: The point of a grid sweep at which the failure happened, when a
+    #: sweep raised it.
+    point: tuple | None = None
 
 
 class ParseError(ExprError):
@@ -50,10 +59,10 @@ class UnknownFunctionError(ParseError):
 
 
 class EvalError(ExprError):
-    """Evaluation failure; carries the offending node."""
+    """Evaluation failure; carries the offending node, if any."""
 
-    def __init__(self, message: str, node: "Expr"):
-        super().__init__(f"{message} in '{to_string(node)}'")
+    def __init__(self, message: str, node: "Expr | None" = None):
+        super().__init__(message if node is None else f"{message} in '{to_string(node)}'")
         self.node = node
 
 
@@ -64,7 +73,8 @@ class UnboundVariableError(EvalError):
 
 
 class DomainError(EvalError):
-    """ln of a non-positive value, sqrt of a negative, division by zero."""
+    """ln of a non-positive value, sqrt of a negative, division by zero,
+    or a value that is not finite."""
 
 
 class DifferentiationError(ExprError):
@@ -241,20 +251,75 @@ def parse(text: str) -> Expr:
 
 # --- evaluation ------------------------------------------------------------
 
+def _checked(value: float, node: Expr) -> float:
+    if math.isfinite(value):
+        return value
+    raise DomainError(f"non-finite result {value!r}", node)
+
+
+def _binary(op: str, left: float, right: float, node: Expr) -> float:
+    """One scalar operator application, with the domain checks."""
+    if op == "+":
+        return _checked(left + right, node)
+    if op == "-":
+        return _checked(left - right, node)
+    if op == "*":
+        return _checked(left * right, node)
+    if op == "/":
+        if right == 0.0:
+            raise DomainError("division by zero", node)
+        return _checked(left / right, node)
+    if op == "^":
+        try:
+            return _checked(math.pow(left, right), node)
+        except (ValueError, OverflowError):
+            raise DomainError(
+                f"power {left!r}^{right!r} outside the real domain", node
+            ) from None
+    raise AssertionError(f"unreachable operator {op!r}")
+
+
+def _call(name: str, arg: float, node: Expr) -> float:
+    """One scalar function application, with the domain checks."""
+    if name in ("sin", "cos"):
+        try:
+            return math.sin(arg) if name == "sin" else math.cos(arg)
+        except ValueError:
+            raise DomainError(f"{name} of non-finite value {arg!r}", node) from None
+    if name == "exp":
+        try:
+            return math.exp(arg)
+        except OverflowError:
+            raise DomainError(f"exp({arg!r}) overflows", node) from None
+    if name == "ln":
+        if arg <= 0.0:
+            raise DomainError(f"ln of non-positive value {arg!r}", node)
+        return math.log(arg)
+    if name == "sqrt":
+        if arg < 0.0:
+            raise DomainError(f"sqrt of negative value {arg!r}", node)
+        return math.sqrt(arg)
+    raise AssertionError(f"unreachable function {name!r}")
+
+
 def evaluate(node: Expr, env: Mapping[str, float]) -> float:
     """Evaluate ``node`` with variables bound by ``env`` (IEEE doubles).
 
     Raises UnboundVariableError for a free variable missing from the
     environment and DomainError for ln(x <= 0), sqrt(x < 0), division
-    by zero, or a power outside the real domain.
+    by zero, a power outside the real domain, exp overflow, or any
+    non-finite value (a literal, a variable or an intermediate result).
+
+    This tree walk is the reference for ``compile``, which the grid
+    sweeps use.
     """
     if isinstance(node, Literal):
-        return node.value
+        return _checked(node.value, node)
     if isinstance(node, Constant):
         return CONSTANTS[node.name]
     if isinstance(node, Variable):
         try:
-            return float(env[node.name])
+            return _checked(float(env[node.name]), node)
         except KeyError:
             raise UnboundVariableError(node.name, node) from None
     if isinstance(node, Negate):
@@ -262,45 +327,172 @@ def evaluate(node: Expr, env: Mapping[str, float]) -> float:
     if isinstance(node, BinaryOp):
         left = evaluate(node.left, env)
         right = evaluate(node.right, env)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if node.op == "/":
-            if right == 0.0:
-                raise DomainError("division by zero", node)
-            return left / right
-        if node.op == "^":
-            try:
-                return math.pow(left, right)
-            except (ValueError, OverflowError):
-                raise DomainError(
-                    f"power {left!r}^{right!r} outside the real domain", node
-                ) from None
-        raise AssertionError(f"unreachable operator {node.op!r}")
+        return _binary(node.op, left, right, node)
     if isinstance(node, FunctionCall):
-        arg = evaluate(node.argument, env)
-        if node.name == "sin":
-            return math.sin(arg)
-        if node.name == "cos":
-            return math.cos(arg)
-        if node.name == "exp":
-            try:
-                return math.exp(arg)
-            except OverflowError:
-                raise DomainError(f"exp({arg!r}) overflows", node) from None
-        if node.name == "ln":
-            if arg <= 0.0:
-                raise DomainError(f"ln of non-positive value {arg!r}", node)
-            return math.log(arg)
-        if node.name == "sqrt":
-            if arg < 0.0:
-                raise DomainError(f"sqrt of negative value {arg!r}", node)
-            return math.sqrt(arg)
-        raise AssertionError(f"unreachable function {node.name!r}")
+        return _call(node.name, evaluate(node.argument, env), node)
     raise TypeError(f"not an expression node: {node!r}")
+
+
+# --- compiled evaluation ---------------------------------------------------
+
+def _memo(node: Expr) -> dict:
+    """Data derived from ``node``, kept on the node itself: nodes are
+    immutable, so it never goes stale, and lookups go by identity rather
+    than by the (recursive) structural hash."""
+    return node.__dict__.setdefault("_memo", {})
+
+
+def _first(values, mask) -> float:
+    """The first element of ``values`` (a float or an array) under ``mask``."""
+    return float(np.broadcast_to(values, np.shape(mask))[mask].flat[0])
+
+
+def _finite(value, node: Expr):
+    """``value`` (a float or an array) if every element is finite."""
+    if np.isfinite(value).all():
+        return value
+    raise DomainError(f"non-finite result {_first(value, ~np.isfinite(value))!r}", node)
+
+
+def compile(node: Expr) -> Callable[[Mapping[str, Any]], Any]:
+    """Compile ``node`` into a function of an environment whose values are
+    floats or NumPy arrays of one shape.  The function returns a float or
+    an array of that shape, computed elementwise with NumPy ufuncs.
+
+    The function is built once per node and kept on it.  It raises what
+    ``evaluate`` raises: UnboundVariableError for a missing variable and
+    DomainError for ln(x <= 0), sqrt(x < 0), division by zero, a power
+    outside the real domain, exp overflow, or any non-finite value; the
+    message names the first offending element.  Subtrees without
+    variables are folded once, by the scalar rules of ``evaluate``.
+    Callers silence NumPy's floating-point warnings with ``np.errstate``.
+    """
+    memo = _memo(node)
+    function = memo.get("compiled")
+    if function is None:
+        function = memo["compiled"] = _compile(node)
+    return function
+
+
+def _constant(value: float) -> Callable:
+    def constant(env):
+        return value
+
+    constant.value = value
+    return constant
+
+
+def _folded(node: Expr, fold: Callable[[], float]) -> Callable:
+    """A constant subtree: folded now, or re-raising its domain error at
+    every call, as ``evaluate`` would."""
+    try:
+        return _constant(fold())
+    except DomainError:
+        return lambda env: fold()
+
+
+_UFUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "ln": np.log, "sqrt": np.sqrt}
+
+
+def _compile(node: Expr) -> Callable:
+    if isinstance(node, Literal):
+        return _folded(node, lambda: _checked(node.value, node))
+    if isinstance(node, Constant):
+        return _constant(CONSTANTS[node.name])
+    if isinstance(node, Variable):
+        name = node.name
+
+        def variable(env):
+            try:
+                value = env[name]
+            except KeyError:
+                raise UnboundVariableError(name, node) from None
+            return _finite(value, node)
+
+        return variable
+    if isinstance(node, Negate):
+        operand = compile(node.operand)
+        if hasattr(operand, "value"):
+            return _constant(-operand.value)
+        return lambda env: -operand(env)
+    if isinstance(node, BinaryOp):
+        return _compile_binary(node, compile(node.left), compile(node.right))
+    if isinstance(node, FunctionCall):
+        return _compile_call(node, compile(node.argument))
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _compile_binary(node: BinaryOp, left: Callable, right: Callable) -> Callable:
+    op = node.op
+    if hasattr(left, "value") and hasattr(right, "value"):
+        return _folded(node, lambda: _binary(op, left.value, right.value, node))
+    if op == "+":
+        return lambda env: _finite(left(env) + right(env), node)
+    if op == "-":
+        return lambda env: _finite(left(env) - right(env), node)
+    if op == "*":
+        return lambda env: _finite(left(env) * right(env), node)
+    if op == "/":
+        def divide(env):
+            numerator, denominator = left(env), right(env)
+            if (np.asarray(denominator) == 0.0).any():
+                raise DomainError("division by zero", node)
+            return _finite(numerator / denominator, node)
+
+        return divide
+    if op == "^":
+        def power(env):
+            base, exponent = left(env), right(env)
+            value = np.power(base, exponent)
+            bad = ~np.isfinite(value)
+            if bad.any():
+                raise DomainError(
+                    f"power {_first(base, bad)!r}^{_first(exponent, bad)!r} "
+                    "outside the real domain",
+                    node,
+                )
+            return value
+
+        return power
+    raise AssertionError(f"unreachable operator {op!r}")
+
+
+def _compile_call(node: FunctionCall, argument: Callable) -> Callable:
+    name = node.name
+    if hasattr(argument, "value"):
+        return _folded(node, lambda: _call(name, argument.value, node))
+    ufunc = _UFUNCS[name]
+    if name in ("sin", "cos"):  # finite on finite arguments
+        return lambda env: ufunc(argument(env))
+    if name == "exp":
+        def exp(env):
+            arg = argument(env)
+            value = ufunc(arg)
+            bad = ~np.isfinite(value)
+            if bad.any():
+                raise DomainError(f"exp({_first(arg, bad)!r}) overflows", node)
+            return value
+
+        return exp
+    if name == "ln":
+        def ln(env):
+            arg = argument(env)
+            bad = np.asarray(arg) <= 0.0
+            if bad.any():
+                raise DomainError(f"ln of non-positive value {_first(arg, bad)!r}", node)
+            return ufunc(arg)
+
+        return ln
+    if name == "sqrt":
+        def sqrt(env):
+            arg = argument(env)
+            bad = np.asarray(arg) < 0.0
+            if bad.any():
+                raise DomainError(f"sqrt of negative value {_first(arg, bad)!r}", node)
+            return ufunc(arg)
+
+        return sqrt
+    raise AssertionError(f"unreachable function {name!r}")
 
 
 def variables(node: Expr) -> frozenset[str]:
@@ -431,6 +623,16 @@ def differentiate(node: Expr, var: str) -> Expr:
             return div(inner, mul(TWO, node))
         raise AssertionError(f"unreachable function {node.name!r}")
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def gradient(node: Expr, names: tuple[str, ...]) -> tuple[Expr, ...]:
+    """Partial derivatives of ``node`` with respect to each of ``names``,
+    differentiated once per node and kept on it."""
+    memo = _memo(node).setdefault("gradient", {})
+    found = memo.get(names)
+    if found is None:
+        found = memo[names] = tuple(differentiate(node, name) for name in names)
+    return found
 
 
 # --- printing --------------------------------------------------------------

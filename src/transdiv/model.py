@@ -16,9 +16,9 @@ API; the file formats and CLI reports use 1-based indices.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -33,6 +33,9 @@ DET_TOLERANCE = 1e-10
 
 #: Per-coordinate resolution used when probing a freshly loaded chart frame.
 PROBE_RESOLUTION = 8
+
+#: Largest basic-check residual |pi_Q [F_a, v]| accepted as zero.
+BASIC_TOLERANCE = 1e-9
 
 JACOBI_TOLERANCE = 1e-12
 ANTISYMMETRY_TOLERANCE = 1e-12
@@ -225,8 +228,8 @@ def chart_model(
     dim = len(periods)
     if dim < 1:
         raise ModelError("chart model needs at least one coordinate")
-    if any(length <= 0 for length in periods):
-        raise ModelError(f"periods must be positive, got {tuple(periods)}")
+    if not all(0 < length < math.inf for length in periods):
+        raise ModelError(f"periods must be positive and finite, got {tuple(periods)}")
     params = _check_parameters(dim, parameters or {})
     if len(frame) != dim or any(len(row) != dim for row in frame):
         raise ModelError(f"frame must be a {dim}x{dim} matrix of expressions")
@@ -332,32 +335,16 @@ def sample_grid(model: FrameModel, resolution: int | Sequence[int]) -> Grid:
 
 # --- frame evaluation ------------------------------------------------------
 
-def frame_matrix(model: FrameModel, point: tuple[float, ...]) -> np.ndarray:
-    """Frame coefficient matrix A with A[i, m] = a_i^m evaluated at ``point``."""
-    if not model.is_chart:
-        raise ModelError("frame matrix exists only for chart models")
-    assert model.frame is not None
-    env = point_env(model, point)
-    n = model.dim
-    values = np.empty((n, n))
-    for i in range(n):
-        for m in range(n):
-            values[i, m] = expr.evaluate(model.frame[i][m], env)
-    return values
+#: Most points in one FrameData block: a sweep holds the arrays of one
+#: block at a time, which bounds its memory.
+BLOCK_POINTS = 512
 
 
-@lru_cache(maxsize=64)
 def _frame_partials(model: FrameModel) -> tuple:
     """partials[i][m][c] = d a_i^m / d x_c as expression trees."""
     assert model.frame is not None
     coords = model.coordinate_names()
-    return tuple(
-        tuple(
-            tuple(expr.differentiate(entry, c) for c in coords)
-            for entry in row
-        )
-        for row in model.frame
-    )
+    return tuple(tuple(expr.gradient(entry, coords) for entry in row) for row in model.frame)
 
 
 def _constant_table(model: FrameModel) -> np.ndarray:
@@ -370,6 +357,203 @@ def _constant_table(model: FrameModel) -> np.ndarray:
     return table
 
 
+def require_finite(values: np.ndarray, points: Sequence, what: str) -> None:
+    """Raise DomainError at the first point where ``values`` (leading axis
+    over ``points``) holds a NaN or an infinity."""
+    if not len(points):
+        return
+    finite = np.isfinite(values).reshape(len(points), -1).all(axis=1)
+    if not finite.all():
+        index = int(np.argmin(finite))
+        raise expr.DomainError(f"non-finite {what} at {points[index]}")
+
+
+def _evaluate(nodes: Sequence[Expr], shape: tuple[int, ...], env: Mapping, count: int) -> np.ndarray:
+    """Compiled values of ``nodes`` (a row-major flattening of ``shape``)
+    at ``count`` points, as an array of shape (count, *shape)."""
+    out = np.empty((count, len(nodes)))
+    for index, node in enumerate(nodes):
+        out[:, index] = expr.compile(node)(env)
+    return out.reshape((count,) + shape)
+
+
+class FrameData:
+    """Frame quantities at a block of points, each an array whose leading
+    axis runs over the points (P of them):
+
+    - chart models: ``a[p, i, m]`` = a_i^m and ``det[p]`` = det A;
+    - with ``structure``: ``c[p, i, j, k]`` = C_ij^k and
+      ``gamma[p, i, j, k]`` = Gamma_ij^k, with
+      Gamma_ij^k = (C_ij^k + C_ki^j + C_kj^i) / 2;
+    - for a field v: ``v[p, k]`` = v^k, ``dv[p, k, c]`` = d v^k / d x_c,
+      ``ev[p, i, k]`` = E_i(v^k) and ``rows[p, i, k]`` =
+      (nabla_{E_i} v)^k = E_i(v^k) + sum_j v^j Gamma_ij^k.
+
+    Build through ``frame_data`` or ``sweep``.  Every value is finite: a
+    NaN or infinity raises DomainError, and |det A| < DET_TOLERANCE
+    raises SingularFrameError when the structure is asked for.
+    """
+
+    def __init__(
+        self,
+        model: FrameModel,
+        points: Sequence[tuple[float, ...]],
+        field_spec: VectorFieldSpec | None,
+        structure: bool,
+    ):
+        self.points = points
+        count, n = len(points), model.dim
+        env = _block_env(model, points)
+        self.a = self.det = self.c = self.gamma = None
+        self.v = self.dv = self.ev = self.rows = None
+        if model.is_chart:
+            assert model.frame is not None
+            self.a = _evaluate([e for row in model.frame for e in row], (n, n), env, count)
+            self.det = np.linalg.det(self.a)
+            require_finite(self.det, points, "frame determinant")
+        if not structure:
+            return
+        if model.is_chart:
+            singular = np.abs(self.det) < DET_TOLERANCE
+            if singular.any():
+                index = int(np.argmax(singular))
+                raise SingularFrameError(points[index], float(self.det[index]))
+            partials = [d for row in _frame_partials(model) for entry in row for d in entry]
+            da = _evaluate(partials, (n, n, n), env, count)  # da[p, j, m, c]
+            # directional[p, i, j, m] = E_i(a_j^m)
+            directional = np.einsum("pic,pjmc->pijm", self.a, da)
+            bracket = directional - directional.transpose((0, 2, 1, 3))
+            # express each bracket in the frame: solve A^T c = w columnwise
+            flat = bracket.reshape(count, n * n, n).transpose((0, 2, 1))
+            table = np.linalg.solve(self.a.transpose((0, 2, 1)), flat)
+            table = table.transpose((0, 2, 1)).reshape(count, n, n, n)
+            # enforce exact antisymmetry against solver roundoff
+            self.c = 0.5 * (table - table.transpose((0, 2, 1, 3)))
+        else:
+            self.c = np.broadcast_to(_constant_table(model), (count, n, n, n))
+        require_finite(self.c, points, "structure functions")
+        self.gamma = 0.5 * (
+            self.c + self.c.transpose((0, 2, 3, 1)) + self.c.transpose((0, 3, 2, 1))
+        )
+        require_finite(self.gamma, points, "connection coefficients")
+        if field_spec is None:
+            return
+        self.v = _evaluate(field_spec.components, (n,), env, count)
+        if model.is_chart:
+            coords = model.coordinate_names()
+            partials = [d for comp in field_spec.components for d in expr.gradient(comp, coords)]
+            self.dv = _evaluate(partials, (n, n), env, count)
+            self.ev = self.a @ self.dv.transpose((0, 2, 1))
+        else:
+            self.dv = self.ev = np.zeros((count, n, n))
+        self.rows = np.einsum("pj,pijk->pik", self.v, self.gamma) + self.ev
+        require_finite(self.rows, points, "covariant derivative")
+
+    def divergence(self, indices: Sequence[int]) -> np.ndarray:
+        """div^D v = sum_{i in D} (nabla_{E_i} v)^i at each point."""
+        return sum(self.rows[:, i, i] for i in indices)
+
+    def mean_curvature(self, indices: Sequence[int]) -> np.ndarray:
+        """Frame components of the mean curvature of the span of
+        ``indices``: sum_{a in D} Gamma_aa^k for k outside D, else 0."""
+        components = sum(self.gamma[:, a, a, :] for a in indices)
+        components[:, list(indices)] = 0.0
+        return components
+
+    def basic_residuals(self, split: FoliationSplit) -> np.ndarray:
+        """max over leafwise a and transverse t of |pi_t [E_a, v]| =
+        |E_a(v^t) + sum_j v^j C_aj^t| at each point."""
+        leaf, transverse = list(split.leaf_ordered), list(split.transverse_ordered)
+        bracket = self.ev + np.einsum("pj,pijk->pik", self.v, self.c)
+        residuals = np.abs(bracket[:, leaf][:, :, transverse])
+        return residuals.reshape(len(self.points), -1).max(axis=1)
+
+
+def _block_env(model: FrameModel, points: Sequence[tuple[float, ...]]) -> dict:
+    """``point_env`` for a block: one array per coordinate."""
+    env: dict = dict(model.parameters)
+    if model.is_chart:
+        columns = np.array(points, dtype=float).reshape(len(points), -1).T
+        wraps = model.coordinate_wraps or (None,) * model.dim
+        for name, column, wrap in zip(model.coordinate_names(), columns, wraps):
+            env[name] = column.copy() if wrap is None else np.mod(column, wrap)
+    return env
+
+
+_POINT_ERRORS = (ExprError, SingularFrameError)
+
+
+def frame_data(
+    model: FrameModel,
+    points: Sequence[tuple[float, ...]],
+    field_spec: VectorFieldSpec | None = None,
+    structure: bool = True,
+) -> FrameData:
+    """FrameData at ``points`` as one block.
+
+    A failure is reported as a point-by-point sweep would report it: the
+    error of the first point that fails on its own (found by bisection),
+    with that point stored on an ExprError as ``point``.
+    """
+    _check_field_dim(model, field_spec)
+    try:
+        return _build(model, points, field_spec, structure)
+    except _POINT_ERRORS:
+        if len(points) == 1:
+            raise
+    failing = points  # fails as a whole; the first half that fails holds the culprit
+    while len(failing) > 1:
+        half = failing[: len(failing) // 2]
+        try:
+            _build(model, half, field_spec, structure)
+            failing = failing[len(half):]
+        except _POINT_ERRORS:
+            failing = half
+    return _build(model, failing, field_spec, structure)
+
+
+def _build(model, points, field_spec, structure) -> FrameData:
+    try:
+        with np.errstate(all="ignore"):
+            return FrameData(model, points, field_spec, structure)
+    except ExprError as exc:
+        if len(points) == 1:
+            exc.point = points[0]
+        raise
+
+
+def _check_field_dim(model: FrameModel, field_spec: VectorFieldSpec | None) -> None:
+    if field_spec is not None and field_spec.dim != model.dim:
+        raise ModelError(
+            f"field has {field_spec.dim} components, model has dim {model.dim}"
+        )
+
+
+def sweep(
+    model: FrameModel,
+    points: Sequence[tuple[float, ...]],
+    field_spec: VectorFieldSpec | None = None,
+    structure: bool = True,
+) -> Iterator[FrameData]:
+    """FrameData for ``points`` in order, in blocks of at most BLOCK_POINTS."""
+    _check_field_dim(model, field_spec)
+    for start in range(0, len(points), BLOCK_POINTS):
+        yield frame_data(model, points[start:start + BLOCK_POINTS], field_spec, structure)
+
+
+def gather(blocks: Iterable[np.ndarray]) -> np.ndarray:
+    """Per-block arrays of a sweep joined along the point axis."""
+    arrays = list(blocks)
+    return np.concatenate(arrays) if arrays else np.empty(0)
+
+
+def frame_matrix(model: FrameModel, point: tuple[float, ...]) -> np.ndarray:
+    """Frame coefficient matrix A with A[i, m] = a_i^m evaluated at ``point``."""
+    if not model.is_chart:
+        raise ModelError("frame matrix exists only for chart models")
+    return frame_data(model, (point,), structure=False).a[0]
+
+
 def structure_functions(model: FrameModel, point: tuple[float, ...]) -> np.ndarray:
     """The table C with [E_i, E_j] = sum_k C[i, j, k] E_k at ``point``.
 
@@ -380,29 +564,9 @@ def structure_functions(model: FrameModel, point: tuple[float, ...]) -> np.ndarr
     """
     if model.kind == CONSTANT_STRUCTURE:
         return _constant_table(model)
-    n = model.dim
-    env = point_env(model, point)
-    a = frame_matrix(model, point)
-    det = float(np.linalg.det(a))
-    if abs(det) < DET_TOLERANCE:
-        raise SingularFrameError(point, det)
-    partials = _frame_partials(model)
-    dvals = np.empty((n, n, n))
-    for j in range(n):
-        for m in range(n):
-            for c in range(n):
-                dvals[j, m, c] = expr.evaluate(partials[j][m][c], env)
-    # directional[i, j, m] = E_i(a_j^m)
-    directional = np.einsum("ic,jmc->ijm", a, dvals)
-    bracket = directional - directional.transpose((1, 0, 2))
-    # express each bracket in the frame: solve A^T c = w columnwise
-    flat = bracket.reshape(n * n, n).T
-    table = np.linalg.solve(a.T, flat).T.reshape(n, n, n)
-    # enforce exact antisymmetry against solver roundoff
-    return 0.5 * (table - table.transpose((1, 0, 2)))
+    return frame_data(model, (point,)).c[0]
 
 
-@lru_cache(maxsize=64)
 def structure_functions_symbolic(model: FrameModel) -> tuple:
     """C_ij^k as expression trees (Cramer solve for chart models).
 
@@ -478,57 +642,60 @@ def _corner_points(model: FrameModel, resolution: tuple[int, ...]) -> tuple:
     return tuple(itertools.product(*axes))
 
 
+def _probe_invertibility(model: FrameModel, grid: Grid) -> tuple[tuple, np.ndarray]:
+    """The frame-invertibility probe points (``grid``'s points and its
+    lattice corners) and det A at each."""
+    resolution = grid.resolution or (PROBE_RESOLUTION,) * model.dim
+    points = tuple(grid.points) + _corner_points(model, resolution)
+    return points, gather(block.det for block in sweep(model, points, structure=False))
+
+
 def validate_model(model: FrameModel, grid: Grid) -> ModelDiagnostics:
     """Diagnostics (never raises): frame invertibility over grid and
     corner probes for charts, antisymmetry of C, Jacobi identity for
     constant-structure models."""
     checks: list[CheckResult] = []
     if model.is_chart:
-        resolution = grid.resolution or (PROBE_RESOLUTION,) * model.dim
-        probes = tuple(grid.points) + _corner_points(model, resolution)
-        worst_det = None
-        worst_point = None
-        failure = None
-        for point in probes:
-            try:
-                det = abs(float(np.linalg.det(frame_matrix(model, point))))
-            except ExprError as exc:
-                failure = (point, f"frame evaluation failed: {exc}")
-                break
-            if worst_det is None or det < worst_det:
-                worst_det, worst_point = det, point
-        if failure is not None:
-            checks.append(
-                CheckResult(
-                    "frame_invertibility", False, 0.0, failure[0], failure[1]
-                )
-            )
-        else:
-            ok = worst_det is not None and worst_det >= DET_TOLERANCE
+        try:
+            probes, dets = _probe_invertibility(model, grid)
+        except ExprError as exc:
             checks.append(
                 CheckResult(
                     "frame_invertibility",
-                    ok,
+                    False,
+                    0.0,
+                    exc.point,
+                    f"frame evaluation failed: {exc}",
+                )
+            )
+        else:
+            index = int(np.argmin(np.abs(dets)))
+            worst_det = float(abs(dets[index]))
+            checks.append(
+                CheckResult(
+                    "frame_invertibility",
+                    worst_det >= DET_TOLERANCE,
                     worst_det,
-                    worst_point,
+                    probes[index],
                     f"min |det(frame)| over {len(probes)} probe points "
                     f"(threshold {DET_TOLERANCE:g})",
                 )
             )
         if checks[-1].passed:
-            worst = 0.0
-            worst_point = grid.points[0] if grid.points else None
-            for point in grid.points:
-                table = structure_functions(model, point)
-                defect = float(np.max(np.abs(table + table.transpose((1, 0, 2)))))
-                if defect > worst:
-                    worst, worst_point = defect, point
+            defects = gather(
+                np.abs(block.c + block.c.transpose((0, 2, 1, 3)))
+                .reshape(len(block.points), -1)
+                .max(axis=1)
+                for block in sweep(model, grid.points)
+            )
+            index = int(np.argmax(defects)) if len(defects) else 0
+            worst = float(defects[index]) if len(defects) else 0.0
             checks.append(
                 CheckResult(
                     "structure_antisymmetry",
                     worst <= ANTISYMMETRY_TOLERANCE,
                     worst,
-                    worst_point,
+                    grid.points[index] if grid.points else None,
                     f"max |C_ij^k + C_ji^k| over the grid "
                     f"(threshold {ANTISYMMETRY_TOLERANCE:g})",
                 )
@@ -562,56 +729,45 @@ def validate_model(model: FrameModel, grid: Grid) -> ModelDiagnostics:
     return ModelDiagnostics(checks=tuple(checks))
 
 
+def basic_field_check(
+    residuals: np.ndarray, points: Sequence[tuple[float, ...]], tol: float = BASIC_TOLERANCE
+) -> BasicFieldCheck:
+    """Reduce per-point residuals (``FrameData.basic_residuals``) to the
+    worst one and its first point; a non-finite residual raises
+    DomainError."""
+    require_finite(residuals, points, "basic-check residual")
+    if not len(points):
+        return BasicFieldCheck(passed=True, max_residual=0.0, worst_point=None, tolerance=tol)
+    index = int(np.argmax(residuals))
+    max_residual = float(residuals[index])
+    return BasicFieldCheck(
+        passed=max_residual <= tol,
+        max_residual=max_residual,
+        worst_point=points[index],
+        tolerance=tol,
+    )
+
+
 def check_basic(
     model: FrameModel,
     split: FoliationSplit,
     field_spec: VectorFieldSpec,
     grid: Grid,
-    tol: float = 1e-9,
+    tol: float = BASIC_TOLERANCE,
 ) -> BasicFieldCheck:
     """Test whether v is basic: the transverse part of [F_a, v] must
     vanish for every leafwise frame direction F_a, at every grid point."""
-    if field_spec.dim != model.dim:
-        raise ModelError(
-            f"field has {field_spec.dim} components, model has dim {model.dim}"
-        )
-    coords = model.coordinate_names()
-    if model.is_chart:
-        dv = [
-            [expr.differentiate(comp, c) for c in coords]
-            for comp in field_spec.components
-        ]
-    max_residual = 0.0
-    worst_point = grid.points[0] if grid.points else None
-    for point in grid.points:
-        env = point_env(model, point)
-        table = structure_functions(model, point)
-        comps = np.array([expr.evaluate(c, env) for c in field_spec.components])
-        if model.is_chart:
-            a = frame_matrix(model, point)
-            dvals = np.array(
-                [[expr.evaluate(d, env) for d in row] for row in dv]
-            )  # dvals[k, c] = d v^k / d x_c
-            directional = a @ dvals.T  # directional[i, k] = E_i(v^k)
-        else:
-            directional = np.zeros((model.dim, model.dim))
-        for a_idx in split.leaf_ordered:
-            for t_idx in split.transverse_ordered:
-                residual = abs(
-                    directional[a_idx, t_idx]
-                    + float(comps @ table[a_idx, :, t_idx])
-                )
-                if residual > max_residual:
-                    max_residual, worst_point = residual, point
-    return BasicFieldCheck(
-        passed=max_residual <= tol,
-        max_residual=max_residual,
-        worst_point=worst_point,
-        tolerance=tol,
+    residuals = gather(
+        block.basic_residuals(split) for block in sweep(model, grid.points, field_spec)
     )
+    return basic_field_check(residuals, grid.points, tol)
 
 
 # --- model and field documents ---------------------------------------------
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
 
 def _require(document: Mapping, key: str, kinds, what: str):
     if key not in document:
@@ -650,9 +806,8 @@ def load_model(document: Mapping) -> tuple[FrameModel, FoliationSplit]:
     if not isinstance(parameters, Mapping):
         raise SchemaError("'parameters' must be a mapping of name to number")
     for pname, pvalue in parameters.items():
-        if not isinstance(pname, str) or not isinstance(pvalue, (int, float)) \
-                or isinstance(pvalue, bool):
-            raise SchemaError(f"parameter {pname!r}: {pvalue!r} is not a number")
+        if not isinstance(pname, str) or not _is_number(pvalue):
+            raise SchemaError(f"parameter {pname!r}: {pvalue!r} is not a finite number")
     dense = document.get("dense_leaves", False)
     if not isinstance(dense, bool):
         raise SchemaError("'dense_leaves' must be a boolean")
@@ -710,8 +865,10 @@ def _load_constant_structure(document, name, dim, parameters, dense) -> FrameMod
                     f"structure-constant value {value!r} references undeclared {sorted(free)}"
                 )
             value = expr.evaluate(node, params)
-        elif not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise SchemaError(f"structure-constant value must be a number or string, got {value!r}")
+        elif not _is_number(value):
+            raise SchemaError(
+                f"structure-constant value must be a finite number or string, got {value!r}"
+            )
         constants.append((i - 1, j - 1, k - 1, float(value)))
     return constant_structure_model(
         name, dim, constants, parameters=params, dense_leaves=dense
@@ -722,11 +879,8 @@ def _load_chart(document, name, dim, parameters, dense) -> FrameModel:
     if "structure_constants" in document:
         raise SchemaError("chart model cannot carry 'structure_constants'")
     periods = _require(document, "periods", (list, tuple), "model document")
-    if len(periods) != dim or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) and x > 0
-        for x in periods
-    ):
-        raise SchemaError(f"'periods' must list {dim} positive numbers")
+    if len(periods) != dim or not all(_is_number(x) and x > 0 for x in periods):
+        raise SchemaError(f"'periods' must list {dim} positive finite numbers")
     raw_frame = _require(document, "frame", (list, tuple), "model document")
     if len(raw_frame) != dim * dim:
         raise SchemaError(
@@ -747,11 +901,11 @@ def _load_chart(document, name, dim, parameters, dense) -> FrameModel:
     model = chart_model(
         name, periods, rows, parameters=parameters, dense_leaves=dense
     )
-    probe = sample_grid(model, PROBE_RESOLUTION)
-    for point in probe.points + _corner_points(model, probe.resolution):
-        det = float(np.linalg.det(frame_matrix(model, point)))
-        if abs(det) < DET_TOLERANCE:
-            raise SingularFrameError(point, det)
+    points, dets = _probe_invertibility(model, sample_grid(model, PROBE_RESOLUTION))
+    singular = np.abs(dets) < DET_TOLERANCE
+    if singular.any():
+        index = int(np.argmax(singular))
+        raise SingularFrameError(points[index], float(dets[index]))
     return model
 
 

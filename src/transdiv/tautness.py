@@ -21,23 +21,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr
-from .connection import mean_curvature, transverse_divergence
 from .model import (
     CHART,
-    DET_TOLERANCE,
     BasicFieldCheck,
     FoliationSplit,
     FrameModel,
     Grid,
     ModelError,
-    SingularFrameError,
     VectorFieldSpec,
+    basic_field_check,
     chart_model,
     check_basic,
-    frame_matrix,
-    point_env,
+    gather,
+    require_finite,
     sample_grid,
     structure_functions_symbolic,
+    sweep,
 )
 
 DEFAULT_TOLERANCE = 1e-9
@@ -112,6 +111,18 @@ class VolumePreservationReport:
     note: str
 
 
+@dataclass(frozen=True)
+class CoverComparison:
+    """A field's verdicts on a base model and on a finite cover of it,
+    and the largest |div^Q(lift v) - div^Q(v) o projection| over the
+    cover's grid."""
+
+    cover: FrameModel
+    base_verdict: TautnessVerdict
+    cover_verdict: TautnessVerdict
+    max_pointwise_difference: float
+
+
 class NotBasicError(ModelError):
     """A candidate field failed the basic-field test."""
 
@@ -123,16 +134,48 @@ class NotBasicError(ModelError):
         self.check = check
 
 
-def _require_basic(
+def _require_basic(check: BasicFieldCheck, message: str = "field is not basic") -> None:
+    if not check.passed:
+        raise NotBasicError(check, message)
+
+
+def _divergence_sweep(
     model: FrameModel,
     split: FoliationSplit,
     field_spec: VectorFieldSpec,
     grid: Grid,
-    message: str = "field is not basic",
-) -> None:
-    check = check_basic(model, split, field_spec, grid)
-    if not check.passed:
-        raise NotBasicError(check, message)
+) -> np.ndarray:
+    """div^Q v at every grid point, after the basic test over the whole
+    grid; both come from one pass over the grid's FrameData blocks."""
+    residuals, values = [], []
+    for block in sweep(model, grid.points, field_spec):
+        residuals.append(block.basic_residuals(split))
+        values.append(block.divergence(split.transverse_ordered))
+    _require_basic(basic_field_check(gather(residuals), grid.points))
+    values = gather(values)
+    require_finite(values, grid.points, "div^Q v")
+    return values
+
+
+def _classify(values: np.ndarray, points: tuple, tol: float) -> TautnessVerdict:
+    if not points:
+        return TautnessVerdict(
+            TautnessClass.INCONCLUSIVE, None, None, None, None, tol
+        )
+    # first index of each extreme, as a scan in point order finds them
+    low, high = int(np.argmin(values)), int(np.argmax(values))
+    min_value, max_value = float(values[low]), float(values[high])
+    if max(abs(min_value), abs(max_value)) <= tol:
+        classification = TautnessClass.IDENTICALLY_ZERO
+    elif min_value >= -tol and max_value > tol:
+        classification = TautnessClass.NON_TAUT_WITNESS
+    elif max_value <= tol and min_value < -tol:
+        classification = TautnessClass.NEGATED_NON_TAUT_WITNESS
+    else:
+        classification = TautnessClass.MIXED_SIGN
+    return TautnessVerdict(
+        classification, min_value, max_value, points[low], points[high], tol
+    )
 
 
 def classify_divergence(
@@ -146,31 +189,11 @@ def classify_divergence(
 
     The field must pass the basic test first (NotBasicError otherwise).
     Values within +/- tol count as zero; ties break toward
-    IdenticallyZero, then toward the witness classes.
+    IdenticallyZero, then toward the witness classes.  A non-finite
+    value raises DomainError.
     """
-    _require_basic(model, split, field_spec, grid)
-    if not grid.points:
-        return TautnessVerdict(
-            TautnessClass.INCONCLUSIVE, None, None, None, None, tol
-        )
-    min_value = math.inf
-    max_value = -math.inf
-    argmin = argmax = grid.points[0]
-    for point in grid.points:
-        value = transverse_divergence(model, split, field_spec, point)
-        if value < min_value:
-            min_value, argmin = value, point
-        if value > max_value:
-            max_value, argmax = value, point
-    if max(abs(min_value), abs(max_value)) <= tol:
-        classification = TautnessClass.IDENTICALLY_ZERO
-    elif min_value >= -tol and max_value > tol:
-        classification = TautnessClass.NON_TAUT_WITNESS
-    elif max_value <= tol and min_value < -tol:
-        classification = TautnessClass.NEGATED_NON_TAUT_WITNESS
-    else:
-        classification = TautnessClass.MIXED_SIGN
-    return TautnessVerdict(classification, min_value, max_value, argmin, argmax, tol)
+    values = _divergence_sweep(model, split, field_spec, grid)
+    return _classify(values, grid.points, tol)
 
 
 def alvarez_candidate(
@@ -201,7 +224,8 @@ def alvarez_candidate(
     if grid is None:
         grid = sample_grid(model, CANDIDATE_CHECK_RESOLUTION)
     _require_basic(
-        model, split, candidate, grid, "mean curvature not basic on this model"
+        check_basic(model, split, candidate, grid),
+        "mean curvature not basic on this model",
     )
     return candidate
 
@@ -218,37 +242,44 @@ def green_check(
 
     by the cell-centered Riemann sum with density 1/|det(frame)| per
     point (the Riemannian density induced by the orthonormal frame).
-    Summation order is fixed by point index, so results are
-    bit-reproducible.
+    Both sums are math.fsum of the per-point terms: correctly rounded,
+    so independent of the order of the points.
     """
     if model.kind != CHART:
         raise ModelError("the Green-formula quadrature needs a chart model")
     grid = sample_grid(model, resolution)
-    _require_basic(model, split, field_spec, grid)
     assert model.periods is not None
     cell = 1.0
     for length, n in zip(model.periods, grid.resolution):
         cell *= length / n
-    lhs = 0.0
-    rhs = 0.0
-    leaf = split.leaf_ordered
-    for point in grid.points:
-        det = float(np.linalg.det(frame_matrix(model, point)))
-        if abs(det) < DET_TOLERANCE:
-            raise SingularFrameError(point, det)
-        weight = cell / abs(det)
-        env = point_env(model, point)
-        comps = np.array([expr.evaluate(c, env) for c in field_spec.components])
-        kappa = mean_curvature(model, leaf, point).components
-        lhs += transverse_divergence(model, split, field_spec, point) * weight
-        rhs += float(comps @ kappa) * weight
+    residuals, lhs_terms, rhs_terms = [], [], []
+    for block in sweep(model, grid.points, field_spec):
+        residuals.append(block.basic_residuals(split))
+        weight = cell / np.abs(block.det)
+        kappa = block.mean_curvature(split.leaf_ordered)
+        lhs_terms.append(block.divergence(split.transverse_ordered) * weight)
+        rhs_terms.append(np.einsum("pk,pk->p", block.v, kappa) * weight)
+    _require_basic(basic_field_check(gather(residuals), grid.points))
+    lhs = _integral(gather(lhs_terms), grid.points, "div^Q v dmu")
+    rhs = _integral(gather(rhs_terms), grid.points, "g(v, kappa#) dmu")
+    abs_error = abs(lhs - rhs)
+    if not math.isfinite(abs_error):
+        raise expr.DomainError(f"|lhs - rhs| overflows ({lhs!r} - {rhs!r})")
     return QuadratureReport(
         lhs=lhs,
         rhs=rhs,
-        abs_error=abs(lhs - rhs),
+        abs_error=abs_error,
         resolution=grid.resolution,
         density="1/|det(frame)| (Riemannian density of the orthonormal frame)",
     )
+
+
+def _integral(terms: np.ndarray, points: tuple, what: str) -> float:
+    require_finite(terms, points, f"term of the integral of {what}")
+    try:
+        return math.fsum(terms.tolist())
+    except OverflowError:
+        raise expr.DomainError(f"the integral of {what} overflows") from None
 
 
 def volume_preservation_check(
@@ -336,4 +367,37 @@ def covering_projection(model: FrameModel, point: tuple[float, ...]) -> tuple[fl
     wraps = model.coordinate_wraps or (None,) * model.dim
     return tuple(
         x if wrap is None else x % wrap for x, wrap in zip(point, wraps)
+    )
+
+
+def compare_with_cover(
+    model: FrameModel,
+    split: FoliationSplit,
+    field_spec: VectorFieldSpec,
+    coord: int,
+    fold: int,
+    resolution: int | tuple[int, ...],
+    tol: float = DEFAULT_TOLERANCE,
+) -> CoverComparison:
+    """Classify div^Q v on ``model`` and on its ``fold``-times cover along
+    ``coord`` (see lift_to_cover), each on a grid of ``resolution``, and
+    compare the lift pointwise with the base field at the projected
+    points, reusing the values of the cover's sweep."""
+    cover, cover_split, cover_field = lift_to_cover(model, split, field_spec, coord, fold)
+    base_grid = sample_grid(model, resolution)
+    cover_grid = sample_grid(cover, resolution)
+    base_verdict = classify_divergence(model, split, field_spec, base_grid, tol)
+    lifted = _divergence_sweep(cover, cover_split, cover_field, cover_grid)
+    projected = tuple(covering_projection(cover, point) for point in cover_grid.points)
+    below = gather(
+        block.divergence(split.transverse_ordered)
+        for block in sweep(model, projected, field_spec)
+    )
+    difference = np.abs(lifted - below)
+    require_finite(difference, cover_grid.points, "pointwise difference of div^Q")
+    return CoverComparison(
+        cover=cover,
+        base_verdict=base_verdict,
+        cover_verdict=_classify(lifted, cover_grid.points, tol),
+        max_pointwise_difference=float(np.max(difference, initial=0.0)),
     )

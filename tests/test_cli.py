@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -251,6 +252,33 @@ def test_domain_error_exit_2(capsys, tmp_path):
     assert "ln" in err
 
 
+@pytest.mark.parametrize(
+    "component",
+    ["sin(1e200*1e200)", "1e200*1e200*x2 - 1e200*1e200*x2", "exp(1000*x2)"],
+)
+def test_non_finite_field_exit_2_with_one_line(capsys, tmp_path, component):
+    field = write_field(tmp_path, "overflow.json", ["0", component])
+    code, out, err = run(
+        capsys, "taut-check", "torus-warped", "--field", field, "--format", "json"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_non_finite_tolerance_exit_1(capsys):
+    code, _, err = run(capsys, "taut-check", "t3a", "--field", "alvarez", "--tol", "nan")
+    assert code == 1
+    assert "--tol" in err
+
+
+def test_unwritable_output_exit_1(capsys, tmp_path):
+    target = tmp_path / "missing-directory" / "report.json"
+    code, _, err = run(capsys, "taut-check", "t3a", "--field", "alvarez", "--output", str(target))
+    assert code == 1
+    assert err.startswith("error: ")
+
+
 def test_singular_model_exit_3(capsys, tmp_path):
     bad = tmp_path / "singular.json"
     bad.write_text(
@@ -319,10 +347,16 @@ def test_analyze_reports_validation_failure_exit_3(capsys, tmp_path):
 # --- module execution ------------------------------------------------------------------
 
 def test_python_dash_m_entry_point():
+    # the child imports the package from where this process found it,
+    # installed or not
+    package_root = os.path.dirname(os.path.dirname(td.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
     completed = subprocess.run(
         [sys.executable, "-m", "transdiv", "spectral", "--matrix", "2,1;1,1"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert completed.returncode == 0
     assert "x^2-3x+1" in completed.stdout

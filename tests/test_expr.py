@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -124,6 +125,72 @@ def test_domain_error_names_offending_node():
     with pytest.raises(DomainError) as info:
         evaluate(parse("1 + ln(0-2)"), {})
     assert "ln" in str(info.value)
+
+
+# --- non-finite values and the compiled evaluator ---------------------------------
+
+NON_FINITE_CASES = [
+    ("sin(x1)", {"x1": math.inf}),  # math.sin raises ValueError on inf
+    ("cos(x1)", {"x1": -math.inf}),
+    ("x1 + 1", {"x1": math.nan}),
+    ("1e200*1e200*x1", {"x1": 1.0}),  # overflow in *
+    ("1e308 + 1e308", {}),  # overflow in +
+    ("0 - 1e308 - 1e308", {}),  # overflow in -
+    ("x1/1e-300", {"x1": 1e10}),  # overflow in /
+    ("1e200*1e200*x2 - 1e200*1e200*x2", {"x2": 0.5}),  # inf - inf = NaN
+    ("sin(1e200*1e200)", {}),
+    ("1e400", {}),  # parses to an infinite literal
+]
+
+
+@pytest.mark.parametrize("text, env", NON_FINITE_CASES)
+def test_non_finite_values_raise_domain_error(text, env):
+    node = parse(text)
+    with pytest.raises(DomainError):
+        evaluate(node, env)
+    with pytest.raises(DomainError), np.errstate(all="ignore"):
+        expr.compile(node)({name: np.array([value, 0.5]) for name, value in env.items()})
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("ln(x1)", 0.0), ("sqrt(x1)", -1.0), ("1/(x1-x1)", 2.0), ("x1^0.5", -2.0),
+     ("exp(x1)", 800.0), ("(x1-x1)^(0-1)", 3.0)],
+)
+def test_compiled_domain_errors_match_evaluate(text, value):
+    node = parse(text)
+    with pytest.raises(DomainError) as scalar:
+        evaluate(node, {"x1": value})
+    with pytest.raises(DomainError) as compiled, np.errstate(all="ignore"):
+        expr.compile(node)({"x1": np.array([1.0, value, 1.5])})
+    assert str(compiled.value) == str(scalar.value)  # names the first bad element
+    with pytest.raises(UnboundVariableError):
+        expr.compile(parse("x1 + x9"))({"x1": np.ones(2)})
+
+
+def test_compiled_matches_evaluate_on_random_expressions():
+    rng = random.Random(77)
+    names = ("x1", "x2")
+    for _ in range(300):
+        node = random_expression(rng, names)
+        envs = [random_env(rng, names) for _ in range(8)]
+        arrays = {name: np.array([env[name] for env in envs]) for name in names}
+        try:
+            expected = [evaluate(node, env) for env in envs]
+        except DomainError:
+            with pytest.raises(DomainError), np.errstate(all="ignore"):
+                expr.compile(node)(arrays)
+            continue
+        with np.errstate(all="ignore"):
+            got = np.broadcast_to(expr.compile(node)(arrays), (len(envs),))
+        scale = max(1.0, max(abs(x) for x in expected))
+        assert np.max(np.abs(got - np.array(expected))) <= 64 * np.spacing(scale)
+
+
+def test_compile_is_built_once_per_node():
+    node = parse("sin(x1) + 2*pi")
+    assert expr.compile(node) is expr.compile(node)
+    assert expr.compile(parse("2*pi + 1")).value == 2 * math.pi + 1  # folded
 
 
 # --- differentiation ---------------------------------------------------------

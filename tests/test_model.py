@@ -342,6 +342,16 @@ def test_validate_singular_frame_near_zero():
     assert invertibility.worst_point[0] == 0.0  # the corner probe at x1 = 0
 
 
+def test_validate_reports_first_failing_probe():
+    # ln(x1) is fine at every cell centre and fails at the corner x1 = 0
+    model = td.chart_model("log-frame", (1.0, 1.0), [["2 + ln(x1)", "0"], ["0", "1"]])
+    report = td.validate_model(model, td.sample_grid(model, 8))
+    invertibility = [c for c in report.checks if c.name == "frame_invertibility"][0]
+    assert not invertibility.passed
+    assert invertibility.worst_point == (0.0, 0.0)
+    assert "frame evaluation failed" in invertibility.detail
+
+
 def test_corner_probe_includes_origin(torus):
     model, _ = torus
     corners = _corner_points(model, (PROBE_RESOLUTION,) * 2)

@@ -102,6 +102,28 @@ def test_classify_rejects_non_basic(torus):
     assert info.value.check.max_residual > 0
 
 
+def test_non_finite_values_are_refused():
+    # finite structure constants and field, but v^j Gamma_ij^k overflows
+    model = td.constant_structure_model("huge", 3, [(0, 1, 2, 1e300)])
+    split = td.foliation_split(3, {2})
+    field = td.vector_field([1e300, 1e300, 0], model)
+    grid = td.sample_grid(model, 1)
+    with pytest.raises(td.DomainError, match="non-finite"):
+        td.classify_divergence(model, split, field, grid)
+    with pytest.raises(td.DomainError, match="non-finite"):
+        td.check_basic(model, split, field, grid)
+    with pytest.raises(td.DomainError, match="non-finite"):
+        td.model.basic_field_check(np.array([0.0, math.nan]), grid.points * 2)
+
+
+def test_nan_field_is_refused_not_classified(torus):
+    # inf - inf: once classified MixedSign with min inf and max -inf
+    model, split = torus
+    field = td.vector_field(["0", "1e200*1e200*x2 - 1e200*1e200*x2"], model)
+    with pytest.raises(td.DomainError):
+        td.classify_divergence(model, split, field, td.sample_grid(model, 4))
+
+
 def test_classify_empty_grid_inconclusive(t3a):
     model, split = t3a
     tau = td.alvarez_candidate(model, split)
