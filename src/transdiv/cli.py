@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -82,35 +81,28 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Normalized invocation: one model source, optional field source,
-    grid resolution (>= 1 per coordinate), tolerance, output options."""
-
-    subcommand: str
-    model_source: str | None
-    field_source: str | None
-    grid: tuple[int, ...] | None
-    tolerance: float
-    out_format: str
-    output_path: str | None
-    matrix_text: str | None = None
-    leaf_index: int | None = None
-    coord: int | None = None
-    fold: int | None = None
-    model_out: str | None = None
-
-
-def _parse_grid(text: str | None) -> tuple[int, ...] | None:
-    if text is None:
-        return None
+def _grid(text: str) -> tuple[int, ...]:
+    """``--grid``: resolution per coordinate, each >= 1."""
     try:
         entries = tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise UsageError(f"--grid expects comma-separated integers, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"expects comma-separated integers, got {text!r}"
+        ) from None
     if not entries or any(n < 1 for n in entries):
-        raise UsageError(f"--grid entries must be >= 1, got {text!r}")
+        raise argparse.ArgumentTypeError(f"entries must be >= 1, got {text!r}")
     return entries
+
+
+def _tolerance(text: str) -> float:
+    """``--tol``: a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -137,9 +129,9 @@ def build_parser() -> argparse.ArgumentParser:
                 help="field-file path, or 'alvarez' for the mean-curvature candidate",
             )
         if grid:
-            p.add_argument("--grid", help="resolution per coordinate, e.g. 16,256")
+            p.add_argument("--grid", type=_grid, help="resolution per coordinate, e.g. 16,256")
         if tol:
-            p.add_argument("--tol", type=float, default=1e-9, help="sign tolerance")
+            p.add_argument("--tol", type=_tolerance, default=1e-9, help="sign tolerance")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--output", help="write the report here instead of stdout")
 
@@ -151,7 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("green-check", help="transverse Green-formula quadrature")
     common(p, field=True, grid=False)
-    p.add_argument("--grid", required=True, help="resolution per coordinate, e.g. 16,256")
+    p.add_argument(
+        "--grid", required=True, type=_grid, help="resolution per coordinate, e.g. 16,256"
+    )
 
     p = sub.add_parser("spectral", help="characteristic polynomial and eigenvalues")
     common(p, model=False, grid=False)
@@ -178,26 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    tolerance = getattr(args, "tol", 1e-9)
-    if not math.isfinite(tolerance):
-        raise UsageError(f"--tol must be a finite number, got {tolerance!r}")
-    return RunConfig(
-        subcommand=args.subcommand,
-        model_source=getattr(args, "model", None),
-        field_source=getattr(args, "field", None),
-        grid=_parse_grid(getattr(args, "grid", None)),
-        tolerance=tolerance,
-        out_format=args.format,
-        output_path=args.output,
-        matrix_text=getattr(args, "matrix", None),
-        leaf_index=getattr(args, "leaf", None),
-        coord=getattr(args, "coord", None),
-        fold=getattr(args, "fold", None),
-        model_out=getattr(args, "out", None),
-    )
-
-
 def _resolve_model(source: str) -> tuple[FrameModel, FoliationSplit]:
     if is_builtin(source):
         return builtin_model(source)
@@ -215,10 +189,8 @@ def _resolve_model(source: str) -> tuple[FrameModel, FoliationSplit]:
 
 
 def _resolve_field(
-    config: RunConfig, model: FrameModel, split: FoliationSplit
+    source: str, model: FrameModel, split: FoliationSplit
 ) -> tuple[VectorFieldSpec, str]:
-    source = config.field_source
-    assert source is not None
     if source == "alvarez":
         return alvarez_candidate(model, split), "alvarez (mean-curvature candidate)"
     path = Path(source)
@@ -231,16 +203,16 @@ def _resolve_field(
     return load_field(document, model), source
 
 
-def _resolution(config: RunConfig) -> int | tuple[int, ...]:
-    if config.grid is None:
+def _resolution(grid: tuple[int, ...] | None) -> int | tuple[int, ...]:
+    if grid is None:
         return DEFAULT_RESOLUTION
-    if len(config.grid) == 1:
-        return config.grid[0]
-    return config.grid
+    if len(grid) == 1:
+        return grid[0]
+    return grid
 
 
-def _grid_for(model: FrameModel, config: RunConfig) -> Grid:
-    return sample_grid(model, _resolution(config))
+def _grid_for(model: FrameModel, args: argparse.Namespace) -> Grid:
+    return sample_grid(model, _resolution(args.grid))
 
 
 def _point(point: tuple[float, ...] | None) -> list[float] | None:
@@ -289,10 +261,9 @@ def _grid_text(model: FrameModel, grid: Grid) -> str:
 
 # --- subcommand handlers -----------------------------------------------------
 
-def _cmd_analyze(config: RunConfig) -> tuple[dict, list[str], int]:
-    assert config.model_source is not None
-    model, split = _resolve_model(config.model_source)
-    grid = _grid_for(model, config)
+def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+    model, split = _resolve_model(args.model)
+    grid = _grid_for(model, args)
     diagnostics = validate_model(model, grid)
     point = grid.points[0]
     table = structure_functions(model, point)
@@ -371,12 +342,11 @@ def _cmd_analyze(config: RunConfig) -> tuple[dict, list[str], int]:
     return payload, lines, code
 
 
-def _cmd_taut_check(config: RunConfig) -> tuple[dict, list[str], int]:
-    assert config.model_source is not None
-    model, split = _resolve_model(config.model_source)
-    field_spec, label = _resolve_field(config, model, split)
-    grid = _grid_for(model, config)
-    verdict = classify_divergence(model, split, field_spec, grid, config.tolerance)
+def _cmd_taut_check(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+    model, split = _resolve_model(args.model)
+    field_spec, label = _resolve_field(args.field, model, split)
+    grid = _grid_for(model, args)
+    verdict = classify_divergence(model, split, field_spec, grid, args.tol)
     payload = {
         "subcommand": "taut-check",
         "model": model.name,
@@ -391,12 +361,10 @@ def _cmd_taut_check(config: RunConfig) -> tuple[dict, list[str], int]:
     return payload, lines, EXIT_OK
 
 
-def _cmd_green_check(config: RunConfig) -> tuple[dict, list[str], int]:
-    assert config.model_source is not None and config.grid is not None
-    model, split = _resolve_model(config.model_source)
-    field_spec, label = _resolve_field(config, model, split)
-    resolution = config.grid if len(config.grid) > 1 else config.grid[0]
-    report = green_check(model, split, field_spec, resolution)
+def _cmd_green_check(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+    model, split = _resolve_model(args.model)
+    field_spec, label = _resolve_field(args.field, model, split)
+    report = green_check(model, split, field_spec, _resolution(args.grid))
     payload = {
         "subcommand": "green-check",
         "model": model.name,
@@ -426,9 +394,8 @@ def _parse_matrix_arg(text: str):
         raise UsageError(str(exc)) from exc
 
 
-def _cmd_spectral(config: RunConfig) -> tuple[dict, list[str], int]:
-    assert config.matrix_text is not None
-    matrix = _parse_matrix_arg(config.matrix_text)
+def _cmd_spectral(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+    matrix = _parse_matrix_arg(args.matrix)
     diagnostics = validate_suspension_matrix(matrix)
     payload: dict = {
         "subcommand": "spectral",
@@ -472,29 +439,27 @@ def _cmd_spectral(config: RunConfig) -> tuple[dict, list[str], int]:
     return payload, lines, EXIT_OK
 
 
-def _cmd_suspend(config: RunConfig) -> tuple[dict, list[str], int]:
-    assert config.matrix_text is not None and config.leaf_index is not None
-    matrix = _parse_matrix_arg(config.matrix_text)
-    if not 1 <= config.leaf_index <= len(matrix):
+def _cmd_suspend(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+    matrix = _parse_matrix_arg(args.matrix)
+    if not 1 <= args.leaf <= len(matrix):
         raise UsageError(f"--leaf must be in 1..{len(matrix)}")
-    model, split = build_suspension(matrix, config.leaf_index)
+    model, split = build_suspension(matrix, args.leaf)
     document = model_to_document(model, split)
-    out_path = Path(config.model_out) if config.model_out else None
-    assert out_path is not None
+    out_path = Path(args.out)
     out_path.write_text(json.dumps(document, indent=2) + "\n")
     payload = {
         "subcommand": "suspend",
         "written": str(out_path),
         "model": model.name,
         "dim": model.dim,
-        "leaf_index": config.leaf_index,
+        "leaf_index": args.leaf,
         "leaf_frame_index": split.leaf_ordered[0] + 1,
         "log_eigenvalues": dict(model.parameters),
     }
     lines = [
         f"wrote model file: {out_path}",
         f"model: {model.name} ({model.kind}, dim {model.dim})",
-        f"leaf eigen-direction: {config.leaf_index} "
+        f"leaf eigen-direction: {args.leaf} "
         f"(frame index {split.leaf_ordered[0] + 1})",
     ]
     for name, value in sorted(model.parameters.items()):
@@ -502,18 +467,16 @@ def _cmd_suspend(config: RunConfig) -> tuple[dict, list[str], int]:
     return payload, lines, EXIT_OK
 
 
-def _cmd_cover(config: RunConfig) -> tuple[dict, list[str], int]:
-    assert config.model_source is not None
-    assert config.coord is not None and config.fold is not None
-    model, split = _resolve_model(config.model_source)
-    field_spec, label = _resolve_field(config, model, split)
-    if not 1 <= config.coord <= model.dim:
+def _cmd_cover(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+    model, split = _resolve_model(args.model)
+    field_spec, label = _resolve_field(args.field, model, split)
+    if not 1 <= args.coord <= model.dim:
         raise UsageError(f"--coord must be in 1..{model.dim}")
-    if config.fold < 1:
+    if args.fold < 1:
         raise UsageError("--fold must be >= 1")
     comparison = compare_with_cover(
-        model, split, field_spec, config.coord - 1, config.fold,
-        _resolution(config), config.tolerance,
+        model, split, field_spec, args.coord - 1, args.fold,
+        _resolution(args.grid), args.tol,
     )
     base_verdict, lifted_verdict = comparison.base_verdict, comparison.cover_verdict
     worst = comparison.max_pointwise_difference
@@ -522,8 +485,8 @@ def _cmd_cover(config: RunConfig) -> tuple[dict, list[str], int]:
         "subcommand": "cover",
         "model": model.name,
         "field": label,
-        "coord": config.coord,
-        "fold": config.fold,
+        "coord": args.coord,
+        "fold": args.fold,
         "base_verdict": base_verdict.classification.value,
         "lifted_verdict": lifted_verdict.classification.value,
         "verdicts_agree": base_verdict.classification is lifted_verdict.classification,
@@ -532,9 +495,9 @@ def _cmd_cover(config: RunConfig) -> tuple[dict, list[str], int]:
     lines = _model_header(model, split)
     lines.append(f"field: {label}")
     lines.append(
-        f"cover: {config.fold}-fold along x{config.coord} "
-        f"(period {model.periods[config.coord - 1]:g} -> "
-        f"{lifted.periods[config.coord - 1]:g})"
+        f"cover: {args.fold}-fold along x{args.coord} "
+        f"(period {model.periods[args.coord - 1]:g} -> "
+        f"{lifted.periods[args.coord - 1]:g})"
     )
     lines.append(f"base verdict:   {_VERDICT_TEXT[base_verdict.classification.value]}")
     lines.append(f"lifted verdict: {_VERDICT_TEXT[lifted_verdict.classification.value]}")
@@ -544,12 +507,11 @@ def _cmd_cover(config: RunConfig) -> tuple[dict, list[str], int]:
     return payload, lines, EXIT_OK
 
 
-def _cmd_volume_check(config: RunConfig) -> tuple[dict, list[str], int]:
-    assert config.model_source is not None
-    model, split = _resolve_model(config.model_source)
-    field_spec, label = _resolve_field(config, model, split)
-    grid = _grid_for(model, config)
-    report = volume_preservation_check(model, split, field_spec, grid, config.tolerance)
+def _cmd_volume_check(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+    model, split = _resolve_model(args.model)
+    field_spec, label = _resolve_field(args.field, model, split)
+    grid = _grid_for(model, args)
+    report = volume_preservation_check(model, split, field_spec, grid, args.tol)
     payload = {
         "subcommand": "volume-check",
         "model": model.name,
@@ -584,16 +546,16 @@ _HANDLERS = {
 }
 
 
-def _emit(payload: dict, lines: list[str], config: RunConfig) -> None:
-    if config.out_format == "json":
+def _emit(payload: dict, lines: list[str], args: argparse.Namespace) -> None:
+    if args.format == "json":
         try:
             text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
         except ValueError as exc:  # a NaN or infinity is not JSON
             raise DomainError(f"report holds a non-finite value: {exc}") from None
     else:
         text = "\n".join(lines) + "\n"
-    if config.output_path:
-        Path(config.output_path).write_text(text)
+    if args.output:
+        Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
 
@@ -602,12 +564,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        config = _config_from_args(args)
         # every NaN or infinity is refused by an explicit check, so
         # NumPy's floating-point warnings would only add noise
         with np.errstate(all="ignore"):
-            payload, lines, code = _HANDLERS[config.subcommand](config)
-        _emit(payload, lines, config)
+            payload, lines, code = _HANDLERS[args.subcommand](args)
+        _emit(payload, lines, args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -161,10 +161,33 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+#: Deepest nesting ``parse`` accepts, counted both as the height of the
+#: tree and as the parser's own nesting of parentheses, function
+#: arguments and powers.  Parsing, evaluation, compilation and
+#: differentiation all recurse on the tree, and differentiation and the
+#: mean-curvature candidate build trees deeper than their input, so the
+#: bound keeps all of them well inside Python's recursion limit.
+MAX_DEPTH = 64
+
+
+def _too_deep(pos: int) -> ParseError:
+    return ParseError(f"expression nested deeper than {MAX_DEPTH} levels", pos)
+
+
 class _Parser:
     def __init__(self, tokens: list[tuple[str, str, int]]):
         self.tokens = tokens
         self.index = 0
+        self.depth = 0
+
+    def nested(self, parse: Callable[[], Expr], pos: int) -> Expr:
+        """``parse()`` one nesting level down, refused beyond MAX_DEPTH."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise _too_deep(pos)
+        node = parse()
+        self.depth -= 1
+        return node
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.index]
@@ -207,7 +230,7 @@ class _Parser:
     def parse_power(self) -> Expr:
         node = self.parse_atom()
         if self.accept_op("^"):
-            return BinaryOp("^", node, self.parse_factor())
+            return BinaryOp("^", node, self.nested(self.parse_factor, self.peek()[2]))
         return node
 
     def parse_atom(self) -> Expr:
@@ -218,7 +241,7 @@ class _Parser:
             if self.accept_op("("):
                 if text not in FUNCTION_NAMES:
                     raise UnknownFunctionError(text, pos)
-                arg = self.parse_expr()
+                arg = self.nested(self.parse_expr, pos)
                 self.expect_op(")", f"closing the argument of {text}()")
                 return FunctionCall(text, arg)
             if text in CONSTANTS:
@@ -227,7 +250,7 @@ class _Parser:
                 raise ParseError(f"expected '(' after function name '{text}'", pos)
             return Variable(text)
         if kind == "op" and text == "(":
-            node = self.parse_expr()
+            node = self.nested(self.parse_expr, pos)
             self.expect_op(")", "closing a parenthesized expression")
             return node
         raise ParseError(
@@ -239,14 +262,36 @@ def parse(text: str) -> Expr:
     """Parse ``text`` into an expression tree.
 
     Raises ParseError (with the byte offset and what was expected) on
-    malformed input, UnknownFunctionError on an unknown function name.
+    malformed input or nesting deeper than MAX_DEPTH, and
+    UnknownFunctionError on an unknown function name.
     """
     parser = _Parser(_tokenize(text))
     node = parser.parse_expr()
     kind, text_left, pos = parser.peek()
     if kind != "end":
         raise ParseError(f"unexpected trailing input {text_left!r}", pos)
+    if _height(node) > MAX_DEPTH:
+        raise _too_deep(0)
     return node
+
+
+def _height(node: Expr) -> int:
+    """Levels of nodes in the tree, counted without recursion."""
+    height, level = 0, [node]
+    while level:
+        height += 1
+        level = [child for parent in level for child in _children(parent)]
+    return height
+
+
+def _children(node: Expr) -> tuple[Expr, ...]:
+    if isinstance(node, Negate):
+        return (node.operand,)
+    if isinstance(node, BinaryOp):
+        return (node.left, node.right)
+    if isinstance(node, FunctionCall):
+        return (node.argument,)
+    return ()
 
 
 # --- evaluation ------------------------------------------------------------

@@ -652,8 +652,9 @@ def _probe_invertibility(model: FrameModel, grid: Grid) -> tuple[tuple, np.ndarr
 
 def validate_model(model: FrameModel, grid: Grid) -> ModelDiagnostics:
     """Diagnostics (never raises): frame invertibility over grid and
-    corner probes for charts, antisymmetry of C, Jacobi identity for
-    constant-structure models."""
+    corner probes for charts; antisymmetry of C and the Jacobi identity
+    for constant-structure models.  Chart models need no antisymmetry
+    check: FrameData antisymmetrizes C exactly."""
     checks: list[CheckResult] = []
     if model.is_chart:
         try:
@@ -679,25 +680,6 @@ def validate_model(model: FrameModel, grid: Grid) -> ModelDiagnostics:
                     probes[index],
                     f"min |det(frame)| over {len(probes)} probe points "
                     f"(threshold {DET_TOLERANCE:g})",
-                )
-            )
-        if checks[-1].passed:
-            defects = gather(
-                np.abs(block.c + block.c.transpose((0, 2, 1, 3)))
-                .reshape(len(block.points), -1)
-                .max(axis=1)
-                for block in sweep(model, grid.points)
-            )
-            index = int(np.argmax(defects)) if len(defects) else 0
-            worst = float(defects[index]) if len(defects) else 0.0
-            checks.append(
-                CheckResult(
-                    "structure_antisymmetry",
-                    worst <= ANTISYMMETRY_TOLERANCE,
-                    worst,
-                    grid.points[index] if grid.points else None,
-                    f"max |C_ij^k + C_ji^k| over the grid "
-                    f"(threshold {ANTISYMMETRY_TOLERANCE:g})",
                 )
             )
     else:

@@ -1,8 +1,9 @@
 """Exact analysis of integer hyperbolic matrices and the suspension models.
 
 The characteristic polynomial is computed exactly over the integers
-(cofactor expansion in Z[x]); real roots are certified and isolated
-with Sturm sequences over rationals, then refined by bisection.  An
+(Berkowitz's division-free algorithm, O(n^4) integer operations); real
+roots are certified and isolated with Sturm sequences over rationals,
+then refined by bisection on the sign of the polynomial.  An
 admissible matrix (determinant one, all eigenvalues real, simple,
 positive and different from one) yields a constant-structure model of
 dimension n+1 whose frame bracket table is
@@ -101,63 +102,32 @@ def _normalize(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     return rows
 
 
-# --- exact polynomial arithmetic (ascending integer coefficients) ----------
-
-def _poly_add(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return out
-
-
-def _poly_scale(a: list[int], s: int) -> list[int]:
-    return [s * c for c in a]
-
-
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return out
-
-
-def _poly_det(matrix: list[list[list[int]]]) -> list[int]:
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    total: list[int] = [0]
-    for col in range(n):
-        entry = matrix[0][col]
-        if all(c == 0 for c in entry):
-            continue
-        minor = [[matrix[r][c] for c in range(n) if c != col] for r in range(1, n)]
-        term = _poly_mul(entry, _poly_det(minor))
-        total = _poly_add(total, _poly_scale(term, -1 if col % 2 else 1))
-    return total
-
-
 def char_poly(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Exact integer coefficients of det(A - xI), descending order.
 
+    Berkowitz's division-free recurrence: with B the leading k x k block,
+    r and c the rest of row and column k and a = A[k][k],
+    det(xI - A_{k+1}) is the polynomial part of
+    det(xI - B) * (x - a - sum_m r B^m c / x^(m+1)).
     The leading coefficient is (-1)^n.  Python integers are unbounded,
-    so no overflow is possible at the supported dimensions.
+    so no overflow is possible.
     """
     rows = _normalize(matrix)
     n = len(rows)
-    entries = [
-        [[rows[i][j], -1] if i == j else [rows[i][j]] for j in range(n)]
-        for i in range(n)
-    ]
-    ascending = _poly_det(entries)
-    ascending += [0] * (n + 1 - len(ascending))
-    coefficients = tuple(reversed(ascending))
-    assert coefficients[0] == (-1) ** n
-    return coefficients
+    poly = [1]  # det(xI - B), descending
+    for k in range(n):
+        block = [r[:k] for r in rows[:k]]
+        row, column = rows[k][:k], [r[k] for r in rows[:k]]
+        toeplitz = [1, -rows[k][k]]  # x - a - r c / x - r B c / x^2 - ...
+        for _ in range(k):
+            toeplitz.append(-sum(r * c for r, c in zip(row, column)))
+            column = [sum(b * c for b, c in zip(b_row, column)) for b_row in block]
+        poly = [
+            sum(toeplitz[i - j] * poly[j] for j in range(min(i, k) + 1))
+            for i in range(k + 2)
+        ]
+    sign = (-1) ** n
+    return tuple(sign * c for c in poly)
 
 
 def determinant(matrix: Sequence[Sequence[int]]) -> int:
@@ -273,7 +243,7 @@ def real_eigenvalues(coefficients: Sequence[int]) -> tuple[IsolatedRoot, ...]:
             if _frac_eval(poly, high) == 0:
                 roots.append(high)
             else:
-                roots.append(_refine(chain, poly, low, high))
+                roots.append(_refine(poly, low, high))
             continue
         mid = _midpoint(low, high)
         left = _sign_variations(chain, low) - _sign_variations(chain, mid)
@@ -307,28 +277,25 @@ def _midpoint(low: Fraction, high: Fraction) -> Fraction:
     return (low + high) / 2
 
 
-def _refine(
-    chain: list[list[Fraction]],
-    poly: list[Fraction],
-    low: Fraction,
-    high: Fraction,
-) -> tuple[Fraction, Fraction]:
-    """Shrink a one-root interval (low, high] below 1e-14 relative width
-    (in fact to the float resolution limit, 1e-16 relative)."""
-    variations_low = _sign_variations(chain, low)
+def _refine(poly: list[Fraction], low: Fraction, high: Fraction) -> tuple[Fraction, Fraction]:
+    """Shrink (low, high], which holds exactly one root, a simple one,
+    and has p(high) != 0, below 1e-14 relative width (in fact to the
+    float resolution limit, 1e-16 relative).  p changes sign only at
+    that root, so the sign of p(mid) says which half holds it."""
+    positive_high = _frac_eval(poly, high) > 0
     while True:
         width = high - low
         scale = max(Fraction(1), abs(low), abs(high))
         if width <= scale * Fraction(1, 10**16):
             return low, high
         mid = (low + high) / 2
-        if _frac_eval(poly, mid) == 0:
+        value = _frac_eval(poly, mid)
+        if value == 0:
             return mid, mid
-        if variations_low - _sign_variations(chain, mid) == 1:
+        if (value > 0) == positive_high:
             high = mid
         else:
             low = mid
-            variations_low = _sign_variations(chain, low)
 
 
 # --- admissibility and the suspension model ---------------------------------

@@ -344,6 +344,66 @@ def test_analyze_reports_validation_failure_exit_3(capsys, tmp_path):
     assert "jacobi_identity: FAIL" in out
 
 
+# --- expression nesting ------------------------------------------------------------
+
+DEEP_SHAPES = {
+    "sum": lambda k: "1+" + "+".join(["0.001*x2"] * k),
+    "parentheses": lambda k: "(" * k + "1+0.1*sin(x2)" + ")" * k,
+    "product": lambda k: "1" + "*(1+0.001*x2)" * k,
+    "quotient": lambda k: "1" + "/(1+0.001*x2)" * k,
+    "functions": lambda k: "1+" + "sin(" * k + "x2" + ")" * k,
+}
+
+
+def deepest_accepted(build):
+    for k in range(1, 2 * td.expr.MAX_DEPTH):
+        try:
+            td.expr.parse(build(k + 1))
+        except td.ParseError:
+            return build(k)
+    raise AssertionError("no nesting bound found")
+
+
+@pytest.mark.parametrize(
+    "component",
+    ["(" * 300 + "x2" + ")" * 300, "+".join(["x2"] * 600)],
+    ids=["300-parentheses", "600-term-sum"],
+)
+def test_over_deep_field_exit_1_with_one_line(capsys, tmp_path, component):
+    field = write_field(tmp_path, "deep.json", ["0", component])
+    code, out, err = run(capsys, "taut-check", "torus-warped", "--field", field)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "nested deeper than" in err
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_SHAPES))
+def test_deepest_accepted_expression_runs(capsys, tmp_path, shape):
+    component = deepest_accepted(DEEP_SHAPES[shape])
+    field = write_field(tmp_path, "deep.json", ["0", component])
+    code, _, err = run(capsys, "taut-check", "torus-warped", "--field", field, "--grid", "4")
+    assert (code, err) == (0, "")
+    model = tmp_path / "deep-model.json"
+    model.write_text(
+        json.dumps(
+            {
+                "name": "deep",
+                "kind": "chart",
+                "dim": 2,
+                "leaf_indices": [1],
+                "periods": [1.0, 1.0],
+                "frame": [component, "0", "0", "1"],
+            }
+        )
+    )
+    code, _, err = run(capsys, "analyze", str(model), "--grid", "4")
+    assert (code, err) == (0, "")
+    # the mean-curvature candidate differentiates the frame twice
+    code, _, err = run(capsys, "taut-check", str(model), "--field", "alvarez", "--grid", "4")
+    assert (code, err) == (0, "")
+
+
 # --- module execution ------------------------------------------------------------------
 
 def test_python_dash_m_entry_point():

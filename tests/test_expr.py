@@ -92,6 +92,25 @@ def test_malformed_inputs(text):
         parse(text)
 
 
+@pytest.mark.parametrize(
+    "build, deepest",
+    [
+        (lambda k: "(" * k + "x1" + ")" * k, expr.MAX_DEPTH),  # parser nesting k
+        (lambda k: "+".join(["x1"] * k), expr.MAX_DEPTH),  # tree height k
+        (lambda k: "1^" * k + "x1", expr.MAX_DEPTH - 1),  # height k + 1
+        (lambda k: "sin(" * k + "x1" + ")" * k, expr.MAX_DEPTH - 1),
+        (lambda k: "-(" * k + "x1" + ")" * k, expr.MAX_DEPTH - 1),
+    ],
+    ids=["parentheses", "sum", "power", "functions", "negations"],
+)
+def test_nesting_bound(build, deepest):
+    env = {"x1": 0.5}
+    assert math.isfinite(evaluate(parse(build(deepest)), env))
+    for too_deep in (deepest + 1, 5000):  # refused before the parser recurses far
+        with pytest.raises(ParseError, match=f"nested deeper than {expr.MAX_DEPTH} levels"):
+            parse(build(too_deep))
+
+
 def test_unknown_function():
     with pytest.raises(UnknownFunctionError):
         parse("foo(x1)")

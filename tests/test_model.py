@@ -334,6 +334,14 @@ def test_validate_broken_jacobi():
     assert not jacobi.passed
 
 
+def test_validate_chart_checks_only_invertibility(torus):
+    # FrameData antisymmetrizes C exactly, so charts carry no antisymmetry check
+    model, _ = torus
+    report = td.validate_model(model, td.sample_grid(model, 8))
+    assert report.passed
+    assert [check.name for check in report.checks] == ["frame_invertibility"]
+
+
 def test_validate_singular_frame_near_zero():
     model = td.chart_model("pinched", (1.0, 1.0), [["x1", "0"], ["0", "1"]])
     report = td.validate_model(model, td.sample_grid(model, 8))

@@ -6,6 +6,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import transdiv as td
@@ -14,7 +15,7 @@ EXAMPLE_3X3 = ((2, 0, -1), (0, 3, -1), (-1, -1, 1))
 
 
 def fraction_det(rows) -> Fraction:
-    """Exact Gaussian elimination; independent of the cofactor path."""
+    """Exact Gaussian elimination; independent of the Berkowitz recurrence."""
     m = [[Fraction(x) for x in row] for row in rows]
     n = len(m)
     sign = 1
@@ -89,12 +90,17 @@ def test_char_poly_identity():
 
 def test_char_poly_matches_interpolation_oracle():
     rng = random.Random(3)
-    for _ in range(10):
-        n = rng.choice((2, 3, 4))
-        rows = tuple(
-            tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(n)
-        )
-        assert td.char_poly(rows) == char_poly_by_interpolation(rows)
+    nonzero = [k for k in range(-4, 5) if k != 0]
+    entries = (
+        lambda: rng.randint(-4, 4),  # dense
+        lambda: rng.choice(nonzero),  # zero-free, as the benchmark draws
+        lambda: rng.randint(-4, 4) if rng.random() < 0.3 else 0,  # sparse
+    )
+    for entry in entries:
+        for n in range(1, td.spectral.MAX_DIM + 1):
+            for _ in range(3):
+                rows = tuple(tuple(entry() for _ in range(n)) for _ in range(n))
+                assert td.char_poly(rows) == char_poly_by_interpolation(rows)
 
 
 def test_char_poly_rejects_nonsquare_and_big():
@@ -131,6 +137,22 @@ def test_real_eigenvalues_quadratic():
 def test_real_eigenvalues_example_intervals():
     roots = td.real_eigenvalues((-1, 6, -9, 1))
     assert [root.enclosure for root in roots] == [(0, 1), (2, 3), (3, 4)]
+
+
+def test_real_eigenvalues_match_numpy_on_admissible_matrices():
+    from generators import random_admissible_matrix
+
+    rng = random.Random(41)
+    for n in range(2, td.spectral.MAX_DIM + 1):
+        for _ in range(3):
+            matrix = random_admissible_matrix(rng, n)
+            roots = td.real_eigenvalues(td.char_poly(matrix))
+            reference = np.sort(np.linalg.eigvals(np.array(matrix, dtype=float)).real)
+            assert len(roots) == n
+            for root, expected in zip(roots, reference):
+                assert abs(root.value - expected) <= 1e-9 * abs(expected)
+                low, high = root.enclosure
+                assert low <= root.value <= high
 
 
 def test_real_eigenvalues_complex_rejected():
