@@ -427,7 +427,7 @@ def _cmd_spectral(args: argparse.Namespace) -> tuple[dict, list[str], int]:
             )
         lines.append(f"product of eigenvalues: {product:.12g}")
         if all(value > 0 for value in eigenvalues):
-            logs = [float(np.log(value)) for value in eigenvalues]
+            logs = [math.log(value) for value in eigenvalues]
             payload["log_eigenvalues"] = logs
             lines.append(
                 "log eigenvalues: " + ", ".join(f"{x:.12g}" for x in logs)

@@ -1,9 +1,11 @@
 """Exact analysis of integer hyperbolic matrices and the suspension models.
 
 The characteristic polynomial is computed exactly over the integers
-(Berkowitz's division-free algorithm, O(n^4) integer operations); real
-roots are certified and isolated with Sturm sequences over rationals,
-then refined by bisection on the sign of the polynomial.  An
+(Berkowitz's division-free algorithm, O(n^4) integer operations).  Real
+roots are certified and isolated by an integer Sturm chain, built from
+sign-preserving pseudo-remainders and evaluated at dyadic points
+m / 2^k, then refined by dyadic bisection on the sign of the
+polynomial: Python integers throughout, no fractions.  An
 admissible matrix (determinant one, all eigenvalues real, simple,
 positive and different from one) yields a constant-structure model of
 dimension n+1 whose frame bracket table is
@@ -17,8 +19,8 @@ materialized: only the logarithms of the eigenvalues enter the metric.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .model import FoliationSplit, FrameModel, constant_structure_model, foliation_split
@@ -154,70 +156,86 @@ def format_poly(coefficients: Sequence[int], variable: str = "x") -> str:
     return "".join(parts) if parts else "0"
 
 
-# --- Sturm-sequence root isolation ------------------------------------------
+# --- Sturm-sequence root isolation over the integers ------------------------
+#
+# Polynomials are ascending lists of Python integers.  Every point that
+# isolation and refinement visit is a dyadic rational m / 2^k, held as
+# the integer pair (m, k), so no step needs fractions (integer Sturm
+# sequences as in Yap, Fundamental Problems of Algorithmic Algebra,
+# OUP 2000, ch. 7).
 
-def _frac_poly(coefficients_desc: Sequence[int]) -> list[Fraction]:
-    ascending = [Fraction(c) for c in reversed(coefficients_desc)]
+def _int_poly(coefficients_desc: Sequence[int]) -> list[int]:
+    # Python ints: a fixed-width integer would wrap in the Horner sums
+    try:
+        ascending = [operator.index(c) for c in reversed(coefficients_desc)]
+    except TypeError:
+        raise SpectralError("polynomial coefficients must be integers") from None
     while len(ascending) > 1 and ascending[-1] == 0:
         ascending.pop()
     return ascending
 
 
-def _frac_eval(poly: list[Fraction], x: Fraction) -> Fraction:
-    value = Fraction(0)
-    for coeff in reversed(poly):
-        value = value * x + coeff
-    return value
+def _sign_at(poly: list[int], m: int, k: int) -> int:
+    """Sign of p(m / 2^k), read off the integer 2^(k deg p) p(m / 2^k)
+    = sum_i c_i m^i 2^(k (deg p - i)), by homogeneous Horner."""
+    value = poly[-1]
+    shift = 0
+    for coeff in reversed(poly[:-1]):
+        shift += k
+        value = value * m + (coeff << shift)
+    return (value > 0) - (value < 0)
 
 
-def _frac_deriv(poly: list[Fraction]) -> list[Fraction]:
-    return [i * c for i, c in enumerate(poly)][1:] or [Fraction(0)]
+def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
+    """The remainder of a by b times a positive integer, content removed.
 
-
-def _frac_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    Each reduction step scales the dividend by |lc(b)|, not by lc(b),
+    so the result has the signs of the remainder over the rationals."""
     rem = list(a)
     db = len(b) - 1
-    lead = b[-1]
-    while len(rem) - 1 >= db and any(c != 0 for c in rem):
+    scale, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
+    while len(rem) - 1 >= db and any(rem):
         shift = len(rem) - 1 - db
-        factor = rem[-1] / lead
-        for i in range(len(b)):
-            rem[shift + i] -= factor * b[i]
+        factor = sign * rem[-1]
+        rem = [scale * c for c in rem]
+        for i, coeff in enumerate(b):
+            rem[shift + i] -= factor * coeff
         while len(rem) > 1 and rem[-1] == 0:
             rem.pop()
-        if len(rem) - 1 < db:
-            break
-    return rem
+    content = math.gcd(*rem)
+    return [c // content for c in rem] if content > 1 else rem
 
 
-def _sturm_chain(poly: list[Fraction]) -> list[list[Fraction]]:
-    chain = [poly, _frac_deriv(poly)]
-    while len(chain[-1]) > 1 or chain[-1][0] != 0:
-        rem = _frac_rem(chain[-2], chain[-1])
-        if len(rem) == 1 and rem[0] == 0:
-            break
+def _sturm_chain(poly: list[int]) -> list[list[int]]:
+    """p, p', then negated pseudo-remainders: each member is a positive
+    multiple of the Sturm chain over the rationals, so every sign
+    variation count is the same."""
+    chain = [poly, [i * c for i, c in enumerate(poly)][1:]]
+    while True:
+        rem = _pseudo_rem(chain[-2], chain[-1])
+        if rem == [0]:
+            return chain
         chain.append([-c for c in rem])
-    return chain
 
 
-def _sign_variations(chain: list[list[Fraction]], x: Fraction) -> int:
-    signs = []
-    for poly in chain:
-        value = _frac_eval(poly, x)
-        if value != 0:
-            signs.append(1 if value > 0 else -1)
+def _sign_variations(chain: list[list[int]], m: int, k: int) -> int:
+    signs = [s for s in (_sign_at(poly, m, k) for poly in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def real_eigenvalues(coefficients: Sequence[int]) -> tuple[IsolatedRoot, ...]:
-    """Certified real roots of a polynomial with all-real simple roots.
+    """Certified real roots of an integer polynomial with all-real simple roots.
 
-    Roots are isolated by Sturm counts with integer-endpoint bisection,
-    then refined to 1e-14 relative accuracy.  Raises SpectralError
-    ("complex or repeated roots") when the real-root count falls short
-    of the degree or the polynomial is not square-free.
+    Roots are isolated by integer Sturm counts, splitting at integers
+    while an interval is wider than one and at dyadic half-way points
+    after that; each isolated root is then bisected to a width of at
+    most 1e-16 * max(1, |root|), the float resolution limit.  A value is
+    the correctly rounded float of the final midpoint, or of the root
+    itself when a split point hits it.  Raises SpectralError ("complex or
+    repeated roots") when the real-root count falls short of the degree
+    or the polynomial is not square-free.
     """
-    poly = _frac_poly(coefficients)
+    poly = _int_poly(coefficients)
     degree = len(poly) - 1
     if degree < 1:
         raise SpectralError("polynomial must have positive degree")
@@ -225,77 +243,79 @@ def real_eigenvalues(coefficients: Sequence[int]) -> tuple[IsolatedRoot, ...]:
     if len(chain[-1]) > 1:
         # the chain bottoms out at gcd(p, p'); nonconstant means repeated roots
         raise SpectralError("complex or repeated roots: polynomial is not square-free")
-    bound = 1 + max(abs(c) for c in poly[:-1]) / abs(poly[-1])
-    radius = Fraction(math.ceil(bound))
-    total = _sign_variations(chain, -radius) - _sign_variations(chain, radius)
+    # Cauchy's bound: every root lies in (-radius, radius)
+    radius = 1 - (-max(abs(c) for c in poly[:-1]) // abs(poly[-1]))
+    low_variations = _sign_variations(chain, -radius, 0)
+    total = low_variations - _sign_variations(chain, radius, 0)
     if total < degree:
         raise SpectralError(
             f"complex or repeated roots: only {total} real roots for degree {degree}"
         )
 
-    roots: list[Fraction | tuple[Fraction, Fraction]] = []
-    queue: list[tuple[Fraction, Fraction, int]] = [(-radius, radius, total)]
+    # (low, high, k, exact): the root high / 2^k if exact, else the one
+    # root in (low / 2^k, high / 2^k]
+    roots: list[tuple[int, int, int, bool]] = []
+    queue = [(-radius, radius, 0, total, low_variations)]
     while queue:
-        low, high, count = queue.pop()
+        low, high, k, count, low_variations = queue.pop()
         if count == 0:
             continue
         if count == 1:
-            if _frac_eval(poly, high) == 0:
-                roots.append(high)
+            if _sign_at(poly, high, k) == 0:
+                roots.append((high, high, k, True))
             else:
-                roots.append(_refine(poly, low, high))
+                roots.append((*_refine(poly, low, high, k), False))
             continue
-        mid = _midpoint(low, high)
-        left = _sign_variations(chain, low) - _sign_variations(chain, mid)
-        queue.append((low, mid, left))
-        queue.append((mid, high, count - left))
+        low, mid, high, k = _midpoint(low, high, k)
+        mid_variations = _sign_variations(chain, mid, k)
+        left = low_variations - mid_variations
+        queue.append((low, mid, k, left, low_variations))
+        queue.append((mid, high, k, count - left, mid_variations))
 
+    top = max(root[2] for root in roots)
     isolated = []
-    for root in sorted(roots, key=lambda r: r if isinstance(r, Fraction) else r[0]):
-        if isinstance(root, Fraction):
-            value = float(root)
-            if root.denominator == 1:
-                enclosure = (int(root), int(root))
-            else:
-                floor = root.numerator // root.denominator
-                enclosure = (floor, floor + 1)
+    for low, high, k, exact in sorted(roots, key=lambda root: root[0] << (top - root[2])):
+        if exact:
+            value = high / (1 << k)
+            floor = high >> k
+            enclosure = (floor, floor) if floor << k == high else (floor, floor + 1)
         else:
-            low, high = root
-            center = (low + high) / 2
-            value = float(center)
-            floor = center.numerator // center.denominator
+            center = low + high  # the midpoint, over 2^(k+1)
+            value = center / (1 << (k + 1))
+            floor = center >> (k + 1)
             enclosure = (floor, floor + 1)
         isolated.append(IsolatedRoot(value=value, enclosure=enclosure))
     return tuple(isolated)
 
 
-def _midpoint(low: Fraction, high: Fraction) -> Fraction:
-    # prefer an integer split point to keep early enclosures integral
-    floor_mid = (low + high) // 2
-    if low < floor_mid < high:
-        return Fraction(floor_mid)
-    return (low + high) / 2
+def _midpoint(low: int, high: int, k: int) -> tuple[int, int, int, int]:
+    """Split (low / 2^k, high / 2^k] at an integer strictly inside, which
+    keeps early enclosures integral, else at the half-way point.
+    Returns (low, mid, high, k) over one common exponent k."""
+    floor_mid = (low + high) >> (k + 1)
+    if low < floor_mid << k < high:
+        return low, floor_mid << k, high, k
+    return 2 * low, low + high, 2 * high, k + 1
 
 
-def _refine(poly: list[Fraction], low: Fraction, high: Fraction) -> tuple[Fraction, Fraction]:
-    """Shrink (low, high], which holds exactly one root, a simple one,
-    and has p(high) != 0, below 1e-14 relative width (in fact to the
-    float resolution limit, 1e-16 relative).  p changes sign only at
-    that root, so the sign of p(mid) says which half holds it."""
-    positive_high = _frac_eval(poly, high) > 0
-    while True:
-        width = high - low
-        scale = max(Fraction(1), abs(low), abs(high))
-        if width <= scale * Fraction(1, 10**16):
-            return low, high
-        mid = (low + high) / 2
-        value = _frac_eval(poly, mid)
-        if value == 0:
-            return mid, mid
-        if (value > 0) == positive_high:
+def _refine(poly: list[int], low: int, high: int, k: int) -> tuple[int, int, int]:
+    """Shrink (low / 2^k, high / 2^k], which holds exactly one root, a
+    simple one, and has p(high) != 0, to at most 1e-16 relative width.
+    p changes sign only at that root, so the sign of p(mid) says which
+    half holds it.  Returns (low, high, k), with low == high when a
+    midpoint is the root."""
+    high_sign = _sign_at(poly, high, k)
+    # width <= 1e-16 * max(1, |low|, |high|), times 2^k * 10^16
+    while (high - low) * 10**16 > max(1 << k, abs(low), abs(high)):
+        low, mid, high, k = 2 * low, low + high, 2 * high, k + 1
+        sign = _sign_at(poly, mid, k)
+        if sign == 0:
+            return mid, mid, k
+        if sign == high_sign:
             high = mid
         else:
             low = mid
+    return low, high, k
 
 
 # --- admissibility and the suspension model ---------------------------------

@@ -73,6 +73,22 @@ def test_spectral_json_round_trip(capsys):
     assert json.loads(json.dumps(payload)) == payload
 
 
+def test_spectral_and_suspend_report_equal_logs(capsys, tmp_path):
+    # numpy's log and math.log differ by one ulp on the third eigenvalue here
+    matrix = "1,-2,1,1,2;-2,5,-4,-2,-4;1,-4,6,3,2;1,-2,3,6,2;2,-4,2,2,5"
+    code, out, _ = run(capsys, "spectral", "--matrix", matrix, "--format", "json")
+    assert code == 0
+    spectral_logs = json.loads(out)["log_eigenvalues"]
+    code, out, _ = run(
+        capsys, "suspend", "--matrix", matrix, "--leaf", "1",
+        "-o", str(tmp_path / "model.json"), "--format", "json",
+    )
+    assert code == 0
+    suspend_logs = list(json.loads(out)["log_eigenvalues"].values())
+    assert [x.hex() for x in spectral_logs] == [x.hex() for x in suspend_logs]
+    assert spectral_logs[2].hex() == "0x1.309dfb46a95ddp+0"
+
+
 def test_taut_check_constant_field_file(capsys, tmp_path):
     field = write_field(tmp_path, "const.json", ["0", "0.4"])
     code, out, _ = run(capsys, "taut-check", "torus-warped", "--field", field)

@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import transdiv as td
 
@@ -182,6 +184,328 @@ def test_residual_smallness():
             for coeff in coefficients:
                 value = value * root.value + coeff
             assert abs(value) <= 1e-10 * scale
+
+
+# --- the rational-arithmetic isolation, kept as the oracle ---------------------------
+#
+# The Sturm isolation as it was over Fractions.  The integer chain and
+# the dyadic bisection in transdiv.spectral must give the same roots,
+# bit for bit, the same enclosures and the same refusals.
+
+def _frac_poly(coefficients_desc) -> list[Fraction]:
+    ascending = [Fraction(c) for c in reversed(coefficients_desc)]
+    while len(ascending) > 1 and ascending[-1] == 0:
+        ascending.pop()
+    return ascending
+
+
+def _frac_eval(poly, x):
+    value = Fraction(0)
+    for coeff in reversed(poly):
+        value = value * x + coeff
+    return value
+
+
+def _frac_rem(a, b):
+    rem = list(a)
+    db = len(b) - 1
+    lead = b[-1]
+    while len(rem) - 1 >= db and any(c != 0 for c in rem):
+        shift = len(rem) - 1 - db
+        factor = rem[-1] / lead
+        for i in range(len(b)):
+            rem[shift + i] -= factor * b[i]
+        while len(rem) > 1 and rem[-1] == 0:
+            rem.pop()
+        if len(rem) - 1 < db:
+            break
+    return rem
+
+
+def oracle_sturm_chain(poly):
+    chain = [poly, [i * c for i, c in enumerate(poly)][1:] or [Fraction(0)]]
+    while len(chain[-1]) > 1 or chain[-1][0] != 0:
+        rem = _frac_rem(chain[-2], chain[-1])
+        if len(rem) == 1 and rem[0] == 0:
+            break
+        chain.append([-c for c in rem])
+    return chain
+
+
+def _oracle_sign_variations(chain, x):
+    signs = []
+    for poly in chain:
+        value = _frac_eval(poly, x)
+        if value != 0:
+            signs.append(1 if value > 0 else -1)
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _oracle_midpoint(low, high):
+    floor_mid = (low + high) // 2
+    if low < floor_mid < high:
+        return Fraction(floor_mid)
+    return (low + high) / 2
+
+
+def _oracle_refine(poly, low, high):
+    positive_high = _frac_eval(poly, high) > 0
+    while True:
+        width = high - low
+        scale = max(Fraction(1), abs(low), abs(high))
+        if width <= scale * Fraction(1, 10**16):
+            return low, high
+        mid = (low + high) / 2
+        value = _frac_eval(poly, mid)
+        if value == 0:
+            return mid, mid
+        if (value > 0) == positive_high:
+            high = mid
+        else:
+            low = mid
+
+
+def oracle_real_eigenvalues(coefficients):
+    poly = _frac_poly(coefficients)
+    degree = len(poly) - 1
+    if degree < 1:
+        raise td.SpectralError("polynomial must have positive degree")
+    chain = oracle_sturm_chain(poly)
+    if len(chain[-1]) > 1:
+        raise td.SpectralError("complex or repeated roots: polynomial is not square-free")
+    bound = 1 + max(abs(c) for c in poly[:-1]) / abs(poly[-1])
+    radius = Fraction(math.ceil(bound))
+    total = _oracle_sign_variations(chain, -radius) - _oracle_sign_variations(chain, radius)
+    if total < degree:
+        raise td.SpectralError(
+            f"complex or repeated roots: only {total} real roots for degree {degree}"
+        )
+    roots = []
+    queue = [(-radius, radius, total)]
+    while queue:
+        low, high, count = queue.pop()
+        if count == 0:
+            continue
+        if count == 1:
+            if _frac_eval(poly, high) == 0:
+                roots.append(high)
+            else:
+                roots.append(_oracle_refine(poly, low, high))
+            continue
+        mid = _oracle_midpoint(low, high)
+        left = _oracle_sign_variations(chain, low) - _oracle_sign_variations(chain, mid)
+        queue.append((low, mid, left))
+        queue.append((mid, high, count - left))
+    isolated = []
+    for root in sorted(roots, key=lambda r: r if isinstance(r, Fraction) else r[0]):
+        if isinstance(root, Fraction):
+            value = float(root)
+            if root.denominator == 1:
+                enclosure = (int(root), int(root))
+            else:
+                floor = root.numerator // root.denominator
+                enclosure = (floor, floor + 1)
+        else:
+            center = (root[0] + root[1]) / 2
+            value = float(center)
+            floor = center.numerator // center.denominator
+            enclosure = (floor, floor + 1)
+        isolated.append(td.IsolatedRoot(value=value, enclosure=enclosure))
+    return tuple(isolated)
+
+
+def _unimodular(rng, n):
+    """An upper unitriangular integer matrix: its inverse is integral too."""
+    upper = [[1 if i == j else (rng.randint(-2, 2) if j > i else 0) for j in range(n)] for i in range(n)]
+    inverse = [[int(i == j) for j in range(n)] for i in range(n)]
+    for col in range(n):  # back substitution, column by column
+        for i in range(col - 1, -1, -1):
+            inverse[i][col] = -sum(upper[i][t] * inverse[t][col] for t in range(i + 1, col + 1))
+    assert _matmul(upper, inverse) == [[int(i == j) for j in range(n)] for i in range(n)]
+    return upper, inverse
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, column)) for column in zip(*b)] for row in a]
+
+
+def _complex_or_repeated(rng, n):
+    """A block matrix with a rotation block or a doubled block, conjugated
+    by a unimodular matrix so that no entry pattern gives it away."""
+    blocks: list[list[list[int]]] = []
+    if n >= 2 and rng.random() < 0.5:
+        a, b = rng.randint(-3, 3), rng.choice((-2, -1, 1, 2))
+        blocks.append([[a, -b], [b, a]])  # eigenvalues a +- bi
+    elif n >= 2:
+        size = n // 2
+        block = [[rng.randint(-3, 3) for _ in range(size)] for _ in range(size)]
+        blocks += [block, block]  # every eigenvalue of the block twice
+    else:
+        blocks.append([[rng.randint(-3, 3)]])
+    while sum(len(b) for b in blocks) < n:
+        blocks.append([[rng.randint(-3, 3)]])
+    diagonal = [[0] * n for _ in range(n)]
+    offset = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            diagonal[offset + i][offset:offset + len(row)] = row
+        offset += len(block)
+    upper, inverse = _unimodular(rng, n)
+    return _matmul(_matmul(upper, diagonal), inverse)
+
+
+def oracle_matrices(count_per_kind: int = 16):
+    rng = random.Random(2024)
+    nonzero = [k for k in range(-3, 4) if k != 0]
+
+    def dense(n):
+        return [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+
+    def symmetric(n):
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = rng.randint(-4, 4)
+        return rows
+
+    def sparse(n):
+        return [[rng.randint(-4, 4) if rng.random() < 0.3 else 0 for _ in range(n)] for _ in range(n)]
+
+    def gram(n):  # B B^T with a zero-free B, as the benchmark draws
+        b = [[rng.choice(nonzero) for _ in range(n)] for _ in range(n)]
+        return _matmul(b, [list(column) for column in zip(*b)])
+
+    for kind in (dense, symmetric, sparse, gram, lambda n: _complex_or_repeated(rng, n)):
+        for n in range(1, td.spectral.MAX_DIM + 1):
+            for _ in range(count_per_kind):
+                yield tuple(tuple(row) for row in kind(n))
+
+
+def _outcome(isolate, coefficients):
+    try:
+        return [(root.value.hex(), root.enclosure) for root in isolate(coefficients)]
+    except td.SpectralError as exc:
+        return str(exc)
+
+
+def test_integer_isolation_matches_fraction_oracle(monkeypatch):
+    matrices = list(oracle_matrices())
+    assert len(matrices) >= 600
+    refused = 0
+    for rows in matrices:
+        coefficients = td.char_poly(rows)
+        expected = _outcome(oracle_real_eigenvalues, coefficients)
+        assert _outcome(td.real_eigenvalues, coefficients) == expected, rows
+        refused += isinstance(expected, str)
+    # both branches are exercised in quantity
+    assert 100 <= refused <= len(matrices) - 100
+    diagnostics = [td.validate_suspension_matrix(rows) for rows in matrices]
+    monkeypatch.setattr(td.spectral, "real_eigenvalues", oracle_real_eigenvalues)
+    for rows, report in zip(matrices, diagnostics):
+        assert report == td.validate_suspension_matrix(rows), rows
+
+
+def test_integer_chain_is_a_positive_multiple_of_the_rational_chain():
+    for rows in oracle_matrices(count_per_kind=4):
+        coefficients = td.char_poly(rows)
+        chain = td.spectral._sturm_chain(td.spectral._int_poly(coefficients))
+        expected = oracle_sturm_chain(_frac_poly(coefficients))
+        assert len(chain) == len(expected)
+        for member, rational in zip(chain, expected):
+            assert len(member) == len(rational)
+            ratio = Fraction(member[-1]) / rational[-1]
+            assert ratio > 0
+            assert [ratio * c for c in rational] == member
+
+
+def test_isolation_edge_polynomials_match_oracle():
+    for coefficients in ((), (0,), (5,), (0, 1, -3, 2), (1, 0, 1), (1, -2, 1), (-2, 1)):
+        expected = _outcome(oracle_real_eigenvalues, coefficients)
+        assert _outcome(td.real_eigenvalues, coefficients) == expected
+
+
+def test_real_eigenvalues_coefficient_types():
+    # kept as int64, the shifted Horner terms of the refinement would overflow
+    as_int64 = tuple(np.array((1, -3, 1), dtype=np.int64))
+    assert td.real_eigenvalues(as_int64) == td.real_eigenvalues((1, -3, 1))
+    with pytest.raises(td.SpectralError, match="must be integers"):
+        td.real_eigenvalues((1.0, -3.0, 1.0))
+
+
+# --- exact hits: dyadic roots land on bisection points ----------------------------
+
+def _expand(factors) -> list[int]:
+    """Ascending coefficients of the product of ascending factors."""
+    product = [1]
+    for factor in factors:
+        result = [0] * (len(product) + len(factor) - 1)
+        for i, a in enumerate(product):
+            for j, b in enumerate(factor):
+                result[i + j] += a * b
+        product = result
+    return product
+
+
+def _dyadic_value(root) -> Fraction:
+    a, b = root
+    return Fraction(b, 2**a)
+
+
+dyadic_root = st.tuples(st.integers(0, 8), st.integers(-64, 64))  # the root b / 2^a
+dyadic_roots = st.lists(
+    dyadic_root,
+    min_size=1,
+    max_size=6,
+    unique_by=_dyadic_value,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dyadic_roots, st.booleans())
+def test_dyadic_roots_come_back_certified(roots, negate):
+    product = _expand([(-b, 2**a) for a, b in roots])
+    sign = -1 if negate else 1
+    isolated = td.real_eigenvalues(tuple(sign * c for c in reversed(product)))
+    expected = sorted(map(_dyadic_value, roots))
+    assert len(isolated) == len(expected)
+    for root, exact in zip(isolated, expected):
+        low, high = root.enclosure
+        assert low <= exact <= high
+        if exact == 0 or low == high:
+            # isolation splits at 0 and at integers, so these are hit exactly
+            assert root.value == exact
+        else:
+            # bisection from a width that is not a power of two can step
+            # past a dyadic root; then the 1e-16 refinement bound holds
+            bound = 1e-16 * max(1, abs(exact)) + math.ulp(float(exact))
+            assert abs(root.value - exact) <= bound
+
+
+@settings(max_examples=200, deadline=None)
+@given(dyadic_root, st.integers(1, 6), st.data())
+def test_refinement_lands_exactly_on_a_dyadic_root(root, e, data):
+    # start from an interval of width 2^e around the root: the halving
+    # points include every dyadic number inside, so p(mid) == 0 ends it
+    a, b = root
+    exact = _dyadic_value(root)
+    low = math.floor(exact) - data.draw(st.integers(1, 2**e - 1))
+    high = low + 2**e
+    poly = _expand([(-b, 2**a), (1, 0, 1)])  # no other real root
+    mid, same, k = td.spectral._refine(poly, low, high, 0)
+    assert mid == same
+    assert Fraction(mid, 2**k) == exact
+
+
+@settings(max_examples=100, deadline=None)
+@given(dyadic_roots, st.data())
+def test_repeated_and_complex_factors_refused(roots, data):
+    factors = [(-b, 2**a) for a, b in roots]
+    repeated = factors + [data.draw(st.sampled_from(factors))]
+    with pytest.raises(td.SpectralError, match="not square-free"):
+        td.real_eigenvalues(tuple(reversed(_expand(repeated))))
+    complex_pair = factors + [(1, 0, 1)]  # x^2 + 1
+    with pytest.raises(td.SpectralError, match=r"only \d+ real roots"):
+        td.real_eigenvalues(tuple(reversed(_expand(complex_pair))))
 
 
 # --- admissibility -----------------------------------------------------------------
