@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage, schema or file error, 2 math-domain error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -170,6 +171,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("volume-check", help="transverse volume preservation")
     common(p, field=True, tol=True)
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built on its first call: parsing leaves a
+    parser unchanged, and building one costs far more than a parse."""
+    return build_parser()
 
 
 def _resolve_model(source: str) -> tuple[FrameModel, FoliationSplit]:
@@ -561,9 +569,8 @@ def _emit(payload: dict, lines: list[str], args: argparse.Namespace) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         # every NaN or infinity is refused by an explicit check, so
         # NumPy's floating-point warnings would only add noise
         with np.errstate(all="ignore"):

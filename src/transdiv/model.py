@@ -38,7 +38,6 @@ PROBE_RESOLUTION = 8
 BASIC_TOLERANCE = 1e-9
 
 JACOBI_TOLERANCE = 1e-12
-ANTISYMMETRY_TOLERANCE = 1e-12
 
 
 class ModelError(Exception):
@@ -652,9 +651,10 @@ def _probe_invertibility(model: FrameModel, grid: Grid) -> tuple[tuple, np.ndarr
 
 def validate_model(model: FrameModel, grid: Grid) -> ModelDiagnostics:
     """Diagnostics (never raises): frame invertibility over grid and
-    corner probes for charts; antisymmetry of C and the Jacobi identity
-    for constant-structure models.  Chart models need no antisymmetry
-    check: FrameData antisymmetrizes C exactly."""
+    corner probes for charts; the Jacobi identity for constant-structure
+    models.  Neither kind needs an antisymmetry check: FrameData
+    antisymmetrizes a chart's C exactly, and _constant_table writes
+    C_ji^k = -C_ij^k for each stored i < j entry."""
     checks: list[CheckResult] = []
     if model.is_chart:
         try:
@@ -684,16 +684,6 @@ def validate_model(model: FrameModel, grid: Grid) -> ModelDiagnostics:
             )
     else:
         table = _constant_table(model)
-        defect = float(np.max(np.abs(table + table.transpose((1, 0, 2)))))
-        checks.append(
-            CheckResult(
-                "structure_antisymmetry",
-                defect <= ANTISYMMETRY_TOLERANCE,
-                defect,
-                (),
-                "antisymmetric completion of the stored constants",
-            )
-        )
         term1 = np.einsum("ijm,mkl->ijkl", table, table)
         term2 = np.einsum("jkm,mil->ijkl", table, table)
         term3 = np.einsum("kim,mjl->ijkl", table, table)

@@ -9,7 +9,10 @@ status: grids sample the manifold, they do not exhaust it.
 
 Also here: the canonical mean-curvature candidate, the transverse
 Green-formula quadrature, the dense-leaves volume-preservation check,
-and finite periodic covers.
+and finite periodic covers.  Every sweep of a field here refuses a
+non-basic one, the mean-curvature candidate included, with
+NotBasicError, tested in the same pass over its grid that computes
+div^Q v.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .model import (
     VectorFieldSpec,
     basic_field_check,
     chart_model,
-    check_basic,
     gather,
     require_finite,
     sample_grid,
@@ -40,10 +42,6 @@ from .model import (
 )
 
 DEFAULT_TOLERANCE = 1e-9
-
-#: Grid used to verify basicness of the mean-curvature candidate when the
-#: caller does not supply one.
-CANDIDATE_CHECK_RESOLUTION = 16
 
 
 class TautnessClass(enum.Enum):
@@ -134,9 +132,9 @@ class NotBasicError(ModelError):
         self.check = check
 
 
-def _require_basic(check: BasicFieldCheck, message: str = "field is not basic") -> None:
+def _require_basic(check: BasicFieldCheck) -> None:
     if not check.passed:
-        raise NotBasicError(check, message)
+        raise NotBasicError(check, "field is not basic")
 
 
 def _divergence_sweep(
@@ -196,18 +194,14 @@ def classify_divergence(
     return _classify(values, grid.points, tol)
 
 
-def alvarez_candidate(
-    model: FrameModel,
-    split: FoliationSplit,
-    grid: Grid | None = None,
-) -> VectorFieldSpec:
+def alvarez_candidate(model: FrameModel, split: FoliationSplit) -> VectorFieldSpec:
     """The canonical witness candidate: the mean-curvature field of the
     leaves, as a vector-field spec (components vanish on leaf indices).
 
-    Only valid on models whose mean curvature is already basic; that is
-    verified on ``grid`` (default: a coarse sample) and a failure raises
-    NotBasicError, since modifying the metric to force basicness is out
-    of scope here.
+    Built here, not checked: it is meaningful only where the mean
+    curvature is basic, and the consumers that sweep it test that on
+    their own grid and raise NotBasicError otherwise, as for any field
+    (modifying the metric to force basicness is out of scope here).
     """
     table = structure_functions_symbolic(model)
     components: list[expr.Expr] = []
@@ -220,14 +214,7 @@ def alvarez_candidate(
         for a in split.leaf_ordered:
             total = expr.add(total, table[k][a][a])
         components.append(total)
-    candidate = VectorFieldSpec(components=tuple(components))
-    if grid is None:
-        grid = sample_grid(model, CANDIDATE_CHECK_RESOLUTION)
-    _require_basic(
-        check_basic(model, split, candidate, grid),
-        "mean curvature not basic on this model",
-    )
-    return candidate
+    return VectorFieldSpec(components=tuple(components))
 
 
 def green_check(

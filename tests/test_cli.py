@@ -11,6 +11,7 @@ import sys
 import pytest
 
 import transdiv as td
+from transdiv import cli
 from transdiv.cli import main
 
 LOG_BIG = math.log((3 + math.sqrt(5)) / 2)
@@ -319,6 +320,92 @@ def test_non_basic_field_exit_3(capsys, tmp_path):
     code, _, err = run(capsys, "taut-check", "torus-warped", "--field", field)
     assert code == 3
     assert "residual" in err
+
+
+def test_non_basic_mean_curvature_exit_3_with_one_line(capsys, tmp_path):
+    # the warp varies along the leaves, so kappa# = -f_y(x, y) E2 is not basic
+    path = tmp_path / "leafwise-warp.json"
+    path.write_text(
+        json.dumps(
+            {
+                "name": "leafwise-warp",
+                "kind": "chart",
+                "dim": 2,
+                "leaf_indices": [1],
+                "periods": [1.0, 1.0],
+                "frame": ["exp(-(0.3*sin(2*pi*x1)*sin(2*pi*x2)))", "0", "0", "1"],
+            }
+        )
+    )
+    code, out, err = run(capsys, "taut-check", str(path), "--field", "alvarez")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: field is not basic: ") and err.count("\n") == 1
+
+
+WARPED_3D = {
+    "name": "warped-3d",
+    "kind": "chart",
+    "dim": 3,
+    "leaf_indices": [1],
+    "periods": [1.0, 1.0, 1.0],
+    "frame": [
+        "exp(-(0.2*sin(4*pi*x3)))", "0", "0",
+        "0", "exp(-(0.1*cos(6*pi*x3)))", "0",
+        "0", "0", "1",
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "model, grid, points",
+    [("warped-3d", "16", 16 ** 3), ("torus-warped", "64", 64 ** 2), ("t3a", "1", 1)],
+)
+def test_each_field_sweep_covers_each_point_once(capsys, monkeypatch, tmp_path, model, grid, points):
+    if model == "warped-3d":
+        path = tmp_path / "warped-3d.json"
+        path.write_text(json.dumps(WARPED_3D))
+        model = str(path)
+    swept = []
+    build = td.model.FrameData.__init__
+
+    def counting(self, model, points, field_spec, structure):
+        if field_spec is not None and structure:
+            swept.append(len(points))
+        build(self, model, points, field_spec, structure)
+
+    monkeypatch.setattr(td.model.FrameData, "__init__", counting)
+    code, _, err = run(capsys, "taut-check", model, "--field", "alvarez", "--grid", grid)
+    assert (code, err) == (0, "")
+    assert sum(swept) == points
+
+
+def test_main_reuses_one_parser(capsys, monkeypatch, tmp_path):
+    field = write_field(tmp_path, "log.json", ["0", "ln(x2-2)"])
+    sequence = [
+        ("spectral", "--matrix", "2,1;1,1"),
+        ("taut-check", "t3a", "--field", "alvarez", "--grid", "0"),
+        ("taut-check", "t3a", "--field", "alvarez", "--format", "json"),
+        ("taut-check", "torus-warped", "--field", field, "--grid", "4"),
+        ("cover", "torus-warped", "--field", "alvarez", "--fold", "2"),
+        ("no-such-subcommand",),
+        ("taut-check", "torus-warped", "--field", "alvarez", "--grid", "4"),
+        ("spectral", "--matrix", "2,1;1,1", "--format", "json", "--tol", "1"),
+        ("analyze", "t3a", "--format", "json"),
+    ]
+    built = []
+    build = cli.build_parser
+
+    def counting():
+        built.append(None)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    shared = [run(capsys, *argv) for argv in sequence]
+    assert len(built) <= 1
+    assert [code for code, _, _ in shared] == [0, 1, 0, 2, 1, 1, 0, 1, 0]
+    monkeypatch.setattr(cli, "_parser", build)  # a fresh parser for every call
+    assert [run(capsys, *argv) for argv in sequence] == shared
 
 
 def test_inadmissible_suspend_exit_3(capsys, tmp_path):

@@ -10,7 +10,7 @@ import pytest
 
 import transdiv as td
 from transdiv import expr
-from transdiv.tautness import TautnessClass
+from transdiv.tautness import TautnessClass, compare_with_cover
 
 from generators import random_admissible_matrix
 
@@ -197,17 +197,41 @@ def test_alvarez_candidate_flat_zero(kronecker):
     assert all(td.evaluate(c, env) == 0.0 for c in candidate.components)
 
 
-def test_alvarez_rejects_nonbasic_mean_curvature():
+@pytest.fixture(scope="module")
+def leafwise_warp():
     # a warp varying along the leaves makes kappa# = -f_y(x, y) E2
-    # leafwise-dependent, so the candidate must be refused
+    # leafwise-dependent, so every consumer must refuse the candidate
     model = td.chart_model(
         "leafwise-warp",
         (1.0, 1.0),
         [["exp(-(0.3*sin(2*pi*x1)*sin(2*pi*x2)))", "0"], ["0", "1"]],
     )
     split = td.foliation_split(2, {0})
-    with pytest.raises(td.NotBasicError, match="mean curvature not basic"):
-        td.alvarez_candidate(model, split)
+    return model, split, td.alvarez_candidate(model, split)
+
+
+def test_classify_refuses_nonbasic_mean_curvature(leafwise_warp):
+    model, split, tau = leafwise_warp
+    with pytest.raises(td.NotBasicError, match="field is not basic"):
+        td.classify_divergence(model, split, tau, td.sample_grid(model, 8))
+
+
+def test_green_refuses_nonbasic_mean_curvature(leafwise_warp):
+    model, split, tau = leafwise_warp
+    with pytest.raises(td.NotBasicError, match="field is not basic"):
+        td.green_check(model, split, tau, (8, 8))
+
+
+def test_volume_check_refuses_nonbasic_mean_curvature(leafwise_warp):
+    model, split, tau = leafwise_warp
+    with pytest.raises(td.NotBasicError, match="field is not basic"):
+        td.volume_preservation_check(model, split, tau, td.sample_grid(model, 8))
+
+
+def test_cover_refuses_nonbasic_mean_curvature(leafwise_warp):
+    model, split, tau = leafwise_warp
+    with pytest.raises(td.NotBasicError, match="field is not basic"):
+        compare_with_cover(model, split, tau, 0, 2, 8)
 
 
 # --- Green-formula quadrature ---------------------------------------------------------
