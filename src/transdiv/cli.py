@@ -21,21 +21,19 @@ import numpy as np
 
 from . import __version__
 from .catalog import BUILTIN_NAMES, builtin_model, is_builtin
-from .connection import christoffel, mean_curvature
-from .expr import DomainError, EvalError, ExprError, ParseError
+from .expr import DomainError, ExprError, ParseError
 from .model import (
     FoliationSplit,
     FrameModel,
     Grid,
     ModelError,
     SchemaError,
-    SingularFrameError,
     VectorFieldSpec,
+    frame_data,
     load_field,
     load_model,
     model_to_document,
     sample_grid,
-    structure_functions,
     validate_model,
 )
 from .spectral import (
@@ -48,7 +46,7 @@ from .spectral import (
     validate_suspension_matrix,
 )
 from .tautness import (
-    NotBasicError,
+    DEFAULT_TOLERANCE,
     TautnessVerdict,
     alvarez_candidate,
     classify_divergence,
@@ -132,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
         if grid:
             p.add_argument("--grid", type=_grid, help="resolution per coordinate, e.g. 16,256")
         if tol:
-            p.add_argument("--tol", type=_tolerance, default=1e-9, help="sign tolerance")
+            p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOLERANCE, help="sign tolerance")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--output", help="write the report here instead of stdout")
 
@@ -274,9 +272,9 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     grid = _grid_for(model, args)
     diagnostics = validate_model(model, grid)
     point = grid.points[0]
-    table = structure_functions(model, point)
-    gamma = christoffel(model, point).values
-    kappa = mean_curvature(model, split.leaf_ordered, point)
+    block = frame_data(model, (point,))
+    table, gamma = block.c[0], block.gamma[0]
+    kappa = block.mean_curvature(split.leaf_ordered)[0]
     n = model.dim
 
     def entries(array: np.ndarray) -> list[dict]:
@@ -316,7 +314,7 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         "structure_functions": entries(table),
         "christoffel": entries(gamma),
         "mean_curvature": {
-            "components": [float(x) for x in kappa.components],
+            "components": [float(x) for x in kappa],
             "formula": "kappa^k = sum over leafwise a of Gamma_aa^k",
         },
     }
@@ -344,7 +342,7 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         )
     if not payload["christoffel"]:
         lines.append("  (all zero)")
-    comps = ", ".join(f"{x:.12g}" for x in kappa.components)
+    comps = ", ".join(f"{x:.12g}" for x in kappa)
     lines.append(f"mean curvature of the leaves, frame components: ({comps})")
     code = EXIT_OK if diagnostics.passed else EXIT_VALIDATION
     return payload, lines, code
@@ -569,6 +567,8 @@ def _emit(payload: dict, lines: list[str], args: argparse.Namespace) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # first matching clause wins: SchemaError and ParseError exit 1 and
+    # InadmissibleMatrixError 3; OSError is an unreadable or unwritable path
     try:
         args = _parser().parse_args(argv)
         # every NaN or infinity is refused by an explicit check, so
@@ -576,21 +576,14 @@ def main(argv: list[str] | None = None) -> int:
         with np.errstate(all="ignore"):
             payload, lines, code = _HANDLERS[args.subcommand](args)
         _emit(payload, lines, args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (SchemaError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:  # an unreadable input or unwritable output path
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (SingularFrameError, NotBasicError, InadmissibleMatrixError, ModelError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (DomainError, EvalError, ExprError, SpectralError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return code
+    except (UsageError, SchemaError, ParseError, OSError) as exc:
+        error, code = exc, EXIT_USAGE
+    except (ModelError, InadmissibleMatrixError) as exc:
+        error, code = exc, EXIT_VALIDATION
+    except (ExprError, SpectralError) as exc:
+        error, code = exc, EXIT_DOMAIN
+    print(f"error: {error}", file=sys.stderr)
     return code
 
 

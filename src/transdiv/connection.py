@@ -7,7 +7,8 @@ to a purely algebraic expression in the structure functions,
 
 with Gamma_ij^k = g(nabla_{E_i} E_j, E_k).  The functions here evaluate
 at a single point; each is a one-point block of ``model.FrameData``,
-which grid sweeps read block by block.
+which grid sweeps read block by block.  They are the library's pointwise
+API: the CLI reads its blocks from ``model.frame_data`` directly.
 """
 
 from __future__ import annotations

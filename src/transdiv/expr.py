@@ -553,11 +553,6 @@ def variables(node: Expr) -> frozenset[str]:
     return frozenset()
 
 
-def is_constant(node: Expr) -> bool:
-    """True when the expression references no variables at all."""
-    return not variables(node)
-
-
 # --- differentiation -------------------------------------------------------
 
 def _is_literal(node: Expr, value: float) -> bool:

@@ -77,7 +77,6 @@ class FrameModel:
     # per-coordinate wrap period applied before evaluating any expression;
     # None entries mean no wrap.  Used by finite covers.
     coordinate_wraps: tuple[float | None, ...] | None = None
-    notes: tuple[str, ...] = ()
 
     @property
     def is_chart(self) -> bool:
@@ -184,7 +183,6 @@ def constant_structure_model(
     constants: Iterable[tuple[int, int, int, float]],
     parameters: Mapping[str, float] | None = None,
     dense_leaves: bool = False,
-    notes: tuple[str, ...] = (),
 ) -> FrameModel:
     """Model with constant structure functions, indexed 0-based with i < j."""
     if dim < 1:
@@ -210,7 +208,6 @@ def constant_structure_model(
         parameters=params,
         dense_leaves=dense_leaves,
         structure_constants=tuple(sorted(stored)),
-        notes=notes,
     )
 
 
@@ -221,7 +218,6 @@ def chart_model(
     parameters: Mapping[str, float] | None = None,
     dense_leaves: bool = False,
     coordinate_wraps: Sequence[float | None] | None = None,
-    notes: tuple[str, ...] = (),
 ) -> FrameModel:
     """Periodic-box model; frame row i holds the coefficients of E_i."""
     dim = len(periods)
@@ -254,7 +250,6 @@ def chart_model(
         periods=tuple(float(length) for length in periods),
         frame=tuple(rows),
         coordinate_wraps=wraps,
-        notes=notes,
     )
 
 
@@ -323,13 +318,20 @@ def sample_grid(model: FrameModel, resolution: int | Sequence[int]) -> Grid:
         )
     if any(n < 1 for n in res):
         raise ModelError(f"resolution entries must be >= 1, got {res}")
+    return Grid(resolution=res, points=_lattice(model, res, 0.5))
+
+
+def _lattice(model: FrameModel, resolution: tuple[int, ...], offset: float) -> tuple:
+    """The points with coordinates (j + offset) * L / N, j = 0..N-1, in
+    row-major order: cell centers for offset 0.5, corners for 0 (which
+    include 0, where constructed singularities tend to sit; the period
+    endpoint is identified with 0)."""
     assert model.periods is not None
     axes = [
-        tuple((j + 0.5) * length / n for j in range(n))
-        for n, length in zip(res, model.periods)
+        tuple((j + offset) * length / n for j in range(n))
+        for n, length in zip(resolution, model.periods)
     ]
-    points = tuple(itertools.product(*axes))
-    return Grid(resolution=res, points=points)
+    return tuple(itertools.product(*axes))
 
 
 # --- frame evaluation ------------------------------------------------------
@@ -554,36 +556,24 @@ def frame_matrix(model: FrameModel, point: tuple[float, ...]) -> np.ndarray:
 
 
 def structure_functions(model: FrameModel, point: tuple[float, ...]) -> np.ndarray:
-    """The table C with [E_i, E_j] = sum_k C[i, j, k] E_k at ``point``.
-
-    Chart models compute the coordinate components of the bracket from
-    symbolic derivatives of the frame coefficients and express them in
-    the frame by solving with the frame matrix; constant-structure
-    models return their stored table.  Antisymmetric in (i, j).
+    """The table C with [E_i, E_j] = sum_k C[i, j, k] E_k at ``point``,
+    read from a one-point FrameData block (a copy, so it is writable).
+    Antisymmetric in (i, j).
     """
-    if model.kind == CONSTANT_STRUCTURE:
-        return _constant_table(model)
-    return frame_data(model, (point,)).c[0]
+    return frame_data(model, (point,)).c[0].copy()
 
 
 def structure_functions_symbolic(model: FrameModel) -> tuple:
-    """C_ij^k as expression trees (Cramer solve for chart models).
+    """C_ij^k of a chart model as expression trees (a Cramer solve).
 
     Needed where a *field* of structure data is required rather than
     point values, e.g. to build the mean-curvature candidate field.
     Expressions can be large; they are never simplified, only checked
-    pointwise.
+    pointwise.  A constant-structure model's table is ``_constant_table``.
     """
+    if not model.is_chart:
+        raise ModelError("symbolic structure functions exist only for chart models")
     n = model.dim
-    if model.kind == CONSTANT_STRUCTURE:
-        table = _constant_table(model)
-        return tuple(
-            tuple(
-                tuple(expr.as_expr(table[i, j, k]) for k in range(n))
-                for j in range(n)
-            )
-            for i in range(n)
-        )
     assert model.frame is not None
     partials = _frame_partials(model)
 
@@ -630,22 +620,11 @@ def _symbolic_det(matrix: list[list[Expr]]) -> Expr:
 
 # --- validation ------------------------------------------------------------
 
-def _corner_points(model: FrameModel, resolution: tuple[int, ...]) -> tuple:
-    """Lattice corners j*L/N (includes 0, where constructed singularities
-    tend to sit; the period endpoint is identified with 0)."""
-    assert model.periods is not None
-    axes = [
-        tuple(j * length / n for j in range(n))
-        for n, length in zip(resolution, model.periods)
-    ]
-    return tuple(itertools.product(*axes))
-
-
 def _probe_invertibility(model: FrameModel, grid: Grid) -> tuple[tuple, np.ndarray]:
     """The frame-invertibility probe points (``grid``'s points and its
     lattice corners) and det A at each."""
     resolution = grid.resolution or (PROBE_RESOLUTION,) * model.dim
-    points = tuple(grid.points) + _corner_points(model, resolution)
+    points = tuple(grid.points) + _lattice(model, resolution, 0.0)
     return points, gather(block.det for block in sweep(model, points, structure=False))
 
 

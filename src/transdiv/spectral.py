@@ -39,7 +39,7 @@ class InadmissibleMatrixError(SpectralError):
 @dataclass(frozen=True)
 class IsolatedRoot:
     value: float
-    enclosure: tuple[int, int]  # integer interval containing the root
+    enclosure: tuple[int, int]  # integer interval containing the root; (r, r) for a root r
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,7 @@ def determinant(matrix: Sequence[Sequence[int]]) -> int:
     return char_poly(matrix)[-1]
 
 
-def format_poly(coefficients: Sequence[int], variable: str = "x") -> str:
+def format_poly(coefficients: Sequence[int]) -> str:
     """Human form of descending coefficients, e.g. -x^3+6x^2-9x+1."""
     degree = len(coefficients) - 1
     parts = []
@@ -151,7 +151,7 @@ def format_poly(coefficients: Sequence[int], variable: str = "x") -> str:
             body = str(magnitude)
         else:
             head = "" if magnitude == 1 else str(magnitude)
-            body = f"{head}{variable}" + (f"^{power}" if power > 1 else "")
+            body = f"{head}x" + (f"^{power}" if power > 1 else "")
         parts.append(f"{sign}{body}")
     return "".join(parts) if parts else "0"
 
@@ -231,7 +231,9 @@ def real_eigenvalues(coefficients: Sequence[int]) -> tuple[IsolatedRoot, ...]:
     after that; each isolated root is then bisected to a width of at
     most 1e-16 * max(1, |root|), the float resolution limit.  A value is
     the correctly rounded float of the final midpoint, or of the root
-    itself when a split point hits it.  Raises SpectralError ("complex or
+    itself when a split point hits it.  The enclosure of an integer root
+    r is (r, r); any other root gets (m, m + 1), m the floor of its final
+    midpoint.  Raises SpectralError ("complex or
     repeated roots") when the real-root count falls short of the degree
     or the polynomial is not square-free.
     """
@@ -252,9 +254,9 @@ def real_eigenvalues(coefficients: Sequence[int]) -> tuple[IsolatedRoot, ...]:
             f"complex or repeated roots: only {total} real roots for degree {degree}"
         )
 
-    # (low, high, k, exact): the root high / 2^k if exact, else the one
+    # (low, high, k): the root high / 2^k if low == high, else the one
     # root in (low / 2^k, high / 2^k]
-    roots: list[tuple[int, int, int, bool]] = []
+    roots: list[tuple[int, int, int]] = []
     queue = [(-radius, radius, 0, total, low_variations)]
     while queue:
         low, high, k, count, low_variations = queue.pop()
@@ -262,9 +264,9 @@ def real_eigenvalues(coefficients: Sequence[int]) -> tuple[IsolatedRoot, ...]:
             continue
         if count == 1:
             if _sign_at(poly, high, k) == 0:
-                roots.append((high, high, k, True))
+                roots.append((high, high, k))
             else:
-                roots.append((*_refine(poly, low, high, k), False))
+                roots.append(_refine(poly, low, high, k))
             continue
         low, mid, high, k = _midpoint(low, high, k)
         mid_variations = _sign_variations(chain, mid, k)
@@ -274,16 +276,16 @@ def real_eigenvalues(coefficients: Sequence[int]) -> tuple[IsolatedRoot, ...]:
 
     top = max(root[2] for root in roots)
     isolated = []
-    for low, high, k, exact in sorted(roots, key=lambda root: root[0] << (top - root[2])):
-        if exact:
-            value = high / (1 << k)
-            floor = high >> k
-            enclosure = (floor, floor) if floor << k == high else (floor, floor + 1)
-        else:
-            center = low + high  # the midpoint, over 2^(k+1)
-            value = center / (1 << (k + 1))
-            floor = center >> (k + 1)
-            enclosure = (floor, floor + 1)
+    for low, high, k in sorted(roots, key=lambda root: root[0] << (top - root[2])):
+        center = low + high  # the midpoint (the root if low == high), over 2^(k+1)
+        value = center / (1 << (k + 1))
+        floor = center >> (k + 1)
+        r = high >> k  # the largest integer <= high / 2^k
+        if low == high:
+            on_integer = r << k == high
+        else:  # r is the root if it lies in (low, high] and p(r) = 0
+            on_integer = low < r << k and _sign_at(poly, r, 0) == 0
+        enclosure = (r, r) if on_integer else (floor, floor + 1)
         isolated.append(IsolatedRoot(value=value, enclosure=enclosure))
     return tuple(isolated)
 
@@ -430,10 +432,6 @@ def build_suspension(
         constants=constants,
         parameters=parameters,
         dense_leaves=False,
-        notes=(
-            "models the compact quotient of the matrix suspension; "
-            "compactness is a modeling assumption, not verified",
-        ),
     )
     split = foliation_split(n + 1, {leaf_index})
     return model, split

@@ -32,6 +32,7 @@ from .model import (
     Grid,
     ModelError,
     VectorFieldSpec,
+    _constant_table,
     basic_field_check,
     chart_model,
     gather,
@@ -132,9 +133,26 @@ class NotBasicError(ModelError):
         self.check = check
 
 
-def _require_basic(check: BasicFieldCheck) -> None:
+def _basic_sweep(
+    model: FrameModel,
+    split: FoliationSplit,
+    field_spec: VectorFieldSpec,
+    points: tuple,
+    *reads,
+) -> list[np.ndarray]:
+    """For each function in ``reads``, its per-block arrays over
+    ``points`` joined along the point axis, after the basic test of v
+    over all of ``points`` (NotBasicError if it fails); the test and the
+    reads share one pass over the FrameData blocks."""
+    residuals, columns = [], [[] for _ in reads]
+    for block in sweep(model, points, field_spec):
+        residuals.append(block.basic_residuals(split))
+        for column, read in zip(columns, reads):
+            column.append(read(block))
+    check = basic_field_check(gather(residuals), points)
     if not check.passed:
         raise NotBasicError(check, "field is not basic")
+    return [gather(column) for column in columns]
 
 
 def _divergence_sweep(
@@ -144,13 +162,11 @@ def _divergence_sweep(
     grid: Grid,
 ) -> np.ndarray:
     """div^Q v at every grid point, after the basic test over the whole
-    grid; both come from one pass over the grid's FrameData blocks."""
-    residuals, values = [], []
-    for block in sweep(model, grid.points, field_spec):
-        residuals.append(block.basic_residuals(split))
-        values.append(block.divergence(split.transverse_ordered))
-    _require_basic(basic_field_check(gather(residuals), grid.points))
-    values = gather(values)
+    grid."""
+    (values,) = _basic_sweep(
+        model, split, field_spec, grid.points,
+        lambda block: block.divergence(split.transverse_ordered),
+    )
     require_finite(values, grid.points, "div^Q v")
     return values
 
@@ -203,16 +219,21 @@ def alvarez_candidate(model: FrameModel, split: FoliationSplit) -> VectorFieldSp
     their own grid and raise NotBasicError otherwise, as for any field
     (modifying the metric to force basicness is out of scope here).
     """
-    table = structure_functions_symbolic(model)
+    # kappa^k = sum_{a in leaf} Gamma_aa^k for transverse k, and
+    # Gamma_aa^k = C_ka^a
+    pairs = [(k, a) for k in split.transverse for a in split.leaf]
+    if model.is_chart:
+        table = structure_functions_symbolic(model)
+        gamma = {(k, a): table[k][a][a] for k, a in pairs}
+    else:  # the entries read, not a table of n^3 literals
+        constants = _constant_table(model)
+        gamma = {(k, a): expr.as_expr(constants[k, a, a]) for k, a in pairs}
     components: list[expr.Expr] = []
     for k in range(model.dim):
-        if k in split.leaf:
-            components.append(expr.ZERO)
-            continue
-        # kappa^k = sum_{a in leaf} Gamma_aa^k, and Gamma_aa^k = C_ka^a
         total: expr.Expr = expr.ZERO
-        for a in split.leaf_ordered:
-            total = expr.add(total, table[k][a][a])
+        if k in split.transverse:
+            for a in split.leaf_ordered:
+                total = expr.add(total, gamma[k, a])
         components.append(total)
     return VectorFieldSpec(components=tuple(components))
 
@@ -239,16 +260,19 @@ def green_check(
     cell = 1.0
     for length, n in zip(model.periods, grid.resolution):
         cell *= length / n
-    residuals, lhs_terms, rhs_terms = [], [], []
-    for block in sweep(model, grid.points, field_spec):
-        residuals.append(block.basic_residuals(split))
-        weight = cell / np.abs(block.det)
+
+    def lhs_term(block):
+        return block.divergence(split.transverse_ordered) * (cell / np.abs(block.det))
+
+    def rhs_term(block):
         kappa = block.mean_curvature(split.leaf_ordered)
-        lhs_terms.append(block.divergence(split.transverse_ordered) * weight)
-        rhs_terms.append(np.einsum("pk,pk->p", block.v, kappa) * weight)
-    _require_basic(basic_field_check(gather(residuals), grid.points))
-    lhs = _integral(gather(lhs_terms), grid.points, "div^Q v dmu")
-    rhs = _integral(gather(rhs_terms), grid.points, "g(v, kappa#) dmu")
+        return np.einsum("pk,pk->p", block.v, kappa) * (cell / np.abs(block.det))
+
+    lhs_terms, rhs_terms = _basic_sweep(
+        model, split, field_spec, grid.points, lhs_term, rhs_term
+    )
+    lhs = _integral(lhs_terms, grid.points, "div^Q v dmu")
+    rhs = _integral(rhs_terms, grid.points, "g(v, kappa#) dmu")
     abs_error = abs(lhs - rhs)
     if not math.isfinite(abs_error):
         raise expr.DomainError(f"|lhs - rhs| overflows ({lhs!r} - {rhs!r})")
@@ -343,7 +367,6 @@ def lift_to_cover(
         parameters=model.parameters,
         dense_leaves=model.dense_leaves,
         coordinate_wraps=wraps,
-        notes=model.notes,
     )
     return lifted, split, field_spec
 
@@ -369,7 +392,14 @@ def compare_with_cover(
     """Classify div^Q v on ``model`` and on its ``fold``-times cover along
     ``coord`` (see lift_to_cover), each on a grid of ``resolution``, and
     compare the lift pointwise with the base field at the projected
-    points, reusing the values of the cover's sweep."""
+    points, reusing the values of the cover's sweep.
+
+    ``max_pointwise_difference`` is exactly 0 by construction, since the
+    cover evaluates the base's expressions at wrapped coordinates (0 on
+    torus-warped and flat-kronecker, folds 1 to 5, grids 4 to 64; up to
+    6.2e-13 without the wrap).  It checks the wrapping, not the geometry,
+    at the cost of a base sweep at the projected points.
+    """
     cover, cover_split, cover_field = lift_to_cover(model, split, field_spec, coord, fold)
     base_grid = sample_grid(model, resolution)
     cover_grid = sample_grid(cover, resolution)

@@ -380,6 +380,56 @@ def test_each_field_sweep_covers_each_point_once(capsys, monkeypatch, tmp_path, 
     assert sum(swept) == points
 
 
+def test_analyze_builds_the_structure_once(capsys, monkeypatch):
+    built = []
+    build = td.model.FrameData.__init__
+
+    def counting(self, model, points, field_spec, structure):
+        if structure:
+            built.append(len(points))
+        build(self, model, points, field_spec, structure)
+
+    monkeypatch.setattr(td.model.FrameData, "__init__", counting)
+    code, _, err = run(capsys, "analyze", "torus-warped", "--grid", "64")
+    assert (code, err) == (0, "")
+    assert built == [1]
+
+
+def _raising(exc):
+    def handler(args):
+        raise exc
+
+    return handler
+
+
+_CHECK = td.BasicFieldCheck(passed=False, max_residual=1.0, worst_point=(0.5,), tolerance=1e-9)
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [
+        (cli.UsageError("usage"), 1),
+        (td.SchemaError("schema"), 1),  # a ModelError
+        (td.ParseError("parse", 3), 1),  # an ExprError
+        (td.UnknownFunctionError("frob", 0), 1),
+        (FileNotFoundError("no such file"), 1),
+        (td.ModelError("model"), 3),
+        (td.SingularFrameError((0.0,), 0.0), 3),
+        (td.NotBasicError(_CHECK, "not basic"), 3),
+        (td.catalog.UnknownBuiltinError("nope"), 3),
+        (td.InadmissibleMatrixError("inadmissible"), 3),  # a SpectralError
+        (td.SpectralError("spectral"), 2),
+        (td.ExprError("expr"), 2),
+        (td.EvalError("eval"), 2),
+        (td.DomainError("domain"), 2),
+        (td.DifferentiationError("differentiation"), 2),
+    ],
+)
+def test_exit_code_ladder(capsys, monkeypatch, exc, code):
+    monkeypatch.setitem(cli._HANDLERS, "analyze", _raising(exc))
+    assert run(capsys, "analyze", "t3a") == (code, "", f"error: {exc}\n")
+
+
 def test_main_reuses_one_parser(capsys, monkeypatch, tmp_path):
     field = write_field(tmp_path, "log.json", ["0", "ln(x2-2)"])
     sequence = [

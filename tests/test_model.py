@@ -10,7 +10,7 @@ import pytest
 
 import transdiv as td
 from transdiv import expr
-from transdiv.model import PROBE_RESOLUTION, _corner_points
+from transdiv.model import PROBE_RESOLUTION, _lattice
 
 from generators import identity_cases
 
@@ -362,7 +362,7 @@ def test_validate_reports_first_failing_probe():
 
 def test_corner_probe_includes_origin(torus):
     model, _ = torus
-    corners = _corner_points(model, (PROBE_RESOLUTION,) * 2)
+    corners = _lattice(model, (PROBE_RESOLUTION,) * 2, 0.0)
     assert (0.0, 0.0) in corners
 
 

@@ -173,6 +173,35 @@ def test_real_eigenvalues_exact_integer_roots():
     assert roots[0].enclosure == (1, 1)
 
 
+@pytest.mark.parametrize(
+    "coefficients, expected",
+    [
+        ((1, -3, 2), [(1.0, (1, 1)), (2.0, (2, 2))]),  # (x-1)(x-2): split points hit both
+        ((1, 3, -4), [(-4.0, (-4, -4)), (1.0, (1, 1))]),  # (x-1)(x+4): bisection converges
+        ((1, -3), [(3.0, (3, 3))]),  # x-3: a refinement midpoint hits the root
+    ],
+)
+def test_integer_roots_get_point_enclosures(coefficients, expected):
+    roots = td.real_eigenvalues(coefficients)
+    assert [(root.value.hex(), root.enclosure) for root in roots] == [
+        (value.hex(), enclosure) for value, enclosure in expected
+    ]
+
+
+def test_refinement_hit_on_an_integer_root_is_exact(monkeypatch):
+    refine, results = td.spectral._refine, []
+
+    def spy(*args):
+        results.append(refine(*args))
+        return results[-1]
+
+    monkeypatch.setattr(td.spectral, "_refine", spy)
+    (root,) = td.real_eigenvalues((1, -3))
+    (low, high, k), = results
+    assert low == high and Fraction(high, 2**k) == 3
+    assert root == td.IsolatedRoot(value=3.0, enclosure=(3, 3))
+
+
 def test_residual_smallness():
     for rows in (((2, 1), (1, 1)), EXAMPLE_3X3):
         coefficients = td.char_poly(rows)
@@ -258,7 +287,7 @@ def _oracle_refine(poly, low, high):
         mid = (low + high) / 2
         value = _frac_eval(poly, mid)
         if value == 0:
-            return mid, mid
+            return mid  # found exactly, as in the isolation step
         if (value > 0) == positive_high:
             high = mid
         else:
@@ -306,10 +335,14 @@ def oracle_real_eigenvalues(coefficients):
                 floor = root.numerator // root.denominator
                 enclosure = (floor, floor + 1)
         else:
-            center = (root[0] + root[1]) / 2
+            low, high = root
+            center = (low + high) / 2
             value = float(center)
             floor = center.numerator // center.denominator
             enclosure = (floor, floor + 1)
+            r = math.floor(high)
+            if low < r and _frac_eval(poly, Fraction(r)) == 0:
+                enclosure = (r, r)  # an integer root that no split point hit
         isolated.append(td.IsolatedRoot(value=value, enclosure=enclosure))
     return tuple(isolated)
 

@@ -197,6 +197,54 @@ def test_alvarez_candidate_flat_zero(kronecker):
     assert all(td.evaluate(c, env) == 0.0 for c in candidate.components)
 
 
+def literal_table_candidate(model, split):
+    """The candidate as folded from a full table of n^3 literals."""
+    table = td.model._constant_table(model)
+    literals = [[[expr.as_expr(value) for value in row] for row in plane] for plane in table]
+    components = []
+    for k in range(model.dim):
+        total = expr.ZERO
+        if k in split.transverse:
+            for a in split.leaf_ordered:
+                total = expr.add(total, literals[k][a][a])
+        components.append(total)
+    return td.VectorFieldSpec(components=tuple(components))
+
+
+def constant_cases():
+    yield td.builtin_model("t3a")
+    yield td.builtin_model("suspension-3")
+    rng = random.Random(17)
+    for n in range(2, td.spectral.MAX_DIM + 1):  # suspensions of dim 3..9
+        matrix = random_admissible_matrix(rng, n)
+        for leaf_index in (1, n):
+            yield td.build_suspension(matrix, leaf_index)
+    # stored zeros complete to -0.0; a two-dimensional leaf folds literals
+    yield (
+        td.constant_structure_model("zeros", 4, [(0, 2, 0, 0.0), (1, 2, 1, 0.5), (1, 3, 1, 0.0)]),
+        td.model.foliation_split(4, {0, 1}),
+    )
+
+
+def test_alvarez_candidate_of_constant_models_skips_the_symbolic_table(monkeypatch):
+    def forbidden(model):
+        raise AssertionError("symbolic structure functions built for a constant model")
+
+    monkeypatch.setattr(td.tautness, "structure_functions_symbolic", forbidden)
+    signed_zero = False
+    for model, split in constant_cases():
+        candidate = td.alvarez_candidate(model, split)
+        # repr tells -0.0 from 0.0, where Literal equality does not
+        assert repr(candidate) == repr(literal_table_candidate(model, split))
+        signed_zero |= "Literal(value=-0.0)" in repr(candidate)
+    assert signed_zero
+
+
+def test_symbolic_structure_functions_need_a_chart(t3a):
+    with pytest.raises(td.ModelError, match="chart"):
+        td.model.structure_functions_symbolic(t3a[0])
+
+
 @pytest.fixture(scope="module")
 def leafwise_warp():
     # a warp varying along the leaves makes kappa# = -f_y(x, y) E2
@@ -357,6 +405,19 @@ def test_cover_equivariance(torus, fold):
                 - td.transverse_divergence(model, split, field, down)
             )
             assert difference <= 1e-12
+
+
+@pytest.mark.parametrize("coord, fold, resolution", [(0, 2, 8), (1, 3, (4, 12)), (1, 5, 16)])
+def test_cover_pointwise_difference_is_exactly_zero(torus, kronecker, coord, fold, resolution):
+    # the lift evaluates the base's expressions at wrapped coordinates,
+    # so both sweeps compute the same numbers
+    for model, split in (torus, kronecker):
+        for field in (
+            td.alvarez_candidate(model, split),
+            td.vector_field(["0", "0.3*sin(2*pi*x2)"] if model.name == "torus-warped" else ["0", "0.6"], model),
+        ):
+            comparison = compare_with_cover(model, split, field, coord, fold, resolution)
+            assert comparison.max_pointwise_difference == 0.0
 
 
 def test_deck_average_projects_to_same_verdict(torus):
