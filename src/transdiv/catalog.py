@@ -23,6 +23,9 @@ SUSPENSION_3_MATRIX = ((2, 0, -1), (0, 3, -1), (-1, -1, 1))
 
 T3A_MATRIX = ((2, 1), (1, 1))
 
+#: Default matrix of each suspension builtin.
+_SUSPENSION_MATRICES = {"t3a": T3A_MATRIX, "suspension-3": SUSPENSION_3_MATRIX}
+
 DEFAULT_WARP = "0.3*sin(2*pi*x2)"
 
 BUILTIN_NAMES = ("t3a", "suspension-3", "torus-warped", "flat-kronecker")
@@ -46,22 +49,16 @@ def builtin_document(
     for "suspension-3"); ``warp`` configures the metric exponent of
     "torus-warped" as an expression in x2.
     """
-    if name == "t3a":
-        rows = tuple(tuple(row) for row in (matrix or T3A_MATRIX))
-        if len(rows) != 2:
-            raise ModelError("t3a takes a 2x2 matrix")
-        # leaves along the larger-eigenvalue direction, as for the default
-        # hyperbolic toral flow
-        model, split = build_suspension(rows, leaf_index=2)
-        document = model_to_document(model, split)
-        document["name"] = name
-        return document
-    if name == "suspension-3":
-        rows = tuple(tuple(row) for row in (matrix or SUSPENSION_3_MATRIX))
-        if len(rows) != 3:
-            raise ModelError("suspension-3 takes a 3x3 matrix")
-        # the middle eigen-direction spans the leaves; with this choice the
-        # transverse divergence of the mean-curvature field is (ln lambda_2)^2
+    if name in _SUSPENSION_MATRICES:
+        default = _SUSPENSION_MATRICES[name]
+        n = len(default)
+        rows = tuple(tuple(row) for row in (matrix or default))
+        if len(rows) != n:
+            raise ModelError(f"{name} takes a {n}x{n} matrix")
+        # leaves along the second eigen-direction (eigenvalues ascending):
+        # for t3a the larger one, as for the default hyperbolic toral flow;
+        # for suspension-3 the middle one, where the transverse divergence
+        # of the mean-curvature field is (ln lambda_2)^2
         model, split = build_suspension(rows, leaf_index=2)
         document = model_to_document(model, split)
         document["name"] = name

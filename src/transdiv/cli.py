@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -209,16 +210,20 @@ def _resolve_field(
     return load_field(document, model), source
 
 
-def _resolution(grid: tuple[int, ...] | None) -> int | tuple[int, ...]:
+def _resolution(model: FrameModel, grid: tuple[int, ...] | None) -> int | tuple[int, ...]:
+    """``--grid`` for ``model``: one entry or one per coordinate (a
+    constant-structure model ignores it)."""
     if grid is None:
         return DEFAULT_RESOLUTION
     if len(grid) == 1:
         return grid[0]
+    if model.is_chart and len(grid) != model.dim:
+        raise UsageError(f"resolution {grid} does not match model dimension {model.dim}")
     return grid
 
 
 def _grid_for(model: FrameModel, args: argparse.Namespace) -> Grid:
-    return sample_grid(model, _resolution(args.grid))
+    return sample_grid(model, _resolution(model, args.grid))
 
 
 def _point(point: tuple[float, ...] | None) -> list[float] | None:
@@ -265,6 +270,24 @@ def _grid_text(model: FrameModel, grid: Grid) -> str:
     return f"{shape} cell-centered lattice ({len(grid.points)} points)"
 
 
+def _nonzero_entries(array: np.ndarray) -> list[dict]:
+    """The nonzero entries of a table indexed ij^k, 1-based, i then j then k."""
+    return [
+        {"i": i + 1, "j": j + 1, "k": k + 1, "value": float(array[i, j, k])}
+        for i, j, k in itertools.product(range(len(array)), repeat=3)
+        if array[i, j, k] != 0.0
+    ]
+
+
+def _entry_lines(symbol: str, entries: list[dict]) -> list[str]:
+    """Report lines of the nonzero entries of a table indexed ij^k."""
+    lines = [
+        f"  {symbol}_{entry['i']}{entry['j']}^{entry['k']} = {entry['value']:.12g}"
+        for entry in entries
+    ]
+    return lines or ["  (all zero)"]
+
+
 # --- subcommand handlers -----------------------------------------------------
 
 def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, list[str], int]:
@@ -275,25 +298,11 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     block = frame_data(model, (point,))
     table, gamma = block.c[0], block.gamma[0]
     kappa = block.mean_curvature(split.leaf_ordered)[0]
-    n = model.dim
-
-    def entries(array: np.ndarray) -> list[dict]:
-        found = []
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    value = float(array[i, j, k])
-                    if value != 0.0:
-                        found.append(
-                            {"i": i + 1, "j": j + 1, "k": k + 1, "value": value}
-                        )
-        return found
-
     payload = {
         "subcommand": "analyze",
         "model": model.name,
         "kind": model.kind,
-        "dim": n,
+        "dim": model.dim,
         "leaf_indices": [i + 1 for i in split.leaf_ordered],
         "transverse_indices": [i + 1 for i in split.transverse_ordered],
         "dense_leaves": model.dense_leaves,
@@ -311,8 +320,8 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, list[str], int]:
             ],
         },
         "report_point": _point(point),
-        "structure_functions": entries(table),
-        "christoffel": entries(gamma),
+        "structure_functions": _nonzero_entries(table),
+        "christoffel": _nonzero_entries(gamma),
         "mean_curvature": {
             "components": [float(x) for x in kappa],
             "formula": "kappa^k = sum over leafwise a of Gamma_aa^k",
@@ -326,22 +335,12 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         lines.append(f"  {check.name}: {state} ({check.detail}{worst})")
     lines.append(f"report point: {point if point else 'abstract'}")
     lines.append("nonzero structure functions C_ij^k ([E_i, E_j] = C_ij^k E_k):")
-    for entry in payload["structure_functions"]:
-        lines.append(
-            f"  C_{entry['i']}{entry['j']}^{entry['k']} = {entry['value']:.12g}"
-        )
-    if not payload["structure_functions"]:
-        lines.append("  (all zero)")
+    lines.extend(_entry_lines("C", payload["structure_functions"]))
     lines.append(
         "nonzero connection coefficients "
         "Gamma_ij^k = (C_ij^k + C_ki^j + C_kj^i)/2:"
     )
-    for entry in payload["christoffel"]:
-        lines.append(
-            f"  Gamma_{entry['i']}{entry['j']}^{entry['k']} = {entry['value']:.12g}"
-        )
-    if not payload["christoffel"]:
-        lines.append("  (all zero)")
+    lines.extend(_entry_lines("Gamma", payload["christoffel"]))
     comps = ", ".join(f"{x:.12g}" for x in kappa)
     lines.append(f"mean curvature of the leaves, frame components: ({comps})")
     code = EXIT_OK if diagnostics.passed else EXIT_VALIDATION
@@ -360,9 +359,7 @@ def _cmd_taut_check(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         "grid": list(grid.resolution),
         **_verdict_payload(verdict),
     }
-    lines = _model_header(model, split)
-    lines.append(f"field: {label}")
-    lines.append(f"grid: {_grid_text(model, grid)}")
+    lines = [*_model_header(model, split), f"field: {label}", f"grid: {_grid_text(model, grid)}"]
     lines.extend(_verdict_lines(verdict))
     return payload, lines, EXIT_OK
 
@@ -370,7 +367,7 @@ def _cmd_taut_check(args: argparse.Namespace) -> tuple[dict, list[str], int]:
 def _cmd_green_check(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     model, split = _resolve_model(args.model)
     field_spec, label = _resolve_field(args.field, model, split)
-    report = green_check(model, split, field_spec, _resolution(args.grid))
+    report = green_check(model, split, field_spec, _resolution(model, args.grid))
     payload = {
         "subcommand": "green-check",
         "model": model.name,
@@ -382,8 +379,7 @@ def _cmd_green_check(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         "abs_error": report.abs_error,
         "density": report.density,
     }
-    lines = _model_header(model, split)
-    lines.append(f"field: {label}")
+    lines = [*_model_header(model, split), f"field: {label}"]
     lines.append(f"grid: {'x'.join(str(n) for n in report.resolution)} cell-centered")
     lines.append("identity: integral of div^Q v dmu = integral of g(v, kappa#) dmu")
     lines.append(f"lhs (div^Q side):  {report.lhs:+.15e}")
@@ -482,7 +478,7 @@ def _cmd_cover(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         raise UsageError("--fold must be >= 1")
     comparison = compare_with_cover(
         model, split, field_spec, args.coord - 1, args.fold,
-        _resolution(args.grid), args.tol,
+        _resolution(model, args.grid), args.tol,
     )
     base_verdict, lifted_verdict = comparison.base_verdict, comparison.cover_verdict
     worst = comparison.max_pointwise_difference
@@ -498,8 +494,7 @@ def _cmd_cover(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         "verdicts_agree": base_verdict.classification is lifted_verdict.classification,
         "max_pointwise_difference": worst,
     }
-    lines = _model_header(model, split)
-    lines.append(f"field: {label}")
+    lines = [*_model_header(model, split), f"field: {label}"]
     lines.append(
         f"cover: {args.fold}-fold along x{args.coord} "
         f"(period {model.periods[args.coord - 1]:g} -> "
@@ -528,9 +523,7 @@ def _cmd_volume_check(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         "note": report.note,
         **{f"divergence_{k}": v for k, v in _verdict_payload(report.verdict).items()},
     }
-    lines = _model_header(model, split)
-    lines.append(f"field: {label}")
-    lines.append(f"grid: {_grid_text(model, grid)}")
+    lines = [*_model_header(model, split), f"field: {label}", f"grid: {_grid_text(model, grid)}"]
     lines.append(
         f"transverse volume form preserved (L_v nu_Q = 0): "
         f"{'yes' if report.preserved else 'no'}"

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -369,6 +369,15 @@ def require_finite(values: np.ndarray, points: Sequence, what: str) -> None:
         raise expr.DomainError(f"non-finite {what} at {points[index]}")
 
 
+def _require_invertible(dets: np.ndarray, points: Sequence) -> None:
+    """Raise SingularFrameError at the first point where |det A| <
+    DET_TOLERANCE (``dets`` runs over ``points``)."""
+    singular = np.abs(dets) < DET_TOLERANCE
+    if singular.any():
+        index = int(np.argmax(singular))
+        raise SingularFrameError(points[index], float(dets[index]))
+
+
 def _evaluate(nodes: Sequence[Expr], shape: tuple[int, ...], env: Mapping, count: int) -> np.ndarray:
     """Compiled values of ``nodes`` (a row-major flattening of ``shape``)
     at ``count`` points, as an array of shape (count, *shape)."""
@@ -390,9 +399,10 @@ class FrameData:
       ``ev[p, i, k]`` = E_i(v^k) and ``rows[p, i, k]`` =
       (nabla_{E_i} v)^k = E_i(v^k) + sum_j v^j Gamma_ij^k.
 
-    Build through ``frame_data`` or ``sweep``.  Every value is finite: a
-    NaN or infinity raises DomainError, and |det A| < DET_TOLERANCE
-    raises SingularFrameError when the structure is asked for.
+    Built by ``frame_data`` and, block by block, by ``sweep``.  Every
+    value is finite: a NaN or infinity raises DomainError, and |det A| <
+    DET_TOLERANCE raises SingularFrameError when the structure is asked
+    for.
     """
 
     def __init__(
@@ -415,10 +425,7 @@ class FrameData:
         if not structure:
             return
         if model.is_chart:
-            singular = np.abs(self.det) < DET_TOLERANCE
-            if singular.any():
-                index = int(np.argmax(singular))
-                raise SingularFrameError(points[index], float(self.det[index]))
+            _require_invertible(self.det, points)
             partials = [d for row in _frame_partials(model) for entry in row for d in entry]
             da = _evaluate(partials, (n, n, n), env, count)  # da[p, j, m, c]
             # directional[p, i, j, m] = E_i(a_j^m)
@@ -497,6 +504,11 @@ def frame_data(
     with that point stored on an ExprError as ``point``.
     """
     _check_field_dim(model, field_spec)
+    return _located(model, points, field_spec, structure)
+
+
+def _located(model, points, field_spec, structure) -> FrameData:
+    """``frame_data`` without the field check."""
     try:
         return _build(model, points, field_spec, structure)
     except _POINT_ERRORS:
@@ -533,19 +545,22 @@ def _check_field_dim(model: FrameModel, field_spec: VectorFieldSpec | None) -> N
 def sweep(
     model: FrameModel,
     points: Sequence[tuple[float, ...]],
+    *reads: Callable[[FrameData], np.ndarray],
     field_spec: VectorFieldSpec | None = None,
     structure: bool = True,
-) -> Iterator[FrameData]:
-    """FrameData for ``points`` in order, in blocks of at most BLOCK_POINTS."""
+) -> list[np.ndarray]:
+    """For each of ``reads`` (a function of one FrameData block), its
+    arrays over ``points`` joined along the point axis.  The blocks, of
+    at most BLOCK_POINTS each, are built in point order as ``frame_data``
+    builds them, and each is read by every read before the next is built.
+    """
     _check_field_dim(model, field_spec)
+    columns: list[list[np.ndarray]] = [[] for _ in reads]
     for start in range(0, len(points), BLOCK_POINTS):
-        yield frame_data(model, points[start:start + BLOCK_POINTS], field_spec, structure)
-
-
-def gather(blocks: Iterable[np.ndarray]) -> np.ndarray:
-    """Per-block arrays of a sweep joined along the point axis."""
-    arrays = list(blocks)
-    return np.concatenate(arrays) if arrays else np.empty(0)
+        block = _located(model, points[start:start + BLOCK_POINTS], field_spec, structure)
+        for column, read in zip(columns, reads):
+            column.append(read(block))
+    return [np.concatenate(column) if column else np.empty(0) for column in columns]
 
 
 def frame_matrix(model: FrameModel, point: tuple[float, ...]) -> np.ndarray:
@@ -625,7 +640,8 @@ def _probe_invertibility(model: FrameModel, grid: Grid) -> tuple[tuple, np.ndarr
     lattice corners) and det A at each."""
     resolution = grid.resolution or (PROBE_RESOLUTION,) * model.dim
     points = tuple(grid.points) + _lattice(model, resolution, 0.0)
-    return points, gather(block.det for block in sweep(model, points, structure=False))
+    (dets,) = sweep(model, points, lambda block: block.det, structure=False)
+    return points, dets
 
 
 def validate_model(model: FrameModel, grid: Grid) -> ModelDiagnostics:
@@ -634,32 +650,23 @@ def validate_model(model: FrameModel, grid: Grid) -> ModelDiagnostics:
     models.  Neither kind needs an antisymmetry check: FrameData
     antisymmetrizes a chart's C exactly, and _constant_table writes
     C_ji^k = -C_ij^k for each stored i < j entry."""
-    checks: list[CheckResult] = []
     if model.is_chart:
         try:
             probes, dets = _probe_invertibility(model, grid)
         except ExprError as exc:
-            checks.append(
-                CheckResult(
-                    "frame_invertibility",
-                    False,
-                    0.0,
-                    exc.point,
-                    f"frame evaluation failed: {exc}",
-                )
+            check = CheckResult(
+                "frame_invertibility", False, 0.0, exc.point, f"frame evaluation failed: {exc}"
             )
         else:
             index = int(np.argmin(np.abs(dets)))
             worst_det = float(abs(dets[index]))
-            checks.append(
-                CheckResult(
-                    "frame_invertibility",
-                    worst_det >= DET_TOLERANCE,
-                    worst_det,
-                    probes[index],
-                    f"min |det(frame)| over {len(probes)} probe points "
-                    f"(threshold {DET_TOLERANCE:g})",
-                )
+            check = CheckResult(
+                "frame_invertibility",
+                worst_det >= DET_TOLERANCE,
+                worst_det,
+                probes[index],
+                f"min |det(frame)| over {len(probes)} probe points "
+                f"(threshold {DET_TOLERANCE:g})",
             )
     else:
         table = _constant_table(model)
@@ -667,17 +674,14 @@ def validate_model(model: FrameModel, grid: Grid) -> ModelDiagnostics:
         term2 = np.einsum("jkm,mil->ijkl", table, table)
         term3 = np.einsum("kim,mjl->ijkl", table, table)
         jacobi = float(np.max(np.abs(term1 + term2 + term3)))
-        checks.append(
-            CheckResult(
-                "jacobi_identity",
-                jacobi <= JACOBI_TOLERANCE,
-                jacobi,
-                (),
-                "max |cyclic sum C_ij^m C_mk^l| "
-                f"(threshold {JACOBI_TOLERANCE:g})",
-            )
+        check = CheckResult(
+            "jacobi_identity",
+            jacobi <= JACOBI_TOLERANCE,
+            jacobi,
+            (),
+            f"max |cyclic sum C_ij^m C_mk^l| (threshold {JACOBI_TOLERANCE:g})",
         )
-    return ModelDiagnostics(checks=tuple(checks))
+    return ModelDiagnostics(checks=(check,))
 
 
 def basic_field_check(
@@ -708,10 +712,23 @@ def check_basic(
 ) -> BasicFieldCheck:
     """Test whether v is basic: the transverse part of [F_a, v] must
     vanish for every leafwise frame direction F_a, at every grid point."""
-    residuals = gather(
-        block.basic_residuals(split) for block in sweep(model, grid.points, field_spec)
+    return basic_sweep(model, split, field_spec, grid.points, tol=tol)[0]
+
+
+def basic_sweep(
+    model: FrameModel,
+    split: FoliationSplit,
+    field_spec: VectorFieldSpec,
+    points: Sequence[tuple[float, ...]],
+    *reads: Callable[[FrameData], np.ndarray],
+    tol: float = BASIC_TOLERANCE,
+) -> tuple[BasicFieldCheck, list[np.ndarray]]:
+    """The basic test of v over ``points`` and the ``sweep`` of
+    ``reads``, in one pass over the blocks."""
+    residuals, *arrays = sweep(
+        model, points, lambda block: block.basic_residuals(split), *reads, field_spec=field_spec
     )
-    return basic_field_check(residuals, grid.points, tol)
+    return basic_field_check(residuals, points, tol), arrays
 
 
 # --- model and field documents ---------------------------------------------
@@ -853,10 +870,7 @@ def _load_chart(document, name, dim, parameters, dense) -> FrameModel:
         name, periods, rows, parameters=parameters, dense_leaves=dense
     )
     points, dets = _probe_invertibility(model, sample_grid(model, PROBE_RESOLUTION))
-    singular = np.abs(dets) < DET_TOLERANCE
-    if singular.any():
-        index = int(np.argmax(singular))
-        raise SingularFrameError(points[index], float(dets[index]))
+    _require_invertible(dets, points)
     return model
 
 

@@ -33,9 +33,8 @@ from .model import (
     ModelError,
     VectorFieldSpec,
     _constant_table,
-    basic_field_check,
+    basic_sweep,
     chart_model,
-    gather,
     require_finite,
     sample_grid,
     structure_functions_symbolic,
@@ -125,34 +124,27 @@ class CoverComparison:
 class NotBasicError(ModelError):
     """A candidate field failed the basic-field test."""
 
-    def __init__(self, check: BasicFieldCheck, message: str):
+    def __init__(self, check: BasicFieldCheck):
         super().__init__(
-            f"{message}: worst residual {check.max_residual:.3e} "
+            f"field is not basic: worst residual {check.max_residual:.3e} "
             f"at {check.worst_point} (tolerance {check.tolerance:g})"
         )
         self.check = check
 
 
-def _basic_sweep(
+def _basic_reads(
     model: FrameModel,
     split: FoliationSplit,
     field_spec: VectorFieldSpec,
     points: tuple,
     *reads,
 ) -> list[np.ndarray]:
-    """For each function in ``reads``, its per-block arrays over
-    ``points`` joined along the point axis, after the basic test of v
-    over all of ``points`` (NotBasicError if it fails); the test and the
-    reads share one pass over the FrameData blocks."""
-    residuals, columns = [], [[] for _ in reads]
-    for block in sweep(model, points, field_spec):
-        residuals.append(block.basic_residuals(split))
-        for column, read in zip(columns, reads):
-            column.append(read(block))
-    check = basic_field_check(gather(residuals), points)
+    """``model.basic_sweep`` of ``reads`` over ``points``, refusing a
+    field that is not basic over all of them with NotBasicError."""
+    check, arrays = basic_sweep(model, split, field_spec, points, *reads)
     if not check.passed:
-        raise NotBasicError(check, "field is not basic")
-    return [gather(column) for column in columns]
+        raise NotBasicError(check)
+    return arrays
 
 
 def _divergence_sweep(
@@ -163,12 +155,14 @@ def _divergence_sweep(
 ) -> np.ndarray:
     """div^Q v at every grid point, after the basic test over the whole
     grid."""
-    (values,) = _basic_sweep(
-        model, split, field_spec, grid.points,
-        lambda block: block.divergence(split.transverse_ordered),
-    )
+    (values,) = _basic_reads(model, split, field_spec, grid.points, _divergence(split))
     require_finite(values, grid.points, "div^Q v")
     return values
+
+
+def _divergence(split: FoliationSplit):
+    """The read of div^Q v from a FrameData block."""
+    return lambda block: block.divergence(split.transverse_ordered)
 
 
 def _classify(values: np.ndarray, points: tuple, tol: float) -> TautnessVerdict:
@@ -268,7 +262,7 @@ def green_check(
         kappa = block.mean_curvature(split.leaf_ordered)
         return np.einsum("pk,pk->p", block.v, kappa) * (cell / np.abs(block.det))
 
-    lhs_terms, rhs_terms = _basic_sweep(
+    lhs_terms, rhs_terms = _basic_reads(
         model, split, field_spec, grid.points, lhs_term, rhs_term
     )
     lhs = _integral(lhs_terms, grid.points, "div^Q v dmu")
@@ -406,10 +400,7 @@ def compare_with_cover(
     base_verdict = classify_divergence(model, split, field_spec, base_grid, tol)
     lifted = _divergence_sweep(cover, cover_split, cover_field, cover_grid)
     projected = tuple(covering_projection(cover, point) for point in cover_grid.points)
-    below = gather(
-        block.divergence(split.transverse_ordered)
-        for block in sweep(model, projected, field_spec)
-    )
+    (below,) = sweep(model, projected, _divergence(split), field_spec=field_spec)
     difference = np.abs(lifted - below)
     require_finite(difference, cover_grid.points, "pointwise difference of div^Q")
     return CoverComparison(

@@ -157,16 +157,31 @@ def test_grid_sizes_straddle_the_block():
 
 
 @pytest.mark.parametrize("case", CASES, ids=[case[0] for case in CASES])
-def test_block_path_matches_scalar_reference(case):
+def test_block_path_matches_scalar_reference(case, monkeypatch):
     _, model, split, field = case
+    built = []
+    build = td.model.FrameData.__init__
+
+    def counting(self, model, points, field_spec, structure):
+        built.append(len(points))
+        build(self, model, points, field_spec, structure)
+
+    monkeypatch.setattr(td.model.FrameData, "__init__", counting)
     for grid in grids(model):
         reference = ref_sweep(model, split, field, grid.points)
-        blocks = list(sweep(model, grid.points, field))
-        assert sum(len(block.points) for block in blocks) == len(grid.points)
-        assert all(len(block.points) <= BLOCK_POINTS for block in blocks)
-        c = np.concatenate([block.c for block in blocks])
-        gamma = np.concatenate([block.gamma for block in blocks])
-        div = np.concatenate([block.divergence(split.transverse_ordered) for block in blocks])
+        built.clear()
+        c, gamma, div = sweep(
+            model,
+            grid.points,
+            lambda block: block.c,
+            lambda block: block.gamma,
+            lambda block: block.divergence(split.transverse_ordered),
+            field_spec=field,
+        )
+        # one build per block of at most BLOCK_POINTS, none for a bisection
+        total = len(grid.points)
+        starts = range(0, total, BLOCK_POINTS)
+        assert built == [min(BLOCK_POINTS, total - start) for start in starts]
         assert_close(c, reference["c"], "C")
         assert_close(gamma, reference["gamma"], "Gamma")
         assert_close(div, reference["div"], "div^Q")

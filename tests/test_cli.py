@@ -227,12 +227,20 @@ def test_usage_error_exit_1(capsys):
     assert "field" in err
 
 
-def test_bad_grid_exit_1(capsys):
+@pytest.mark.parametrize(
+    "model, grid, message",
+    [
+        ("t3a", "0,4", "grid"),
+        ("torus-warped", "4,4,4", "error: resolution (4, 4, 4) does not match model dimension 2\n"),
+    ],
+    ids=["entry-below-1", "entry-count"],
+)
+def test_bad_grid_exit_1(capsys, model, grid, message):
     code, _, err = run(
-        capsys, "taut-check", "t3a", "--field", "alvarez", "--grid", "0,4"
+        capsys, "taut-check", model, "--field", "alvarez", "--grid", grid
     )
     assert code == 1
-    assert "grid" in err
+    assert message in err
 
 
 def test_unknown_model_exit_1(capsys):
@@ -357,11 +365,33 @@ WARPED_3D = {
 }
 
 
+_SWEEPS = [
+    ("taut-check", "warped-3d", "16", 16 ** 3),
+    ("taut-check", "torus-warped", "64", 64 ** 2),
+    ("taut-check", "t3a", "1", 1),
+    ("volume-check", "warped-3d", "16", 16 ** 3),
+    ("volume-check", "torus-warped", "64", 64 ** 2),
+    ("volume-check", "t3a", "1", 1),
+    ("green-check", "torus-warped", "16,64", 16 * 64),
+    ("green-check", "warped-3d", "8", 8 ** 3),
+]
+
+
+def _sweep_id(subcommand, model, grid, points):
+    # the taut-check cases keep the ids they had before the other subcommands
+    parts = (model, grid, points)
+    if subcommand != "taut-check":
+        parts = (subcommand, *parts)
+    return "-".join(map(str, parts))
+
+
 @pytest.mark.parametrize(
-    "model, grid, points",
-    [("warped-3d", "16", 16 ** 3), ("torus-warped", "64", 64 ** 2), ("t3a", "1", 1)],
+    "subcommand, model, grid, points",
+    [pytest.param(*case, id=_sweep_id(*case)) for case in _SWEEPS],
 )
-def test_each_field_sweep_covers_each_point_once(capsys, monkeypatch, tmp_path, model, grid, points):
+def test_each_field_sweep_covers_each_point_once(
+    capsys, monkeypatch, tmp_path, subcommand, model, grid, points
+):
     if model == "warped-3d":
         path = tmp_path / "warped-3d.json"
         path.write_text(json.dumps(WARPED_3D))
@@ -375,7 +405,7 @@ def test_each_field_sweep_covers_each_point_once(capsys, monkeypatch, tmp_path, 
         build(self, model, points, field_spec, structure)
 
     monkeypatch.setattr(td.model.FrameData, "__init__", counting)
-    code, _, err = run(capsys, "taut-check", model, "--field", "alvarez", "--grid", grid)
+    code, _, err = run(capsys, subcommand, model, "--field", "alvarez", "--grid", grid)
     assert (code, err) == (0, "")
     assert sum(swept) == points
 
@@ -415,7 +445,7 @@ _CHECK = td.BasicFieldCheck(passed=False, max_residual=1.0, worst_point=(0.5,), 
         (FileNotFoundError("no such file"), 1),
         (td.ModelError("model"), 3),
         (td.SingularFrameError((0.0,), 0.0), 3),
-        (td.NotBasicError(_CHECK, "not basic"), 3),
+        (td.NotBasicError(_CHECK), 3),
         (td.catalog.UnknownBuiltinError("nope"), 3),
         (td.InadmissibleMatrixError("inadmissible"), 3),  # a SpectralError
         (td.SpectralError("spectral"), 2),
