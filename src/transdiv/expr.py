@@ -16,12 +16,15 @@ variable; whether it names a chart coordinate or a declared parameter
 is checked when the expression is bound to a model, not here.
 
 Expression nodes are immutable, so evaluation and differentiation are
-pure.  ``compile`` turns a node into a function over NumPy arrays for
-grid sweeps; ``evaluate`` is its scalar reference.  Compiled functions
-and partial derivatives are built once per node and kept on it.  No
-simplification is attempted beyond folding literal zeros and ones out of
-derivative terms; correctness is always checked pointwise, never by
-canonical form.
+pure.  A ``Plan`` evaluates groups of expressions over NumPy arrays for
+grid sweeps: it hash-conses their subtrees into the DAG of distinct
+subexpressions, and each evaluation computes every distinct
+subexpression once.  A grid sweep builds one plan and keeps it for that
+sweep only; ``compile`` is the plan of a single expression, and
+``evaluate`` is the scalar reference for both.  Partial derivatives are
+built once per node and kept on it.  No simplification is attempted
+beyond folding literal zeros and ones out of derivative terms;
+correctness is always checked pointwise, never by canonical form.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -355,8 +358,8 @@ def evaluate(node: Expr, env: Mapping[str, float]) -> float:
     by zero, a power outside the real domain, exp overflow, or any
     non-finite value (a literal, a variable or an intermediate result).
 
-    This tree walk is the reference for ``compile``, which the grid
-    sweeps use.
+    This tree walk is the reference for ``Plan``, which the grid sweeps
+    use.
     """
     if isinstance(node, Literal):
         return _checked(node.value, node)
@@ -378,14 +381,7 @@ def evaluate(node: Expr, env: Mapping[str, float]) -> float:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-# --- compiled evaluation ---------------------------------------------------
-
-def _memo(node: Expr) -> dict:
-    """Data derived from ``node``, kept on the node itself: nodes are
-    immutable, so it never goes stale, and lookups go by identity rather
-    than by the (recursive) structural hash."""
-    return node.__dict__.setdefault("_memo", {})
-
+# --- evaluation plans ------------------------------------------------------
 
 def _first(values, mask) -> float:
     """The first element of ``values`` (a float or an array) under ``mask``."""
@@ -399,145 +395,197 @@ def _finite(value, node: Expr):
     raise DomainError(f"non-finite result {_first(value, ~np.isfinite(value))!r}", node)
 
 
-def compile(node: Expr) -> Callable[[Mapping[str, Any]], Any]:
-    """Compile ``node`` into a function of an environment whose values are
-    floats or NumPy arrays of one shape.  The function returns a float or
-    an array of that shape, computed elementwise with NumPy ufuncs.
-
-    The function is built once per node and kept on it.  It raises what
-    ``evaluate`` raises: UnboundVariableError for a missing variable and
-    DomainError for ln(x <= 0), sqrt(x < 0), division by zero, a power
-    outside the real domain, exp overflow, or any non-finite value; the
-    message names the first offending element.  Subtrees without
-    variables are folded once, by the scalar rules of ``evaluate``.
-    Callers silence NumPy's floating-point warnings with ``np.errstate``.
-    """
-    memo = _memo(node)
-    function = memo.get("compiled")
-    if function is None:
-        function = memo["compiled"] = _compile(node)
-    return function
-
-
-def _constant(value: float) -> Callable:
-    def constant(env):
-        return value
-
-    constant.value = value
-    return constant
-
-
-def _folded(node: Expr, fold: Callable[[], float]) -> Callable:
-    """A constant subtree: folded now, or re-raising its domain error at
-    every call, as ``evaluate`` would."""
+def _variable(env: Mapping[str, Any], node: Variable):
+    """The value ``env`` binds to ``node``, if every element is finite."""
     try:
-        return _constant(fold())
-    except DomainError:
-        return lambda env: fold()
+        value = env[node.name]
+    except KeyError:
+        raise UnboundVariableError(node.name, node) from None
+    return _finite(value, node)
 
 
 _UFUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "ln": np.log, "sqrt": np.sqrt}
 
 
-def _compile(node: Expr) -> Callable:
-    if isinstance(node, Literal):
-        return _folded(node, lambda: _checked(node.value, node))
-    if isinstance(node, Constant):
-        return _constant(CONSTANTS[node.name])
-    if isinstance(node, Variable):
-        name = node.name
-
-        def variable(env):
-            try:
-                value = env[name]
-            except KeyError:
-                raise UnboundVariableError(name, node) from None
-            return _finite(value, node)
-
-        return variable
-    if isinstance(node, Negate):
-        operand = compile(node.operand)
-        if hasattr(operand, "value"):
-            return _constant(-operand.value)
-        return lambda env: -operand(env)
-    if isinstance(node, BinaryOp):
-        return _compile_binary(node, compile(node.left), compile(node.right))
-    if isinstance(node, FunctionCall):
-        return _compile_call(node, compile(node.argument))
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def _compile_binary(node: BinaryOp, left: Callable, right: Callable) -> Callable:
-    op = node.op
-    if hasattr(left, "value") and hasattr(right, "value"):
-        return _folded(node, lambda: _binary(op, left.value, right.value, node))
+def _array_binary(op: str, left, right, node: Expr):
+    """One elementwise operator application over floats or arrays, with
+    the domain checks of ``_binary``."""
     if op == "+":
-        return lambda env: _finite(left(env) + right(env), node)
+        return _finite(left + right, node)
     if op == "-":
-        return lambda env: _finite(left(env) - right(env), node)
+        return _finite(left - right, node)
     if op == "*":
-        return lambda env: _finite(left(env) * right(env), node)
+        return _finite(left * right, node)
     if op == "/":
-        def divide(env):
-            numerator, denominator = left(env), right(env)
-            if (np.asarray(denominator) == 0.0).any():
-                raise DomainError("division by zero", node)
-            return _finite(numerator / denominator, node)
-
-        return divide
+        if (np.asarray(right) == 0.0).any():
+            raise DomainError("division by zero", node)
+        return _finite(left / right, node)
     if op == "^":
-        def power(env):
-            base, exponent = left(env), right(env)
-            value = np.power(base, exponent)
-            bad = ~np.isfinite(value)
-            if bad.any():
-                raise DomainError(
-                    f"power {_first(base, bad)!r}^{_first(exponent, bad)!r} "
-                    "outside the real domain",
-                    node,
-                )
-            return value
-
-        return power
+        value = np.power(left, right)
+        bad = ~np.isfinite(value)
+        if bad.any():
+            raise DomainError(
+                f"power {_first(left, bad)!r}^{_first(right, bad)!r} outside the real domain",
+                node,
+            )
+        return value
     raise AssertionError(f"unreachable operator {op!r}")
 
 
-def _compile_call(node: FunctionCall, argument: Callable) -> Callable:
-    name = node.name
-    if hasattr(argument, "value"):
-        return _folded(node, lambda: _call(name, argument.value, node))
+def _array_call(name: str, arg, node: Expr):
+    """One elementwise function application over floats or arrays, with
+    the domain checks of ``_call``."""
     ufunc = _UFUNCS[name]
     if name in ("sin", "cos"):  # finite on finite arguments
-        return lambda env: ufunc(argument(env))
+        return ufunc(arg)
     if name == "exp":
-        def exp(env):
-            arg = argument(env)
-            value = ufunc(arg)
-            bad = ~np.isfinite(value)
-            if bad.any():
-                raise DomainError(f"exp({_first(arg, bad)!r}) overflows", node)
-            return value
-
-        return exp
+        value = ufunc(arg)
+        bad = ~np.isfinite(value)
+        if bad.any():
+            raise DomainError(f"exp({_first(arg, bad)!r}) overflows", node)
+        return value
     if name == "ln":
-        def ln(env):
-            arg = argument(env)
-            bad = np.asarray(arg) <= 0.0
-            if bad.any():
-                raise DomainError(f"ln of non-positive value {_first(arg, bad)!r}", node)
-            return ufunc(arg)
-
-        return ln
+        bad = np.asarray(arg) <= 0.0
+        if bad.any():
+            raise DomainError(f"ln of non-positive value {_first(arg, bad)!r}", node)
+        return ufunc(arg)
     if name == "sqrt":
-        def sqrt(env):
-            arg = argument(env)
-            bad = np.asarray(arg) < 0.0
-            if bad.any():
-                raise DomainError(f"sqrt of negative value {_first(arg, bad)!r}", node)
-            return ufunc(arg)
-
-        return sqrt
+        bad = np.asarray(arg) < 0.0
+        if bad.any():
+            raise DomainError(f"sqrt of negative value {_first(arg, bad)!r}", node)
+        return ufunc(arg)
     raise AssertionError(f"unreachable function {name!r}")
+
+
+def _fold(node: Expr, args: list[float]) -> float:
+    """``node`` without variables, its children valued ``args``, by the
+    scalar rules of ``evaluate``."""
+    if isinstance(node, Literal):
+        return _checked(node.value, node)
+    if isinstance(node, Constant):
+        return CONSTANTS[node.name]
+    if isinstance(node, Negate):
+        return -args[0]
+    if isinstance(node, BinaryOp):
+        return _binary(node.op, args[0], args[1], node)
+    if isinstance(node, FunctionCall):
+        return _call(node.name, args[0], node)
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _key(node: Expr, children: tuple[int, ...]) -> tuple:
+    """What makes ``node`` distinct, given its children's slots.  A
+    literal counts by its type and bit pattern, not by ``==``, which
+    would merge -0.0 into 0.0."""
+    if isinstance(node, Literal):
+        return (Literal, type(node.value), float(node.value).hex())
+    if isinstance(node, (Constant, Variable)):
+        return (type(node), node.name)
+    if isinstance(node, Negate):
+        return (Negate, children)
+    if isinstance(node, BinaryOp):
+        return (BinaryOp, node.op, children)
+    if isinstance(node, FunctionCall):
+        return (FunctionCall, node.name, children)
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+class Plan:
+    """An evaluation plan for groups of expressions over NumPy arrays.
+
+    The subexpressions of every root are hash-consed: structurally equal
+    subtrees share one slot, so the plan is the DAG of the roots' distinct
+    subexpressions (``len(plan)`` of them), kept as one step per slot in
+    first-occurrence post-order.  ``run(env)`` evaluates the groups in
+    order into a value table that lasts as long as the run, each distinct
+    subexpression once.  Steps of a later group that an earlier group
+    already computed are not run again, so a group raises exactly what
+    evaluating its roots one by one after the earlier groups would raise.
+
+    Subexpressions without variables are folded when the plan is built,
+    by the scalar rules of ``evaluate``; one that fails re-raises its
+    DomainError whenever it is reached, as ``evaluate`` would.
+    """
+
+    def __init__(self, groups: Sequence[Sequence[Expr]]):
+        self._steps: list[Callable] = []
+        self._folded: dict[int, float] = {}  # slot -> value of a folded subexpression
+        keys: dict[tuple, int] = {}
+        seen: dict[int, int] = {}  # id(node) -> slot; the roots keep every node alive
+        self._groups = []
+        for group in groups:
+            start = len(self._steps)
+            roots = tuple(self._slot(node, keys, seen) for node in group)
+            self._groups.append((start, len(self._steps), roots))
+
+    def __len__(self) -> int:
+        return len(self._steps)
+
+    def _slot(self, node: Expr, keys: dict, seen: dict) -> int:
+        slot = seen.get(id(node))
+        if slot is None:
+            children = tuple(self._slot(child, keys, seen) for child in _children(node))
+            key = _key(node, children)
+            slot = keys.get(key)
+            if slot is None:
+                slot = keys[key] = len(self._steps)
+                self._steps.append(self._step(node, children, slot))
+            seen[id(node)] = slot
+        return slot
+
+    def _step(self, node: Expr, children: tuple[int, ...], slot: int) -> Callable:
+        """The function of (value table, env) that computes ``node``."""
+        if isinstance(node, Variable):
+            return lambda table, env: _variable(env, node)
+        if all(child in self._folded for child in children):
+            args = [self._folded[child] for child in children]
+            try:
+                value = self._folded[slot] = _fold(node, args)
+            except DomainError:
+                return lambda table, env: _fold(node, args)
+            return lambda table, env: value
+        if isinstance(node, Negate):
+            (operand,) = children
+            return lambda table, env: -table[operand]
+        if isinstance(node, BinaryOp):
+            op, (left, right) = node.op, children
+            return lambda table, env: _array_binary(op, table[left], table[right], node)
+        name, (argument,) = node.name, children
+        return lambda table, env: _array_call(name, table[argument], node)
+
+    def run(self, env: Mapping[str, Any]) -> Iterator[list]:
+        """For each group in turn, the values of its roots at ``env``
+        (floats or NumPy arrays of one shape), as a list.
+
+        Raises what ``evaluate`` raises: UnboundVariableError for a
+        missing variable and DomainError for ln(x <= 0), sqrt(x < 0),
+        division by zero, a power outside the real domain, exp overflow,
+        or any non-finite value; the message names the first offending
+        element.  Callers silence NumPy's floating-point warnings with
+        ``np.errstate``.
+        """
+        table: list = []
+        for start, stop, roots in self._groups:
+            for step in self._steps[start:stop]:
+                table.append(step(table, env))
+            yield [table[slot] for slot in roots]
+
+
+def compile(node: Expr) -> Callable[[Mapping[str, Any]], Any]:
+    """Compile ``node`` into a function of an environment whose values are
+    floats or NumPy arrays of one shape: the one-root case of ``Plan``,
+    so each call evaluates every distinct subexpression of ``node`` once.
+    The function returns a float or an array of that shape, computed
+    elementwise with NumPy ufuncs, and raises what ``Plan.run`` raises.
+    The plan is kept only by the function returned, not on ``node``.
+    """
+    plan = Plan([[node]])
+
+    def function(env):
+        (value,) = next(plan.run(env))
+        return value
+
+    return function
 
 
 def variables(node: Expr) -> frozenset[str]:
@@ -663,6 +711,13 @@ def differentiate(node: Expr, var: str) -> Expr:
             return div(inner, mul(TWO, node))
         raise AssertionError(f"unreachable function {node.name!r}")
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def _memo(node: Expr) -> dict:
+    """Data derived from ``node``, kept on the node itself: nodes are
+    immutable, so it never goes stale, and lookups go by identity rather
+    than by the (recursive) structural hash."""
+    return node.__dict__.setdefault("_memo", {})
 
 
 def gradient(node: Expr, names: tuple[str, ...]) -> tuple[Expr, ...]:

@@ -378,13 +378,33 @@ def _require_invertible(dets: np.ndarray, points: Sequence) -> None:
         raise SingularFrameError(points[index], float(dets[index]))
 
 
-def _evaluate(nodes: Sequence[Expr], shape: tuple[int, ...], env: Mapping, count: int) -> np.ndarray:
-    """Compiled values of ``nodes`` (a row-major flattening of ``shape``)
-    at ``count`` points, as an array of shape (count, *shape)."""
-    out = np.empty((count, len(nodes)))
-    for index, node in enumerate(nodes):
-        out[:, index] = expr.compile(node)(env)
+def _stacked(values: Sequence, shape: tuple[int, ...], count: int) -> np.ndarray:
+    """``values`` (floats or arrays over ``count`` points, a row-major
+    flattening of ``shape``) as an array of shape (count, *shape)."""
+    out = np.empty((count, len(values)))
+    for index, value in enumerate(values):
+        out[:, index] = value
     return out.reshape((count,) + shape)
+
+
+def _block_plan(
+    model: FrameModel, field_spec: VectorFieldSpec | None, structure: bool
+) -> expr.Plan:
+    """The evaluation plan of FrameData blocks: one group for each of the
+    frame entries, the frame partials, the field components and the field
+    partials that a block computes, in that order."""
+    groups = []
+    coords = model.coordinate_names()
+    if model.is_chart:
+        assert model.frame is not None
+        groups.append([entry for row in model.frame for entry in row])
+        if structure:
+            groups.append([d for row in _frame_partials(model) for entry in row for d in entry])
+    if structure and field_spec is not None:
+        groups.append(field_spec.components)
+        if model.is_chart:
+            groups.append([d for comp in field_spec.components for d in expr.gradient(comp, coords)])
+    return expr.Plan(groups)
 
 
 class FrameData:
@@ -399,10 +419,12 @@ class FrameData:
       ``ev[p, i, k]`` = E_i(v^k) and ``rows[p, i, k]`` =
       (nabla_{E_i} v)^k = E_i(v^k) + sum_j v^j Gamma_ij^k.
 
-    Built by ``frame_data`` and, block by block, by ``sweep``.  Every
-    value is finite: a NaN or infinity raises DomainError, and |det A| <
-    DET_TOLERANCE raises SingularFrameError when the structure is asked
-    for.
+    Built by ``frame_data`` and, block by block, by ``sweep``, from the
+    groups of ``plan`` (``_block_plan`` of the same model, field and
+    ``structure``), each evaluated only once the checks of the groups
+    before it have passed.  Every value is finite: a NaN or infinity
+    raises DomainError, and |det A| < DET_TOLERANCE raises
+    SingularFrameError when the structure is asked for.
     """
 
     def __init__(
@@ -411,23 +433,22 @@ class FrameData:
         points: Sequence[tuple[float, ...]],
         field_spec: VectorFieldSpec | None,
         structure: bool,
+        plan: expr.Plan,
     ):
         self.points = points
         count, n = len(points), model.dim
-        env = _block_env(model, points)
+        values = plan.run(_block_env(model, points))
         self.a = self.det = self.c = self.gamma = None
         self.v = self.dv = self.ev = self.rows = None
         if model.is_chart:
-            assert model.frame is not None
-            self.a = _evaluate([e for row in model.frame for e in row], (n, n), env, count)
+            self.a = _stacked(next(values), (n, n), count)
             self.det = np.linalg.det(self.a)
             require_finite(self.det, points, "frame determinant")
         if not structure:
             return
         if model.is_chart:
             _require_invertible(self.det, points)
-            partials = [d for row in _frame_partials(model) for entry in row for d in entry]
-            da = _evaluate(partials, (n, n, n), env, count)  # da[p, j, m, c]
+            da = _stacked(next(values), (n, n, n), count)  # da[p, j, m, c]
             # directional[p, i, j, m] = E_i(a_j^m)
             directional = np.einsum("pic,pjmc->pijm", self.a, da)
             bracket = directional - directional.transpose((0, 2, 1, 3))
@@ -446,11 +467,9 @@ class FrameData:
         require_finite(self.gamma, points, "connection coefficients")
         if field_spec is None:
             return
-        self.v = _evaluate(field_spec.components, (n,), env, count)
+        self.v = _stacked(next(values), (n,), count)
         if model.is_chart:
-            coords = model.coordinate_names()
-            partials = [d for comp in field_spec.components for d in expr.gradient(comp, coords)]
-            self.dv = _evaluate(partials, (n, n), env, count)
+            self.dv = _stacked(next(values), (n, n), count)
             self.ev = self.a @ self.dv.transpose((0, 2, 1))
         else:
             self.dv = self.ev = np.zeros((count, n, n))
@@ -504,13 +523,14 @@ def frame_data(
     with that point stored on an ExprError as ``point``.
     """
     _check_field_dim(model, field_spec)
-    return _located(model, points, field_spec, structure)
+    plan = _block_plan(model, field_spec, structure)
+    return _located(model, points, field_spec, structure, plan)
 
 
-def _located(model, points, field_spec, structure) -> FrameData:
-    """``frame_data`` without the field check."""
+def _located(model, points, field_spec, structure, plan) -> FrameData:
+    """``frame_data`` without the field check, evaluating ``plan``."""
     try:
-        return _build(model, points, field_spec, structure)
+        return _build(model, points, field_spec, structure, plan)
     except _POINT_ERRORS:
         if len(points) == 1:
             raise
@@ -518,17 +538,17 @@ def _located(model, points, field_spec, structure) -> FrameData:
     while len(failing) > 1:
         half = failing[: len(failing) // 2]
         try:
-            _build(model, half, field_spec, structure)
+            _build(model, half, field_spec, structure, plan)
             failing = failing[len(half):]
         except _POINT_ERRORS:
             failing = half
-    return _build(model, failing, field_spec, structure)
+    return _build(model, failing, field_spec, structure, plan)
 
 
-def _build(model, points, field_spec, structure) -> FrameData:
+def _build(model, points, field_spec, structure, plan) -> FrameData:
     try:
         with np.errstate(all="ignore"):
-            return FrameData(model, points, field_spec, structure)
+            return FrameData(model, points, field_spec, structure, plan)
     except ExprError as exc:
         if len(points) == 1:
             exc.point = points[0]
@@ -553,11 +573,13 @@ def sweep(
     arrays over ``points`` joined along the point axis.  The blocks, of
     at most BLOCK_POINTS each, are built in point order as ``frame_data``
     builds them, and each is read by every read before the next is built.
+    Every block evaluates one ``_block_plan``, built once for the sweep.
     """
     _check_field_dim(model, field_spec)
+    plan = _block_plan(model, field_spec, structure)
     columns: list[list[np.ndarray]] = [[] for _ in reads]
     for start in range(0, len(points), BLOCK_POINTS):
-        block = _located(model, points[start:start + BLOCK_POINTS], field_spec, structure)
+        block = _located(model, points[start:start + BLOCK_POINTS], field_spec, structure, plan)
         for column, read in zip(columns, reads):
             column.append(read(block))
     return [np.concatenate(column) if column else np.empty(0) for column in columns]

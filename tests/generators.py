@@ -4,7 +4,8 @@ Constant-structure models are built from known Lie algebras (abelian,
 Heisenberg, so(3), suspension bracket tables) conjugated by random
 orthogonal matrices, so the Jacobi identity genuinely holds.  Chart
 models use frames of the form rotation(theta) * diag(exp g_i), which
-are invertible everywhere by construction.
+are invertible everywhere by construction.  ``CountingEnv`` counts the
+variable reads of an evaluation.
 """
 
 from __future__ import annotations
@@ -198,3 +199,15 @@ def random_expression(rng: random.Random, variables: tuple[str, ...], depth: int
 
 def random_env(rng: random.Random, variables: tuple[str, ...]) -> dict[str, float]:
     return {name: rng.uniform(-2.0, 2.0) for name in variables}
+
+
+class CountingEnv(dict):
+    """An evaluation environment that counts the reads of each variable."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.reads: dict[str, int] = {}
+
+    def __getitem__(self, name):
+        self.reads[name] = self.reads.get(name, 0) + 1
+        return super().__getitem__(name)

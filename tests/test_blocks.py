@@ -21,7 +21,7 @@ import transdiv as td
 from transdiv import expr
 from transdiv.model import BLOCK_POINTS, point_env, sweep
 
-from generators import random_chart_case, random_constant_case, random_field
+from generators import CountingEnv, random_chart_case, random_constant_case, random_field
 
 #: Units in the last place of the grid-wide scale of each quantity; the
 #: largest difference seen over these cases and 30 more random ones is 4.
@@ -162,9 +162,9 @@ def test_block_path_matches_scalar_reference(case, monkeypatch):
     built = []
     build = td.model.FrameData.__init__
 
-    def counting(self, model, points, field_spec, structure):
+    def counting(self, model, points, field_spec, structure, plan):
         built.append(len(points))
-        build(self, model, points, field_spec, structure)
+        build(self, model, points, field_spec, structure, plan)
 
     monkeypatch.setattr(td.model.FrameData, "__init__", counting)
     for grid in grids(model):
@@ -224,6 +224,41 @@ def test_one_point_functions_match_the_reference():
         )
 
 
+@pytest.mark.parametrize("name", ["torus-warped", "warped-3d"])
+def test_each_block_reads_each_variable_once(name, monkeypatch):
+    # the Alvarez candidate's field partials repeat the frame's subtrees
+    # many times over; a block still reads each coordinate once
+    if name == "warped-3d":
+        model = td.chart_model(
+            name, (1.0, 1.0, 1.0),
+            [["exp(-0.3*sin(2*pi*x3))", "0", "0"],
+             ["0", "exp(-(0.2*cos(2*pi*2*x3)))", "0"],
+             ["0", "0", "1"]],
+        )
+        split = td.foliation_split(3, {0})
+    else:
+        model, split = td.builtin_model(name)
+    field = td.alvarez_candidate(model, split)
+    envs = []
+    block_env = td.model._block_env
+
+    def counting(model, points):
+        envs.append(CountingEnv(block_env(model, points)))
+        return envs[-1]
+
+    monkeypatch.setattr(td.model, "_block_env", counting)
+    grid = td.sample_grid(model, (23, 29) if model.dim == 2 else (9, 9, 8))
+    td.classify_divergence(model, split, field, grid)
+    assert len(envs) == -(-len(grid.points) // BLOCK_POINTS) > 1
+    coords = model.coordinate_names()
+    partials = [d for comp in field.components for d in expr.gradient(comp, coords)]
+    read = set().union(*map(expr.variables, partials))
+    assert read
+    for env in envs:
+        assert env.reads == {name: 1 for name in env.reads}
+        assert read <= set(env.reads)
+
+
 # --- errors are reported at the scalar reference's point -----------------------
 
 def pinched_model(x1_zero):
@@ -240,6 +275,25 @@ def test_singular_frame_reported_at_first_singular_point():
     grid = td.sample_grid(model, (40, 20))
     expected = ref_first_error(model, field, grid.points)
     assert expected == (td.SingularFrameError, grid.points[600])
+    for call in (td.check_basic, td.classify_divergence):
+        with pytest.raises(td.SingularFrameError) as info:
+            call(model, split, field, grid)
+        assert info.value.point == grid.points[600]
+
+
+def test_singular_frame_is_raised_before_a_failing_field_partial():
+    # on the line x1 = z the frame is singular and the x1-partial of
+    # sqrt((x1-z)*(x1-z)) divides by zero; the partial shares x1-z with
+    # the frame, but the frame is checked before any partial is evaluated
+    z = 30.5 / 40
+    model = pinched_model(z)
+    split = td.foliation_split(2, {0})
+    field = td.vector_field(["0", f"sqrt((x1-{z!r})*(x1-{z!r}))"], model)
+    grid = td.sample_grid(model, (40, 20))
+    assert ref_first_error(model, field, grid.points) == (td.SingularFrameError, grid.points[600])
+    partial = expr.differentiate(field.components[1], "x1")
+    with pytest.raises(td.DomainError, match="division by zero"):
+        expr.evaluate(partial, point_env(model, grid.points[600]))
     for call in (td.check_basic, td.classify_divergence):
         with pytest.raises(td.SingularFrameError) as info:
             call(model, split, field, grid)

@@ -399,10 +399,10 @@ def test_each_field_sweep_covers_each_point_once(
     swept = []
     build = td.model.FrameData.__init__
 
-    def counting(self, model, points, field_spec, structure):
+    def counting(self, model, points, field_spec, structure, plan):
         if field_spec is not None and structure:
             swept.append(len(points))
-        build(self, model, points, field_spec, structure)
+        build(self, model, points, field_spec, structure, plan)
 
     monkeypatch.setattr(td.model.FrameData, "__init__", counting)
     code, _, err = run(capsys, subcommand, model, "--field", "alvarez", "--grid", grid)
@@ -414,10 +414,10 @@ def test_analyze_builds_the_structure_once(capsys, monkeypatch):
     built = []
     build = td.model.FrameData.__init__
 
-    def counting(self, model, points, field_spec, structure):
+    def counting(self, model, points, field_spec, structure, plan):
         if structure:
             built.append(len(points))
-        build(self, model, points, field_spec, structure)
+        build(self, model, points, field_spec, structure, plan)
 
     monkeypatch.setattr(td.model.FrameData, "__init__", counting)
     code, _, err = run(capsys, "analyze", "torus-warped", "--grid", "64")

@@ -29,7 +29,8 @@ from transdiv.expr import (
     to_string,
 )
 
-from generators import random_env, random_expression
+from generators import CountingEnv, random_env, random_expression
+from test_blocks import ULP_BOUND
 
 
 def central_difference(node, var, env, h=1e-5):
@@ -206,10 +207,200 @@ def test_compiled_matches_evaluate_on_random_expressions():
         assert np.max(np.abs(got - np.array(expected))) <= 64 * np.spacing(scale)
 
 
-def test_compile_is_built_once_per_node():
-    node = parse("sin(x1) + 2*pi")
-    assert expr.compile(node) is expr.compile(node)
-    assert expr.compile(parse("2*pi + 1")).value == 2 * math.pi + 1  # folded
+# --- evaluation plans ----------------------------------------------------------
+
+def subexpressions(node):
+    """Every subtree of ``node``, shared ones at each occurrence."""
+    yield node
+    for child in expr._children(node):
+        yield from subexpressions(child)
+
+
+def test_plan_holds_each_distinct_subexpression_once():
+    # sin(x1) three times, twice as one object: x1, sin(x1), the product
+    # and the sum are the distinct subexpressions
+    shared = parse("sin(x1)")
+    node = BinaryOp("+", BinaryOp("*", shared, shared), parse("sin(x1)"))
+    assert len(expr.Plan([[node]])) == 4
+    env = CountingEnv(x1=np.array([0.25, 1.5]))
+    value = expr.compile(node)(env)
+    assert env.reads == {"x1": 1}
+    assert list(value) == [evaluate(node, {"x1": x}) for x in (0.25, 1.5)]
+    # nothing is kept on the node; constant subtrees are folded to floats
+    assert "_memo" not in vars(node)
+    assert expr.compile(parse("2*pi + 1"))({}) == 2 * math.pi + 1
+    roots = [parse("2*pi + sin(x1)"), parse("x2*(2*pi) + 1"), parse("sin(x1)")]
+    distinct = {repr(sub) for root in roots for sub in subexpressions(root)}
+    assert len(expr.Plan([roots[:1], roots[1:]])) == len(distinct)
+
+
+def test_plan_keeps_literals_apart_by_bit_pattern():
+    # -0.0 == 0.0, but the two literals are different subexpressions
+    x1 = Variable("x1")
+    roots = [BinaryOp("*", x1, Literal(0.0)), BinaryOp("*", x1, Literal(-0.0))]
+    got = next(expr.Plan([roots]).run({"x1": np.array([1.0, 2.0])}))
+    for node, values in zip(roots, got):
+        expected = [evaluate(node, {"x1": x}) for x in (1.0, 2.0)]
+        assert [math.copysign(1.0, v) for v in values] == [math.copysign(1.0, v) for v in expected]
+    assert list(np.signbit(got[1])) == [True, True]
+    # a domain error names the literal it was built from
+    failing = FunctionCall("ln", roots[1])
+    with pytest.raises(DomainError) as scalar:
+        evaluate(failing, {"x1": 1.0})
+    with pytest.raises(DomainError) as planned, np.errstate(all="ignore"):
+        for _ in expr.Plan([roots[:1], [failing]]).run({"x1": np.array([1.0])}):
+            pass
+    assert str(planned.value) == str(scalar.value) == "ln of non-positive value -0.0 in 'ln(x1*-0.0)'"
+
+
+def test_domain_error_through_a_shared_subtree_names_the_evaluate_node():
+    # the failing ln(x2 - 0.5) is also a subtree of the second root, as a
+    # structurally equal copy; the plan evaluates it once and names it as
+    # evaluate does
+    roots = [parse("x1 + ln(x2 - 0.5)"), parse("ln(x2 - 0.5)*3")]
+    env = {"x1": 0.25, "x2": 0.5}
+    with pytest.raises(DomainError) as scalar:
+        evaluate(roots[0], env)
+    arrays = {name: np.array([0.75, value]) for name, value in env.items()}
+    with pytest.raises(DomainError) as planned, np.errstate(all="ignore"):
+        next(expr.Plan([roots]).run(arrays))
+    assert str(planned.value) == str(scalar.value)
+    assert "'ln(x2-0.5)'" in str(planned.value)
+
+
+def test_groups_run_only_when_asked_for():
+    # the second group divides by zero; taking only the first group
+    # never evaluates it
+    values = expr.Plan([[parse("x1 + 1")], [parse("1/(x1 - x1)")]]).run({"x1": np.ones(3)})
+    assert list(next(values)[0]) == [2.0, 2.0, 2.0]
+    with pytest.raises(DomainError, match="division by zero"), np.errstate(all="ignore"):
+        next(values)
+
+
+_LEAVES = ("x1", "x2", "pi", 0.0, -0.0, 0.5, 2.0)
+
+
+def _build(recipe):
+    """A fresh tree from a nested-tuple recipe."""
+    if isinstance(recipe, float):
+        return Literal(recipe)
+    if recipe == "pi":
+        return Constant("pi")
+    if isinstance(recipe, str):
+        return Variable(recipe)
+    if len(recipe) == 2:
+        name, argument = recipe
+        argument = _build(argument)
+        return Negate(argument) if name == "neg" else FunctionCall(name, argument)
+    op, left, right = recipe
+    return BinaryOp(op, _build(left), _build(right))
+
+
+_RECIPES = st.recursive(
+    st.sampled_from(_LEAVES),
+    lambda inner: st.one_of(
+        st.tuples(st.sampled_from(("neg", "sin", "cos", "exp", "ln", "sqrt")), inner),
+        st.tuples(st.sampled_from(("+", "-", "*", "/", "^")), inner, inner),
+    ),
+    max_leaves=6,
+)
+
+
+@st.composite
+def shared_forests(draw):
+    """Roots over a pool of subtrees, each use of a pool entry either the
+    pool's own object or a structurally equal copy."""
+    pool = draw(st.lists(_RECIPES, min_size=1, max_size=4))
+    nodes = [_build(recipe) for recipe in pool]
+
+    def use(index):
+        return nodes[index] if draw(st.booleans()) else _build(pool[index])
+
+    indices = st.integers(0, len(pool) - 1)
+    roots = [use(draw(indices)) for _ in range(draw(st.integers(0, 2)))]
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(("+", "-", "*", "/")))
+        roots.append(BinaryOp(op, use(draw(indices)), use(draw(indices))))
+    return roots
+
+
+def rounding_bound(node, env) -> float:
+    """A first-order bound on how far ``node`` at ``env``, computed with
+    every operation rounded to within one unit in the last place, may
+    stray from the exact value: each operation's own unit plus its
+    operands' bounds through its partial derivatives (running error
+    analysis)."""
+    if isinstance(node, (Literal, Constant, Variable)):
+        return 0.0
+    value = evaluate(node, env)
+    children = expr._children(node)
+    args = [evaluate(child, env) for child in children]
+    bounds = [rounding_bound(child, env) for child in children]
+    if math.inf in bounds:
+        return math.inf
+    if isinstance(node, Negate) or isinstance(node, FunctionCall) and node.name in ("sin", "cos"):
+        propagated = bounds[0]
+    elif isinstance(node, FunctionCall):
+        (arg,), (bound,) = args, bounds
+        if node.name == "exp":
+            propagated = abs(value) * bound
+        elif node.name == "ln":
+            propagated = bound / abs(arg)
+        else:  # sqrt
+            propagated = 0.5 * bound / value if value else math.inf
+    else:
+        (left, right), (left_bound, right_bound) = args, bounds
+        if node.op in ("+", "-"):
+            propagated = left_bound + right_bound
+        elif node.op == "*":
+            propagated = abs(right) * left_bound + abs(left) * right_bound
+        elif node.op == "/":
+            propagated = (left_bound + abs(value) * right_bound) / abs(right)
+        elif left == 0.0:
+            propagated = math.inf if left_bound or right_bound else 0.0
+        else:
+            propagated = abs(value) * (
+                abs(right / left) * left_bound + abs(math.log(abs(left))) * right_bound
+            )
+    return propagated + float(np.spacing(abs(value)))
+
+
+def _outcome(run):
+    """The values ``run()`` returns as bit patterns, or its error."""
+    try:
+        with np.errstate(all="ignore"):
+            return [np.broadcast_to(value, (3,)).tobytes() for value in run()]
+    except DomainError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_forests(), st.lists(st.floats(0.1, 2.0), min_size=6, max_size=6))
+def test_plan_of_many_roots_matches_one_root_plans_and_evaluate(roots, coordinates):
+    arrays = {"x1": np.array(coordinates[:3]), "x2": np.array(coordinates[3:])}
+    together = _outcome(lambda: next(expr.Plan([roots]).run(arrays)))
+    apart = []
+    for root in roots:
+        one = _outcome(lambda: [expr.compile(root)(arrays)])
+        if isinstance(one, str):
+            apart = one  # the first root to fail decides
+            break
+        apart += one
+    assert together == apart
+    if isinstance(together, str):
+        return
+    with np.errstate(all="ignore"):
+        values = next(expr.Plan([roots]).run(arrays))
+    assert all(np.isfinite(value).all() for value in values)
+    for index in range(3):
+        env = {name: float(column[index]) for name, column in arrays.items()}
+        for root, value in zip(roots, values):
+            try:
+                expected = evaluate(root, env)
+            except DomainError:
+                continue  # NumPy's exp and log may round differently from math's
+            got = float(np.broadcast_to(value, (3,))[index])
+            assert abs(got - expected) <= ULP_BOUND * rounding_bound(root, env)
 
 
 # --- differentiation ---------------------------------------------------------
