@@ -30,6 +30,7 @@ from .model import (
     ModelError,
     SchemaError,
     VectorFieldSpec,
+    _as_point,
     frame_data,
     load_field,
     load_model,
@@ -95,13 +96,15 @@ def _grid(text: str) -> tuple[int, ...]:
 
 
 def _tolerance(text: str) -> float:
-    """``--tol``: a finite number."""
+    """``--tol``: a finite number >= 0."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expects a number, got {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
     return value
 
 
@@ -267,7 +270,7 @@ def _grid_text(model: FrameModel, grid: Grid) -> str:
     if not model.is_chart:
         return "single abstract point (position-independent model)"
     shape = "x".join(str(n) for n in grid.resolution)
-    return f"{shape} cell-centered lattice ({len(grid.points)} points)"
+    return f"{shape} cell-centered lattice ({len(grid.coordinates)} points)"
 
 
 def _nonzero_entries(array: np.ndarray) -> list[dict]:
@@ -294,8 +297,9 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     model, split = _resolve_model(args.model)
     grid = _grid_for(model, args)
     diagnostics = validate_model(model, grid)
-    point = grid.points[0]
-    block = frame_data(model, (point,))
+    row = grid.coordinates[:1]
+    point = _as_point(row[0])
+    block = frame_data(model, row)
     table, gamma = block.c[0], block.gamma[0]
     kappa = block.mean_curvature(split.leaf_ordered)[0]
     payload = {

@@ -15,7 +15,7 @@ API; the file formats and CLI reports use 1-based indices.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
@@ -114,13 +114,22 @@ class VectorFieldSpec:
         return len(self.components)
 
 
-@dataclass(frozen=True)
 class Grid:
     """Evaluation points: a cell-centered lattice, or the single abstract
-    point () of a constant-structure model."""
+    point () of a constant-structure model.  Sweeps slice ``coordinates``,
+    a float64 array with one row per point; a point becomes a tuple of
+    Python floats only where it is reported, and ``points``, every point
+    as one, is built only when read."""
 
-    resolution: tuple[int, ...]
-    points: tuple[tuple[float, ...], ...]
+    def __init__(self, resolution: Sequence[int], points: Sequence = (), coordinates=None):
+        self.resolution = tuple(resolution)
+        if coordinates is None:
+            coordinates = _coordinates(points, len(self.resolution))
+        self.coordinates = coordinates
+
+    @functools.cached_property
+    def points(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(map(tuple, self.coordinates.tolist()))
 
 
 @dataclass(frozen=True)
@@ -305,9 +314,10 @@ def point_env(model: FrameModel, point: tuple[float, ...]) -> dict[str, float]:
 
 
 def sample_grid(model: FrameModel, resolution: int | Sequence[int]) -> Grid:
-    """Cell-centered uniform lattice (chart) or the single abstract point."""
+    """Cell-centered uniform lattice (chart) or the single abstract point
+    (one row of no coordinates)."""
     if model.kind == CONSTANT_STRUCTURE:
-        return Grid(resolution=(), points=((),))
+        return Grid(resolution=(), coordinates=np.empty((1, 0)))
     if isinstance(resolution, int):
         res = (resolution,) * model.dim
     else:
@@ -318,20 +328,35 @@ def sample_grid(model: FrameModel, resolution: int | Sequence[int]) -> Grid:
         )
     if any(n < 1 for n in res):
         raise ModelError(f"resolution entries must be >= 1, got {res}")
-    return Grid(resolution=res, points=_lattice(model, res, 0.5))
+    coordinates = _lattice(model, res, 0.5)
+    coordinates.flags.writeable = False  # ``points`` is built from it
+    return Grid(resolution=res, coordinates=coordinates)
 
 
-def _lattice(model: FrameModel, resolution: tuple[int, ...], offset: float) -> tuple:
+def _lattice(model: FrameModel, resolution: tuple[int, ...], offset: float) -> np.ndarray:
     """The points with coordinates (j + offset) * L / N, j = 0..N-1, in
-    row-major order: cell centers for offset 0.5, corners for 0 (which
-    include 0, where constructed singularities tend to sit; the period
-    endpoint is identified with 0)."""
+    row-major order, one per row: cell centers for offset 0.5, corners
+    for 0 (which include 0, where constructed singularities tend to sit;
+    the period endpoint is identified with 0).  The same IEEE operations
+    as the Python ``(j + offset) * L / N``, so the same bits."""
     assert model.periods is not None
     axes = [
-        tuple((j + offset) * length / n for j in range(n))
+        (np.arange(n) + offset) * length / n
         for n, length in zip(resolution, model.periods)
     ]
-    return tuple(itertools.product(*axes))
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
+def _coordinates(points, width: int) -> np.ndarray:
+    """Coordinate tuples (or rows) as a float64 array of shape (N, d);
+    no copy of such an array, and shape (0, ``width``) when empty."""
+    array = np.asarray(points, dtype=float)
+    return array if array.ndim == 2 else array.reshape(len(array), width)
+
+
+def _as_point(row: Sequence[float]) -> tuple[float, ...]:
+    """A reported point: a coordinate row as a tuple of Python floats."""
+    return tuple(map(float, row))
 
 
 # --- frame evaluation ------------------------------------------------------
@@ -366,7 +391,7 @@ def require_finite(values: np.ndarray, points: Sequence, what: str) -> None:
     finite = np.isfinite(values).reshape(len(points), -1).all(axis=1)
     if not finite.all():
         index = int(np.argmin(finite))
-        raise expr.DomainError(f"non-finite {what} at {points[index]}")
+        raise expr.DomainError(f"non-finite {what} at {_as_point(points[index])}")
 
 
 def _require_invertible(dets: np.ndarray, points: Sequence) -> None:
@@ -375,7 +400,7 @@ def _require_invertible(dets: np.ndarray, points: Sequence) -> None:
     singular = np.abs(dets) < DET_TOLERANCE
     if singular.any():
         index = int(np.argmax(singular))
-        raise SingularFrameError(points[index], float(dets[index]))
+        raise SingularFrameError(_as_point(points[index]), float(dets[index]))
 
 
 def _stacked(values: Sequence, shape: tuple[int, ...], count: int) -> np.ndarray:
@@ -408,8 +433,8 @@ def _block_plan(
 
 
 class FrameData:
-    """Frame quantities at a block of points, each an array whose leading
-    axis runs over the points (P of them):
+    """Frame quantities at a block of coordinate rows ``points``, each an
+    array whose leading axis runs over the points (P of them):
 
     - chart models: ``a[p, i, m]`` = a_i^m and ``det[p]`` = det A;
     - with ``structure``: ``c[p, i, j, k]`` = C_ij^k and
@@ -430,7 +455,7 @@ class FrameData:
     def __init__(
         self,
         model: FrameModel,
-        points: Sequence[tuple[float, ...]],
+        points: np.ndarray,
         field_spec: VectorFieldSpec | None,
         structure: bool,
         plan: expr.Plan,
@@ -496,14 +521,15 @@ class FrameData:
         return residuals.reshape(len(self.points), -1).max(axis=1)
 
 
-def _block_env(model: FrameModel, points: Sequence[tuple[float, ...]]) -> dict:
-    """``point_env`` for a block: one array per coordinate."""
+def _block_env(model: FrameModel, points: np.ndarray) -> dict:
+    """``point_env`` for a block: a column view per coordinate (np.mod
+    of it where the model wraps)."""
     env: dict = dict(model.parameters)
     if model.is_chart:
-        columns = np.array(points, dtype=float).reshape(len(points), -1).T
         wraps = model.coordinate_wraps or (None,) * model.dim
-        for name, column, wrap in zip(model.coordinate_names(), columns, wraps):
-            env[name] = column.copy() if wrap is None else np.mod(column, wrap)
+        for m, (name, wrap) in enumerate(zip(model.coordinate_names(), wraps)):
+            column = points[:, m]
+            env[name] = column if wrap is None else np.mod(column, wrap)
     return env
 
 
@@ -512,11 +538,11 @@ _POINT_ERRORS = (ExprError, SingularFrameError)
 
 def frame_data(
     model: FrameModel,
-    points: Sequence[tuple[float, ...]],
+    points: Sequence | np.ndarray,
     field_spec: VectorFieldSpec | None = None,
     structure: bool = True,
 ) -> FrameData:
-    """FrameData at ``points`` as one block.
+    """FrameData at ``points`` (coordinate rows or tuples) as one block.
 
     A failure is reported as a point-by-point sweep would report it: the
     error of the first point that fails on its own (found by bisection),
@@ -524,7 +550,7 @@ def frame_data(
     """
     _check_field_dim(model, field_spec)
     plan = _block_plan(model, field_spec, structure)
-    return _located(model, points, field_spec, structure, plan)
+    return _located(model, _coordinates(points, model.dim), field_spec, structure, plan)
 
 
 def _located(model, points, field_spec, structure, plan) -> FrameData:
@@ -551,7 +577,7 @@ def _build(model, points, field_spec, structure, plan) -> FrameData:
             return FrameData(model, points, field_spec, structure, plan)
     except ExprError as exc:
         if len(points) == 1:
-            exc.point = points[0]
+            exc.point = _as_point(points[0])
         raise
 
 
@@ -564,19 +590,21 @@ def _check_field_dim(model: FrameModel, field_spec: VectorFieldSpec | None) -> N
 
 def sweep(
     model: FrameModel,
-    points: Sequence[tuple[float, ...]],
+    points: Sequence | np.ndarray,
     *reads: Callable[[FrameData], np.ndarray],
     field_spec: VectorFieldSpec | None = None,
     structure: bool = True,
 ) -> list[np.ndarray]:
     """For each of ``reads`` (a function of one FrameData block), its
-    arrays over ``points`` joined along the point axis.  The blocks, of
-    at most BLOCK_POINTS each, are built in point order as ``frame_data``
+    arrays over ``points`` (``Grid.coordinates``, or tuples converted
+    once) joined along the point axis.  The blocks, slices of at most
+    BLOCK_POINTS rows, are built in point order as ``frame_data``
     builds them, and each is read by every read before the next is built.
     Every block evaluates one ``_block_plan``, built once for the sweep.
     """
     _check_field_dim(model, field_spec)
     plan = _block_plan(model, field_spec, structure)
+    points = _coordinates(points, model.dim)
     columns: list[list[np.ndarray]] = [[] for _ in reads]
     for start in range(0, len(points), BLOCK_POINTS):
         block = _located(model, points[start:start + BLOCK_POINTS], field_spec, structure, plan)
@@ -657,11 +685,11 @@ def _symbolic_det(matrix: list[list[Expr]]) -> Expr:
 
 # --- validation ------------------------------------------------------------
 
-def _probe_invertibility(model: FrameModel, grid: Grid) -> tuple[tuple, np.ndarray]:
+def _probe_invertibility(model: FrameModel, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """The frame-invertibility probe points (``grid``'s points and its
     lattice corners) and det A at each."""
     resolution = grid.resolution or (PROBE_RESOLUTION,) * model.dim
-    points = tuple(grid.points) + _lattice(model, resolution, 0.0)
+    points = np.concatenate((grid.coordinates, _lattice(model, resolution, 0.0)))
     (dets,) = sweep(model, points, lambda block: block.det, structure=False)
     return points, dets
 
@@ -686,7 +714,7 @@ def validate_model(model: FrameModel, grid: Grid) -> ModelDiagnostics:
                 "frame_invertibility",
                 worst_det >= DET_TOLERANCE,
                 worst_det,
-                probes[index],
+                _as_point(probes[index]),
                 f"min |det(frame)| over {len(probes)} probe points "
                 f"(threshold {DET_TOLERANCE:g})",
             )
@@ -707,7 +735,7 @@ def validate_model(model: FrameModel, grid: Grid) -> ModelDiagnostics:
 
 
 def basic_field_check(
-    residuals: np.ndarray, points: Sequence[tuple[float, ...]], tol: float = BASIC_TOLERANCE
+    residuals: np.ndarray, points: Sequence | np.ndarray, tol: float = BASIC_TOLERANCE
 ) -> BasicFieldCheck:
     """Reduce per-point residuals (``FrameData.basic_residuals``) to the
     worst one and its first point; a non-finite residual raises
@@ -720,7 +748,7 @@ def basic_field_check(
     return BasicFieldCheck(
         passed=max_residual <= tol,
         max_residual=max_residual,
-        worst_point=points[index],
+        worst_point=_as_point(points[index]),
         tolerance=tol,
     )
 
@@ -734,14 +762,14 @@ def check_basic(
 ) -> BasicFieldCheck:
     """Test whether v is basic: the transverse part of [F_a, v] must
     vanish for every leafwise frame direction F_a, at every grid point."""
-    return basic_sweep(model, split, field_spec, grid.points, tol=tol)[0]
+    return basic_sweep(model, split, field_spec, grid.coordinates, tol=tol)[0]
 
 
 def basic_sweep(
     model: FrameModel,
     split: FoliationSplit,
     field_spec: VectorFieldSpec,
-    points: Sequence[tuple[float, ...]],
+    points: Sequence | np.ndarray,
     *reads: Callable[[FrameData], np.ndarray],
     tol: float = BASIC_TOLERANCE,
 ) -> tuple[BasicFieldCheck, list[np.ndarray]]:

@@ -32,6 +32,7 @@ from .model import (
     Grid,
     ModelError,
     VectorFieldSpec,
+    _as_point,
     _constant_table,
     basic_sweep,
     chart_model,
@@ -136,7 +137,7 @@ def _basic_reads(
     model: FrameModel,
     split: FoliationSplit,
     field_spec: VectorFieldSpec,
-    points: tuple,
+    points: np.ndarray,
     *reads,
 ) -> list[np.ndarray]:
     """``model.basic_sweep`` of ``reads`` over ``points``, refusing a
@@ -155,8 +156,8 @@ def _divergence_sweep(
 ) -> np.ndarray:
     """div^Q v at every grid point, after the basic test over the whole
     grid."""
-    (values,) = _basic_reads(model, split, field_spec, grid.points, _divergence(split))
-    require_finite(values, grid.points, "div^Q v")
+    (values,) = _basic_reads(model, split, field_spec, grid.coordinates, _divergence(split))
+    require_finite(values, grid.coordinates, "div^Q v")
     return values
 
 
@@ -165,8 +166,8 @@ def _divergence(split: FoliationSplit):
     return lambda block: block.divergence(split.transverse_ordered)
 
 
-def _classify(values: np.ndarray, points: tuple, tol: float) -> TautnessVerdict:
-    if not points:
+def _classify(values: np.ndarray, points: np.ndarray, tol: float) -> TautnessVerdict:
+    if not len(points):
         return TautnessVerdict(
             TautnessClass.INCONCLUSIVE, None, None, None, None, tol
         )
@@ -182,7 +183,7 @@ def _classify(values: np.ndarray, points: tuple, tol: float) -> TautnessVerdict:
     else:
         classification = TautnessClass.MIXED_SIGN
     return TautnessVerdict(
-        classification, min_value, max_value, points[low], points[high], tol
+        classification, min_value, max_value, _as_point(points[low]), _as_point(points[high]), tol
     )
 
 
@@ -197,11 +198,13 @@ def classify_divergence(
 
     The field must pass the basic test first (NotBasicError otherwise).
     Values within +/- tol count as zero; ties break toward
-    IdenticallyZero, then toward the witness classes.  A non-finite
-    value raises DomainError.
+    IdenticallyZero, then toward the witness classes.  A negative (or
+    NaN) ``tol`` raises ModelError, and a non-finite value DomainError.
     """
+    if not tol >= 0.0:
+        raise ModelError(f"tolerance must be a non-negative number, got {tol!r}")
     values = _divergence_sweep(model, split, field_spec, grid)
-    return _classify(values, grid.points, tol)
+    return _classify(values, grid.coordinates, tol)
 
 
 def alvarez_candidate(model: FrameModel, split: FoliationSplit) -> VectorFieldSpec:
@@ -263,10 +266,10 @@ def green_check(
         return np.einsum("pk,pk->p", block.v, kappa) * (cell / np.abs(block.det))
 
     lhs_terms, rhs_terms = _basic_reads(
-        model, split, field_spec, grid.points, lhs_term, rhs_term
+        model, split, field_spec, grid.coordinates, lhs_term, rhs_term
     )
-    lhs = _integral(lhs_terms, grid.points, "div^Q v dmu")
-    rhs = _integral(rhs_terms, grid.points, "g(v, kappa#) dmu")
+    lhs = _integral(lhs_terms, grid.coordinates, "div^Q v dmu")
+    rhs = _integral(rhs_terms, grid.coordinates, "g(v, kappa#) dmu")
     abs_error = abs(lhs - rhs)
     if not math.isfinite(abs_error):
         raise expr.DomainError(f"|lhs - rhs| overflows ({lhs!r} - {rhs!r})")
@@ -279,7 +282,7 @@ def green_check(
     )
 
 
-def _integral(terms: np.ndarray, points: tuple, what: str) -> float:
+def _integral(terms: np.ndarray, points: np.ndarray, what: str) -> float:
     require_finite(terms, points, f"term of the integral of {what}")
     try:
         return math.fsum(terms.tolist())
@@ -386,7 +389,9 @@ def compare_with_cover(
     """Classify div^Q v on ``model`` and on its ``fold``-times cover along
     ``coord`` (see lift_to_cover), each on a grid of ``resolution``, and
     compare the lift pointwise with the base field at the projected
-    points, reusing the values of the cover's sweep.
+    points, reusing the values of the cover's sweep.  The projection is
+    one np.mod per wrapped column of the cover grid's coordinate array,
+    the same np.mod the cover's sweep applies to that column.
 
     ``max_pointwise_difference`` is exactly 0 by construction, since the
     cover evaluates the base's expressions at wrapped coordinates (0 on
@@ -399,13 +404,16 @@ def compare_with_cover(
     cover_grid = sample_grid(cover, resolution)
     base_verdict = classify_divergence(model, split, field_spec, base_grid, tol)
     lifted = _divergence_sweep(cover, cover_split, cover_field, cover_grid)
-    projected = tuple(covering_projection(cover, point) for point in cover_grid.points)
+    projected = cover_grid.coordinates.copy()
+    for m, wrap in enumerate(cover.coordinate_wraps or ()):
+        if wrap is not None:
+            projected[:, m] = np.mod(projected[:, m], wrap)
     (below,) = sweep(model, projected, _divergence(split), field_spec=field_spec)
     difference = np.abs(lifted - below)
-    require_finite(difference, cover_grid.points, "pointwise difference of div^Q")
+    require_finite(difference, cover_grid.coordinates, "pointwise difference of div^Q")
     return CoverComparison(
         cover=cover,
         base_verdict=base_verdict,
-        cover_verdict=_classify(lifted, cover_grid.points, tol),
+        cover_verdict=_classify(lifted, cover_grid.coordinates, tol),
         max_pointwise_difference=float(np.max(difference, initial=0.0)),
     )

@@ -297,6 +297,24 @@ def test_non_finite_tolerance_exit_1(capsys):
     assert "--tol" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("taut-check", "t3a", "--field", "alvarez", "--tol=-5"),
+        ("taut-check", "flat-kronecker", "--field", "alvarez", "--grid", "4", "--tol=-1e-9"),
+        ("volume-check", "flat-kronecker", "--field", "alvarez", "--grid", "4", "--tol=-1e-9"),
+        ("cover", "torus-warped", "--field", "alvarez", "--grid", "4", "--tol=-1"),
+    ],
+)
+def test_negative_tolerance_exit_1(capsys, argv):
+    # a negative tolerance once called a one-point grid and an identically
+    # zero divergence MIXED SIGN, with exit code 0
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: argument --tol: must be >= 0, got {argv[-1].split('=')[1]!r}\n"
+
+
 def test_unwritable_output_exit_1(capsys, tmp_path):
     target = tmp_path / "missing-directory" / "report.json"
     code, _, err = run(capsys, "taut-check", "t3a", "--field", "alvarez", "--output", str(target))

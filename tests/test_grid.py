@@ -1,0 +1,283 @@
+"""Grids as one coordinate array: the lattice against a reference built
+from Python floats, points that become tuples only where they are
+reported, and sweeps that never build ``Grid.points``."""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import itertools
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import transdiv as td
+from transdiv.cli import main
+from transdiv.model import _lattice
+from transdiv.tautness import compare_with_cover
+
+
+def reference_lattice(periods, resolution, offset):
+    """The lattice as the Python-float product it is defined to equal."""
+    axes = [
+        tuple((j + offset) * length / n for j in range(n))
+        for n, length in zip(resolution, periods)
+    ]
+    return tuple(itertools.product(*axes))
+
+
+def hex_rows(rows):
+    return [[float(x).hex() for x in row] for row in rows]
+
+
+def box(periods):
+    dim = len(periods)
+    frame = [["1" if i == m else "0" for m in range(dim)] for i in range(dim)]
+    return td.chart_model("box", periods, frame)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda dim: st.tuples(
+            st.lists(
+                st.floats(min_value=0.0, max_value=1e300, exclude_min=True),
+                min_size=dim,
+                max_size=dim,
+            ),
+            st.lists(st.integers(1, 9), min_size=dim, max_size=dim),
+        )
+    )
+)
+def test_lattice_is_bit_identical_to_the_float_product(case):
+    periods, resolution = case
+    model = box(periods)
+    grid = td.sample_grid(model, resolution)
+    centers = reference_lattice(model.periods, resolution, 0.5)
+    assert grid.coordinates.dtype == np.float64
+    assert grid.coordinates.shape == (len(centers), len(periods))
+    assert not grid.coordinates.flags.writeable
+    assert hex_rows(grid.coordinates) == hex_rows(centers)
+    corners = _lattice(model, tuple(resolution), 0.0)
+    assert hex_rows(corners) == hex_rows(reference_lattice(model.periods, resolution, 0.0))
+    points = grid.points
+    assert type(points) is tuple
+    assert all(type(point) is tuple for point in points)
+    assert all(type(x) is float for point in points for x in point)
+    assert hex_rows(points) == hex_rows(centers)
+
+
+def test_constant_model_grid_is_one_abstract_point():
+    model, _ = td.builtin_model("t3a")
+    grid = td.sample_grid(model, 7)
+    assert grid.coordinates.shape == (1, 0)
+    assert grid.points == ((),)
+
+
+def test_grid_from_points_converts_them_once():
+    grid = td.Grid(resolution=(2,), points=[(0.25,), (0.75,)])
+    assert grid.coordinates.tolist() == [[0.25], [0.75]]
+    assert grid.points == ((0.25,), (0.75,))
+    empty = td.Grid(resolution=(), points=())
+    assert empty.coordinates.shape == (0, 0)
+    assert empty.points == ()
+
+
+def test_sweep_takes_tuples_or_the_array():
+    model, split = td.builtin_model("torus-warped")
+    tau = td.alvarez_candidate(model, split)
+    grid = td.sample_grid(model, (3, 5))
+
+    def read(block):
+        return block.divergence(split.transverse_ordered)
+
+    (from_array,) = td.model.sweep(model, grid.coordinates, read, field_spec=tau)
+    (from_tuples,) = td.model.sweep(model, list(grid.points), read, field_spec=tau)
+    assert from_array.tobytes() == from_tuples.tobytes()
+
+
+# --- no sweep consumer builds Grid.points -------------------------------------------
+
+@pytest.fixture
+def points_unread(monkeypatch):
+    """Fail if anything reads Grid.points."""
+    reads = []
+
+    def spy(grid):
+        reads.append(grid)
+        raise AssertionError("Grid.points was read")
+
+    monkeypatch.setattr(td.model.Grid, "points", property(spy))
+    yield
+    assert reads == []
+
+
+def test_library_sweeps_do_not_read_grid_points(points_unread):
+    for name in ("torus-warped", "flat-kronecker", "t3a"):
+        model, split = td.builtin_model(name)
+        tau = td.alvarez_candidate(model, split)
+        grid = td.sample_grid(model, (4, 6))
+        td.classify_divergence(model, split, tau, grid)
+        td.check_basic(model, split, tau, grid)
+        td.volume_preservation_check(model, split, tau, grid)
+        td.validate_model(model, grid)
+        if model.is_chart:
+            td.green_check(model, split, tau, (4, 6))
+            compare_with_cover(model, split, tau, 1, 2, (4, 6))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "torus-warped", "--grid", "4,6"),
+        ("analyze", "t3a"),
+        ("taut-check", "torus-warped", "--field", "alvarez", "--grid", "4,6"),
+        ("taut-check", "t3a", "--field", "alvarez"),
+        ("green-check", "torus-warped", "--field", "alvarez", "--grid", "4,6"),
+        ("volume-check", "flat-kronecker", "--field", "alvarez", "--grid", "4"),
+        ("volume-check", "suspension-3", "--field", "alvarez"),
+        ("cover", "torus-warped", "--field", "alvarez", "--coord", "2", "--fold", "3", "--grid", "4"),
+        ("spectral", "--matrix", "2,1;1,1"),
+    ],
+)
+def test_cli_does_not_read_grid_points(points_unread, argv):
+    for fmt in ("text", "json"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main([*argv, "--format", fmt]) == 0, err.getvalue()
+
+
+def test_suspend_and_its_model_do_not_read_grid_points(points_unread, tmp_path):
+    path = str(tmp_path / "suspension.json")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["suspend", "--matrix", "2,1;1,1", "--leaf", "1", "-o", path]) == 0
+        assert main(["taut-check", path, "--field", "alvarez"]) == 0
+
+
+# --- reported points render as Python float tuples ------------------------------------
+
+def run(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def lines_with(text, prefix):
+    return [line for line in text.splitlines() if line.lstrip().startswith(prefix)]
+
+
+def test_verdict_points_render_as_tuples():
+    for subcommand in ("taut-check", "volume-check"):
+        _, out, _ = run(subcommand, "torus-warped", "--field", "alvarez", "--grid", "4")
+        assert lines_with(out, "div^Q v:") == [
+            "div^Q v: min -8.37463703957 at (0.125, 0.875), "
+            "max 8.37463703957 at (0.125, 0.125) (tolerance 1e-09)"
+        ]
+        _, out, _ = run(subcommand, "t3a", "--field", "alvarez")
+        assert lines_with(out, "div^Q v:") == [
+            "div^Q v: min 0.926259282309 at (), max 0.926259282309 at () (tolerance 1e-09)"
+        ]
+    _, out, _ = run("taut-check", "flat-kronecker", "--field", "alvarez", "--grid", "3,5")
+    assert lines_with(out, "div^Q v:") == [
+        "div^Q v: min 0 at (0.16666666666666666, 0.1), "
+        "max 0 at (0.16666666666666666, 0.1) (tolerance 1e-09)"
+    ]
+    _, out, _ = run(
+        "taut-check", "torus-warped", "--field", "alvarez", "--grid", "4", "--format", "json"
+    )
+    payload = json.loads(out)
+    assert (payload["argmin"], payload["argmax"]) == ([0.125, 0.875], [0.125, 0.125])
+
+
+def test_validation_points_render_as_tuples():
+    _, out, _ = run("analyze", "torus-warped", "--grid", "4")
+    assert lines_with(out, "frame_invertibility:") == [
+        "  frame_invertibility: pass (min |det(frame)| over 32 probe points "
+        "(threshold 1e-10), worst 7.408e-01 at (0.0, 0.25))"
+    ]
+    assert lines_with(out, "report point:") == ["report point: (0.125, 0.125)"]
+    _, out, _ = run("analyze", "t3a")
+    assert lines_with(out, "jacobi_identity:") == [
+        "  jacobi_identity: pass (max |cyclic sum C_ij^m C_mk^l| "
+        "(threshold 1e-12), worst 0.000e+00 at ())"
+    ]
+    assert lines_with(out, "report point:") == ["report point: abstract"]
+    _, out, _ = run("analyze", "torus-warped", "--grid", "4", "--format", "json")
+    payload = json.loads(out)
+    assert payload["validation"]["checks"][0]["worst_point"] == [0.0, 0.25]
+    assert payload["report_point"] == [0.125, 0.125]
+
+
+def test_basic_check_worst_point_renders_as_a_tuple(tmp_path):
+    field = tmp_path / "cubic.json"
+    field.write_text(json.dumps({"components": ["0", "x1*x1*x1"]}))
+    code, _, err = run("taut-check", "torus-warped", "--field", str(field), "--grid", "4")
+    assert code == 3
+    assert err == (
+        "error: field is not basic: worst residual 2.840e+00 "
+        "at (0.875, 0.875) (tolerance 1e-09)\n"
+    )
+    model, split = td.builtin_model("torus-warped")
+    check = td.check_basic(model, split, td.vector_field(["0", "x1*x1*x1"], model), td.sample_grid(model, 4))
+    assert check.worst_point == (0.875, 0.875)
+    assert all(type(x) is float for x in check.worst_point)
+
+
+def float_tuple(point):
+    return type(point) is tuple and all(type(x) is float for x in point)
+
+
+def test_failing_points_are_float_tuples():
+    # det A = (2 + ln x1)(x2 - 0.25): ln fails at x1 = 0, and the frame is
+    # singular on the line x2 = 0.25
+    model = td.chart_model("log-pinched", (1.0, 1.0), [["2 + ln(x1)", "0"], ["0", "x2 - 0.25"]])
+    with pytest.raises(td.DomainError) as info:
+        td.model.frame_data(model, np.array([[0.5, 0.5], [0.0, 0.5], [0.0, 0.75]]))
+    assert str(info.value) == "ln of non-positive value 0.0 in 'ln(x1)'"
+    assert info.value.point == (0.0, 0.5) and float_tuple(info.value.point)
+    with pytest.raises(td.SingularFrameError) as info:
+        td.model.frame_data(model, np.array([[0.5, 0.5], [0.5, 0.25]]))
+    assert str(info.value) == "frame matrix is singular at (0.5, 0.25) (|det| = 0.000e+00)"
+    assert info.value.point == (0.5, 0.25) and float_tuple(info.value.point)
+    report = td.validate_model(model, td.sample_grid(model, 4))
+    (check,) = report.checks
+    assert check.worst_point == (0.0, 0.0) and float_tuple(check.worst_point)
+    assert check.detail == "frame evaluation failed: ln of non-positive value 0.0 in 'ln(x1)'"
+    # a frame that evaluates everywhere: the worst probe is a float tuple
+    model = td.chart_model("pinched", (1.0, 1.0), [["1", "0"], ["0", "x2 - 0.25"]])
+    (check,) = td.validate_model(model, td.sample_grid(model, 4)).checks
+    assert check.worst_point == (0.0, 0.25) and float_tuple(check.worst_point)
+    split = td.foliation_split(2, {0})
+    with pytest.raises(td.SingularFrameError) as info:
+        td.classify_divergence(model, split, td.vector_field(["0", "1"], model), td.sample_grid(model, (3, 2)))
+    assert str(info.value) == (
+        "frame matrix is singular at (0.16666666666666666, 0.25) (|det| = 0.000e+00)"
+    )
+    assert float_tuple(info.value.point)
+
+
+def test_non_finite_values_are_reported_at_a_float_tuple(tmp_path):
+    field = tmp_path / "huge.json"
+    field.write_text(json.dumps({"components": ["0", "1.5e308 + x2"]}))
+    code, _, err = run("taut-check", "torus-warped", "--field", str(field), "--grid", "4")
+    assert code == 2
+    assert err == "error: non-finite covariant derivative at (0.125, 0.125)\n"
+    model = td.constant_structure_model("huge", 3, [(0, 1, 2, 1e300)])
+    split = td.foliation_split(3, {2})
+    field = td.vector_field([1e300, 1e300, 0], model)
+    with pytest.raises(td.DomainError) as info:
+        td.classify_divergence(model, split, field, td.sample_grid(model, 1))
+    assert str(info.value) == "non-finite covariant derivative at ()"
+
+
+def test_verdict_points_are_float_tuples():
+    model, split = td.builtin_model("torus-warped")
+    verdict = td.classify_divergence(model, split, td.alvarez_candidate(model, split), td.sample_grid(model, 4))
+    assert float_tuple(verdict.argmin) and float_tuple(verdict.argmax)
+    model, split = td.builtin_model("t3a")
+    verdict = td.classify_divergence(model, split, td.alvarez_candidate(model, split), td.sample_grid(model, 4))
+    assert verdict.argmin == verdict.argmax == ()

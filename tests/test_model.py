@@ -363,7 +363,8 @@ def test_validate_reports_first_failing_probe():
 def test_corner_probe_includes_origin(torus):
     model, _ = torus
     corners = _lattice(model, (PROBE_RESOLUTION,) * 2, 0.0)
-    assert (0.0, 0.0) in corners
+    # a row check: `in` on an ndarray is an elementwise any()
+    assert [0.0, 0.0] in corners.tolist()
 
 
 # --- basic-field test -----------------------------------------------------------

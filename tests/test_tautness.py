@@ -124,6 +124,21 @@ def test_nan_field_is_refused_not_classified(torus):
         td.classify_divergence(model, split, field, td.sample_grid(model, 4))
 
 
+@pytest.mark.parametrize("tol", [-5.0, -1e-9, math.nan])
+def test_negative_tolerance_is_refused(t3a, kronecker, tol):
+    # at tol = -5 the one-point t3a grid (value 0.926) read MIXED SIGN,
+    # and flat-kronecker's identically zero divergence did at -1e-9
+    for model, split in (t3a, kronecker):
+        tau = td.alvarez_candidate(model, split)
+        grid = td.sample_grid(model, 4)
+        for call in (td.classify_divergence, td.volume_preservation_check):
+            with pytest.raises(td.ModelError, match="tolerance must be a non-negative number"):
+                call(model, split, tau, grid, tol)
+    model, split = kronecker
+    with pytest.raises(td.ModelError, match="tolerance"):
+        compare_with_cover(model, split, td.alvarez_candidate(model, split), 1, 2, 4, tol)
+
+
 def test_classify_empty_grid_inconclusive(t3a):
     model, split = t3a
     tau = td.alvarez_candidate(model, split)
