@@ -31,11 +31,11 @@ from .model import (
     SchemaError,
     VectorFieldSpec,
     _as_point,
-    frame_data,
     load_field,
     load_model,
     model_to_document,
     sample_grid,
+    sweep,
     validate_model,
 )
 from .spectral import (
@@ -299,9 +299,9 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     diagnostics = validate_model(model, grid)
     row = grid.coordinates[:1]
     point = _as_point(row[0])
-    block = frame_data(model, row)
-    table, gamma = block.c[0], block.gamma[0]
-    kappa = block.mean_curvature(split.leaf_ordered)[0]
+    reads = (lambda block: block.c, lambda block: block.gamma,
+             lambda block: block.mean_curvature(split.leaf_ordered))
+    table, gamma, kappa = (values[0] for values in sweep(model, row, *reads))
     payload = {
         "subcommand": "analyze",
         "model": model.name,

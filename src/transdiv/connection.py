@@ -6,9 +6,9 @@ to a purely algebraic expression in the structure functions,
     Gamma_ij^k = (C_ij^k + C_ki^j + C_kj^i) / 2,
 
 with Gamma_ij^k = g(nabla_{E_i} E_j, E_k).  The functions here evaluate
-at a single point; each is a one-point block of ``model.FrameData``,
-which grid sweeps read block by block.  They are the library's pointwise
-API: the CLI reads its blocks from ``model.frame_data`` directly.
+at a single point; each is one read of a one-point ``model.sweep``,
+whose grid sweeps read the same ``model.FrameData`` block by block.
+They are the library's pointwise API.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .model import (
     FrameModel,
     ModelError,
     VectorFieldSpec,
-    frame_data,
+    sweep,
 )
 
 
@@ -55,7 +55,8 @@ class MeanCurvatureVector:
 
 def christoffel(model: FrameModel, point: tuple[float, ...]) -> ChristoffelTable:
     """Connection coefficients at ``point`` in the orthonormal frame."""
-    return ChristoffelTable(values=frame_data(model, (point,)).gamma[0], point=point)
+    values = sweep(model, (point,), lambda block: block.gamma)[0][0]
+    return ChristoffelTable(values=values, point=point)
 
 
 def _check_indices(model: FrameModel, indices: Iterable[int]) -> tuple[int, ...]:
@@ -77,7 +78,7 @@ def covariant_rows(
     where E_i(v^k) is a symbolic directional derivative on chart models
     and zero on constant-structure models.
     """
-    return frame_data(model, (point,), field_spec).rows[0]
+    return sweep(model, (point,), lambda block: block.rows, field_spec=field_spec)[0][0]
 
 
 def covariant_derivative(
@@ -99,7 +100,10 @@ def divergence_sub(
 ) -> float:
     """div^D v = sum_{i in D} g(nabla_{E_i} v, E_i) for D = ``indices``."""
     ordered = _check_indices(model, indices)
-    return float(frame_data(model, (point,), field_spec).divergence(ordered)[0])
+    (values,) = sweep(
+        model, (point,), lambda block: block.divergence(ordered), field_spec=field_spec
+    )
+    return float(values[0])
 
 
 def full_divergence(
@@ -126,7 +130,7 @@ def mean_curvature(
     ordered = _check_indices(model, indices)
     if len(ordered) == model.dim:
         raise ModelError("mean curvature needs a proper sub-distribution")
-    components = frame_data(model, (point,)).mean_curvature(ordered)[0]
+    components = sweep(model, (point,), lambda block: block.mean_curvature(ordered))[0][0]
     return MeanCurvatureVector(
         components=components, indices=frozenset(ordered), point=point
     )

@@ -20,8 +20,8 @@ pure.  A ``Plan`` evaluates groups of expressions over NumPy arrays for
 grid sweeps: it hash-conses their subtrees into the DAG of distinct
 subexpressions, and each evaluation computes every distinct
 subexpression once.  A grid sweep builds one plan and keeps it for that
-sweep only; ``compile`` is the plan of a single expression, and
-``evaluate`` is the scalar reference for both.  Partial derivatives are
+sweep only.  ``Plan`` is the only array evaluator, and ``evaluate``, a
+tree walk over floats, is its scalar reference.  Partial derivatives are
 built once per node and kept on it.  No simplification is attempted
 beyond folding literal zeros and ones out of derivative terms;
 correctness is always checked pointwise, never by canonical form.
@@ -571,34 +571,14 @@ class Plan:
             yield [table[slot] for slot in roots]
 
 
-def compile(node: Expr) -> Callable[[Mapping[str, Any]], Any]:
-    """Compile ``node`` into a function of an environment whose values are
-    floats or NumPy arrays of one shape: the one-root case of ``Plan``,
-    so each call evaluates every distinct subexpression of ``node`` once.
-    The function returns a float or an array of that shape, computed
-    elementwise with NumPy ufuncs, and raises what ``Plan.run`` raises.
-    The plan is kept only by the function returned, not on ``node``.
-    """
-    plan = Plan([[node]])
-
-    def function(env):
-        (value,) = next(plan.run(env))
-        return value
-
-    return function
-
-
 def variables(node: Expr) -> frozenset[str]:
-    """Names of all free variables referenced by ``node``."""
-    if isinstance(node, Variable):
-        return frozenset((node.name,))
-    if isinstance(node, Negate):
-        return variables(node.operand)
-    if isinstance(node, BinaryOp):
-        return variables(node.left) | variables(node.right)
-    if isinstance(node, FunctionCall):
-        return variables(node.argument)
-    return frozenset()
+    """Names of all free variables referenced by ``node``, collected
+    level by level without recursion."""
+    names, level = set(), [node]
+    while level:
+        names.update(each.name for each in level if isinstance(each, Variable))
+        level = [child for parent in level for child in _children(parent)]
+    return frozenset(names)
 
 
 # --- differentiation -------------------------------------------------------

@@ -292,7 +292,7 @@ def vector_field(
             )
         for k, node in enumerate(nodes):
             _check_bound(node, model.dim, model.parameters, f"field component {k}")
-            if model.kind == CONSTANT_STRUCTURE:
+            if not model.is_chart:
                 free = expr.variables(node) - set(model.parameters)
                 if free:
                     raise ModelError(
@@ -316,7 +316,7 @@ def point_env(model: FrameModel, point: tuple[float, ...]) -> dict[str, float]:
 def sample_grid(model: FrameModel, resolution: int | Sequence[int]) -> Grid:
     """Cell-centered uniform lattice (chart) or the single abstract point
     (one row of no coordinates)."""
-    if model.kind == CONSTANT_STRUCTURE:
+    if not model.is_chart:
         return Grid(resolution=(), coordinates=np.empty((1, 0)))
     if isinstance(resolution, int):
         res = (resolution,) * model.dim
@@ -444,12 +444,12 @@ class FrameData:
       ``ev[p, i, k]`` = E_i(v^k) and ``rows[p, i, k]`` =
       (nabla_{E_i} v)^k = E_i(v^k) + sum_j v^j Gamma_ij^k.
 
-    Built by ``frame_data`` and, block by block, by ``sweep``, from the
-    groups of ``plan`` (``_block_plan`` of the same model, field and
-    ``structure``), each evaluated only once the checks of the groups
-    before it have passed.  Every value is finite: a NaN or infinity
-    raises DomainError, and |det A| < DET_TOLERANCE raises
-    SingularFrameError when the structure is asked for.
+    Built only by ``sweep``, block by block, from the groups of ``plan``
+    (``_block_plan`` of the same model, field and ``structure``), each
+    evaluated only once the checks of the groups before it have passed.
+    Every value is finite: a NaN or infinity raises DomainError, and
+    |det A| < DET_TOLERANCE raises SingularFrameError when the structure
+    is asked for.
     """
 
     def __init__(
@@ -521,40 +521,36 @@ class FrameData:
         return residuals.reshape(len(self.points), -1).max(axis=1)
 
 
+def _wrapped_columns(model: FrameModel, points: np.ndarray) -> list[np.ndarray]:
+    """The columns of ``points`` (coordinate rows), each taken modulo its
+    wrap period where ``model`` is a cover and a view elsewhere: the one
+    place a block's coordinates are wrapped (``point_env`` is the scalar
+    reference; np.mod gives the bits of Python's ``%``)."""
+    wraps = model.coordinate_wraps or (None,) * points.shape[1]
+    return [
+        column if wrap is None else np.mod(column, wrap) for column, wrap in zip(points.T, wraps)
+    ]
+
+
 def _block_env(model: FrameModel, points: np.ndarray) -> dict:
-    """``point_env`` for a block: a column view per coordinate (np.mod
-    of it where the model wraps)."""
+    """``point_env`` for a block: a column per coordinate, wrapped by
+    ``_wrapped_columns``."""
     env: dict = dict(model.parameters)
     if model.is_chart:
-        wraps = model.coordinate_wraps or (None,) * model.dim
-        for m, (name, wrap) in enumerate(zip(model.coordinate_names(), wraps)):
-            column = points[:, m]
-            env[name] = column if wrap is None else np.mod(column, wrap)
+        env.update(zip(model.coordinate_names(), _wrapped_columns(model, points)))
     return env
 
 
 _POINT_ERRORS = (ExprError, SingularFrameError)
 
 
-def frame_data(
-    model: FrameModel,
-    points: Sequence | np.ndarray,
-    field_spec: VectorFieldSpec | None = None,
-    structure: bool = True,
-) -> FrameData:
-    """FrameData at ``points`` (coordinate rows or tuples) as one block.
+def _located(model, points, field_spec, structure, plan) -> FrameData:
+    """The FrameData block of ``points``, evaluating ``plan``.
 
     A failure is reported as a point-by-point sweep would report it: the
     error of the first point that fails on its own (found by bisection),
     with that point stored on an ExprError as ``point``.
     """
-    _check_field_dim(model, field_spec)
-    plan = _block_plan(model, field_spec, structure)
-    return _located(model, _coordinates(points, model.dim), field_spec, structure, plan)
-
-
-def _located(model, points, field_spec, structure, plan) -> FrameData:
-    """``frame_data`` without the field check, evaluating ``plan``."""
     try:
         return _build(model, points, field_spec, structure, plan)
     except _POINT_ERRORS:
@@ -581,13 +577,6 @@ def _build(model, points, field_spec, structure, plan) -> FrameData:
         raise
 
 
-def _check_field_dim(model: FrameModel, field_spec: VectorFieldSpec | None) -> None:
-    if field_spec is not None and field_spec.dim != model.dim:
-        raise ModelError(
-            f"field has {field_spec.dim} components, model has dim {model.dim}"
-        )
-
-
 def sweep(
     model: FrameModel,
     points: Sequence | np.ndarray,
@@ -597,12 +586,16 @@ def sweep(
 ) -> list[np.ndarray]:
     """For each of ``reads`` (a function of one FrameData block), its
     arrays over ``points`` (``Grid.coordinates``, or tuples converted
-    once) joined along the point axis.  The blocks, slices of at most
-    BLOCK_POINTS rows, are built in point order as ``frame_data``
-    builds them, and each is read by every read before the next is built.
-    Every block evaluates one ``_block_plan``, built once for the sweep.
+    once) joined along the point axis.  The only builder of FrameData: a
+    one-point caller sweeps ``(point,)`` and reads row 0.  The blocks,
+    slices of at most BLOCK_POINTS rows, are built in point order by
+    ``_located`` from one ``_block_plan``, built once for the sweep, and
+    each is read by every read before the next is built.
     """
-    _check_field_dim(model, field_spec)
+    if field_spec is not None and field_spec.dim != model.dim:
+        raise ModelError(
+            f"field has {field_spec.dim} components, model has dim {model.dim}"
+        )
     plan = _block_plan(model, field_spec, structure)
     points = _coordinates(points, model.dim)
     columns: list[list[np.ndarray]] = [[] for _ in reads]
@@ -617,15 +610,15 @@ def frame_matrix(model: FrameModel, point: tuple[float, ...]) -> np.ndarray:
     """Frame coefficient matrix A with A[i, m] = a_i^m evaluated at ``point``."""
     if not model.is_chart:
         raise ModelError("frame matrix exists only for chart models")
-    return frame_data(model, (point,), structure=False).a[0]
+    return sweep(model, (point,), lambda block: block.a, structure=False)[0][0]
 
 
 def structure_functions(model: FrameModel, point: tuple[float, ...]) -> np.ndarray:
     """The table C with [E_i, E_j] = sum_k C[i, j, k] E_k at ``point``,
-    read from a one-point FrameData block (a copy, so it is writable).
+    read from a one-point sweep (a new array, so it is writable).
     Antisymmetric in (i, j).
     """
-    return frame_data(model, (point,)).c[0].copy()
+    return sweep(model, (point,), lambda block: block.c)[0][0]
 
 
 def structure_functions_symbolic(model: FrameModel) -> tuple:
@@ -762,23 +755,10 @@ def check_basic(
 ) -> BasicFieldCheck:
     """Test whether v is basic: the transverse part of [F_a, v] must
     vanish for every leafwise frame direction F_a, at every grid point."""
-    return basic_sweep(model, split, field_spec, grid.coordinates, tol=tol)[0]
-
-
-def basic_sweep(
-    model: FrameModel,
-    split: FoliationSplit,
-    field_spec: VectorFieldSpec,
-    points: Sequence | np.ndarray,
-    *reads: Callable[[FrameData], np.ndarray],
-    tol: float = BASIC_TOLERANCE,
-) -> tuple[BasicFieldCheck, list[np.ndarray]]:
-    """The basic test of v over ``points`` and the ``sweep`` of
-    ``reads``, in one pass over the blocks."""
-    residuals, *arrays = sweep(
-        model, points, lambda block: block.basic_residuals(split), *reads, field_spec=field_spec
+    (residuals,) = sweep(
+        model, grid.coordinates, lambda block: block.basic_residuals(split), field_spec=field_spec
     )
-    return basic_field_check(residuals, points, tol), arrays
+    return basic_field_check(residuals, grid.coordinates, tol)
 
 
 # --- model and field documents ---------------------------------------------
@@ -940,7 +920,7 @@ def load_field(document: Mapping, model: FrameModel) -> VectorFieldSpec:
     for k, entry in enumerate(raw):
         if isinstance(entry, bool):
             raise SchemaError(f"field component {k} must be a number or string")
-        if model.kind == CONSTANT_STRUCTURE:
+        if not model.is_chart:
             if not isinstance(entry, (int, float)):
                 raise SchemaError(
                     "constant-structure field components must be plain numbers; "
@@ -969,7 +949,7 @@ def model_to_document(model: FrameModel, split: FoliationSplit) -> dict:
         "parameters": dict(model.parameters),
         "dense_leaves": model.dense_leaves,
     }
-    if model.kind == CONSTANT_STRUCTURE:
+    if not model.is_chart:
         assert model.structure_constants is not None
         document["structure_constants"] = [
             {"i": i + 1, "j": j + 1, "k": k + 1, "value": value}

@@ -25,7 +25,6 @@ import numpy as np
 
 from . import expr
 from .model import (
-    CHART,
     BasicFieldCheck,
     FoliationSplit,
     FrameModel,
@@ -34,7 +33,9 @@ from .model import (
     VectorFieldSpec,
     _as_point,
     _constant_table,
-    basic_sweep,
+    _coordinates,
+    _wrapped_columns,
+    basic_field_check,
     chart_model,
     require_finite,
     sample_grid,
@@ -140,9 +141,13 @@ def _basic_reads(
     points: np.ndarray,
     *reads,
 ) -> list[np.ndarray]:
-    """``model.basic_sweep`` of ``reads`` over ``points``, refusing a
-    field that is not basic over all of them with NotBasicError."""
-    check, arrays = basic_sweep(model, split, field_spec, points, *reads)
+    """The ``model.sweep`` of ``reads`` over ``points``, after the basic
+    test's residuals as the sweep's first read, refusing a field that is
+    not basic over all of them with NotBasicError."""
+    residuals, *arrays = sweep(
+        model, points, lambda block: block.basic_residuals(split), *reads, field_spec=field_spec
+    )
+    check = basic_field_check(residuals, points)
     if not check.passed:
         raise NotBasicError(check)
     return arrays
@@ -198,11 +203,12 @@ def classify_divergence(
 
     The field must pass the basic test first (NotBasicError otherwise).
     Values within +/- tol count as zero; ties break toward
-    IdenticallyZero, then toward the witness classes.  A negative (or
-    NaN) ``tol`` raises ModelError, and a non-finite value DomainError.
+    IdenticallyZero, then toward the witness classes.  A ``tol`` that is
+    negative or not finite raises ModelError (an infinite one would call
+    every finite divergence zero), and a non-finite value DomainError.
     """
-    if not tol >= 0.0:
-        raise ModelError(f"tolerance must be a non-negative number, got {tol!r}")
+    if not 0.0 <= tol < math.inf:
+        raise ModelError(f"tolerance must be a non-negative number and finite, got {tol!r}")
     values = _divergence_sweep(model, split, field_spec, grid)
     return _classify(values, grid.coordinates, tol)
 
@@ -250,7 +256,7 @@ def green_check(
     Both sums are math.fsum of the per-point terms: correctly rounded,
     so independent of the order of the points.
     """
-    if model.kind != CHART:
+    if not model.is_chart:
         raise ModelError("the Green-formula quadrature needs a chart model")
     grid = sample_grid(model, resolution)
     assert model.periods is not None
@@ -343,7 +349,7 @@ def lift_to_cover(
     divergence of the lift at a covering point equals that of the base
     field at its image.
     """
-    if model.kind != CHART:
+    if not model.is_chart:
         raise ModelError("only chart models can be unrolled to a cover")
     if not 0 <= coord < model.dim:
         raise ModelError(f"coordinate {coord} out of range for dim {model.dim}")
@@ -370,11 +376,10 @@ def lift_to_cover(
 
 def covering_projection(model: FrameModel, point: tuple[float, ...]) -> tuple[float, ...]:
     """Image of a covering-model point in the base box (wrap coordinates
-    by their base periods); the identity on non-covering models."""
-    wraps = model.coordinate_wraps or (None,) * model.dim
-    return tuple(
-        x if wrap is None else x % wrap for x, wrap in zip(point, wraps)
-    )
+    by their base periods, by ``model._wrapped_columns``); the identity on
+    non-covering models."""
+    columns = _wrapped_columns(model, _coordinates((point,), model.dim))
+    return _as_point(column[0] for column in columns)
 
 
 def compare_with_cover(
@@ -389,9 +394,10 @@ def compare_with_cover(
     """Classify div^Q v on ``model`` and on its ``fold``-times cover along
     ``coord`` (see lift_to_cover), each on a grid of ``resolution``, and
     compare the lift pointwise with the base field at the projected
-    points, reusing the values of the cover's sweep.  The projection is
-    one np.mod per wrapped column of the cover grid's coordinate array,
-    the same np.mod the cover's sweep applies to that column.
+    points, reusing the values of the cover's sweep.  The projected
+    points are the cover grid's columns wrapped by
+    ``model._wrapped_columns``, the same function the cover's sweep
+    applies to them.
 
     ``max_pointwise_difference`` is exactly 0 by construction, since the
     cover evaluates the base's expressions at wrapped coordinates (0 on
@@ -404,10 +410,7 @@ def compare_with_cover(
     cover_grid = sample_grid(cover, resolution)
     base_verdict = classify_divergence(model, split, field_spec, base_grid, tol)
     lifted = _divergence_sweep(cover, cover_split, cover_field, cover_grid)
-    projected = cover_grid.coordinates.copy()
-    for m, wrap in enumerate(cover.coordinate_wraps or ()):
-        if wrap is not None:
-            projected[:, m] = np.mod(projected[:, m], wrap)
+    projected = np.stack(_wrapped_columns(cover, cover_grid.coordinates), axis=1)
     (below,) = sweep(model, projected, _divergence(split), field_spec=field_spec)
     difference = np.abs(lifted - below)
     require_finite(difference, cover_grid.coordinates, "pointwise difference of div^Q")

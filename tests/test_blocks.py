@@ -216,7 +216,8 @@ def test_one_point_functions_match_the_reference():
         c, gamma, _, rows, _ = ref_point(model, field, point)
         assert_close(td.structure_functions(model, point), c, "C")
         assert_close(td.christoffel(model, point).values, gamma, "Gamma")
-        assert_close(td.model.frame_data(model, (point,), field).rows[0], rows, "rows")
+        (swept,) = td.model.sweep(model, (point,), lambda block: block.rows, field_spec=field)
+        assert_close(swept[0], rows, "rows")
         assert_close(
             np.array([td.transverse_divergence(model, split, field, point)]),
             np.array([sum(rows[i, i] for i in split.transverse_ordered)]),

@@ -33,6 +33,11 @@ from generators import CountingEnv, random_env, random_expression
 from test_blocks import ULP_BOUND
 
 
+def plan_value(node, env):
+    (value,) = next(expr.Plan([[node]]).run(env))
+    return value
+
+
 def central_difference(node, var, env, h=1e-5):
     plus = dict(env)
     minus = dict(env)
@@ -169,7 +174,7 @@ def test_non_finite_values_raise_domain_error(text, env):
     with pytest.raises(DomainError):
         evaluate(node, env)
     with pytest.raises(DomainError), np.errstate(all="ignore"):
-        expr.compile(node)({name: np.array([value, 0.5]) for name, value in env.items()})
+        plan_value(node, {name: np.array([value, 0.5]) for name, value in env.items()})
 
 
 @pytest.mark.parametrize(
@@ -182,10 +187,10 @@ def test_compiled_domain_errors_match_evaluate(text, value):
     with pytest.raises(DomainError) as scalar:
         evaluate(node, {"x1": value})
     with pytest.raises(DomainError) as compiled, np.errstate(all="ignore"):
-        expr.compile(node)({"x1": np.array([1.0, value, 1.5])})
+        plan_value(node, {"x1": np.array([1.0, value, 1.5])})
     assert str(compiled.value) == str(scalar.value)  # names the first bad element
     with pytest.raises(UnboundVariableError):
-        expr.compile(parse("x1 + x9"))({"x1": np.ones(2)})
+        plan_value(parse("x1 + x9"), {"x1": np.ones(2)})
 
 
 def test_compiled_matches_evaluate_on_random_expressions():
@@ -199,10 +204,10 @@ def test_compiled_matches_evaluate_on_random_expressions():
             expected = [evaluate(node, env) for env in envs]
         except DomainError:
             with pytest.raises(DomainError), np.errstate(all="ignore"):
-                expr.compile(node)(arrays)
+                plan_value(node, arrays)
             continue
         with np.errstate(all="ignore"):
-            got = np.broadcast_to(expr.compile(node)(arrays), (len(envs),))
+            got = np.broadcast_to(plan_value(node, arrays), (len(envs),))
         scale = max(1.0, max(abs(x) for x in expected))
         assert np.max(np.abs(got - np.array(expected))) <= 64 * np.spacing(scale)
 
@@ -223,12 +228,12 @@ def test_plan_holds_each_distinct_subexpression_once():
     node = BinaryOp("+", BinaryOp("*", shared, shared), parse("sin(x1)"))
     assert len(expr.Plan([[node]])) == 4
     env = CountingEnv(x1=np.array([0.25, 1.5]))
-    value = expr.compile(node)(env)
+    value = plan_value(node, env)
     assert env.reads == {"x1": 1}
     assert list(value) == [evaluate(node, {"x1": x}) for x in (0.25, 1.5)]
     # nothing is kept on the node; constant subtrees are folded to floats
     assert "_memo" not in vars(node)
-    assert expr.compile(parse("2*pi + 1"))({}) == 2 * math.pi + 1
+    assert plan_value(parse("2*pi + 1"), {}) == 2 * math.pi + 1
     roots = [parse("2*pi + sin(x1)"), parse("x2*(2*pi) + 1"), parse("sin(x1)")]
     distinct = {repr(sub) for root in roots for sub in subexpressions(root)}
     assert len(expr.Plan([roots[:1], roots[1:]])) == len(distinct)
@@ -381,7 +386,7 @@ def test_plan_of_many_roots_matches_one_root_plans_and_evaluate(roots, coordinat
     together = _outcome(lambda: next(expr.Plan([roots]).run(arrays)))
     apart = []
     for root in roots:
-        one = _outcome(lambda: [expr.compile(root)(arrays)])
+        one = _outcome(lambda: [plan_value(root, arrays)])
         if isinstance(one, str):
             apart = one  # the first root to fail decides
             break

@@ -236,11 +236,11 @@ def test_failing_points_are_float_tuples():
     # singular on the line x2 = 0.25
     model = td.chart_model("log-pinched", (1.0, 1.0), [["2 + ln(x1)", "0"], ["0", "x2 - 0.25"]])
     with pytest.raises(td.DomainError) as info:
-        td.model.frame_data(model, np.array([[0.5, 0.5], [0.0, 0.5], [0.0, 0.75]]))
+        td.model.sweep(model, np.array([[0.5, 0.5], [0.0, 0.5], [0.0, 0.75]]))
     assert str(info.value) == "ln of non-positive value 0.0 in 'ln(x1)'"
     assert info.value.point == (0.0, 0.5) and float_tuple(info.value.point)
     with pytest.raises(td.SingularFrameError) as info:
-        td.model.frame_data(model, np.array([[0.5, 0.5], [0.5, 0.25]]))
+        td.model.sweep(model, np.array([[0.5, 0.5], [0.5, 0.25]]))
     assert str(info.value) == "frame matrix is singular at (0.5, 0.25) (|det| = 0.000e+00)"
     assert info.value.point == (0.5, 0.25) and float_tuple(info.value.point)
     report = td.validate_model(model, td.sample_grid(model, 4))

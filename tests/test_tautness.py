@@ -139,6 +139,19 @@ def test_negative_tolerance_is_refused(t3a, kronecker, tol):
         compare_with_cover(model, split, td.alvarez_candidate(model, split), 1, 2, 4, tol)
 
 
+def test_infinite_tolerance_is_refused(t3a, kronecker):
+    # at tol = inf the one-point t3a grid (value 0.926) read IDENTICALLY ZERO
+    model, split = t3a
+    tau = td.alvarez_candidate(model, split)
+    grid = td.sample_grid(model, 1)
+    for call in (td.classify_divergence, td.volume_preservation_check):
+        with pytest.raises(td.ModelError, match="must be a non-negative number and finite, got inf"):
+            call(model, split, tau, grid, math.inf)
+    model, split = kronecker
+    with pytest.raises(td.ModelError, match="tolerance"):
+        compare_with_cover(model, split, td.alvarez_candidate(model, split), 1, 2, 4, math.inf)
+
+
 def test_classify_empty_grid_inconclusive(t3a):
     model, split = t3a
     tau = td.alvarez_candidate(model, split)
@@ -433,6 +446,39 @@ def test_cover_pointwise_difference_is_exactly_zero(torus, kronecker, coord, fol
         ):
             comparison = compare_with_cover(model, split, field, coord, fold, resolution)
             assert comparison.max_pointwise_difference == 0.0
+
+
+@pytest.mark.parametrize("coord", [0, 1])
+@pytest.mark.parametrize("fold", [2, 3])
+def test_cover_wrap_is_python_modulo_everywhere(torus, monkeypatch, coord, fold):
+    # covering_projection, the coordinates the cover's blocks evaluate and
+    # the rows compare_with_cover projects all equal Python's %, bit for bit
+    model, split = torus
+    field = td.alvarez_candidate(model, split)
+    swept = []
+    sweep = td.tautness.sweep
+
+    def spy(swept_model, points, *reads, **options):
+        swept.append((swept_model, points))
+        return sweep(swept_model, points, *reads, **options)
+
+    monkeypatch.setattr(td.tautness, "sweep", spy)
+    for resolution in (8, (5, 7)):
+        swept.clear()
+        compare_with_cover(model, split, field, coord, fold, resolution)
+        projected = [points for swept_model, points in swept if swept_model is model][-1]
+        cover = td.lift_to_cover(model, split, field, coord, fold)[0]
+        grid = td.sample_grid(cover, resolution)
+        env = td.model._block_env(cover, grid.coordinates)
+        moved = 0
+        for index, point in enumerate(grid.points):
+            wrapped = [x if w is None else x % w for x, w in zip(point, cover.coordinate_wraps)]
+            moved += wrapped != list(point)
+            expected = [x.hex() for x in wrapped]
+            assert [x.hex() for x in td.covering_projection(cover, point)] == expected
+            assert [float(x).hex() for x in projected[index]] == expected
+            assert [float(env[name][index]).hex() for name in cover.coordinate_names()] == expected
+        assert len(projected) == len(grid.points) and moved > 0
 
 
 def test_deck_average_projects_to_same_verdict(torus):
