@@ -24,6 +24,7 @@ from . import __version__
 from .catalog import BUILTIN_NAMES, builtin_model, is_builtin
 from .expr import DomainError, ExprError, ParseError
 from .model import (
+    CheckResult,
     FoliationSplit,
     FrameModel,
     Grid,
@@ -257,6 +258,20 @@ def _verdict_lines(verdict: TautnessVerdict) -> list[str]:
     return lines
 
 
+def _check_payload(check: CheckResult) -> dict:
+    """A check as JSON; the worst value and point only for a measured check."""
+    payload = {"name": check.name, "passed": check.passed}
+    if check.worst is not None:
+        payload.update(worst=check.worst, worst_point=_point(check.worst_point))
+    payload["detail"] = check.detail
+    return payload
+
+
+def _check_line(check: CheckResult) -> str:
+    worst = "" if check.worst is None else f", worst {check.worst:.3e} at {check.worst_point}"
+    return f"  {check.name}: {'pass' if check.passed else 'FAIL'} ({check.detail}{worst})"
+
+
 def _model_header(model: FrameModel, split: FoliationSplit) -> list[str]:
     leaf = [i + 1 for i in split.leaf_ordered]
     transverse = [i + 1 for i in split.transverse_ordered]
@@ -296,7 +311,8 @@ def _entry_lines(symbol: str, entries: list[dict]) -> list[str]:
 def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     model, split = _resolve_model(args.model)
     grid = _grid_for(model, args)
-    diagnostics = validate_model(model, grid)
+    checks = validate_model(model, grid)
+    passed = all(check.passed for check in checks)
     row = grid.coordinates[:1]
     point = _as_point(row[0])
     reads = (lambda block: block.c, lambda block: block.gamma,
@@ -310,19 +326,7 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         "leaf_indices": [i + 1 for i in split.leaf_ordered],
         "transverse_indices": [i + 1 for i in split.transverse_ordered],
         "dense_leaves": model.dense_leaves,
-        "validation": {
-            "passed": diagnostics.passed,
-            "checks": [
-                {
-                    "name": check.name,
-                    "passed": check.passed,
-                    "worst": check.worst,
-                    "worst_point": _point(check.worst_point),
-                    "detail": check.detail,
-                }
-                for check in diagnostics.checks
-            ],
-        },
+        "validation": {"passed": passed, "checks": [_check_payload(check) for check in checks]},
         "report_point": _point(point),
         "structure_functions": _nonzero_entries(table),
         "christoffel": _nonzero_entries(gamma),
@@ -332,11 +336,8 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         },
     }
     lines = _model_header(model, split)
-    lines.append(f"validation: {'pass' if diagnostics.passed else 'FAIL'}")
-    for check in diagnostics.checks:
-        state = "pass" if check.passed else "FAIL"
-        worst = "" if check.worst is None else f", worst {check.worst:.3e} at {check.worst_point}"
-        lines.append(f"  {check.name}: {state} ({check.detail}{worst})")
+    lines.append(f"validation: {'pass' if passed else 'FAIL'}")
+    lines.extend(_check_line(check) for check in checks)
     lines.append(f"report point: {point if point else 'abstract'}")
     lines.append("nonzero structure functions C_ij^k ([E_i, E_j] = C_ij^k E_k):")
     lines.extend(_entry_lines("C", payload["structure_functions"]))
@@ -347,7 +348,7 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     lines.extend(_entry_lines("Gamma", payload["christoffel"]))
     comps = ", ".join(f"{x:.12g}" for x in kappa)
     lines.append(f"mean curvature of the leaves, frame components: ({comps})")
-    code = EXIT_OK if diagnostics.passed else EXIT_VALIDATION
+    code = EXIT_OK if passed else EXIT_VALIDATION
     return payload, lines, code
 
 
@@ -407,10 +408,7 @@ def _cmd_spectral(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         "subcommand": "spectral",
         "matrix": [list(row) for row in matrix],
         "admissible": diagnostics.admissible,
-        "checks": [
-            {"name": check.name, "passed": check.passed, "detail": check.detail}
-            for check in diagnostics.checks
-        ],
+        "checks": [_check_payload(check) for check in diagnostics.checks],
     }
     lines = [f"matrix: {format_matrix(matrix)}"]
     if diagnostics.char_poly is not None:
@@ -439,9 +437,7 @@ def _cmd_spectral(args: argparse.Namespace) -> tuple[dict, list[str], int]:
                 "log eigenvalues: " + ", ".join(f"{x:.12g}" for x in logs)
             )
     lines.append(f"suspension-admissible: {'yes' if diagnostics.admissible else 'no'}")
-    for check in diagnostics.checks:
-        state = "pass" if check.passed else "FAIL"
-        lines.append(f"  {check.name}: {state} ({check.detail})")
+    lines.extend(_check_line(check) for check in diagnostics.checks)
     return payload, lines, EXIT_OK
 
 
@@ -550,12 +546,13 @@ _HANDLERS = {
 
 
 def _emit(payload: dict, lines: list[str], args: argparse.Namespace) -> None:
-    if args.format == "json":
-        try:
-            text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-        except ValueError as exc:  # a NaN or infinity is not JSON
-            raise DomainError(f"report holds a non-finite value: {exc}") from None
-    else:
+    # the text lines show values of the payload, so a NaN or infinity,
+    # which is not JSON, is refused in both formats
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise DomainError(f"report holds a non-finite value: {exc}") from None
+    if args.format == "text":
         text = "\n".join(lines) + "\n"
     if args.output:
         Path(args.output).write_text(text)

@@ -134,30 +134,17 @@ class Grid:
 
 @dataclass(frozen=True)
 class CheckResult:
+    """Outcome of one check of a model, a field or a matrix.  A measured
+    check also carries its worst value, the first point where it occurs
+    (None when there is none) and the tolerance that value was held to;
+    an exact check leaves all three None."""
+
     name: str
     passed: bool
-    worst: float | None
-    worst_point: tuple[float, ...] | None
     detail: str
-
-
-@dataclass(frozen=True)
-class ModelDiagnostics:
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(check.passed for check in self.checks)
-
-
-@dataclass(frozen=True)
-class BasicFieldCheck:
-    """Outcome of testing pi_Q([F_a, v]) = 0 over a grid."""
-
-    passed: bool
-    max_residual: float
-    worst_point: tuple[float, ...] | None
-    tolerance: float
+    worst: float | None = None
+    worst_point: tuple[float, ...] | None = None
+    tolerance: float | None = None
 
 
 def coordinate_names(dim: int) -> tuple[str, ...]:
@@ -687,9 +674,9 @@ def _probe_invertibility(model: FrameModel, grid: Grid) -> tuple[np.ndarray, np.
     return points, dets
 
 
-def validate_model(model: FrameModel, grid: Grid) -> ModelDiagnostics:
-    """Diagnostics (never raises): frame invertibility over grid and
-    corner probes for charts; the Jacobi identity for constant-structure
+def validate_model(model: FrameModel, grid: Grid) -> tuple[CheckResult, ...]:
+    """Checks (never raises): frame invertibility over grid and corner
+    probes for charts; the Jacobi identity for constant-structure
     models.  Neither kind needs an antisymmetry check: FrameData
     antisymmetrizes a chart's C exactly, and _constant_table writes
     C_ji^k = -C_ij^k for each stored i < j entry."""
@@ -698,7 +685,8 @@ def validate_model(model: FrameModel, grid: Grid) -> ModelDiagnostics:
             probes, dets = _probe_invertibility(model, grid)
         except ExprError as exc:
             check = CheckResult(
-                "frame_invertibility", False, 0.0, exc.point, f"frame evaluation failed: {exc}"
+                "frame_invertibility", False, f"frame evaluation failed: {exc}",
+                0.0, exc.point, DET_TOLERANCE,
             )
         else:
             index = int(np.argmin(np.abs(dets)))
@@ -706,10 +694,11 @@ def validate_model(model: FrameModel, grid: Grid) -> ModelDiagnostics:
             check = CheckResult(
                 "frame_invertibility",
                 worst_det >= DET_TOLERANCE,
-                worst_det,
-                _as_point(probes[index]),
                 f"min |det(frame)| over {len(probes)} probe points "
                 f"(threshold {DET_TOLERANCE:g})",
+                worst_det,
+                _as_point(probes[index]),
+                DET_TOLERANCE,
             )
     else:
         table = _constant_table(model)
@@ -720,30 +709,27 @@ def validate_model(model: FrameModel, grid: Grid) -> ModelDiagnostics:
         check = CheckResult(
             "jacobi_identity",
             jacobi <= JACOBI_TOLERANCE,
+            f"max |cyclic sum C_ij^m C_mk^l| (threshold {JACOBI_TOLERANCE:g})",
             jacobi,
             (),
-            f"max |cyclic sum C_ij^m C_mk^l| (threshold {JACOBI_TOLERANCE:g})",
+            JACOBI_TOLERANCE,
         )
-    return ModelDiagnostics(checks=(check,))
+    return (check,)
 
 
 def basic_field_check(
     residuals: np.ndarray, points: Sequence | np.ndarray, tol: float = BASIC_TOLERANCE
-) -> BasicFieldCheck:
+) -> CheckResult:
     """Reduce per-point residuals (``FrameData.basic_residuals``) to the
     worst one and its first point; a non-finite residual raises
     DomainError."""
     require_finite(residuals, points, "basic-check residual")
+    detail = f"max |pi_Q [F_a, v]| over {len(points)} points (threshold {tol:g})"
     if not len(points):
-        return BasicFieldCheck(passed=True, max_residual=0.0, worst_point=None, tolerance=tol)
+        return CheckResult("basic_field", True, detail, 0.0, None, tol)
     index = int(np.argmax(residuals))
-    max_residual = float(residuals[index])
-    return BasicFieldCheck(
-        passed=max_residual <= tol,
-        max_residual=max_residual,
-        worst_point=_as_point(points[index]),
-        tolerance=tol,
-    )
+    worst = float(residuals[index])
+    return CheckResult("basic_field", worst <= tol, detail, worst, _as_point(points[index]), tol)
 
 
 def check_basic(
@@ -752,7 +738,7 @@ def check_basic(
     field_spec: VectorFieldSpec,
     grid: Grid,
     tol: float = BASIC_TOLERANCE,
-) -> BasicFieldCheck:
+) -> CheckResult:
     """Test whether v is basic: the transverse part of [F_a, v] must
     vanish for every leafwise frame direction F_a, at every grid point."""
     (residuals,) = sweep(
@@ -891,10 +877,10 @@ def _load_chart(document, name, dim, parameters, dense) -> FrameModel:
             entry = raw_frame[i * dim + m]
             if isinstance(entry, str):
                 row.append(expr.parse(entry))
-            elif isinstance(entry, (int, float)) and not isinstance(entry, bool):
+            elif _is_number(entry):
                 row.append(expr.as_expr(entry))
             else:
-                raise SchemaError(f"frame entry {entry!r} must be a string or number")
+                raise SchemaError(f"frame entry {entry!r} must be a string or finite number")
         rows.append(row)
     model = chart_model(
         name, periods, rows, parameters=parameters, dense_leaves=dense
@@ -928,6 +914,8 @@ def load_field(document: Mapping, model: FrameModel) -> VectorFieldSpec:
                 )
         elif not isinstance(entry, (int, float, str)):
             raise SchemaError(f"field component {k} must be a number or string")
+        if not isinstance(entry, str) and not _is_number(entry):
+            raise SchemaError(f"field component {k} must be a finite number, got {entry!r}")
         components.append(entry)
     try:
         return vector_field(components, model)

@@ -23,7 +23,9 @@ import operator
 from dataclasses import dataclass
 from typing import Sequence
 
-from .model import FoliationSplit, FrameModel, constant_structure_model, foliation_split
+from .model import (
+    CheckResult, FoliationSplit, FrameModel, constant_structure_model, foliation_split,
+)
 
 MAX_DIM = 8
 
@@ -53,16 +55,9 @@ class SpectralData:
 
 
 @dataclass(frozen=True)
-class MatrixCheck:
-    name: str
-    passed: bool
-    detail: str
-
-
-@dataclass(frozen=True)
 class MatrixDiagnostics:
     admissible: bool
-    checks: tuple[MatrixCheck, ...]
+    checks: tuple[CheckResult, ...]
     char_poly: tuple[int, ...] | None
     roots: tuple[IsolatedRoot, ...] | None
 
@@ -231,11 +226,11 @@ def real_eigenvalues(coefficients: Sequence[int]) -> tuple[IsolatedRoot, ...]:
     after that; each isolated root is then bisected to a width of at
     most 1e-16 * max(1, |root|), the float resolution limit.  A value is
     the correctly rounded float of the final midpoint, or of the root
-    itself when a split point hits it.  The enclosure of an integer root
-    r is (r, r); any other root gets (m, m + 1), m the floor of its final
-    midpoint.  Raises SpectralError ("complex or
-    repeated roots") when the real-root count falls short of the degree
-    or the polynomial is not square-free.
+    itself when a split point hits it (an infinity beyond the float
+    range).  The enclosure of an integer root r is (r, r); any other
+    root gets (m, m + 1), m the floor of its final midpoint.  Raises
+    SpectralError ("complex or repeated roots") when the real-root count
+    falls short of the degree or the polynomial is not square-free.
     """
     poly = _int_poly(coefficients)
     degree = len(poly) - 1
@@ -278,7 +273,10 @@ def real_eigenvalues(coefficients: Sequence[int]) -> tuple[IsolatedRoot, ...]:
     isolated = []
     for low, high, k in sorted(roots, key=lambda root: root[0] << (top - root[2])):
         center = low + high  # the midpoint (the root if low == high), over 2^(k+1)
-        value = center / (1 << (k + 1))
+        try:
+            value = center / (1 << (k + 1))
+        except OverflowError:  # the correctly rounded float of a root beyond the float range
+            value = math.inf if center > 0 else -math.inf
         floor = center >> (k + 1)
         r = high >> k  # the largest integer <= high / 2^k
         if low == high:
@@ -325,24 +323,25 @@ def _refine(poly: list[int], low: int, high: int, k: int) -> tuple[int, int, int
 def validate_suspension_matrix(matrix: Sequence[Sequence[int]]) -> MatrixDiagnostics:
     """Diagnostics: det = 1 exactly; eigenvalues real, simple, positive,
     distinct from 1.  For 2x2 matrices the trace condition (> 2) is also
-    reported; it is equivalent to admissibility there."""
-    checks: list[MatrixCheck] = []
+    reported; it is equivalent to admissibility there.  An eigenvalue
+    beyond the float range raises SpectralError."""
+    checks: list[CheckResult] = []
     try:
         rows = _normalize(matrix)
     except SpectralError as exc:
-        checks.append(MatrixCheck("square_integer", False, str(exc)))
+        checks.append(CheckResult("square_integer", False, str(exc)))
         return MatrixDiagnostics(False, tuple(checks), None, None)
-    checks.append(MatrixCheck("square_integer", True, f"{len(rows)}x{len(rows)} integer matrix"))
+    checks.append(CheckResult("square_integer", True, f"{len(rows)}x{len(rows)} integer matrix"))
     coefficients = char_poly(rows)
     det = coefficients[-1]
     checks.append(
-        MatrixCheck("determinant_one", det == 1, f"det = {det} (exact)")
+        CheckResult("determinant_one", det == 1, f"det = {det} (exact)")
     )
     roots: tuple[IsolatedRoot, ...] | None
     try:
         roots = real_eigenvalues(coefficients)
         checks.append(
-            MatrixCheck(
+            CheckResult(
                 "eigenvalues_real_simple",
                 True,
                 "all eigenvalues real and simple (Sturm count equals degree)",
@@ -350,11 +349,13 @@ def validate_suspension_matrix(matrix: Sequence[Sequence[int]]) -> MatrixDiagnos
         )
     except SpectralError as exc:
         roots = None
-        checks.append(MatrixCheck("eigenvalues_real_simple", False, str(exc)))
+        checks.append(CheckResult("eigenvalues_real_simple", False, str(exc)))
     if roots is not None:
+        if any(math.isinf(root.value) for root in roots):
+            raise SpectralError("an eigenvalue is beyond the float range (above 1.8e308)")
         positive = all(root.value > 0 for root in roots)
         checks.append(
-            MatrixCheck(
+            CheckResult(
                 "eigenvalues_positive",
                 positive,
                 f"eigenvalues {[root.value for root in roots]}",
@@ -363,7 +364,7 @@ def validate_suspension_matrix(matrix: Sequence[Sequence[int]]) -> MatrixDiagnos
         # exact test: 1 is an eigenvalue iff p(1) = 0
         p_at_one = sum(coefficients)
         checks.append(
-            MatrixCheck(
+            CheckResult(
                 "eigenvalues_not_one",
                 p_at_one != 0,
                 f"p(1) = {p_at_one} (exact)",
@@ -372,7 +373,7 @@ def validate_suspension_matrix(matrix: Sequence[Sequence[int]]) -> MatrixDiagnos
     if len(rows) == 2:
         trace = rows[0][0] + rows[1][1]
         checks.append(
-            MatrixCheck(
+            CheckResult(
                 "trace_condition",
                 trace > 2,
                 f"trace = {trace} (admissible 2x2 matrices have trace > 2)",

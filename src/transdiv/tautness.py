@@ -25,7 +25,7 @@ import numpy as np
 
 from . import expr
 from .model import (
-    BasicFieldCheck,
+    CheckResult,
     FoliationSplit,
     FrameModel,
     Grid,
@@ -126,9 +126,9 @@ class CoverComparison:
 class NotBasicError(ModelError):
     """A candidate field failed the basic-field test."""
 
-    def __init__(self, check: BasicFieldCheck):
+    def __init__(self, check: CheckResult):
         super().__init__(
-            f"field is not basic: worst residual {check.max_residual:.3e} "
+            f"field is not basic: worst residual {check.worst:.3e} "
             f"at {check.worst_point} (tolerance {check.tolerance:g})"
         )
         self.check = check

@@ -291,6 +291,98 @@ def test_non_finite_field_exit_2_with_one_line(capsys, tmp_path, component):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+CHART_2D = {
+    "name": "flat",
+    "kind": "chart",
+    "dim": 2,
+    "leaf_indices": [1],
+    "periods": [1.0, 1.0],
+    "frame": ["1", "0", "0", "1"],
+}
+
+
+@pytest.mark.parametrize(
+    "model, field, message",
+    [
+        (
+            {
+                "name": "nan-constant",
+                "kind": "constant_structure",
+                "dim": 3,
+                "leaf_indices": [3],
+                "structure_constants": [{"i": 1, "j": 2, "k": 2, "value": math.nan}],
+            },
+            None,
+            "structure-constant value must be a finite number or string, got nan",
+        ),
+        (CHART_2D, [0, math.nan], "field component 1 must be a finite number, got nan"),
+        (CHART_2D, [math.inf, 0], "field component 0 must be a finite number, got inf"),
+        (
+            {**CHART_2D, "frame": [math.inf, 0, 0, 1]},
+            None,
+            "frame entry inf must be a string or finite number",
+        ),
+    ],
+)
+def test_non_finite_document_number_exit_1(capsys, tmp_path, model, field, message):
+    # json writes NaN and Infinity, which json.loads reads back as floats
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(model))
+    field_path = "alvarez" if field is None else write_field(tmp_path, "field.json", field)
+    code, out, err = run(capsys, "taut-check", str(model_path), "--field", field_path)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # C_12^2 C_13^3 overflows, so the Jacobi residual is inf - inf = nan
+        ("analyze", {
+            "name": "huge",
+            "kind": "constant_structure",
+            "dim": 3,
+            "leaf_indices": [3],
+            "structure_constants": [
+                {"i": 1, "j": 2, "k": 2, "value": 1e200},
+                {"i": 1, "j": 3, "k": 3, "value": -1e200},
+            ],
+        }),
+        # the eigenvalues are finite, their product is not
+        ("spectral", "--matrix", f"{10**200},0;0,{10**200 + 1}"),
+    ],
+    ids=["analyze-nan-jacobi", "spectral-inf-product"],
+)
+def test_non_finite_report_exit_2_in_both_formats(capsys, tmp_path, argv, fmt):
+    if isinstance(argv[1], dict):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(argv[1]))
+        argv = (argv[0], str(path))
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: report holds a non-finite value: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectral", "--matrix", str(10**309)),
+        # det = 1 and real, simple, positive eigenvalues near 10^309 and 10^-309
+        ("suspend", "--matrix", f"{10**309},1;{10**309 - 1},1", "--leaf", "1", "-o", "unused"),
+    ],
+    ids=["spectral", "suspend"],
+)
+def test_eigenvalue_beyond_float_range_exit_2(capsys, tmp_path, argv, fmt):
+    argv = tuple(str(tmp_path / entry) if entry == "unused" else entry for entry in argv)
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == "error: an eigenvalue is beyond the float range (above 1.8e308)\n"
+    assert not (tmp_path / "unused").exists()
+
+
 def test_non_finite_tolerance_exit_1(capsys):
     code, _, err = run(capsys, "taut-check", "t3a", "--field", "alvarez", "--tol", "nan")
     assert code == 1
@@ -450,7 +542,7 @@ def _raising(exc):
     return handler
 
 
-_CHECK = td.BasicFieldCheck(passed=False, max_residual=1.0, worst_point=(0.5,), tolerance=1e-9)
+_CHECK = td.CheckResult("basic_field", False, "residual", worst=1.0, worst_point=(0.5,), tolerance=1e-9)
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,8 @@
 Expressions mix benign terms with overflow, NaN-producing and
 domain-error cases; documents may carry NaN or infinite numbers.
 Whatever the input, ``main`` returns an exit code in 0..3 and never
-raises, and a JSON report it writes is strict JSON (no NaN/Infinity).
+raises, a JSON report it writes is strict JSON (no NaN/Infinity), and
+the text format gives the same exit code and error line as JSON.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import os
 import tempfile
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from transdiv.cli import main
@@ -124,15 +125,30 @@ def strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
+# C_12^2 C_13^3 overflows, so analyze's Jacobi residual is inf - inf = nan
+HUGE_CONSTANTS = {
+    "name": "fuzz",
+    "kind": "constant_structure",
+    "dim": 3,
+    "leaf_indices": [3],
+    "parameters": {"p": 1.0},
+    "structure_constants": [
+        {"i": 1, "j": 2, "k": 2, "value": 1e300},
+        {"i": 1, "j": 3, "k": 3, "value": -1e300},
+    ],
+}
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(invocations())
+@example((HUGE_CONSTANTS, "alvarez", "analyze", "1e-9", "1"))
 def test_main_always_exits_0_to_3(case):
     model, field, subcommand, tol, coord = case
     with tempfile.TemporaryDirectory() as directory:
         model_path = os.path.join(directory, "model.json")
         with open(model_path, "w") as handle:
             json.dump(model, handle)  # NaN and inf become NaN / Infinity
-        argv = [subcommand, model_path, "--format", "json"]
+        argv = [subcommand, model_path]
         if subcommand != "analyze":
             if field == "alvarez":
                 argv += ["--field", "alvarez"]
@@ -146,7 +162,10 @@ def test_main_always_exits_0_to_3(case):
             argv += ["--tol", tol]
         if subcommand == "cover":
             argv += ["--coord", coord, "--fold", "2"]
-        code, out, err = run_main(argv)
+        code, out, err = run_main([*argv, "--format", "json"])
+        text_code, text_out, text_err = run_main([*argv, "--format", "text"])
+    assert (text_code, text_err) == (code, err)
+    assert bool(text_out) == bool(out)
     assert code in (0, 1, 2, 3)
     if out:  # a report: on success, or from analyze with failed validation
         assert code in (0, 3)

@@ -244,12 +244,12 @@ def test_failing_points_are_float_tuples():
     assert str(info.value) == "frame matrix is singular at (0.5, 0.25) (|det| = 0.000e+00)"
     assert info.value.point == (0.5, 0.25) and float_tuple(info.value.point)
     report = td.validate_model(model, td.sample_grid(model, 4))
-    (check,) = report.checks
+    (check,) = report
     assert check.worst_point == (0.0, 0.0) and float_tuple(check.worst_point)
     assert check.detail == "frame evaluation failed: ln of non-positive value 0.0 in 'ln(x1)'"
     # a frame that evaluates everywhere: the worst probe is a float tuple
     model = td.chart_model("pinched", (1.0, 1.0), [["1", "0"], ["0", "x2 - 0.25"]])
-    (check,) = td.validate_model(model, td.sample_grid(model, 4)).checks
+    (check,) = td.validate_model(model, td.sample_grid(model, 4))
     assert check.worst_point == (0.0, 0.25) and float_tuple(check.worst_point)
     split = td.foliation_split(2, {0})
     with pytest.raises(td.SingularFrameError) as info:

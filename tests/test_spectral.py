@@ -202,6 +202,15 @@ def test_refinement_hit_on_an_integer_root_is_exact(monkeypatch):
     assert root == td.IsolatedRoot(value=3.0, enclosure=(3, 3))
 
 
+def test_root_beyond_float_range():
+    # the correctly rounded float of 10^309 is inf: real_eigenvalues
+    # returns it, and validate_suspension_matrix refuses it
+    (root,) = td.real_eigenvalues((1, -(10**309)))
+    assert root.value == math.inf
+    with pytest.raises(td.SpectralError, match="beyond the float range"):
+        td.validate_suspension_matrix(((10**309, 1), (10**309 - 1, 1)))
+
+
 def test_residual_smallness():
     for rows in (((2, 1), (1, 1)), EXAMPLE_3X3):
         coefficients = td.char_poly(rows)
@@ -610,7 +619,7 @@ def test_build_suspension_jacobi():
         matrix = random_admissible_matrix(rng, n)
         model, _ = td.build_suspension(matrix, 1)
         report = td.validate_model(model, td.sample_grid(model, 1))
-        assert report.passed
+        assert all(c.passed for c in report)
 
 
 def test_build_suspension_rejects():
