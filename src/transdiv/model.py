@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -403,20 +403,38 @@ def _block_plan(
     model: FrameModel, field_spec: VectorFieldSpec | None, structure: bool
 ) -> expr.Plan:
     """The evaluation plan of FrameData blocks: one group for each of the
-    frame entries, the frame partials, the field components and the field
-    partials that a block computes, in that order."""
+    frame entries, det A, the frame partials, the structure functions
+    C_ij^k with i < j (k running fastest), the field components and the
+    field partials that a block computes, in that order."""
     groups = []
     coords = model.coordinate_names()
     if model.is_chart:
         assert model.frame is not None
         groups.append([entry for row in model.frame for entry in row])
+        every = tuple(range(model.dim))
+        groups.append([_transposed_minors(model)(every, every)])
         if structure:
             groups.append([d for row in _frame_partials(model) for entry in row for d in entry])
+            table = structure_functions_symbolic(model)
+            upper = zip(*np.triu_indices(model.dim, 1))
+            groups.append([table[i][j][k] for i, j in upper for k in every])
     if structure and field_spec is not None:
         groups.append(field_spec.components)
         if model.is_chart:
             groups.append([d for comp in field_spec.components for d in expr.gradient(comp, coords)])
     return expr.Plan(groups)
+
+
+def _next_finite(values: Iterator[list], points: Sequence, what: str) -> list:
+    """The next group of ``values``, a group whose roots are built by +,
+    -, * and / from values already checked finite, and whose divisors
+    are nonzero: it fails only by overflowing, and that DomainError is
+    raised as ``require_finite`` raises it, at the first of ``points``
+    (``_located`` narrows a failing block down to the point that fails)."""
+    try:
+        return next(values)
+    except expr.DomainError:
+        raise expr.DomainError(f"non-finite {what} at {_as_point(points[0])}") from None
 
 
 class FrameData:
@@ -434,9 +452,12 @@ class FrameData:
     Built only by ``sweep``, block by block, from the groups of ``plan``
     (``_block_plan`` of the same model, field and ``structure``), each
     evaluated only once the checks of the groups before it have passed.
-    Every value is finite: a NaN or infinity raises DomainError, and
-    |det A| < DET_TOLERANCE raises SingularFrameError when the structure
-    is asked for.
+    A chart's ``a``, ``det`` and ``c`` are all read from the plan: det A
+    and C are the trees of ``structure_functions_symbolic``'s Cramer
+    rule, C_ij^k for i < j, with C_ji^k = -C_ij^k filled in.  Every
+    value is finite: a NaN or infinity raises DomainError, and |det A| <
+    DET_TOLERANCE raises SingularFrameError, before C is evaluated, when
+    the structure is asked for.
     """
 
     def __init__(
@@ -454,22 +475,17 @@ class FrameData:
         self.v = self.dv = self.ev = self.rows = None
         if model.is_chart:
             self.a = _stacked(next(values), (n, n), count)
-            self.det = np.linalg.det(self.a)
-            require_finite(self.det, points, "frame determinant")
+            self.det = _stacked(_next_finite(values, points, "frame determinant"), (), count)
         if not structure:
             return
         if model.is_chart:
             _require_invertible(self.det, points)
-            da = _stacked(next(values), (n, n, n), count)  # da[p, j, m, c]
-            # directional[p, i, j, m] = E_i(a_j^m)
-            directional = np.einsum("pic,pjmc->pijm", self.a, da)
-            bracket = directional - directional.transpose((0, 2, 1, 3))
-            # express each bracket in the frame: solve A^T c = w columnwise
-            flat = bracket.reshape(count, n * n, n).transpose((0, 2, 1))
-            table = np.linalg.solve(self.a.transpose((0, 2, 1)), flat)
-            table = table.transpose((0, 2, 1)).reshape(count, n, n, n)
-            # enforce exact antisymmetry against solver roundoff
-            self.c = 0.5 * (table - table.transpose((0, 2, 1, 3)))
+            next(values)  # the frame partials, checked before C reads them
+            upper = _stacked(_next_finite(values, points, "structure functions"), (-1, n), count)
+            i, j = np.triu_indices(n, 1)
+            self.c = np.zeros((count, n, n, n))
+            self.c[:, i, j] = upper
+            self.c[:, j, i] = -upper
         else:
             self.c = np.broadcast_to(_constant_table(model), (count, n, n, n))
         require_finite(self.c, points, "structure functions")
@@ -609,18 +625,28 @@ def structure_functions(model: FrameModel, point: tuple[float, ...]) -> np.ndarr
 
 
 def structure_functions_symbolic(model: FrameModel) -> tuple:
-    """C_ij^k of a chart model as expression trees (a Cramer solve).
+    """C_ij^k of a chart model as expression trees, the one route from a
+    frame to C: each bracket [E_i, E_j] = sum_m w_ij^m d/dx_m is written
+    in the frame by Cramer's rule on A^T c = w_ij,
 
-    Needed where a *field* of structure data is required rather than
-    point values, e.g. to build the mean-curvature candidate field.
-    Expressions can be large; they are never simplified, only checked
-    pointwise.  A constant-structure model's table is ``_constant_table``.
+        C_ij^k = (sum_m (-1)^(m+k) w_ij^m M_mk) / det A,
+
+    the numerator expanded along the replaced column k, with M_mk the
+    minors of A^T that every (i, j) shares.  C_ji^k = -C_ij^k exactly.
+
+    FrameData blocks evaluate these trees in their plan; the
+    mean-curvature candidate field is built from them.  Expressions can
+    be large; they are never simplified, only checked pointwise.  A
+    constant-structure model's table is ``_constant_table``.
     """
     if not model.is_chart:
         raise ModelError("symbolic structure functions exist only for chart models")
     n = model.dim
     assert model.frame is not None
     partials = _frame_partials(model)
+    minor = _transposed_minors(model)
+    every = tuple(range(n))
+    det = minor(every, every)
 
     def directional(i: int, j: int, m: int) -> Expr:
         # E_i(a_j^m) = sum_c a_i^c * d a_j^m / d x_c
@@ -629,9 +655,9 @@ def structure_functions_symbolic(model: FrameModel) -> tuple:
             total = expr.add(total, expr.mul(model.frame[i][c], partials[j][m][c]))
         return total
 
-    # columns of A^T are the frame rows
-    at = [[model.frame[k][m] for k in range(n)] for m in range(n)]
-    det_at = _symbolic_det(at)
+    def without(index: int) -> tuple[int, ...]:
+        return every[:index] + every[index + 1:]
+
     table: list[list[list[Expr]]] = [
         [[expr.ZERO] * n for _ in range(n)] for _ in range(n)
     ]
@@ -639,28 +665,39 @@ def structure_functions_symbolic(model: FrameModel) -> tuple:
         for j in range(i + 1, n):
             w = [expr.sub(directional(i, j, m), directional(j, i, m)) for m in range(n)]
             for k in range(n):
-                replaced = [
-                    [w[m] if col == k else at[m][col] for col in range(n)]
-                    for m in range(n)
-                ]
-                value = expr.div(_symbolic_det(replaced), det_at)
+                numerator: Expr = expr.ZERO
+                for m in range(n):
+                    term = expr.mul(w[m], minor(without(m), without(k)))
+                    numerator = (expr.add if (m + k) % 2 == 0 else expr.sub)(numerator, term)
+                value = expr.div(numerator, det)
                 table[i][j][k] = value
                 table[j][i][k] = expr.neg(value)
     return tuple(tuple(tuple(row) for row in plane) for plane in table)
 
 
-def _symbolic_det(matrix: list[list[Expr]]) -> Expr:
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    total: Expr = expr.ZERO
-    for col in range(n):
-        minor = [
-            [matrix[r][c] for c in range(n) if c != col] for r in range(1, n)
-        ]
-        term = expr.mul(matrix[0][col], _symbolic_det(minor))
-        total = expr.add(total, term) if col % 2 == 0 else expr.sub(total, term)
-    return total
+def _transposed_minors(model: FrameModel) -> Callable[[tuple, tuple], Expr]:
+    """minor(rows, cols): the determinant of the submatrix of A^T (whose
+    columns are the frame rows) on ``rows`` and ``cols``, ascending index
+    tuples of one length, by Laplace expansion along its first row.  Each
+    minor is built once per returned function, so the minors that several
+    expansions reach are one shared node."""
+    assert model.frame is not None
+    frame = model.frame
+    memo: dict[tuple, Expr] = {}
+
+    def minor(rows: tuple, cols: tuple) -> Expr:
+        found = memo.get((rows, cols))
+        if found is None:
+            found = expr.ONE if not rows else expr.ZERO
+            for index, col in enumerate(cols):
+                # entry (rows[0], col) of A^T is a_col^rows[0]
+                rest = cols[:index] + cols[index + 1:]
+                term = expr.mul(frame[col][rows[0]], minor(rows[1:], rest))
+                found = (expr.add if index % 2 == 0 else expr.sub)(found, term)
+            memo[rows, cols] = found
+        return found
+
+    return minor
 
 
 # --- validation ------------------------------------------------------------
@@ -677,9 +714,9 @@ def _probe_invertibility(model: FrameModel, grid: Grid) -> tuple[np.ndarray, np.
 def validate_model(model: FrameModel, grid: Grid) -> tuple[CheckResult, ...]:
     """Checks (never raises): frame invertibility over grid and corner
     probes for charts; the Jacobi identity for constant-structure
-    models.  Neither kind needs an antisymmetry check: FrameData
-    antisymmetrizes a chart's C exactly, and _constant_table writes
-    C_ji^k = -C_ij^k for each stored i < j entry."""
+    models.  Neither kind needs an antisymmetry check: a chart's C_ij^k
+    is evaluated for i < j only and C_ji^k = -C_ij^k filled in, and
+    _constant_table writes the same for each stored i < j entry."""
     if model.is_chart:
         try:
             probes, dets = _probe_invertibility(model, grid)

@@ -224,7 +224,8 @@ def real_eigenvalues(coefficients: Sequence[int]) -> tuple[IsolatedRoot, ...]:
     Roots are isolated by integer Sturm counts, splitting at integers
     while an interval is wider than one and at dyadic half-way points
     after that; each isolated root is then bisected to a width of at
-    most 1e-16 * max(1, |root|), the float resolution limit.  A value is
+    most 1e-16 * max(1, |root|), the float resolution limit, and on
+    while an integer other than the root lies strictly inside.  A value is
     the correctly rounded float of the final midpoint, or of the root
     itself when a split point hits it (an infinity beyond the float
     range).  The enclosure of an integer root r is (r, r); any other
@@ -300,13 +301,18 @@ def _midpoint(low: int, high: int, k: int) -> tuple[int, int, int, int]:
 
 def _refine(poly: list[int], low: int, high: int, k: int) -> tuple[int, int, int]:
     """Shrink (low / 2^k, high / 2^k], which holds exactly one root, a
-    simple one, and has p(high) != 0, to at most 1e-16 relative width.
-    p changes sign only at that root, so the sign of p(mid) says which
-    half holds it.  Returns (low, high, k), with low == high when a
-    midpoint is the root."""
+    simple one, and has p(high) != 0, to at most 1e-16 relative width,
+    and further while an integer that is not the root lies strictly
+    inside (so the floor of any point of the interval is the root's
+    floor, or the root is that integer).  p changes sign only at the
+    root, so the sign of p(mid) says which half holds it.  Returns (low,
+    high, k), with low == high when a midpoint is the root."""
     high_sign = _sign_at(poly, high, k)
     # width <= 1e-16 * max(1, |low|, |high|), times 2^k * 10^16
-    while (high - low) * 10**16 > max(1 << k, abs(low), abs(high)):
+    while (
+        (high - low) * 10**16 > max(1 << k, abs(low), abs(high))
+        or _holds_non_root(poly, low, high, k)
+    ):
         low, mid, high, k = 2 * low, low + high, 2 * high, k + 1
         sign = _sign_at(poly, mid, k)
         if sign == 0:
@@ -316,6 +322,16 @@ def _refine(poly: list[int], low: int, high: int, k: int) -> tuple[int, int, int
         else:
             low = mid
     return low, high, k
+
+
+def _holds_non_root(poly: list[int], low: int, high: int, k: int) -> bool:
+    """Whether an integer m with p(m) != 0 lies strictly inside
+    (low / 2^k, high / 2^k).  An integer root reached by bisection but
+    never hit stays inside its interval for good, so it does not count."""
+    first, last = (low >> k) + 1, -(-high >> k) - 1
+    if first < last:
+        return True  # two integers inside, and the interval holds one root
+    return first == last and _sign_at(poly, first, 0) != 0
 
 
 # --- admissibility and the suspension model ---------------------------------

@@ -3,9 +3,9 @@
 Constant-structure models are built from known Lie algebras (abelian,
 Heisenberg, so(3), suspension bracket tables) conjugated by random
 orthogonal matrices, so the Jacobi identity genuinely holds.  Chart
-models use frames of the form rotation(theta) * diag(exp g_i), which
-are invertible everywhere by construction.  ``CountingEnv`` counts the
-variable reads of an evaluation.
+models use frames of the form rotation(theta) * diag(exp g_i), or dense
+diagonally dominant frames, both invertible everywhere by construction.
+``CountingEnv`` counts the variable reads of an evaluation.
 """
 
 from __future__ import annotations
@@ -55,6 +55,24 @@ def random_chart_case(rng: random.Random) -> tuple[td.FrameModel, td.FoliationSp
     )
     split = td.foliation_split(dim, {0})
     return model, split
+
+
+def dense_chart_case(rng: random.Random, dim: int) -> tuple[td.FrameModel, td.FoliationSplit]:
+    """A frame with every entry a trigonometric expression: 2 on the
+    diagonal plus 0.1 * trig_poly (below 0.3 in size) everywhere, so for
+    dim <= 6 each row is strictly diagonally dominant and A invertible."""
+    rows = [
+        [
+            expr.add(
+                expr.Literal(2.0 if i == m else 0.0),
+                expr.mul(expr.Literal(0.1), trig_poly(rng, dim, amplitude=1.0)),
+            )
+            for m in range(dim)
+        ]
+        for i in range(dim)
+    ]
+    model = td.chart_model(f"dense-chart-{dim}d", (1.0,) * dim, rows)
+    return model, td.foliation_split(dim, set(range(rng.randint(1, dim - 1))))
 
 
 _BASE_ALGEBRAS = ("abelian", "heisenberg", "so3", "suspension")

@@ -4,7 +4,9 @@ point-by-point scalar reference built on ``expr.evaluate``.
 Verdict classifications must be identical.  Values may differ in the
 last places: NumPy's ``exp`` and ``log`` are not always correctly
 rounded the same way as the ``math`` module's (``sin``, ``cos`` and
-``sqrt`` agree bit for bit), and batched sums may associate differently.
+``sqrt`` agree bit for bit), batched sums may associate differently, and
+the reference takes det A and C from LAPACK (``np.linalg.det`` and
+``solve``), the block path from the plan's cofactor expressions.
 The bound is ULP_BOUND units in the last place of the largest magnitude
 of the compared quantity over the grid (``np.spacing`` of that scale).
 """
@@ -21,10 +23,18 @@ import transdiv as td
 from transdiv import expr
 from transdiv.model import BLOCK_POINTS, point_env, sweep
 
-from generators import CountingEnv, random_chart_case, random_constant_case, random_field
+from generators import (
+    CountingEnv,
+    dense_chart_case,
+    random_chart_case,
+    random_constant_case,
+    random_field,
+)
 
 #: Units in the last place of the grid-wide scale of each quantity; the
-#: largest difference seen over these cases and 30 more random ones is 4.
+#: largest difference seen over these cases and 34 more random ones is
+#: 8.25 for C and Gamma (the plan's Cramer rule against LAPACK's solve),
+#: 5 for det A and 4 for div^Q.
 ULP_BOUND = 16
 
 
@@ -35,7 +45,9 @@ def ref_frame(model, env):
 
 
 def ref_point(model, field, point):
-    """(C, Gamma, v, rows, E_i(v^k)) at one point, by expr.evaluate."""
+    """(C, Gamma, v, rows, E_i(v^k), det A) at one point, by expr.evaluate
+    and LAPACK's solve and det (NaN for det A of a constant-structure
+    model)."""
     n = model.dim
     env = point_env(model, point)
     coords = model.coordinate_names()
@@ -54,6 +66,7 @@ def ref_point(model, field, point):
         c = 0.5 * (table - table.transpose((1, 0, 2)))
     else:
         c = td.model._constant_table(model)
+        det = math.nan
     gamma = 0.5 * (c + np.einsum("kij->ijk", c) + np.einsum("kji->ijk", c))
     v = np.array([expr.evaluate(comp, env) for comp in field.components])
     if model.is_chart:
@@ -65,14 +78,15 @@ def ref_point(model, field, point):
     else:
         ev = np.zeros((n, n))
     rows = np.einsum("j,ijk->ik", v, gamma) + ev
-    return c, gamma, v, rows, ev
+    return c, gamma, v, rows, ev, det
 
 
 def ref_sweep(model, split, field, points):
     """Per-point reference values, or the first error and its point."""
-    out = {"c": [], "gamma": [], "div": [], "residual": []}
+    out = {"c": [], "gamma": [], "div": [], "residual": [], "det": []}
     for point in points:
-        c, gamma, v, rows, ev = ref_point(model, field, point)
+        c, gamma, v, rows, ev, det = ref_point(model, field, point)
+        out["det"].append(det)
         out["c"].append(c)
         out["gamma"].append(gamma)
         out["div"].append(sum(rows[i, i] for i in split.transverse_ordered))
@@ -124,11 +138,16 @@ def builtin_cases():
     return cases
 
 
-def random_cases(seed, count):
+def random_cases(seed, count, draw=None):
+    """``count`` random cases; by default every third a constant-structure
+    model and the others sparse charts, else each drawn by ``draw(rng)``."""
     rng = random.Random(seed)
     cases = []
     for index in range(count):
-        model, split = random_chart_case(rng) if index % 3 else random_constant_case(rng)
+        if draw is not None:
+            model, split = draw(rng)
+        else:
+            model, split = random_chart_case(rng) if index % 3 else random_constant_case(rng)
         field = random_field(rng, model, split, transverse_only=True)
         cases.append((f"random-{index}-{model.name}", model, split, field))
     return cases
@@ -139,14 +158,21 @@ def grids(model):
     one smaller than a block, and a one-point grid."""
     if not model.is_chart:
         return [td.sample_grid(model, 1)]
-    if model.dim == 2:
-        shapes = [(23, 29), (5, 4), (1, 1)]
-    else:
-        shapes = [(9, 9, 8), (3, 2, 2), (1, 1, 1)]
+    shapes = {
+        2: [(23, 29), (5, 4), (1, 1)],
+        3: [(9, 9, 8), (3, 2, 2), (1, 1, 1)],
+        4: [(6, 5, 5, 4), (2, 2, 1, 2), (1, 1, 1, 1)],
+    }[model.dim]
     return [td.sample_grid(model, shape) for shape in shapes]
 
 
-CASES = builtin_cases() + random_cases(seed=424242, count=9)
+# dense 4-D frames: no entry of A is a literal zero, so no term of a
+# cofactor or of a Cramer sum folds away
+CASES = (
+    builtin_cases()
+    + random_cases(seed=424242, count=9)
+    + random_cases(seed=31337, count=2, draw=lambda rng: dense_chart_case(rng, 4))
+)
 
 
 def test_grid_sizes_straddle_the_block():
@@ -170,14 +196,14 @@ def test_block_path_matches_scalar_reference(case, monkeypatch):
     for grid in grids(model):
         reference = ref_sweep(model, split, field, grid.points)
         built.clear()
-        c, gamma, div = sweep(
-            model,
-            grid.points,
+        reads = [
             lambda block: block.c,
             lambda block: block.gamma,
             lambda block: block.divergence(split.transverse_ordered),
-            field_spec=field,
-        )
+        ]
+        if model.is_chart:
+            reads.append(lambda block: block.det)
+        c, gamma, div, *det = sweep(model, grid.points, *reads, field_spec=field)
         # one build per block of at most BLOCK_POINTS, none for a bisection
         total = len(grid.points)
         starts = range(0, total, BLOCK_POINTS)
@@ -185,6 +211,8 @@ def test_block_path_matches_scalar_reference(case, monkeypatch):
         assert_close(c, reference["c"], "C")
         assert_close(gamma, reference["gamma"], "Gamma")
         assert_close(div, reference["div"], "div^Q")
+        if model.is_chart:
+            assert_close(det[0], reference["det"], "det")
 
         check = td.check_basic(model, split, field, grid)
         assert check.passed == (float(np.max(reference["residual"])) <= 1e-9)
@@ -213,7 +241,7 @@ def test_block_path_matches_scalar_reference(case, monkeypatch):
 def test_one_point_functions_match_the_reference():
     for _, model, split, field in CASES:
         point = td.sample_grid(model, 3).points[-1]
-        c, gamma, _, rows, _ = ref_point(model, field, point)
+        c, gamma, _, rows, _, _ = ref_point(model, field, point)
         assert_close(td.structure_functions(model, point), c, "C")
         assert_close(td.christoffel(model, point).values, gamma, "Gamma")
         (swept,) = td.model.sweep(model, (point,), lambda block: block.rows, field_spec=field)

@@ -433,6 +433,33 @@ def test_singular_model_exit_3(capsys, tmp_path):
     assert "singular" in err
 
 
+@pytest.mark.parametrize(
+    "frame, code, message",
+    [
+        (  # det A overflows at every probe point; the first is reported
+            ["1e200*(2+sin(2*pi*x2))", "0", "0", "1e200"],
+            1,
+            "model document for 'refused' is invalid: "
+            "non-finite frame determinant at (0.0625, 0.0625)",
+        ),
+        (  # a frame partial, not an entry, divides by zero at the report point
+            ["1", "0", "0", "sqrt((x1-0.015625)*(x1-0.015625))+1"],
+            2,
+            "division by zero in "
+            "'(x1-0.015625+(x1-0.015625))/(2.0*sqrt((x1-0.015625)*(x1-0.015625)))'",
+        ),
+    ],
+    ids=["determinant-overflow", "failing-frame-partial"],
+)
+@pytest.mark.parametrize("argv", [["analyze"], ["taut-check", "--field", "alvarez"]])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_frame_refusals_name_the_failure(capsys, tmp_path, frame, code, message, argv, fmt):
+    model = tmp_path / "refused.json"
+    model.write_text(json.dumps({**CHART_2D, "name": "refused", "frame": frame}))
+    result = run(capsys, argv[0], str(model), *argv[1:], "--format", fmt)
+    assert result == (code, "", f"error: {message}\n")
+
+
 def test_non_basic_field_exit_3(capsys, tmp_path):
     field = write_field(tmp_path, "bad.json", ["0", "cos(2*pi*x1)"])
     code, _, err = run(capsys, "taut-check", "torus-warped", "--field", field)

@@ -202,6 +202,48 @@ def test_refinement_hit_on_an_integer_root_is_exact(monkeypatch):
     assert root == td.IsolatedRoot(value=3.0, enclosure=(3, 3))
 
 
+def _contains_one_root(coefficients, enclosure):
+    """Whether the open interval of ``enclosure`` (low < high) holds an odd
+    number of roots of the polynomial, by the signs at its ends."""
+    def value(x):
+        total = 0
+        for coeff in coefficients:
+            total = total * x + coeff
+        return total
+
+    low, high = enclosure
+    return value(low) * value(high) < 0
+
+
+def test_enclosure_of_a_root_just_below_an_integer():
+    # x^2 - (10^16 + 1) x + 1: the large root is 10^16 + 1 - 1e-16, and
+    # its interval at 1e-16 relative width (about 1) straddles 10^16 + 1
+    matrix = ((10**16, 1), (10**16 - 1, 1))
+    roots = td.real_eigenvalues(td.char_poly(matrix))
+    assert [root.enclosure for root in roots] == [(0, 1), (10**16, 10**16 + 1)]
+    assert roots[1].value == 1e16
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.integers(3, 10**40),
+        st.builds(lambda e, d: 10**e + d, st.integers(1, 40), st.integers(0, 3)),
+    )
+)
+def test_enclosures_contain_the_roots_of_large_trace_quadratics(t):
+    # the roots of x^2 - t x + 1 lie in (0, 1) and just below t, more
+    # than 1 apart, so a sign change across a unit enclosure means the root
+    coefficients = (1, -t, 1)
+    roots = td.real_eigenvalues(coefficients)
+    assert len(roots) == 2
+    for root in roots:
+        low, high = root.enclosure
+        assert high == low + 1
+        assert _contains_one_root(coefficients, root.enclosure)
+    assert [root.enclosure[0] for root in roots] == [0, t - 1]
+
+
 def test_root_beyond_float_range():
     # the correctly rounded float of 10^309 is inf: real_eigenvalues
     # returns it, and validate_suspension_matrix refuses it
@@ -291,7 +333,10 @@ def _oracle_refine(poly, low, high):
     while True:
         width = high - low
         scale = max(Fraction(1), abs(low), abs(high))
-        if width <= scale * Fraction(1, 10**16):
+        inside = range(math.floor(low) + 1, math.ceil(high))
+        if width <= scale * Fraction(1, 10**16) and not any(
+            _frac_eval(poly, Fraction(m)) != 0 for m in inside
+        ):
             return low, high
         mid = (low + high) / 2
         value = _frac_eval(poly, mid)
