@@ -16,6 +16,7 @@ API; the file formats and CLI reports use 1-based indices.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -371,14 +372,15 @@ def _constant_table(model: FrameModel) -> np.ndarray:
 
 
 def require_finite(values: np.ndarray, points: Sequence, what: str) -> None:
-    """Raise DomainError at the first point where ``values`` (leading axis
-    over ``points``) holds a NaN or an infinity."""
-    if not len(points):
+    """Raise DomainError at the first point where ``values`` (last axis
+    over ``points``) holds a NaN or an infinity.  The whole array is
+    checked as it is stored; the failing point is looked for only when
+    that check fails."""
+    if not len(points) or np.isfinite(values).all():
         return
-    finite = np.isfinite(values).reshape(len(points), -1).all(axis=1)
-    if not finite.all():
-        index = int(np.argmin(finite))
-        raise expr.DomainError(f"non-finite {what} at {_as_point(points[index])}")
+    finite = np.isfinite(values).reshape(-1, len(points)).all(axis=0)
+    index = int(np.argmin(finite))
+    raise expr.DomainError(f"non-finite {what} at {_as_point(points[index])}")
 
 
 def _require_invertible(dets: np.ndarray, points: Sequence) -> None:
@@ -392,11 +394,18 @@ def _require_invertible(dets: np.ndarray, points: Sequence) -> None:
 
 def _stacked(values: Sequence, shape: tuple[int, ...], count: int) -> np.ndarray:
     """``values`` (floats or arrays over ``count`` points, a row-major
-    flattening of ``shape``) as an array of shape (count, *shape)."""
-    out = np.empty((count, len(values)))
+    flattening of ``shape``) as an array of shape (*shape, count), each
+    value one contiguous row."""
+    out = np.empty((len(values), count))
     for index, value in enumerate(values):
-        out[:, index] = value
-    return out.reshape((count,) + shape)
+        out[index] = value
+    return out.reshape(shape + (count,))
+
+
+def _point_first(values: np.ndarray) -> np.ndarray:
+    """A view of ``values``, whose last axis runs over points, with that
+    axis turned to the front."""
+    return values.transpose((-1, *range(values.ndim - 1)))
 
 
 def _block_plan(
@@ -416,8 +425,8 @@ def _block_plan(
         if structure:
             groups.append([d for row in _frame_partials(model) for entry in row for d in entry])
             table = structure_functions_symbolic(model)
-            upper = zip(*np.triu_indices(model.dim, 1))
-            groups.append([table[i][j][k] for i, j in upper for k in every])
+            pairs = itertools.combinations(every, 2)
+            groups.append([table[i][j][k] for i, j in pairs for k in every])
     if structure and field_spec is not None:
         groups.append(field_spec.components)
         if model.is_chart:
@@ -439,15 +448,24 @@ def _next_finite(values: Iterator[list], points: Sequence, what: str) -> list:
 
 class FrameData:
     """Frame quantities at a block of coordinate rows ``points``, each an
-    array whose leading axis runs over the points (P of them):
+    array whose last axis runs over the points (P of them), so every
+    operation runs over contiguous rows of P values:
 
-    - chart models: ``a[p, i, m]`` = a_i^m and ``det[p]`` = det A;
-    - with ``structure``: ``c[p, i, j, k]`` = C_ij^k and
-      ``gamma[p, i, j, k]`` = Gamma_ij^k, with
+    - chart models: ``a[i, m, p]`` = a_i^m and ``det[p]`` = det A;
+    - with ``structure``: ``c[i, j, k, p]`` = C_ij^k and
+      ``gamma[i, j, k, p]`` = Gamma_ij^k, with
       Gamma_ij^k = (C_ij^k + C_ki^j + C_kj^i) / 2;
-    - for a field v: ``v[p, k]`` = v^k, ``dv[p, k, c]`` = d v^k / d x_c,
-      ``ev[p, i, k]`` = E_i(v^k) and ``rows[p, i, k]`` =
+    - for a field v: ``v[k, p]`` = v^k, ``dv[k, c, p]`` = d v^k / d x_c,
+      ``ev[i, k, p]`` = E_i(v^k) and ``rows[i, k, p]`` =
       (nabla_{E_i} v)^k = E_i(v^k) + sum_j v^j Gamma_ij^k.
+
+    Each sum runs over its leading index in ascending order, as the
+    point-first einsums did, so the values are those of a point-first
+    layout bit for bit.  E_i(v^k) is the batched matrix product that
+    layout computed, on point-first copies of ``a`` and ``dv``: its
+    kernel may fuse multiply-adds, and which kernel runs depends on the
+    operands' strides.  ``sweep`` turns the point axis of what its reads
+    return to the front.
 
     Built only by ``sweep``, block by block, from the groups of ``plan``
     (``_block_plan`` of the same model, field and ``structure``), each
@@ -457,7 +475,8 @@ class FrameData:
     rule, C_ij^k for i < j, with C_ji^k = -C_ij^k filled in.  Every
     value is finite: a NaN or infinity raises DomainError, and |det A| <
     DET_TOLERANCE raises SingularFrameError, before C is evaluated, when
-    the structure is asked for.
+    the structure is asked for.  Each check tests a whole array and
+    looks for the first failing point only when that test fails.
     """
 
     def __init__(
@@ -482,15 +501,15 @@ class FrameData:
             _require_invertible(self.det, points)
             next(values)  # the frame partials, checked before C reads them
             upper = _stacked(_next_finite(values, points, "structure functions"), (-1, n), count)
-            i, j = np.triu_indices(n, 1)
-            self.c = np.zeros((count, n, n, n))
-            self.c[:, i, j] = upper
-            self.c[:, j, i] = -upper
+            self.c = np.zeros((n, n, n, count))
+            for row, (i, j) in zip(upper, itertools.combinations(range(n), 2)):
+                self.c[i, j] = row
+                np.negative(row, out=self.c[j, i])
         else:
-            self.c = np.broadcast_to(_constant_table(model), (count, n, n, n))
+            self.c = np.broadcast_to(_constant_table(model)[..., None], (n, n, n, count))
         require_finite(self.c, points, "structure functions")
         self.gamma = 0.5 * (
-            self.c + self.c.transpose((0, 2, 3, 1)) + self.c.transpose((0, 3, 2, 1))
+            self.c + self.c.transpose((1, 2, 0, 3)) + self.c.transpose((2, 1, 0, 3))
         )
         require_finite(self.gamma, points, "connection coefficients")
         if field_spec is None:
@@ -498,30 +517,40 @@ class FrameData:
         self.v = _stacked(next(values), (n,), count)
         if model.is_chart:
             self.dv = _stacked(next(values), (n, n), count)
-            self.ev = self.a @ self.dv.transpose((0, 2, 1))
+            a, dv = (np.ascontiguousarray(_point_first(x)) for x in (self.a, self.dv))
+            self.ev = np.ascontiguousarray((a @ dv.transpose((0, 2, 1))).transpose((1, 2, 0)))
         else:
-            self.dv = self.ev = np.zeros((count, n, n))
-        self.rows = np.einsum("pj,pijk->pik", self.v, self.gamma) + self.ev
+            self.dv = self.ev = np.zeros((n, n, count))
+        self.rows = np.einsum("jp,ijkp->ikp", self.v, self.gamma) + self.ev
         require_finite(self.rows, points, "covariant derivative")
 
     def divergence(self, indices: Sequence[int]) -> np.ndarray:
         """div^D v = sum_{i in D} (nabla_{E_i} v)^i at each point."""
-        return sum(self.rows[:, i, i] for i in indices)
+        return sum(self.rows[i, i] for i in indices)
 
     def mean_curvature(self, indices: Sequence[int]) -> np.ndarray:
         """Frame components of the mean curvature of the span of
         ``indices``: sum_{a in D} Gamma_aa^k for k outside D, else 0."""
-        components = sum(self.gamma[:, a, a, :] for a in indices)
-        components[:, list(indices)] = 0.0
+        components = sum(self.gamma[a, a] for a in indices)
+        components[list(indices)] = 0.0
         return components
+
+    def inner(self, components: np.ndarray) -> np.ndarray:
+        """g(v, X) = sum_k v^k X^k at each point, for X given by its frame
+        ``components`` (an array like ``v``).  By the point-first einsum,
+        on point-first copies: NumPy sums a contiguous inner axis in SIMD
+        partial sums, and the terms keep that association."""
+        v, x = (np.ascontiguousarray(_point_first(values)) for values in (self.v, components))
+        return np.einsum("pk,pk->p", v, x)
 
     def basic_residuals(self, split: FoliationSplit) -> np.ndarray:
         """max over leafwise a and transverse t of |pi_t [E_a, v]| =
         |E_a(v^t) + sum_j v^j C_aj^t| at each point."""
-        leaf, transverse = list(split.leaf_ordered), list(split.transverse_ordered)
-        bracket = self.ev + np.einsum("pj,pijk->pik", self.v, self.c)
-        residuals = np.abs(bracket[:, leaf][:, :, transverse])
-        return residuals.reshape(len(self.points), -1).max(axis=1)
+        return functools.reduce(np.maximum, (
+            np.abs(self.ev[a, t] + np.einsum("jp,jp->p", self.v, self.c[a, :, t]))
+            for a in split.leaf_ordered
+            for t in split.transverse_ordered
+        ))
 
 
 def _wrapped_columns(model: FrameModel, points: np.ndarray) -> list[np.ndarray]:
@@ -587,9 +616,12 @@ def sweep(
     field_spec: VectorFieldSpec | None = None,
     structure: bool = True,
 ) -> list[np.ndarray]:
-    """For each of ``reads`` (a function of one FrameData block), its
-    arrays over ``points`` (``Grid.coordinates``, or tuples converted
-    once) joined along the point axis.  The only builder of FrameData: a
+    """For each of ``reads`` (a function of one FrameData block returning
+    an array whose last axis runs over the block's points, as the
+    block's own arrays do), its arrays over ``points``
+    (``Grid.coordinates``, or tuples converted once) with the point axis
+    turned to the front and joined along it, C-contiguous: row p of a
+    result belongs to point p.  The only builder of FrameData: a
     one-point caller sweeps ``(point,)`` and reads row 0.  The blocks,
     slices of at most BLOCK_POINTS rows, are built in point order by
     ``_located`` from one ``_block_plan``, built once for the sweep, and
@@ -605,8 +637,11 @@ def sweep(
     for start in range(0, len(points), BLOCK_POINTS):
         block = _located(model, points[start:start + BLOCK_POINTS], field_spec, structure, plan)
         for column, read in zip(columns, reads):
-            column.append(read(block))
-    return [np.concatenate(column) if column else np.empty(0) for column in columns]
+            column.append(_point_first(read(block)))
+    return [
+        np.ascontiguousarray(np.concatenate(column)) if column else np.empty(0)
+        for column in columns
+    ]
 
 
 def frame_matrix(model: FrameModel, point: tuple[float, ...]) -> np.ndarray:

@@ -224,14 +224,15 @@ def real_eigenvalues(coefficients: Sequence[int]) -> tuple[IsolatedRoot, ...]:
     Roots are isolated by integer Sturm counts, splitting at integers
     while an interval is wider than one and at dyadic half-way points
     after that; each isolated root is then bisected to a width of at
-    most 1e-16 * max(1, |root|), the float resolution limit, and on
-    while an integer other than the root lies strictly inside.  A value is
-    the correctly rounded float of the final midpoint, or of the root
-    itself when a split point hits it (an infinity beyond the float
-    range).  The enclosure of an integer root r is (r, r); any other
-    root gets (m, m + 1), m the floor of its final midpoint.  Raises
-    SpectralError ("complex or repeated roots") when the real-root count
-    falls short of the degree or the polynomial is not square-free.
+    most 1e-16 times its larger end (about 1e-16 * |root|), the float
+    resolution limit, and on while an integer other than the root lies
+    strictly inside.  A value is the correctly rounded float of the
+    final midpoint, or of the root itself when a split point hits it (an
+    infinity beyond the float range).  The enclosure of an integer root
+    r is (r, r); any other root gets (m, m + 1), m the floor of its final
+    midpoint.  Raises SpectralError ("complex or repeated roots") when
+    the real-root count falls short of the degree or the polynomial is
+    not square-free.
     """
     poly = _int_poly(coefficients)
     degree = len(poly) - 1
@@ -304,13 +305,18 @@ def _refine(poly: list[int], low: int, high: int, k: int) -> tuple[int, int, int
     simple one, and has p(high) != 0, to at most 1e-16 relative width,
     and further while an integer that is not the root lies strictly
     inside (so the floor of any point of the interval is the root's
-    floor, or the root is that integer).  p changes sign only at the
-    root, so the sign of p(mid) says which half holds it.  Returns (low,
-    high, k), with low == high when a midpoint is the root."""
+    floor, or the root is that integer).  The width is relative to the
+    larger end, so an interval that reaches 0 is halved until it
+    excludes 0, and a root near 0 gets the relative precision of any
+    other.  p changes sign only at the root, so the sign of p(mid) says
+    which half holds it.  Returns (low, high, k), with low == high when
+    a midpoint is the root."""
+    if low < 0 < high and poly[0] == 0:
+        return 0, 0, k  # the root is 0, which no halving need reach
     high_sign = _sign_at(poly, high, k)
-    # width <= 1e-16 * max(1, |low|, |high|), times 2^k * 10^16
+    # width <= 1e-16 * max(|low|, |high|), times 2^k * 10^16
     while (
-        (high - low) * 10**16 > max(1 << k, abs(low), abs(high))
+        (high - low) * 10**16 > max(abs(low), abs(high))
         or _holds_non_root(poly, low, high, k)
     ):
         low, mid, high, k = 2 * low, low + high, 2 * high, k + 1

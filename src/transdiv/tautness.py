@@ -264,15 +264,8 @@ def green_check(
     for length, n in zip(model.periods, grid.resolution):
         cell *= length / n
 
-    def lhs_term(block):
-        return block.divergence(split.transverse_ordered) * (cell / np.abs(block.det))
-
-    def rhs_term(block):
-        kappa = block.mean_curvature(split.leaf_ordered)
-        return np.einsum("pk,pk->p", block.v, kappa) * (cell / np.abs(block.det))
-
     lhs_terms, rhs_terms = _basic_reads(
-        model, split, field_spec, grid.coordinates, lhs_term, rhs_term
+        model, split, field_spec, grid.coordinates, *_green_terms(split, cell)
     )
     lhs = _integral(lhs_terms, grid.coordinates, "div^Q v dmu")
     rhs = _integral(rhs_terms, grid.coordinates, "g(v, kappa#) dmu")
@@ -286,6 +279,19 @@ def green_check(
         resolution=grid.resolution,
         density="1/|det(frame)| (Riemannian density of the orthonormal frame)",
     )
+
+
+def _green_terms(split: FoliationSplit, cell: float):
+    """The reads of the per-point terms of the Green formula's two sides,
+    div^Q v dmu and g(v, kappa#) dmu, for cells of volume ``cell``."""
+
+    def lhs_term(block):
+        return block.divergence(split.transverse_ordered) * (cell / np.abs(block.det))
+
+    def rhs_term(block):
+        return block.inner(block.mean_curvature(split.leaf_ordered)) * (cell / np.abs(block.det))
+
+    return lhs_term, rhs_term
 
 
 def _integral(terms: np.ndarray, points: np.ndarray, what: str) -> float:

@@ -288,6 +288,83 @@ def test_each_block_reads_each_variable_once(name, monkeypatch):
         assert read <= set(env.reads)
 
 
+# --- the points-last layout against the point-first formulas ------------------
+
+def point_first_formulas(a, c, v, dv, det, split, cell):
+    """Gamma, the covariant rows, div^Q, kappa, the basic residuals and the
+    Green terms by the point-first formulas (a leading point axis, einsums
+    over (P, n, n, n) arrays) that the points-last blocks replaced; ``a``,
+    ``dv`` and ``det`` are None for a constant-structure model."""
+    leaf, transverse = list(split.leaf_ordered), list(split.transverse_ordered)
+    gamma = 0.5 * (c + c.transpose((0, 2, 3, 1)) + c.transpose((0, 3, 2, 1)))
+    ev = np.zeros(c.shape[:3]) if a is None else a @ dv.transpose((0, 2, 1))
+    rows = np.einsum("pj,pijk->pik", v, gamma) + ev
+    div = sum(rows[:, i, i] for i in transverse)
+    kappa = sum(gamma[:, i, i, :] for i in leaf)
+    kappa[:, leaf] = 0.0
+    bracket = ev + np.einsum("pj,pijk->pik", v, c)
+    residuals = np.abs(bracket[:, leaf][:, :, transverse]).reshape(len(c), -1).max(axis=1)
+    quantities = {
+        "gamma": gamma, "rows": rows, "divergence": div, "mean_curvature": kappa,
+        "basic_residuals": residuals,
+    }
+    if det is not None:
+        quantities["green_lhs"] = div * (cell / np.abs(det))
+        quantities["green_rhs"] = np.einsum("pk,pk->p", v, kappa) * (cell / np.abs(det))
+    return quantities
+
+
+def layout_cases():
+    """Three cases from each generator; the dense 4-D charts with 1, 2 and
+    3 leaf directions, so that g(v, kappa#) sums up to three nonzero
+    terms."""
+    rng = random.Random(20261018)
+    cases = []
+    for draw in (random_chart_case, random_constant_case):
+        for _ in range(3):
+            cases.append(draw(rng))
+    for size in (1, 2, 3):
+        model, _ = dense_chart_case(rng, 4)
+        cases.append((model, td.foliation_split(4, range(size))))
+    return [
+        (model, split, random_field(rng, model, split, transverse_only=True))
+        for model, split in cases
+    ]
+
+
+@pytest.mark.parametrize("size", [1, 511, 512, 513])
+def test_points_last_blocks_match_the_point_first_formulas_bit_for_bit(size):
+    cell = 0.37
+    for model, split, field in layout_cases():
+        if model.is_chart:
+            points = td.sample_grid(model, {2: 23, 3: 9, 4: 5}[model.dim]).coordinates[:size]
+        else:
+            points = np.empty((size, 0))
+        reads = {
+            "c": lambda block: block.c,
+            "v": lambda block: block.v,
+            "gamma": lambda block: block.gamma,
+            "rows": lambda block: block.rows,
+            "divergence": lambda block: block.divergence(split.transverse_ordered),
+            "mean_curvature": lambda block: block.mean_curvature(split.leaf_ordered),
+            "basic_residuals": lambda block: block.basic_residuals(split),
+        }
+        if model.is_chart:
+            reads.update(a=lambda block: block.a, dv=lambda block: block.dv,
+                         det=lambda block: block.det)
+            reads["green_lhs"], reads["green_rhs"] = td.tautness._green_terms(split, cell)
+        swept = dict(zip(reads, sweep(model, points, *reads.values(), field_spec=field)))
+        assert all(len(values) == size for values in swept.values())
+        expected = point_first_formulas(
+            swept.get("a"), swept["c"], swept["v"], swept.get("dv"), swept.get("det"), split, cell
+        )
+        for name, reference in expected.items():
+            got = swept[name]
+            assert got.shape == reference.shape, name
+            # bit for bit, the sign of zero included
+            assert np.array_equal(got.view(np.int64), reference.view(np.int64)), (model.name, name)
+
+
 # --- errors are reported at the scalar reference's point -----------------------
 
 def pinched_model(x1_zero):
@@ -341,6 +418,56 @@ def test_domain_error_reported_at_first_failing_point():
     with pytest.raises(td.DomainError) as info:
         td.check_basic(model, split, field, grid)
     assert info.value.point == point
+
+
+def test_require_finite_locates_the_first_point_on_points_last_arrays():
+    # point 3 fails at an earlier tensor entry than point 2
+    values = np.zeros((2, 2, 5))
+    values[1, 1, 2] = math.nan
+    values[0, 0, 3] = math.inf
+    points = np.arange(10.0).reshape(5, 2)
+    with pytest.raises(td.DomainError, match=r"^non-finite Gamma at \(4\.0, 5\.0\)$"):
+        td.model.require_finite(values, points, "Gamma")
+    td.model.require_finite(values[..., :2], points[:2], "Gamma")
+
+
+# 40 x 32 lattice: x1 > 0.5992 first at point 24 * 32 = 768, the middle
+# of the second block, where 1.5e308 * x1 > 8.99e307 and so twice it
+# overflows; every value of the plan (A, det A, C, v, dv) stays finite
+OVERFLOW_SHAPE = (40, 32)
+OVERFLOW_POINT = (0.6125, 0.015625)
+
+
+def test_non_finite_gamma_reported_at_its_first_point():
+    # E1 = d1, E2 = 7.5e307 x1^2 d1 + d2: C_12^1 = 1.5e308 x1, finite,
+    # and Gamma_11^2 = (0 + C_21^1 + C_21^1) / 2 overflows
+    model = td.chart_model("steep-shear", (1.0, 1.0), [["1", "0"], ["7.5e307*x1*x1", "1"]])
+    split = td.foliation_split(2, {0})
+    field = td.vector_field(["0", "1"], model)
+    grid = td.sample_grid(model, OVERFLOW_SHAPE)
+    assert grid.points[768] == OVERFLOW_POINT
+    c21 = td.model.structure_functions_symbolic(model)[1][0][0]
+    value = expr.evaluate(c21, point_env(model, OVERFLOW_POINT))
+    assert math.isfinite(value) and abs(value) > np.finfo(float).max / 2
+    for call in (td.check_basic, td.classify_divergence):
+        with pytest.raises(td.DomainError) as info:
+            call(model, split, field, grid)
+        assert str(info.value) == f"non-finite connection coefficients at {OVERFLOW_POINT}"
+        assert info.value.point == OVERFLOW_POINT
+
+
+def test_non_finite_covariant_derivative_reported_at_its_first_point():
+    # frame 2 I, so Gamma = 0; v = (0, 7.5e307 x1^2) and its x1-partial
+    # 1.5e308 x1 are finite, E_1(v^2) = 2 * 1.5e308 x1 overflows
+    model = td.chart_model("doubled", (1.0, 1.0), [["2", "0"], ["0", "2"]])
+    split = td.foliation_split(2, {0})
+    field = td.vector_field(["0", "7.5e307*x1*x1"], model)
+    grid = td.sample_grid(model, OVERFLOW_SHAPE)
+    for call in (td.check_basic, td.classify_divergence):
+        with pytest.raises(td.DomainError) as info:
+            call(model, split, field, grid)
+        assert str(info.value) == f"non-finite covariant derivative at {OVERFLOW_POINT}"
+        assert info.value.point == OVERFLOW_POINT
 
 
 def test_not_basic_reported_at_the_reference_worst_point():

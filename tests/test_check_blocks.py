@@ -120,7 +120,7 @@ GOLDEN = [
         '  square_integer: pass (2x2 integer matrix)\n'
         '  determinant_one: pass (det = 1 (exact))\n'
         '  eigenvalues_real_simple: pass (all eigenvalues real and simple (Sturm count equals degree))\n'
-        '  eigenvalues_positive: pass (eigenvalues [0.3819660112501051, 2.618033988749895])\n'
+        '  eigenvalues_positive: pass (eigenvalues [0.38196601125010515, 2.618033988749895])\n'
         '  eigenvalues_not_one: pass (p(1) = -1 (exact))\n'
         '  trace_condition: pass (trace = 3 (admissible 2x2 matrices have trace > 2))\n'
     )),
@@ -144,7 +144,7 @@ GOLDEN = [
         '    {\n'
         '      "name": "eigenvalues_positive",\n'
         '      "passed": true,\n'
-        '      "detail": "eigenvalues [0.3819660112501051, 2.618033988749895]"\n'
+        '      "detail": "eigenvalues [0.38196601125010515, 2.618033988749895]"\n'
         '    },\n'
         '    {\n'
         '      "name": "eigenvalues_not_one",\n'

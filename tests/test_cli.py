@@ -90,6 +90,20 @@ def test_spectral_and_suspend_report_equal_logs(capsys, tmp_path):
     assert spectral_logs[2].hex() == "0x1.309dfb46a95ddp+0"
 
 
+def test_small_eigenvalue_keeps_the_product_and_the_log_sum(capsys, tmp_path):
+    # eigenvalues near 1e-20 and 1e20, det 1
+    matrix = f"{10**20},1;{10**20 - 1},1"
+    code, out, _ = run(capsys, "spectral", "--matrix", matrix, "--format", "json")
+    assert code == 0
+    assert abs(json.loads(out)["eigenvalue_product"] - 1.0) <= 1e-12
+    code, out, _ = run(
+        capsys, "suspend", "--matrix", matrix, "--leaf", "1",
+        "-o", str(tmp_path / "model.json"), "--format", "json",
+    )
+    assert code == 0
+    assert abs(sum(json.loads(out)["log_eigenvalues"].values())) <= 1e-12
+
+
 def test_taut_check_constant_field_file(capsys, tmp_path):
     field = write_field(tmp_path, "const.json", ["0", "0.4"])
     code, out, _ = run(capsys, "taut-check", "torus-warped", "--field", field)

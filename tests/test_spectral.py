@@ -224,6 +224,43 @@ def test_enclosure_of_a_root_just_below_an_integer():
     assert roots[1].value == 1e16
 
 
+def _small_root(t):
+    """The root of x^2 - t x + 1 in (0, 1), 2 / (t + sqrt(t^2 - 4)), as a
+    Fraction good to about 60 digits."""
+    return 2 / (t + Fraction(math.isqrt((t * t - 4) * 10**120), 10**60))
+
+
+def test_small_root_gets_relative_precision():
+    # x^2 - (10^20 + 1) x + 1: a width of 1e-16 absolute would leave the
+    # root near 1e-20 no correct digit (it read 3.76e-17, and the
+    # product of the eigenvalues 3761.6)
+    matrix = ((10**20, 1), (10**20 - 1, 1))
+    data = td.spectral_data(matrix)
+    small, large = data.eigenvalues
+    exact = _small_root(10**20 + 1)
+    assert abs(Fraction(small) - exact) <= exact / 10**15
+    assert abs(small * large - 1.0) <= 1e-12
+    assert abs(sum(data.log_eigenvalues)) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 10**40))
+def test_small_roots_of_large_trace_quadratics_are_relatively_precise(t):
+    small, large = (root.value for root in td.real_eigenvalues((1, -t, 1)))
+    exact = _small_root(t)
+    assert abs(Fraction(small) - exact) <= exact / 10**15
+    assert abs(small * large - 1.0) <= 1e-12
+
+
+def test_refinement_of_an_interval_around_a_root_at_zero():
+    # the halving points of (-1, 2] never reach 0, and no width relative
+    # to the interval's ends is small enough while it holds 0
+    assert td.spectral._refine([0, 1], -1, 2, 0) == (0, 0, 0)
+    assert [(root.value, root.enclosure) for root in td.real_eigenvalues((1, -1, 0))] == [
+        (0.0, (0, 0)), (1.0, (1, 1)),
+    ]
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.one_of(
@@ -329,10 +366,12 @@ def _oracle_midpoint(low, high):
 
 
 def _oracle_refine(poly, low, high):
+    if low < 0 < high and poly[0] == 0:
+        return Fraction(0)
     positive_high = _frac_eval(poly, high) > 0
     while True:
         width = high - low
-        scale = max(Fraction(1), abs(low), abs(high))
+        scale = max(abs(low), abs(high))
         inside = range(math.floor(low) + 1, math.ceil(high))
         if width <= scale * Fraction(1, 10**16) and not any(
             _frac_eval(poly, Fraction(m)) != 0 for m in inside
