@@ -457,22 +457,6 @@ def _array_call(name: str, arg, node: Expr):
     raise AssertionError(f"unreachable function {name!r}")
 
 
-def _fold(node: Expr, args: list[float]) -> float:
-    """``node`` without variables, its children valued ``args``, by the
-    scalar rules of ``evaluate``."""
-    if isinstance(node, Literal):
-        return _checked(node.value, node)
-    if isinstance(node, Constant):
-        return CONSTANTS[node.name]
-    if isinstance(node, Negate):
-        return -args[0]
-    if isinstance(node, BinaryOp):
-        return _binary(node.op, args[0], args[1], node)
-    if isinstance(node, FunctionCall):
-        return _call(node.name, args[0], node)
-    raise TypeError(f"not an expression node: {node!r}")
-
-
 def _key(node: Expr, children: tuple[int, ...]) -> tuple:
     """What makes ``node`` distinct, given its children's slots.  A
     literal counts by its type and bit pattern, not by ``==``, which
@@ -490,6 +474,30 @@ def _key(node: Expr, children: tuple[int, ...]) -> tuple:
     raise TypeError(f"not an expression node: {node!r}")
 
 
+def _operation(node: Expr, children: tuple[int, ...]) -> Callable:
+    """The function of (value table, env) that applies ``node``'s own
+    operation to its children's values (the table entries at the slots
+    ``children``), with the domain checks of ``_array_binary``,
+    ``_array_call`` and ``_variable``."""
+    if isinstance(node, Literal):
+        return lambda table, env: _finite(node.value, node)
+    if isinstance(node, Constant):
+        value = CONSTANTS[node.name]
+        return lambda table, env: value
+    if isinstance(node, Variable):
+        return lambda table, env: _variable(env, node)
+    if isinstance(node, Negate):
+        (operand,) = children
+        return lambda table, env: -table[operand]
+    if isinstance(node, BinaryOp):
+        op, (left, right) = node.op, children
+        return lambda table, env: _array_binary(op, table[left], table[right], node)
+    if isinstance(node, FunctionCall):
+        name, (argument,) = node.name, children
+        return lambda table, env: _array_call(name, table[argument], node)
+    raise TypeError(f"not an expression node: {node!r}")
+
+
 class Plan:
     """An evaluation plan for groups of expressions over NumPy arrays.
 
@@ -502,9 +510,10 @@ class Plan:
     already computed are not run again, so a group raises exactly what
     evaluating its roots one by one after the earlier groups would raise.
 
-    Subexpressions without variables are folded when the plan is built,
-    by the scalar rules of ``evaluate``; one that fails re-raises its
-    DomainError whenever it is reached, as ``evaluate`` would.
+    A subexpression without variables is folded when the plan is built:
+    its own step runs once on its children's folded values, so it has
+    the value a run would give it.  One whose step raises DomainError
+    keeps that step, and a run that reaches it raises the same error.
     """
 
     def __init__(self, groups: Sequence[Sequence[Expr]]):
@@ -513,10 +522,11 @@ class Plan:
         keys: dict[tuple, int] = {}
         seen: dict[int, int] = {}  # id(node) -> slot; the roots keep every node alive
         self._groups = []
-        for group in groups:
-            start = len(self._steps)
-            roots = tuple(self._slot(node, keys, seen) for node in group)
-            self._groups.append((start, len(self._steps), roots))
+        with np.errstate(all="ignore"):  # a fold that overflows raises DomainError
+            for group in groups:
+                start = len(self._steps)
+                roots = tuple(self._slot(node, keys, seen) for node in group)
+                self._groups.append((start, len(self._steps), roots))
 
     def __len__(self) -> int:
         return len(self._steps)
@@ -534,24 +544,16 @@ class Plan:
         return slot
 
     def _step(self, node: Expr, children: tuple[int, ...], slot: int) -> Callable:
-        """The function of (value table, env) that computes ``node``."""
-        if isinstance(node, Variable):
-            return lambda table, env: _variable(env, node)
-        if all(child in self._folded for child in children):
-            args = [self._folded[child] for child in children]
-            try:
-                value = self._folded[slot] = _fold(node, args)
-            except DomainError:
-                return lambda table, env: _fold(node, args)
-            return lambda table, env: value
-        if isinstance(node, Negate):
-            (operand,) = children
-            return lambda table, env: -table[operand]
-        if isinstance(node, BinaryOp):
-            op, (left, right) = node.op, children
-            return lambda table, env: _array_binary(op, table[left], table[right], node)
-        name, (argument,) = node.name, children
-        return lambda table, env: _array_call(name, table[argument], node)
+        """The function of (value table, env) that computes ``node``, or
+        returns its folded value."""
+        step = _operation(node, children)
+        if isinstance(node, Variable) or not all(child in self._folded for child in children):
+            return step
+        try:
+            value = self._folded[slot] = step(self._folded, None)
+        except DomainError:
+            return step
+        return lambda table, env: value
 
     def run(self, env: Mapping[str, Any]) -> Iterator[list]:
         """For each group in turn, the values of its roots at ``env``

@@ -119,18 +119,11 @@ class Grid:
     """Evaluation points: a cell-centered lattice, or the single abstract
     point () of a constant-structure model.  Sweeps slice ``coordinates``,
     a float64 array with one row per point; a point becomes a tuple of
-    Python floats only where it is reported, and ``points``, every point
-    as one, is built only when read."""
+    Python floats only where it is reported."""
 
-    def __init__(self, resolution: Sequence[int], points: Sequence = (), coordinates=None):
+    def __init__(self, resolution: Sequence[int], coordinates: np.ndarray):
         self.resolution = tuple(resolution)
-        if coordinates is None:
-            coordinates = _coordinates(points, len(self.resolution))
         self.coordinates = coordinates
-
-    @functools.cached_property
-    def points(self) -> tuple[tuple[float, ...], ...]:
-        return tuple(map(tuple, self.coordinates.tolist()))
 
 
 @dataclass(frozen=True)
@@ -317,7 +310,7 @@ def sample_grid(model: FrameModel, resolution: int | Sequence[int]) -> Grid:
     if any(n < 1 for n in res):
         raise ModelError(f"resolution entries must be >= 1, got {res}")
     coordinates = _lattice(model, res, 0.5)
-    coordinates.flags.writeable = False  # ``points`` is built from it
+    coordinates.flags.writeable = False
     return Grid(resolution=res, coordinates=coordinates)
 
 
@@ -427,7 +420,7 @@ def _block_plan(
             table = structure_functions_symbolic(model)
             pairs = itertools.combinations(every, 2)
             groups.append([table[i][j][k] for i, j in pairs for k in every])
-    if structure and field_spec is not None:
+    if field_spec is not None:
         groups.append(field_spec.components)
         if model.is_chart:
             groups.append([d for comp in field_spec.components for d in expr.gradient(comp, coords)])
@@ -446,6 +439,15 @@ def _next_finite(values: Iterator[list], points: Sequence, what: str) -> list:
         raise expr.DomainError(f"non-finite {what} at {_as_point(points[0])}") from None
 
 
+def _ascending_sum(terms: Iterable[np.ndarray]) -> np.ndarray:
+    """The sum of ``terms`` added one by one in the order given, starting
+    from +0.0: how a block sums over a frame or coordinate index.  Unlike
+    ``np.einsum`` or ``@``, whose kernels may pair terms differently or
+    fuse multiply-adds depending on the shapes, strides and NumPy build,
+    it gives every point the same bits at every block size."""
+    return functools.reduce(np.add, terms, 0.0)
+
+
 class FrameData:
     """Frame quantities at a block of coordinate rows ``points``, each an
     array whose last axis runs over the points (P of them), so every
@@ -455,17 +457,16 @@ class FrameData:
     - with ``structure``: ``c[i, j, k, p]`` = C_ij^k and
       ``gamma[i, j, k, p]`` = Gamma_ij^k, with
       Gamma_ij^k = (C_ij^k + C_ki^j + C_kj^i) / 2;
-    - for a field v: ``v[k, p]`` = v^k, ``dv[k, c, p]`` = d v^k / d x_c,
-      ``ev[i, k, p]`` = E_i(v^k) and ``rows[i, k, p]`` =
-      (nabla_{E_i} v)^k = E_i(v^k) + sum_j v^j Gamma_ij^k.
+    - for a field v, which needs ``structure``: ``v[k, p]`` = v^k,
+      ``dv[k, c, p]`` = d v^k / d x_c, ``ev[i, k, p]`` = E_i(v^k) and
+      ``rows[i, k, p]`` = (nabla_{E_i} v)^k = E_i(v^k) + sum_j v^j Gamma_ij^k.
 
-    Each sum runs over its leading index in ascending order, as the
-    point-first einsums did, so the values are those of a point-first
-    layout bit for bit.  E_i(v^k) is the batched matrix product that
-    layout computed, on point-first copies of ``a`` and ``dv``: its
-    kernel may fuse multiply-adds, and which kernel runs depends on the
-    operands' strides.  ``sweep`` turns the point axis of what its reads
-    return to the front.
+    Every sum over a frame or coordinate index (E_i(v^k) = sum_c a_i^c
+    d v^k / d x_c, the covariant rows, the basic residuals, ``divergence``,
+    ``mean_curvature`` and ``inner``) is ``_ascending_sum`` over a
+    leading index of stored arrays, with the point axis innermost.
+    ``sweep`` turns the point axis of what its reads return to the
+    front.
 
     Built only by ``sweep``, block by block, from the groups of ``plan``
     (``_block_plan`` of the same model, field and ``structure``), each
@@ -517,37 +518,33 @@ class FrameData:
         self.v = _stacked(next(values), (n,), count)
         if model.is_chart:
             self.dv = _stacked(next(values), (n, n), count)
-            a, dv = (np.ascontiguousarray(_point_first(x)) for x in (self.a, self.dv))
-            self.ev = np.ascontiguousarray((a @ dv.transpose((0, 2, 1))).transpose((1, 2, 0)))
+            self.ev = _ascending_sum(self.a[:, None, c] * self.dv[None, :, c] for c in range(n))
         else:
             self.dv = self.ev = np.zeros((n, n, count))
-        self.rows = np.einsum("jp,ijkp->ikp", self.v, self.gamma) + self.ev
+        self.rows = _ascending_sum(self.v[j] * self.gamma[:, j] for j in range(n)) + self.ev
         require_finite(self.rows, points, "covariant derivative")
 
     def divergence(self, indices: Sequence[int]) -> np.ndarray:
         """div^D v = sum_{i in D} (nabla_{E_i} v)^i at each point."""
-        return sum(self.rows[i, i] for i in indices)
+        return _ascending_sum(self.rows[i, i] for i in indices)
 
     def mean_curvature(self, indices: Sequence[int]) -> np.ndarray:
         """Frame components of the mean curvature of the span of
         ``indices``: sum_{a in D} Gamma_aa^k for k outside D, else 0."""
-        components = sum(self.gamma[a, a] for a in indices)
+        components = _ascending_sum(self.gamma[a, a] for a in indices)
         components[list(indices)] = 0.0
         return components
 
     def inner(self, components: np.ndarray) -> np.ndarray:
         """g(v, X) = sum_k v^k X^k at each point, for X given by its frame
-        ``components`` (an array like ``v``).  By the point-first einsum,
-        on point-first copies: NumPy sums a contiguous inner axis in SIMD
-        partial sums, and the terms keep that association."""
-        v, x = (np.ascontiguousarray(_point_first(values)) for values in (self.v, components))
-        return np.einsum("pk,pk->p", v, x)
+        ``components`` (an array like ``v``)."""
+        return _ascending_sum(v * x for v, x in zip(self.v, components))
 
     def basic_residuals(self, split: FoliationSplit) -> np.ndarray:
         """max over leafwise a and transverse t of |pi_t [E_a, v]| =
         |E_a(v^t) + sum_j v^j C_aj^t| at each point."""
         return functools.reduce(np.maximum, (
-            np.abs(self.ev[a, t] + np.einsum("jp,jp->p", self.v, self.c[a, :, t]))
+            np.abs(self.ev[a, t] + _ascending_sum(v * c for v, c in zip(self.v, self.c[a, :, t])))
             for a in split.leaf_ordered
             for t in split.transverse_ordered
         ))
@@ -631,6 +628,8 @@ def sweep(
         raise ModelError(
             f"field has {field_spec.dim} components, model has dim {model.dim}"
         )
+    if field_spec is not None and not structure:
+        raise ModelError("a field's covariant derivative needs the structure: pass structure=True")
     plan = _block_plan(model, field_spec, structure)
     points = _coordinates(points, model.dim)
     columns: list[list[np.ndarray]] = [[] for _ in reads]
@@ -920,7 +919,8 @@ def _load_constant_structure(document, name, dim, parameters, dense) -> FrameMod
                 raise SchemaError(
                     f"structure-constant value {value!r} references undeclared {sorted(free)}"
                 )
-            value = expr.evaluate(node, params)
+            with np.errstate(all="ignore"):
+                ((value,),) = expr.Plan([[node]]).run(params)
         elif not _is_number(value):
             raise SchemaError(
                 f"structure-constant value must be a finite number or string, got {value!r}"

@@ -225,10 +225,12 @@ def real_eigenvalues(coefficients: Sequence[int]) -> tuple[IsolatedRoot, ...]:
     while an interval is wider than one and at dyadic half-way points
     after that; each isolated root is then bisected to a width of at
     most 1e-16 times its larger end (about 1e-16 * |root|), the float
-    resolution limit, and on while an integer other than the root lies
-    strictly inside.  A value is the correctly rounded float of the
-    final midpoint, or of the root itself when a split point hits it (an
-    infinity beyond the float range).  The enclosure of an integer root
+    resolution limit, on while an integer other than the root lies
+    strictly inside, and once more at the point where rounding to float
+    changes, if that lies inside.  A value is the correctly rounded float
+    of the root (an infinity beyond the float range): that of the final
+    midpoint, or of the root itself when a split point hits it.  The
+    enclosure of an integer root
     r is (r, r); any other root gets (m, m + 1), m the floor of its final
     midpoint.  Raises SpectralError ("complex or repeated roots") when
     the real-root count falls short of the degree or the polynomial is
@@ -275,10 +277,7 @@ def real_eigenvalues(coefficients: Sequence[int]) -> tuple[IsolatedRoot, ...]:
     isolated = []
     for low, high, k in sorted(roots, key=lambda root: root[0] << (top - root[2])):
         center = low + high  # the midpoint (the root if low == high), over 2^(k+1)
-        try:
-            value = center / (1 << (k + 1))
-        except OverflowError:  # the correctly rounded float of a root beyond the float range
-            value = math.inf if center > 0 else -math.inf
+        value = _rounded(center, k + 1)  # the correctly rounded root
         floor = center >> (k + 1)
         r = high >> k  # the largest integer <= high / 2^k
         if low == high:
@@ -303,23 +302,31 @@ def _midpoint(low: int, high: int, k: int) -> tuple[int, int, int, int]:
 def _refine(poly: list[int], low: int, high: int, k: int) -> tuple[int, int, int]:
     """Shrink (low / 2^k, high / 2^k], which holds exactly one root, a
     simple one, and has p(high) != 0, to at most 1e-16 relative width,
-    and further while an integer that is not the root lies strictly
-    inside (so the floor of any point of the interval is the root's
-    floor, or the root is that integer).  The width is relative to the
-    larger end, so an interval that reaches 0 is halved until it
-    excludes 0, and a root near 0 gets the relative precision of any
-    other.  p changes sign only at the root, so the sign of p(mid) says
-    which half holds it.  Returns (low, high, k), with low == high when
-    a midpoint is the root."""
+    further while an integer that is not the root lies strictly inside
+    (so the floor of any point of the interval is the root's floor, or
+    the root is that integer), and then, if the point where rounding to
+    float changes lies strictly inside (``_tie``), split once more at
+    that point, so that every point strictly inside, the root among
+    them, rounds to one float.  The width is relative to the larger end,
+    so an interval that reaches 0 is halved until it excludes 0, and a
+    root near 0 gets the relative precision of any other.  p changes
+    sign only at the root, so the sign of p(mid) says which side holds
+    it.  Returns (low, high, k), with low == high when a split point is
+    the root."""
     if low < 0 < high and poly[0] == 0:
         return 0, 0, k  # the root is 0, which no halving need reach
     high_sign = _sign_at(poly, high, k)
-    # width <= 1e-16 * max(|low|, |high|), times 2^k * 10^16
-    while (
-        (high - low) * 10**16 > max(abs(low), abs(high))
-        or _holds_non_root(poly, low, high, k)
-    ):
-        low, mid, high, k = 2 * low, low + high, 2 * high, k + 1
+    while True:
+        # width <= 1e-16 * max(|low|, |high|), times 2^k * 10^16
+        if (high - low) * 10**16 > max(abs(low), abs(high)) or _holds_non_root(poly, low, high, k):
+            low, mid, high, k = 2 * low, low + high, 2 * high, k + 1
+        else:
+            tie = _tie(low, high, k)
+            if tie is None:
+                return low, high, k
+            m, j = tie
+            top = max(k, j)
+            low, mid, high, k = low << (top - k), m << (top - j), high << (top - k), top
         sign = _sign_at(poly, mid, k)
         if sign == 0:
             return mid, mid, k
@@ -327,7 +334,34 @@ def _refine(poly: list[int], low: int, high: int, k: int) -> tuple[int, int, int
             high = mid
         else:
             low = mid
-    return low, high, k
+
+
+def _rounded(m: int, k: int) -> float:
+    """The float nearest to m / 2^k, an infinity beyond the float range."""
+    try:
+        return m / (1 << k)
+    except OverflowError:
+        return math.inf if m > 0 else -math.inf
+
+
+def _tie(low: int, high: int, k: int) -> tuple[int, int] | None:
+    """(m, j) such that m / 2^j lies strictly inside (low / 2^k, high /
+    2^k) halfway between the floats nearest its two ends, or None when
+    the ends round to one float or that point is not strictly inside.
+    Called on an interval narrower than the float spacing, whose ends
+    round to one float or to two neighbours.  An infinity counts as
+    2^1024, the float after the largest if the exponents went on, so
+    halfway to it is where rounding overflows."""
+    ends = (_rounded(low, k), _rounded(high, k))
+    if ends[0] == ends[1]:
+        return None
+    (n1, d1), (n2, d2) = (
+        ((1 << 1024) * (1 if x > 0 else -1), 1) if math.isinf(x) else x.as_integer_ratio()
+        for x in ends
+    )
+    d = max(d1, d2)  # both powers of two
+    m, j = n1 * (d // d1) + n2 * (d // d2), d.bit_length()
+    return (m, j) if low << j < m << k < high << j else None
 
 
 def _holds_non_root(poly: list[int], low: int, high: int, k: int) -> bool:

@@ -163,6 +163,12 @@ def identity_cases(seed: int, count: int = 20):
     return cases
 
 
+def point_tuples(grid: td.Grid) -> tuple[tuple[float, ...], ...]:
+    """Every point of ``grid`` as a tuple of Python floats, as reports
+    give a point."""
+    return tuple(map(tuple, grid.coordinates.tolist()))
+
+
 def grid_points(model: td.FrameModel, count: int = 20) -> list[tuple[float, ...]]:
     if not model.is_chart:
         return [()]
@@ -170,7 +176,7 @@ def grid_points(model: td.FrameModel, count: int = 20) -> list[tuple[float, ...]
         grid = td.sample_grid(model, (5, 4))
     else:
         grid = td.sample_grid(model, (3, 3, 2))
-    return list(grid.points)[:count]
+    return list(point_tuples(grid)[:count])
 
 
 def random_expression(rng: random.Random, variables: tuple[str, ...], depth: int = 0) -> expr.Expr:

@@ -16,7 +16,7 @@ import transdiv as td
 from transdiv import expr
 from transdiv.tautness import TautnessClass
 
-from generators import grid_points, identity_cases, random_field
+from generators import grid_points, identity_cases, point_tuples, random_field
 from test_expr import central_difference
 from test_tautness import substitute
 
@@ -118,7 +118,7 @@ def test_criterion_4_warped_torus():
             td.transverse_divergence(model, split, cosine, point)
             - (-2 * math.pi * math.sin(2 * math.pi * point[1]))
         )
-        for point in grid.points
+        for point in point_tuples(grid)
     )
     checks.append(worst <= 1e-10)
 
@@ -190,7 +190,7 @@ def test_criterion_6_covering_suite():
             model, split, field, 1, fold
         )
         grid = td.sample_grid(lifted, (2, 16 * fold))
-        for point in grid.points:
+        for point in point_tuples(grid):
             down = td.covering_projection(lifted, point)
             worst = max(
                 worst,

@@ -13,6 +13,7 @@ of the compared quantity over the grid (``np.spacing`` of that scale).
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 
@@ -26,6 +27,7 @@ from transdiv.model import BLOCK_POINTS, point_env, sweep
 from generators import (
     CountingEnv,
     dense_chart_case,
+    point_tuples,
     random_chart_case,
     random_constant_case,
     random_field,
@@ -176,7 +178,7 @@ CASES = (
 
 
 def test_grid_sizes_straddle_the_block():
-    sizes = {len(grid.points) for _, model, _, _ in CASES for grid in grids(model)}
+    sizes = {len(grid.coordinates) for _, model, _, _ in CASES for grid in grids(model)}
     assert any(size > BLOCK_POINTS and size % BLOCK_POINTS for size in sizes)
     assert 1 in sizes
     assert any(1 < size < BLOCK_POINTS for size in sizes)
@@ -194,7 +196,7 @@ def test_block_path_matches_scalar_reference(case, monkeypatch):
 
     monkeypatch.setattr(td.model.FrameData, "__init__", counting)
     for grid in grids(model):
-        reference = ref_sweep(model, split, field, grid.points)
+        reference = ref_sweep(model, split, field, point_tuples(grid))
         built.clear()
         reads = [
             lambda block: block.c,
@@ -203,9 +205,9 @@ def test_block_path_matches_scalar_reference(case, monkeypatch):
         ]
         if model.is_chart:
             reads.append(lambda block: block.det)
-        c, gamma, div, *det = sweep(model, grid.points, *reads, field_spec=field)
+        c, gamma, div, *det = sweep(model, point_tuples(grid), *reads, field_spec=field)
         # one build per block of at most BLOCK_POINTS, none for a bisection
-        total = len(grid.points)
+        total = len(grid.coordinates)
         starts = range(0, total, BLOCK_POINTS)
         assert built == [min(BLOCK_POINTS, total - start) for start in starts]
         assert_close(c, reference["c"], "C")
@@ -226,7 +228,7 @@ def test_block_path_matches_scalar_reference(case, monkeypatch):
         assert verdict.classification.value == ref_classify(reference["div"], 1e-9)
         # min/max, and the reference at the reported points, are the
         # reference extremes (near-ties may pick either point)
-        index = grid.points.index
+        index = point_tuples(grid).index
         extremes = np.array([reference["div"].min(), reference["div"].max()])
         scale = float(np.max(np.abs(reference["div"])))
         assert_close(np.array([verdict.min_value, verdict.max_value]), extremes, "min/max", scale)
@@ -240,7 +242,7 @@ def test_block_path_matches_scalar_reference(case, monkeypatch):
 
 def test_one_point_functions_match_the_reference():
     for _, model, split, field in CASES:
-        point = td.sample_grid(model, 3).points[-1]
+        point = point_tuples(td.sample_grid(model, 3))[-1]
         c, gamma, _, rows, _, _ = ref_point(model, field, point)
         assert_close(td.structure_functions(model, point), c, "C")
         assert_close(td.christoffel(model, point).values, gamma, "Gamma")
@@ -278,7 +280,7 @@ def test_each_block_reads_each_variable_once(name, monkeypatch):
     monkeypatch.setattr(td.model, "_block_env", counting)
     grid = td.sample_grid(model, (23, 29) if model.dim == 2 else (9, 9, 8))
     td.classify_divergence(model, split, field, grid)
-    assert len(envs) == -(-len(grid.points) // BLOCK_POINTS) > 1
+    assert len(envs) == -(-len(grid.coordinates) // BLOCK_POINTS) > 1
     coords = model.coordinate_names()
     partials = [d for comp in field.components for d in expr.gradient(comp, coords)]
     read = set().union(*map(expr.variables, partials))
@@ -288,16 +290,26 @@ def test_each_block_reads_each_variable_once(name, monkeypatch):
         assert read <= set(env.reads)
 
 
-# --- the points-last layout against the point-first formulas ------------------
+# --- the points-last layout against in-order formulas ------------------------
 
-def point_first_formulas(a, c, v, dv, det, split, cell):
+def ascending_sum(products):
+    """The sum of ``products`` added in the order given, from +0.0."""
+    return functools.reduce(np.add, products, 0.0)
+
+
+def in_order_formulas(a, c, v, dv, det, split, cell):
     """Gamma, the covariant rows, div^Q, kappa, the basic residuals and the
-    Green terms by the point-first formulas (a leading point axis, einsums
-    over (P, n, n, n) arrays) that the points-last blocks replaced; ``a``,
-    ``dv`` and ``det`` are None for a constant-structure model."""
+    Green terms by point-first formulas (a leading point axis, einsums
+    over (P, n, n, n) arrays), with E_i(v^k) and g(v, kappa) written out
+    as products added in ascending index; ``a``, ``dv`` and ``det`` are
+    None for a constant-structure model."""
     leaf, transverse = list(split.leaf_ordered), list(split.transverse_ordered)
+    n = c.shape[1]
     gamma = 0.5 * (c + c.transpose((0, 2, 3, 1)) + c.transpose((0, 3, 2, 1)))
-    ev = np.zeros(c.shape[:3]) if a is None else a @ dv.transpose((0, 2, 1))
+    if a is None:
+        ev = np.zeros(c.shape[:3])
+    else:  # E_i(v^k) = sum_m a_i^m d v^k / d x_m
+        ev = ascending_sum(np.multiply(a[:, :, None, m], dv[:, None, :, m]) for m in range(n))
     rows = np.einsum("pj,pijk->pik", v, gamma) + ev
     div = sum(rows[:, i, i] for i in transverse)
     kappa = sum(gamma[:, i, i, :] for i in leaf)
@@ -310,7 +322,8 @@ def point_first_formulas(a, c, v, dv, det, split, cell):
     }
     if det is not None:
         quantities["green_lhs"] = div * (cell / np.abs(det))
-        quantities["green_rhs"] = np.einsum("pk,pk->p", v, kappa) * (cell / np.abs(det))
+        inner = ascending_sum(np.multiply(v[:, k], kappa[:, k]) for k in range(n))
+        quantities["green_rhs"] = inner * (cell / np.abs(det))
     return quantities
 
 
@@ -333,7 +346,7 @@ def layout_cases():
 
 
 @pytest.mark.parametrize("size", [1, 511, 512, 513])
-def test_points_last_blocks_match_the_point_first_formulas_bit_for_bit(size):
+def test_points_last_blocks_match_the_in_order_formulas_bit_for_bit(size):
     cell = 0.37
     for model, split, field in layout_cases():
         if model.is_chart:
@@ -355,7 +368,7 @@ def test_points_last_blocks_match_the_point_first_formulas_bit_for_bit(size):
             reads["green_lhs"], reads["green_rhs"] = td.tautness._green_terms(split, cell)
         swept = dict(zip(reads, sweep(model, points, *reads.values(), field_spec=field)))
         assert all(len(values) == size for values in swept.values())
-        expected = point_first_formulas(
+        expected = in_order_formulas(
             swept.get("a"), swept["c"], swept["v"], swept.get("dv"), swept.get("det"), split, cell
         )
         for name, reference in expected.items():
@@ -379,12 +392,13 @@ def test_singular_frame_reported_at_first_singular_point():
     split = td.foliation_split(2, {0})
     field = td.vector_field(["0", "1"], model)
     grid = td.sample_grid(model, (40, 20))
-    expected = ref_first_error(model, field, grid.points)
-    assert expected == (td.SingularFrameError, grid.points[600])
+    points = point_tuples(grid)
+    expected = ref_first_error(model, field, points)
+    assert expected == (td.SingularFrameError, points[600])
     for call in (td.check_basic, td.classify_divergence):
         with pytest.raises(td.SingularFrameError) as info:
             call(model, split, field, grid)
-        assert info.value.point == grid.points[600]
+        assert info.value.point == points[600]
 
 
 def test_singular_frame_is_raised_before_a_failing_field_partial():
@@ -396,14 +410,15 @@ def test_singular_frame_is_raised_before_a_failing_field_partial():
     split = td.foliation_split(2, {0})
     field = td.vector_field(["0", f"sqrt((x1-{z!r})*(x1-{z!r}))"], model)
     grid = td.sample_grid(model, (40, 20))
-    assert ref_first_error(model, field, grid.points) == (td.SingularFrameError, grid.points[600])
+    points = point_tuples(grid)
+    assert ref_first_error(model, field, points) == (td.SingularFrameError, points[600])
     partial = expr.differentiate(field.components[1], "x1")
     with pytest.raises(td.DomainError, match="division by zero"):
-        expr.evaluate(partial, point_env(model, grid.points[600]))
+        expr.evaluate(partial, point_env(model, points[600]))
     for call in (td.check_basic, td.classify_divergence):
         with pytest.raises(td.SingularFrameError) as info:
             call(model, split, field, grid)
-        assert info.value.point == grid.points[600]
+        assert info.value.point == points[600]
 
 
 def test_domain_error_reported_at_first_failing_point():
@@ -413,7 +428,7 @@ def test_domain_error_reported_at_first_failing_point():
     split = td.foliation_split(2, {0})
     field = td.vector_field(["0", "sqrt(1 - (0.3 - x1)*(x2 - 0.6)*1000)"], model)
     grid = td.sample_grid(model, (40, 20))
-    kind, point = ref_first_error(model, field, grid.points)
+    kind, point = ref_first_error(model, field, point_tuples(grid))
     assert kind is td.DomainError
     with pytest.raises(td.DomainError) as info:
         td.check_basic(model, split, field, grid)
@@ -445,7 +460,7 @@ def test_non_finite_gamma_reported_at_its_first_point():
     split = td.foliation_split(2, {0})
     field = td.vector_field(["0", "1"], model)
     grid = td.sample_grid(model, OVERFLOW_SHAPE)
-    assert grid.points[768] == OVERFLOW_POINT
+    assert point_tuples(grid)[768] == OVERFLOW_POINT
     c21 = td.model.structure_functions_symbolic(model)[1][0][0]
     value = expr.evaluate(c21, point_env(model, OVERFLOW_POINT))
     assert math.isfinite(value) and abs(value) > np.finfo(float).max / 2
@@ -476,8 +491,8 @@ def test_not_basic_reported_at_the_reference_worst_point():
     # where f = 0.3 sin(2 pi x2) is smallest
     field = td.vector_field(["0", "x1*x1*x1"], model)
     grid = td.sample_grid(model, (30, 22))
-    residuals = ref_sweep(model, split, field, grid.points)["residual"]
-    worst = grid.points[int(np.argmax(residuals))]
+    residuals = ref_sweep(model, split, field, point_tuples(grid))["residual"]
+    worst = point_tuples(grid)[int(np.argmax(residuals))]
     assert worst[1] == 0.75
     with pytest.raises(td.NotBasicError) as info:
         td.classify_divergence(model, split, field, grid)
@@ -492,5 +507,5 @@ def test_tied_residuals_report_the_first_point():
     field = td.vector_field(["0", "x1"], model)  # E_1(x1) = cos(pi/8) everywhere
     grid = td.sample_grid(model, (25, 25))
     check = td.check_basic(model, split, field, grid)
-    assert check.worst_point == grid.points[0]
+    assert check.worst_point == point_tuples(grid)[0]
     assert check.worst == math.cos(math.pi / 8)

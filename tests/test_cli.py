@@ -130,6 +130,26 @@ def test_green_check_cli(capsys, tmp_path):
     assert payload["lhs"] == pytest.approx(payload["rhs"], abs=1e-10)
 
 
+def test_a_folded_constant_reports_as_its_parameter_does(capsys, tmp_path):
+    # exp(0.019) folded and exp(s) at s = 0.019 give one value, so the
+    # two charts report the same Green terms bit for bit
+    reports = []
+    for parameters, factor in (({}, "exp(0.019)"), ({"s": 0.019}, "exp(s)")):
+        path = tmp_path / f"chart{len(reports)}.json"
+        path.write_text(json.dumps({
+            "name": "warped", "kind": "chart", "dim": 2, "leaf_indices": [1],
+            "periods": [1, 1], "parameters": parameters,
+            "frame": [f"{factor}*exp(-(0.3*sin(2*pi*x2)))", "0", "0", "1"],
+        }))
+        code, out, err = run(
+            capsys, "green-check", str(path), "--field", "alvarez", "--grid", "8,64",
+            "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        reports.append(out)
+    assert reports[0] == reports[1]
+
+
 def test_suspend_writes_loadable_model(capsys, tmp_path):
     out_path = tmp_path / "model.json"
     code, out, _ = run(

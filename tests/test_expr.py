@@ -282,6 +282,49 @@ def test_groups_run_only_when_asked_for():
         next(values)
 
 
+@pytest.mark.parametrize(
+    "folded, over_x1, x1",
+    [
+        ("exp(0.019)", "exp(x1)", 0.019),
+        ("exp(0.033)", "exp(x1)", 0.033),
+        ("ln(1.009)", "ln(x1)", 1.009),
+        ("3.82^3.96", "x1^3.96", 3.82),
+        ("sin(pi/8)*exp(0.45)", "sin(pi/8)*exp(x1)", 0.45),
+    ],
+)
+def test_a_folded_constant_has_the_value_a_run_gives(folded, over_x1, x1):
+    # math.exp(0.019) is 1.0191816486174081 but NumPy's exp gives
+    # 1.019181648617408: a fold runs the node's own array step, so a
+    # constant has one value whether it is folded or not
+    constant = plan_value(parse(folded), {})
+    for env in ({"x1": x1}, {"x1": np.full(5, x1)}):
+        values = np.broadcast_to(plan_value(parse(over_x1), env), (5,))
+        assert [value.hex() for value in values.tolist()] == [float(constant).hex()] * 5
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("ln(0)", "ln of non-positive value 0.0 in 'ln(0.0)'"),
+        ("1/0", "division by zero in '1.0/0.0'"),
+        ("sqrt(-1)", "sqrt of negative value -1.0 in 'sqrt(-1.0)'"),
+        ("exp(1000)", "exp(1000.0) overflows in 'exp(1000.0)'"),
+        ("(-1)^0.5", "power -1.0^0.5 outside the real domain in '(-1.0)^0.5'"),
+        ("1e999", "non-finite result inf in 'inf'"),
+    ],
+)
+def test_a_failing_fold_raises_when_a_run_reaches_it(text, message):
+    node = parse(f"x1 + 2*({text})")
+    with pytest.raises(DomainError) as scalar:
+        evaluate(node, {"x1": 1.0})
+    plan = expr.Plan([[parse("x1")], [node]])  # built outside np.errstate: folding warns nothing
+    values = plan.run({"x1": np.ones(3)})
+    assert list(next(values)[0]) == [1.0, 1.0, 1.0]
+    with pytest.raises(DomainError) as planned, np.errstate(all="ignore"):
+        next(values)
+    assert str(planned.value) == str(scalar.value) == message
+
+
 _LEAVES = ("x1", "x2", "pi", 0.0, -0.0, 0.5, 2.0)
 
 

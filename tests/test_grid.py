@@ -1,6 +1,6 @@
 """Grids as one coordinate array: the lattice against a reference built
-from Python floats, points that become tuples only where they are
-reported, and sweeps that never build ``Grid.points``."""
+from Python floats, and points that become tuples only where they are
+reported, never one per grid point."""
 
 from __future__ import annotations
 
@@ -16,8 +16,10 @@ from hypothesis import strategies as st
 
 import transdiv as td
 from transdiv.cli import main
-from transdiv.model import _lattice
+from transdiv.model import _as_point, _coordinates, _lattice
 from transdiv.tautness import compare_with_cover
+
+from generators import point_tuples
 
 
 def reference_lattice(periods, resolution, offset):
@@ -63,27 +65,12 @@ def test_lattice_is_bit_identical_to_the_float_product(case):
     assert hex_rows(grid.coordinates) == hex_rows(centers)
     corners = _lattice(model, tuple(resolution), 0.0)
     assert hex_rows(corners) == hex_rows(reference_lattice(model.periods, resolution, 0.0))
-    points = grid.points
-    assert type(points) is tuple
-    assert all(type(point) is tuple for point in points)
-    assert all(type(x) is float for point in points for x in point)
-    assert hex_rows(points) == hex_rows(centers)
 
 
 def test_constant_model_grid_is_one_abstract_point():
     model, _ = td.builtin_model("t3a")
     grid = td.sample_grid(model, 7)
     assert grid.coordinates.shape == (1, 0)
-    assert grid.points == ((),)
-
-
-def test_grid_from_points_converts_them_once():
-    grid = td.Grid(resolution=(2,), points=[(0.25,), (0.75,)])
-    assert grid.coordinates.tolist() == [[0.25], [0.75]]
-    assert grid.points == ((0.25,), (0.75,))
-    empty = td.Grid(resolution=(), points=())
-    assert empty.coordinates.shape == (0, 0)
-    assert empty.points == ()
 
 
 def test_sweep_takes_tuples_or_the_array():
@@ -95,24 +82,39 @@ def test_sweep_takes_tuples_or_the_array():
         return block.divergence(split.transverse_ordered)
 
     (from_array,) = td.model.sweep(model, grid.coordinates, read, field_spec=tau)
-    (from_tuples,) = td.model.sweep(model, list(grid.points), read, field_spec=tau)
+    (from_tuples,) = td.model.sweep(model, list(point_tuples(grid)), read, field_spec=tau)
     assert from_array.tobytes() == from_tuples.tobytes()
+    # tuples are converted once, to the array a grid holds
+    assert _coordinates([(0.25,), (0.75,)], 1).tolist() == [[0.25], [0.75]]
+    assert _coordinates((), 0).shape == (0, 0)
 
 
-# --- no sweep consumer builds Grid.points -------------------------------------------
+# --- no sweep consumer turns its grid into tuples ------------------------------------
+
+#: Most points one call reports: an argmin, an argmax and a worst basic
+#: residual, for a cover and for its base.  Every chart grid here has
+#: more points than that.
+REPORTED = 6
+
 
 @pytest.fixture
 def points_unread(monkeypatch):
-    """Fail if anything reads Grid.points."""
-    reads = []
+    """The coordinate rows turned into tuples so far: a consumer that
+    turned every grid point into one would add a row per point."""
+    converted = []
 
-    def spy(grid):
-        reads.append(grid)
-        raise AssertionError("Grid.points was read")
+    def spy(row):
+        converted.append(row)
+        return _as_point(row)
 
-    monkeypatch.setattr(td.model.Grid, "points", property(spy))
-    yield
-    assert reads == []
+    for module in (td.model, td.cli, td.tautness):
+        monkeypatch.setattr(module, "_as_point", spy)
+    return converted
+
+
+def reported_only(converted):
+    assert len(converted) <= REPORTED
+    converted.clear()
 
 
 def test_library_sweeps_do_not_read_grid_points(points_unread):
@@ -120,13 +122,18 @@ def test_library_sweeps_do_not_read_grid_points(points_unread):
         model, split = td.builtin_model(name)
         tau = td.alvarez_candidate(model, split)
         grid = td.sample_grid(model, (4, 6))
-        td.classify_divergence(model, split, tau, grid)
-        td.check_basic(model, split, tau, grid)
-        td.volume_preservation_check(model, split, tau, grid)
-        td.validate_model(model, grid)
+        calls = [
+            lambda: td.classify_divergence(model, split, tau, grid),
+            lambda: td.check_basic(model, split, tau, grid),
+            lambda: td.volume_preservation_check(model, split, tau, grid),
+            lambda: td.validate_model(model, grid),
+        ]
         if model.is_chart:
-            td.green_check(model, split, tau, (4, 6))
-            compare_with_cover(model, split, tau, 1, 2, (4, 6))
+            calls.append(lambda: td.green_check(model, split, tau, (4, 6)))
+            calls.append(lambda: compare_with_cover(model, split, tau, 1, 2, (4, 6)))
+        for call in calls:
+            call()
+            reported_only(points_unread)
 
 
 @pytest.mark.parametrize(
@@ -148,13 +155,16 @@ def test_cli_does_not_read_grid_points(points_unread, argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             assert main([*argv, "--format", fmt]) == 0, err.getvalue()
+        reported_only(points_unread)
 
 
 def test_suspend_and_its_model_do_not_read_grid_points(points_unread, tmp_path):
     path = str(tmp_path / "suspension.json")
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["suspend", "--matrix", "2,1;1,1", "--leaf", "1", "-o", path]) == 0
+        reported_only(points_unread)
         assert main(["taut-check", path, "--field", "alvarez"]) == 0
+        reported_only(points_unread)
 
 
 # --- reported points render as Python float tuples ------------------------------------

@@ -12,7 +12,7 @@ import transdiv as td
 from transdiv import expr
 from transdiv.model import PROBE_RESOLUTION, _lattice
 
-from generators import identity_cases
+from generators import identity_cases, point_tuples
 
 LAMBDA_SMALL = (3 - math.sqrt(5)) / 2  # eigenvalues of [[2,1],[1,1]]
 LAMBDA_BIG = (3 + math.sqrt(5)) / 2
@@ -185,22 +185,22 @@ def test_cover_models_refuse_serialization(torus):
 def test_sample_grid_cell_centers(torus):
     model, _ = torus
     grid = td.sample_grid(model, (4, 4))
-    assert len(grid.points) == 16
+    assert len(grid.coordinates) == 16
     expected = {((j + 0.5) / 4, (k + 0.5) / 4) for j in range(4) for k in range(4)}
-    assert set(grid.points) == expected
+    assert set(point_tuples(grid)) == expected
 
 
 def test_sample_grid_constant_model(t3a):
     model, _ = t3a
     grid = td.sample_grid(model, 99)
-    assert grid.points == ((),)
+    assert point_tuples(grid) == ((),)
 
 
 def test_sample_grid_line(torus):
     model, _ = torus
     grid = td.sample_grid(model, (1, 256))
-    assert len(grid.points) == 256
-    assert all(point[0] == 0.5 for point in grid.points)
+    assert len(grid.coordinates) == 256
+    assert all(point[0] == 0.5 for point in point_tuples(grid))
 
 
 def test_sample_grid_validation(torus):
@@ -418,6 +418,17 @@ def test_field_component_count(t3a):
     model, _ = t3a
     with pytest.raises(td.ModelError):
         td.vector_field([1, 0], model)
+
+
+def test_sweep_refuses_a_field_without_the_structure(torus):
+    # a field's rows need Gamma, so a field sweep needs the structure
+    model, split = torus
+    field = td.alvarez_candidate(model, split)
+    points = td.sample_grid(model, 2).coordinates
+    with pytest.raises(td.ModelError, match="needs the structure"):
+        td.model.sweep(model, points, lambda block: block.rows, field_spec=field, structure=False)
+    (dets,) = td.model.sweep(model, points, lambda block: block.det, structure=False)
+    assert dets.shape == (4,)
 
 
 def test_random_basic_fields_add(torus):

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 import transdiv as td
 
+from generators import random_admissible_matrix
+
 EXAMPLE_3X3 = ((2, 0, -1), (0, 3, -1), (-1, -1, 1))
 
 
@@ -142,8 +144,6 @@ def test_real_eigenvalues_example_intervals():
 
 
 def test_real_eigenvalues_match_numpy_on_admissible_matrices():
-    from generators import random_admissible_matrix
-
     rng = random.Random(41)
     for n in range(2, td.spectral.MAX_DIM + 1):
         for _ in range(3):
@@ -281,6 +281,52 @@ def test_enclosures_contain_the_roots_of_large_trace_quadratics(t):
     assert [root.enclosure[0] for root in roots] == [0, t - 1]
 
 
+def _sign(coefficients, x: Fraction) -> int:
+    value = Fraction(0)
+    for c in coefficients:  # highest degree first
+        value = value * x + c
+    return (value > 0) - (value < 0)
+
+
+def _rounds_to(coefficients, value: float) -> bool:
+    """Whether p changes sign (or vanishes) within half an ulp of
+    ``value`` on either side, so that a root rounds to it."""
+    below = (Fraction(value) + Fraction(math.nextafter(value, -math.inf))) / 2
+    above = (Fraction(value) + Fraction(math.nextafter(value, math.inf))) / 2
+    return _sign(coefficients, below) * _sign(coefficients, above) <= 0
+
+
+def test_roots_are_correctly_rounded():
+    # x^4 + x^3 - 52x^2 + 54x + 101: the final midpoints rounded 0.51 and
+    # 0.66 ulp away, to -8.07549601693779 and -0.967829224222703
+    coefficients = (1, 1, -52, 54, 101)
+    values = [root.value for root in td.real_eigenvalues(coefficients)]
+    assert values[:2] == [-8.075496016937787, -0.9678292242227029]
+    assert all(_rounds_to(coefficients, value) for value in values)
+    rng = random.Random(20261018)
+    for n in range(2, 9):
+        for _ in range(6):
+            coefficients = td.char_poly(random_admissible_matrix(rng, n))
+            for root in td.real_eigenvalues(coefficients):
+                assert _rounds_to(coefficients, root.value), (coefficients, root)
+
+
+def test_roots_on_a_rounding_tie_round_to_even():
+    # 2^53 + 1 and 2^52 + 1/2 lie halfway between two floats; the split at
+    # that point finds them exactly, and they round to the even neighbour
+    coefficients = td.char_poly(((2**53 + 1, 0), (0, 1)))
+    assert [(root.value, root.enclosure) for root in td.real_eigenvalues(coefficients)] == [
+        (1.0, (1, 1)), (float(2**53), (2**53 + 1, 2**53 + 1)),
+    ]
+    (root,) = td.real_eigenvalues((2, -(2**53 + 1)))
+    assert root.value == float(2**52) and root.enclosure == (2**52, 2**52 + 1)
+    # halfway from the largest float to 2^1024 is where rounding overflows
+    (root,) = td.real_eigenvalues((1, -(2**1024 - 2**970)))
+    assert root.value == math.inf and root.enclosure == (2**1024 - 2**970,) * 2
+    (root,) = td.real_eigenvalues((1, -(2**1024 - 2**970 - 1)))
+    assert root.value == 1.7976931348623157e308
+
+
 def test_root_beyond_float_range():
     # the correctly rounded float of 10^309 is inf: real_eigenvalues
     # returns it, and validate_suspension_matrix refuses it
@@ -365,6 +411,15 @@ def _oracle_midpoint(low, high):
     return (low + high) / 2
 
 
+def _nearest_float(x: Fraction) -> Fraction:
+    """The float nearest to ``x``, as a Fraction; 2^1024 (with the sign
+    of ``x``) beyond the overflow threshold."""
+    try:
+        return Fraction(float(x))
+    except OverflowError:
+        return Fraction(2**1024 if x > 0 else -(2**1024))
+
+
 def _oracle_refine(poly, low, high):
     if low < 0 < high and poly[0] == 0:
         return Fraction(0)
@@ -376,8 +431,14 @@ def _oracle_refine(poly, low, high):
         if width <= scale * Fraction(1, 10**16) and not any(
             _frac_eval(poly, Fraction(m)) != 0 for m in inside
         ):
-            return low, high
-        mid = (low + high) / 2
+            # split once at the rounding boundary between the ends' floats
+            ends = _nearest_float(low), _nearest_float(high)
+            tie = sum(ends) / 2
+            if ends[0] == ends[1] or not low < tie < high:
+                return low, high
+            mid = tie
+        else:
+            mid = (low + high) / 2
         value = _frac_eval(poly, mid)
         if value == 0:
             return mid  # found exactly, as in the isolation step
@@ -697,8 +758,6 @@ def test_build_suspension_example2_divergence():
 
 def test_build_suspension_jacobi():
     rng = random.Random(23)
-    from generators import random_admissible_matrix
-
     for n in (2, 3):
         matrix = random_admissible_matrix(rng, n)
         model, _ = td.build_suspension(matrix, 1)

@@ -12,7 +12,7 @@ import transdiv as td
 from transdiv import expr
 from transdiv.tautness import TautnessClass, compare_with_cover
 
-from generators import random_admissible_matrix
+from generators import point_tuples, random_admissible_matrix
 
 LOG_BIG = math.log((3 + math.sqrt(5)) / 2)
 
@@ -73,7 +73,7 @@ def test_classify_torus_mixed(torus):
     grid = td.sample_grid(model, (1, 64))
     verdict = td.classify_divergence(model, split, field, grid)
     assert verdict.classification is TautnessClass.MIXED_SIGN
-    for point in grid.points:
+    for point in point_tuples(grid):
         value = td.transverse_divergence(model, split, field, point)
         assert abs(value - (-2 * math.pi * math.sin(2 * math.pi * point[1]))) <= 1e-10
     assert "consistent with tautness" in verdict.epistemic_status
@@ -113,7 +113,7 @@ def test_non_finite_values_are_refused():
     with pytest.raises(td.DomainError, match="non-finite"):
         td.check_basic(model, split, field, grid)
     with pytest.raises(td.DomainError, match="non-finite"):
-        td.model.basic_field_check(np.array([0.0, math.nan]), grid.points * 2)
+        td.model.basic_field_check(np.array([0.0, math.nan]), point_tuples(grid) * 2)
 
 
 def test_nan_field_is_refused_not_classified(torus):
@@ -155,7 +155,7 @@ def test_infinite_tolerance_is_refused(t3a, kronecker):
 def test_classify_empty_grid_inconclusive(t3a):
     model, split = t3a
     tau = td.alvarez_candidate(model, split)
-    empty = td.Grid(resolution=(), points=())
+    empty = td.Grid(resolution=(), coordinates=np.empty((0, 0)))
     verdict = td.classify_divergence(model, split, tau, empty)
     assert verdict.classification is TautnessClass.INCONCLUSIVE
 
@@ -426,7 +426,7 @@ def test_cover_equivariance(torus, fold):
     for field in fields:
         lifted, lsplit, lfield = td.lift_to_cover(model, split, field, 1, fold)
         grid = td.sample_grid(lifted, (2, 16 * fold))
-        for point in grid.points:
+        for point in point_tuples(grid):
             down = td.covering_projection(lifted, point)
             difference = abs(
                 td.transverse_divergence(lifted, lsplit, lfield, point)
@@ -471,14 +471,14 @@ def test_cover_wrap_is_python_modulo_everywhere(torus, monkeypatch, coord, fold)
         grid = td.sample_grid(cover, resolution)
         env = td.model._block_env(cover, grid.coordinates)
         moved = 0
-        for index, point in enumerate(grid.points):
+        for index, point in enumerate(point_tuples(grid)):
             wrapped = [x if w is None else x % w for x, w in zip(point, cover.coordinate_wraps)]
             moved += wrapped != list(point)
             expected = [x.hex() for x in wrapped]
             assert [x.hex() for x in td.covering_projection(cover, point)] == expected
             assert [float(x).hex() for x in projected[index]] == expected
             assert [float(env[name][index]).hex() for name in cover.coordinate_names()] == expected
-        assert len(projected) == len(grid.points) and moved > 0
+        assert len(projected) == len(point_tuples(grid)) and moved > 0
 
 
 def test_deck_average_projects_to_same_verdict(torus):
@@ -509,7 +509,7 @@ def test_deck_average_projects_to_same_verdict(torus):
     base_verdict = td.classify_divergence(model, split, field, grid)
     averaged_verdict = td.classify_divergence(model, split, averaged, grid)
     assert averaged_verdict.classification is base_verdict.classification
-    for point in grid.points:
+    for point in point_tuples(grid):
         difference = abs(
             td.transverse_divergence(model, split, averaged, point)
             - td.transverse_divergence(model, split, field, point)
