@@ -5,7 +5,9 @@ The characteristic polynomial is computed exactly over the integers
 roots are certified and isolated by an integer Sturm chain, built from
 sign-preserving pseudo-remainders and evaluated at dyadic points
 m / 2^k, then refined by dyadic bisection on the sign of the
-polynomial: Python integers throughout, no fractions.  An
+polynomial.  Float roots from ``numpy.roots`` only choose where to
+split; every decision is the sign of an exact integer, so the certified
+roots do not depend on them.  No fractions.  An
 admissible matrix (determinant one, all eigenvalues real, simple,
 positive and different from one) yields a constant-structure model of
 dimension n+1 whose frame bracket table is
@@ -20,8 +22,11 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .model import (
     CheckResult, FoliationSplit, FrameModel, constant_structure_model, foliation_split,
@@ -62,6 +67,10 @@ class MatrixDiagnostics:
     roots: tuple[IsolatedRoot, ...] | None
 
 
+# ASCII digits only: int() also reads "1_000" and non-ASCII digits
+_INTEGER = re.compile("[+-]?[0-9]+")
+
+
 def parse_matrix(text: str) -> tuple[tuple[int, ...], ...]:
     """Parse "2,0,-1;0,3,-1;-1,-1,1" into integer rows."""
     rows = []
@@ -69,12 +78,9 @@ def parse_matrix(text: str) -> tuple[tuple[int, ...], ...]:
         entries = []
         for entry in row_text.split(","):
             entry = entry.strip()
-            try:
-                entries.append(int(entry))
-            except ValueError:
-                raise SpectralError(
-                    f"matrix entry {entry!r} is not an integer"
-                ) from None
+            if not _INTEGER.fullmatch(entry):
+                raise SpectralError(f"matrix entry {entry!r} is not an integer")
+            entries.append(int(entry))
         rows.append(tuple(entries))
     return tuple(rows)
 
@@ -117,12 +123,9 @@ def char_poly(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
         row, column = rows[k][:k], [r[k] for r in rows[:k]]
         toeplitz = [1, -rows[k][k]]  # x - a - r c / x - r B c / x^2 - ...
         for _ in range(k):
-            toeplitz.append(-sum(r * c for r, c in zip(row, column)))
-            column = [sum(b * c for b, c in zip(b_row, column)) for b_row in block]
-        poly = [
-            sum(toeplitz[i - j] * poly[j] for j in range(min(i, k) + 1))
-            for i in range(k + 2)
-        ]
+            toeplitz.append(-sum(map(operator.mul, row, column)))
+            column = [sum(map(operator.mul, b_row, column)) for b_row in block]
+        poly = [sum(map(operator.mul, toeplitz[i::-1], poly)) for i in range(k + 2)]
     sign = (-1) ** n
     return tuple(sign * c for c in poly)
 
@@ -218,23 +221,49 @@ def _sign_variations(chain: list[list[int]], m: int, k: int) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+def _float_roots(poly: list[int]) -> list[float]:
+    """Float approximations of the roots of p (real parts), from
+    ``numpy.roots`` on its float coefficients: none when a coefficient
+    overflows a float, and any of them may be off or not finite."""
+    try:
+        floats = [float(c) for c in reversed(poly)]
+    except OverflowError:
+        return []
+    try:
+        with np.errstate(all="ignore"):
+            return np.roots(floats).real.tolist()
+    except np.linalg.LinAlgError:
+        return []
+
+
+def _dyadic(x: float) -> tuple[int, int]:
+    """(m, j) with j >= 0 and x = m / 2^j exactly."""
+    m, d = x.as_integer_ratio()
+    return m, d.bit_length() - 1
+
+
 def real_eigenvalues(coefficients: Sequence[int]) -> tuple[IsolatedRoot, ...]:
     """Certified real roots of an integer polynomial with all-real simple roots.
 
-    Roots are isolated by integer Sturm counts, splitting at integers
-    while an interval is wider than one and at dyadic half-way points
-    after that; each isolated root is then bisected to a width of at
-    most 1e-16 times its larger end (about 1e-16 * |root|), the float
-    resolution limit, on while an integer other than the root lies
-    strictly inside, and once more at the point where rounding to float
-    changes, if that lies inside.  A value is the correctly rounded float
-    of the root (an infinity beyond the float range): that of the final
-    midpoint, or of the root itself when a split point hits it.  The
-    enclosure of an integer root
-    r is (r, r); any other root gets (m, m + 1), m the floor of its final
-    midpoint.  Raises SpectralError ("complex or repeated roots") when
-    the real-root count falls short of the degree or the polynomial is
-    not square-free.
+    Float guesses of the roots (``_float_roots``, the finite ones) only
+    choose split points: isolation first cuts (-R, R], R a root bound,
+    at the midpoints between consecutive sorted guesses, and refinement
+    first splits at the guess inside a root's interval.  Every split is
+    decided by an exact integer sign (a Sturm count or a Horner sum), so
+    the result is the same bit for bit whatever the guesses are, or
+    without any.  Roots are isolated by integer Sturm counts, splitting
+    at integers while an interval is wider than one and at dyadic
+    half-way points after that; each isolated root is then bisected to a
+    width of at most 1e-16 times its larger end (about 1e-16 * |root|),
+    the float resolution limit, on while an integer other than the root
+    lies strictly inside, and once more at the point where rounding to
+    float changes, if that lies inside.  A value is the correctly
+    rounded float of the root (an infinity beyond the float range): that
+    of the final midpoint, or of the root itself when a split point hits
+    it.  The enclosure of an integer root r is (r, r); any other root
+    gets (m, m + 1), m its floor.  Raises SpectralError ("complex or
+    repeated roots") when the real-root count falls short of the degree
+    or the polynomial is not square-free.
     """
     poly = _int_poly(coefficients)
     degree = len(poly) - 1
@@ -247,25 +276,39 @@ def real_eigenvalues(coefficients: Sequence[int]) -> tuple[IsolatedRoot, ...]:
     # Cauchy's bound: every root lies in (-radius, radius)
     radius = 1 - (-max(abs(c) for c in poly[:-1]) // abs(poly[-1]))
     low_variations = _sign_variations(chain, -radius, 0)
-    total = low_variations - _sign_variations(chain, radius, 0)
+    high_variations = _sign_variations(chain, radius, 0)
+    total = low_variations - high_variations
     if total < degree:
         raise SpectralError(
             f"complex or repeated roots: only {total} real roots for degree {degree}"
         )
 
+    guesses = sorted(g for g in _float_roots(poly) if math.isfinite(g))
+    cuts = [(-radius, 0)]  # increasing dyadics (m, j), the point m / 2^j
+    for a, b in zip(guesses, guesses[1:]):
+        (m1, j1), (m2, j2) = _dyadic(a), _dyadic(b)
+        j = max(j1, j2)
+        m = (m1 << (j - j1)) + (m2 << (j - j2))  # the midpoint, over 2^(j+1)
+        last, i = cuts[-1]
+        if last << (j + 1) < m << i and m < radius << (j + 1):
+            cuts.append((m, j + 1))
+    cuts.append((radius, 0))
+    inner = [_sign_variations(chain, m, j) for m, j in cuts[1:-1]]
+    variations = [low_variations, *inner, high_variations]
+
     # (low, high, k): the root high / 2^k if low == high, else the one
     # root in (low / 2^k, high / 2^k]
     roots: list[tuple[int, int, int]] = []
-    queue = [(-radius, radius, 0, total, low_variations)]
+    queue = []
+    for (low, i), (high, j), v_low, v_high in zip(cuts, cuts[1:], variations, variations[1:]):
+        k = max(i, j)
+        queue.append((low << (k - i), high << (k - j), k, v_low - v_high, v_low))
     while queue:
         low, high, k, count, low_variations = queue.pop()
         if count == 0:
             continue
         if count == 1:
-            if _sign_at(poly, high, k) == 0:
-                roots.append((high, high, k))
-            else:
-                roots.append(_refine(poly, low, high, k))
+            roots.append(_refine(poly, low, high, k, guesses))
             continue
         low, mid, high, k = _midpoint(low, high, k)
         mid_variations = _sign_variations(chain, mid, k)
@@ -278,12 +321,13 @@ def real_eigenvalues(coefficients: Sequence[int]) -> tuple[IsolatedRoot, ...]:
     for low, high, k in sorted(roots, key=lambda root: root[0] << (top - root[2])):
         center = low + high  # the midpoint (the root if low == high), over 2^(k+1)
         value = _rounded(center, k + 1)  # the correctly rounded root
-        floor = center >> (k + 1)
-        r = high >> k  # the largest integer <= high / 2^k
         if low == high:
+            r = high >> k
             on_integer = r << k == high
-        else:  # r is the root if it lies in (low, high] and p(r) = 0
-            on_integer = low < r << k and _sign_at(poly, r, 0) == 0
+        else:  # _refine leaves no integer but the root strictly inside
+            r = (low >> k) + 1
+            on_integer = r << k < high
+        floor = center >> (k + 1)
         enclosure = (r, r) if on_integer else (floor, floor + 1)
         isolated.append(IsolatedRoot(value=value, enclosure=enclosure))
     return tuple(isolated)
@@ -299,23 +343,54 @@ def _midpoint(low: int, high: int, k: int) -> tuple[int, int, int, int]:
     return 2 * low, low + high, 2 * high, k + 1
 
 
-def _refine(poly: list[int], low: int, high: int, k: int) -> tuple[int, int, int]:
+def _refine(
+    poly: list[int], low: int, high: int, k: int, guesses: Sequence[float] = ()
+) -> tuple[int, int, int]:
     """Shrink (low / 2^k, high / 2^k], which holds exactly one root, a
-    simple one, and has p(high) != 0, to at most 1e-16 relative width,
-    further while an integer that is not the root lies strictly inside
-    (so the floor of any point of the interval is the root's floor, or
-    the root is that integer), and then, if the point where rounding to
-    float changes lies strictly inside (``_tie``), split once more at
-    that point, so that every point strictly inside, the root among
-    them, rounds to one float.  The width is relative to the larger end,
-    so an interval that reaches 0 is halved until it excludes 0, and a
-    root near 0 gets the relative precision of any other.  p changes
-    sign only at the root, so the sign of p(mid) says which side holds
-    it.  Returns (low, high, k), with low == high when a split point is
-    the root."""
+    simple one, to at most 1e-16 relative width, further while an
+    integer that is not the root lies strictly inside (so the floor of
+    any point of the interval is the root's floor, or the root is that
+    integer), and then, if the point where rounding to float changes
+    lies strictly inside (``_tie``), split once more at that point, so
+    that every point strictly inside, the root among them, rounds to
+    one float.  The width is relative to the larger end, so an interval
+    that reaches 0 is halved until it excludes 0, and a root near 0 gets
+    the relative precision of any other.  p changes sign only at the
+    root, so the sign of p(mid) says which side holds it.  The first of
+    ``guesses`` strictly inside is the first split point; the next split
+    points step away from it, toward the root, by 1, 2, 4, ... half-ulps
+    of the guess until p changes sign or a step leaves the interval, and
+    halving goes on from there.  Returns (low, high, k), with low ==
+    high when high or a split point is the root."""
     if low < 0 < high and poly[0] == 0:
         return 0, 0, k  # the root is 0, which no halving need reach
     high_sign = _sign_at(poly, high, k)
+    if high_sign == 0:
+        return high, high, k
+    for guess in guesses:
+        m, j = _dyadic(guess)
+        if not low << j < m << k < high << j:
+            continue
+        unit, u = _dyadic(math.ulp(guess))  # half an ulp is unit / 2^(u+1)
+        top = max(k, j, u + 1)
+        low, high, k = low << (top - k), high << (top - k), top
+        guess_point, step, side = m << (top - j), unit << (top - u - 1), 0
+        mid = guess_point
+        while low < mid < high:
+            sign = _sign_at(poly, mid, k)
+            if sign == 0:
+                return mid, mid, k
+            below = sign == high_sign  # the root is below mid
+            if below:
+                high = mid
+            else:
+                low = mid
+            if side and below != (side < 0):
+                break  # p changed sign between the last two points
+            side = -1 if below else 1
+            mid = guess_point + side * step
+            step *= 2
+        break
     while True:
         # width <= 1e-16 * max(|low|, |high|), times 2^k * 10^16
         if (high - low) * 10**16 > max(abs(low), abs(high)) or _holds_non_root(poly, low, high, k):

@@ -289,6 +289,14 @@ def test_bad_matrix_exit_1(capsys):
     assert "integer" in err
 
 
+@pytest.mark.parametrize("matrix", ["1_000,1;999,1", "\uff12,1;1,1"])
+def test_matrix_entries_are_ascii_digits(capsys, matrix):
+    # int() reads "1_000" as 1000 and a fullwidth digit as 2
+    code, _, err = run(capsys, "spectral", "--matrix", matrix)
+    assert code == 1
+    assert "is not an integer" in err
+
+
 def test_schema_error_exit_1(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"name": "x", "kind": "chart"}))

@@ -179,6 +179,10 @@ def test_real_eigenvalues_exact_integer_roots():
         ((1, -3, 2), [(1.0, (1, 1)), (2.0, (2, 2))]),  # (x-1)(x-2): split points hit both
         ((1, 3, -4), [(-4.0, (-4, -4)), (1.0, (1, 1))]),  # (x-1)(x+4): bisection converges
         ((1, -3), [(3.0, (3, 3))]),  # x-3: a refinement midpoint hits the root
+        # the last intervals can end on the integers 10^20 and 10^17 + 4,
+        # which are no roots: the root is the integer strictly inside
+        ((1, -2 * 10**20, 10**40 - 1), [(1e20, (10**20 - 1,) * 2), (1e20, (10**20 + 1,) * 2)]),
+        ((1, -(10**17 + 3)), [(1e17, (10**17 + 3,) * 2)]),
     ],
 )
 def test_integer_roots_get_point_enclosures(coefficients, expected):
@@ -494,9 +498,9 @@ def oracle_real_eigenvalues(coefficients):
             value = float(center)
             floor = center.numerator // center.denominator
             enclosure = (floor, floor + 1)
-            r = math.floor(high)
-            if low < r and _frac_eval(poly, Fraction(r)) == 0:
-                enclosure = (r, r)  # an integer root that no split point hit
+            for r in range(math.floor(low) + 1, math.ceil(high)):
+                if _frac_eval(poly, Fraction(r)) == 0:
+                    enclosure = (r, r)  # an integer root that no split point hit
         isolated.append(td.IsolatedRoot(value=value, enclosure=enclosure))
     return tuple(isolated)
 
@@ -609,6 +613,111 @@ def test_isolation_edge_polynomials_match_oracle():
     for coefficients in ((), (0,), (5,), (0, 1, -3, 2), (1, 0, 1), (1, -2, 1), (-2, 1)):
         expected = _outcome(oracle_real_eigenvalues, coefficients)
         assert _outcome(td.real_eigenvalues, coefficients) == expected
+
+
+# --- float guesses choose split points and nothing else ------------------------------
+
+def _guess_sources():
+    """Guess sources that each break the float guesses another way, as
+    (name, source) with source(poly) -> list of floats."""
+    float_roots = td.spectral._float_roots
+    rng = random.Random(15)
+
+    def equal(poly):
+        guesses = float_roots(poly)
+        return [sorted(guesses)[len(guesses) // 2]] * len(guesses)
+
+    def ulps_off(poly):
+        return [g + rng.randint(-300, 300) * math.ulp(g) for g in float_roots(poly)]
+
+    def far_off(poly):
+        return [g * (1 + rng.uniform(-0.1, 0.1)) + rng.uniform(-1, 1) for g in float_roots(poly)]
+
+    def huge(poly):
+        return float_roots(poly) + [1e300, -1e300]
+
+    def not_finite(poly):
+        guesses = float_roots(poly)
+        for bad in (math.nan, math.inf, -math.inf):
+            guesses.insert(rng.randint(0, len(guesses)), bad)
+        return guesses
+
+    return [
+        ("none", lambda poly: []),
+        ("equal", equal),
+        ("ulps_off", ulps_off),
+        ("far_off", far_off),
+        ("huge", huge),
+        ("not_finite", not_finite),
+    ]
+
+
+def test_real_eigenvalues_do_not_depend_on_the_guesses(monkeypatch):
+    # every split is decided by an exact sign, so bad guesses cost time
+    # and change no bit; NaN and infinities must be dropped
+    polys = [td.char_poly(rows) for rows in oracle_matrices()]
+    expected = [_outcome(oracle_real_eigenvalues, coefficients) for coefficients in polys]
+    for name, source in _guess_sources():
+        monkeypatch.setattr(td.spectral, "_float_roots", source)
+        for coefficients, outcome in zip(polys, expected):
+            assert _outcome(td.real_eigenvalues, coefficients) == outcome, (name, coefficients)
+
+
+def _count_sign_evaluations(monkeypatch, polys) -> int:
+    sign_at, calls = td.spectral._sign_at, [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return sign_at(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(td.spectral, "_sign_at", counting)
+        for coefficients in polys:
+            td.real_eigenvalues(coefficients)
+    return calls[0]
+
+
+def test_guesses_save_most_sign_evaluations(monkeypatch):
+    # A = B B^T, B unit lower-triangular with no zero entry in A, as the
+    # benchmark draws them; the bound is relative, so it holds on any BLAS
+    rng = random.Random(1515)
+    for n in range(2, td.spectral.MAX_DIM + 1):
+        polys = []
+        while len(polys) < 4:
+            spread = 300 if n == 2 else 4 if n == 3 else 2
+            b = [[1 if i == j else rng.randint(-spread, spread) if j < i else 0 for j in range(n)] for i in range(n)]
+            rows = _matmul(b, [list(column) for column in zip(*b)])
+            if all(all(row) for row in rows) and td.validate_suspension_matrix(rows).admissible:
+                polys.append(td.char_poly(rows))
+        guessed = _count_sign_evaluations(monkeypatch, polys)
+        with monkeypatch.context() as patch:
+            patch.setattr(td.spectral, "_float_roots", lambda poly: [])
+            unguessed = _count_sign_evaluations(patch, polys)
+        assert guessed <= 0.4 * unguessed, (n, guessed, unguessed)
+
+
+@pytest.mark.parametrize(
+    "coefficients",
+    [
+        (1, -2 * 10**20, 10**40 - 1),  # roots 10^20 -+ 1: both guesses are 1e20
+        (1, 0, -1, 0),  # a root at 0
+        (1, -3),  # an integer root that its guess hits
+        (2, -(2**53 + 1)),  # 2^52 + 1/2, a rounding tie
+        (1, -(10**17 + 3)),  # an integer root whose last interval ends on an integer
+        (10**309, -(10**309 + 1), 1),  # roots 1 and 1e-309, coefficients beyond the float range
+    ],
+)
+def test_edge_polynomials_with_and_without_guesses(monkeypatch, coefficients):
+    expected = _outcome(oracle_real_eigenvalues, coefficients)
+    assert _outcome(td.real_eigenvalues, coefficients) == expected
+    monkeypatch.setattr(td.spectral, "_float_roots", lambda poly: [])
+    assert _outcome(td.real_eigenvalues, coefficients) == expected
+
+
+def test_float_roots_of_overflowing_coefficients_are_dropped():
+    assert td.spectral._float_roots(td.spectral._int_poly((10**309, -(10**309 + 1), 1))) == []
+    # finite but huge coefficients give guesses without a warning
+    assert len(td.spectral._float_roots(td.spectral._int_poly((1, -(10**308), 10**308 - 1)))) == 2
 
 
 def test_real_eigenvalues_coefficient_types():
@@ -778,3 +887,7 @@ def test_parse_matrix_round_trip():
     assert td.spectral.format_matrix(EXAMPLE_3X3) == text
     with pytest.raises(td.SpectralError):
         td.parse_matrix("2,x;1,1")
+    assert td.parse_matrix(" +2 , -1 ;-1,1") == ((2, -1), (-1, 1))
+    for text in ("1_000,1;999,1", "\uff12,1;1,1", "0x2,1;1,1", "2.0,1;1,1", "2 0,1;1,1", ",1;1,1"):
+        with pytest.raises(td.SpectralError, match="is not an integer"):
+            td.parse_matrix(text)
