@@ -7,148 +7,64 @@ connection coefficients, sub-distribution divergences and mean
 curvature in that frame, and classifies the sign pattern of the
 transverse divergence of basic candidate fields over sample grids as
 tautness evidence.
+
+The public names and the submodules are imported on first use (PEP
+562), so ``import transdiv.cli`` loads no NumPy.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .connection import (
-    ChristoffelTable,
-    MeanCurvatureVector,
-    christoffel,
-    covariant_derivative,
-    divergence_sub,
-    full_divergence,
-    mean_curvature,
-    transverse_divergence,
-)
-from .catalog import BUILTIN_NAMES, builtin_document, builtin_model
-from .expr import (
-    DifferentiationError,
-    DomainError,
-    EvalError,
-    Expr,
-    ExprError,
-    ParseError,
-    UnboundVariableError,
-    UnknownFunctionError,
-    differentiate,
-    evaluate,
-    parse,
-    to_string,
-)
-from .model import (
-    CheckResult,
-    FoliationSplit,
-    FrameModel,
-    Grid,
-    ModelError,
-    SchemaError,
-    SingularFrameError,
-    VectorFieldSpec,
-    chart_model,
-    check_basic,
-    constant_structure_model,
-    foliation_split,
-    load_field,
-    load_model,
-    model_to_document,
-    sample_grid,
-    structure_functions,
-    validate_model,
-    vector_field,
-)
-from .spectral import (
-    InadmissibleMatrixError,
-    IsolatedRoot,
-    MatrixDiagnostics,
-    SpectralData,
-    SpectralError,
-    build_suspension,
-    char_poly,
-    determinant,
-    parse_matrix,
-    real_eigenvalues,
-    spectral_data,
-    validate_suspension_matrix,
-)
-from .tautness import (
-    NotBasicError,
-    QuadratureReport,
-    TautnessClass,
-    TautnessVerdict,
-    VolumePreservationReport,
-    alvarez_candidate,
-    classify_divergence,
-    covering_projection,
-    green_check,
-    lift_to_cover,
-    volume_preservation_check,
-)
+#: The module each public name is taken from.
+_HOMES = {
+    "records": (
+        "BUILTIN_NAMES", "CheckResult", "DifferentiationError", "DomainError",
+        "EvalError", "ExprError", "FoliationSplit", "InadmissibleMatrixError",
+        "ModelError", "NotBasicError", "ParseError", "SchemaError",
+        "SingularFrameError", "SpectralError", "UnboundVariableError",
+        "UnknownFunctionError", "foliation_split",
+    ),
+    "catalog": ("builtin_document", "builtin_model"),
+    "connection": (
+        "ChristoffelTable", "MeanCurvatureVector", "christoffel",
+        "covariant_derivative", "divergence_sub", "full_divergence",
+        "mean_curvature", "transverse_divergence",
+    ),
+    "expr": ("Expr", "differentiate", "evaluate", "parse", "to_string"),
+    "model": (
+        "FrameModel", "Grid", "VectorFieldSpec", "chart_model", "check_basic",
+        "constant_structure_model", "load_field", "load_model",
+        "model_to_document", "sample_grid", "structure_functions",
+        "validate_model", "vector_field",
+    ),
+    "spectral": (
+        "IsolatedRoot", "MatrixDiagnostics", "SpectralData", "build_suspension",
+        "char_poly", "determinant", "parse_matrix", "real_eigenvalues",
+        "spectral_data", "validate_suspension_matrix",
+    ),
+    "tautness": (
+        "QuadratureReport", "TautnessClass", "TautnessVerdict",
+        "VolumePreservationReport", "alvarez_candidate", "classify_divergence",
+        "covering_projection", "green_check", "lift_to_cover",
+        "volume_preservation_check",
+    ),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+_SUBMODULES = ("catalog", "cli", "connection", "expr", "model", "records", "spectral", "tautness")
 
-__all__ = [
-    "BUILTIN_NAMES",
-    "CheckResult",
-    "ChristoffelTable",
-    "DifferentiationError",
-    "DomainError",
-    "EvalError",
-    "Expr",
-    "ExprError",
-    "FoliationSplit",
-    "FrameModel",
-    "Grid",
-    "InadmissibleMatrixError",
-    "IsolatedRoot",
-    "MatrixDiagnostics",
-    "MeanCurvatureVector",
-    "ModelError",
-    "NotBasicError",
-    "ParseError",
-    "QuadratureReport",
-    "SchemaError",
-    "SingularFrameError",
-    "SpectralData",
-    "SpectralError",
-    "TautnessClass",
-    "TautnessVerdict",
-    "UnboundVariableError",
-    "UnknownFunctionError",
-    "VectorFieldSpec",
-    "VolumePreservationReport",
-    "alvarez_candidate",
-    "build_suspension",
-    "builtin_document",
-    "builtin_model",
-    "char_poly",
-    "chart_model",
-    "check_basic",
-    "christoffel",
-    "classify_divergence",
-    "constant_structure_model",
-    "covariant_derivative",
-    "covering_projection",
-    "determinant",
-    "differentiate",
-    "divergence_sub",
-    "evaluate",
-    "foliation_split",
-    "full_divergence",
-    "green_check",
-    "lift_to_cover",
-    "load_field",
-    "load_model",
-    "mean_curvature",
-    "model_to_document",
-    "parse",
-    "parse_matrix",
-    "real_eigenvalues",
-    "sample_grid",
-    "spectral_data",
-    "structure_functions",
-    "to_string",
-    "transverse_divergence",
-    "validate_model",
-    "validate_suspension_matrix",
-    "vector_field",
-    "volume_preservation_check",
-]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -15,7 +15,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import expr
-from .model import FoliationSplit, FrameModel, ModelError, load_model, model_to_document
+from .model import FrameModel, load_model, model_to_document
+from .records import BUILTIN_NAMES, FoliationSplit, ModelError, UnknownBuiltinError
 from .spectral import build_suspension
 
 #: 3x3 example matrix for the codimension-3 suspension.
@@ -27,15 +28,6 @@ T3A_MATRIX = ((2, 1), (1, 1))
 _SUSPENSION_MATRICES = {"t3a": T3A_MATRIX, "suspension-3": SUSPENSION_3_MATRIX}
 
 DEFAULT_WARP = "0.3*sin(2*pi*x2)"
-
-BUILTIN_NAMES = ("t3a", "suspension-3", "torus-warped", "flat-kronecker")
-
-
-class UnknownBuiltinError(ModelError):
-    def __init__(self, name: str):
-        super().__init__(
-            f"unknown builtin model {name!r}; available: {', '.join(BUILTIN_NAMES)}"
-        )
 
 
 def builtin_document(

@@ -6,6 +6,10 @@ re-parses with every numeric field bit-exact.
 
 Exit codes: 0 success, 1 usage, schema or file error, 2 math-domain error,
 3 model/field validation failure.
+
+Start-up loads only the records, the exact spectral code and argparse:
+``spectral`` runs without NumPy, and the subcommands that build a model
+import the NumPy layers when they run.
 """
 
 from __future__ import annotations
@@ -17,46 +21,36 @@ import json
 import math
 import sys
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .catalog import BUILTIN_NAMES, builtin_model, is_builtin
-from .expr import DomainError, ExprError, ParseError
-from .model import (
+from .records import (
+    BUILTIN_NAMES,
+    DEFAULT_TOLERANCE,
     CheckResult,
+    DomainError,
+    ExprError,
     FoliationSplit,
-    FrameModel,
-    Grid,
+    InadmissibleMatrixError,
     ModelError,
+    ParseError,
     SchemaError,
-    VectorFieldSpec,
+    SpectralError,
     _as_point,
-    load_field,
-    load_model,
-    model_to_document,
-    sample_grid,
-    sweep,
-    validate_model,
 )
 from .spectral import (
-    InadmissibleMatrixError,
-    SpectralError,
     build_suspension,
     format_matrix,
     format_poly,
     parse_matrix,
     validate_suspension_matrix,
 )
-from .tautness import (
-    DEFAULT_TOLERANCE,
-    TautnessVerdict,
-    alvarez_candidate,
-    classify_divergence,
-    compare_with_cover,
-    green_check,
-    volume_preservation_check,
-)
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .model import FrameModel, Grid, VectorFieldSpec
+    from .tautness import TautnessVerdict
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -184,6 +178,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _resolve_model(source: str) -> tuple[FrameModel, FoliationSplit]:
+    from .catalog import builtin_model, is_builtin
+    from .model import load_model
+
     if is_builtin(source):
         return builtin_model(source)
     path = Path(source)
@@ -202,6 +199,9 @@ def _resolve_model(source: str) -> tuple[FrameModel, FoliationSplit]:
 def _resolve_field(
     source: str, model: FrameModel, split: FoliationSplit
 ) -> tuple[VectorFieldSpec, str]:
+    from .model import load_field
+    from .tautness import alvarez_candidate
+
     if source == "alvarez":
         return alvarez_candidate(model, split), "alvarez (mean-curvature candidate)"
     path = Path(source)
@@ -227,6 +227,8 @@ def _resolution(model: FrameModel, grid: tuple[int, ...] | None) -> int | tuple[
 
 
 def _grid_for(model: FrameModel, args: argparse.Namespace) -> Grid:
+    from .model import sample_grid
+
     return sample_grid(model, _resolution(model, args.grid))
 
 
@@ -307,8 +309,29 @@ def _entry_lines(symbol: str, entries: list[dict]) -> list[str]:
 
 
 # --- subcommand handlers -----------------------------------------------------
+#
+# The handlers that build a model import the NumPy layers when they run,
+# so that ``import transdiv.cli`` and ``spectral`` load no NumPy.
 
+def _numpy_quiet(handler):
+    """Run ``handler`` with NumPy's floating-point warnings off: every
+    NaN or infinity is refused by an explicit check, so they would only
+    add noise."""
+
+    @functools.wraps(handler)
+    def run(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+        import numpy as np
+
+        with np.errstate(all="ignore"):
+            return handler(args)
+
+    return run
+
+
+@_numpy_quiet
 def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+    from .model import sweep, validate_model
+
     model, split = _resolve_model(args.model)
     grid = _grid_for(model, args)
     checks = validate_model(model, grid)
@@ -352,7 +375,10 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     return payload, lines, code
 
 
+@_numpy_quiet
 def _cmd_taut_check(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+    from .tautness import classify_divergence
+
     model, split = _resolve_model(args.model)
     field_spec, label = _resolve_field(args.field, model, split)
     grid = _grid_for(model, args)
@@ -369,7 +395,10 @@ def _cmd_taut_check(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     return payload, lines, EXIT_OK
 
 
+@_numpy_quiet
 def _cmd_green_check(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+    from .tautness import green_check
+
     model, split = _resolve_model(args.model)
     field_spec, label = _resolve_field(args.field, model, split)
     report = green_check(model, split, field_spec, _resolution(model, args.grid))
@@ -441,7 +470,10 @@ def _cmd_spectral(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     return payload, lines, EXIT_OK
 
 
+@_numpy_quiet
 def _cmd_suspend(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+    from .model import model_to_document
+
     matrix = _parse_matrix_arg(args.matrix)
     if not 1 <= args.leaf <= len(matrix):
         raise UsageError(f"--leaf must be in 1..{len(matrix)}")
@@ -469,7 +501,10 @@ def _cmd_suspend(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     return payload, lines, EXIT_OK
 
 
+@_numpy_quiet
 def _cmd_cover(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+    from .tautness import compare_with_cover
+
     model, split = _resolve_model(args.model)
     field_spec, label = _resolve_field(args.field, model, split)
     if not 1 <= args.coord <= model.dim:
@@ -508,7 +543,10 @@ def _cmd_cover(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     return payload, lines, EXIT_OK
 
 
+@_numpy_quiet
 def _cmd_volume_check(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+    from .tautness import volume_preservation_check
+
     model, split = _resolve_model(args.model)
     field_spec, label = _resolve_field(args.field, model, split)
     grid = _grid_for(model, args)
@@ -565,10 +603,7 @@ def main(argv: list[str] | None = None) -> int:
     # InadmissibleMatrixError 3; OSError is an unreadable or unwritable path
     try:
         args = _parser().parse_args(argv)
-        # every NaN or infinity is refused by an explicit check, so
-        # NumPy's floating-point warnings would only add noise
-        with np.errstate(all="ignore"):
-            payload, lines, code = _HANDLERS[args.subcommand](args)
+        payload, lines, code = _HANDLERS[args.subcommand](args)
         _emit(payload, lines, args)
         return code
     except (UsageError, SchemaError, ParseError, OSError) as exc:

@@ -36,52 +36,15 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-
-class ExprError(Exception):
-    """Base class for expression-language failures."""
-
-    #: The point of a grid sweep at which the failure happened, when a
-    #: sweep raised it.
-    point: tuple | None = None
-
-
-class ParseError(ExprError):
-    """Malformed input text; carries the byte offset of the failure."""
-
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (at offset {offset})")
-        self.offset = offset
-
-
-class UnknownFunctionError(ParseError):
-    """An ident is applied like a function but is not a known one."""
-
-    def __init__(self, name: str, offset: int):
-        super().__init__(f"unknown function '{name}'", offset)
-        self.name = name
-
-
-class EvalError(ExprError):
-    """Evaluation failure; carries the offending node, if any."""
-
-    def __init__(self, message: str, node: "Expr | None" = None):
-        super().__init__(message if node is None else f"{message} in '{to_string(node)}'")
-        self.node = node
-
-
-class UnboundVariableError(EvalError):
-    def __init__(self, name: str, node: "Expr"):
-        super().__init__(f"unbound variable '{name}'", node)
-        self.name = name
-
-
-class DomainError(EvalError):
-    """ln of a non-positive value, sqrt of a negative, division by zero,
-    or a value that is not finite."""
-
-
-class DifferentiationError(ExprError):
-    """Requested derivative is outside the supported fragment."""
+from .records import (
+    DifferentiationError,
+    DomainError,
+    EvalError,
+    ExprError,
+    ParseError,
+    UnboundVariableError,
+    UnknownFunctionError,
+)
 
 
 # --- AST -------------------------------------------------------------------

@@ -25,6 +25,15 @@ import numpy as np
 
 from . import expr
 from .expr import Expr, ExprError
+from .records import (
+    CheckResult,
+    FoliationSplit,
+    ModelError,
+    SchemaError,
+    SingularFrameError,
+    _as_point,
+    foliation_split,
+)
 
 CONSTANT_STRUCTURE = "constant_structure"
 CHART = "chart"
@@ -39,25 +48,6 @@ PROBE_RESOLUTION = 8
 BASIC_TOLERANCE = 1e-9
 
 JACOBI_TOLERANCE = 1e-12
-
-
-class ModelError(Exception):
-    """Structural problem with a model, split, or field."""
-
-
-class SchemaError(ModelError):
-    """A model or field document violates the file schema."""
-
-
-class SingularFrameError(ModelError):
-    """The frame matrix fails invertibility at a probe point."""
-
-    def __init__(self, point: tuple[float, ...], det: float):
-        super().__init__(
-            f"frame matrix is singular at {point} (|det| = {abs(det):.3e})"
-        )
-        self.point = point
-        self.det = det
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,23 +78,6 @@ class FrameModel:
 
 
 @dataclass(frozen=True)
-class FoliationSplit:
-    """Partition of frame indices into leafwise and transverse sets."""
-
-    dim: int
-    leaf: frozenset[int]
-    transverse: frozenset[int]
-
-    @property
-    def leaf_ordered(self) -> tuple[int, ...]:
-        return tuple(sorted(self.leaf))
-
-    @property
-    def transverse_ordered(self) -> tuple[int, ...]:
-        return tuple(sorted(self.transverse))
-
-
-@dataclass(frozen=True)
 class VectorFieldSpec:
     """A vector field v = sum_k v^k E_k given by frame components."""
 
@@ -124,21 +97,6 @@ class Grid:
     def __init__(self, resolution: Sequence[int], coordinates: np.ndarray):
         self.resolution = tuple(resolution)
         self.coordinates = coordinates
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """Outcome of one check of a model, a field or a matrix.  A measured
-    check also carries its worst value, the first point where it occurs
-    (None when there is none) and the tolerance that value was held to;
-    an exact check leaves all three None."""
-
-    name: str
-    passed: bool
-    detail: str
-    worst: float | None = None
-    worst_point: tuple[float, ...] | None = None
-    tolerance: float | None = None
 
 
 def coordinate_names(dim: int) -> tuple[str, ...]:
@@ -243,19 +201,6 @@ def chart_model(
     )
 
 
-def foliation_split(dim: int, leaf_indices: Iterable[int]) -> FoliationSplit:
-    """Split frame indices (0-based) into leafwise and transverse sets."""
-    leaf = frozenset(int(i) for i in leaf_indices)
-    if any(i < 0 or i >= dim for i in leaf):
-        raise ModelError(f"leaf indices {sorted(leaf)} out of range for dim {dim}")
-    if not leaf:
-        raise ModelError("empty leaf set")
-    transverse = frozenset(range(dim)) - leaf
-    if not transverse:
-        raise ModelError("empty transverse set (leaf indices cover every direction)")
-    return FoliationSplit(dim=dim, leaf=leaf, transverse=transverse)
-
-
 def vector_field(
     components: Sequence[Expr | float | int | str],
     model: FrameModel | None = None,
@@ -333,11 +278,6 @@ def _coordinates(points, width: int) -> np.ndarray:
     no copy of such an array, and shape (0, ``width``) when empty."""
     array = np.asarray(points, dtype=float)
     return array if array.ndim == 2 else array.reshape(len(array), width)
-
-
-def _as_point(row: Sequence[float]) -> tuple[float, ...]:
-    """A reported point: a coordinate row as a tuple of Python floats."""
-    return tuple(map(float, row))
 
 
 # --- frame evaluation ------------------------------------------------------

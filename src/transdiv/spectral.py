@@ -5,12 +5,13 @@ The characteristic polynomial is computed exactly over the integers
 roots are certified and isolated by an integer Sturm chain, built from
 sign-preserving pseudo-remainders and evaluated at dyadic points
 m / 2^k, then refined by dyadic bisection on the sign of the
-polynomial.  Float roots from ``numpy.roots`` only choose where to
-split; every decision is the sign of an exact integer, so the certified
-roots do not depend on them.  No fractions.  An
-admissible matrix (determinant one, all eigenvalues real, simple,
-positive and different from one) yields a constant-structure model of
-dimension n+1 whose frame bracket table is
+polynomial.  Float guesses of the roots (Laguerre's iteration, in pure
+Python) only choose where to split; every decision is the sign of an
+exact integer, so the certified roots do not depend on them.  No
+fractions, and no NumPy: only ``build_suspension`` loads the model
+layer.  An admissible matrix (determinant one, all eigenvalues real,
+simple, positive and different from one) yields a constant-structure
+model of dimension n+1 whose frame bracket table is
 
     [E_0, E_i] = log(lambda_i) * E_i,   all other brackets zero,
 
@@ -24,23 +25,16 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
-from .model import (
-    CheckResult, FoliationSplit, FrameModel, constant_structure_model, foliation_split,
+from .records import (
+    CheckResult, FoliationSplit, InadmissibleMatrixError, SpectralError, foliation_split,
 )
 
+if TYPE_CHECKING:
+    from .model import FrameModel
+
 MAX_DIM = 8
-
-
-class SpectralError(Exception):
-    """Root certification or exactness failure."""
-
-
-class InadmissibleMatrixError(SpectralError):
-    """The matrix cannot carry a suspension model."""
 
 
 @dataclass(frozen=True)
@@ -221,19 +215,87 @@ def _sign_variations(chain: list[list[int]], m: int, k: int) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+#: Cap on Laguerre steps per root; a few suffice when every root is real.
+_LAGUERRE_STEPS = 60
+
+
 def _float_roots(poly: list[int]) -> list[float]:
-    """Float approximations of the roots of p (real parts), from
-    ``numpy.roots`` on its float coefficients: none when a coefficient
-    overflows a float, and any of them may be off or not finite."""
+    """Float guesses of the roots of p, whose roots are all real.
+
+    Each root in turn comes from Laguerre's iteration from 0 on the
+    float coefficients and is divided out (deflation); each guess then
+    takes one Newton step on the full polynomial.  When every root is
+    real, Laguerre's iteration converges to a root from any start
+    (Wilkinson, The Algebraic Eigenvalue Problem, 1965, ch. 7), and
+    ``real_eigenvalues`` asks for guesses only after a Sturm count has
+    shown that.  Never raises: none when a coefficient overflows a
+    float, fewer than the degree when a denominator vanishes, and any
+    of them may be off or not finite."""
     try:
-        floats = [float(c) for c in reversed(poly)]
+        coefficients = [float(c) for c in poly]
     except OverflowError:
         return []
+    # divided by a power of two near the largest, so that p', p'' and
+    # their squares overflow later; the roots are the same
+    exponent = math.frexp(max(map(abs, coefficients)))[1]
+    coefficients = [math.ldexp(c, -exponent) for c in coefficients]
+    roots: list[float] = []
+    remaining = coefficients
     try:
-        with np.errstate(all="ignore"):
-            return np.roots(floats).real.tolist()
-    except np.linalg.LinAlgError:
-        return []
+        while len(remaining) > 1:
+            roots.append(_laguerre(remaining))
+            remaining = _deflated(remaining, roots[-1])
+    except ZeroDivisionError:
+        pass
+    return [_polished(coefficients, root) for root in roots]
+
+
+def _horner(c: list[float], x: float) -> tuple[float, float, float]:
+    """p(x), p'(x) and p''(x) / 2 of ascending float coefficients."""
+    p, dp, ddp = c[-1], 0.0, 0.0
+    for coeff in reversed(c[:-1]):
+        ddp = ddp * x + dp
+        dp = dp * x + p
+        p = p * x + coeff
+    return p, dp, ddp
+
+
+def _laguerre(c: list[float]) -> float:
+    """A root of p by Laguerre's iteration from 0, in the form
+    x -= n p / (p' +- sqrt((n-1) ((n-1) p'^2 - n p p''))), which divides
+    by nothing that vanishes at a simple root."""
+    n = len(c) - 1
+    x = 0.0
+    for _ in range(_LAGUERRE_STEPS):
+        p, dp, ddp = _horner(c, x)
+        root = math.sqrt(max((n - 1) * ((n - 1) * dp * dp - 2 * n * p * ddp), 0.0))
+        step = n * p / (dp + root if dp >= 0 else dp - root)
+        x -= step
+        # convergence is cubic, so after a step this small the error is
+        # far below it; the Newton step on the full polynomial does the rest
+        if not abs(step) > 1e-6 * abs(x):  # also stops at a NaN
+            break
+    return x
+
+
+def _deflated(c: list[float], root: float) -> list[float]:
+    """The quotient of p by (x - root), by synthetic division."""
+    quotient = [0.0] * (len(c) - 1)
+    carry = c[-1]
+    for i in range(len(c) - 2, -1, -1):
+        quotient[i] = carry
+        carry = c[i] + carry * root
+    return quotient
+
+
+def _polished(c: list[float], x: float) -> float:
+    """x after one Newton step on p, unless the step is not finite."""
+    p, dp, _ = _horner(c, x)
+    try:
+        y = x - p / dp
+    except ZeroDivisionError:
+        return x
+    return y if math.isfinite(y) else x
 
 
 def _dyadic(x: float) -> tuple[int, int]:
@@ -356,10 +418,10 @@ def _refine(
     one float.  The width is relative to the larger end, so an interval
     that reaches 0 is halved until it excludes 0, and a root near 0 gets
     the relative precision of any other.  p changes sign only at the
-    root, so the sign of p(mid) says which side holds it.  The first of
-    ``guesses`` strictly inside is the first split point; the next split
-    points step away from it, toward the root, by 1, 2, 4, ... half-ulps
-    of the guess until p changes sign or a step leaves the interval, and
+    root, so the sign of p(mid) says which side holds it.  The first
+    split point and step come from ``guesses`` (``_first_split``); the
+    next split points step away from it, toward the root, by 1, 2, 4,
+    ... steps until p changes sign or a step leaves the interval, and
     halving goes on from there.  Returns (low, high, k), with low ==
     high when high or a split point is the root."""
     if low < 0 < high and poly[0] == 0:
@@ -367,15 +429,10 @@ def _refine(
     high_sign = _sign_at(poly, high, k)
     if high_sign == 0:
         return high, high, k
-    for guess in guesses:
-        m, j = _dyadic(guess)
-        if not low << j < m << k < high << j:
-            continue
-        unit, u = _dyadic(math.ulp(guess))  # half an ulp is unit / 2^(u+1)
-        top = max(k, j, u + 1)
-        low, high, k = low << (top - k), high << (top - k), top
-        guess_point, step, side = m << (top - j), unit << (top - u - 1), 0
-        mid = guess_point
+    start = _first_split(low, high, k, guesses)
+    if start is not None:
+        low, high, k, point, step = start
+        mid, side = point, 0
         while low < mid < high:
             sign = _sign_at(poly, mid, k)
             if sign == 0:
@@ -388,9 +445,8 @@ def _refine(
             if side and below != (side < 0):
                 break  # p changed sign between the last two points
             side = -1 if below else 1
-            mid = guess_point + side * step
+            mid = point + side * step
             step *= 2
-        break
     while True:
         # width <= 1e-16 * max(|low|, |high|), times 2^k * 10^16
         if (high - low) * 10**16 > max(abs(low), abs(high)) or _holds_non_root(poly, low, high, k):
@@ -409,6 +465,44 @@ def _refine(
             high = mid
         else:
             low = mid
+
+
+def _first_split(
+    low: int, high: int, k: int, guesses: Sequence[float]
+) -> tuple[int, int, int, int, int] | None:
+    """Where ``_refine`` first splits (low / 2^k, high / 2^k] and its
+    first step from there, as (low, high, k, point, step) over one
+    exponent k, or None without guesses.  The first of the sorted
+    ``guesses`` strictly inside is the point, and half its ulp the step.
+    With none inside, the guess nearest the interval is clamped to the
+    multiple of the step just inside its nearer end, the step being the
+    largest power of two up to 1 that is at most half the width: a
+    root's float can round past the end of its interval (past the
+    Cauchy bound, for a root that close to it), and the root then lies
+    near that end."""
+    below = above = None
+    for guess in guesses:
+        m, j = _dyadic(guess)
+        if m << k <= low << j:
+            below = guess
+        elif m << k >= high << j:
+            above = guess
+            break
+        else:
+            unit, u = _dyadic(math.ulp(guess))  # half an ulp is unit / 2^(u+1)
+            top = max(k, j, u + 1)
+            shift = top - k
+            return low << shift, high << shift, top, m << (top - j), unit << (top - u - 1)
+    if below is None and above is None:
+        return None
+    near_high = below is None or (
+        above is not None and above - _rounded(high, k) < _rounded(low, k) - below
+    )
+    if high - low < 2:
+        low, high, k = 2 * low, 2 * high, k + 1
+    e = min(k, (high - low).bit_length() - 2)
+    point = (high - 1) >> e << e if near_high else ((low >> e) + 1) << e
+    return low, high, k, point, 1 << e
 
 
 def _rounded(m: int, k: int) -> float:
@@ -547,6 +641,8 @@ def build_suspension(
     lambda_i.  ``leaf_index`` selects which eigen-direction spans the
     one-dimensional leaves (1 <= leaf_index <= n).
     """
+    from .model import constant_structure_model
+
     data = spectral_data(matrix)
     n = len(data.eigenvalues)
     if not 1 <= leaf_index <= n:

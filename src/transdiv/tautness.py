@@ -25,13 +25,9 @@ import numpy as np
 
 from . import expr
 from .model import (
-    CheckResult,
-    FoliationSplit,
     FrameModel,
     Grid,
-    ModelError,
     VectorFieldSpec,
-    _as_point,
     _constant_table,
     _coordinates,
     _wrapped_columns,
@@ -42,8 +38,9 @@ from .model import (
     structure_functions_symbolic,
     sweep,
 )
-
-DEFAULT_TOLERANCE = 1e-9
+from .records import (
+    DEFAULT_TOLERANCE, CheckResult, FoliationSplit, ModelError, NotBasicError, _as_point,
+)
 
 
 class TautnessClass(enum.Enum):
@@ -121,17 +118,6 @@ class CoverComparison:
     base_verdict: TautnessVerdict
     cover_verdict: TautnessVerdict
     max_pointwise_difference: float
-
-
-class NotBasicError(ModelError):
-    """A candidate field failed the basic-field test."""
-
-    def __init__(self, check: CheckResult):
-        super().__init__(
-            f"field is not basic: worst residual {check.worst:.3e} "
-            f"at {check.worst_point} (tolerance {check.tolerance:g})"
-        )
-        self.check = check
 
 
 def _basic_reads(

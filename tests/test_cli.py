@@ -768,17 +768,128 @@ def test_deepest_accepted_expression_runs(capsys, tmp_path, shape):
 
 # --- module execution ------------------------------------------------------------------
 
-def test_python_dash_m_entry_point():
-    # the child imports the package from where this process found it,
-    # installed or not
+def _child_env() -> dict:
+    """The environment of a fresh interpreter that imports the package
+    from where this process found it, installed or not."""
     package_root = os.path.dirname(os.path.dirname(td.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
+    return env
+
+
+def _child_json(code: str):
+    """What a fresh interpreter running ``code`` prints, read as JSON."""
+    completed = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
+    )
+    assert completed.returncode == 0, completed.stderr
+    return json.loads(completed.stdout)
+
+
+def test_python_dash_m_entry_point():
     completed = subprocess.run(
         [sys.executable, "-m", "transdiv", "spectral", "--matrix", "2,1;1,1"],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
     )
     assert completed.returncode == 0
     assert "x^2-3x+1" in completed.stdout
+
+
+def test_cli_import_loads_no_numpy_and_no_sweep_layer():
+    loaded = _child_json(
+        "import json, sys\n"
+        "import transdiv.cli\n"
+        "layers = ('numpy', 'transdiv.expr', 'transdiv.model', 'transdiv.tautness',\n"
+        "          'transdiv.connection')\n"
+        "print(json.dumps([name for name in layers if name in sys.modules]))\n"
+    )
+    assert loaded == []
+
+
+#: 2x2, 3x3, an eigenvalue near 10^20 and one near 10^-20, and an
+#: inadmissible matrix (complex eigenvalues)
+SPECTRAL_MATRICES = (
+    "2,1;1,1",
+    "2,0,-1;0,3,-1;-1,-1,1",
+    "100000000000000000000,1;99999999999999999999,1",
+    "0,1;-1,0",
+)
+
+
+def test_spectral_runs_with_numpy_blocked(capsys):
+    argvs = [
+        ["spectral", "--matrix", matrix, "--format", fmt]
+        for matrix in SPECTRAL_MATRICES
+        for fmt in ("text", "json")
+    ]
+    # importing numpy raises ImportError once its sys.modules entry is None
+    blocked = _child_json(
+        "import contextlib, io, json, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from transdiv.cli import main\n"
+        "reports = []\n"
+        f"for argv in {argvs!r}:\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        code = main(argv)\n"
+        "    reports.append([code, out.getvalue(), err.getvalue()])\n"
+        "print(json.dumps(reports))\n"
+    )
+    assert blocked == [list(run(capsys, *argv)) for argv in argvs]
+    assert [code for code, _, _ in blocked] == [0] * len(argvs)
+
+
+#: The module each public name was imported from before the package
+#: resolved its names lazily.
+PUBLIC_HOMES = {
+    "catalog": "BUILTIN_NAMES builtin_document builtin_model",
+    "connection": (
+        "ChristoffelTable MeanCurvatureVector christoffel covariant_derivative "
+        "divergence_sub full_divergence mean_curvature transverse_divergence"
+    ),
+    "expr": (
+        "DifferentiationError DomainError EvalError Expr ExprError ParseError "
+        "UnboundVariableError UnknownFunctionError differentiate evaluate parse to_string"
+    ),
+    "model": (
+        "CheckResult FoliationSplit FrameModel Grid ModelError SchemaError "
+        "SingularFrameError VectorFieldSpec chart_model check_basic "
+        "constant_structure_model foliation_split load_field load_model "
+        "model_to_document sample_grid structure_functions validate_model vector_field"
+    ),
+    "spectral": (
+        "InadmissibleMatrixError IsolatedRoot MatrixDiagnostics SpectralData "
+        "SpectralError build_suspension char_poly determinant parse_matrix "
+        "real_eigenvalues spectral_data validate_suspension_matrix"
+    ),
+    "tautness": (
+        "NotBasicError QuadratureReport TautnessClass TautnessVerdict "
+        "VolumePreservationReport alvarez_candidate classify_divergence "
+        "covering_projection green_check lift_to_cover volume_preservation_check"
+    ),
+}
+
+
+def test_public_names_resolve_lazily_to_their_home_objects():
+    # in a fresh interpreter, so that no other test has imported a
+    # submodule first: the submodules resolve as attributes before
+    # anything imports them
+    result = _child_json(
+        "import importlib, json\n"
+        "import transdiv as td\n"
+        "submodules = [td.catalog.__name__, td.spectral.__name__]\n"
+        "star = {}\n"
+        "exec('from transdiv import *', star)\n"
+        f"homes = {PUBLIC_HOMES!r}\n"
+        "moved = [name for home, names in homes.items() for name in names.split()\n"
+        "         if getattr(td, name) is not getattr(importlib.import_module('transdiv.' + home), name)\n"
+        "         or star[name] is not getattr(td, name)]\n"
+        "print(json.dumps([submodules, td.__all__, moved]))\n"
+    )
+    submodules, public, moved = result
+    assert submodules == ["transdiv.catalog", "transdiv.spectral"]
+    assert public == sorted(name for names in PUBLIC_HOMES.values() for name in names.split())
+    assert len(public) == 65
+    assert moved == []

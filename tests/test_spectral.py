@@ -679,7 +679,7 @@ def _count_sign_evaluations(monkeypatch, polys) -> int:
 
 def test_guesses_save_most_sign_evaluations(monkeypatch):
     # A = B B^T, B unit lower-triangular with no zero entry in A, as the
-    # benchmark draws them; the bound is relative, so it holds on any BLAS
+    # benchmark draws them; the bound is relative to the count without guesses
     rng = random.Random(1515)
     for n in range(2, td.spectral.MAX_DIM + 1):
         polys = []
@@ -694,6 +694,74 @@ def test_guesses_save_most_sign_evaluations(monkeypatch):
             patch.setattr(td.spectral, "_float_roots", lambda poly: [])
             unguessed = _count_sign_evaluations(patch, polys)
         assert guessed <= 0.4 * unguessed, (n, guessed, unguessed)
+
+
+def _numpy_roots(poly):
+    """A reference guess source: the real parts of ``numpy.roots`` on the
+    float coefficients, none when one overflows or LAPACK fails."""
+    try:
+        floats = [float(c) for c in reversed(poly)]
+    except OverflowError:
+        return []
+    try:
+        with np.errstate(all="ignore"):
+            return np.roots(floats).real.tolist()
+    except np.linalg.LinAlgError:
+        return []
+
+
+def test_guesses_need_no_more_sign_evaluations_than_numpy_roots(monkeypatch):
+    # the benchmark's A = B B^T matrices, n = 2..8, as above
+    rng = random.Random(1616)
+    polys = []
+    for n in range(2, td.spectral.MAX_DIM + 1):
+        spread = 300 if n == 2 else 4 if n == 3 else 2
+        count = len(polys) + 6
+        while len(polys) < count:
+            b = [[1 if i == j else rng.randint(-spread, spread) if j < i else 0 for j in range(n)] for i in range(n)]
+            rows = _matmul(b, [list(column) for column in zip(*b)])
+            if all(all(row) for row in rows) and td.validate_suspension_matrix(rows).admissible:
+                polys.append(td.char_poly(rows))
+    ours = _count_sign_evaluations(monkeypatch, polys)
+    with monkeypatch.context() as patch:
+        patch.setattr(td.spectral, "_float_roots", _numpy_roots)
+        reference = _count_sign_evaluations(patch, polys)
+    assert ours <= reference, (ours, reference)
+
+
+@pytest.mark.parametrize("t", [10**30, 10**40])
+def test_a_guess_past_the_root_bound_still_splits_first(monkeypatch, t):
+    # the float of the larger root of x^2 - t x + 1 rounds above the
+    # Cauchy bound t + 1, so it lies outside the root's interval and is
+    # clamped into it; bisecting from the isolating interval takes 300+
+    coefficients = (1, -t, 1)
+    assert float(t) > t + 1
+    assert _count_sign_evaluations(monkeypatch, [coefficients]) <= 30
+    assert _outcome(td.real_eigenvalues, coefficients) == _outcome(oracle_real_eigenvalues, coefficients)
+
+
+_ROOT_NUMERATORS = st.one_of(st.integers(-10**6, 10**6), st.integers(-10**160, 10**160))
+
+
+def _root_value(root):
+    return Fraction(*root)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    roots=st.lists(
+        st.tuples(_ROOT_NUMERATORS, st.integers(1, 1000)),
+        min_size=1, max_size=td.spectral.MAX_DIM, unique_by=_root_value,
+    ),
+    scale=st.sampled_from([1, -3, 10**150, 10**300, 10**307, -(10**308), 10**309, 10**400]),
+)
+def test_float_roots_never_raise(roots, scale):
+    # real simple roots p/q; the scale and the large roots take the
+    # coefficients near and beyond the float range
+    poly = _expand([[scale], *([-p, q] for p, q in roots)])
+    guesses = td.spectral._float_roots(poly)
+    assert len(guesses) <= len(roots)
+    assert all(type(guess) is float for guess in guesses)
 
 
 @pytest.mark.parametrize(
