@@ -4,12 +4,13 @@ The characteristic polynomial is computed exactly over the integers
 (Berkowitz's division-free algorithm, O(n^4) integer operations).  Real
 roots are certified and isolated by an integer Sturm chain, built from
 sign-preserving pseudo-remainders and evaluated at dyadic points
-m / 2^k, then refined by dyadic bisection on the sign of the
-polynomial.  Float guesses of the roots (Laguerre's iteration, in pure
-Python) only choose where to split; every decision is the sign of an
-exact integer, so the certified roots do not depend on them.  No
-fractions, and no NumPy: only ``build_suspension`` loads the model
-layer.  An admissible matrix (determinant one, all eigenvalues real,
+m / 2^k, then refined on the sign of the polynomial by a search over
+the floats and the half-way points between them, which ends at the
+correctly rounded float of each root.  Float guesses of the roots
+(Laguerre's iteration, in pure Python) only choose where isolation cuts
+and where the search starts; every decision is the sign of an exact
+integer, so the certified roots do not depend on them.  No fractions,
+and no NumPy: only ``build_suspension`` loads the model layer.  An admissible matrix (determinant one, all eigenvalues real,
 simple, positive and different from one) yields a constant-structure
 model of dimension n+1 whose frame bracket table is
 
@@ -25,7 +26,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .records import (
     CheckResult, FoliationSplit, InadmissibleMatrixError, SpectralError, foliation_split,
@@ -308,24 +309,24 @@ def real_eigenvalues(coefficients: Sequence[int]) -> tuple[IsolatedRoot, ...]:
     """Certified real roots of an integer polynomial with all-real simple roots.
 
     Float guesses of the roots (``_float_roots``, the finite ones) only
-    choose split points: isolation first cuts (-R, R], R a root bound,
-    at the midpoints between consecutive sorted guesses, and refinement
-    first splits at the guess inside a root's interval.  Every split is
-    decided by an exact integer sign (a Sturm count or a Horner sum), so
-    the result is the same bit for bit whatever the guesses are, or
-    without any.  Roots are isolated by integer Sturm counts, splitting
-    at integers while an interval is wider than one and at dyadic
-    half-way points after that; each isolated root is then bisected to a
-    width of at most 1e-16 times its larger end (about 1e-16 * |root|),
-    the float resolution limit, on while an integer other than the root
-    lies strictly inside, and once more at the point where rounding to
-    float changes, if that lies inside.  A value is the correctly
-    rounded float of the root (an infinity beyond the float range): that
-    of the final midpoint, or of the root itself when a split point hits
-    it.  The enclosure of an integer root r is (r, r); any other root
-    gets (m, m + 1), m its floor.  Raises SpectralError ("complex or
-    repeated roots") when the real-root count falls short of the degree
-    or the polynomial is not square-free.
+    choose points: isolation first cuts (-R, R], R a root bound, at the
+    midpoints between consecutive sorted guesses, and refinement starts
+    its search at the guess inside a root's interval.  Every decision is
+    an exact integer sign (a Sturm count or a Horner sum), so the result
+    is the same bit for bit whatever the guesses are, or without any.
+    Roots are isolated by integer Sturm counts, splitting at integers
+    while an interval is wider than one and at dyadic half-way points
+    after that.  Each isolated root is then refined (``_refine``) by a
+    search over the floats and the half-way points between them, which
+    hits the root or brackets it between two neighbours, and, where
+    those are more than 1 apart, by the same search over the integers
+    between them.  A value is the correctly rounded float of the root:
+    ties go to even, a root beyond the float range gets an infinity and
+    one that rounds to zero a zero of its sign.  The enclosure of an
+    integer root r is (r, r); any other root gets (m, m + 1), m its
+    floor.  Raises SpectralError ("complex or repeated roots") when the
+    real-root count falls short of the degree or the polynomial is not
+    square-free.
     """
     poly = _int_poly(coefficients)
     degree = len(poly) - 1
@@ -357,10 +358,9 @@ def real_eigenvalues(coefficients: Sequence[int]) -> tuple[IsolatedRoot, ...]:
     cuts.append((radius, 0))
     inner = [_sign_variations(chain, m, j) for m, j in cuts[1:-1]]
     variations = [low_variations, *inner, high_variations]
+    starts = [_place(*_dyadic(guess)) for guess in guesses]
 
-    # (low, high, k): the root high / 2^k if low == high, else the one
-    # root in (low / 2^k, high / 2^k]
-    roots: list[tuple[int, int, int]] = []
+    roots: list[IsolatedRoot] = []
     queue = []
     for (low, i), (high, j), v_low, v_high in zip(cuts, cuts[1:], variations, variations[1:]):
         k = max(i, j)
@@ -370,7 +370,12 @@ def real_eigenvalues(coefficients: Sequence[int]) -> tuple[IsolatedRoot, ...]:
         if count == 0:
             continue
         if count == 1:
-            roots.append(_refine(poly, low, high, k, guesses))
+            # p has the sign of its leading coefficient above every root and
+            # changes sign at each; by the Sturm counts, the roots above
+            # this one number low_variations - 1 - high_variations
+            roots_above = low_variations - 1 - high_variations
+            sign_above = (1 if poly[-1] > 0 else -1) * (-1) ** roots_above
+            roots.append(_refine(poly, low, high, k, sign_above, starts))
             continue
         low, mid, high, k = _midpoint(low, high, k)
         mid_variations = _sign_variations(chain, mid, k)
@@ -378,21 +383,9 @@ def real_eigenvalues(coefficients: Sequence[int]) -> tuple[IsolatedRoot, ...]:
         queue.append((low, mid, k, left, low_variations))
         queue.append((mid, high, k, count - left, mid_variations))
 
-    top = max(root[2] for root in roots)
-    isolated = []
-    for low, high, k in sorted(roots, key=lambda root: root[0] << (top - root[2])):
-        center = low + high  # the midpoint (the root if low == high), over 2^(k+1)
-        value = _rounded(center, k + 1)  # the correctly rounded root
-        if low == high:
-            r = high >> k
-            on_integer = r << k == high
-        else:  # _refine leaves no integer but the root strictly inside
-            r = (low >> k) + 1
-            on_integer = r << k < high
-        floor = center >> (k + 1)
-        enclosure = (r, r) if on_integer else (floor, floor + 1)
-        isolated.append(IsolatedRoot(value=value, enclosure=enclosure))
-    return tuple(isolated)
+    # the queue is a stack that pops the upper half of a split first, so
+    # the roots come in descending order
+    return tuple(reversed(roots))
 
 
 def _midpoint(low: int, high: int, k: int) -> tuple[int, int, int, int]:
@@ -405,106 +398,6 @@ def _midpoint(low: int, high: int, k: int) -> tuple[int, int, int, int]:
     return 2 * low, low + high, 2 * high, k + 1
 
 
-def _refine(
-    poly: list[int], low: int, high: int, k: int, guesses: Sequence[float] = ()
-) -> tuple[int, int, int]:
-    """Shrink (low / 2^k, high / 2^k], which holds exactly one root, a
-    simple one, to at most 1e-16 relative width, further while an
-    integer that is not the root lies strictly inside (so the floor of
-    any point of the interval is the root's floor, or the root is that
-    integer), and then, if the point where rounding to float changes
-    lies strictly inside (``_tie``), split once more at that point, so
-    that every point strictly inside, the root among them, rounds to
-    one float.  The width is relative to the larger end, so an interval
-    that reaches 0 is halved until it excludes 0, and a root near 0 gets
-    the relative precision of any other.  p changes sign only at the
-    root, so the sign of p(mid) says which side holds it.  The first
-    split point and step come from ``guesses`` (``_first_split``); the
-    next split points step away from it, toward the root, by 1, 2, 4,
-    ... steps until p changes sign or a step leaves the interval, and
-    halving goes on from there.  Returns (low, high, k), with low ==
-    high when high or a split point is the root."""
-    if low < 0 < high and poly[0] == 0:
-        return 0, 0, k  # the root is 0, which no halving need reach
-    high_sign = _sign_at(poly, high, k)
-    if high_sign == 0:
-        return high, high, k
-    start = _first_split(low, high, k, guesses)
-    if start is not None:
-        low, high, k, point, step = start
-        mid, side = point, 0
-        while low < mid < high:
-            sign = _sign_at(poly, mid, k)
-            if sign == 0:
-                return mid, mid, k
-            below = sign == high_sign  # the root is below mid
-            if below:
-                high = mid
-            else:
-                low = mid
-            if side and below != (side < 0):
-                break  # p changed sign between the last two points
-            side = -1 if below else 1
-            mid = point + side * step
-            step *= 2
-    while True:
-        # width <= 1e-16 * max(|low|, |high|), times 2^k * 10^16
-        if (high - low) * 10**16 > max(abs(low), abs(high)) or _holds_non_root(poly, low, high, k):
-            low, mid, high, k = 2 * low, low + high, 2 * high, k + 1
-        else:
-            tie = _tie(low, high, k)
-            if tie is None:
-                return low, high, k
-            m, j = tie
-            top = max(k, j)
-            low, mid, high, k = low << (top - k), m << (top - j), high << (top - k), top
-        sign = _sign_at(poly, mid, k)
-        if sign == 0:
-            return mid, mid, k
-        if sign == high_sign:
-            high = mid
-        else:
-            low = mid
-
-
-def _first_split(
-    low: int, high: int, k: int, guesses: Sequence[float]
-) -> tuple[int, int, int, int, int] | None:
-    """Where ``_refine`` first splits (low / 2^k, high / 2^k] and its
-    first step from there, as (low, high, k, point, step) over one
-    exponent k, or None without guesses.  The first of the sorted
-    ``guesses`` strictly inside is the point, and half its ulp the step.
-    With none inside, the guess nearest the interval is clamped to the
-    multiple of the step just inside its nearer end, the step being the
-    largest power of two up to 1 that is at most half the width: a
-    root's float can round past the end of its interval (past the
-    Cauchy bound, for a root that close to it), and the root then lies
-    near that end."""
-    below = above = None
-    for guess in guesses:
-        m, j = _dyadic(guess)
-        if m << k <= low << j:
-            below = guess
-        elif m << k >= high << j:
-            above = guess
-            break
-        else:
-            unit, u = _dyadic(math.ulp(guess))  # half an ulp is unit / 2^(u+1)
-            top = max(k, j, u + 1)
-            shift = top - k
-            return low << shift, high << shift, top, m << (top - j), unit << (top - u - 1)
-    if below is None and above is None:
-        return None
-    near_high = below is None or (
-        above is not None and above - _rounded(high, k) < _rounded(low, k) - below
-    )
-    if high - low < 2:
-        low, high, k = 2 * low, 2 * high, k + 1
-    e = min(k, (high - low).bit_length() - 2)
-    point = (high - 1) >> e << e if near_high else ((low >> e) + 1) << e
-    return low, high, k, point, 1 << e
-
-
 def _rounded(m: int, k: int) -> float:
     """The float nearest to m / 2^k, an infinity beyond the float range."""
     try:
@@ -513,34 +406,121 @@ def _rounded(m: int, k: int) -> float:
         return math.inf if m > 0 else -math.inf
 
 
-def _tie(low: int, high: int, k: int) -> tuple[int, int] | None:
-    """(m, j) such that m / 2^j lies strictly inside (low / 2^k, high /
-    2^k) halfway between the floats nearest its two ends, or None when
-    the ends round to one float or that point is not strictly inside.
-    Called on an interval narrower than the float spacing, whose ends
-    round to one float or to two neighbours.  An infinity counts as
-    2^1024, the float after the largest if the exponents went on, so
-    halfway to it is where rounding overflows."""
-    ends = (_rounded(low, k), _rounded(high, k))
-    if ends[0] == ends[1]:
-        return None
-    (n1, d1), (n2, d2) = (
-        ((1 << 1024) * (1 if x > 0 else -1), 1) if math.isinf(x) else x.as_integer_ratio()
-        for x in ends
-    )
-    d = max(d1, d2)  # both powers of two
-    m, j = n1 * (d // d1) + n2 * (d // d2), d.bit_length()
-    return (m, j) if low << j < m << k < high << j else None
+def _point(place: int) -> tuple[int, int]:
+    """(m, j) with j >= 0 such that m / 2^j is the point at ``place`` on
+    the lattice of the floats and the half-way points between them.
+
+    Place 2i is the float whose bit pattern, read as an integer, is i,
+    place 2i + 1 is half-way from it to the next float, and place -p is
+    the negative of place p.  The exponent goes on growing past the
+    largest float, so 2^1024 is at the place of the bit pattern of inf
+    and every real number lies between two places."""
+    if place < 0:
+        m, j = _point(-place)
+        return -m, j
+    exponent = place >> 53 or 1  # the biased exponent; 1 for subnormals
+    m = place - ((exponent - 1) << 53)  # twice the significand, + 1 half-way
+    j = 1076 - exponent
+    return (m, j) if j > 0 else (m << -j, 0)
 
 
-def _holds_non_root(poly: list[int], low: int, high: int, k: int) -> bool:
-    """Whether an integer m with p(m) != 0 lies strictly inside
-    (low / 2^k, high / 2^k).  An integer root reached by bisection but
-    never hit stays inside its interval for good, so it does not count."""
-    first, last = (low >> k) + 1, -(-high >> k) - 1
-    if first < last:
-        return True  # two integers inside, and the interval holds one root
-    return first == last and _sign_at(poly, first, 0) != 0
+def _place(m: int, j: int, up: bool = False) -> int:
+    """The largest place whose point is at most m / 2^j, or with ``up``
+    the smallest whose point is at least m / 2^j: the inverse of
+    ``_point`` where m / 2^j is a point."""
+    if m <= 0:
+        return -_place(-m, j, not up) if m else 0
+    exponent = m.bit_length() - j + 1022
+    if exponent < 1:
+        exponent = 1  # subnormal
+    shift = exponent + j - 1076
+    if shift <= 0:
+        return ((exponent - 1) << 53) + (m << -shift)
+    return ((exponent - 1) << 53) + (-(-m >> shift) if up else m >> shift)
+
+
+def _search(
+    poly: list[int],
+    sign_above: int,
+    point: Callable[[int], tuple[int, int]],
+    lo: int,
+    hi: int,
+    start: int | None,
+) -> tuple[int, int]:
+    """The places (lo, hi) of a lattice next to the root of p: lo == hi
+    when the root is the point at that place, else hi == lo + 1 and the
+    root lies strictly between their points.
+
+    ``point`` maps a place to its point (m, j), the number m / 2^j.  The
+    root lies strictly between the points of the places lo < hi given,
+    p has no other root there, and above it p has the sign
+    ``sign_above``.  The probes start at ``start`` and step 1, 2, 4, ...
+    places from it toward the root until the side changes or a step
+    leaves the bracket; halving goes on from there, and from the first
+    probe when ``start`` is None."""
+    probe, step, last = start, 0 if start is None else 1, 0
+    while hi - lo > 1:
+        if not (step and lo < probe < hi):
+            probe, step = (lo + hi) >> 1, 0
+        sign = _sign_at(poly, *point(probe))
+        if sign == 0:
+            return probe, probe
+        if sign == sign_above:
+            hi, side = probe, -1
+        else:
+            lo, side = probe, 1
+        if step:
+            if side == -last:
+                step = 0  # the root lies between the last two probes
+            else:
+                last, probe, step = side, start + side * step, 2 * step
+    return lo, hi
+
+
+def _refine(
+    poly: list[int], low: int, high: int, k: int, sign_above: int, starts: Sequence[int] = ()
+) -> IsolatedRoot:
+    """The root in (low / 2^k, high / 2^k], a simple one and the only
+    one there, with its correctly rounded float and integer enclosure;
+    p has the sign ``sign_above`` above the root.
+
+    The sign of p at a point of the interval says on which side of it
+    the root lies.  A search over the floats and the half-way points
+    between them (``_point``) hits the root or brackets it between two
+    neighbours.  Every point strictly between those rounds to the float
+    among them, as the root does; a root that is a half-way point rounds
+    to the even float beside it; past the largest float, the float is an
+    infinity.  Where the neighbours are integers, |root| >= 2^53, the same
+    search over the integers between them gives the root's floor or
+    hits it.  The first search starts at the first of the sorted places
+    ``starts`` (the guesses') inside the interval, else at the nearest
+    one, clamped into it."""
+    # the places around the interval: every place between them is inside
+    lo, hi = _place(low, k), _place(high, k) + 1
+    start = None
+    for place in starts:
+        if place > lo:
+            if place < hi or start is None or place - hi < lo - start:
+                start = place
+            break
+        start = place
+    if start is not None:
+        start = min(max(start, lo + 1), hi - 1)
+    lo, hi = _search(poly, sign_above, _point, lo, hi, start)
+    (m1, j1), (m2, j2) = _point(lo), _point(hi)
+    j = max(j1, j2)
+    center = (m1 << (j - j1)) + (m2 << (j - j2))  # over 2^(j + 1); the root if lo == hi
+    value = _rounded(center, j + 1)
+    if j == 0 and lo < hi:
+        # integer neighbours, maybe more than 1 apart: search the integers
+        # between them that lie in the interval, from next to an end of
+        # the interval between the neighbours if there is one (the root
+        # bound lies that close above a dominant root), else by halving
+        floor, ceiling = max(m1, low >> k), min(m2, (high >> k) + 1)
+        start = ceiling - 1 if ceiling < m2 else floor + 1 if floor > m1 else None
+        center = sum(_search(poly, sign_above, lambda n: (n, 0), floor, ceiling, start))
+    floor = center >> (j + 1)
+    return IsolatedRoot(value, (floor, floor) if floor << (j + 1) == center else (floor, floor + 1))
 
 
 # --- admissibility and the suspension model ---------------------------------

@@ -1,10 +1,13 @@
-"""Fuzz of ``cli.main`` with random model and field files.
+"""Fuzz of ``cli.main`` with random model and field files, and of
+``spectral`` and ``suspend`` with random ``--matrix`` text.
 
 Expressions mix benign terms with overflow, NaN-producing and
-domain-error cases; documents may carry NaN or infinite numbers.
-Whatever the input, ``main`` returns an exit code in 0..3 and never
-raises, a JSON report it writes is strict JSON (no NaN/Infinity), and
-the text format gives the same exit code and error line as JSON.
+domain-error cases; documents may carry NaN or infinite numbers;
+matrices may be ragged, hold entries far beyond the float range or
+entries that ``int()`` reads and the parser refuses.  Whatever the
+input, ``main`` returns an exit code in 0..3 and never raises, a JSON
+report it writes is strict JSON (no NaN/Infinity), and the text format
+gives the same exit code and error line as JSON.
 """
 
 from __future__ import annotations
@@ -169,6 +172,56 @@ def test_main_always_exits_0_to_3(case):
     assert code in (0, 1, 2, 3)
     if out:  # a report: on success, or from analyze with failed validation
         assert code in (0, 3)
+        strict_json(out)
+    else:
+        assert code != 0 and err.startswith("error: ") and err.count("\n") == 1
+
+
+# --- spectral and suspend on drawn --matrix text ------------------------------
+
+#: entries that int() reads but parse_matrix refuses, or that read as +-1 and 0
+ODD_ENTRIES = ["", " ", "+1", "-0", " 3 ", "007", "1_0", "２", "٣", "1.0", "x", "--1"]
+
+
+def matrix_entries():
+    return st.one_of(
+        st.integers(-20, 20).map(str),
+        st.integers(-(10**400), 10**400).map(str),
+        st.sampled_from(ODD_ENTRIES),
+    )
+
+
+@st.composite
+def matrix_texts(draw):
+    """1 to 9 rows, square or ragged."""
+    rows = draw(st.integers(1, 9))
+    square = draw(st.booleans())
+    lengths = [rows if square else draw(st.integers(1, 9)) for _ in range(rows)]
+    return ";".join(
+        ",".join(draw(st.lists(matrix_entries(), min_size=length, max_size=length)))
+        for length in lengths
+    )
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(["spectral", "suspend"]), matrix_texts(), st.integers(-1, 10))
+@example("spectral", "2,1;1,1", 1)
+@example("suspend", "2,1;1,1", 2)
+@example("suspend", "2,0,-1;0,3,-1;-1,-1,1", 0)
+@example("spectral", str(10**400), 1)
+@example("suspend", f"{10**309},1;{10**309 - 1},1", 1)
+def test_spectral_and_suspend_always_exit_0_to_3(subcommand, matrix, leaf):
+    with tempfile.TemporaryDirectory() as directory:
+        argv = [subcommand, f"--matrix={matrix}"]
+        if subcommand == "suspend":
+            argv += ["--leaf", str(leaf), "-o", os.path.join(directory, "model.json")]
+        code, out, err = run_main([*argv, "--format", "json"])
+        text_code, text_out, text_err = run_main([*argv, "--format", "text"])
+    assert (text_code, text_err) == (code, err)
+    assert bool(text_out) == bool(out)
+    assert code in (0, 1, 2, 3)
+    if out:
+        assert code == 0
         strict_json(out)
     else:
         assert code != 0 and err.startswith("error: ") and err.count("\n") == 1

@@ -177,10 +177,10 @@ def test_real_eigenvalues_exact_integer_roots():
     "coefficients, expected",
     [
         ((1, -3, 2), [(1.0, (1, 1)), (2.0, (2, 2))]),  # (x-1)(x-2): split points hit both
-        ((1, 3, -4), [(-4.0, (-4, -4)), (1.0, (1, 1))]),  # (x-1)(x+4): bisection converges
-        ((1, -3), [(3.0, (3, 3))]),  # x-3: a refinement midpoint hits the root
-        # the last intervals can end on the integers 10^20 and 10^17 + 4,
-        # which are no roots: the root is the integer strictly inside
+        ((1, 3, -4), [(-4.0, (-4, -4)), (1.0, (1, 1))]),  # (x-1)(x+4)
+        ((1, -3), [(3.0, (3, 3))]),  # x-3: the search over the floats hits the root
+        # 10^20 -+ 1 and 10^17 + 3 lie between neighbouring floats more
+        # than 1 apart: the search over the integers between them hits them
         ((1, -2 * 10**20, 10**40 - 1), [(1e20, (10**20 - 1,) * 2), (1e20, (10**20 + 1,) * 2)]),
         ((1, -(10**17 + 3)), [(1e17, (10**17 + 3,) * 2)]),
     ],
@@ -192,6 +192,20 @@ def test_integer_roots_get_point_enclosures(coefficients, expected):
     ]
 
 
+def _zeros_of_sign_at(patch) -> list[Fraction]:
+    """Patch ``_sign_at`` to record each point where p was found to vanish."""
+    sign_at, zeros = td.spectral._sign_at, []
+
+    def spy(poly, m, k):
+        sign = sign_at(poly, m, k)
+        if sign == 0:
+            zeros.append(Fraction(m, 2**k))
+        return sign
+
+    patch.setattr(td.spectral, "_sign_at", spy)
+    return zeros
+
+
 def test_refinement_hit_on_an_integer_root_is_exact(monkeypatch):
     refine, results = td.spectral._refine, []
 
@@ -200,10 +214,11 @@ def test_refinement_hit_on_an_integer_root_is_exact(monkeypatch):
         return results[-1]
 
     monkeypatch.setattr(td.spectral, "_refine", spy)
+    zeros = _zeros_of_sign_at(monkeypatch)
     (root,) = td.real_eigenvalues((1, -3))
-    (low, high, k), = results
-    assert low == high and Fraction(high, 2**k) == 3
-    assert root == td.IsolatedRoot(value=3.0, enclosure=(3, 3))
+    assert results == [td.IsolatedRoot(value=3.0, enclosure=(3, 3))]
+    assert zeros == [3]  # refinement evaluated p at the root itself
+    assert root == results[0]
 
 
 def _contains_one_root(coefficients, enclosure):
@@ -220,8 +235,9 @@ def _contains_one_root(coefficients, enclosure):
 
 
 def test_enclosure_of_a_root_just_below_an_integer():
-    # x^2 - (10^16 + 1) x + 1: the large root is 10^16 + 1 - 1e-16, and
-    # its interval at 1e-16 relative width (about 1) straddles 10^16 + 1
+    # x^2 - (10^16 + 1) x + 1: the large root is 10^16 + 1 - 1e-16, just
+    # below the integer 10^16 + 1 half-way between the floats 10^16 and
+    # 10^16 + 2, so it rounds down and its floor is 10^16
     matrix = ((10**16, 1), (10**16 - 1, 1))
     roots = td.real_eigenvalues(td.char_poly(matrix))
     assert [root.enclosure for root in roots] == [(0, 1), (10**16, 10**16 + 1)]
@@ -256,10 +272,14 @@ def test_small_roots_of_large_trace_quadratics_are_relatively_precise(t):
     assert abs(small * large - 1.0) <= 1e-12
 
 
-def test_refinement_of_an_interval_around_a_root_at_zero():
-    # the halving points of (-1, 2] never reach 0, and no width relative
-    # to the interval's ends is small enough while it holds 0
-    assert td.spectral._refine([0, 1], -1, 2, 0) == (0, 0, 0)
+def test_refinement_of_an_interval_around_a_root_at_zero(monkeypatch):
+    # 0 is a place of the lattice, and the search without guesses halves
+    # the places around (-1, 2] down to it; the zero is positive
+    zeros = _zeros_of_sign_at(monkeypatch)
+    root = td.spectral._refine([0, 1], -1, 2, 0, 1)
+    assert root == td.IsolatedRoot(value=0.0, enclosure=(0, 0))
+    assert math.copysign(1.0, root.value) == 1.0
+    assert zeros == [0]
     assert [(root.value, root.enclosure) for root in td.real_eigenvalues((1, -1, 0))] == [
         (0.0, (0, 0)), (1.0, (1, 1)),
     ]
@@ -313,6 +333,89 @@ def test_roots_are_correctly_rounded():
             coefficients = td.char_poly(random_admissible_matrix(rng, n))
             for root in td.real_eigenvalues(coefficients):
                 assert _rounds_to(coefficients, root.value), (coefficients, root)
+    # products of linear factors with rational roots of both signs from
+    # about 1e-300 to 1e300; most of their coefficients overflow a float,
+    # so refinement runs without guesses
+    for _ in range(40):
+        roots = {
+            Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
+            * Fraction(10) ** rng.randint(-300, 300)
+            * rng.choice((-1, 1))
+            for _ in range(rng.randint(1, 4))
+        }
+        coefficients = tuple(reversed(_expand([(-r.numerator, r.denominator) for r in roots])))
+        isolated = td.real_eigenvalues(coefficients)
+        assert len(isolated) == len(roots)
+        for root, exact in zip(isolated, sorted(roots)):
+            assert _rounds_to(coefficients, root.value), (coefficients, root)
+            floor = exact.numerator // exact.denominator
+            assert root.enclosure == (floor, floor if floor == exact else floor + 1)
+    # subnormal roots, and roots that round to a zero of their own sign;
+    # -+3 / 2^1075 lies half-way between two subnormals and rounds to the
+    # even one, 2^-1073, and -+1 / 2^1075 to zero
+    for coefficients, expected in [
+        ((2**1075, -3), [("0x0.0000000000002p-1022", (0, 1))]),
+        ((2**1075, 3), [("-0x0.0000000000002p-1022", (-1, 0))]),
+        ((2**1100, 1), [("-0x0.0p+0", (-1, 0))]),
+        ((2**1100, -1), [("0x0.0p+0", (0, 1))]),
+        ((2**1074 * 3, -(2**53 + 1)), [("0x0.aaaaaaaaaaaabp-1022", (0, 1))]),
+        ((2**2150, 0, -1), [("-0x0.0p+0", (-1, 0)), ("0x0.0p+0", (0, 1))]),
+        ((2**2150, 0, -9), [("-0x0.0000000000002p-1022", (-1, 0)), ("0x0.0000000000002p-1022", (0, 1))]),
+    ]:
+        roots = td.real_eigenvalues(coefficients)
+        assert [(root.value.hex(), root.enclosure) for root in roots] == expected
+        assert all(_rounds_to(coefficients, root.value) for root in roots)
+
+
+def _bench_like_polys(rng, per_n):
+    """Characteristic polynomials of A = B B^T, B unit lower-triangular
+    with no zero entry in A, as the benchmark draws them, n = 2..8."""
+    polys = []
+    for n in range(2, td.spectral.MAX_DIM + 1):
+        spread = 300 if n == 2 else 4 if n == 3 else 2
+        count = len(polys) + per_n
+        while len(polys) < count:
+            b = [[1 if i == j else rng.randint(-spread, spread) if j < i else 0 for j in range(n)] for i in range(n)]
+            rows = _matmul(b, [list(column) for column in zip(*b)])
+            if all(all(row) for row in rows) and td.validate_suspension_matrix(rows).admissible:
+                polys.append(td.char_poly(rows))
+    return polys
+
+
+def test_refinement_from_correctly_rounded_guesses_takes_two_signs(monkeypatch):
+    # with each root's correctly rounded float as its guess, a root below
+    # 2^53 that is not a float costs the sign at the guess and at the
+    # half-way point on the root's side; the sign of p above the root
+    # comes from the Sturm counts
+    rng = random.Random(1919)
+    polys = _bench_like_polys(rng, 4) + [(1, -t, 1) for t in (3, 7, 10**6 + 1, 10**15)]
+    polys += [tuple(reversed(_expand([(rng.randint(-10**9, 10**9), 3), (rng.randint(-99, 99), 7)]))) for _ in range(20)]
+    sign_at, refine, calls, costs = td.spectral._sign_at, td.spectral._refine, [0], []
+
+    def counting(*args):
+        calls[0] += 1
+        return sign_at(*args)
+
+    def costing(*args):
+        before = calls[0]
+        root = refine(*args)
+        costs.append((root, calls[0] - before))
+        return root
+
+    checked = 0
+    for coefficients in polys:
+        values = [root.value for root in td.real_eigenvalues(coefficients)]
+        with monkeypatch.context() as patch:
+            patch.setattr(td.spectral, "_float_roots", lambda poly: list(values))
+            patch.setattr(td.spectral, "_sign_at", counting)
+            patch.setattr(td.spectral, "_refine", costing)
+            del costs[:]
+            td.real_eigenvalues(coefficients)
+        for root, cost in costs:
+            if abs(root.value) < 2**53 and _sign(coefficients, Fraction(root.value)) != 0:
+                assert cost <= 2, (coefficients, root, cost)
+                checked += 1
+    assert checked >= 150
 
 
 def test_roots_on_a_rounding_tie_round_to_even():
@@ -356,7 +459,7 @@ def test_residual_smallness():
 # --- the rational-arithmetic isolation, kept as the oracle ---------------------------
 #
 # The Sturm isolation as it was over Fractions.  The integer chain and
-# the dyadic bisection in transdiv.spectral must give the same roots,
+# the refinement in transdiv.spectral must give the same roots,
 # bit for bit, the same enclosures and the same refusals.
 
 def _frac_poly(coefficients_desc) -> list[Fraction]:
@@ -678,17 +781,10 @@ def _count_sign_evaluations(monkeypatch, polys) -> int:
 
 
 def test_guesses_save_most_sign_evaluations(monkeypatch):
-    # A = B B^T, B unit lower-triangular with no zero entry in A, as the
-    # benchmark draws them; the bound is relative to the count without guesses
-    rng = random.Random(1515)
+    # the benchmark's matrices; the bound is relative to the count without guesses
+    drawn = _bench_like_polys(random.Random(1515), 4)
     for n in range(2, td.spectral.MAX_DIM + 1):
-        polys = []
-        while len(polys) < 4:
-            spread = 300 if n == 2 else 4 if n == 3 else 2
-            b = [[1 if i == j else rng.randint(-spread, spread) if j < i else 0 for j in range(n)] for i in range(n)]
-            rows = _matmul(b, [list(column) for column in zip(*b)])
-            if all(all(row) for row in rows) and td.validate_suspension_matrix(rows).admissible:
-                polys.append(td.char_poly(rows))
+        polys = drawn[4 * (n - 2):4 * (n - 1)]
         guessed = _count_sign_evaluations(monkeypatch, polys)
         with monkeypatch.context() as patch:
             patch.setattr(td.spectral, "_float_roots", lambda poly: [])
@@ -711,17 +807,7 @@ def _numpy_roots(poly):
 
 
 def test_guesses_need_no_more_sign_evaluations_than_numpy_roots(monkeypatch):
-    # the benchmark's A = B B^T matrices, n = 2..8, as above
-    rng = random.Random(1616)
-    polys = []
-    for n in range(2, td.spectral.MAX_DIM + 1):
-        spread = 300 if n == 2 else 4 if n == 3 else 2
-        count = len(polys) + 6
-        while len(polys) < count:
-            b = [[1 if i == j else rng.randint(-spread, spread) if j < i else 0 for j in range(n)] for i in range(n)]
-            rows = _matmul(b, [list(column) for column in zip(*b)])
-            if all(all(row) for row in rows) and td.validate_suspension_matrix(rows).admissible:
-                polys.append(td.char_poly(rows))
+    polys = _bench_like_polys(random.Random(1616), 6)
     ours = _count_sign_evaluations(monkeypatch, polys)
     with monkeypatch.context() as patch:
         patch.setattr(td.spectral, "_float_roots", _numpy_roots)
@@ -733,7 +819,9 @@ def test_guesses_need_no_more_sign_evaluations_than_numpy_roots(monkeypatch):
 def test_a_guess_past_the_root_bound_still_splits_first(monkeypatch, t):
     # the float of the larger root of x^2 - t x + 1 rounds above the
     # Cauchy bound t + 1, so it lies outside the root's interval and is
-    # clamped into it; bisecting from the isolating interval takes 300+
+    # clamped into it; the bound t + 1 also lies between the root's
+    # neighbouring floats, so the search over the integers starts there
+    # and finds the floor t - 1 in three steps
     coefficients = (1, -t, 1)
     assert float(t) > t + 1
     assert _count_sign_evaluations(monkeypatch, [coefficients]) <= 30
@@ -796,7 +884,7 @@ def test_real_eigenvalues_coefficient_types():
         td.real_eigenvalues((1.0, -3.0, 1.0))
 
 
-# --- exact hits: dyadic roots land on bisection points ----------------------------
+# --- exact hits: dyadic roots land on search points --------------------------------
 
 def _expand(factors) -> list[int]:
     """Ascending coefficients of the product of ascending factors."""
@@ -827,6 +915,7 @@ dyadic_roots = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(dyadic_roots, st.booleans())
 def test_dyadic_roots_come_back_certified(roots, negate):
+    # every such root is a float, so it is its own correctly rounded value
     product = _expand([(-b, 2**a) for a, b in roots])
     sign = -1 if negate else 1
     isolated = td.real_eigenvalues(tuple(sign * c for c in reversed(product)))
@@ -835,29 +924,29 @@ def test_dyadic_roots_come_back_certified(roots, negate):
     for root, exact in zip(isolated, expected):
         low, high = root.enclosure
         assert low <= exact <= high
-        if exact == 0 or low == high:
-            # isolation splits at 0 and at integers, so these are hit exactly
-            assert root.value == exact
-        else:
-            # bisection from a width that is not a power of two can step
-            # past a dyadic root; then the 1e-16 refinement bound holds
-            bound = 1e-16 * max(1, abs(exact)) + math.ulp(float(exact))
-            assert abs(root.value - exact) <= bound
+        assert (low == high) == (exact.denominator == 1)
+        assert root.value == exact
 
 
 @settings(max_examples=200, deadline=None)
 @given(dyadic_root, st.integers(1, 6), st.data())
 def test_refinement_lands_exactly_on_a_dyadic_root(root, e, data):
-    # start from an interval of width 2^e around the root: the halving
-    # points include every dyadic number inside, so p(mid) == 0 ends it
+    # start from an interval of width 2^e around the root, without
+    # guesses: the root is a float, so a place of the lattice, and the
+    # search cannot bracket it without evaluating p there
     a, b = root
     exact = _dyadic_value(root)
     low = math.floor(exact) - data.draw(st.integers(1, 2**e - 1))
     high = low + 2**e
     poly = _expand([(-b, 2**a), (1, 0, 1)])  # no other real root
-    mid, same, k = td.spectral._refine(poly, low, high, 0)
-    assert mid == same
-    assert Fraction(mid, 2**k) == exact
+    with pytest.MonkeyPatch.context() as patch:
+        zeros = _zeros_of_sign_at(patch)
+        isolated = td.spectral._refine(poly, low, high, 0, 1)
+    assert zeros == [exact]
+    floor = math.floor(exact)
+    assert isolated == td.IsolatedRoot(
+        value=float(exact), enclosure=(floor, floor if floor == exact else floor + 1)
+    )
 
 
 @settings(max_examples=100, deadline=None)
