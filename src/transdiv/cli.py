@@ -37,6 +37,7 @@ from .records import (
     SchemaError,
     SpectralError,
     _as_point,
+    check_line,
 )
 from .spectral import (
     build_suspension,
@@ -269,11 +270,6 @@ def _check_payload(check: CheckResult) -> dict:
     return payload
 
 
-def _check_line(check: CheckResult) -> str:
-    worst = "" if check.worst is None else f", worst {check.worst:.3e} at {check.worst_point}"
-    return f"  {check.name}: {'pass' if check.passed else 'FAIL'} ({check.detail}{worst})"
-
-
 def _model_header(model: FrameModel, split: FoliationSplit) -> list[str]:
     leaf = [i + 1 for i in split.leaf_ordered]
     transverse = [i + 1 for i in split.transverse_ordered]
@@ -360,7 +356,7 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     }
     lines = _model_header(model, split)
     lines.append(f"validation: {'pass' if passed else 'FAIL'}")
-    lines.extend(_check_line(check) for check in checks)
+    lines.extend(f"  {check_line(check)}" for check in checks)
     lines.append(f"report point: {point if point else 'abstract'}")
     lines.append("nonzero structure functions C_ij^k ([E_i, E_j] = C_ij^k E_k):")
     lines.extend(_entry_lines("C", payload["structure_functions"]))
@@ -466,7 +462,7 @@ def _cmd_spectral(args: argparse.Namespace) -> tuple[dict, list[str], int]:
                 "log eigenvalues: " + ", ".join(f"{x:.12g}" for x in logs)
             )
     lines.append(f"suspension-admissible: {'yes' if diagnostics.admissible else 'no'}")
-    lines.extend(_check_line(check) for check in diagnostics.checks)
+    lines.extend(f"  {check_line(check)}" for check in diagnostics.checks)
     return payload, lines, EXIT_OK
 
 

@@ -41,9 +41,6 @@ CHART = "chart"
 #: Frame determinants below this are treated as singular.
 DET_TOLERANCE = 1e-10
 
-#: Per-coordinate resolution used when probing a freshly loaded chart frame.
-PROBE_RESOLUTION = 8
-
 #: Largest basic-check residual |pi_Q [F_a, v]| accepted as zero.
 BASIC_TOLERANCE = 1e-9
 
@@ -676,24 +673,44 @@ def _transposed_minors(model: FrameModel) -> Callable[[tuple, tuple], Expr]:
 
 # --- validation ------------------------------------------------------------
 
-def _probe_invertibility(model: FrameModel, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """The frame-invertibility probe points (``grid``'s points and its
-    lattice corners) and det A at each."""
-    resolution = grid.resolution or (PROBE_RESOLUTION,) * model.dim
-    points = np.concatenate((grid.coordinates, _lattice(model, resolution, 0.0)))
-    (dets,) = sweep(model, points, lambda block: block.det, structure=False)
-    return points, dets
+def _probe_invertibility(
+    model: FrameModel, grid: Grid, dets: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The frame-invertibility probe points (``grid``'s points, then its
+    lattice corners) and det A at each.  ``dets``, det A at ``grid``'s
+    points as a sweep already read it, leaves only the corners to sweep."""
+    points = np.concatenate((grid.coordinates, _lattice(model, grid.resolution, 0.0)))
+    known = np.empty(0) if dets is None else dets
+    (rest,) = sweep(model, points[len(known):], _det, structure=False)
+    return points, np.concatenate((known, rest))
 
 
-def validate_model(model: FrameModel, grid: Grid) -> tuple[CheckResult, ...]:
-    """Checks (never raises): frame invertibility over grid and corner
-    probes for charts; the Jacobi identity for constant-structure
-    models.  Neither kind needs an antisymmetry check: a chart's C_ij^k
-    is evaluated for i < j only and C_ji^k = -C_ij^k filled in, and
-    _constant_table writes the same for each stored i < j entry."""
+def _det(block: FrameData) -> np.ndarray:
+    """The read of det A from a chart's FrameData block."""
+    return block.det
+
+
+def validate_model(
+    model: FrameModel, grid: Grid, dets: np.ndarray | None = None
+) -> tuple[CheckResult, ...]:
+    """The records of the hypotheses the sign test rests on, at ``grid``:
+    frame invertibility over its points and lattice corners for charts
+    (``dets``, det A at the grid's points as the caller's own sweep read
+    it, spares sweeping them again); the Jacobi identity for
+    constant-structure models.  Neither kind needs an antisymmetry check:
+    a chart's C_ij^k is evaluated for i < j only and C_ji^k = -C_ij^k
+    filled in, and _constant_table writes the same for each stored i < j
+    entry.
+
+    A failed check is a record, not an exception: ``analyze`` reports
+    the records, and the verdicts of ``tautness`` refuse a model whose
+    record fails.  A frame that fails to evaluate at a probe fails the
+    invertibility record at that point; a Jacobi residual that is not
+    finite raises DomainError, as any non-finite value does.
+    """
     if model.is_chart:
         try:
-            probes, dets = _probe_invertibility(model, grid)
+            probes, dets = _probe_invertibility(model, grid, dets)
         except ExprError as exc:
             check = CheckResult(
                 "frame_invertibility", False, f"frame evaluation failed: {exc}",
@@ -717,6 +734,8 @@ def validate_model(model: FrameModel, grid: Grid) -> tuple[CheckResult, ...]:
         term2 = np.einsum("jkm,mil->ijkl", table, table)
         term3 = np.einsum("kim,mjl->ijkl", table, table)
         jacobi = float(np.max(np.abs(term1 + term2 + term3)))
+        if not math.isfinite(jacobi):
+            raise expr.DomainError("non-finite Jacobi residual |cyclic sum C_ij^m C_mk^l| at ()")
         check = CheckResult(
             "jacobi_identity",
             jacobi <= JACOBI_TOLERANCE,
@@ -780,11 +799,13 @@ _MODEL_KEYS = {
 
 
 def load_model(document: Mapping) -> tuple[FrameModel, FoliationSplit]:
-    """Build a validated model and split from a parsed model document.
+    """Build a model and split from a parsed model document.
 
-    Chart frames are probed for invertibility on a coarse lattice
-    (cell centers plus corners); a singular probe raises
-    SingularFrameError.  Schema violations raise SchemaError.
+    Schema violations, and expressions that do not parse or bind, raise
+    SchemaError.  Nothing is evaluated on a grid and no hypothesis is
+    checked here: every verdict checks the model's (``validate_model``)
+    on the grid it sweeps, so a chart frame that is singular, or fails
+    to evaluate, somewhere loads.
     """
     if not isinstance(document, Mapping):
         raise SchemaError(f"model document must be an object, got {type(document)}")
@@ -822,8 +843,6 @@ def load_model(document: Mapping) -> tuple[FrameModel, FoliationSplit]:
                 f"unknown kind {kind!r} (expected '{CONSTANT_STRUCTURE}' or '{CHART}')"
             )
         split = foliation_split(dim, (idx - 1 for idx in raw_leaf))
-    except SingularFrameError:
-        raise
     except (ExprError, ModelError) as exc:
         if isinstance(exc, SchemaError):
             raise
@@ -894,12 +913,7 @@ def _load_chart(document, name, dim, parameters, dense) -> FrameModel:
             else:
                 raise SchemaError(f"frame entry {entry!r} must be a string or finite number")
         rows.append(row)
-    model = chart_model(
-        name, periods, rows, parameters=parameters, dense_leaves=dense
-    )
-    points, dets = _probe_invertibility(model, sample_grid(model, PROBE_RESOLUTION))
-    _require_invertible(dets, points)
-    return model
+    return chart_model(name, periods, rows, parameters=parameters, dense_leaves=dense)
 
 
 def load_field(document: Mapping, model: FrameModel) -> VectorFieldSpec:

@@ -85,7 +85,7 @@ class SchemaError(ModelError):
 
 
 class SingularFrameError(ModelError):
-    """The frame matrix fails invertibility at a probe point."""
+    """The frame matrix is singular at a point of a sweep that needs C."""
 
     def __init__(self, point: tuple[float, ...], det: float):
         super().__init__(
@@ -120,6 +120,13 @@ class CheckResult:
     worst: float | None = None
     worst_point: tuple[float, ...] | None = None
     tolerance: float | None = None
+
+
+def check_line(check: CheckResult) -> str:
+    """A check as one line: how every report lists a check, and the
+    message of a verdict's refusal of a model whose check failed."""
+    worst = "" if check.worst is None else f", worst {check.worst:.3e} at {check.worst_point}"
+    return f"{check.name}: {'pass' if check.passed else 'FAIL'} ({check.detail}{worst})"
 
 
 class NotBasicError(ModelError):

@@ -13,6 +13,14 @@ and finite periodic covers.  Every sweep of a field here refuses a
 non-basic one, the mean-curvature candidate included, with
 NotBasicError, tested in the same pass over its grid that computes
 div^Q v.
+
+The sign test characterises tautness only for a model whose hypotheses
+hold, so every verdict here (``classify_divergence``, and through it
+the volume check and the cover comparison, and ``green_check``) ends
+with one gate: ``validate_model``'s records on the verdict's grid,
+after the verdict's own sweep, which supplies det A at the grid
+points, so the gate sweeps only the lattice corners.  A failed record
+refuses the model with ModelError, its message the record's line.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from .model import (
     VectorFieldSpec,
     _constant_table,
     _coordinates,
+    _det,
     _wrapped_columns,
     basic_field_check,
     chart_model,
@@ -37,9 +46,11 @@ from .model import (
     sample_grid,
     structure_functions_symbolic,
     sweep,
+    validate_model,
 )
 from .records import (
     DEFAULT_TOLERANCE, CheckResult, FoliationSplit, ModelError, NotBasicError, _as_point,
+    check_line,
 )
 
 
@@ -144,12 +155,26 @@ def _divergence_sweep(
     split: FoliationSplit,
     field_spec: VectorFieldSpec,
     grid: Grid,
-) -> np.ndarray:
+    *reads,
+) -> list[np.ndarray]:
     """div^Q v at every grid point, after the basic test over the whole
-    grid."""
-    (values,) = _basic_reads(model, split, field_spec, grid.coordinates, _divergence(split))
+    grid, then the arrays of ``reads`` from the same sweep."""
+    values, *arrays = _basic_reads(
+        model, split, field_spec, grid.coordinates, _divergence(split), *reads
+    )
     require_finite(values, grid.coordinates, "div^Q v")
-    return values
+    return [values, *arrays]
+
+
+def _require_hypotheses(model: FrameModel, grid: Grid, dets: np.ndarray | None = None) -> None:
+    """The gate of every verdict: raise ModelError with the line of the
+    first of ``validate_model``'s records on ``grid`` that fails.
+    ``dets`` is det A at the grid's points, read by the verdict's own
+    sweep (none on a constant-structure model, whose blocks have no
+    frame matrix)."""
+    for check in validate_model(model, grid, dets):
+        if not check.passed:
+            raise ModelError(check_line(check))
 
 
 def _divergence(split: FoliationSplit):
@@ -192,10 +217,14 @@ def classify_divergence(
     IdenticallyZero, then toward the witness classes.  A ``tol`` that is
     negative or not finite raises ModelError (an infinite one would call
     every finite divergence zero), and a non-finite value DomainError.
+    A model that fails a hypothesis record on ``grid`` raises ModelError
+    (``_require_hypotheses``).
     """
     if not 0.0 <= tol < math.inf:
         raise ModelError(f"tolerance must be a non-negative number and finite, got {tol!r}")
-    values = _divergence_sweep(model, split, field_spec, grid)
+    reads = (_det,) if model.is_chart else ()  # det A, for the gate
+    values, *dets = _divergence_sweep(model, split, field_spec, grid, *reads)
+    _require_hypotheses(model, grid, *dets)
     return _classify(values, grid.coordinates, tol)
 
 
@@ -240,7 +269,9 @@ def green_check(
     by the cell-centered Riemann sum with density 1/|det(frame)| per
     point (the Riemannian density induced by the orthonormal frame).
     Both sums are math.fsum of the per-point terms: correctly rounded,
-    so independent of the order of the points.
+    so independent of the order of the points.  A model that fails a
+    hypothesis record on the grid raises ModelError
+    (``_require_hypotheses``).
     """
     if not model.is_chart:
         raise ModelError("the Green-formula quadrature needs a chart model")
@@ -250,14 +281,15 @@ def green_check(
     for length, n in zip(model.periods, grid.resolution):
         cell *= length / n
 
-    lhs_terms, rhs_terms = _basic_reads(
-        model, split, field_spec, grid.coordinates, *_green_terms(split, cell)
+    lhs_terms, rhs_terms, dets = _basic_reads(
+        model, split, field_spec, grid.coordinates, *_green_terms(split, cell), _det
     )
     lhs = _integral(lhs_terms, grid.coordinates, "div^Q v dmu")
     rhs = _integral(rhs_terms, grid.coordinates, "g(v, kappa#) dmu")
     abs_error = abs(lhs - rhs)
     if not math.isfinite(abs_error):
         raise expr.DomainError(f"|lhs - rhs| overflows ({lhs!r} - {rhs!r})")
+    _require_hypotheses(model, grid, dets)
     return QuadratureReport(
         lhs=lhs,
         rhs=rhs,
@@ -396,12 +428,16 @@ def compare_with_cover(
     torus-warped and flat-kronecker, folds 1 to 5, grids 4 to 64; up to
     6.2e-13 without the wrap).  It checks the wrapping, not the geometry,
     at the cost of a base sweep at the projected points.
+
+    The hypothesis gate runs once, on the base model and grid, in the
+    base's classification; the cover's sweep still refuses a frame that
+    is singular at one of its points with SingularFrameError.
     """
     cover, cover_split, cover_field = lift_to_cover(model, split, field_spec, coord, fold)
     base_grid = sample_grid(model, resolution)
     cover_grid = sample_grid(cover, resolution)
     base_verdict = classify_divergence(model, split, field_spec, base_grid, tol)
-    lifted = _divergence_sweep(cover, cover_split, cover_field, cover_grid)
+    (lifted,) = _divergence_sweep(cover, cover_split, cover_field, cover_grid)
     projected = np.stack(_wrapped_columns(cover, cover_grid.coordinates), axis=1)
     (below,) = sweep(model, projected, _divergence(split), field_spec=field_spec)
     difference = np.abs(lifted - below)

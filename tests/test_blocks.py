@@ -280,7 +280,8 @@ def test_each_block_reads_each_variable_once(name, monkeypatch):
     monkeypatch.setattr(td.model, "_block_env", counting)
     grid = td.sample_grid(model, (23, 29) if model.dim == 2 else (9, 9, 8))
     td.classify_divergence(model, split, field, grid)
-    assert len(envs) == -(-len(grid.coordinates) // BLOCK_POINTS) > 1
+    # the verdict's sweep, then its gate's sweep of as many lattice corners
+    assert len(envs) == 2 * -(-len(grid.coordinates) // BLOCK_POINTS) > 2
     coords = model.coordinate_names()
     partials = [d for comp in field.components for d in expr.gradient(comp, coords)]
     read = set().union(*map(expr.variables, partials))

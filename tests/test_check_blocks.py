@@ -13,7 +13,6 @@ import json
 
 import pytest
 
-import transdiv as td
 from transdiv import cli
 
 NON_JACOBI = {
@@ -26,6 +25,16 @@ NON_JACOBI = {
         {"i": 1, "j": 3, "k": 3, "value": 1.0},
         {"i": 2, "j": 3, "k": 1, "value": 1.0},
     ],
+}
+
+# ln(x1) is fine at every cell centre and fails at the corner x1 = 0
+LOG_FRAME = {
+    "name": "log-frame",
+    "kind": "chart",
+    "dim": 2,
+    "leaf_indices": [1],
+    "periods": [1.0, 1.0],
+    "frame": ["2 + ln(x1)", "0", "0", "1"],
 }
 
 # (start, stop) of the check block in each report; None runs to the end
@@ -213,20 +222,15 @@ def check_block(out, subcommand, fmt):
     GOLDEN,
     ids=[f"{case[0]}-{case[1]}-{case[2]}" for case in GOLDEN],
 )
-def test_check_block_is_byte_exact(monkeypatch, tmp_path, subcommand, argument, fmt, code, golden):
+def test_check_block_is_byte_exact(tmp_path, subcommand, argument, fmt, code, golden):
+    files = {"nonjacobi": NON_JACOBI, "log-frame": LOG_FRAME}
     if subcommand == "spectral":
         argv = ["spectral", "--matrix", argument]
-    elif argument == "nonjacobi":
-        path = tmp_path / "nonjacobi.json"
-        path.write_text(json.dumps(NON_JACOBI))
+    elif argument in files:
+        path = tmp_path / f"{argument}.json"
+        path.write_text(json.dumps(files[argument]))
         argv = ["analyze", str(path)]
     else:
-        if argument == "log-frame":
-            # ln(x1) is fine at every cell centre and fails at the corner
-            # probe x1 = 0; load_model would refuse it, so skip loading
-            model = td.chart_model("log-frame", (1.0, 1.0), [["2 + ln(x1)", "0"], ["0", "1"]])
-            split = td.foliation_split(2, [0])
-            monkeypatch.setattr(cli, "_resolve_model", lambda source: (model, split))
         argv = ["analyze", argument]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -377,34 +377,46 @@ def test_non_finite_document_number_exit_1(capsys, tmp_path, model, field, messa
     assert message in err
 
 
+# C_12^2 C_13^3 overflows, so the Jacobi residual is inf - inf = nan
+HUGE = {
+    "name": "huge",
+    "kind": "constant_structure",
+    "dim": 3,
+    "leaf_indices": [3],
+    "structure_constants": [
+        {"i": 1, "j": 2, "k": 2, "value": 1e200},
+        {"i": 1, "j": 3, "k": 3, "value": -1e200},
+    ],
+}
+JACOBI_OVERFLOW = "error: non-finite Jacobi residual |cyclic sum C_ij^m C_mk^l| at ()\n"
+ZERO_FIELD = {"components": [0, 0, 0]}
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize(
-    "argv",
+    "argv, error",
     [
-        # C_12^2 C_13^3 overflows, so the Jacobi residual is inf - inf = nan
-        ("analyze", {
-            "name": "huge",
-            "kind": "constant_structure",
-            "dim": 3,
-            "leaf_indices": [3],
-            "structure_constants": [
-                {"i": 1, "j": 2, "k": 2, "value": 1e200},
-                {"i": 1, "j": 3, "k": 3, "value": -1e200},
-            ],
-        }),
+        (("analyze", HUGE), JACOBI_OVERFLOW),
+        # the zero field's sweep is finite, so the verdict's gate refuses
+        (("taut-check", HUGE, "--field", ZERO_FIELD), JACOBI_OVERFLOW),
+        (("volume-check", HUGE, "--field", ZERO_FIELD), JACOBI_OVERFLOW),
         # the eigenvalues are finite, their product is not
-        ("spectral", "--matrix", f"{10**200},0;0,{10**200 + 1}"),
+        (("spectral", "--matrix", f"{10**200},0;0,{10**200 + 1}"),
+         "error: report holds a non-finite value: "),
     ],
-    ids=["analyze-nan-jacobi", "spectral-inf-product"],
+    ids=["analyze-nan-jacobi", "taut-check-nan-jacobi", "volume-check-nan-jacobi",
+         "spectral-inf-product"],
 )
-def test_non_finite_report_exit_2_in_both_formats(capsys, tmp_path, argv, fmt):
-    if isinstance(argv[1], dict):
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps(argv[1]))
-        argv = (argv[0], str(path))
+def test_non_finite_report_exit_2_in_both_formats(capsys, tmp_path, argv, error, fmt):
+    argv = list(argv)
+    for index, entry in enumerate(argv):
+        if isinstance(entry, dict):  # a model or field document, passed as its file
+            path = tmp_path / f"{index}.json"
+            path.write_text(json.dumps(entry))
+            argv[index] = str(path)
     code, out, err = run(capsys, *argv, "--format", fmt)
     assert (code, out) == (2, "")
-    assert err.startswith("error: report holds a non-finite value: ") and err.count("\n") == 1
+    assert err.startswith(error) and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -470,19 +482,18 @@ def test_singular_model_exit_3(capsys, tmp_path):
             }
         )
     )
-    code, _, err = run(capsys, "analyze", str(bad))
-    assert code == 3
-    assert "singular" in err
+    code, out, err = run(capsys, "analyze", str(bad))
+    assert (code, err) == (3, "")
+    assert "  frame_invertibility: FAIL (min |det(frame)|" in out
 
 
 @pytest.mark.parametrize(
     "frame, code, message",
     [
-        (  # det A overflows at every probe point; the first is reported
+        (  # det A overflows at every grid point; the first is reported
             ["1e200*(2+sin(2*pi*x2))", "0", "0", "1e200"],
-            1,
-            "model document for 'refused' is invalid: "
-            "non-finite frame determinant at (0.0625, 0.0625)",
+            2,
+            "non-finite frame determinant at (0.015625, 0.015625)",
         ),
         (  # a frame partial, not an entry, divides by zero at the report point
             ["1", "0", "0", "sqrt((x1-0.015625)*(x1-0.015625))+1"],
@@ -683,8 +694,7 @@ def test_inadmissible_suspend_exit_3(capsys, tmp_path):
 
 
 def test_analyze_reports_validation_failure_exit_3(capsys, tmp_path):
-    # loads fine (frame never singular on the probe lattice) but the
-    # stored constants break the Jacobi identity
+    # loads fine, but the stored constants break the Jacobi identity
     bad = tmp_path / "nonjacobi.json"
     bad.write_text(
         json.dumps(

@@ -225,3 +225,50 @@ def test_spectral_and_suspend_always_exit_0_to_3(subcommand, matrix, leaf):
         strict_json(out)
     else:
         assert code != 0 and err.startswith("error: ") and err.count("\n") == 1
+
+
+# --- one hypothesis gate for every verdict --------------------------------------
+
+PAIRS = [(1, 2), (1, 3), (2, 3)]
+
+constant_tables = st.lists(
+    st.tuples(st.sampled_from(PAIRS), st.sampled_from([1, 2, 3]),
+              st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 1e200])),
+    max_size=5,
+    unique_by=lambda entry: (entry[0], entry[1]),
+)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(constant_tables)
+@example([((1, 2), 3, 1.0), ((2, 3), 1, 1.0), ((1, 3), 2, -1.0)])  # so(3)
+@example([((1, 2), 3, 1.0)])  # Heisenberg
+@example([((1, 2), 1, 1.0), ((1, 3), 2, 1.0)])  # Jacobi sum 1
+def test_analyze_and_the_verdicts_refuse_the_same_tables(table):
+    # the zero field is basic with div^Q = 0 on any table, so only the
+    # gate can refuse it
+    model = {
+        "name": "fuzz",
+        "kind": "constant_structure",
+        "dim": 3,
+        "leaf_indices": [3],
+        "structure_constants": [
+            {"i": i, "j": j, "k": k, "value": value} for (i, j), k, value in table
+        ],
+    }
+    with tempfile.TemporaryDirectory() as directory:
+        model_path = os.path.join(directory, "model.json")
+        field_path = os.path.join(directory, "zero.json")
+        with open(model_path, "w") as handle:
+            json.dump(model, handle)
+        with open(field_path, "w") as handle:
+            json.dump({"components": [0, 0, 0]}, handle)
+        codes = [
+            run_main(argv)[0]
+            for argv in (
+                ["analyze", model_path],
+                ["taut-check", model_path, "--field", field_path],
+                ["volume-check", model_path, "--field", field_path],
+            )
+        ]
+    assert len({code == 3 for code in codes}) == 1, codes

@@ -92,9 +92,10 @@ def test_sweep_takes_tuples_or_the_array():
 # --- no sweep consumer turns its grid into tuples ------------------------------------
 
 #: Most points one call reports: an argmin, an argmax and a worst basic
-#: residual, for a cover and for its base.  Every chart grid here has
-#: more points than that.
-REPORTED = 6
+#: residual, for a cover and for its base, and the worst probe of the
+#: base's hypothesis gate.  Every chart grid here has more points than
+#: that.
+REPORTED = 7
 
 
 @pytest.fixture

@@ -10,7 +10,8 @@ import pytest
 
 import transdiv as td
 from transdiv import expr
-from transdiv.model import PROBE_RESOLUTION, _lattice
+from transdiv.model import _lattice
+from transdiv.records import check_line
 
 from generators import identity_cases, point_tuples
 
@@ -144,7 +145,9 @@ def test_structure_constant_values_may_reference_parameters(t3a):
     )
 
 
-def test_singular_frame_rejected_at_load():
+def test_singular_frame_loads_and_is_refused_by_the_verdict():
+    # det A = x1 vanishes only at the corners x1 = 0: the load evaluates
+    # nothing, and the verdict's gate refuses the model on its grid
     document = {
         "name": "pinched",
         "kind": "chart",
@@ -153,8 +156,14 @@ def test_singular_frame_rejected_at_load():
         "periods": [1.0, 1.0],
         "frame": ["x1", "0", "0", "1"],
     }
-    with pytest.raises(td.SingularFrameError):
-        td.load_model(document)
+    model, split = td.load_model(document)
+    grid = td.sample_grid(model, 8)
+    (check,) = td.validate_model(model, grid)
+    assert not check.passed and check.worst_point == (0.0, 0.0)
+    field = td.vector_field(["0", "1"], model)
+    with pytest.raises(td.ModelError) as info:
+        td.classify_divergence(model, split, field, grid)
+    assert str(info.value) == check_line(check)
 
 
 def test_document_round_trip(t3a, torus):
@@ -362,7 +371,7 @@ def test_validate_reports_first_failing_probe():
 
 def test_corner_probe_includes_origin(torus):
     model, _ = torus
-    corners = _lattice(model, (PROBE_RESOLUTION,) * 2, 0.0)
+    corners = _lattice(model, td.sample_grid(model, 8).resolution, 0.0)
     # a row check: `in` on an ndarray is an elementwise any()
     assert [0.0, 0.0] in corners.tolist()
 
