@@ -579,13 +579,29 @@ _HANDLERS = {
 }
 
 
+def _non_finite_field(value, path: str = "") -> str | None:
+    """The name of the first NaN or infinity in the report ``value``, in
+    the order JSON writes it: keys joined by '.', list indices in
+    brackets."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else path
+    if isinstance(value, dict):
+        items = ((f"{path}.{key}" if path else str(key), item) for key, item in value.items())
+    elif isinstance(value, (list, tuple)):
+        items = ((f"{path}[{index}]", item) for index, item in enumerate(value))
+    else:
+        return None
+    return next(filter(None, (_non_finite_field(item, name) for name, item in items)), None)
+
+
 def _emit(payload: dict, lines: list[str], args: argparse.Namespace) -> None:
     # the text lines show values of the payload, so a NaN or infinity,
     # which is not JSON, is refused in both formats
     try:
         text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    except ValueError as exc:
-        raise DomainError(f"report holds a non-finite value: {exc}") from None
+    except ValueError:
+        field = _non_finite_field(payload)
+        raise DomainError(f"report holds a non-finite value: {field}") from None
     if args.format == "text":
         text = "\n".join(lines) + "\n"
     if args.output:

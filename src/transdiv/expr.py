@@ -519,8 +519,13 @@ class Plan:
         return lambda table, env: value
 
     def run(self, env: Mapping[str, Any]) -> Iterator[list]:
-        """For each group in turn, the values of its roots at ``env``
-        (floats or NumPy arrays of one shape), as a list.
+        """For each group in turn, the values of its roots at ``env``, as a
+        list.  ``env`` binds each variable to a float or a NumPy array,
+        the arrays of shapes that broadcast together; each value is a
+        float or an array of the broadcast shape of the variables it
+        reads (with each coordinate of a lattice bound along its own
+        axis, a value lies on the sub-lattice of the coordinates it
+        reads).
 
         Raises what ``evaluate`` raises: UnboundVariableError for a
         missing variable and DomainError for ln(x <= 0), sqrt(x < 0),

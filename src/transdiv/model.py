@@ -87,13 +87,22 @@ class VectorFieldSpec:
 
 class Grid:
     """Evaluation points: a cell-centered lattice, or the single abstract
-    point () of a constant-structure model.  Sweeps slice ``coordinates``,
-    a float64 array with one row per point; a point becomes a tuple of
-    Python floats only where it is reported."""
+    point () of a constant-structure model.  ``coordinates`` is a float64
+    array with one row per point; a point becomes a tuple of Python
+    floats only where it is reported.  A lattice also keeps ``axes``,
+    the values of each coordinate, whose product in row-major order is
+    ``coordinates``: ``sweep`` evaluates it on sub-lattices of them.  A
+    grid without axes is swept row by row."""
 
-    def __init__(self, resolution: Sequence[int], coordinates: np.ndarray):
+    def __init__(
+        self,
+        resolution: Sequence[int],
+        coordinates: np.ndarray,
+        axes: tuple[np.ndarray, ...] | None = None,
+    ):
         self.resolution = tuple(resolution)
         self.coordinates = coordinates
+        self.axes = axes
 
 
 def coordinate_names(dim: int) -> tuple[str, ...]:
@@ -251,23 +260,27 @@ def sample_grid(model: FrameModel, resolution: int | Sequence[int]) -> Grid:
         )
     if any(n < 1 for n in res):
         raise ModelError(f"resolution entries must be >= 1, got {res}")
-    coordinates = _lattice(model, res, 0.5)
-    coordinates.flags.writeable = False
-    return Grid(resolution=res, coordinates=coordinates)
+    return _lattice(model, res, 0.5)
 
 
-def _lattice(model: FrameModel, resolution: tuple[int, ...], offset: float) -> np.ndarray:
-    """The points with coordinates (j + offset) * L / N, j = 0..N-1, in
-    row-major order, one per row: cell centers for offset 0.5, corners
-    for 0 (which include 0, where constructed singularities tend to sit;
-    the period endpoint is identified with 0).  The same IEEE operations
-    as the Python ``(j + offset) * L / N``, so the same bits."""
+def _lattice(model: FrameModel, resolution: tuple[int, ...], offset: float) -> Grid:
+    """The lattice of the points with coordinates (j + offset) * L / N,
+    j = 0..N-1: cell centers for offset 0.5, corners for 0 (which include
+    0, where constructed singularities tend to sit; the period endpoint
+    is identified with 0).  The same IEEE operations as the Python
+    ``(j + offset) * L / N``, so the same bits."""
     assert model.periods is not None
-    axes = [
-        (np.arange(n) + offset) * length / n
-        for n, length in zip(resolution, model.periods)
-    ]
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    return _product(tuple(
+        (np.arange(n) + offset) * length / n for n, length in zip(resolution, model.periods)
+    ))
+
+
+def _product(axes: tuple[np.ndarray, ...]) -> Grid:
+    """The lattice grid of ``axes``, its coordinate rows in row-major
+    order and read-only."""
+    coordinates = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    coordinates.flags.writeable = False
+    return Grid(tuple(map(len, axes)), coordinates, axes)
 
 
 def _coordinates(points, width: int) -> np.ndarray:
@@ -279,9 +292,12 @@ def _coordinates(points, width: int) -> np.ndarray:
 
 # --- frame evaluation ------------------------------------------------------
 
-#: Most points in one FrameData block: a sweep holds the arrays of one
-#: block at a time, which bounds its memory.
-BLOCK_POINTS = 512
+#: Most plan values, points times ``len(plan)``, in one FrameData block: a
+#: sweep holds the value table of one block at a time, which bounds its
+#: memory.  The plan of a dense 4-D frame with its Alvarez candidate, about
+#: 1700 steps, gets blocks of about 512 points; a plan of under 220 steps,
+#: such as those of the 2-D and 3-D warped tori, sweeps 4096 points as one.
+BLOCK_VALUES = 900_000
 
 
 def _frame_partials(model: FrameModel) -> tuple:
@@ -301,41 +317,45 @@ def _constant_table(model: FrameModel) -> np.ndarray:
     return table
 
 
-def require_finite(values: np.ndarray, points: Sequence, what: str) -> None:
-    """Raise DomainError at the first point where ``values`` (last axis
-    over ``points``) holds a NaN or an infinity.  The whole array is
-    checked as it is stored; the failing point is looked for only when
-    that check fails."""
+def require_finite(
+    values: np.ndarray, points: Sequence, what: str, shape: tuple[int, ...] | None = None
+) -> None:
+    """Raise DomainError at the first of ``points`` where ``values`` holds
+    a NaN or an infinity.  The trailing axes of ``values`` run over the
+    points in row-major order: its last axis, or axes that broadcast to
+    a block's ``shape``.  The whole array is checked as it is stored; the
+    failing point is looked for only when that check fails."""
     if not len(points) or np.isfinite(values).all():
         return
-    finite = np.isfinite(values).reshape(-1, len(points)).all(axis=0)
-    index = int(np.argmin(finite))
+    if shape is None:
+        shape = (len(points),)
+    finite = np.isfinite(values).reshape(-1, *values.shape[values.ndim - len(shape):])
+    index = int(np.argmin(np.broadcast_to(finite.all(axis=0), shape)))
     raise expr.DomainError(f"non-finite {what} at {_as_point(points[index])}")
 
 
-def _require_invertible(dets: np.ndarray, points: Sequence) -> None:
-    """Raise SingularFrameError at the first point where |det A| <
-    DET_TOLERANCE (``dets`` runs over ``points``)."""
+def _require_invertible(dets: np.ndarray, block: Block) -> None:
+    """Raise SingularFrameError at the first point of ``block`` where
+    |det A| < DET_TOLERANCE (``dets`` broadcasts to the block's shape)."""
     singular = np.abs(dets) < DET_TOLERANCE
     if singular.any():
-        index = int(np.argmax(singular))
-        raise SingularFrameError(_as_point(points[index]), float(dets[index]))
+        index = int(np.argmax(np.broadcast_to(singular, block.shape)))
+        det = np.broadcast_to(dets, block.shape).flat[index]
+        raise SingularFrameError(_as_point(block.rows[index]), float(det))
 
 
-def _stacked(values: Sequence, shape: tuple[int, ...], count: int) -> np.ndarray:
-    """``values`` (floats or arrays over ``count`` points, a row-major
-    flattening of ``shape``) as an array of shape (*shape, count), each
-    value one contiguous row."""
-    out = np.empty((len(values), count))
+def _stacked(values: Sequence, shape: tuple[int, ...], block: Block) -> np.ndarray:
+    """``values`` (floats, or arrays with as many axes as ``block`` that
+    broadcast to its shape), a row-major flattening of ``shape``, as one
+    array of shape (*shape, *B), each value one contiguous row.  B is the
+    broadcast shape of the values, so values that depend on few
+    coordinates stay on their sub-lattice."""
+    shapes = [value.shape for value in values if getattr(value, "ndim", 0)]
+    common = tuple(map(max, zip((1,) * len(block.shape), *shapes)))
+    out = np.empty((len(values), *common))
     for index, value in enumerate(values):
         out[index] = value
-    return out.reshape(shape + (count,))
-
-
-def _point_first(values: np.ndarray) -> np.ndarray:
-    """A view of ``values``, whose last axis runs over points, with that
-    axis turned to the front."""
-    return values.transpose((-1, *range(values.ndim - 1)))
+    return out.reshape(shape + common)
 
 
 def _block_plan(
@@ -377,32 +397,91 @@ def _next_finite(values: Iterator[list], points: Sequence, what: str) -> list:
 
 
 def _ascending_sum(terms: Iterable[np.ndarray]) -> np.ndarray:
-    """The sum of ``terms`` added one by one in the order given, starting
-    from +0.0: how a block sums over a frame or coordinate index.  Unlike
-    ``np.einsum`` or ``@``, whose kernels may pair terms differently or
-    fuse multiply-adds depending on the shapes, strides and NumPy build,
-    it gives every point the same bits at every block size."""
+    """The sum of ``terms`` (arrays of shapes that broadcast together)
+    added one by one in the order given, starting from +0.0: how a block
+    sums over a frame or coordinate index.  Unlike ``np.einsum`` or
+    ``@``, whose kernels may pair terms differently or fuse multiply-adds
+    depending on the shapes, strides and NumPy build, it gives every
+    point the same bits at every block size and shape."""
     return functools.reduce(np.add, terms, 0.0)
 
 
-class FrameData:
-    """Frame quantities at a block of coordinate rows ``points``, each an
-    array whose last axis runs over the points (P of them), so every
-    operation runs over contiguous rows of P values:
+class Block:
+    """The points of one FrameData block.  ``rows`` holds their
+    coordinate rows, in point order; ``shape`` is the block's shape, the
+    trailing axes of every array FrameData stores; ``columns`` holds each
+    coordinate's values as an array that broadcasts to ``shape``.
 
-    - chart models: ``a[i, m, p]`` = a_i^m and ``det[p]`` = det A;
-    - with ``structure``: ``c[i, j, k, p]`` = C_ij^k and
-      ``gamma[i, j, k, p]`` = Gamma_ij^k, with
+    A block of rows has shape (P,) and the columns of its rows.  A
+    lattice block (``_lattice_blocks``) is a sub-lattice of a Grid with
+    one axis per coordinate, each coordinate's column lying along its
+    own axis, so NumPy broadcasting evaluates each subexpression once
+    per value of the coordinates it reads: sin(2 pi x3) on a 16^3 block
+    takes 16 values, not 4096."""
+
+    def __init__(self, rows: np.ndarray, columns: Sequence[np.ndarray], shape: tuple[int, ...]):
+        self.rows = rows
+        self.columns = columns
+        self.shape = shape
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
+def _rows(points: np.ndarray) -> Block:
+    """The block of the coordinate rows ``points``."""
+    return Block(points, tuple(points.T), (len(points),))
+
+
+def _lattice_blocks(grid: Grid, limit: int) -> Iterator[Block]:
+    """The blocks of at most ``limit`` points that cover the lattice
+    ``grid`` in point order.  Each is a sub-lattice that is contiguous in
+    row-major order: one index on each axis before a split axis, a run
+    of indices on the split axis, and every later axis whole.  The split
+    axis is the last one whose later axes fit into ``limit`` whole, and
+    its runs are as long as ``limit`` allows."""
+    assert grid.axes is not None
+    resolution, dim = grid.resolution, len(grid.resolution)
+    axis = dim - 1
+    while axis and math.prod(resolution[axis:]) <= limit:
+        axis -= 1
+    run = max(1, limit // math.prod(resolution[axis + 1:]))
+    start = 0
+    for index in itertools.product(*map(range, resolution[:axis])):
+        for first in range(0, resolution[axis], run):
+            segments = [values[i:i + 1] for values, i in zip(grid.axes, index)]
+            segments += [grid.axes[axis][first:first + run], *grid.axes[axis + 1:]]
+            shape = tuple(map(len, segments))
+            columns = [
+                segment.reshape((1,) * m + (-1,) + (1,) * (dim - m - 1))
+                for m, segment in enumerate(segments)
+            ]
+            stop = start + math.prod(shape)
+            yield Block(grid.coordinates[start:stop], columns, shape)
+            start = stop
+
+
+class FrameData:
+    """Frame quantities on one Block of points, ``block``.  Each is an
+    array whose trailing axes (written S below) broadcast to the block's
+    shape: a value is stored on the sub-lattice of the coordinates it
+    depends on and broadcast only by the operations that combine it with
+    others.
+
+    - chart models: ``a[i, m, *S]`` = a_i^m and ``det[*S]`` = det A;
+    - with ``structure``: ``c[i, j, k, *S]`` = C_ij^k and
+      ``gamma[i, j, k, *S]`` = Gamma_ij^k, with
       Gamma_ij^k = (C_ij^k + C_ki^j + C_kj^i) / 2;
-    - for a field v, which needs ``structure``: ``v[k, p]`` = v^k,
-      ``dv[k, c, p]`` = d v^k / d x_c, ``ev[i, k, p]`` = E_i(v^k) and
-      ``rows[i, k, p]`` = (nabla_{E_i} v)^k = E_i(v^k) + sum_j v^j Gamma_ij^k.
+    - for a field v, which needs ``structure``: ``v[k, *S]`` = v^k,
+      ``dv[k, c, *S]`` = d v^k / d x_c, ``ev[i, k, *S]`` = E_i(v^k) and
+      ``rows[i, k, *S]`` = (nabla_{E_i} v)^k = E_i(v^k) + sum_j v^j Gamma_ij^k.
 
     Every sum over a frame or coordinate index (E_i(v^k) = sum_c a_i^c
     d v^k / d x_c, the covariant rows, the basic residuals, ``divergence``,
     ``mean_curvature`` and ``inner``) is ``_ascending_sum`` over a
-    leading index of stored arrays, with the point axis innermost.
-    ``sweep`` turns the point axis of what its reads return to the
+    leading index of stored arrays, with the block axes innermost, so
+    each point gets the bits of a one-point block.  ``sweep`` broadcasts
+    what its reads return to the block's points and turns them to the
     front.
 
     Built only by ``sweep``, block by block, from the groups of ``plan``
@@ -420,46 +499,48 @@ class FrameData:
     def __init__(
         self,
         model: FrameModel,
-        points: np.ndarray,
+        block: Block,
         field_spec: VectorFieldSpec | None,
         structure: bool,
         plan: expr.Plan,
     ):
-        self.points = points
-        count, n = len(points), model.dim
-        values = plan.run(_block_env(model, points))
+        self.block = block
+        points, n = block.rows, model.dim
+        values = plan.run(_block_env(model, block))
         self.a = self.det = self.c = self.gamma = None
         self.v = self.dv = self.ev = self.rows = None
         if model.is_chart:
-            self.a = _stacked(next(values), (n, n), count)
-            self.det = _stacked(_next_finite(values, points, "frame determinant"), (), count)
+            self.a = _stacked(next(values), (n, n), block)
+            self.det = _stacked(_next_finite(values, points, "frame determinant"), (), block)
         if not structure:
             return
         if model.is_chart:
-            _require_invertible(self.det, points)
+            _require_invertible(self.det, block)
             next(values)  # the frame partials, checked before C reads them
-            upper = _stacked(_next_finite(values, points, "structure functions"), (-1, n), count)
-            self.c = np.zeros((n, n, n, count))
+            upper = _stacked(_next_finite(values, points, "structure functions"), (-1, n), block)
+            self.c = np.zeros((n, n) + upper.shape[1:])
             for row, (i, j) in zip(upper, itertools.combinations(range(n), 2)):
                 self.c[i, j] = row
                 np.negative(row, out=self.c[j, i])
         else:
-            self.c = np.broadcast_to(_constant_table(model)[..., None], (n, n, n, count))
-        require_finite(self.c, points, "structure functions")
+            self.c = _constant_table(model).reshape((n, n, n) + (1,) * len(block.shape))
+        require_finite(self.c, points, "structure functions", block.shape)
+        block_axes = tuple(range(3, self.c.ndim))
         self.gamma = 0.5 * (
-            self.c + self.c.transpose((1, 2, 0, 3)) + self.c.transpose((2, 1, 0, 3))
+            self.c + self.c.transpose((1, 2, 0, *block_axes))
+            + self.c.transpose((2, 1, 0, *block_axes))
         )
-        require_finite(self.gamma, points, "connection coefficients")
+        require_finite(self.gamma, points, "connection coefficients", block.shape)
         if field_spec is None:
             return
-        self.v = _stacked(next(values), (n,), count)
+        self.v = _stacked(next(values), (n,), block)
         if model.is_chart:
-            self.dv = _stacked(next(values), (n, n), count)
+            self.dv = _stacked(next(values), (n, n), block)
             self.ev = _ascending_sum(self.a[:, None, c] * self.dv[None, :, c] for c in range(n))
         else:
-            self.dv = self.ev = np.zeros((n, n, count))
+            self.dv = self.ev = np.zeros((n, n) + (1,) * len(block.shape))
         self.rows = _ascending_sum(self.v[j] * self.gamma[:, j] for j in range(n)) + self.ev
-        require_finite(self.rows, points, "covariant derivative")
+        require_finite(self.rows, points, "covariant derivative", block.shape)
 
     def divergence(self, indices: Sequence[int]) -> np.ndarray:
         """div^D v = sum_{i in D} (nabla_{E_i} v)^i at each point."""
@@ -487,79 +568,89 @@ class FrameData:
         ))
 
 
-def _wrapped_columns(model: FrameModel, points: np.ndarray) -> list[np.ndarray]:
-    """The columns of ``points`` (coordinate rows), each taken modulo its
-    wrap period where ``model`` is a cover and a view elsewhere: the one
-    place a block's coordinates are wrapped (``point_env`` is the scalar
+def _wrapped_columns(model: FrameModel, columns: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """``columns``, the values of each coordinate, each taken modulo its
+    wrap period where ``model`` is a cover and kept as it is elsewhere:
+    the one place coordinates are wrapped (``point_env`` is the scalar
     reference; np.mod gives the bits of Python's ``%``)."""
-    wraps = model.coordinate_wraps or (None,) * points.shape[1]
+    wraps = model.coordinate_wraps or (None,) * len(columns)
     return [
-        column if wrap is None else np.mod(column, wrap) for column, wrap in zip(points.T, wraps)
+        column if wrap is None else np.mod(column, wrap) for column, wrap in zip(columns, wraps)
     ]
 
 
-def _block_env(model: FrameModel, points: np.ndarray) -> dict:
-    """``point_env`` for a block: a column per coordinate, wrapped by
-    ``_wrapped_columns``."""
+def _block_env(model: FrameModel, block: Block) -> dict:
+    """``point_env`` for a block: each coordinate bound to its column,
+    wrapped by ``_wrapped_columns``."""
     env: dict = dict(model.parameters)
     if model.is_chart:
-        env.update(zip(model.coordinate_names(), _wrapped_columns(model, points)))
+        env.update(zip(model.coordinate_names(), _wrapped_columns(model, block.columns)))
     return env
 
 
 _POINT_ERRORS = (ExprError, SingularFrameError)
 
 
-def _located(model, points, field_spec, structure, plan) -> FrameData:
-    """The FrameData block of ``points``, evaluating ``plan``.
+def _located(model, block, field_spec, structure, plan) -> FrameData:
+    """The FrameData of ``block``, evaluating ``plan``.
 
     A failure is reported as a point-by-point sweep would report it: the
-    error of the first point that fails on its own (found by bisection),
-    with that point stored on an ExprError as ``point``.
+    error of the first point that fails on its own (found by bisection
+    of the block's rows), with that point stored on an ExprError as
+    ``point``.  A lattice block that fails is built again as a block of
+    its rows: every point has the same values in both, so the rows fail
+    too, at the same points, and their error is the one reported.
     """
     try:
-        return _build(model, points, field_spec, structure, plan)
+        return _build(model, block, field_spec, structure, plan)
     except _POINT_ERRORS:
-        if len(points) == 1:
+        if len(block) == 1:
             raise
-    failing = points  # fails as a whole; the first half that fails holds the culprit
+    if block.shape != (len(block),):
+        return _located(model, _rows(block.rows), field_spec, structure, plan)
+    failing = block.rows  # fails as a whole; the first half that fails holds the culprit
     while len(failing) > 1:
         half = failing[: len(failing) // 2]
         try:
-            _build(model, half, field_spec, structure, plan)
+            _build(model, _rows(half), field_spec, structure, plan)
             failing = failing[len(half):]
         except _POINT_ERRORS:
             failing = half
-    return _build(model, failing, field_spec, structure, plan)
+    return _build(model, _rows(failing), field_spec, structure, plan)
 
 
-def _build(model, points, field_spec, structure, plan) -> FrameData:
+def _build(model, block, field_spec, structure, plan) -> FrameData:
     try:
         with np.errstate(all="ignore"):
-            return FrameData(model, points, field_spec, structure, plan)
+            return FrameData(model, block, field_spec, structure, plan)
     except ExprError as exc:
-        if len(points) == 1:
-            exc.point = _as_point(points[0])
+        if len(block) == 1:
+            exc.point = _as_point(block.rows[0])
         raise
 
 
 def sweep(
     model: FrameModel,
-    points: Sequence | np.ndarray,
+    points: Grid | Sequence | np.ndarray,
     *reads: Callable[[FrameData], np.ndarray],
     field_spec: VectorFieldSpec | None = None,
     structure: bool = True,
 ) -> list[np.ndarray]:
     """For each of ``reads`` (a function of one FrameData block returning
-    an array whose last axis runs over the block's points, as the
-    block's own arrays do), its arrays over ``points``
-    (``Grid.coordinates``, or tuples converted once) with the point axis
-    turned to the front and joined along it, C-contiguous: row p of a
-    result belongs to point p.  The only builder of FrameData: a
-    one-point caller sweeps ``(point,)`` and reads row 0.  The blocks,
-    slices of at most BLOCK_POINTS rows, are built in point order by
-    ``_located`` from one ``_block_plan``, built once for the sweep, and
-    each is read by every read before the next is built.
+    an array whose trailing axes broadcast to the block's shape, as the
+    block's own arrays do), its values at every one of ``points``,
+    C-contiguous with the point axis in front: row p of a result belongs
+    to point p.  ``points`` is a Grid, or coordinate rows
+    (``Grid.coordinates``, or tuples converted once).
+
+    The only builder of FrameData: a one-point caller sweeps
+    ``(point,)`` and reads row 0.  A Grid with axes is swept in lattice
+    blocks (``_lattice_blocks``), anything else in blocks of rows; a
+    block holds at most BLOCK_VALUES values of ``_block_plan``, which is
+    built once for the sweep.  The blocks are built in point order by
+    ``_located``, and each is read by every read, each read broadcast to
+    the block's points and written into its result, before the next is
+    built.
     """
     if field_spec is not None and field_spec.dim != model.dim:
         raise ModelError(
@@ -568,16 +659,27 @@ def sweep(
     if field_spec is not None and not structure:
         raise ModelError("a field's covariant derivative needs the structure: pass structure=True")
     plan = _block_plan(model, field_spec, structure)
-    points = _coordinates(points, model.dim)
-    columns: list[list[np.ndarray]] = [[] for _ in reads]
-    for start in range(0, len(points), BLOCK_POINTS):
-        block = _located(model, points[start:start + BLOCK_POINTS], field_spec, structure, plan)
-        for column, read in zip(columns, reads):
-            column.append(_point_first(read(block)))
-    return [
-        np.ascontiguousarray(np.concatenate(column)) if column else np.empty(0)
-        for column in columns
-    ]
+    limit = max(1, BLOCK_VALUES // max(1, len(plan)))
+    if isinstance(points, Grid) and points.axes is not None:
+        total, blocks = len(points.coordinates), _lattice_blocks(points, limit)
+    else:
+        rows = _coordinates(points.coordinates if isinstance(points, Grid) else points, model.dim)
+        total = len(rows)
+        blocks = (_rows(rows[start:start + limit]) for start in range(0, total, limit))
+    results = [np.empty(0) for _ in reads]
+    start = 0
+    for block in blocks:
+        frame = _located(model, block, field_spec, structure, plan)
+        shape, stop = frame.block.shape, start + len(block)
+        for index, read in enumerate(reads):
+            values = read(frame)
+            lead = values.ndim - len(shape)
+            if not start:
+                results[index] = np.empty((total, *values.shape[:lead]), values.dtype)
+            target = results[index][start:stop].reshape(shape + values.shape[:lead])
+            target[...] = values.transpose((*range(lead, values.ndim), *range(lead)))
+        start = stop
+    return results
 
 
 def frame_matrix(model: FrameModel, point: tuple[float, ...]) -> np.ndarray:
@@ -679,10 +781,11 @@ def _probe_invertibility(
     """The frame-invertibility probe points (``grid``'s points, then its
     lattice corners) and det A at each.  ``dets``, det A at ``grid``'s
     points as a sweep already read it, leaves only the corners to sweep."""
-    points = np.concatenate((grid.coordinates, _lattice(model, grid.resolution, 0.0)))
-    known = np.empty(0) if dets is None else dets
-    (rest,) = sweep(model, points[len(known):], _det, structure=False)
-    return points, np.concatenate((known, rest))
+    corners = _lattice(model, grid.resolution, 0.0)
+    if dets is None:
+        (dets,) = sweep(model, grid, _det, structure=False)
+    (rest,) = sweep(model, corners, _det, structure=False)
+    return np.concatenate((grid.coordinates, corners.coordinates)), np.concatenate((dets, rest))
 
 
 def _det(block: FrameData) -> np.ndarray:
@@ -772,7 +875,7 @@ def check_basic(
     """Test whether v is basic: the transverse part of [F_a, v] must
     vanish for every leafwise frame direction F_a, at every grid point."""
     (residuals,) = sweep(
-        model, grid.coordinates, lambda block: block.basic_residuals(split), field_spec=field_spec
+        model, grid, lambda block: block.basic_residuals(split), field_spec=field_spec
     )
     return basic_field_check(residuals, grid.coordinates, tol)
 

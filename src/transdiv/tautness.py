@@ -39,6 +39,7 @@ from .model import (
     _constant_table,
     _coordinates,
     _det,
+    _product,
     _wrapped_columns,
     basic_field_check,
     chart_model,
@@ -135,16 +136,16 @@ def _basic_reads(
     model: FrameModel,
     split: FoliationSplit,
     field_spec: VectorFieldSpec,
-    points: np.ndarray,
+    grid: Grid,
     *reads,
 ) -> list[np.ndarray]:
-    """The ``model.sweep`` of ``reads`` over ``points``, after the basic
+    """The ``model.sweep`` of ``reads`` over ``grid``, after the basic
     test's residuals as the sweep's first read, refusing a field that is
-    not basic over all of them with NotBasicError."""
+    not basic over all of its points with NotBasicError."""
     residuals, *arrays = sweep(
-        model, points, lambda block: block.basic_residuals(split), *reads, field_spec=field_spec
+        model, grid, lambda block: block.basic_residuals(split), *reads, field_spec=field_spec
     )
-    check = basic_field_check(residuals, points)
+    check = basic_field_check(residuals, grid.coordinates)
     if not check.passed:
         raise NotBasicError(check)
     return arrays
@@ -159,9 +160,7 @@ def _divergence_sweep(
 ) -> list[np.ndarray]:
     """div^Q v at every grid point, after the basic test over the whole
     grid, then the arrays of ``reads`` from the same sweep."""
-    values, *arrays = _basic_reads(
-        model, split, field_spec, grid.coordinates, _divergence(split), *reads
-    )
+    values, *arrays = _basic_reads(model, split, field_spec, grid, _divergence(split), *reads)
     require_finite(values, grid.coordinates, "div^Q v")
     return [values, *arrays]
 
@@ -282,7 +281,7 @@ def green_check(
         cell *= length / n
 
     lhs_terms, rhs_terms, dets = _basic_reads(
-        model, split, field_spec, grid.coordinates, *_green_terms(split, cell), _det
+        model, split, field_spec, grid, *_green_terms(split, cell), _det
     )
     lhs = _integral(lhs_terms, grid.coordinates, "div^Q v dmu")
     rhs = _integral(rhs_terms, grid.coordinates, "g(v, kappa#) dmu")
@@ -402,7 +401,7 @@ def covering_projection(model: FrameModel, point: tuple[float, ...]) -> tuple[fl
     """Image of a covering-model point in the base box (wrap coordinates
     by their base periods, by ``model._wrapped_columns``); the identity on
     non-covering models."""
-    columns = _wrapped_columns(model, _coordinates((point,), model.dim))
+    columns = _wrapped_columns(model, _coordinates((point,), model.dim).T)
     return _as_point(column[0] for column in columns)
 
 
@@ -419,7 +418,7 @@ def compare_with_cover(
     ``coord`` (see lift_to_cover), each on a grid of ``resolution``, and
     compare the lift pointwise with the base field at the projected
     points, reusing the values of the cover's sweep.  The projected
-    points are the cover grid's columns wrapped by
+    points are the lattice of the cover grid's axes wrapped by
     ``model._wrapped_columns``, the same function the cover's sweep
     applies to them.
 
@@ -438,7 +437,7 @@ def compare_with_cover(
     cover_grid = sample_grid(cover, resolution)
     base_verdict = classify_divergence(model, split, field_spec, base_grid, tol)
     (lifted,) = _divergence_sweep(cover, cover_split, cover_field, cover_grid)
-    projected = np.stack(_wrapped_columns(cover, cover_grid.coordinates), axis=1)
+    projected = _product(tuple(_wrapped_columns(cover, cover_grid.axes)))
     (below,) = sweep(model, projected, _divergence(split), field_spec=field_spec)
     difference = np.abs(lifted - below)
     require_finite(difference, cover_grid.coordinates, "pointwise difference of div^Q")

@@ -22,7 +22,7 @@ import pytest
 
 import transdiv as td
 from transdiv import expr
-from transdiv.model import BLOCK_POINTS, point_env, sweep
+from transdiv.model import _block_plan, _lattice, _lattice_blocks, point_env, sweep
 
 from generators import (
     CountingEnv,
@@ -32,6 +32,10 @@ from generators import (
     random_constant_case,
     random_field,
 )
+
+#: Points in a block of rows in the tests that set the budget of plan
+#: values (``model.BLOCK_VALUES``) to this many points' worth of their plan
+BLOCK = 128
 
 #: Units in the last place of the grid-wide scale of each quantity; the
 #: largest difference seen over these cases and 34 more random ones is
@@ -179,9 +183,9 @@ CASES = (
 
 def test_grid_sizes_straddle_the_block():
     sizes = {len(grid.coordinates) for _, model, _, _ in CASES for grid in grids(model)}
-    assert any(size > BLOCK_POINTS and size % BLOCK_POINTS for size in sizes)
+    assert any(size > BLOCK and size % BLOCK for size in sizes)
     assert 1 in sizes
-    assert any(1 < size < BLOCK_POINTS for size in sizes)
+    assert any(1 < size < BLOCK for size in sizes)
 
 
 @pytest.mark.parametrize("case", CASES, ids=[case[0] for case in CASES])
@@ -190,11 +194,12 @@ def test_block_path_matches_scalar_reference(case, monkeypatch):
     built = []
     build = td.model.FrameData.__init__
 
-    def counting(self, model, points, field_spec, structure, plan):
-        built.append(len(points))
-        build(self, model, points, field_spec, structure, plan)
+    def counting(self, model, block, field_spec, structure, plan):
+        built.append(len(block))
+        build(self, model, block, field_spec, structure, plan)
 
     monkeypatch.setattr(td.model.FrameData, "__init__", counting)
+    monkeypatch.setattr(td.model, "BLOCK_VALUES", BLOCK * len(_block_plan(model, field, True)))
     for grid in grids(model):
         reference = ref_sweep(model, split, field, point_tuples(grid))
         built.clear()
@@ -206,10 +211,9 @@ def test_block_path_matches_scalar_reference(case, monkeypatch):
         if model.is_chart:
             reads.append(lambda block: block.det)
         c, gamma, div, *det = sweep(model, point_tuples(grid), *reads, field_spec=field)
-        # one build per block of at most BLOCK_POINTS, none for a bisection
+        # one build per block of at most BLOCK rows, none for a bisection
         total = len(grid.coordinates)
-        starts = range(0, total, BLOCK_POINTS)
-        assert built == [min(BLOCK_POINTS, total - start) for start in starts]
+        assert built == [min(BLOCK, total - start) for start in range(0, total, BLOCK)]
         assert_close(c, reference["c"], "C")
         assert_close(gamma, reference["gamma"], "Gamma")
         assert_close(div, reference["div"], "div^Q")
@@ -273,15 +277,20 @@ def test_each_block_reads_each_variable_once(name, monkeypatch):
     envs = []
     block_env = td.model._block_env
 
-    def counting(model, points):
-        envs.append(CountingEnv(block_env(model, points)))
+    def counting(model, block):
+        envs.append(CountingEnv(block_env(model, block)))
         return envs[-1]
 
     monkeypatch.setattr(td.model, "_block_env", counting)
+    monkeypatch.setattr(td.model, "BLOCK_VALUES", BLOCK * len(_block_plan(model, field, True)))
     grid = td.sample_grid(model, (23, 29) if model.dim == 2 else (9, 9, 8))
     td.classify_divergence(model, split, field, grid)
-    # the verdict's sweep, then its gate's sweep of as many lattice corners
-    assert len(envs) == 2 * -(-len(grid.coordinates) // BLOCK_POINTS) > 2
+    # the verdict's sweep in lattice blocks of at most BLOCK points, then
+    # its gate's det-only sweep of as many lattice corners
+    corners = _lattice(model, grid.resolution, 0.0)
+    det_block = td.model.BLOCK_VALUES // len(_block_plan(model, None, False))
+    blocks = [*_lattice_blocks(grid, BLOCK), *_lattice_blocks(corners, det_block)]
+    assert len(envs) == len(blocks) > 2
     coords = model.coordinate_names()
     partials = [d for comp in field.components for d in expr.gradient(comp, coords)]
     read = set().union(*map(expr.variables, partials))
@@ -347,9 +356,11 @@ def layout_cases():
 
 
 @pytest.mark.parametrize("size", [1, 511, 512, 513])
-def test_points_last_blocks_match_the_in_order_formulas_bit_for_bit(size):
+def test_points_last_blocks_match_the_in_order_formulas_bit_for_bit(size, monkeypatch):
     cell = 0.37
     for model, split, field in layout_cases():
+        # blocks of 512 rows, so that 513 points take two
+        monkeypatch.setattr(td.model, "BLOCK_VALUES", 512 * len(_block_plan(model, field, True)))
         if model.is_chart:
             points = td.sample_grid(model, {2: 23, 3: 9, 4: 5}[model.dim]).coordinates[:size]
         else:
@@ -387,8 +398,7 @@ def pinched_model(x1_zero):
 
 
 def test_singular_frame_reported_at_first_singular_point():
-    # 40x20 lattice: the line x1 = 30.5/40 starts at point 600, in the
-    # second block
+    # 40x20 lattice: the line x1 = 30.5/40 starts at point 600
     model = pinched_model(30.5 / 40)
     split = td.foliation_split(2, {0})
     field = td.vector_field(["0", "1"], model)
@@ -447,9 +457,9 @@ def test_require_finite_locates_the_first_point_on_points_last_arrays():
     td.model.require_finite(values[..., :2], points[:2], "Gamma")
 
 
-# 40 x 32 lattice: x1 > 0.5992 first at point 24 * 32 = 768, the middle
-# of the second block, where 1.5e308 * x1 > 8.99e307 and so twice it
-# overflows; every value of the plan (A, det A, C, v, dv) stays finite
+# 40 x 32 lattice: x1 > 0.5992 first at point 24 * 32 = 768, where
+# 1.5e308 * x1 > 8.99e307 and so twice it overflows; every value of the
+# plan (A, det A, C, v, dv) stays finite
 OVERFLOW_SHAPE = (40, 32)
 OVERFLOW_POINT = (0.6125, 0.015625)
 

@@ -402,7 +402,7 @@ ZERO_FIELD = {"components": [0, 0, 0]}
         (("volume-check", HUGE, "--field", ZERO_FIELD), JACOBI_OVERFLOW),
         # the eigenvalues are finite, their product is not
         (("spectral", "--matrix", f"{10**200},0;0,{10**200 + 1}"),
-         "error: report holds a non-finite value: "),
+         "error: report holds a non-finite value: eigenvalue_product\n"),
     ],
     ids=["analyze-nan-jacobi", "taut-check-nan-jacobi", "volume-check-nan-jacobi",
          "spectral-inf-product"],
@@ -415,8 +415,15 @@ def test_non_finite_report_exit_2_in_both_formats(capsys, tmp_path, argv, error,
             path.write_text(json.dumps(entry))
             argv[index] = str(path)
     code, out, err = run(capsys, *argv, "--format", fmt)
-    assert (code, out) == (2, "")
-    assert err.startswith(error) and err.count("\n") == 1
+    assert (code, out, err) == (2, "", error)
+
+
+def test_non_finite_field_is_named_in_json_order():
+    report = {"ok": 1.0, "checks": [{"worst": 2.0}, {"name": "x", "worst": math.nan}],
+              "later": math.inf}
+    assert cli._non_finite_field(report) == "checks[1].worst"
+    assert cli._non_finite_field({"values": (0.5, -math.inf)}) == "values[1]"
+    assert cli._non_finite_field({"values": [0.5, "inf", None, True]}) is None
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -589,10 +596,10 @@ def test_each_field_sweep_covers_each_point_once(
     swept = []
     build = td.model.FrameData.__init__
 
-    def counting(self, model, points, field_spec, structure, plan):
+    def counting(self, model, block, field_spec, structure, plan):
         if field_spec is not None and structure:
-            swept.append(len(points))
-        build(self, model, points, field_spec, structure, plan)
+            swept.append(len(block))
+        build(self, model, block, field_spec, structure, plan)
 
     monkeypatch.setattr(td.model.FrameData, "__init__", counting)
     code, _, err = run(capsys, subcommand, model, "--field", "alvarez", "--grid", grid)
@@ -604,10 +611,10 @@ def test_analyze_builds_the_structure_once(capsys, monkeypatch):
     built = []
     build = td.model.FrameData.__init__
 
-    def counting(self, model, points, field_spec, structure, plan):
+    def counting(self, model, block, field_spec, structure, plan):
         if structure:
-            built.append(len(points))
-        build(self, model, points, field_spec, structure, plan)
+            built.append(len(block))
+        build(self, model, block, field_spec, structure, plan)
 
     monkeypatch.setattr(td.model.FrameData, "__init__", counting)
     code, _, err = run(capsys, "analyze", "torus-warped", "--grid", "64")

@@ -101,12 +101,14 @@ def test_every_verdict_refuses_a_failed_record_with_its_line(
 
 @pytest.fixture
 def sweeps(monkeypatch):
-    """The (points, structure) of every ``model.sweep`` call so far."""
+    """The (points, structure) of every ``model.sweep`` call so far, the
+    points of a swept Grid as its coordinate rows."""
     calls = []
     sweep = td.model.sweep
 
     def spy(model, points, *reads, structure=True, **kwargs):
-        calls.append((np.array(points), structure))
+        rows = points.coordinates if isinstance(points, td.Grid) else np.array(points)
+        calls.append((rows, structure))
         return sweep(model, points, *reads, structure=structure, **kwargs)
 
     for module in (td.model, td.tautness, td.connection):
@@ -119,7 +121,7 @@ def test_a_verdict_sweeps_its_grid_once_and_the_corners_once(sweeps):
     assert code == 0
     model, _ = td.builtin_model("torus-warped")
     centres = td.sample_grid(model, 64).coordinates
-    corners = _lattice(model, (64, 64), 0.0)
+    corners = _lattice(model, (64, 64), 0.0).coordinates
     assert [(len(points), structure) for points, structure in sweeps] == [
         (4096, True), (4096, False),
     ]

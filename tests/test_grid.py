@@ -63,7 +63,7 @@ def test_lattice_is_bit_identical_to_the_float_product(case):
     assert grid.coordinates.shape == (len(centers), len(periods))
     assert not grid.coordinates.flags.writeable
     assert hex_rows(grid.coordinates) == hex_rows(centers)
-    corners = _lattice(model, tuple(resolution), 0.0)
+    corners = _lattice(model, tuple(resolution), 0.0).coordinates
     assert hex_rows(corners) == hex_rows(reference_lattice(model.periods, resolution, 0.0))
 
 

@@ -371,7 +371,7 @@ def test_validate_reports_first_failing_probe():
 
 def test_corner_probe_includes_origin(torus):
     model, _ = torus
-    corners = _lattice(model, td.sample_grid(model, 8).resolution, 0.0)
+    corners = _lattice(model, td.sample_grid(model, 8).resolution, 0.0).coordinates
     # a row check: `in` on an ndarray is an elementwise any()
     assert [0.0, 0.0] in corners.tolist()
 

@@ -466,10 +466,13 @@ def test_cover_wrap_is_python_modulo_everywhere(torus, monkeypatch, coord, fold)
     for resolution in (8, (5, 7)):
         swept.clear()
         compare_with_cover(model, split, field, coord, fold, resolution)
-        projected = [points for swept_model, points in swept if swept_model is model][-1]
+        projected = [points for swept_model, points in swept if swept_model is model][-1].coordinates
         cover = td.lift_to_cover(model, split, field, coord, fold)[0]
         grid = td.sample_grid(cover, resolution)
-        env = td.model._block_env(cover, grid.coordinates)
+        # the cover's grid is one lattice block, each coordinate on its own axis
+        (block,) = td.model._lattice_blocks(grid, len(grid.coordinates))
+        env = td.model._block_env(cover, block)
+        columns = [np.broadcast_to(env[name], block.shape).ravel() for name in cover.coordinate_names()]
         moved = 0
         for index, point in enumerate(point_tuples(grid)):
             wrapped = [x if w is None else x % w for x, w in zip(point, cover.coordinate_wraps)]
@@ -477,7 +480,7 @@ def test_cover_wrap_is_python_modulo_everywhere(torus, monkeypatch, coord, fold)
             expected = [x.hex() for x in wrapped]
             assert [x.hex() for x in td.covering_projection(cover, point)] == expected
             assert [float(x).hex() for x in projected[index]] == expected
-            assert [float(env[name][index]).hex() for name in cover.coordinate_names()] == expected
+            assert [float(column[index]).hex() for column in columns] == expected
         assert len(projected) == len(point_tuples(grid)) and moved > 0
 
 
