@@ -597,13 +597,15 @@ def _non_finite_field(value, path: str = "") -> str | None:
 def _emit(payload: dict, lines: list[str], args: argparse.Namespace) -> None:
     # the text lines show values of the payload, so a NaN or infinity,
     # which is not JSON, is refused in both formats
-    try:
-        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    except ValueError:
-        field = _non_finite_field(payload)
-        raise DomainError(f"report holds a non-finite value: {field}") from None
     if args.format == "text":
-        text = "\n".join(lines) + "\n"
+        field, text = _non_finite_field(payload), "\n".join(lines) + "\n"
+    else:
+        try:
+            field, text = None, json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        except ValueError:
+            field = _non_finite_field(payload)
+    if field is not None:
+        raise DomainError(f"report holds a non-finite value: {field}")
     if args.output:
         Path(args.output).write_text(text)
     else:

@@ -19,10 +19,11 @@ Expression nodes are immutable, so evaluation and differentiation are
 pure.  A ``Plan`` evaluates groups of expressions over NumPy arrays for
 grid sweeps: it hash-conses their subtrees into the DAG of distinct
 subexpressions, and each evaluation computes every distinct
-subexpression once.  A grid sweep builds one plan and keeps it for that
-sweep only.  ``Plan`` is the only array evaluator, and ``evaluate``, a
-tree walk over floats, is its scalar reference.  Partial derivatives are
-built once per node and kept on it.  No simplification is attempted
+subexpression once.  A model keeps the plans of its grid sweeps for as
+long as it lives.  ``Plan`` is the only array evaluator, and
+``evaluate``, a tree walk over floats, is its scalar reference.  Partial
+derivatives are built once per node and variable and kept on the node.
+No simplification is attempted
 beyond folding literal zeros and ones out of derivative terms;
 correctness is always checked pointwise, never by canonical form.
 """
@@ -494,6 +495,10 @@ class Plan:
     def __len__(self) -> int:
         return len(self._steps)
 
+    def steps(self, groups: int) -> int:
+        """The steps that a run computes for its first ``groups`` groups."""
+        return self._groups[groups - 1][1] if groups else 0
+
     def _slot(self, node: Expr, keys: dict, seen: dict) -> int:
         slot = seen.get(id(node))
         if slot is None:
@@ -615,11 +620,27 @@ def differentiate(node: Expr, var: str) -> Expr:
     No canonical form is guaranteed; the result is only promised to
     evaluate to the derivative pointwise.  Powers require an exponent
     free of ``var`` (the power rule); general f^g is rejected.
+
+    Built once per node and variable and kept on the node, so a subtree
+    that many roots share (det A in every Cramer quotient) is
+    differentiated once, and its derivative is one shared node.
     """
     if isinstance(node, (Literal, Constant)):
         return ZERO
     if isinstance(node, Variable):
         return ONE if node.name == var else ZERO
+    if not isinstance(node, Expr):
+        raise TypeError(f"not an expression node: {node!r}")
+    memo = _memo(node)
+    found = memo.get(("derivative", var))
+    if found is None:
+        found = memo["derivative", var] = _derivative(node, var)
+    return found
+
+
+def _derivative(node: Expr, var: str) -> Expr:
+    """``differentiate`` of a node with children, by the rule of its own
+    operation."""
     if isinstance(node, Negate):
         return neg(differentiate(node.operand, var))
     if isinstance(node, BinaryOp):
@@ -660,24 +681,21 @@ def differentiate(node: Expr, var: str) -> Expr:
         if node.name == "sqrt":
             return div(inner, mul(TWO, node))
         raise AssertionError(f"unreachable function {node.name!r}")
-    raise TypeError(f"not an expression node: {node!r}")
+    raise AssertionError(f"unreachable node {node!r}")
 
 
-def _memo(node: Expr) -> dict:
-    """Data derived from ``node``, kept on the node itself: nodes are
-    immutable, so it never goes stale, and lookups go by identity rather
-    than by the (recursive) structural hash."""
+def _memo(node) -> dict:
+    """Data derived from ``node``, an immutable object, kept on the
+    object itself: it never goes stale, it dies with the object, and
+    lookups go by identity rather than by the (recursive) structural
+    hash."""
     return node.__dict__.setdefault("_memo", {})
 
 
 def gradient(node: Expr, names: tuple[str, ...]) -> tuple[Expr, ...]:
     """Partial derivatives of ``node`` with respect to each of ``names``,
-    differentiated once per node and kept on it."""
-    memo = _memo(node).setdefault("gradient", {})
-    found = memo.get(names)
-    if found is None:
-        found = memo[names] = tuple(differentiate(node, name) for name in names)
-    return found
+    each kept on the node by ``differentiate``."""
+    return tuple(differentiate(node, name) for name in names)
 
 
 # --- printing --------------------------------------------------------------

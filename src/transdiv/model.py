@@ -300,11 +300,22 @@ def _coordinates(points, width: int) -> np.ndarray:
 BLOCK_VALUES = 900_000
 
 
+def _kept(model: FrameModel, key: str, derive: Callable[[FrameModel], object]):
+    """``derive(model)``, derived once per model and kept on it
+    (``expr._memo``), so it dies with the model."""
+    memo = expr._memo(model)
+    if key not in memo:
+        memo[key] = derive(model)
+    return memo[key]
+
+
 def _frame_partials(model: FrameModel) -> tuple:
     """partials[i][m][c] = d a_i^m / d x_c as expression trees."""
     assert model.frame is not None
     coords = model.coordinate_names()
-    return tuple(tuple(expr.gradient(entry, coords) for entry in row) for row in model.frame)
+    return _kept(model, "partials", lambda model: tuple(
+        tuple(expr.gradient(entry, coords) for entry in row) for row in model.frame
+    ))
 
 
 def _constant_table(model: FrameModel) -> np.ndarray:
@@ -364,24 +375,44 @@ def _block_plan(
     """The evaluation plan of FrameData blocks: one group for each of the
     frame entries, det A, the frame partials, the structure functions
     C_ij^k with i < j (k running fastest), the field components and the
-    field partials that a block computes, in that order."""
-    groups = []
-    coords = model.coordinate_names()
-    if model.is_chart:
-        assert model.frame is not None
-        groups.append([entry for row in model.frame for entry in row])
-        every = tuple(range(model.dim))
-        groups.append([_transposed_minors(model)(every, every)])
-        if structure:
-            groups.append([d for row in _frame_partials(model) for entry in row for d in entry])
+    field partials that a block may compute, in that order.
+
+    Built once per model and field spec: the model keeps its plan without
+    a field and that of the last field spec it was asked for (by
+    identity), and they die with it.  Every plan of a chart begins with
+    the groups of the frame entries and det A, all that a det-only sweep
+    (``structure`` false) runs, so it takes any plan the model keeps, or
+    else builds the plan without a field (just those two groups for a
+    frame outside the differentiable fragment, which has no C).
+    """
+    plans = expr._memo(model).setdefault("plans", {})
+    if not structure and plans:
+        return next(iter(plans.values()))[1]
+    kept = plans.get(field_spec is not None)
+    if kept is None or kept[0] is not field_spec:
+        groups = []
+        coords = model.coordinate_names()
+        if model.is_chart:
+            assert model.frame is not None
+            groups.append([entry for row in model.frame for entry in row])
+            every = tuple(range(model.dim))
+            groups.append([_transposed_minors(model)(every, every)])
+            try:
+                partials = _frame_partials(model)
+            except expr.DifferentiationError:
+                if structure:
+                    raise
+                return expr.Plan(groups)
+            groups.append([d for row in partials for entry in row for d in entry])
             table = structure_functions_symbolic(model)
             pairs = itertools.combinations(every, 2)
             groups.append([table[i][j][k] for i, j in pairs for k in every])
-    if field_spec is not None:
-        groups.append(field_spec.components)
-        if model.is_chart:
-            groups.append([d for comp in field_spec.components for d in expr.gradient(comp, coords)])
-    return expr.Plan(groups)
+        if field_spec is not None:
+            groups.append(field_spec.components)
+            if model.is_chart:
+                groups.append([d for comp in field_spec.components for d in expr.gradient(comp, coords)])
+        kept = plans[field_spec is not None] = (field_spec, expr.Plan(groups))
+    return kept[1]
 
 
 def _next_finite(values: Iterator[list], points: Sequence, what: str) -> list:
@@ -486,7 +517,9 @@ class FrameData:
 
     Built only by ``sweep``, block by block, from the groups of ``plan``
     (``_block_plan`` of the same model, field and ``structure``), each
-    evaluated only once the checks of the groups before it have passed.
+    evaluated only once the checks of the groups before it have passed;
+    without ``structure`` only the first two groups run, so a plan built
+    for C or a field serves as well.
     A chart's ``a``, ``det`` and ``c`` are all read from the plan: det A
     and C are the trees of ``structure_functions_symbolic``'s Cramer
     rule, C_ij^k for i < j, with C_ji^k = -C_ij^k filled in.  Every
@@ -646,8 +679,9 @@ def sweep(
     The only builder of FrameData: a one-point caller sweeps
     ``(point,)`` and reads row 0.  A Grid with axes is swept in lattice
     blocks (``_lattice_blocks``), anything else in blocks of rows; a
-    block holds at most BLOCK_VALUES values of ``_block_plan``, which is
-    built once for the sweep.  The blocks are built in point order by
+    block holds at most BLOCK_VALUES values of the steps it runs of
+    ``_block_plan``, the plan that the model keeps for every sweep of it
+    with the same field.  The blocks are built in point order by
     ``_located``, and each is read by every read, each read broadcast to
     the block's points and written into its result, before the next is
     built.
@@ -659,7 +693,9 @@ def sweep(
     if field_spec is not None and not structure:
         raise ModelError("a field's covariant derivative needs the structure: pass structure=True")
     plan = _block_plan(model, field_spec, structure)
-    limit = max(1, BLOCK_VALUES // max(1, len(plan)))
+    # a det-only block runs a chart's first two groups, a and det A
+    steps = len(plan) if structure else plan.steps(2 if model.is_chart else 0)
+    limit = max(1, BLOCK_VALUES // max(1, steps))
     if isinstance(points, Grid) and points.axes is not None:
         total, blocks = len(points.coordinates), _lattice_blocks(points, limit)
     else:
@@ -709,11 +745,16 @@ def structure_functions_symbolic(model: FrameModel) -> tuple:
 
     FrameData blocks evaluate these trees in their plan; the
     mean-curvature candidate field is built from them.  Expressions can
-    be large; they are never simplified, only checked pointwise.  A
-    constant-structure model's table is ``_constant_table``.
+    be large; they are never simplified, only checked pointwise.  The
+    table is derived once per model and kept on it.  A constant-structure
+    model's table is ``_constant_table``.
     """
     if not model.is_chart:
         raise ModelError("symbolic structure functions exist only for chart models")
+    return _kept(model, "structure", _cramer_table)
+
+
+def _cramer_table(model: FrameModel) -> tuple:
     n = model.dim
     assert model.frame is not None
     partials = _frame_partials(model)
@@ -752,11 +793,11 @@ def _transposed_minors(model: FrameModel) -> Callable[[tuple, tuple], Expr]:
     """minor(rows, cols): the determinant of the submatrix of A^T (whose
     columns are the frame rows) on ``rows`` and ``cols``, ascending index
     tuples of one length, by Laplace expansion along its first row.  Each
-    minor is built once per returned function, so the minors that several
-    expansions reach are one shared node."""
+    minor is built once per model and kept on it, so the minors that
+    several expansions reach are one shared node."""
     assert model.frame is not None
     frame = model.frame
-    memo: dict[tuple, Expr] = {}
+    memo: dict[tuple, Expr] = expr._memo(model).setdefault("minors", {})
 
     def minor(rows: tuple, cols: tuple) -> Expr:
         found = memo.get((rows, cols))

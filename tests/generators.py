@@ -5,7 +5,8 @@ Heisenberg, so(3), suspension bracket tables) conjugated by random
 orthogonal matrices, so the Jacobi identity genuinely holds.  Chart
 models use frames of the form rotation(theta) * diag(exp g_i), or dense
 diagonally dominant frames, both invertible everywhere by construction.
-``CountingEnv`` counts the variable reads of an evaluation.
+``CountingEnv`` counts the variable reads of an evaluation, and
+``block_runs`` the plan steps that each FrameData block runs.
 """
 
 from __future__ import annotations
@@ -235,3 +236,33 @@ class CountingEnv(dict):
     def __getitem__(self, name):
         self.reads[name] = self.reads.get(name, 0) + 1
         return super().__getitem__(name)
+
+
+class _DrawnPlan:
+    """A plan whose runs count the groups drawn from them."""
+
+    def __init__(self, plan: expr.Plan):
+        self.plan, self.groups = plan, 0
+
+    def run(self, env):
+        for values in self.plan.run(env):
+            self.groups += 1
+            yield values
+
+
+def block_runs(monkeypatch) -> list[tuple[tuple[int, ...], int]]:
+    """(shape, steps run) of every FrameData block built from now on.  A
+    run computes a group's steps only when the block draws the group, so
+    a block runs ``plan.steps`` of the groups it drew."""
+    runs = []
+    build = td.model.FrameData.__init__
+
+    def spy(self, model, block, field_spec, structure, plan):
+        drawn = _DrawnPlan(plan)
+        try:
+            build(self, model, block, field_spec, structure, drawn)
+        finally:
+            runs.append((block.shape, plan.steps(drawn.groups)))
+
+    monkeypatch.setattr(td.model.FrameData, "__init__", spy)
+    return runs

@@ -26,6 +26,7 @@ from transdiv.model import _block_plan, _lattice, _lattice_blocks, point_env, sw
 
 from generators import (
     CountingEnv,
+    block_runs,
     dense_chart_case,
     point_tuples,
     random_chart_case,
@@ -283,13 +284,19 @@ def test_each_block_reads_each_variable_once(name, monkeypatch):
 
     monkeypatch.setattr(td.model, "_block_env", counting)
     monkeypatch.setattr(td.model, "BLOCK_VALUES", BLOCK * len(_block_plan(model, field, True)))
+    runs = block_runs(monkeypatch)
     grid = td.sample_grid(model, (23, 29) if model.dim == 2 else (9, 9, 8))
     td.classify_divergence(model, split, field, grid)
     # the verdict's sweep in lattice blocks of at most BLOCK points, then
-    # its gate's det-only sweep of as many lattice corners
+    # its gate's det-only sweep of as many lattice corners, in blocks of
+    # as many points as the budget gives the steps that its blocks run
     corners = _lattice(model, grid.resolution, 0.0)
-    det_block = td.model.BLOCK_VALUES // len(_block_plan(model, None, False))
-    blocks = [*_lattice_blocks(grid, BLOCK), *_lattice_blocks(corners, det_block)]
+    verdict = list(_lattice_blocks(grid, BLOCK))
+    (det_steps,) = {steps for _, steps in runs[len(verdict):]}
+    assert det_steps < len(_block_plan(model, field, True))
+    det_block = td.model.BLOCK_VALUES // det_steps
+    blocks = [*verdict, *_lattice_blocks(corners, det_block)]
+    assert [shape for shape, _ in runs] == [block.shape for block in blocks]
     assert len(envs) == len(blocks) > 2
     coords = model.coordinate_names()
     partials = [d for comp in field.components for d in expr.gradient(comp, coords)]

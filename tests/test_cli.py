@@ -418,6 +418,18 @@ def test_non_finite_report_exit_2_in_both_formats(capsys, tmp_path, argv, error,
     assert (code, out, err) == (2, "", error)
 
 
+def test_text_reports_are_checked_without_json(monkeypatch, capsys):
+    def dumps(*args, **kwargs):
+        raise AssertionError("a text report was encoded as JSON")
+
+    monkeypatch.setattr(cli.json, "dumps", dumps)
+    code, out, err = run(capsys, "taut-check", "torus-warped", "--field", "alvarez", "--grid", "4")
+    assert (code, err) == (0, "") and out.startswith("model: torus-warped")
+    args = cli._parser().parse_args(["analyze", "t3a"])
+    with pytest.raises(td.DomainError, match=r"non-finite value: checks\[1\]\.worst$"):
+        cli._emit({"checks": [{"worst": 1.0}, {"worst": -math.inf}]}, ["line"], args)
+
+
 def test_non_finite_field_is_named_in_json_order():
     report = {"ok": 1.0, "checks": [{"worst": 2.0}, {"name": "x", "worst": math.nan}],
               "later": math.inf}

@@ -239,6 +239,23 @@ def test_plan_holds_each_distinct_subexpression_once():
     assert len(expr.Plan([roots[:1], roots[1:]])) == len(distinct)
 
 
+def test_plan_steps_counts_the_steps_a_run_computes():
+    # a run computes a group's steps only when the group is drawn; steps
+    # an earlier group computed are not run again
+    plan = expr.Plan([[parse("sin(x1)")], [parse("sin(x1) + x2")], [parse("x2*x2")]])
+    computed = []
+    plan._steps = [
+        lambda table, env, step=step: computed.append(step) or step(table, env)
+        for step in plan._steps
+    ]
+    run = plan.run({"x1": 0.5, "x2": 2.0})
+    assert plan.steps(0) == 0
+    for groups in (1, 2, 3):
+        next(run)
+        assert len(computed) == plan.steps(groups)
+    assert plan.steps(1) < plan.steps(2) < plan.steps(3) == len(plan) == 5
+
+
 def test_plan_keeps_literals_apart_by_bit_pattern():
     # -0.0 == 0.0, but the two literals are different subexpressions
     x1 = Variable("x1")

@@ -18,7 +18,7 @@ import pytest
 import transdiv as td
 from transdiv.model import _block_plan, _lattice, sweep
 
-from generators import dense_chart_case, random_chart_case, random_field
+from generators import block_runs, dense_chart_case, random_chart_case, random_field
 
 #: Points of a block in the split runs: a run of two or three indices
 #: along one axis, so blocks end in the middle of it
@@ -166,16 +166,8 @@ WARPED_3D = {
 
 @pytest.fixture
 def blocks(monkeypatch):
-    """(shape, len(plan)) of every FrameData block built so far."""
-    built = []
-    build = td.model.FrameData.__init__
-
-    def spy(self, model, block, field_spec, structure, plan):
-        built.append((block.shape, len(plan)))
-        build(self, model, block, field_spec, structure, plan)
-
-    monkeypatch.setattr(td.model.FrameData, "__init__", spy)
-    return built
+    """(shape, plan steps run) of every FrameData block built so far."""
+    return block_runs(monkeypatch)
 
 
 def test_blocks_stay_within_the_budget(blocks):

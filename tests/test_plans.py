@@ -1,0 +1,237 @@
+"""The symbolic layer of a model is derived once and read by every sweep.
+
+A model keeps its table of Cramer quotients C_ij^k and the evaluation
+plans of its sweeps (``model._block_plan``): the plan without a field
+and that of the last field spec.  A det-only sweep runs the first two
+groups of a kept plan, its frame entries and det A, and must give the
+bits and the errors of a det-only sweep of a fresh model.  The kept
+plans die with the model, and a model swept with many field specs
+keeps a bounded number of them.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import gc
+import io
+import json
+import weakref
+
+import numpy as np
+import pytest
+
+import transdiv as td
+from transdiv import connection, expr
+from transdiv.cli import main
+from transdiv.model import _det, _lattice, sweep
+
+
+@pytest.fixture
+def plans(monkeypatch):
+    """Weak references to every expr.Plan built from now on."""
+    built = []
+    build = expr.Plan.__init__
+
+    def spy(self, groups):
+        built.append(weakref.ref(self))
+        build(self, groups)
+
+    monkeypatch.setattr(expr.Plan, "__init__", spy)
+    return built
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """The models whose table of C_ij^k is derived from now on, once per
+    derivation."""
+    derived = []
+    derive = td.model._cramer_table
+
+    def spy(model):
+        derived.append(model)
+        return derive(model)
+
+    monkeypatch.setattr(td.model, "_cramer_table", spy)
+    return derived
+
+
+def run_main(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+LAZY = {
+    "name": "lazy",
+    "kind": "chart",
+    "dim": 2,
+    "leaf_indices": [2],
+    "periods": [1.0, 1.0],
+    # d(sqrt(x1))/dx1 = 1/(2 sqrt(x1)) divides by zero at the corner x1 = 0
+    "frame": ["2 + sqrt(x1)", "0", "0", "1"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        (("taut-check", "torus-warped", "--field", "alvarez", "--grid", "8"), 1),
+        (("green-check", "torus-warped", "--field", "alvarez", "--grid", "8"), 1),
+        (("volume-check", "torus-warped", "--field", "alvarez", "--grid", "8"), 1),
+        (("analyze", "torus-warped", "--grid", "8"), 1),
+        # the base model and its cover
+        (("cover", "torus-warped", "--field", "alvarez", "--coord", "1", "--fold", "2",
+          "--grid", "8"), 2),
+        (("taut-check", "t3a", "--field", "alvarez"), 1),
+    ],
+    ids=["taut-check", "green-check", "volume-check", "analyze", "cover", "constant-structure"],
+)
+def test_each_invocation_builds_one_plan_per_model(plans, tables, argv, count):
+    code, _, _ = run_main(*argv)
+    assert code == 0
+    assert len(plans) == count
+    # C is derived once for each chart model, and never for t3a
+    assert len(tables) == len({id(model) for model in tables}) == (count if "t3a" not in argv else 0)
+
+
+def test_one_point_calls_share_the_model_plan(plans, tables):
+    model, _ = td.builtin_model("torus-warped")
+    points = [tuple(row) for row in td.sample_grid(model, 8).coordinates]
+    values = [connection.christoffel(model, point).values for point in points]
+    assert len(points) == 64 and len(plans) == 1 and len(tables) == 1
+    (swept,) = sweep(model, points, lambda block: block.gamma)
+    assert np.array_equal(np.stack(values).view(np.int64), swept.view(np.int64))
+    assert len(plans) == 1
+
+
+def test_a_shared_subtree_is_differentiated_once(monkeypatch):
+    calls = []
+    derivative = expr._derivative
+
+    def spy(node, var):
+        calls.append((node, var))
+        return derivative(node, var)
+
+    monkeypatch.setattr(expr, "_derivative", spy)
+    shared = expr.parse("sin(x1)*x2")
+    root = expr.BinaryOp("+", expr.BinaryOp("*", shared, shared), expr.BinaryOp("/", expr.ONE, shared))
+    first = expr.differentiate(root, "x1")
+    assert sum(node is shared for node, _ in calls) == 1
+    assert expr.differentiate(root, "x1") is first and len(calls) == len({id(n) for n, _ in calls})
+    # the derivative of the shared subtree is one node wherever it occurs
+    d_shared = expr.differentiate(shared, "x1")
+    square = first.left  # d(shared) * shared + shared * d(shared)
+    assert square.left.left is d_shared and square.right.right is d_shared
+    assert expr.evaluate(first, {"x1": 0.3, "x2": 2.0}) == expr.evaluate(
+        expr.differentiate(expr.parse(expr.to_string(root)), "x1"), {"x1": 0.3, "x2": 2.0}
+    )
+
+
+# --- det-only sweeps run the prefix of a kept plan ----------------------------
+
+def test_the_lazy_prefix_keeps_the_cli_output(plans, tmp_path):
+    # the verdict's field plan and analyze's plan both hold the frame
+    # partials, which fail at the corners that the det-only sweeps probe
+    path = tmp_path / "lazy.json"
+    path.write_text(json.dumps(LAZY))
+    taut = run_main("taut-check", str(path), "--field", "alvarez", "--grid", "8")
+    analyze = run_main("analyze", str(path), "--grid", "8")
+    assert len(plans) == 2
+    assert taut == (0, "\n".join([
+        "model: lazy (chart, dim 2)",
+        "split: leaf indices [2], transverse indices [1]",
+        "field: alvarez (mean-curvature candidate)",
+        "grid: 8x8 cell-centered lattice (64 points)",
+        "verdict: IDENTICALLY ZERO (consistent with taut)",
+        "div^Q v: min 0 at (0.0625, 0.0625), max 0 at (0.0625, 0.0625) (tolerance 1e-09)",
+        "status: consistent with tautness for this candidate only: div^Q v vanishes on the "
+        "sample grid to tolerance",
+    ]) + "\n", "")
+    assert analyze == (0, "\n".join([
+        "model: lazy (chart, dim 2)",
+        "split: leaf indices [2], transverse indices [1]",
+        "validation: pass",
+        "  frame_invertibility: pass (min |det(frame)| over 128 probe points (threshold 1e-10), "
+        "worst 2.000e+00 at (0.0, 0.0))",
+        "report point: (0.0625, 0.0625)",
+        "nonzero structure functions C_ij^k ([E_i, E_j] = C_ij^k E_k):",
+        "  (all zero)",
+        "nonzero connection coefficients Gamma_ij^k = (C_ij^k + C_ki^j + C_kj^i)/2:",
+        "  (all zero)",
+        "mean curvature of the leaves, frame components: (0, 0)",
+    ]) + "\n", "")
+
+
+def det_bits(model, points):
+    (dets,) = sweep(model, points, _det, structure=False)
+    return dets.view(np.int64)
+
+
+@pytest.mark.parametrize("with_field", [False, True])
+def test_a_det_only_sweep_after_a_structure_sweep_gives_fresh_bits(plans, with_field):
+    model, split = td.load_model(LAZY)
+    corners = _lattice(model, (8, 8), 0.0)
+    fresh = det_bits(td.load_model(LAZY)[0], corners)
+    field = td.alvarez_candidate(model, split) if with_field else None
+    sweep(model, td.sample_grid(model, 8), lambda block: block.c, field_spec=field)
+    built = len(plans)
+    assert np.array_equal(det_bits(model, corners), fresh)
+    assert np.array_equal(det_bits(model, corners.coordinates), fresh)
+    assert len(plans) == built  # the kept plan, not a new one
+    with pytest.raises(td.DomainError, match="division by zero"):
+        sweep(model, corners, lambda block: block.c, field_spec=field)
+
+
+def test_a_failing_det_reports_its_point_from_a_kept_plan():
+    # each entry is finite, det A = exp(800 x1) is not beyond x1 = 0.887
+    frame = [["exp(400*x1)", "0"], ["0", "exp(400*x1)"]]
+    message = "non-finite frame determinant at (0.9375, 0.0625)"
+    for keep in (False, True):
+        model = td.chart_model("overflow", (1.0, 1.0), frame)
+        grid = td.sample_grid(model, 8)
+        if keep:
+            sweep(model, [(0.5, 0.5)], lambda block: block.c)
+        for points in (grid, grid.coordinates):
+            with pytest.raises(td.DomainError) as raised:
+                sweep(model, points, _det, structure=False)
+            assert str(raised.value) == message and raised.value.point == (0.9375, 0.0625)
+        (check,) = td.validate_model(model, grid)
+        assert not check.passed and check.worst_point == (0.9375, 0.0625)
+        assert check.detail == f"frame evaluation failed: {message}"
+
+
+def test_a_frame_outside_the_differentiable_fragment_keeps_its_det():
+    model = td.chart_model("power", (1.0, 1.0), [["2 + x1^x2", "0"], ["0", "1"]])
+    assert td.model.frame_matrix(model, (0.5, 0.5))[0, 0] == 2 + 0.5 ** 0.5
+    (check,) = td.validate_model(model, td.sample_grid(model, 4))
+    assert check.passed and check.worst == 2.0
+    with pytest.raises(td.DifferentiationError, match="x1\\^x2"):
+        td.structure_functions(model, (0.5, 0.5))
+
+
+# --- the kept plans are bounded and die with the model ------------------------
+
+def test_a_deleted_model_leaves_nothing_alive(plans, tables):
+    model, split = td.builtin_model("torus-warped")
+    grid = td.sample_grid(model, 8)
+    td.classify_divergence(model, split, td.alvarez_candidate(model, split), grid)
+    td.validate_model(model, grid)
+    connection.christoffel(model, (0.5, 0.5))
+    assert plans and tables
+    alive = [weakref.ref(model), *plans]
+    del model, split, tables[:]
+    gc.collect()
+    assert [ref() for ref in alive] == [None] * len(alive)
+
+
+def test_many_field_specs_keep_a_bounded_number_of_plans(plans):
+    model, _ = td.builtin_model("torus-warped")
+    sweep(model, [(0.5, 0.5)], lambda block: block.c)
+    for k in range(200):
+        field = td.vector_field(["0", f"{k + 1}*sin(2*pi*x2)"], model)
+        sweep(model, [(0.5, 0.5)], lambda block: block.rows, field_spec=field)
+    gc.collect()
+    assert len(plans) == 201
+    # the plan without a field and the last field's plan
+    assert sum(ref() is not None for ref in plans) == 2
