@@ -27,9 +27,8 @@ _HOMES = {
     ),
     "catalog": ("builtin_document", "builtin_model"),
     "connection": (
-        "ChristoffelTable", "MeanCurvatureVector", "christoffel",
-        "covariant_derivative", "divergence_sub", "full_divergence",
-        "mean_curvature", "transverse_divergence",
+        "ChristoffelTable", "MeanCurvatureVector", "christoffel", "mean_curvature",
+        "transverse_divergence",
     ),
     "expr": ("Expr", "differentiate", "evaluate", "parse", "to_string"),
     "model": (
@@ -46,8 +45,7 @@ _HOMES = {
     "tautness": (
         "QuadratureReport", "TautnessClass", "TautnessVerdict",
         "VolumePreservationReport", "alvarez_candidate", "classify_divergence",
-        "covering_projection", "green_check", "lift_to_cover",
-        "volume_preservation_check",
+        "green_check", "lift_to_cover", "volume_preservation_check",
     ),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}

@@ -8,8 +8,8 @@ Exit codes: 0 success, 1 usage, schema or file error, 2 math-domain error,
 3 model/field validation failure.
 
 Start-up loads only the records, the exact spectral code and argparse:
-``spectral`` runs without NumPy, and the subcommands that build a model
-import the NumPy layers when they run.
+``spectral`` and ``suspend`` run without NumPy, and the subcommands that
+build a model import the NumPy layers when they run.
 """
 
 from __future__ import annotations
@@ -307,7 +307,8 @@ def _entry_lines(symbol: str, entries: list[dict]) -> list[str]:
 # --- subcommand handlers -----------------------------------------------------
 #
 # The handlers that build a model import the NumPy layers when they run,
-# so that ``import transdiv.cli`` and ``spectral`` load no NumPy.
+# so that ``import transdiv.cli``, ``spectral`` and ``suspend`` load no
+# NumPy.
 
 def _numpy_quiet(handler):
     """Run ``handler`` with NumPy's floating-point warnings off: every
@@ -466,34 +467,31 @@ def _cmd_spectral(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     return payload, lines, EXIT_OK
 
 
-@_numpy_quiet
 def _cmd_suspend(args: argparse.Namespace) -> tuple[dict, list[str], int]:
-    from .model import model_to_document
-
     matrix = _parse_matrix_arg(args.matrix)
     if not 1 <= args.leaf <= len(matrix):
         raise UsageError(f"--leaf must be in 1..{len(matrix)}")
-    model, split = build_suspension(matrix, args.leaf)
-    document = model_to_document(model, split)
+    document = build_suspension(matrix, args.leaf)
     out_path = Path(args.out)
     out_path.write_text(json.dumps(document, indent=2) + "\n")
+    name, dim, parameters = document["name"], document["dim"], document["parameters"]
+    (leaf_frame_index,) = document["leaf_indices"]
     payload = {
         "subcommand": "suspend",
         "written": str(out_path),
-        "model": model.name,
-        "dim": model.dim,
+        "model": name,
+        "dim": dim,
         "leaf_index": args.leaf,
-        "leaf_frame_index": split.leaf_ordered[0] + 1,
-        "log_eigenvalues": dict(model.parameters),
+        "leaf_frame_index": leaf_frame_index,
+        "log_eigenvalues": parameters,
     }
     lines = [
         f"wrote model file: {out_path}",
-        f"model: {model.name} ({model.kind}, dim {model.dim})",
-        f"leaf eigen-direction: {args.leaf} "
-        f"(frame index {split.leaf_ordered[0] + 1})",
+        f"model: {name} ({document['kind']}, dim {dim})",
+        f"leaf eigen-direction: {args.leaf} (frame index {leaf_frame_index})",
     ]
-    for name, value in sorted(model.parameters.items()):
-        lines.append(f"  {name} = {value:.12g}")
+    for key, value in sorted(parameters.items()):
+        lines.append(f"  {key} = {value:.12g}")
     return payload, lines, EXIT_OK
 
 

@@ -81,45 +81,18 @@ def covariant_rows(
     return sweep(model, (point,), lambda block: block.rows, field_spec=field_spec)[0][0]
 
 
-def covariant_derivative(
-    model: FrameModel,
-    field_spec: VectorFieldSpec,
-    i: int,
-    point: tuple[float, ...],
-) -> np.ndarray:
-    """Frame components of nabla_{E_i} v at ``point``."""
-    (idx,) = _check_indices(model, (i,))
-    return covariant_rows(model, field_spec, point)[idx]
-
-
-def divergence_sub(
-    model: FrameModel,
-    indices: Iterable[int],
-    field_spec: VectorFieldSpec,
-    point: tuple[float, ...],
-) -> float:
-    """div^D v = sum_{i in D} g(nabla_{E_i} v, E_i) for D = ``indices``."""
-    ordered = _check_indices(model, indices)
-    (values,) = sweep(
-        model, (point,), lambda block: block.divergence(ordered), field_spec=field_spec
-    )
-    return float(values[0])
-
-
-def full_divergence(
-    model: FrameModel, field_spec: VectorFieldSpec, point: tuple[float, ...]
-) -> float:
-    return divergence_sub(model, range(model.dim), field_spec, point)
-
-
 def transverse_divergence(
     model: FrameModel,
     split: FoliationSplit,
     field_spec: VectorFieldSpec,
     point: tuple[float, ...],
 ) -> float:
-    """div^Q v at ``point``."""
-    return divergence_sub(model, split.transverse_ordered, field_spec, point)
+    """div^Q v = sum_{i in Q} g(nabla_{E_i} v, E_i) at ``point``."""
+    (values,) = sweep(
+        model, (point,), lambda block: block.divergence(split.transverse_ordered),
+        field_spec=field_spec,
+    )
+    return float(values[0])
 
 
 def mean_curvature(

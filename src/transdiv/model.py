@@ -328,31 +328,15 @@ def _constant_table(model: FrameModel) -> np.ndarray:
     return table
 
 
-def require_finite(
-    values: np.ndarray, points: Sequence, what: str, shape: tuple[int, ...] | None = None
-) -> None:
+def require_finite(values: np.ndarray, points: Sequence, what: str) -> None:
     """Raise DomainError at the first of ``points`` where ``values`` holds
-    a NaN or an infinity.  The trailing axes of ``values`` run over the
-    points in row-major order: its last axis, or axes that broadcast to
-    a block's ``shape``.  The whole array is checked as it is stored; the
-    failing point is looked for only when that check fails."""
+    a NaN or an infinity.  The last axis of ``values`` runs over the
+    points.  The whole array is checked as it is stored; the failing
+    point is looked for only when that check fails."""
     if not len(points) or np.isfinite(values).all():
         return
-    if shape is None:
-        shape = (len(points),)
-    finite = np.isfinite(values).reshape(-1, *values.shape[values.ndim - len(shape):])
-    index = int(np.argmin(np.broadcast_to(finite.all(axis=0), shape)))
+    index = int(np.argmin(np.isfinite(values).reshape(-1, len(points)).all(axis=0)))
     raise expr.DomainError(f"non-finite {what} at {_as_point(points[index])}")
-
-
-def _require_invertible(dets: np.ndarray, block: Block) -> None:
-    """Raise SingularFrameError at the first point of ``block`` where
-    |det A| < DET_TOLERANCE (``dets`` broadcasts to the block's shape)."""
-    singular = np.abs(dets) < DET_TOLERANCE
-    if singular.any():
-        index = int(np.argmax(np.broadcast_to(singular, block.shape)))
-        det = np.broadcast_to(dets, block.shape).flat[index]
-        raise SingularFrameError(_as_point(block.rows[index]), float(det))
 
 
 def _stacked(values: Sequence, shape: tuple[int, ...], block: Block) -> np.ndarray:
@@ -415,16 +399,30 @@ def _block_plan(
     return kept[1]
 
 
-def _next_finite(values: Iterator[list], points: Sequence, what: str) -> list:
+def _next_finite(values: Iterator[list], block: Block, what: str) -> list:
     """The next group of ``values``, a group whose roots are built by +,
     -, * and / from values already checked finite, and whose divisors
     are nonzero: it fails only by overflowing, and that DomainError is
-    raised as ``require_finite`` raises it, at the first of ``points``
-    (``_located`` narrows a failing block down to the point that fails)."""
+    raised as ``_require_finite`` raises it."""
     try:
         return next(values)
     except expr.DomainError:
-        raise expr.DomainError(f"non-finite {what} at {_as_point(points[0])}") from None
+        raise _non_finite(block, what) from None
+
+
+def _require_finite(values: np.ndarray, block: Block, what: str) -> None:
+    """Raise DomainError if ``values``, an array of FrameData ``block``,
+    holds a NaN or an infinity anywhere."""
+    if not np.isfinite(values).all():
+        raise _non_finite(block, what)
+
+
+def _non_finite(block: Block, what: str) -> expr.DomainError:
+    """The DomainError of a FrameData check that fails on ``block``, at
+    its first point: ``_located`` narrows a failing block down to the one
+    point that fails on its own, so only a one-point block's error is
+    reported."""
+    return expr.DomainError(f"non-finite {what} at {_as_point(block.rows[0])}")
 
 
 def _ascending_sum(terms: Iterable[np.ndarray]) -> np.ndarray:
@@ -526,7 +524,7 @@ class FrameData:
     value is finite: a NaN or infinity raises DomainError, and |det A| <
     DET_TOLERANCE raises SingularFrameError, before C is evaluated, when
     the structure is asked for.  Each check tests a whole array and
-    looks for the first failing point only when that test fails.
+    raises at the block's first point (``_non_finite``).
     """
 
     def __init__(
@@ -538,32 +536,35 @@ class FrameData:
         plan: expr.Plan,
     ):
         self.block = block
-        points, n = block.rows, model.dim
+        n = model.dim
         values = plan.run(_block_env(model, block))
         self.a = self.det = self.c = self.gamma = None
         self.v = self.dv = self.ev = self.rows = None
         if model.is_chart:
             self.a = _stacked(next(values), (n, n), block)
-            self.det = _stacked(_next_finite(values, points, "frame determinant"), (), block)
+            self.det = _stacked(_next_finite(values, block, "frame determinant"), (), block)
         if not structure:
             return
         if model.is_chart:
-            _require_invertible(self.det, block)
+            if (np.abs(self.det) < DET_TOLERANCE).any():
+                # index 0 of an array that broadcasts to the block's shape
+                # is its value at the block's first point
+                raise SingularFrameError(_as_point(block.rows[0]), float(self.det.flat[0]))
             next(values)  # the frame partials, checked before C reads them
-            upper = _stacked(_next_finite(values, points, "structure functions"), (-1, n), block)
+            upper = _stacked(_next_finite(values, block, "structure functions"), (-1, n), block)
             self.c = np.zeros((n, n) + upper.shape[1:])
             for row, (i, j) in zip(upper, itertools.combinations(range(n), 2)):
                 self.c[i, j] = row
                 np.negative(row, out=self.c[j, i])
         else:
             self.c = _constant_table(model).reshape((n, n, n) + (1,) * len(block.shape))
-        require_finite(self.c, points, "structure functions", block.shape)
+        _require_finite(self.c, block, "structure functions")
         block_axes = tuple(range(3, self.c.ndim))
         self.gamma = 0.5 * (
             self.c + self.c.transpose((1, 2, 0, *block_axes))
             + self.c.transpose((2, 1, 0, *block_axes))
         )
-        require_finite(self.gamma, points, "connection coefficients", block.shape)
+        _require_finite(self.gamma, block, "connection coefficients")
         if field_spec is None:
             return
         self.v = _stacked(next(values), (n,), block)
@@ -573,7 +574,7 @@ class FrameData:
         else:
             self.dv = self.ev = np.zeros((n, n) + (1,) * len(block.shape))
         self.rows = _ascending_sum(self.v[j] * self.gamma[:, j] for j in range(n)) + self.ev
-        require_finite(self.rows, points, "covariant derivative", block.shape)
+        _require_finite(self.rows, block, "covariant derivative")
 
     def divergence(self, indices: Sequence[int]) -> np.ndarray:
         """div^D v = sum_{i in D} (nabla_{E_i} v)^i at each point."""

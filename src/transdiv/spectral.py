@@ -10,9 +10,11 @@ correctly rounded float of each root.  Float guesses of the roots
 (Laguerre's iteration, in pure Python) only choose where isolation cuts
 and where the search starts; every decision is the sign of an exact
 integer, so the certified roots do not depend on them.  No fractions,
-and no NumPy: only ``build_suspension`` loads the model layer.  An admissible matrix (determinant one, all eigenvalues real,
-simple, positive and different from one) yields a constant-structure
-model of dimension n+1 whose frame bracket table is
+no NumPy and no model layer: ``build_suspension`` writes its model as a
+document, which ``model.load_model`` reads like any model file.  An
+admissible matrix (determinant one, all eigenvalues real, simple,
+positive and different from one) yields a constant-structure model of
+dimension n+1 whose frame bracket table is
 
     [E_0, E_i] = log(lambda_i) * E_i,   all other brackets zero,
 
@@ -26,14 +28,9 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
-from .records import (
-    CheckResult, FoliationSplit, InadmissibleMatrixError, SpectralError, foliation_split,
-)
-
-if TYPE_CHECKING:
-    from .model import FrameModel
+from .records import CheckResult, InadmissibleMatrixError, SpectralError
 
 MAX_DIM = 8
 
@@ -611,35 +608,29 @@ def spectral_data(matrix: Sequence[Sequence[int]]) -> SpectralData:
     )
 
 
-def build_suspension(
-    matrix: Sequence[Sequence[int]], leaf_index: int
-) -> tuple[FrameModel, FoliationSplit]:
-    """Suspension model of an admissible matrix, dim n+1.
+def build_suspension(matrix: Sequence[Sequence[int]], leaf_index: int) -> dict:
+    """The model document of the suspension of an admissible matrix, dim
+    n+1, in the model-file schema (1-based frame indices).
 
-    Frame index 0 is the suspension direction E_0; frame index i
-    (1-based eigenvalue numbering, ascending) is the eigen-direction of
-    lambda_i.  ``leaf_index`` selects which eigen-direction spans the
-    one-dimensional leaves (1 <= leaf_index <= n).
+    Frame index 1 is the suspension direction E_0; frame index i + 1 is
+    the eigen-direction of lambda_i (eigenvalues ascending), and each
+    log(lambda_i) is the parameter ``log_lambda_i``.  ``leaf_index``
+    selects which eigen-direction spans the one-dimensional leaves
+    (1 <= leaf_index <= n).
     """
-    from .model import constant_structure_model
-
     data = spectral_data(matrix)
     n = len(data.eigenvalues)
     if not 1 <= leaf_index <= n:
         raise ValueError(f"leaf_index must be in 1..{n}, got {leaf_index}")
-    parameters = {
-        f"log_lambda_{i + 1}": value for i, value in enumerate(data.log_eigenvalues)
+    logs = list(enumerate(data.log_eigenvalues, 1))
+    return {
+        "name": f"suspension({format_matrix(_normalize(matrix))})",
+        "kind": "constant_structure",
+        "dim": n + 1,
+        "leaf_indices": [leaf_index + 1],
+        "parameters": {f"log_lambda_{i}": value for i, value in logs},
+        "dense_leaves": False,
+        "structure_constants": [
+            {"i": 1, "j": i + 1, "k": i + 1, "value": value} for i, value in logs
+        ],
     }
-    constants = [
-        (0, i + 1, i + 1, value) for i, value in enumerate(data.log_eigenvalues)
-    ]
-    rows = _normalize(matrix)
-    model = constant_structure_model(
-        name=f"suspension({format_matrix(rows)})",
-        dim=n + 1,
-        constants=constants,
-        parameters=parameters,
-        dense_leaves=False,
-    )
-    split = foliation_split(n + 1, {leaf_index})
-    return model, split

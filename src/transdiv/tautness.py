@@ -37,7 +37,6 @@ from .model import (
     Grid,
     VectorFieldSpec,
     _constant_table,
-    _coordinates,
     _det,
     _product,
     _wrapped_columns,
@@ -395,14 +394,6 @@ def lift_to_cover(
         coordinate_wraps=wraps,
     )
     return lifted, split, field_spec
-
-
-def covering_projection(model: FrameModel, point: tuple[float, ...]) -> tuple[float, ...]:
-    """Image of a covering-model point in the base box (wrap coordinates
-    by their base periods, by ``model._wrapped_columns``); the identity on
-    non-covering models."""
-    columns = _wrapped_columns(model, _coordinates((point,), model.dim).T)
-    return _as_point(column[0] for column in columns)
 
 
 def compare_with_cover(

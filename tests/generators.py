@@ -5,8 +5,9 @@ Heisenberg, so(3), suspension bracket tables) conjugated by random
 orthogonal matrices, so the Jacobi identity genuinely holds.  Chart
 models use frames of the form rotation(theta) * diag(exp g_i), or dense
 diagonally dominant frames, both invertible everywhere by construction.
-``CountingEnv`` counts the variable reads of an evaluation, and
-``block_runs`` the plan steps that each FrameData block runs.
+``at`` reads one point of a sweep, ``CountingEnv`` counts the variable
+reads of an evaluation, and ``block_runs`` the plan steps that each
+FrameData block runs.
 """
 
 from __future__ import annotations
@@ -85,8 +86,7 @@ def random_constant_case(
     kind = rng.choice(_BASE_ALGEBRAS)
     if kind == "suspension":
         matrix = random_admissible_matrix(rng, rng.choice((2, 3)))
-        model, split = td.build_suspension(matrix, rng.randint(1, len(matrix)))
-        return model, split
+        return td.load_model(td.build_suspension(matrix, rng.randint(1, len(matrix))))
     dim = 3
     scale = round(rng.uniform(0.3, 2.0), 6)
     if kind == "abelian":
@@ -168,6 +168,20 @@ def point_tuples(grid: td.Grid) -> tuple[tuple[float, ...], ...]:
     """Every point of ``grid`` as a tuple of Python floats, as reports
     give a point."""
     return tuple(map(tuple, grid.coordinates.tolist()))
+
+
+def at(model: td.FrameModel, point: tuple[float, ...], read, field=None):
+    """The value of ``read`` (a function of one FrameData block, as for
+    ``model.sweep``) at ``point``: row 0 of a one-point sweep, with the
+    field ``field`` if given."""
+    return td.model.sweep(model, (point,), read, field_spec=field)[0][0]
+
+
+def projected(cover: td.FrameModel, point: tuple[float, ...]) -> tuple[float, ...]:
+    """The image of a cover's ``point`` in the base box: each coordinate
+    wrapped by ``model._wrapped_columns``, as the cover's sweeps wrap it."""
+    columns = td.model._wrapped_columns(cover, np.transpose([point]))
+    return tuple(float(column[0]) for column in columns)
 
 
 def grid_points(model: td.FrameModel, count: int = 20) -> list[tuple[float, ...]]:

@@ -16,7 +16,7 @@ import transdiv as td
 from transdiv import expr
 from transdiv.tautness import TautnessClass
 
-from generators import grid_points, identity_cases, point_tuples, random_field
+from generators import at, grid_points, identity_cases, point_tuples, projected, random_field
 from test_expr import central_difference
 from test_tautness import substitute
 
@@ -33,7 +33,7 @@ def _report(criterion: int, passed: bool, detail: str) -> None:
 
 def test_criterion_1_hyperbolic_torus_flow():
     started = time.perf_counter()
-    model, split = td.build_suspension(((2, 1), (1, 1)), leaf_index=2)
+    model, split = td.load_model(td.build_suspension(((2, 1), (1, 1)), leaf_index=2))
     gamma = td.christoffel(model, ())
     checks = [
         abs(gamma.coefficient(3, 3, 1) - LOG_BIG) <= 1e-12,
@@ -64,7 +64,7 @@ def test_criterion_1_hyperbolic_torus_flow():
 
 
 def test_criterion_2_zero_divergence_field():
-    model, split = td.build_suspension(((2, 1), (1, 1)), leaf_index=2)
+    model, split = td.load_model(td.build_suspension(((2, 1), (1, 1)), leaf_index=2))
     field = td.vector_field([0, 1, 0], model)
     value = td.transverse_divergence(model, split, field, ())
     verdict = td.classify_divergence(model, split, field, td.sample_grid(model, 1))
@@ -83,7 +83,7 @@ def test_criterion_3_codimension_three_suspension():
     for value in data.eigenvalues:
         product *= value
     checks.append(abs(product - 1.0) <= 1e-12)
-    model, split = td.build_suspension(matrix, leaf_index=2)
+    model, split = td.load_model(td.build_suspension(matrix, leaf_index=2))
     tau = td.alvarez_candidate(model, split)
     divergence = td.transverse_divergence(model, split, tau, ())
     l1, l2, l3 = data.log_eigenvalues
@@ -155,8 +155,8 @@ def test_criterion_5_identity_suites():
             comps = np.array([td.evaluate(c, env) for c in field.components])
             kappa = td.mean_curvature(model, split.leaf_ordered, point).components
             div_q = td.transverse_divergence(model, split, field, point)
-            div_full = td.full_divergence(model, field, point)
-            div_leaf = td.divergence_sub(model, split.leaf_ordered, field, point)
+            div_full = at(model, point, lambda block: block.divergence(range(model.dim)), field)
+            div_leaf = at(model, point, lambda block: block.divergence(split.leaf_ordered), field)
             worst_eq4 = max(
                 worst_eq4, abs(div_q - (div_full + float(comps @ kappa)))
             )
@@ -191,7 +191,7 @@ def test_criterion_6_covering_suite():
         )
         grid = td.sample_grid(lifted, (2, 16 * fold))
         for point in point_tuples(grid):
-            down = td.covering_projection(lifted, point)
+            down = projected(lifted, point)
             worst = max(
                 worst,
                 abs(

@@ -837,6 +837,20 @@ def test_cli_import_loads_no_numpy_and_no_sweep_layer():
     assert loaded == []
 
 
+def test_suspend_loads_no_numpy_and_no_model_layer(tmp_path):
+    written = tmp_path / "t3a.json"
+    result = _child_json(
+        "import contextlib, io, json, sys\n"
+        "from transdiv.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main(['suspend', '--matrix', '2,1;1,1', '--leaf', '2', '-o', {str(written)!r}])\n"
+        "print(json.dumps([code, [name for name in ('numpy', 'transdiv.model') if name in sys.modules]]))\n"
+    )
+    assert result == [0, []]
+    # the t3a builtin is this document, renamed
+    assert json.loads(written.read_text()) == {**td.builtin_document("t3a"), "name": "suspension(2,1;1,1)"}
+
+
 #: 2x2, 3x3, an eigenvalue near 10^20 and one near 10^-20, and an
 #: inadmissible matrix (complex eigenvalues)
 SPECTRAL_MATRICES = (
@@ -875,8 +889,7 @@ def test_spectral_runs_with_numpy_blocked(capsys):
 PUBLIC_HOMES = {
     "catalog": "BUILTIN_NAMES builtin_document builtin_model",
     "connection": (
-        "ChristoffelTable MeanCurvatureVector christoffel covariant_derivative "
-        "divergence_sub full_divergence mean_curvature transverse_divergence"
+        "ChristoffelTable MeanCurvatureVector christoffel mean_curvature transverse_divergence"
     ),
     "expr": (
         "DifferentiationError DomainError EvalError Expr ExprError ParseError "
@@ -896,7 +909,7 @@ PUBLIC_HOMES = {
     "tautness": (
         "NotBasicError QuadratureReport TautnessClass TautnessVerdict "
         "VolumePreservationReport alvarez_candidate classify_divergence "
-        "covering_projection green_check lift_to_cover volume_preservation_check"
+        "green_check lift_to_cover volume_preservation_check"
     ),
 }
 
@@ -920,5 +933,5 @@ def test_public_names_resolve_lazily_to_their_home_objects():
     submodules, public, moved = result
     assert submodules == ["transdiv.catalog", "transdiv.spectral"]
     assert public == sorted(name for names in PUBLIC_HOMES.values() for name in names.split())
-    assert len(public) == 65
+    assert len(public) == 61
     assert moved == []

@@ -11,6 +11,7 @@ import pytest
 import transdiv as td
 
 from generators import (
+    at,
     grid_points,
     identity_cases,
     random_admissible_matrix,
@@ -71,7 +72,7 @@ def test_covariant_derivative_tau_direction(t3a):
     model, split = t3a
     tau = td.alvarez_candidate(model, split)
     # component along E2 of nabla_{E_2} tau is ln(l2) * Gamma_21^2
-    row = td.covariant_derivative(model, tau, 1, ())
+    row = at(model, (), lambda block: block.rows, tau)[1]
     assert abs(row[1] - (-LOG_BIG * LOG_SMALL)) < 1e-12
 
 
@@ -80,14 +81,14 @@ def test_covariant_derivative_zero_field(t3a, torus):
         zero = td.vector_field([0] * model.dim, model)
         point = () if not model.is_chart else (0.3, 0.4)
         for i in range(model.dim):
-            assert np.all(td.covariant_derivative(model, zero, i, point) == 0)
+            assert np.all(at(model, point, lambda block: block.rows, zero)[i] == 0)
 
 
 def test_covariant_derivative_transverse_slope(torus):
     model, _ = torus
     field = td.vector_field(["0", "sin(2*pi*x2)"], model)
     for y in (0.1, 0.45):
-        row = td.covariant_derivative(model, field, 1, (0.2, y))
+        row = at(model, (0.2, y), lambda block: block.rows, field)[1]
         expected = 2 * math.pi * math.cos(2 * math.pi * y)
         assert abs(row[1] - expected) < 1e-12
 
@@ -97,7 +98,7 @@ def test_covariant_derivative_transverse_slope(torus):
 def test_transverse_divergence_tau(t3a):
     model, split = t3a
     tau = td.alvarez_candidate(model, split)
-    value = td.divergence_sub(model, (0, 1), tau, ())
+    value = at(model, (), lambda block: block.divergence((0, 1)), tau)
     assert abs(value - LOG_SMALL**2) < 1e-12
     assert abs(td.transverse_divergence(model, split, tau, ()) - value) == 0.0
 
@@ -106,7 +107,7 @@ def test_transverse_divergence_torus_slope(torus):
     model, split = torus
     field = td.vector_field(["0", "exp(cos(2*pi*x2))"], model)
     for y in (0.12, 0.77):
-        value = td.divergence_sub(model, (1,), field, (0.6, y))
+        value = at(model, (0.6, y), lambda block: block.divergence((1,)), field)
         expected = -2 * math.pi * math.sin(2 * math.pi * y) * math.exp(
             math.cos(2 * math.pi * y)
         )
@@ -116,16 +117,7 @@ def test_transverse_divergence_torus_slope(torus):
 def test_divergence_zero_field(t3a):
     model, _ = t3a
     zero = td.vector_field([0, 0, 0], model)
-    assert td.divergence_sub(model, (0, 1, 2), zero, ()) == 0.0
-
-
-def test_divergence_index_validation(t3a):
-    model, _ = t3a
-    field = td.vector_field([1, 0, 0], model)
-    with pytest.raises(td.ModelError):
-        td.divergence_sub(model, (), field, ())
-    with pytest.raises(td.ModelError):
-        td.divergence_sub(model, (5,), field, ())
+    assert at(model, (), lambda block: block.divergence((0, 1, 2)), zero) == 0.0
 
 
 # --- mean curvature ---------------------------------------------------------------
@@ -185,7 +177,7 @@ def test_divergence_decomposition(case_index):
     field = random_field(rng, model, split, transverse_only=True)
     for point in grid_points(model):
         div_q = td.transverse_divergence(model, split, field, point)
-        div_full = td.full_divergence(model, field, point)
+        div_full = at(model, point, lambda block: block.divergence(range(model.dim)), field)
         kappa = td.mean_curvature(model, split.leaf_ordered, point).components
         env = td.model.point_env(model, point)
         comps = np.array(
@@ -201,7 +193,7 @@ def test_perpendicular_identity(case_index):
     rng = random.Random(2000 + case_index)
     field = random_field(rng, model, split, transverse_only=True)
     for point in grid_points(model):
-        div_leafwise = td.divergence_sub(model, split.leaf_ordered, field, point)
+        div_leafwise = at(model, point, lambda block: block.divergence(split.leaf_ordered), field)
         kappa = td.mean_curvature(model, split.leaf_ordered, point).components
         env = td.model.point_env(model, point)
         comps = np.array([td.evaluate(c, env) for c in field.components])
@@ -228,10 +220,10 @@ def test_decomposition_constant_fields_on_suspensions():
     rng = random.Random(31)
     for n in (2, 3, 2):
         matrix = random_admissible_matrix(rng, n)
-        model, split = td.build_suspension(matrix, rng.randint(1, n))
+        model, split = td.load_model(td.build_suspension(matrix, rng.randint(1, n)))
         field = random_field(rng, model, split)
         div_q = td.transverse_divergence(model, split, field, ())
-        div_full = td.full_divergence(model, field, ())
+        div_full = at(model, (), lambda block: block.divergence(range(model.dim)), field)
         kappa = td.mean_curvature(model, split.leaf_ordered, ()).components
         comps = np.array(
             [td.evaluate(c, dict(model.parameters)) for c in field.components]
@@ -245,7 +237,7 @@ def test_suspension_harmonicity_random_matrices():
     for n in (2, 2, 3, 3):
         matrix = random_admissible_matrix(rng, n)
         for leaf_index in range(1, n + 1):
-            model, split = td.build_suspension(matrix, leaf_index)
+            model, split = td.load_model(td.build_suspension(matrix, leaf_index))
             tau = td.alvarez_candidate(model, split)
             comps = np.array(
                 [td.evaluate(c, dict(model.parameters)) for c in tau.components]

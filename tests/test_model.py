@@ -67,23 +67,29 @@ def test_unknown_builtin():
 
 
 def test_builtin_t3a_configurable_matrix():
-    model, split = td.builtin_model("t3a", matrix=((3, 2), (1, 1)))
+    model, split = td.load_model(td.build_suspension(((3, 2), (1, 1)), 2))
     table = td.structure_functions(model, ())
     # trace 4, det 1: eigenvalues (4 +/- sqrt(12)) / 2
     big = (4 + math.sqrt(12)) / 2
     assert abs(table[0, 2, 2] - math.log(big)) < 1e-12
     assert split.leaf_ordered == (2,)
     with pytest.raises(td.InadmissibleMatrixError):
-        td.builtin_model("t3a", matrix=((0, -1), (1, 0)))
+        td.build_suspension(((0, -1), (1, 0)), 2)
 
 
 def test_builtin_torus_configurable_warp():
-    model, split = td.builtin_model("torus-warped", warp="0.1*cos(2*pi*x2)")
+    # torus-warped's document with the warp f = 0.1 cos(2 pi x2)
+    model, split = td.load_model({
+        "name": "torus-warped",
+        "kind": "chart",
+        "dim": 2,
+        "leaf_indices": [1],
+        "periods": [1.0, 1.0],
+        "frame": ["exp(-(0.1*cos(2*pi*x2)))", "0", "0", "1"],
+    })
     kappa = td.mean_curvature(model, split.leaf_ordered, (0.5, 0.25))
     slope = -0.1 * 2 * math.pi * math.sin(2 * math.pi * 0.25)
     assert abs(kappa.components[1] - (-slope)) < 1e-12
-    with pytest.raises(td.ModelError, match="x2 only"):
-        td.builtin_model("torus-warped", warp="sin(2*pi*x1)")
 
 
 def test_empty_leaf_set_rejected():

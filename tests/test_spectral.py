@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -1001,7 +1002,7 @@ def test_product_of_eigenvalues_is_one():
 # --- suspension construction --------------------------------------------------------
 
 def test_build_suspension_t3a_bracket_table():
-    model, split = td.build_suspension(((2, 1), (1, 1)), leaf_index=2)
+    model, split = td.load_model(td.build_suspension(((2, 1), (1, 1)), leaf_index=2))
     assert model.dim == 3
     assert split.leaf_ordered == (2,)
     table = td.structure_functions(model, ())
@@ -1012,7 +1013,7 @@ def test_build_suspension_t3a_bracket_table():
 
 
 def test_build_suspension_example2_divergence():
-    model, split = td.build_suspension(EXAMPLE_3X3, leaf_index=2)
+    model, split = td.load_model(td.build_suspension(EXAMPLE_3X3, leaf_index=2))
     data = td.spectral_data(EXAMPLE_3X3)
     tau = td.alvarez_candidate(model, split)
     value = td.transverse_divergence(model, split, tau, ())
@@ -1026,9 +1027,21 @@ def test_build_suspension_jacobi():
     rng = random.Random(23)
     for n in (2, 3):
         matrix = random_admissible_matrix(rng, n)
-        model, _ = td.build_suspension(matrix, 1)
+        model, _ = td.load_model(td.build_suspension(matrix, 1))
         report = td.validate_model(model, td.sample_grid(model, 1))
         assert all(c.passed for c in report)
+
+
+def test_build_suspension_document_round_trips():
+    # the suspension's document is what model_to_document writes for the
+    # model it loads to: same keys, order and floats
+    rng = random.Random(41)
+    for n in range(2, td.spectral.MAX_DIM + 1):
+        matrix = random_admissible_matrix(rng, n)
+        for leaf_index in range(1, n + 1):
+            document = td.build_suspension(matrix, leaf_index)
+            again = td.model_to_document(*td.load_model(document))
+            assert json.dumps(again) == json.dumps(document)
 
 
 def test_build_suspension_rejects():

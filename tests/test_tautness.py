@@ -12,7 +12,7 @@ import transdiv as td
 from transdiv import expr
 from transdiv.tautness import TautnessClass, compare_with_cover
 
-from generators import point_tuples, random_admissible_matrix
+from generators import point_tuples, projected, random_admissible_matrix
 
 LOG_BIG = math.log((3 + math.sqrt(5)) / 2)
 
@@ -246,7 +246,7 @@ def constant_cases():
     for n in range(2, td.spectral.MAX_DIM + 1):  # suspensions of dim 3..9
         matrix = random_admissible_matrix(rng, n)
         for leaf_index in (1, n):
-            yield td.build_suspension(matrix, leaf_index)
+            yield td.load_model(td.build_suspension(matrix, leaf_index))
     # stored zeros complete to -0.0; a two-dimensional leaf folds literals
     yield (
         td.constant_structure_model("zeros", 4, [(0, 2, 0, 0.0), (1, 2, 1, 0.5), (1, 3, 1, 0.0)]),
@@ -427,7 +427,7 @@ def test_cover_equivariance(torus, fold):
         lifted, lsplit, lfield = td.lift_to_cover(model, split, field, 1, fold)
         grid = td.sample_grid(lifted, (2, 16 * fold))
         for point in point_tuples(grid):
-            down = td.covering_projection(lifted, point)
+            down = projected(lifted, point)
             difference = abs(
                 td.transverse_divergence(lifted, lsplit, lfield, point)
                 - td.transverse_divergence(model, split, field, down)
@@ -451,8 +451,9 @@ def test_cover_pointwise_difference_is_exactly_zero(torus, kronecker, coord, fol
 @pytest.mark.parametrize("coord", [0, 1])
 @pytest.mark.parametrize("fold", [2, 3])
 def test_cover_wrap_is_python_modulo_everywhere(torus, monkeypatch, coord, fold):
-    # covering_projection, the coordinates the cover's blocks evaluate and
-    # the rows compare_with_cover projects all equal Python's %, bit for bit
+    # model._wrapped_columns, the coordinates the cover's blocks evaluate
+    # and the rows compare_with_cover projects all equal Python's %, bit
+    # for bit
     model, split = torus
     field = td.alvarez_candidate(model, split)
     swept = []
@@ -466,7 +467,7 @@ def test_cover_wrap_is_python_modulo_everywhere(torus, monkeypatch, coord, fold)
     for resolution in (8, (5, 7)):
         swept.clear()
         compare_with_cover(model, split, field, coord, fold, resolution)
-        projected = [points for swept_model, points in swept if swept_model is model][-1].coordinates
+        base_rows = [points for swept_model, points in swept if swept_model is model][-1].coordinates
         cover = td.lift_to_cover(model, split, field, coord, fold)[0]
         grid = td.sample_grid(cover, resolution)
         # the cover's grid is one lattice block, each coordinate on its own axis
@@ -478,10 +479,10 @@ def test_cover_wrap_is_python_modulo_everywhere(torus, monkeypatch, coord, fold)
             wrapped = [x if w is None else x % w for x, w in zip(point, cover.coordinate_wraps)]
             moved += wrapped != list(point)
             expected = [x.hex() for x in wrapped]
-            assert [x.hex() for x in td.covering_projection(cover, point)] == expected
-            assert [float(x).hex() for x in projected[index]] == expected
+            assert [x.hex() for x in projected(cover, point)] == expected
+            assert [float(x).hex() for x in base_rows[index]] == expected
             assert [float(column[index]).hex() for column in columns] == expected
-        assert len(projected) == len(point_tuples(grid)) and moved > 0
+        assert len(base_rows) == len(point_tuples(grid)) and moved > 0
 
 
 def test_deck_average_projects_to_same_verdict(torus):
@@ -546,7 +547,7 @@ def test_witness_consistency_random_suspensions():
     for n in (2, 3):
         matrix = random_admissible_matrix(rng, n)
         for leaf_index in range(1, n + 1):
-            model, split = td.build_suspension(matrix, leaf_index)
+            model, split = td.load_model(td.build_suspension(matrix, leaf_index))
             tau = td.alvarez_candidate(model, split)
             verdict = td.classify_divergence(model, split, tau, td.sample_grid(model, 1))
             assert verdict.classification is TautnessClass.NON_TAUT_WITNESS
