@@ -103,27 +103,28 @@ RESERVED = frozenset(CONSTANTS) | frozenset(FUNCTION_NAMES)
 
 # --- parsing ---------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"""(?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
-      | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
-      | (?P<op>[-+*/^()])
-      | (?P<ws>\s+)
-    """,
-    re.VERBOSE,
-)
+_TOKEN_RE = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|[A-Za-z][A-Za-z0-9_]*|\s+|.", re.DOTALL)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) of each token (a number, a name, whitespace or
+    one other character), then ("end", "", len(text)).  A token's first
+    character gives its kind in one branch: an operator's kind is its
+    own text, a digit (``\\d``, ``str.isdecimal``) starts a number, an
+    ASCII letter a name; whitespace is dropped."""
     tokens = []
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        if kind != "ws":
-            tokens.append((kind, m.group(), pos))
-        pos = m.end()
+    for token in _TOKEN_RE.findall(text):
+        first = token[0]
+        if first in "+-*/^()":
+            tokens.append((token, token, pos))
+        elif first.isdecimal():
+            tokens.append(("number", token, pos))
+        elif first.isascii() and first.isalpha():
+            tokens.append(("ident", token, pos))
+        elif not first.isspace():
+            raise ParseError(f"unexpected character {token!r}", pos)
+        pos += len(token)
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -156,56 +157,47 @@ class _Parser:
         self.depth -= 1
         return node
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.index]
-
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
-
-    def accept_op(self, *ops: str) -> str | None:
-        kind, text, _ = self.peek()
-        if kind == "op" and text in ops:
-            self.advance()
-            return text
-        return None
+    def kind(self) -> str:  # of the next token
+        return self.tokens[self.index][0]
 
     def expect_op(self, op: str, context: str) -> None:
-        kind, text, pos = self.peek()
-        if kind != "op" or text != op:
-            raise ParseError(f"expected '{op}' {context}", pos)
-        self.advance()
+        if self.kind() != op:
+            raise ParseError(f"expected '{op}' {context}", self.tokens[self.index][2])
+        self.index += 1
 
     def parse_expr(self) -> Expr:
         node = self.parse_term()
-        while (op := self.accept_op("+", "-")) is not None:
+        while (op := self.kind()) == "+" or op == "-":
+            self.index += 1
             node = BinaryOp(op, node, self.parse_term())
         return node
 
     def parse_term(self) -> Expr:
         node = self.parse_factor()
-        while (op := self.accept_op("*", "/")) is not None:
+        while (op := self.kind()) == "*" or op == "/":
+            self.index += 1
             node = BinaryOp(op, node, self.parse_factor())
         return node
 
     def parse_factor(self) -> Expr:
-        if self.accept_op("-"):
-            return Negate(self.parse_power())
-        return self.parse_power()
-
-    def parse_power(self) -> Expr:
+        """factor := ["-"] power, with power := atom ["^" factor]."""
+        negated = self.kind() == "-"
+        if negated:
+            self.index += 1
         node = self.parse_atom()
-        if self.accept_op("^"):
-            return BinaryOp("^", node, self.nested(self.parse_factor, self.peek()[2]))
-        return node
+        if self.kind() == "^":
+            self.index += 1
+            node = BinaryOp("^", node, self.nested(self.parse_factor, self.tokens[self.index][2]))
+        return Negate(node) if negated else node
 
     def parse_atom(self) -> Expr:
-        kind, text, pos = self.advance()
+        kind, text, pos = self.tokens[self.index]
+        self.index += 1
         if kind == "number":
             return Literal(float(text))
         if kind == "ident":
-            if self.accept_op("("):
+            if self.kind() == "(":
+                self.index += 1
                 if text not in FUNCTION_NAMES:
                     raise UnknownFunctionError(text, pos)
                 arg = self.nested(self.parse_expr, pos)
@@ -216,7 +208,7 @@ class _Parser:
             if text in FUNCTION_NAMES:
                 raise ParseError(f"expected '(' after function name '{text}'", pos)
             return Variable(text)
-        if kind == "op" and text == "(":
+        if kind == "(":
             node = self.nested(self.parse_expr, pos)
             self.expect_op(")", "closing a parenthesized expression")
             return node
@@ -234,7 +226,7 @@ def parse(text: str) -> Expr:
     """
     parser = _Parser(_tokenize(text))
     node = parser.parse_expr()
-    kind, text_left, pos = parser.peek()
+    kind, text_left, pos = parser.tokens[parser.index]
     if kind != "end":
         raise ParseError(f"unexpected trailing input {text_left!r}", pos)
     if _height(node) > MAX_DEPTH:
@@ -252,12 +244,13 @@ def _height(node: Expr) -> int:
 
 
 def _children(node: Expr) -> tuple[Expr, ...]:
-    if isinstance(node, Negate):
-        return (node.operand,)
-    if isinstance(node, BinaryOp):
+    kind = type(node)
+    if kind is BinaryOp:
         return (node.left, node.right)
-    if isinstance(node, FunctionCall):
+    if kind is FunctionCall:
         return (node.argument,)
+    if kind is Negate:
+        return (node.operand,)
     return ()
 
 
@@ -353,8 +346,8 @@ def _first(values, mask) -> float:
 
 
 def _finite(value, node: Expr):
-    """``value`` (a float or an array) if every element is finite."""
-    if np.isfinite(value).all():
+    """``value`` (a float, checked without NumPy, or an array) if finite."""
+    if (math.isfinite(value) if type(value) is float else np.isfinite(value).all()):
         return value
     raise DomainError(f"non-finite result {_first(value, ~np.isfinite(value))!r}", node)
 
@@ -421,45 +414,26 @@ def _array_call(name: str, arg, node: Expr):
     raise AssertionError(f"unreachable function {name!r}")
 
 
-def _key(node: Expr, children: tuple[int, ...]) -> tuple:
-    """What makes ``node`` distinct, given its children's slots.  A
-    literal counts by its type and bit pattern, not by ``==``, which
-    would merge -0.0 into 0.0."""
-    if isinstance(node, Literal):
-        return (Literal, type(node.value), float(node.value).hex())
-    if isinstance(node, (Constant, Variable)):
-        return (type(node), node.name)
-    if isinstance(node, Negate):
-        return (Negate, children)
-    if isinstance(node, BinaryOp):
-        return (BinaryOp, node.op, children)
-    if isinstance(node, FunctionCall):
-        return (FunctionCall, node.name, children)
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def _operation(node: Expr, children: tuple[int, ...]) -> Callable:
-    """The function of (value table, env) that applies ``node``'s own
-    operation to its children's values (the table entries at the slots
-    ``children``), with the domain checks of ``_array_binary``,
-    ``_array_call`` and ``_variable``."""
-    if isinstance(node, Literal):
-        return lambda table, env: _finite(node.value, node)
-    if isinstance(node, Constant):
-        value = CONSTANTS[node.name]
-        return lambda table, env: value
-    if isinstance(node, Variable):
-        return lambda table, env: _variable(env, node)
-    if isinstance(node, Negate):
-        (operand,) = children
-        return lambda table, env: -table[operand]
-    if isinstance(node, BinaryOp):
+def _operation(kind: type, node: Expr, children: tuple[int, ...]) -> Callable:
+    """The function of (value table, env) that applies the operation of
+    ``node``, of type ``kind``, to its children's values (the table entries
+    at the slots ``children``), with the domain checks of
+    ``_array_binary``, ``_array_call`` and ``_variable``."""
+    if kind is BinaryOp:
         op, (left, right) = node.op, children
         return lambda table, env: _array_binary(op, table[left], table[right], node)
-    if isinstance(node, FunctionCall):
+    if kind is FunctionCall:
         name, (argument,) = node.name, children
         return lambda table, env: _array_call(name, table[argument], node)
-    raise TypeError(f"not an expression node: {node!r}")
+    if kind is Negate:
+        (operand,) = children
+        return lambda table, env: -table[operand]
+    if kind is Variable:
+        return lambda table, env: _variable(env, node)
+    if kind is Literal:
+        return lambda table, env: _finite(node.value, node)
+    value = CONSTANTS[node.name]
+    return lambda table, env: value
 
 
 class Plan:
@@ -478,19 +452,60 @@ class Plan:
     its own step runs once on its children's folded values, so it has
     the value a run would give it.  One whose step raises DomainError
     keeps that step, and a run that reaches it raises the same error.
+
+    Each node visit is one branch on the node's type, which takes its
+    children's slots and its key: kind, own data (a literal's type and
+    bits, as ``==`` would merge -0.0 into 0.0) and children's slots.  A
+    new key gets the next slot and its step (``_operation``).
     """
 
     def __init__(self, groups: Sequence[Sequence[Expr]]):
-        self._steps: list[Callable] = []
-        self._folded: dict[int, float] = {}  # slot -> value of a folded subexpression
+        steps: list[Callable] = []
+        folded: dict[int, float] = {}  # slot -> value of a folded subexpression
         keys: dict[tuple, int] = {}
         seen: dict[int, int] = {}  # id(node) -> slot; the roots keep every node alive
-        self._groups = []
+
+        def visit(node: Expr) -> int:
+            slot = seen.get(id(node))
+            if slot is not None:
+                return slot
+            kind = type(node)
+            if kind is BinaryOp:
+                children = (visit(node.left), visit(node.right))
+                key = (kind, node.op, children)
+            elif kind is FunctionCall:
+                children = (visit(node.argument),)
+                key = (kind, node.name, children)
+            elif kind is Negate:
+                children = (visit(node.operand),)
+                key = (kind, children)
+            elif kind is Literal:
+                children, key = (), (kind, type(node.value), float(node.value).hex())
+            elif kind is Variable or kind is Constant:
+                children, key = (), (kind, node.name)
+            else:
+                raise TypeError(f"not an expression node: {node!r}")
+            slot = keys.get(key)
+            if slot is None:
+                slot = keys[key] = len(steps)
+                step = _operation(kind, node, children)
+                if kind is not Variable and all(map(folded.__contains__, children)):
+                    try:
+                        value = folded[slot] = step(folded, None)
+                        step = lambda table, env: value
+                    except DomainError:
+                        pass
+                steps.append(step)
+            seen[id(node)] = slot
+            return slot
+
+        self._steps, self._folded, self._groups = steps, folded, []
         with np.errstate(all="ignore"):  # a fold that overflows raises DomainError
             for group in groups:
-                start = len(self._steps)
-                roots = tuple(self._slot(node, keys, seen) for node in group)
-                self._groups.append((start, len(self._steps), roots))
+                start = len(steps)
+                roots = tuple(map(visit, group))
+                self._groups.append((start, len(steps), roots))
+        del visit  # it refers to itself: unbound, it and the tables die now, not in a collection
 
     def __len__(self) -> int:
         return len(self._steps)
@@ -498,30 +513,6 @@ class Plan:
     def steps(self, groups: int) -> int:
         """The steps that a run computes for its first ``groups`` groups."""
         return self._groups[groups - 1][1] if groups else 0
-
-    def _slot(self, node: Expr, keys: dict, seen: dict) -> int:
-        slot = seen.get(id(node))
-        if slot is None:
-            children = tuple(self._slot(child, keys, seen) for child in _children(node))
-            key = _key(node, children)
-            slot = keys.get(key)
-            if slot is None:
-                slot = keys[key] = len(self._steps)
-                self._steps.append(self._step(node, children, slot))
-            seen[id(node)] = slot
-        return slot
-
-    def _step(self, node: Expr, children: tuple[int, ...], slot: int) -> Callable:
-        """The function of (value table, env) that computes ``node``, or
-        returns its folded value."""
-        step = _operation(node, children)
-        if isinstance(node, Variable) or not all(child in self._folded for child in children):
-            return step
-        try:
-            value = self._folded[slot] = step(self._folded, None)
-        except DomainError:
-            return step
-        return lambda table, env: value
 
     def run(self, env: Mapping[str, Any]) -> Iterator[list]:
         """For each group in turn, the values of its roots at ``env``, as a
@@ -548,68 +539,76 @@ class Plan:
 
 def variables(node: Expr) -> frozenset[str]:
     """Names of all free variables referenced by ``node``, collected
-    level by level without recursion."""
-    names, level = set(), [node]
-    while level:
-        names.update(each.name for each in level if isinstance(each, Variable))
-        level = [child for parent in level for child in _children(parent)]
+    without recursion, with one type branch per node."""
+    names, stack = set(), [node]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is BinaryOp:
+            stack += (node.left, node.right)
+        elif kind is Variable:
+            names.add(node.name)
+        else:
+            stack += _children(node)
     return frozenset(names)
 
 
 # --- differentiation -------------------------------------------------------
 
-def _is_literal(node: Expr, value: float) -> bool:
-    return isinstance(node, Literal) and node.value == value
-
-
-def _fold_ok(value: float) -> bool:
-    return math.isfinite(value)
-
+# The folding constructors read each operand's type once: x and y are
+# the values of literal operands, else None, which equals no number.
 
 def neg(node: Expr) -> Expr:
-    if isinstance(node, Literal) and _fold_ok(-node.value):
+    kind = type(node)
+    if kind is Literal and math.isfinite(-node.value):
         return Literal(-node.value)
-    if isinstance(node, Negate):
+    if kind is Negate:
         return node.operand
     return Negate(node)
 
 
 def add(a: Expr, b: Expr) -> Expr:
-    if _is_literal(a, 0.0):
+    x = a.value if type(a) is Literal else None
+    y = b.value if type(b) is Literal else None
+    if x == 0.0:
         return b
-    if _is_literal(b, 0.0):
+    if y == 0.0:
         return a
-    if isinstance(a, Literal) and isinstance(b, Literal) and _fold_ok(a.value + b.value):
-        return Literal(a.value + b.value)
+    if x is not None and y is not None and math.isfinite(x + y):
+        return Literal(x + y)
     return BinaryOp("+", a, b)
 
 
 def sub(a: Expr, b: Expr) -> Expr:
-    if _is_literal(b, 0.0):
+    x = a.value if type(a) is Literal else None
+    y = b.value if type(b) is Literal else None
+    if y == 0.0:
         return a
-    if _is_literal(a, 0.0):
+    if x == 0.0:
         return neg(b)
-    if isinstance(a, Literal) and isinstance(b, Literal) and _fold_ok(a.value - b.value):
-        return Literal(a.value - b.value)
+    if x is not None and y is not None and math.isfinite(x - y):
+        return Literal(x - y)
     return BinaryOp("-", a, b)
 
 
 def mul(a: Expr, b: Expr) -> Expr:
-    if _is_literal(a, 0.0) or _is_literal(b, 0.0):
+    x = a.value if type(a) is Literal else None
+    y = b.value if type(b) is Literal else None
+    if x == 0.0 or y == 0.0:
         return ZERO
-    if _is_literal(a, 1.0):
+    if x == 1.0:
         return b
-    if _is_literal(b, 1.0):
+    if y == 1.0:
         return a
-    if isinstance(a, Literal) and isinstance(b, Literal) and _fold_ok(a.value * b.value):
-        return Literal(a.value * b.value)
+    if x is not None and y is not None and math.isfinite(x * y):
+        return Literal(x * y)
     return BinaryOp("*", a, b)
 
 
 def div(a: Expr, b: Expr) -> Expr:
-    if _is_literal(a, 0.0):
+    if type(a) is Literal and a.value == 0.0:
         return ZERO
-    if _is_literal(b, 1.0):
+    if type(b) is Literal and b.value == 1.0:
         return a
     return BinaryOp("/", a, b)
 
@@ -625,39 +624,27 @@ def differentiate(node: Expr, var: str) -> Expr:
     that many roots share (det A in every Cramer quotient) is
     differentiated once, and its derivative is one shared node.
     """
-    if isinstance(node, (Literal, Constant)):
-        return ZERO
-    if isinstance(node, Variable):
+    kind = type(node)
+    if kind is BinaryOp or kind is FunctionCall or kind is Negate:
+        memo = _memo(node)
+        found = memo.get(("derivative", var))
+        if found is None:
+            found = memo["derivative", var] = _derivative(node, var)
+        return found
+    if kind is Variable:
         return ONE if node.name == var else ZERO
-    if not isinstance(node, Expr):
-        raise TypeError(f"not an expression node: {node!r}")
-    memo = _memo(node)
-    found = memo.get(("derivative", var))
-    if found is None:
-        found = memo["derivative", var] = _derivative(node, var)
-    return found
+    if kind is Literal or kind is Constant:
+        return ZERO
+    raise TypeError(f"not an expression node: {node!r}")
 
 
 def _derivative(node: Expr, var: str) -> Expr:
     """``differentiate`` of a node with children, by the rule of its own
     operation."""
-    if isinstance(node, Negate):
-        return neg(differentiate(node.operand, var))
-    if isinstance(node, BinaryOp):
-        if node.op in ("+", "-"):
-            dl = differentiate(node.left, var)
-            dr = differentiate(node.right, var)
-            return add(dl, dr) if node.op == "+" else sub(dl, dr)
-        if node.op == "*":
-            dl = differentiate(node.left, var)
-            dr = differentiate(node.right, var)
-            return add(mul(dl, node.right), mul(node.left, dr))
-        if node.op == "/":
-            dl = differentiate(node.left, var)
-            dr = differentiate(node.right, var)
-            numerator = sub(mul(dl, node.right), mul(node.left, dr))
-            return div(numerator, mul(node.right, node.right))
-        if node.op == "^":
+    kind = type(node)
+    if kind is BinaryOp:
+        op = node.op
+        if op == "^":
             if var in variables(node.right):
                 raise DifferentiationError(
                     f"cannot differentiate '{to_string(node)}' with respect to "
@@ -667,21 +654,33 @@ def _derivative(node: Expr, var: str) -> Expr:
             dbase = differentiate(node.left, var)
             lowered = BinaryOp("^", node.left, sub(node.right, ONE))
             return mul(mul(node.right, lowered), dbase)
-        raise AssertionError(f"unreachable operator {node.op!r}")
-    if isinstance(node, FunctionCall):
+        dl = differentiate(node.left, var)
+        dr = differentiate(node.right, var)
+        if op == "+":
+            return add(dl, dr)
+        if op == "-":
+            return sub(dl, dr)
+        if op == "*":
+            return add(mul(dl, node.right), mul(node.left, dr))
+        if op == "/":
+            numerator = sub(mul(dl, node.right), mul(node.left, dr))
+            return div(numerator, mul(node.right, node.right))
+        raise AssertionError(f"unreachable operator {op!r}")
+    if kind is FunctionCall:
         inner = differentiate(node.argument, var)
-        if node.name == "sin":
+        name = node.name
+        if name == "sin":
             return mul(FunctionCall("cos", node.argument), inner)
-        if node.name == "cos":
+        if name == "cos":
             return neg(mul(FunctionCall("sin", node.argument), inner))
-        if node.name == "exp":
+        if name == "exp":
             return mul(node, inner)
-        if node.name == "ln":
+        if name == "ln":
             return div(inner, node.argument)
-        if node.name == "sqrt":
+        if name == "sqrt":
             return div(inner, mul(TWO, node))
-        raise AssertionError(f"unreachable function {node.name!r}")
-    raise AssertionError(f"unreachable node {node!r}")
+        raise AssertionError(f"unreachable function {name!r}")
+    return neg(differentiate(node.operand, var))
 
 
 def _memo(node) -> dict:

@@ -770,9 +770,9 @@ def _cramer_table(model: FrameModel) -> tuple:
             total = expr.add(total, expr.mul(model.frame[i][c], partials[j][m][c]))
         return total
 
-    def without(index: int) -> tuple[int, ...]:
-        return every[:index] + every[index + 1:]
-
+    # M_mk, the minor of A^T without row m and column k
+    without = [every[:index] + every[index + 1:] for index in every]
+    minors = [[minor(without[m], without[k]) for k in every] for m in every]
     table: list[list[list[Expr]]] = [
         [[expr.ZERO] * n for _ in range(n)] for _ in range(n)
     ]
@@ -782,7 +782,7 @@ def _cramer_table(model: FrameModel) -> tuple:
             for k in range(n):
                 numerator: Expr = expr.ZERO
                 for m in range(n):
-                    term = expr.mul(w[m], minor(without(m), without(k)))
+                    term = expr.mul(w[m], minors[m][k])
                     numerator = (expr.add if (m + k) % 2 == 0 else expr.sub)(numerator, term)
                 value = expr.div(numerator, det)
                 table[i][j][k] = value
@@ -799,20 +799,23 @@ def _transposed_minors(model: FrameModel) -> Callable[[tuple, tuple], Expr]:
     assert model.frame is not None
     frame = model.frame
     memo: dict[tuple, Expr] = expr._memo(model).setdefault("minors", {})
+    return lambda rows, cols: _minor(frame, memo, rows, cols)
 
-    def minor(rows: tuple, cols: tuple) -> Expr:
-        found = memo.get((rows, cols))
-        if found is None:
-            found = expr.ONE if not rows else expr.ZERO
-            for index, col in enumerate(cols):
-                # entry (rows[0], col) of A^T is a_col^rows[0]
-                rest = cols[:index] + cols[index + 1:]
-                term = expr.mul(frame[col][rows[0]], minor(rows[1:], rest))
-                found = (expr.add if index % 2 == 0 else expr.sub)(found, term)
-            memo[rows, cols] = found
-        return found
 
-    return minor
+def _minor(frame: tuple, memo: dict, rows: tuple, cols: tuple) -> Expr:
+    """``_transposed_minors``'s minor(rows, cols) of the frame rows
+    ``frame``, kept in ``memo``.  A module function, not a closure that
+    calls itself, so the memo dies with its model, not in a collection."""
+    found = memo.get((rows, cols))
+    if found is None:
+        found = expr.ONE if not rows else expr.ZERO
+        for index, col in enumerate(cols):
+            # entry (rows[0], col) of A^T is a_col^rows[0]
+            rest = cols[:index] + cols[index + 1:]
+            term = expr.mul(frame[col][rows[0]], _minor(frame, memo, rows[1:], rest))
+            found = (expr.add if index % 2 == 0 else expr.sub)(found, term)
+        memo[rows, cols] = found
+    return found
 
 
 # --- validation ------------------------------------------------------------

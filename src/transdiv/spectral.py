@@ -226,13 +226,29 @@ def _float_roots(poly: list[int]) -> list[float]:
     real, Laguerre's iteration converges to a root from any start
     (Wilkinson, The Algebraic Eigenvalue Problem, 1965, ch. 7), and
     ``real_eigenvalues`` asks for guesses only after a Sturm count has
-    shown that.  Never raises: none when a coefficient overflows a
-    float, fewer than the degree when a denominator vanishes, and any
-    of them may be off or not finite."""
+    shown that.  Never raises: fewer than the degree when a denominator
+    vanishes, and any of them may be off or not finite.
+
+    When a coefficient overflows a float, the iteration runs on
+    p(2^s y), whose roots are those of p divided by 2^s, with s from the
+    coefficients' bit lengths: the slope of the Newton polygon's upper
+    edge that ends at the leading term, so the largest roots of p land
+    near 1 (the scaling that starts the Aberth iteration, Bini, Numer.
+    Algorithms 13, 1996)."""
     try:
         coefficients = [float(c) for c in poly]
+        scale = 0
     except OverflowError:
-        return []
+        degree, lead = len(poly) - 1, poly[-1].bit_length()
+        scale = max(
+            ((abs(c).bit_length() - lead) // (degree - i) for i, c in enumerate(poly[:-1]) if c),
+            default=0,
+        )
+        # 2^(-s n) or 1 times p(2^s y), as integers; the quotient by a
+        # power of two rounds each to a float of magnitude at most 1
+        scaled = [c << (scale * i - min(scale, 0) * degree) for i, c in enumerate(poly)]
+        top = 1 << max(abs(c).bit_length() for c in scaled)
+        coefficients = [c / top for c in scaled]
     # divided by a power of two near the largest, so that p', p'' and
     # their squares overflow later; the roots are the same
     exponent = math.frexp(max(map(abs, coefficients)))[1]
@@ -245,7 +261,15 @@ def _float_roots(poly: list[int]) -> list[float]:
             remaining = _deflated(remaining, roots[-1])
     except ZeroDivisionError:
         pass
-    return [_polished(coefficients, root) for root in roots]
+    return [_scaled(_polished(coefficients, root), scale) for root in roots]
+
+
+def _scaled(y: float, scale: int) -> float:
+    """y * 2^scale, an infinity of y's sign past the float range."""
+    try:
+        return math.ldexp(y, scale)
+    except OverflowError:
+        return math.copysign(math.inf, y)
 
 
 def _horner(c: list[float], x: float) -> tuple[float, float, float]:
@@ -326,23 +350,9 @@ def real_eigenvalues(coefficients: Sequence[int]) -> tuple[IsolatedRoot, ...]:
     square-free.
     """
     poly = _int_poly(coefficients)
-    degree = len(poly) - 1
-    if degree < 1:
+    if len(poly) < 2:
         raise SpectralError("polynomial must have positive degree")
-    chain = _sturm_chain(poly)
-    if len(chain[-1]) > 1:
-        # the chain bottoms out at gcd(p, p'); nonconstant means repeated roots
-        raise SpectralError("complex or repeated roots: polynomial is not square-free")
-    # Cauchy's bound: every root lies in (-radius, radius)
-    radius = 1 - (-max(abs(c) for c in poly[:-1]) // abs(poly[-1]))
-    low_variations = _sign_variations(chain, -radius, 0)
-    high_variations = _sign_variations(chain, radius, 0)
-    total = low_variations - high_variations
-    if total < degree:
-        raise SpectralError(
-            f"complex or repeated roots: only {total} real roots for degree {degree}"
-        )
-
+    chain, radius, low_variations, high_variations = _sturm_counts(poly)
     guesses = sorted(g for g in _float_roots(poly) if math.isfinite(g))
     cuts = [(-radius, 0)]  # increasing dyadics (m, j), the point m / 2^j
     for a, b in zip(guesses, guesses[1:]):
@@ -383,6 +393,53 @@ def real_eigenvalues(coefficients: Sequence[int]) -> tuple[IsolatedRoot, ...]:
     # the queue is a stack that pops the upper half of a split first, so
     # the roots come in descending order
     return tuple(reversed(roots))
+
+
+def _cauchy_radius(poly: list[int]) -> int:
+    """Cauchy's bound, an integer R: every root of p lies in (-R, R)."""
+    return 1 - (-max(abs(c) for c in poly[:-1]) // abs(poly[-1]))
+
+
+def _sturm_counts(poly: list[int]) -> tuple[list[list[int]], int, int, int]:
+    """The Sturm chain of p, a polynomial of positive degree, its root
+    bound R (``_cauchy_radius``) and the chain's sign variations at -R
+    and R.  Raises SpectralError ("complex or repeated roots") when p is
+    not square-free or its real roots number fewer than its degree."""
+    chain = _sturm_chain(poly)
+    if len(chain[-1]) > 1:
+        # the chain bottoms out at gcd(p, p'); nonconstant means repeated roots
+        raise SpectralError("complex or repeated roots: polynomial is not square-free")
+    radius = _cauchy_radius(poly)
+    low, high = _sign_variations(chain, -radius, 0), _sign_variations(chain, radius, 0)
+    degree = len(poly) - 1
+    if low - high < degree:
+        raise SpectralError(
+            f"complex or repeated roots: only {low - high} real roots for degree {degree}"
+        )
+    return chain, radius, low, high
+
+
+#: Every root whose float is finite lies in (-_FLOAT_BOUND, _FLOAT_BOUND].
+_FLOAT_BOUND = 2**1024
+
+
+def _beyond_float_range(coefficients: Sequence[int]) -> bool:
+    """Whether p, a polynomial of positive degree, has only real simple
+    roots (``_sturm_counts``) and one of them outside (-2^1024, 2^1024],
+    where its float is an infinity: decided, where the root bound exceeds
+    2^1024, by two more Sturm counts at -+2^1024, before any root is
+    isolated.  False where the bound does not exceed 2^1024; a root that
+    rounds up to an infinity from below 2^1024 is then found by
+    isolation."""
+    poly = _int_poly(coefficients)
+    if _cauchy_radius(poly) <= _FLOAT_BOUND:
+        return False
+    try:
+        chain = _sturm_counts(poly)[0]
+    except SpectralError:
+        return False  # real_eigenvalues refuses p
+    inside = _sign_variations(chain, -_FLOAT_BOUND, 0) - _sign_variations(chain, _FLOAT_BOUND, 0)
+    return inside < len(poly) - 1
 
 
 def _midpoint(low: int, high: int, k: int) -> tuple[int, int, int, int]:
@@ -522,11 +579,16 @@ def _refine(
 
 # --- admissibility and the suspension model ---------------------------------
 
+_BEYOND_FLOAT_RANGE = "an eigenvalue is beyond the float range (above 1.8e308)"
+
+
 def validate_suspension_matrix(matrix: Sequence[Sequence[int]]) -> MatrixDiagnostics:
     """Diagnostics: det = 1 exactly; eigenvalues real, simple, positive,
     distinct from 1.  For 2x2 matrices the trace condition (> 2) is also
-    reported; it is equivalent to admissibility there.  An eigenvalue
-    beyond the float range raises SpectralError."""
+    reported; it is equivalent to admissibility there.  Real simple
+    eigenvalues of which one is beyond the float range raise
+    SpectralError, decided before isolation where the root bound
+    exceeds 2^1024 (``_beyond_float_range``)."""
     checks: list[CheckResult] = []
     try:
         rows = _normalize(matrix)
@@ -540,6 +602,8 @@ def validate_suspension_matrix(matrix: Sequence[Sequence[int]]) -> MatrixDiagnos
         CheckResult("determinant_one", det == 1, f"det = {det} (exact)")
     )
     roots: tuple[IsolatedRoot, ...] | None
+    if _beyond_float_range(coefficients):
+        raise SpectralError(_BEYOND_FLOAT_RANGE)
     try:
         roots = real_eigenvalues(coefficients)
         checks.append(
@@ -554,7 +618,7 @@ def validate_suspension_matrix(matrix: Sequence[Sequence[int]]) -> MatrixDiagnos
         checks.append(CheckResult("eigenvalues_real_simple", False, str(exc)))
     if roots is not None:
         if any(math.isinf(root.value) for root in roots):
-            raise SpectralError("an eigenvalue is beyond the float range (above 1.8e308)")
+            raise SpectralError(_BEYOND_FLOAT_RANGE)
         positive = all(root.value > 0 for root in roots)
         checks.append(
             CheckResult(

@@ -4,7 +4,9 @@ Constant-structure models are built from known Lie algebras (abelian,
 Heisenberg, so(3), suspension bracket tables) conjugated by random
 orthogonal matrices, so the Jacobi identity genuinely holds.  Chart
 models use frames of the form rotation(theta) * diag(exp g_i), or dense
-diagonally dominant frames, both invertible everywhere by construction.
+diagonally dominant frames (trigonometric, or built with ln, sqrt,
+powers and quotients of random expressions), all invertible everywhere
+by construction.
 ``at`` reads one point of a sweep, ``CountingEnv`` counts the variable
 reads of an evaluation, and ``block_runs`` the plan steps that each
 FrameData block runs.
@@ -74,6 +76,57 @@ def dense_chart_case(rng: random.Random, dim: int) -> tuple[td.FrameModel, td.Fo
         for i in range(dim)
     ]
     model = td.chart_model(f"dense-chart-{dim}d", (1.0,) * dim, rows)
+    return model, td.foliation_split(dim, set(range(rng.randint(1, dim - 1))))
+
+
+def bounded_term(rng: random.Random, dim: int, kind: str) -> expr.Expr:
+    """A function of a ``random_expression`` u by way of ``kind``: sin u,
+    ln(2 + cos u), sqrt(2 + sin u), (1.5 + 0.5 cos u)^p with p in
+    {-1.5, 0.5, 1.5}, or sin u / (2 + cos w); each lies in [-1, 2.9].
+    u and w are drawn one operation deep (|u| <= 64), so sin u and cos u
+    lose no more than 64 units in the last place of u to its rounding."""
+    names = tuple(f"x{m + 1}" for m in range(dim))
+    u = random_expression(rng, names, depth=2)
+    if kind == "sin":
+        return expr.FunctionCall("sin", u)
+    if kind == "ln":
+        return expr.FunctionCall("ln", expr.add(expr.TWO, expr.FunctionCall("cos", u)))
+    if kind == "sqrt":
+        return expr.FunctionCall("sqrt", expr.add(expr.TWO, expr.FunctionCall("sin", u)))
+    if kind == "power":
+        base = expr.add(expr.Literal(1.5), expr.mul(expr.Literal(0.5), expr.FunctionCall("cos", u)))
+        return expr.BinaryOp("^", base, expr.Literal(rng.choice((-1.5, 0.5, 1.5))))
+    denominator = expr.add(expr.TWO, expr.FunctionCall("cos", random_expression(rng, names, depth=2)))
+    return expr.BinaryOp("/", expr.FunctionCall("sin", u), denominator)
+
+
+TERM_KINDS = ("ln", "sqrt", "power", "quotient", "sin")
+
+
+def transcendental_chart_case(
+    rng: random.Random, dim: int
+) -> tuple[td.FrameModel, td.FoliationSplit]:
+    """A dense frame with entries 2 on the diagonal plus 0.2 times a
+    ``bounded_term`` (below 0.6 in size), so for dim <= 3 each row is
+    strictly diagonally dominant and A invertible.  The entries take the
+    kinds of TERM_KINDS in a shuffled order, so every frame has an ln, a
+    sqrt, a power and a quotient."""
+    order = list(range(dim * dim))
+    rng.shuffle(order)
+    rows = [
+        [
+            expr.add(
+                expr.Literal(2.0 if i == m else 0.0),
+                expr.mul(
+                    expr.Literal(0.2),
+                    bounded_term(rng, dim, TERM_KINDS[order[i * dim + m] % len(TERM_KINDS)]),
+                ),
+            )
+            for m in range(dim)
+        ]
+        for i in range(dim)
+    ]
+    model = td.chart_model(f"transcendental-chart-{dim}d", (1.0,) * dim, rows)
     return model, td.foliation_split(dim, set(range(rng.randint(1, dim - 1))))
 
 

@@ -6,7 +6,8 @@ and that of the last field spec.  A det-only sweep runs the first two
 groups of a kept plan, its frame entries and det A, and must give the
 bits and the errors of a det-only sweep of a fresh model.  The kept
 plans die with the model, and a model swept with many field specs
-keeps a bounded number of them.
+keeps a bounded number of them.  Each plan is the hash-consed DAG of
+its roots, as a plain recursive walk predicts it.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import contextlib
 import gc
 import io
 import json
+import random
 import weakref
 
 import numpy as np
@@ -24,6 +26,8 @@ import transdiv as td
 from transdiv import connection, expr
 from transdiv.cli import main
 from transdiv.model import _det, _lattice, sweep
+
+import generators
 
 
 @pytest.fixture
@@ -235,3 +239,91 @@ def test_many_field_specs_keep_a_bounded_number_of_plans(plans):
     assert len(plans) == 201
     # the plan without a field and the last field's plan
     assert sum(ref() is not None for ref in plans) == 2
+
+
+# --- the plan is the hash-consed DAG of its roots -----------------------------
+
+def predicted(groups):
+    """What a plan of ``groups`` holds, from a plain recursive walk: a
+    node's key is its kind, its own data (a literal's by ``float.hex``)
+    and its children's slots; a key seen before takes its slot, a new
+    one the next slot after its children's (post-order, first occurrence
+    first).  Returns the slot count after each group, each group's root
+    slots, and the slots of the variable-free nodes that evaluate."""
+    slots: dict = {}
+    folded: set = set()
+
+    def visit(node):
+        if isinstance(node, expr.Literal):
+            key = ("literal", node.value.hex())
+        elif isinstance(node, (expr.Constant, expr.Variable)):
+            key = (type(node).__name__, node.name)
+        elif isinstance(node, expr.Negate):
+            key = ("negate", visit(node.operand))
+        elif isinstance(node, expr.BinaryOp):
+            key = (node.op, visit(node.left), visit(node.right))
+        else:
+            key = (node.name, visit(node.argument))
+        if key not in slots:
+            slots[key] = len(slots)
+            if not expr.variables(node):
+                with contextlib.suppress(td.DomainError):
+                    expr.evaluate(node, {})
+                    folded.add(slots[key])
+        return slots[key]
+
+    ends, roots = [], []
+    for group in groups:
+        roots.append(tuple(visit(node) for node in group))
+        ends.append(len(slots))
+    return ends, roots, folded
+
+
+def bench_warped_3d():
+    warp = "0.25 + 0.3*sin(2*pi*2*x3) - 0.2*cos(2*pi*3*x3)"
+    other = "0.1*sin(2*pi*3*x3) + 0.15*cos(2*pi*2*x3)"
+    return td.load_model({
+        "name": "warped-3d", "kind": "chart", "dim": 3, "leaf_indices": [1],
+        "parameters": {}, "dense_leaves": False, "periods": [1.0, 1.0, 1.0],
+        "frame": [f"exp(-({warp}))", "0", "0", "0", f"exp(-({other}))", "0", "0", "0", "1"],
+    })
+
+
+PINNED = {
+    **{name: lambda name=name: td.builtin_model(name) for name in td.records.BUILTIN_NAMES},
+    "warped-3d": bench_warped_3d,
+    "random-chart": lambda: generators.random_chart_case(random.Random(11)),
+    "dense-3d": lambda: generators.dense_chart_case(random.Random(12), 3),
+    "dense-4d": lambda: generators.dense_chart_case(random.Random(13), 4),
+}
+
+
+@pytest.fixture
+def built_groups(monkeypatch):
+    """(plan, groups) of every expr.Plan built from now on."""
+    built = []
+    build = expr.Plan.__init__
+
+    def spy(self, groups):
+        build(self, groups)
+        built.append((self, groups))
+
+    monkeypatch.setattr(expr.Plan, "__init__", spy)
+    return built
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_plans_are_the_hash_consed_dags_of_their_roots(built_groups, case):
+    model, split = PINNED[case]()
+    sweep(model, [(0.5,) * model.dim] if model.is_chart else [()], lambda block: block.c)
+    sweep(
+        model, [(0.25,) * model.dim] if model.is_chart else [()], lambda block: block.rows,
+        field_spec=td.alvarez_candidate(model, split),
+    )
+    assert len(built_groups) == 2
+    for plan, groups in built_groups:
+        ends, roots, folded = predicted(groups)
+        assert len(plan) == (ends[-1] if ends else 0)
+        assert [plan.steps(g) for g in range(len(groups) + 1)] == [0, *ends]
+        assert [group_roots for _, _, group_roots in plan._groups] == roots
+        assert set(plan._folded) == folded

@@ -871,10 +871,62 @@ def test_edge_polynomials_with_and_without_guesses(monkeypatch, coefficients):
     assert _outcome(td.real_eigenvalues, coefficients) == expected
 
 
-def test_float_roots_of_overflowing_coefficients_are_dropped():
-    assert td.spectral._float_roots(td.spectral._int_poly((10**309, -(10**309 + 1), 1))) == []
+def _huge_gram(exponent: int) -> tuple[tuple[int, ...], ...]:
+    """B B^T for a 5x5 integer B with entries drawn up to 10^exponent
+    (random.Random(5)): symmetric, with real simple positive eigenvalues
+    up to about 10^(2 exponent)."""
+    rng = random.Random(5)
+    b = [[rng.randint(-(10**exponent), 10**exponent) for _ in range(5)] for _ in range(5)]
+    return tuple(tuple(sum(x * y for x, y in zip(r, s)) for s in b) for r in b)
+
+
+def test_float_roots_of_overflowing_coefficients_come_from_a_scaled_polynomial(monkeypatch):
+    float_roots, int_poly = td.spectral._float_roots, td.spectral._int_poly
+    # roots 1e-309 and 1 under coefficients beyond the float range
+    guesses = sorted(float_roots(int_poly((10**309, -(10**309 + 1), 1))))
+    assert guesses == [pytest.approx(1e-309, rel=1e-6), pytest.approx(1.0, rel=1e-12)]
     # finite but huge coefficients give guesses without a warning
-    assert len(td.spectral._float_roots(td.spectral._int_poly((1, -(10**308), 10**308 - 1)))) == 2
+    assert len(float_roots(int_poly((1, -(10**308), 10**308 - 1)))) == 2
+    # coefficients up to about 1e1500, roots up to about 1e300: every
+    # guess is within a few units in the last place of its root, and
+    # refinement takes a sixth of the signs it takes without guesses
+    # (28926)
+    coefficients = td.char_poly(_huge_gram(150))
+    roots = [root.value for root in td.real_eigenvalues(coefficients)]
+    assert max(roots) > 1e300
+    assert sorted(float_roots(int_poly(coefficients))) == pytest.approx(roots, rel=1e-12)
+    assert _count_sign_evaluations(monkeypatch, [coefficients]) <= 5000
+
+
+def test_an_eigenvalue_beyond_the_float_range_is_refused_before_isolation(monkeypatch):
+    # eigenvalues up to about 1e800: the Sturm counts at -+2^1024 show
+    # them, and no root is isolated or refined
+    sign_at, calls = td.spectral._sign_at, [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return sign_at(*args)
+
+    def isolating(coefficients):
+        raise AssertionError("isolation reached")
+
+    monkeypatch.setattr(td.spectral, "_sign_at", counting)
+    monkeypatch.setattr(td.spectral, "real_eigenvalues", isolating)
+    with pytest.raises(td.SpectralError, match=r"^an eigenvalue is beyond the float range \(above 1.8e308\)$"):
+        td.validate_suspension_matrix(_huge_gram(400))
+    chain = td.spectral._sturm_chain(td.spectral._int_poly(td.char_poly(_huge_gram(400))))
+    assert calls[0] == 4 * len(chain)
+    monkeypatch.undo()
+    # complex and repeated eigenvalues are reported first, as before
+    for rows in (((0, -(10**400)), (10**400, 0)), ((10**400, 0), (0, 10**400))):
+        report = td.validate_suspension_matrix(rows)
+        assert [check.name for check in report.checks if not check.passed][:1] == ["determinant_one"]
+        assert not report.checks[2].passed and report.checks[2].name == "eigenvalues_real_simple"
+    # a root bound past 2^1024 with every root a float: isolated as before
+    coefficients = (1, -(2 * 10**300 + 1), 10**300 * (10**300 + 1))
+    assert td.spectral._cauchy_radius(td.spectral._int_poly(coefficients)) > 2**1024
+    assert not td.spectral._beyond_float_range(coefficients)
+    assert [root.value for root in td.real_eigenvalues(coefficients)] == [1e300, float(10**300 + 1)]
 
 
 def test_real_eigenvalues_coefficient_types():
