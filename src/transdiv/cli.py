@@ -36,7 +36,6 @@ from .records import (
     ParseError,
     SchemaError,
     SpectralError,
-    _as_point,
     check_line,
 )
 from .spectral import (
@@ -283,7 +282,7 @@ def _grid_text(model: FrameModel, grid: Grid) -> str:
     if not model.is_chart:
         return "single abstract point (position-independent model)"
     shape = "x".join(str(n) for n in grid.resolution)
-    return f"{shape} cell-centered lattice ({len(grid.coordinates)} points)"
+    return f"{shape} cell-centered lattice ({len(grid)} points)"
 
 
 def _nonzero_entries(array: np.ndarray) -> list[dict]:
@@ -327,17 +326,16 @@ def _numpy_quiet(handler):
 
 @_numpy_quiet
 def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, list[str], int]:
-    from .model import sweep, validate_model
+    from .model import at_point, validate_model
 
     model, split = _resolve_model(args.model)
     grid = _grid_for(model, args)
     checks = validate_model(model, grid)
     passed = all(check.passed for check in checks)
-    row = grid.coordinates[:1]
-    point = _as_point(row[0])
+    point = grid.point(0)
     reads = (lambda block: block.c, lambda block: block.gamma,
              lambda block: block.mean_curvature(split.leaf_ordered))
-    table, gamma, kappa = (values[0] for values in sweep(model, row, *reads))
+    table, gamma, kappa = at_point(model, point, *reads)
     payload = {
         "subcommand": "analyze",
         "model": model.name,

@@ -6,7 +6,7 @@ to a purely algebraic expression in the structure functions,
     Gamma_ij^k = (C_ij^k + C_ki^j + C_kj^i) / 2,
 
 with Gamma_ij^k = g(nabla_{E_i} E_j, E_k).  The functions here evaluate
-at a single point; each is one read of a one-point ``model.sweep``,
+at a single point; each is one read of ``model.at_point``, a one-point sweep,
 whose grid sweeps read the same ``model.FrameData`` block by block.
 They are the library's pointwise API.
 """
@@ -23,7 +23,7 @@ from .model import (
     FrameModel,
     ModelError,
     VectorFieldSpec,
-    sweep,
+    at_point,
 )
 
 
@@ -55,7 +55,7 @@ class MeanCurvatureVector:
 
 def christoffel(model: FrameModel, point: tuple[float, ...]) -> ChristoffelTable:
     """Connection coefficients at ``point`` in the orthonormal frame."""
-    values = sweep(model, (point,), lambda block: block.gamma)[0][0]
+    (values,) = at_point(model, point, lambda block: block.gamma)
     return ChristoffelTable(values=values, point=point)
 
 
@@ -78,7 +78,7 @@ def covariant_rows(
     where E_i(v^k) is a symbolic directional derivative on chart models
     and zero on constant-structure models.
     """
-    return sweep(model, (point,), lambda block: block.rows, field_spec=field_spec)[0][0]
+    return at_point(model, point, lambda block: block.rows, field_spec=field_spec)[0]
 
 
 def transverse_divergence(
@@ -88,11 +88,11 @@ def transverse_divergence(
     point: tuple[float, ...],
 ) -> float:
     """div^Q v = sum_{i in Q} g(nabla_{E_i} v, E_i) at ``point``."""
-    (values,) = sweep(
-        model, (point,), lambda block: block.divergence(split.transverse_ordered),
+    (value,) = at_point(
+        model, point, lambda block: block.divergence(split.transverse_ordered),
         field_spec=field_spec,
     )
-    return float(values[0])
+    return float(value)
 
 
 def mean_curvature(
@@ -103,7 +103,7 @@ def mean_curvature(
     ordered = _check_indices(model, indices)
     if len(ordered) == model.dim:
         raise ModelError("mean curvature needs a proper sub-distribution")
-    components = sweep(model, (point,), lambda block: block.mean_curvature(ordered))[0][0]
+    (components,) = at_point(model, point, lambda block: block.mean_curvature(ordered))
     return MeanCurvatureVector(
         components=components, indices=frozenset(ordered), point=point
     )

@@ -652,6 +652,8 @@ def _derivative(node: Expr, var: str) -> Expr:
                     "(general f^g is unsupported; use exp and ln)"
                 )
             dbase = differentiate(node.left, var)
+            if _is_zero(dbase):
+                return ZERO
             lowered = BinaryOp("^", node.left, sub(node.right, ONE))
             return mul(mul(node.right, lowered), dbase)
         dl = differentiate(node.left, var)
@@ -664,23 +666,36 @@ def _derivative(node: Expr, var: str) -> Expr:
             return add(mul(dl, node.right), mul(node.left, dr))
         if op == "/":
             numerator = sub(mul(dl, node.right), mul(node.left, dr))
+            if _is_zero(numerator):
+                return ZERO
             return div(numerator, mul(node.right, node.right))
         raise AssertionError(f"unreachable operator {op!r}")
     if kind is FunctionCall:
         inner = differentiate(node.argument, var)
         name = node.name
+        if _is_zero(inner):
+            # what each rule below folds to, without building its factor
+            return Literal(-0.0) if name == "cos" else ZERO
+        # exp(u) and sqrt(u) are built afresh, not taken from ``node``: the
+        # derivative is kept on the node, and must not refer back to it
         if name == "sin":
             return mul(FunctionCall("cos", node.argument), inner)
         if name == "cos":
             return neg(mul(FunctionCall("sin", node.argument), inner))
         if name == "exp":
-            return mul(node, inner)
+            return mul(FunctionCall("exp", node.argument), inner)
         if name == "ln":
             return div(inner, node.argument)
         if name == "sqrt":
-            return div(inner, mul(TWO, node))
+            return div(inner, mul(TWO, FunctionCall("sqrt", node.argument)))
         raise AssertionError(f"unreachable function {name!r}")
     return neg(differentiate(node.operand, var))
+
+
+def _is_zero(node: Expr) -> bool:
+    """Whether ``node`` is a literal zero, which ``mul`` and ``div`` fold
+    a product or quotient with to ZERO."""
+    return type(node) is Literal and node.value == 0.0
 
 
 def _memo(node) -> dict:

@@ -87,22 +87,31 @@ class VectorFieldSpec:
 
 class Grid:
     """Evaluation points: a cell-centered lattice, or the single abstract
-    point () of a constant-structure model.  ``coordinates`` is a float64
-    array with one row per point; a point becomes a tuple of Python
-    floats only where it is reported.  A lattice also keeps ``axes``,
+    point () of a constant-structure model.  A lattice keeps ``axes``,
     the values of each coordinate, whose product in row-major order is
-    ``coordinates``: ``sweep`` evaluates it on sub-lattices of them.  A
-    grid without axes is swept row by row."""
+    its points; ``sweep`` reads it on sub-lattices of them.  Its
+    ``coordinates``, one float64 row per point, are built (``_meshed``)
+    only if something asks for them; a reported point is read from the
+    axes by index (``point``).  A grid without axes holds its rows."""
 
-    def __init__(
-        self,
-        resolution: Sequence[int],
-        coordinates: np.ndarray,
-        axes: tuple[np.ndarray, ...] | None = None,
-    ):
+    def __init__(self, resolution: Sequence[int], coordinates=None, axes=None):
         self.resolution = tuple(resolution)
-        self.coordinates = coordinates
         self.axes = axes
+        if coordinates is not None:
+            self.coordinates = coordinates
+
+    @functools.cached_property
+    def coordinates(self) -> np.ndarray:
+        return _meshed(self.axes)
+
+    def __len__(self) -> int:
+        return len(self.coordinates) if self.axes is None else math.prod(self.resolution)
+
+    def point(self, index: int) -> tuple[float, ...]:
+        """Point ``index`` in row-major order, as reports give it."""
+        if self.axes is None:
+            return _as_point(self.coordinates[index])
+        return tuple(float(a[i]) for a, i in zip(self.axes, _unravel(index, self.resolution)))
 
 
 def coordinate_names(dim: int) -> tuple[str, ...]:
@@ -270,17 +279,16 @@ def _lattice(model: FrameModel, resolution: tuple[int, ...], offset: float) -> G
     is identified with 0).  The same IEEE operations as the Python
     ``(j + offset) * L / N``, so the same bits."""
     assert model.periods is not None
-    return _product(tuple(
-        (np.arange(n) + offset) * length / n for n, length in zip(resolution, model.periods)
-    ))
+    axes = tuple((np.arange(n) + offset) * length / n for n, length in zip(resolution, model.periods))
+    return Grid(resolution, axes=axes)
 
 
-def _product(axes: tuple[np.ndarray, ...]) -> Grid:
-    """The lattice grid of ``axes``, its coordinate rows in row-major
-    order and read-only."""
-    coordinates = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
-    coordinates.flags.writeable = False
-    return Grid(tuple(map(len, axes)), coordinates, axes)
+def _meshed(axes: Sequence[np.ndarray]) -> np.ndarray:
+    """The coordinate rows of the lattice of ``axes`` in row-major order,
+    read-only: the one builder of rows from axes."""
+    rows = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    rows.flags.writeable = False
+    return rows
 
 
 def _coordinates(points, width: int) -> np.ndarray:
@@ -293,10 +301,9 @@ def _coordinates(points, width: int) -> np.ndarray:
 # --- frame evaluation ------------------------------------------------------
 
 #: Most plan values, points times ``len(plan)``, in one FrameData block: a
-#: sweep holds the value table of one block at a time, which bounds its
-#: memory.  The plan of a dense 4-D frame with its Alvarez candidate, about
-#: 1700 steps, gets blocks of about 512 points; a plan of under 220 steps,
-#: such as those of the 2-D and 3-D warped tori, sweeps 4096 points as one.
+#: sweep holds the value table of one block at a time.  A dense 4-D frame
+#: with its Alvarez candidate, about 1700 steps, gets blocks of about 512
+#: points; a plan of under 220 steps sweeps 4096 points as one.
 BLOCK_VALUES = 900_000
 
 
@@ -328,15 +335,48 @@ def _constant_table(model: FrameModel) -> np.ndarray:
     return table
 
 
-def require_finite(values: np.ndarray, points: Sequence, what: str) -> None:
-    """Raise DomainError at the first of ``points`` where ``values`` holds
-    a NaN or an infinity.  The last axis of ``values`` runs over the
-    points.  The whole array is checked as it is stored; the failing
-    point is looked for only when that check fails."""
-    if not len(points) or np.isfinite(values).all():
-        return
-    index = int(np.argmin(np.isfinite(values).reshape(-1, len(points)).all(axis=0)))
-    raise expr.DomainError(f"non-finite {what} at {_as_point(points[index])}")
+def _unravel(index: int, shape: Sequence[int]) -> list[int]:
+    """The row-major multi-index of flat ``index`` in ``shape``."""
+    out = []
+    for size in reversed(shape):
+        index, i = divmod(index, size)
+        out.append(i)
+    return out[::-1]
+
+
+def _index(block: Block, shape: tuple[int, ...], index: int) -> int:
+    """The index among the swept points of the first point that entry
+    ``index`` of a read of ``block`` of trailing ``shape`` stands for:
+    each broadcast axis at 0."""
+    offset = 0
+    for i, size in zip(_unravel(index, shape), block.shape):
+        offset = offset * size + i
+    return block.start + offset
+
+
+def _extreme(parts: list, pick: Callable, better: Callable) -> tuple[float, int] | None:
+    """The least (``np.argmin``, ``float.__lt__``) or greatest value of
+    a sweep's ``parts`` of one read, one value per point, and the index
+    of its first point; the earliest block wins a tie."""
+    best = None
+    for block, values in parts:
+        index = int(pick(values))
+        value = float(values.flat[index])
+        if best is None or better(value, best[0]):
+            best = value, _index(block, values.shape, index)
+    return best
+
+
+def require_finite(parts: list, grid: Grid, what: str) -> None:
+    """Raise DomainError at the first point of ``grid`` where a sweep's
+    ``parts`` of one read hold a NaN or an infinity.  Each block's
+    values are checked as stored; the point is looked for on failure."""
+    for block, values in parts:
+        finite = np.isfinite(values)
+        if not finite.all():
+            shape = values.shape[values.ndim - len(block.shape):]
+            index = int(np.argmin(finite.reshape(-1, *shape).all(axis=0)))
+            raise expr.DomainError(f"non-finite {what} at {grid.point(_index(block, shape, index))}")
 
 
 def _stacked(values: Sequence, shape: tuple[int, ...], block: Block) -> np.ndarray:
@@ -361,13 +401,11 @@ def _block_plan(
     C_ij^k with i < j (k running fastest), the field components and the
     field partials that a block may compute, in that order.
 
-    Built once per model and field spec: the model keeps its plan without
-    a field and that of the last field spec it was asked for (by
-    identity), and they die with it.  Every plan of a chart begins with
-    the groups of the frame entries and det A, all that a det-only sweep
-    (``structure`` false) runs, so it takes any plan the model keeps, or
-    else builds the plan without a field (just those two groups for a
-    frame outside the differentiable fragment, which has no C).
+    The model keeps its plan without a field and that of the last field
+    spec asked for (by identity).  Every plan of a chart begins with the
+    groups of a and det A, all that a det-only sweep runs, so it takes
+    any kept plan, or else the plan without a field (just those two
+    groups for a frame outside the differentiable fragment).
     """
     plans = expr._memo(model).setdefault("plans", {})
     if not structure and plans:
@@ -400,10 +438,9 @@ def _block_plan(
 
 
 def _next_finite(values: Iterator[list], block: Block, what: str) -> list:
-    """The next group of ``values``, a group whose roots are built by +,
-    -, * and / from values already checked finite, and whose divisors
-    are nonzero: it fails only by overflowing, and that DomainError is
-    raised as ``_require_finite`` raises it."""
+    """The next group of ``values``, built by +, -, * and / from finite
+    values with nonzero divisors: it fails only by overflowing, raised as
+    ``_require_finite`` raises it."""
     try:
         return next(values)
     except expr.DomainError:
@@ -419,9 +456,7 @@ def _require_finite(values: np.ndarray, block: Block, what: str) -> None:
 
 def _non_finite(block: Block, what: str) -> expr.DomainError:
     """The DomainError of a FrameData check that fails on ``block``, at
-    its first point: ``_located`` narrows a failing block down to the one
-    point that fails on its own, so only a one-point block's error is
-    reported."""
+    its first point (``_located`` reports only a one-point block's)."""
     return expr.DomainError(f"non-finite {what} at {_as_point(block.rows[0])}")
 
 
@@ -436,39 +471,38 @@ def _ascending_sum(terms: Iterable[np.ndarray]) -> np.ndarray:
 
 
 class Block:
-    """The points of one FrameData block.  ``rows`` holds their
-    coordinate rows, in point order; ``shape`` is the block's shape, the
-    trailing axes of every array FrameData stores; ``columns`` holds each
-    coordinate's values as an array that broadcasts to ``shape``.
+    """The points of one FrameData block, a lattice of shape ``shape``
+    (the trailing axes of every FrameData array): ``columns`` holds each
+    coordinate's values, broadcasting to ``shape``; ``start`` is the
+    index of its first point among the swept points; ``rows``, their
+    coordinate rows, are built on demand.  A block of rows is a one-axis
+    lattice.  A block of a Grid has each coordinate's column along its
+    own axis, so each subexpression is evaluated once per value of the
+    coordinates it reads: sin(2 pi x3) takes 16 values on 16^3 points."""
 
-    A block of rows has shape (P,) and the columns of its rows.  A
-    lattice block (``_lattice_blocks``) is a sub-lattice of a Grid with
-    one axis per coordinate, each coordinate's column lying along its
-    own axis, so NumPy broadcasting evaluates each subexpression once
-    per value of the coordinates it reads: sin(2 pi x3) on a 16^3 block
-    takes 16 values, not 4096."""
+    def __init__(self, columns: Sequence[np.ndarray], shape: tuple[int, ...], start: int, rows=None):
+        self.columns, self.shape, self.start = columns, shape, start
+        if rows is not None:
+            self.rows = rows
 
-    def __init__(self, rows: np.ndarray, columns: Sequence[np.ndarray], shape: tuple[int, ...]):
-        self.rows = rows
-        self.columns = columns
-        self.shape = shape
+    @functools.cached_property
+    def rows(self) -> np.ndarray:
+        return _meshed([column.ravel() for column in self.columns])
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return math.prod(self.shape)
 
 
-def _rows(points: np.ndarray) -> Block:
-    """The block of the coordinate rows ``points``."""
-    return Block(points, tuple(points.T), (len(points),))
+def _rows(points: np.ndarray, start: int = 0) -> Block:
+    """The block of the coordinate rows ``points``, from point ``start``."""
+    return Block(tuple(points.T), (len(points),), start, points)
 
 
 def _lattice_blocks(grid: Grid, limit: int) -> Iterator[Block]:
-    """The blocks of at most ``limit`` points that cover the lattice
-    ``grid`` in point order.  Each is a sub-lattice that is contiguous in
-    row-major order: one index on each axis before a split axis, a run
-    of indices on the split axis, and every later axis whole.  The split
-    axis is the last one whose later axes fit into ``limit`` whole, and
-    its runs are as long as ``limit`` allows."""
+    """The blocks of at most ``limit`` points that cover ``grid`` in
+    point order, each contiguous in row-major order: one index on each
+    axis before a split axis, a run on it, later axes whole.  The split
+    axis is the last whose later axes fit into ``limit``."""
     assert grid.axes is not None
     resolution, dim = grid.resolution, len(grid.resolution)
     axis = dim - 1
@@ -480,22 +514,19 @@ def _lattice_blocks(grid: Grid, limit: int) -> Iterator[Block]:
         for first in range(0, resolution[axis], run):
             segments = [values[i:i + 1] for values, i in zip(grid.axes, index)]
             segments += [grid.axes[axis][first:first + run], *grid.axes[axis + 1:]]
-            shape = tuple(map(len, segments))
             columns = [
                 segment.reshape((1,) * m + (-1,) + (1,) * (dim - m - 1))
                 for m, segment in enumerate(segments)
             ]
-            stop = start + math.prod(shape)
-            yield Block(grid.coordinates[start:stop], columns, shape)
-            start = stop
+            block = Block(columns, tuple(map(len, segments)), start)
+            yield block
+            start += len(block)
 
 
 class FrameData:
-    """Frame quantities on one Block of points, ``block``.  Each is an
-    array whose trailing axes (written S below) broadcast to the block's
-    shape: a value is stored on the sub-lattice of the coordinates it
-    depends on and broadcast only by the operations that combine it with
-    others.
+    """Frame quantities on one Block of points, ``block``, each an array
+    whose trailing axes (S below) broadcast to the block's shape: stored
+    on the sub-lattice of the coordinates it depends on.
 
     - chart models: ``a[i, m, *S]`` = a_i^m and ``det[*S]`` = det A;
     - with ``structure``: ``c[i, j, k, *S]`` = C_ij^k and
@@ -509,22 +540,16 @@ class FrameData:
     d v^k / d x_c, the covariant rows, the basic residuals, ``divergence``,
     ``mean_curvature`` and ``inner``) is ``_ascending_sum`` over a
     leading index of stored arrays, with the block axes innermost, so
-    each point gets the bits of a one-point block.  ``sweep`` broadcasts
-    what its reads return to the block's points and turns them to the
-    front.
+    each point gets the bits of a one-point block.
 
-    Built only by ``sweep``, block by block, from the groups of ``plan``
-    (``_block_plan`` of the same model, field and ``structure``), each
-    evaluated only once the checks of the groups before it have passed;
-    without ``structure`` only the first two groups run, so a plan built
-    for C or a field serves as well.
-    A chart's ``a``, ``det`` and ``c`` are all read from the plan: det A
-    and C are the trees of ``structure_functions_symbolic``'s Cramer
-    rule, C_ij^k for i < j, with C_ji^k = -C_ij^k filled in.  Every
-    value is finite: a NaN or infinity raises DomainError, and |det A| <
-    DET_TOLERANCE raises SingularFrameError, before C is evaluated, when
-    the structure is asked for.  Each check tests a whole array and
-    raises at the block's first point (``_non_finite``).
+    Built only by ``sweep`` from the groups of ``plan`` (``_block_plan``),
+    each evaluated once the checks of those before it pass; without
+    ``structure`` only the first two run.  det A and C are the trees of
+    ``structure_functions_symbolic``, C_ij^k for i < j, C_ji^k = -C_ij^k
+    filled in.  Every value is finite: a NaN or infinity raises
+    DomainError, and |det A| < DET_TOLERANCE raises SingularFrameError
+    before C is evaluated.  Each check tests a whole array and raises at
+    the block's first point (``_non_finite``).
     """
 
     def __init__(
@@ -630,10 +655,9 @@ def _located(model, block, field_spec, structure, plan) -> FrameData:
 
     A failure is reported as a point-by-point sweep would report it: the
     error of the first point that fails on its own (found by bisection
-    of the block's rows), with that point stored on an ExprError as
-    ``point``.  A lattice block that fails is built again as a block of
-    its rows: every point has the same values in both, so the rows fail
-    too, at the same points, and their error is the one reported.
+    of the block's rows), that point stored on an ExprError as ``point``.
+    A lattice block that fails is built again as a block of its rows,
+    which fail at the same points.
     """
     try:
         return _build(model, block, field_spec, structure, plan)
@@ -641,7 +665,7 @@ def _located(model, block, field_spec, structure, plan) -> FrameData:
         if len(block) == 1:
             raise
     if block.shape != (len(block),):
-        return _located(model, _rows(block.rows), field_spec, structure, plan)
+        return _located(model, _rows(block.rows, block.start), field_spec, structure, plan)
     failing = block.rows  # fails as a whole; the first half that fails holds the culprit
     while len(failing) > 1:
         half = failing[: len(failing) // 2]
@@ -669,23 +693,21 @@ def sweep(
     *reads: Callable[[FrameData], np.ndarray],
     field_spec: VectorFieldSpec | None = None,
     structure: bool = True,
-) -> list[np.ndarray]:
+) -> list[list[tuple[Block, np.ndarray]]]:
     """For each of ``reads`` (a function of one FrameData block returning
     an array whose trailing axes broadcast to the block's shape, as the
-    block's own arrays do), its values at every one of ``points``,
-    C-contiguous with the point axis in front: row p of a result belongs
-    to point p.  ``points`` is a Grid, or coordinate rows
-    (``Grid.coordinates``, or tuples converted once).
+    block's own arrays do), its values block by block: a list of
+    (block, values) pairs in point order, each array as the read returned
+    it, on the sub-lattice of the coordinates it reads.  ``points`` is a
+    Grid, or coordinate rows (tuples are converted once).
 
-    The only builder of FrameData: a one-point caller sweeps
-    ``(point,)`` and reads row 0.  A Grid with axes is swept in lattice
-    blocks (``_lattice_blocks``), anything else in blocks of rows; a
-    block holds at most BLOCK_VALUES values of the steps it runs of
-    ``_block_plan``, the plan that the model keeps for every sweep of it
-    with the same field.  The blocks are built in point order by
-    ``_located``, and each is read by every read, each read broadcast to
-    the block's points and written into its result, before the next is
-    built.
+    The only builder of FrameData: a one-point caller uses ``at_point``.
+    A Grid with axes is swept in lattice blocks (``_lattice_blocks``),
+    anything else in blocks of rows; a block holds at most BLOCK_VALUES
+    values of the steps it runs of ``_block_plan``, the plan that the
+    model keeps for every sweep of it with the same field.  The blocks
+    are built in point order by ``_located``, each read by every read
+    before the next is built.
     """
     if field_spec is not None and field_spec.dim != model.dim:
         raise ModelError(
@@ -698,40 +720,34 @@ def sweep(
     steps = len(plan) if structure else plan.steps(2 if model.is_chart else 0)
     limit = max(1, BLOCK_VALUES // max(1, steps))
     if isinstance(points, Grid) and points.axes is not None:
-        total, blocks = len(points.coordinates), _lattice_blocks(points, limit)
+        blocks = _lattice_blocks(points, limit)
     else:
         rows = _coordinates(points.coordinates if isinstance(points, Grid) else points, model.dim)
-        total = len(rows)
-        blocks = (_rows(rows[start:start + limit]) for start in range(0, total, limit))
-    results = [np.empty(0) for _ in reads]
-    start = 0
+        blocks = (_rows(rows[start:start + limit], start) for start in range(0, len(rows), limit))
+    results: list[list] = [[] for _ in reads]
     for block in blocks:
         frame = _located(model, block, field_spec, structure, plan)
-        shape, stop = frame.block.shape, start + len(block)
-        for index, read in enumerate(reads):
-            values = read(frame)
-            lead = values.ndim - len(shape)
-            if not start:
-                results[index] = np.empty((total, *values.shape[:lead]), values.dtype)
-            target = results[index][start:stop].reshape(shape + values.shape[:lead])
-            target[...] = values.transpose((*range(lead, values.ndim), *range(lead)))
-        start = stop
+        for result, read in zip(results, reads):
+            result.append((frame.block, read(frame)))
     return results
+
+
+def at_point(model: FrameModel, point: tuple[float, ...], *reads, **options) -> list[np.ndarray]:
+    """The values of ``reads`` at ``point``, from a one-point sweep."""
+    return [values[..., 0] for ((_, values),) in sweep(model, (point,), *reads, **options)]
 
 
 def frame_matrix(model: FrameModel, point: tuple[float, ...]) -> np.ndarray:
     """Frame coefficient matrix A with A[i, m] = a_i^m evaluated at ``point``."""
     if not model.is_chart:
         raise ModelError("frame matrix exists only for chart models")
-    return sweep(model, (point,), lambda block: block.a, structure=False)[0][0]
+    return at_point(model, point, lambda block: block.a, structure=False)[0]
 
 
 def structure_functions(model: FrameModel, point: tuple[float, ...]) -> np.ndarray:
-    """The table C with [E_i, E_j] = sum_k C[i, j, k] E_k at ``point``,
-    read from a one-point sweep (a new array, so it is writable).
-    Antisymmetric in (i, j).
-    """
-    return sweep(model, (point,), lambda block: block.c)[0][0]
+    """The table C with [E_i, E_j] = sum_k C[i, j, k] E_k at ``point``
+    (writable).  Antisymmetric in (i, j)."""
+    return at_point(model, point, lambda block: block.c)[0]
 
 
 def structure_functions_symbolic(model: FrameModel) -> tuple:
@@ -745,10 +761,9 @@ def structure_functions_symbolic(model: FrameModel) -> tuple:
     minors of A^T that every (i, j) shares.  C_ji^k = -C_ij^k exactly.
 
     FrameData blocks evaluate these trees in their plan; the
-    mean-curvature candidate field is built from them.  Expressions can
-    be large; they are never simplified, only checked pointwise.  The
-    table is derived once per model and kept on it.  A constant-structure
-    model's table is ``_constant_table``.
+    mean-curvature candidate field is built from them.  They are never
+    simplified, only checked pointwise.  Derived once per model and kept
+    on it.  A constant-structure model's table is ``_constant_table``.
     """
     if not model.is_chart:
         raise ModelError("symbolic structure functions exist only for chart models")
@@ -820,35 +835,18 @@ def _minor(frame: tuple, memo: dict, rows: tuple, cols: tuple) -> Expr:
 
 # --- validation ------------------------------------------------------------
 
-def _probe_invertibility(
-    model: FrameModel, grid: Grid, dets: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The frame-invertibility probe points (``grid``'s points, then its
-    lattice corners) and det A at each.  ``dets``, det A at ``grid``'s
-    points as a sweep already read it, leaves only the corners to sweep."""
-    corners = _lattice(model, grid.resolution, 0.0)
-    if dets is None:
-        (dets,) = sweep(model, grid, _det, structure=False)
-    (rest,) = sweep(model, corners, _det, structure=False)
-    return np.concatenate((grid.coordinates, corners.coordinates)), np.concatenate((dets, rest))
-
-
 def _det(block: FrameData) -> np.ndarray:
     """The read of det A from a chart's FrameData block."""
     return block.det
 
 
-def validate_model(
-    model: FrameModel, grid: Grid, dets: np.ndarray | None = None
-) -> tuple[CheckResult, ...]:
+def validate_model(model: FrameModel, grid: Grid, dets: list | None = None) -> tuple[CheckResult, ...]:
     """The records of the hypotheses the sign test rests on, at ``grid``:
-    frame invertibility over its points and lattice corners for charts
-    (``dets``, det A at the grid's points as the caller's own sweep read
-    it, spares sweeping them again); the Jacobi identity for
-    constant-structure models.  Neither kind needs an antisymmetry check:
-    a chart's C_ij^k is evaluated for i < j only and C_ji^k = -C_ij^k
-    filled in, and _constant_table writes the same for each stored i < j
-    entry.
+    frame invertibility over its points, then its lattice corners, for
+    charts (``dets``, the parts of det A of the caller's own sweep of
+    ``grid``, spares sweeping it again); the Jacobi identity for
+    constant-structure models.  Neither needs an antisymmetry check:
+    C_ji^k = -C_ij^k is filled in from C_ij^k, i < j, in both.
 
     A failed check is a record, not an exception: ``analyze`` reports
     the records, and the verdicts of ``tautness`` refuse a model whose
@@ -857,23 +855,30 @@ def validate_model(
     finite raises DomainError, as any non-finite value does.
     """
     if model.is_chart:
+        corners = _lattice(model, grid.resolution, 0.0)
         try:
-            probes, dets = _probe_invertibility(model, grid, dets)
+            if dets is None:
+                (dets,) = sweep(model, grid, _det, structure=False)
+            (rest,) = sweep(model, corners, _det, structure=False)
         except ExprError as exc:
             check = CheckResult(
                 "frame_invertibility", False, f"frame evaluation failed: {exc}",
                 0.0, exc.point, DET_TOLERANCE,
             )
         else:
-            index = int(np.argmin(np.abs(dets)))
-            worst_det = float(abs(dets[index]))
+            (worst, index), (corner, at) = (
+                _extreme([(block, np.abs(values)) for block, values in parts], np.argmin, float.__lt__)
+                for parts in (dets, rest)
+            )
+            point = corners.point(at) if corner < worst else grid.point(index)
+            worst = min(worst, corner)
             check = CheckResult(
                 "frame_invertibility",
-                worst_det >= DET_TOLERANCE,
-                f"min |det(frame)| over {len(probes)} probe points "
+                worst >= DET_TOLERANCE,
+                f"min |det(frame)| over {2 * len(grid)} probe points "
                 f"(threshold {DET_TOLERANCE:g})",
-                worst_det,
-                _as_point(probes[index]),
+                worst,
+                point,
                 DET_TOLERANCE,
             )
     else:
@@ -895,19 +900,16 @@ def validate_model(
     return (check,)
 
 
-def basic_field_check(
-    residuals: np.ndarray, points: Sequence | np.ndarray, tol: float = BASIC_TOLERANCE
-) -> CheckResult:
-    """Reduce per-point residuals (``FrameData.basic_residuals``) to the
-    worst one and its first point; a non-finite residual raises
-    DomainError."""
-    require_finite(residuals, points, "basic-check residual")
-    detail = f"max |pi_Q [F_a, v]| over {len(points)} points (threshold {tol:g})"
-    if not len(points):
+def basic_field_check(residuals: list, grid: Grid, tol: float = BASIC_TOLERANCE) -> CheckResult:
+    """Reduce the parts of a sweep of ``grid``'s residuals
+    (``FrameData.basic_residuals``) to the worst one and its first point;
+    a non-finite residual raises DomainError."""
+    require_finite(residuals, grid, "basic-check residual")
+    detail = f"max |pi_Q [F_a, v]| over {len(grid)} points (threshold {tol:g})"
+    worst = _extreme(residuals, np.argmax, float.__gt__)
+    if worst is None:
         return CheckResult("basic_field", True, detail, 0.0, None, tol)
-    index = int(np.argmax(residuals))
-    worst = float(residuals[index])
-    return CheckResult("basic_field", worst <= tol, detail, worst, _as_point(points[index]), tol)
+    return CheckResult("basic_field", worst[0] <= tol, detail, worst[0], grid.point(worst[1]), tol)
 
 
 def check_basic(
@@ -922,7 +924,7 @@ def check_basic(
     (residuals,) = sweep(
         model, grid, lambda block: block.basic_residuals(split), field_spec=field_spec
     )
-    return basic_field_check(residuals, grid.coordinates, tol)
+    return basic_field_check(residuals, grid, tol)
 
 
 # --- model and field documents ---------------------------------------------

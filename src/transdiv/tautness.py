@@ -21,11 +21,17 @@ with one gate: ``validate_model``'s records on the verdict's grid,
 after the verdict's own sweep, which supplies det A at the grid
 points, so the gate sweeps only the lattice corners.  A failed record
 refuses the model with ModelError, its message the record's line.
+
+Every reduction over a grid here (``_classify``, ``_integral``, the
+cover's largest difference) runs on the parts of a sweep, each block's
+values on the sub-lattice of the coordinates they vary over, and gives
+the value and first point of the same reduction over every grid point.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -38,7 +44,7 @@ from .model import (
     VectorFieldSpec,
     _constant_table,
     _det,
-    _product,
+    _extreme,
     _wrapped_columns,
     basic_field_check,
     chart_model,
@@ -49,7 +55,7 @@ from .model import (
     validate_model,
 )
 from .records import (
-    DEFAULT_TOLERANCE, CheckResult, FoliationSplit, ModelError, NotBasicError, _as_point,
+    DEFAULT_TOLERANCE, CheckResult, FoliationSplit, ModelError, NotBasicError,
     check_line,
 )
 
@@ -137,14 +143,14 @@ def _basic_reads(
     field_spec: VectorFieldSpec,
     grid: Grid,
     *reads,
-) -> list[np.ndarray]:
+) -> list[list]:
     """The ``model.sweep`` of ``reads`` over ``grid``, after the basic
     test's residuals as the sweep's first read, refusing a field that is
     not basic over all of its points with NotBasicError."""
     residuals, *arrays = sweep(
         model, grid, lambda block: block.basic_residuals(split), *reads, field_spec=field_spec
     )
-    check = basic_field_check(residuals, grid.coordinates)
+    check = basic_field_check(residuals, grid)
     if not check.passed:
         raise NotBasicError(check)
     return arrays
@@ -156,20 +162,19 @@ def _divergence_sweep(
     field_spec: VectorFieldSpec,
     grid: Grid,
     *reads,
-) -> list[np.ndarray]:
-    """div^Q v at every grid point, after the basic test over the whole
-    grid, then the arrays of ``reads`` from the same sweep."""
+) -> list[list]:
+    """div^Q v over the grid, after the basic test over the whole grid,
+    then the parts of ``reads`` from the same sweep."""
     values, *arrays = _basic_reads(model, split, field_spec, grid, _divergence(split), *reads)
-    require_finite(values, grid.coordinates, "div^Q v")
+    require_finite(values, grid, "div^Q v")
     return [values, *arrays]
 
 
-def _require_hypotheses(model: FrameModel, grid: Grid, dets: np.ndarray | None = None) -> None:
+def _require_hypotheses(model: FrameModel, grid: Grid, dets: list | None = None) -> None:
     """The gate of every verdict: raise ModelError with the line of the
     first of ``validate_model``'s records on ``grid`` that fails.
-    ``dets`` is det A at the grid's points, read by the verdict's own
-    sweep (none on a constant-structure model, whose blocks have no
-    frame matrix)."""
+    ``dets`` is the parts of det A of the verdict's own sweep (none on a
+    constant-structure model, whose blocks have no frame matrix)."""
     for check in validate_model(model, grid, dets):
         if not check.passed:
             raise ModelError(check_line(check))
@@ -180,14 +185,16 @@ def _divergence(split: FoliationSplit):
     return lambda block: block.divergence(split.transverse_ordered)
 
 
-def _classify(values: np.ndarray, points: np.ndarray, tol: float) -> TautnessVerdict:
-    if not len(points):
+def _classify(values: list, grid: Grid, tol: float) -> TautnessVerdict:
+    """The verdict on the parts of a sweep of ``grid``'s div^Q v, each
+    extreme reported at its first point."""
+    if not values:
         return TautnessVerdict(
             TautnessClass.INCONCLUSIVE, None, None, None, None, tol
         )
-    # first index of each extreme, as a scan in point order finds them
-    low, high = int(np.argmin(values)), int(np.argmax(values))
-    min_value, max_value = float(values[low]), float(values[high])
+    (min_value, low), (max_value, high) = (
+        _extreme(values, np.argmin, float.__lt__), _extreme(values, np.argmax, float.__gt__)
+    )
     if max(abs(min_value), abs(max_value)) <= tol:
         classification = TautnessClass.IDENTICALLY_ZERO
     elif min_value >= -tol and max_value > tol:
@@ -197,7 +204,7 @@ def _classify(values: np.ndarray, points: np.ndarray, tol: float) -> TautnessVer
     else:
         classification = TautnessClass.MIXED_SIGN
     return TautnessVerdict(
-        classification, min_value, max_value, _as_point(points[low]), _as_point(points[high]), tol
+        classification, min_value, max_value, grid.point(low), grid.point(high), tol
     )
 
 
@@ -223,7 +230,7 @@ def classify_divergence(
     reads = (_det,) if model.is_chart else ()  # det A, for the gate
     values, *dets = _divergence_sweep(model, split, field_spec, grid, *reads)
     _require_hypotheses(model, grid, *dets)
-    return _classify(values, grid.coordinates, tol)
+    return _classify(values, grid, tol)
 
 
 def alvarez_candidate(model: FrameModel, split: FoliationSplit) -> VectorFieldSpec:
@@ -266,9 +273,9 @@ def green_check(
 
     by the cell-centered Riemann sum with density 1/|det(frame)| per
     point (the Riemannian density induced by the orthonormal frame).
-    Both sums are math.fsum of the per-point terms: correctly rounded,
-    so independent of the order of the points.  A model that fails a
-    hypothesis record on the grid raises ModelError
+    Both sums are correctly rounded sums of the per-point terms
+    (``_integral``), so independent of the order of the points.  A model
+    that fails a hypothesis record on the grid raises ModelError
     (``_require_hypotheses``).
     """
     if not model.is_chart:
@@ -282,8 +289,8 @@ def green_check(
     lhs_terms, rhs_terms, dets = _basic_reads(
         model, split, field_spec, grid, *_green_terms(split, cell), _det
     )
-    lhs = _integral(lhs_terms, grid.coordinates, "div^Q v dmu")
-    rhs = _integral(rhs_terms, grid.coordinates, "g(v, kappa#) dmu")
+    lhs = _integral(lhs_terms, grid, "div^Q v dmu")
+    rhs = _integral(rhs_terms, grid, "g(v, kappa#) dmu")
     abs_error = abs(lhs - rhs)
     if not math.isfinite(abs_error):
         raise expr.DomainError(f"|lhs - rhs| overflows ({lhs!r} - {rhs!r})")
@@ -310,12 +317,34 @@ def _green_terms(split: FoliationSplit, cell: float):
     return lhs_term, rhs_term
 
 
-def _integral(terms: np.ndarray, points: np.ndarray, what: str) -> float:
-    require_finite(terms, points, f"term of the integral of {what}")
+def _integral(terms: list, grid: Grid, what: str) -> float:
+    """math.fsum of the per-point terms of the parts ``terms`` of a sweep
+    of ``grid``.  A value of a block's sub-lattice stands for the count c
+    of points it is broadcast to, written as one term ldexp(value, b) per
+    set bit b of c: exact terms, so the correctly rounded sum is that of
+    the per-point terms.  Where a scaled term or a partial sum overflows,
+    the values are repeated at their points instead."""
+    require_finite(terms, grid, f"term of the integral of {what}")
     try:
-        return math.fsum(terms.tolist())
+        try:
+            return math.fsum(itertools.chain.from_iterable(_scaled_terms(terms)))
+        except OverflowError:
+            return math.fsum(itertools.chain.from_iterable(
+                np.broadcast_to(values, block.shape).ravel().tolist() for block, values in terms
+            ))
     except OverflowError:
         raise expr.DomainError(f"the integral of {what} overflows") from None
+
+
+def _scaled_terms(terms: list):
+    """The terms ldexp(value, b) of ``_integral``, a list per block and
+    bit; OverflowError where one would overflow."""
+    for block, values in terms:
+        count, top = len(block) // values.size, float(np.abs(values).max())
+        for bit in range(count.bit_length()):
+            if count >> bit & 1:
+                math.ldexp(top, bit)  # raises OverflowError where a term would overflow
+                yield np.ldexp(values, bit).ravel().tolist()
 
 
 def volume_preservation_check(
@@ -428,13 +457,14 @@ def compare_with_cover(
     cover_grid = sample_grid(cover, resolution)
     base_verdict = classify_divergence(model, split, field_spec, base_grid, tol)
     (lifted,) = _divergence_sweep(cover, cover_split, cover_field, cover_grid)
-    projected = _product(tuple(_wrapped_columns(cover, cover_grid.axes)))
+    projected = Grid(cover_grid.resolution, axes=tuple(_wrapped_columns(cover, cover_grid.axes)))
     (below,) = sweep(model, projected, _divergence(split), field_spec=field_spec)
-    difference = np.abs(lifted - below)
-    require_finite(difference, cover_grid.coordinates, "pointwise difference of div^Q")
+    # both sweeps run plans of the same expressions, so their blocks match
+    difference = [(block, np.abs(ups - downs)) for (block, ups), (_, downs) in zip(lifted, below)]
+    require_finite(difference, cover_grid, "pointwise difference of div^Q")
     return CoverComparison(
         cover=cover,
         base_verdict=base_verdict,
-        cover_verdict=_classify(lifted, cover_grid.coordinates, tol),
-        max_pointwise_difference=float(np.max(difference, initial=0.0)),
+        cover_verdict=_classify(lifted, cover_grid, tol),
+        max_pointwise_difference=_extreme(difference, np.argmax, float.__gt__)[0],
     )

@@ -225,9 +225,25 @@ def point_tuples(grid: td.Grid) -> tuple[tuple[float, ...], ...]:
 
 def at(model: td.FrameModel, point: tuple[float, ...], read, field=None):
     """The value of ``read`` (a function of one FrameData block, as for
-    ``model.sweep``) at ``point``: row 0 of a one-point sweep, with the
-    field ``field`` if given."""
-    return td.model.sweep(model, (point,), read, field_spec=field)[0][0]
+    ``model.sweep``) at ``point``, with the field ``field`` if given."""
+    return td.model.at_point(model, point, read, field_spec=field)[0]
+
+
+def rows_of(parts) -> np.ndarray:
+    """A sweep's parts of one read as one array with a row per point, in
+    point order: each block's values broadcast to its points, with the
+    point axis in front."""
+    arrays = []
+    for block, values in parts:
+        lead = values.shape[:values.ndim - len(block.shape)]
+        full = np.broadcast_to(values, lead + block.shape).reshape(*lead, -1)
+        arrays.append(np.moveaxis(full, -1, 0))
+    return np.ascontiguousarray(np.concatenate(arrays)) if arrays else np.empty(0)
+
+
+def swept_rows(model: td.FrameModel, points, *reads, **options) -> list[np.ndarray]:
+    """``model.sweep`` with each read's parts as ``rows_of`` gives them."""
+    return [rows_of(parts) for parts in td.model.sweep(model, points, *reads, **options)]
 
 
 def projected(cover: td.FrameModel, point: tuple[float, ...]) -> tuple[float, ...]:

@@ -22,7 +22,7 @@ import pytest
 
 import transdiv as td
 from transdiv import expr
-from transdiv.model import _block_plan, _lattice, _lattice_blocks, point_env, sweep
+from transdiv.model import _block_plan, _lattice, _lattice_blocks, _rows, point_env
 
 from generators import (
     CountingEnv,
@@ -32,6 +32,7 @@ from generators import (
     random_chart_case,
     random_constant_case,
     random_field,
+    swept_rows,
 )
 
 #: Points in a block of rows in the tests that set the budget of plan
@@ -211,7 +212,7 @@ def test_block_path_matches_scalar_reference(case, monkeypatch):
         ]
         if model.is_chart:
             reads.append(lambda block: block.det)
-        c, gamma, div, *det = sweep(model, point_tuples(grid), *reads, field_spec=field)
+        c, gamma, div, *det = swept_rows(model, point_tuples(grid), *reads, field_spec=field)
         # one build per block of at most BLOCK rows, none for a bisection
         total = len(grid.coordinates)
         assert built == [min(BLOCK, total - start) for start in range(0, total, BLOCK)]
@@ -251,7 +252,7 @@ def test_one_point_functions_match_the_reference():
         c, gamma, _, rows, _, _ = ref_point(model, field, point)
         assert_close(td.structure_functions(model, point), c, "C")
         assert_close(td.christoffel(model, point).values, gamma, "Gamma")
-        (swept,) = td.model.sweep(model, (point,), lambda block: block.rows, field_spec=field)
+        (swept,) = swept_rows(model, (point,), lambda block: block.rows, field_spec=field)
         assert_close(swept[0], rows, "rows")
         assert_close(
             np.array([td.transverse_divergence(model, split, field, point)]),
@@ -385,7 +386,7 @@ def test_points_last_blocks_match_the_in_order_formulas_bit_for_bit(size, monkey
             reads.update(a=lambda block: block.a, dv=lambda block: block.dv,
                          det=lambda block: block.det)
             reads["green_lhs"], reads["green_rhs"] = td.tautness._green_terms(split, cell)
-        swept = dict(zip(reads, sweep(model, points, *reads.values(), field_spec=field)))
+        swept = dict(zip(reads, swept_rows(model, points, *reads.values(), field_spec=field)))
         assert all(len(values) == size for values in swept.values())
         expected = in_order_formulas(
             swept.get("a"), swept["c"], swept["v"], swept.get("dv"), swept.get("det"), split, cell
@@ -460,8 +461,8 @@ def test_require_finite_locates_the_first_point_on_points_last_arrays():
     values[0, 0, 3] = math.inf
     points = np.arange(10.0).reshape(5, 2)
     with pytest.raises(td.DomainError, match=r"^non-finite Gamma at \(4\.0, 5\.0\)$"):
-        td.model.require_finite(values, points, "Gamma")
-    td.model.require_finite(values[..., :2], points[:2], "Gamma")
+        td.model.require_finite([(_rows(points), values)], td.Grid((5,), points), "Gamma")
+    td.model.require_finite([(_rows(points[:2]), values[..., :2])], td.Grid((2,), points[:2]), "Gamma")
 
 
 # 40 x 32 lattice: x1 > 0.5992 first at point 24 * 32 = 768, where

@@ -555,6 +555,102 @@ def test_derivative_linearity():
         assert abs(lhs - rhs) <= 1e-12 * (1 + abs(lhs))
 
 
+def unshortcut_derivative(node, var):
+    """The derivative rules of ``expr.differentiate`` as they read without
+    the shortcut on a literal zero inner derivative: every factor is
+    built, and the folding constructors fold it away."""
+    kind = type(node)
+    if kind is Variable:
+        return expr.ONE if node.name == var else expr.ZERO
+    if kind in (Literal, Constant):
+        return expr.ZERO
+    if kind is Negate:
+        return expr.neg(unshortcut_derivative(node.operand, var))
+    if kind is BinaryOp:
+        if node.op == "^":
+            if var in expr.variables(node.right):
+                raise DifferentiationError("exponent depends on the variable")
+            lowered = BinaryOp("^", node.left, expr.sub(node.right, expr.ONE))
+            return expr.mul(expr.mul(node.right, lowered), unshortcut_derivative(node.left, var))
+        dl, dr = unshortcut_derivative(node.left, var), unshortcut_derivative(node.right, var)
+        if node.op == "+":
+            return expr.add(dl, dr)
+        if node.op == "-":
+            return expr.sub(dl, dr)
+        if node.op == "*":
+            return expr.add(expr.mul(dl, node.right), expr.mul(node.left, dr))
+        numerator = expr.sub(expr.mul(dl, node.right), expr.mul(node.left, dr))
+        return expr.div(numerator, expr.mul(node.right, node.right))
+    inner, u = unshortcut_derivative(node.argument, var), node.argument
+    return {
+        "sin": lambda: expr.mul(FunctionCall("cos", u), inner),
+        "cos": lambda: expr.neg(expr.mul(FunctionCall("sin", u), inner)),
+        "exp": lambda: expr.mul(FunctionCall("exp", u), inner),
+        "ln": lambda: expr.div(inner, u),
+        "sqrt": lambda: expr.div(inner, expr.mul(expr.TWO, FunctionCall("sqrt", u))),
+    }[node.name]()
+
+
+def tree_key(node):
+    """``node`` as nested tuples, each literal by its type and bits, so
+    that -0.0 and 0.0 differ."""
+    kind = type(node)
+    if kind is Literal:
+        return (kind.__name__, type(node.value).__name__, float(node.value).hex())
+    children = [getattr(node, name) for name in ("operand", "left", "right", "argument") if hasattr(node, name)]
+    own = [getattr(node, name) for name in ("name", "op") if hasattr(node, name)]
+    return (kind.__name__, *own, *map(tree_key, children))
+
+
+def wrapped_expression(rng, names):
+    """A ``random_expression``, some of its subtrees under ln, sqrt or a
+    power whose base is free of a variable."""
+    node = random_expression(rng, names)
+    for _ in range(rng.randint(0, 3)):
+        choice = rng.random()
+        if choice < 0.3:
+            node = FunctionCall(rng.choice(("ln", "sqrt")), node)
+        elif choice < 0.5:
+            node = BinaryOp("^", FunctionCall("cos", Literal(rng.choice((0.5, 2.0)))), node)
+        elif choice < 0.8:
+            node = BinaryOp(rng.choice(("*", "/", "+")), node, random_expression(rng, names))
+        else:
+            node = FunctionCall(rng.choice(("sin", "cos", "exp")), node)
+    return node
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from(("x1", "x2", "x3")))
+def test_a_zero_inner_derivative_folds_as_the_rules_do(seed, var):
+    # x3 appears in no drawn tree, so every inner derivative is zero
+    node = wrapped_expression(random.Random(seed), ("x1", "x2"))
+    try:
+        expected = unshortcut_derivative(node, var)
+    except DifferentiationError:
+        with pytest.raises(DifferentiationError):
+            differentiate(node, var)
+        return
+    assert tree_key(differentiate(node, var)) == tree_key(expected)
+
+
+def test_a_zero_inner_derivative_builds_no_factor(monkeypatch):
+    built = []
+    for kind in (BinaryOp, FunctionCall):
+        monkeypatch.setattr(kind, "__init__", lambda self, *args, build=kind.__init__: (
+            built.append(type(self)), build(self, *args))[1])
+    for text, folded in [("sin(x2)", "0x0.0p+0"), ("cos(x2)", "-0x0.0p+0"), ("exp(x2)", "0x0.0p+0"),
+                         ("ln(x2)", "0x0.0p+0"), ("sqrt(x2)", "0x0.0p+0"), ("x2^3", "0x0.0p+0"),
+                         ("1/x2", "0x0.0p+0"), ("cos(2)", "-0x0.0p+0")]:
+        node = parse(text)
+        built.clear()
+        derivative = differentiate(node, "x1")
+        assert type(derivative) is Literal and derivative.value.hex() == folded, text
+        assert built == [], text
+    # x1^x2 still refuses the exponent before looking at the base
+    with pytest.raises(DifferentiationError):
+        differentiate(parse("x1^x2"), "x2")
+
+
 # --- printing / round-trip -----------------------------------------------------
 
 @st.composite

@@ -111,7 +111,7 @@ def sweeps(monkeypatch):
         calls.append((rows, structure))
         return sweep(model, points, *reads, structure=structure, **kwargs)
 
-    for module in (td.model, td.tautness, td.connection):
+    for module in (td.model, td.tautness):
         monkeypatch.setattr(module, "sweep", spy)
     return calls
 

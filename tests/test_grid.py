@@ -1,6 +1,6 @@
-"""Grids as one coordinate array: the lattice against a reference built
-from Python floats, and points that become tuples only where they are
-reported, never one per grid point."""
+"""Grid coordinates: the lattice against a reference built from Python
+floats, and points that become tuples only where they are reported,
+never one per grid point."""
 
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from transdiv.cli import main
 from transdiv.model import _as_point, _coordinates, _lattice
 from transdiv.tautness import compare_with_cover
 
-from generators import point_tuples
+from generators import point_tuples, swept_rows
 
 
 def reference_lattice(periods, resolution, offset):
@@ -81,8 +81,8 @@ def test_sweep_takes_tuples_or_the_array():
     def read(block):
         return block.divergence(split.transverse_ordered)
 
-    (from_array,) = td.model.sweep(model, grid.coordinates, read, field_spec=tau)
-    (from_tuples,) = td.model.sweep(model, list(point_tuples(grid)), read, field_spec=tau)
+    (from_array,) = swept_rows(model, grid.coordinates, read, field_spec=tau)
+    (from_tuples,) = swept_rows(model, list(point_tuples(grid)), read, field_spec=tau)
     assert from_array.tobytes() == from_tuples.tobytes()
     # tuples are converted once, to the array a grid holds
     assert _coordinates([(0.25,), (0.75,)], 1).tolist() == [[0.25], [0.75]]
@@ -108,8 +108,7 @@ def points_unread(monkeypatch):
         converted.append(row)
         return _as_point(row)
 
-    for module in (td.model, td.cli, td.tautness):
-        monkeypatch.setattr(module, "_as_point", spy)
+    monkeypatch.setattr(td.model, "_as_point", spy)
     return converted
 
 

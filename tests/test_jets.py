@@ -28,7 +28,6 @@ from hypothesis import strategies as st
 
 import transdiv as td
 from transdiv import expr
-from transdiv.model import sweep
 
 import jets
 from generators import (
@@ -36,6 +35,7 @@ from generators import (
     bounded_term,
     dense_chart_case,
     random_chart_case,
+    swept_rows,
     transcendental_chart_case,
 )
 
@@ -95,7 +95,7 @@ def test_the_sweep_matches_the_jets(case, field, seed, data):
         components = drawn_field(rng, model.dim)
         document = {"components": [expr.to_string(node) for node in components]}
         spec = td.load_field(document, model)
-    swept = dict(zip(QUANTITIES, sweep(model, drawn, *reads(split), field_spec=spec)))
+    swept = dict(zip(QUANTITIES, swept_rows(model, drawn, *reads(split), field_spec=spec)))
     for index, point in enumerate(drawn):
         expected = jets.frame_quantities(model, split, point, components)
         magnitudes = jets.frame_quantities(model, split, point, components, magnitudes=True)

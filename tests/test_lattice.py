@@ -18,7 +18,7 @@ import pytest
 import transdiv as td
 from transdiv.model import _block_plan, _lattice, sweep
 
-from generators import block_runs, dense_chart_case, random_chart_case, random_field
+from generators import block_runs, dense_chart_case, random_chart_case, random_field, swept_rows
 
 #: Points of a block in the split runs: a run of two or three indices
 #: along one axis, so blocks end in the middle of it
@@ -87,12 +87,12 @@ def test_lattice_and_row_sweeps_agree_bit_for_bit(case, split_blocks, monkeypatc
     named = reads(split, 0.37)
     for shape in SHAPES[model.dim]:
         grid = td.sample_grid(model, shape)
-        lattice = sweep(model, grid, *named.values(), field_spec=field)
-        rows = sweep(model, grid.coordinates, *named.values(), field_spec=field)
+        lattice = swept_rows(model, grid, *named.values(), field_spec=field)
+        rows = swept_rows(model, grid.coordinates, *named.values(), field_spec=field)
         for name, got, expected in zip(named, lattice, rows):
             assert len(got) == len(grid.coordinates)
             assert_same_bits(got, expected, (model.name, shape, name))
-        (dets,) = sweep(model, grid, named["det"], structure=False)
+        (dets,) = swept_rows(model, grid, named["det"], structure=False)
         assert_same_bits(dets, rows[1], (model.name, shape, "det only"))
 
 

@@ -13,7 +13,7 @@ from transdiv import expr
 from transdiv.model import _lattice
 from transdiv.records import check_line
 
-from generators import identity_cases, point_tuples
+from generators import identity_cases, point_tuples, swept_rows
 
 LAMBDA_SMALL = (3 - math.sqrt(5)) / 2  # eigenvalues of [[2,1],[1,1]]
 LAMBDA_BIG = (3 + math.sqrt(5)) / 2
@@ -442,7 +442,7 @@ def test_sweep_refuses_a_field_without_the_structure(torus):
     points = td.sample_grid(model, 2).coordinates
     with pytest.raises(td.ModelError, match="needs the structure"):
         td.model.sweep(model, points, lambda block: block.rows, field_spec=field, structure=False)
-    (dets,) = td.model.sweep(model, points, lambda block: block.det, structure=False)
+    (dets,) = swept_rows(model, points, lambda block: block.det, structure=False)
     assert dets.shape == (4,)
 
 

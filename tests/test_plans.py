@@ -104,7 +104,7 @@ def test_one_point_calls_share_the_model_plan(plans, tables):
     points = [tuple(row) for row in td.sample_grid(model, 8).coordinates]
     values = [connection.christoffel(model, point).values for point in points]
     assert len(points) == 64 and len(plans) == 1 and len(tables) == 1
-    (swept,) = sweep(model, points, lambda block: block.gamma)
+    (swept,) = generators.swept_rows(model, points, lambda block: block.gamma)
     assert np.array_equal(np.stack(values).view(np.int64), swept.view(np.int64))
     assert len(plans) == 1
 
@@ -168,7 +168,7 @@ def test_the_lazy_prefix_keeps_the_cli_output(plans, tmp_path):
 
 
 def det_bits(model, points):
-    (dets,) = sweep(model, points, _det, structure=False)
+    (dets,) = generators.swept_rows(model, points, _det, structure=False)
     return dets.view(np.int64)
 
 
@@ -227,6 +227,54 @@ def test_a_deleted_model_leaves_nothing_alive(plans, tables):
     del model, split, tables[:]
     gc.collect()
     assert [ref() for ref in alive] == [None] * len(alive)
+
+
+#: A warped 3-torus whose frame holds exp and sqrt of x3
+EXP_SQRT_3D = {
+    "name": "exp-sqrt-3d",
+    "kind": "chart",
+    "dim": 3,
+    "leaf_indices": [1],
+    "periods": [1.0, 1.0, 1.0],
+    "frame": [
+        "exp(0.2*sin(2*pi*x3))", "0", "0",
+        "0", "sqrt(2 + cos(2*pi*x3))", "0",
+        "0", "0", "1",
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("taut-check", "torus-warped", "--field", "alvarez", "--grid", "16"),
+        ("analyze", "torus-warped", "--grid", "8"),
+        ("green-check", "torus-warped", "--field", "alvarez", "--grid", "8"),
+        ("cover", "torus-warped", "--field", "alvarez", "--coord", "1", "--fold", "2", "--grid", "8"),
+        ("taut-check", EXP_SQRT_3D, "--field", "alvarez", "--grid", "4"),
+    ],
+    ids=["taut-check", "analyze", "green-check", "cover", "exp-and-sqrt"],
+)
+def test_a_chart_command_leaves_no_expression_to_the_cyclic_collector(argv, tmp_path):
+    # the derivatives kept on a node must not refer back to it (d exp(u)
+    # and d sqrt(u) hold exp(u) and sqrt(u)), or every frame tree of a
+    # model waits for the cyclic collector; the first run fills what
+    # lives as long as the process
+    if argv[1] is EXP_SQRT_3D:
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(EXP_SQRT_3D))
+        argv = (argv[0], str(path), *argv[2:])
+    assert run_main(*argv)[0] == 0
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert run_main(*argv)[0] == 0
+        gc.collect()
+        nodes = [thing for thing in gc.garbage if isinstance(thing, expr.Expr)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert nodes == []
 
 
 def test_many_field_specs_keep_a_bounded_number_of_plans(plans):

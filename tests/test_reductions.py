@@ -1,0 +1,252 @@
+"""Grid reductions on the sub-lattices that sweeps return, against the
+full grid.
+
+A sweep returns each read block by block, on the sub-lattice of the
+coordinates it varies over.  Each reduction of the verdicts (the
+extremes of ``_classify`` and their first points, the worst basic
+residual, the first non-finite point of ``require_finite``, the Green
+sums of ``_integral`` and the smallest |det A| of ``validate_model``)
+must give the bits and the point that the same reduction gives on the
+values broadcast to every grid point: ``np.argmin``, ``np.argmax`` or
+``math.fsum`` over the rows in point order, the grid's points before
+its corners.  The values are drawn as tables on a drawn subset of the
+axes and read in real lattice sweeps of a flat box, in blocks as small
+as ``model.BLOCK_VALUES`` is set.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import transdiv as td
+from transdiv.model import _block_plan, _lattice, sweep
+from transdiv.tautness import _classify, _integral, compare_with_cover
+
+#: Axis lengths: 1, primes and other lengths that are not powers of two
+LENGTHS = st.sampled_from([1, 2, 3, 5, 6, 7, 12])
+
+#: Values with many ties: a few small integers, zeros of both signs,
+#: and a tiny and a huge magnitude
+VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, 3.0, 5e-324, -7.25, 1e300])
+
+
+def box(dim):
+    """The flat unit box of ``dim`` coordinates: det A = 1 everywhere."""
+    frame = [["1" if i == m else "0" for m in range(dim)] for i in range(dim)]
+    return td.chart_model("box", (1.0,) * dim, frame)
+
+
+@st.composite
+def lattices(draw, values=VALUES):
+    """(resolution, table, points per block): a table of values on a
+    drawn subset of the axes, size 1 on the others."""
+    resolution = tuple(draw(st.lists(LENGTHS, min_size=1, max_size=3)))
+    varies = [draw(st.booleans()) for _ in resolution]
+    shape = tuple(n if v else 1 for n, v in zip(resolution, varies))
+    size = math.prod(shape)
+    if draw(st.booleans()):
+        table = np.full(shape, draw(values))  # constant
+    else:
+        table = np.array(draw(st.lists(values, min_size=size, max_size=size))).reshape(shape)
+    return resolution, table, draw(st.integers(1, math.prod(resolution)))
+
+
+def read_of(table, resolution):
+    """The read of ``table`` from a block of a box lattice of
+    ``resolution``: the entries at the block's points, on the axes
+    ``table`` varies over."""
+
+    def read(frame):
+        block = frame.block
+        index = tuple(
+            np.rint(column * n - 0.5).astype(int) if size > 1 else np.zeros((1,) * len(block.shape), int)
+            for column, n, size in zip(block.columns, resolution, table.shape)
+        )
+        return table[index]
+
+    return read
+
+
+def swept(resolution, table, points, monkeypatch):
+    """The grid of ``resolution`` on a box and the parts of ``table``
+    read in its sweep, in blocks of at most ``points`` points."""
+    model = box(len(resolution))
+    grid = td.sample_grid(model, resolution)
+    steps = _block_plan(model, None, False).steps(2)
+    monkeypatch.setattr(td.model, "BLOCK_VALUES", points * steps)
+    (parts,) = sweep(model, grid, read_of(table, resolution), structure=False)
+    assert all(len(block) <= points for block, _ in parts)
+    return model, grid, parts
+
+
+def full(resolution, table):
+    """The reference: ``table`` at every grid point, in point order."""
+    return np.broadcast_to(table, resolution).ravel()
+
+
+def bits(value):
+    return float(value).hex()
+
+
+settings_ = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@settings_
+@given(lattices())
+def test_extremes_are_the_full_grid_extremes_at_their_first_points(monkeypatch, case):
+    resolution, table, points = case
+    model, grid, parts = swept(resolution, table, points, monkeypatch)
+    rows = grid.coordinates
+    reference = full(resolution, table)
+    low, high = int(np.argmin(reference)), int(np.argmax(reference))
+    verdict = _classify(parts, grid, 0.25)
+    assert (bits(verdict.min_value), bits(verdict.max_value)) == (bits(reference[low]), bits(reference[high]))
+    assert verdict.argmin == td.model._as_point(rows[low])
+    assert verdict.argmax == td.model._as_point(rows[high])
+    check = td.model.basic_field_check(parts, grid, 0.25)
+    assert bits(check.worst) == bits(reference[high])
+    assert check.worst_point == td.model._as_point(rows[high])
+    assert check.detail == f"max |pi_Q [F_a, v]| over {len(rows)} points (threshold 0.25)"
+
+
+@settings_
+@given(lattices(), st.data())
+def test_the_first_non_finite_point_is_the_full_grid_one(monkeypatch, case, data):
+    resolution, table, points = case
+    table = table.copy()
+    spoiled = data.draw(st.lists(st.integers(0, table.size - 1), min_size=1, max_size=3))
+    table.flat[spoiled] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    model, grid, parts = swept(resolution, table, points, monkeypatch)
+    first = int(np.argmin(np.isfinite(full(resolution, table))))
+    with pytest.raises(td.DomainError) as info:
+        td.model.require_finite(parts, grid, "value")
+    assert str(info.value) == f"non-finite value at {td.model._as_point(grid.coordinates[first])}"
+
+
+#: Magnitudes near the top of the float range, so that a value counted
+#: for two or more points overflows as one scaled term
+HUGE = st.sampled_from([1e308, -1e308, 6e307, -6e307, 1.5, -0.75, 0.0])
+
+
+def fsum_or_overflow(terms):
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return "overflows"
+
+
+def integral_or_overflow(parts, grid):
+    try:
+        return _integral(parts, grid, "terms")
+    except td.DomainError as exc:
+        assert str(exc) == "the integral of terms overflows"
+        return "overflows"
+
+
+@settings_
+@given(st.one_of(lattices(), lattices(HUGE)))
+def test_sums_with_multiplicities_are_the_full_grid_fsum(monkeypatch, case):
+    resolution, table, points = case
+    model, grid, parts = swept(resolution, table, points, monkeypatch)
+    expected = fsum_or_overflow(full(resolution, table).tolist())
+    got = integral_or_overflow(parts, grid)
+    assert got == expected and (got == "overflows" or bits(got) == bits(expected))
+
+
+def test_a_sum_over_many_points_counts_each_value_by_its_multiplicity(monkeypatch):
+    # 0.1 is not a power of two, so 1000 copies round differently from
+    # any sum of fewer; 1e308 twice overflows as a scaled term, so the sum
+    # is taken point by point, where -1e308 comes between the two copies
+    model, grid, parts = swept((8, 125), np.full((1, 125), 0.1), 1000, monkeypatch)
+    assert _integral(parts, grid, "terms") == math.fsum([0.1] * 1000) == 100.0
+    table = np.array([[1e308, -1e308]])
+    model, grid, parts = swept((2, 2), table, 4, monkeypatch)
+    assert _integral(parts, grid, "terms") == 0.0
+
+
+@settings_
+@given(lattices(st.sampled_from([0.5, 1.0, -1.0, 2.0, -3.0, 1e-300])))
+def test_the_smallest_det_is_the_grids_then_the_corners(monkeypatch, case):
+    # the box's det A is 1 at every corner, so a drawn |det| of 1 ties
+    # the grid with the corners and the grid's point wins
+    resolution, table, points = case
+    model, grid, parts = swept(resolution, table, points, monkeypatch)
+    corners = _lattice(model, grid.resolution, 0.0)
+    probes = np.concatenate((grid.coordinates, corners.coordinates))
+    dets = np.abs(np.concatenate((full(resolution, table), np.ones(len(corners)))))
+    index = int(np.argmin(dets))
+    (check,) = td.validate_model(model, grid, parts)
+    assert bits(check.worst) == bits(dets[index])
+    assert check.worst_point == td.model._as_point(probes[index])
+    assert check.detail == f"min |det(frame)| over {len(probes)} probe points (threshold 1e-10)"
+
+
+def test_a_tie_of_the_grid_with_the_corners_reports_the_grid(monkeypatch):
+    model, grid, parts = swept((3, 4), np.array([[2.0, 1.0, 1.0, 3.0]]), 12, monkeypatch)
+    (check,) = td.validate_model(model, grid, parts)
+    assert check.worst == 1.0 and check.worst_point == grid.point(1)
+    assert grid.point(1) == (1 / 6, 0.375)
+
+
+# --- no rows on a lattice ------------------------------------------------------------
+
+@pytest.fixture
+def rows_built(monkeypatch):
+    """The number of coordinate rows of every call of the row builder."""
+    built = []
+    meshed = td.model._meshed
+
+    def spy(axes):
+        rows = meshed(axes)
+        built.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(td.model, "_meshed", spy)
+    return built
+
+
+def test_verdicts_build_no_coordinate_rows_on_a_lattice(rows_built):
+    model, split = td.builtin_model("torus-warped")
+    tau = td.alvarez_candidate(model, split)
+    grid = td.sample_grid(model, (64, 48))
+    verdict = td.classify_divergence(model, split, tau, grid)
+    report = td.green_check(model, split, tau, (16, 32))
+    (check,) = td.validate_model(model, grid)
+    comparison = compare_with_cover(model, split, tau, 1, 3, (8, 12))
+    assert rows_built == []
+    # the reported points, read from the axes, are rows of the lattices
+    centres = grid.coordinates.tolist()
+    corners = _lattice(model, grid.resolution, 0.0).coordinates.tolist()
+    assert list(verdict.argmin) in centres and list(verdict.argmax) in centres
+    assert list(check.worst_point) in centres + corners
+    assert report.abs_error < 1e-9 and comparison.max_pointwise_difference == 0.0
+
+
+def test_the_sweeps_of_a_cover_comparison_have_the_same_blocks(monkeypatch):
+    # compare_with_cover subtracts the cover's and the base's parts block
+    # by block: their plans are of the same expressions, so they have the
+    # same length, and the same blocks
+    model, split = td.builtin_model("torus-warped")
+    tau = td.alvarez_candidate(model, split)
+    monkeypatch.setattr(td.model, "BLOCK_VALUES", 50 * len(_block_plan(model, tau, True)))
+    shapes = []
+    sweep_ = td.tautness.sweep
+
+    def spy(swept_model, points, *reads, **options):
+        parts = sweep_(swept_model, points, *reads, **options)
+        shapes.append([(block.start, block.shape) for block, _ in parts[-1]])
+        return parts
+
+    monkeypatch.setattr(td.tautness, "sweep", spy)
+    for coord in (0, 1):
+        shapes.clear()
+        compare_with_cover(model, split, tau, coord, 2, (9, 20))
+        lifted, below = shapes[-2:]
+        assert lifted == below and len(lifted) > 3

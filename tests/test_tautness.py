@@ -113,7 +113,8 @@ def test_non_finite_values_are_refused():
     with pytest.raises(td.DomainError, match="non-finite"):
         td.check_basic(model, split, field, grid)
     with pytest.raises(td.DomainError, match="non-finite"):
-        td.model.basic_field_check(np.array([0.0, math.nan]), point_tuples(grid) * 2)
+        rows = np.empty((2, 0))
+        td.model.basic_field_check([(td.model._rows(rows), np.array([0.0, math.nan]))], td.Grid((2,), rows))
 
 
 def test_nan_field_is_refused_not_classified(torus):
