@@ -64,7 +64,6 @@ _VERDICT_TEXT = {
     "MixedSign": "MIXED SIGN (consistent with taut)",
     "NonTautWitness": "NON-TAUT WITNESS",
     "NegatedNonTautWitness": "NEGATED NON-TAUT WITNESS (-v is the witness)",
-    "Inconclusive": "INCONCLUSIVE (empty grid)",
 }
 
 
@@ -249,15 +248,13 @@ def _verdict_payload(verdict: TautnessVerdict) -> dict:
 
 
 def _verdict_lines(verdict: TautnessVerdict) -> list[str]:
-    lines = [f"verdict: {_VERDICT_TEXT[verdict.classification.value]}"]
-    if verdict.min_value is not None:
-        lines.append(
-            f"div^Q v: min {verdict.min_value:.12g} at {verdict.argmin}, "
-            f"max {verdict.max_value:.12g} at {verdict.argmax} "
-            f"(tolerance {verdict.tolerance:g})"
-        )
-    lines.append(f"status: {verdict.epistemic_status}")
-    return lines
+    return [
+        f"verdict: {_VERDICT_TEXT[verdict.classification.value]}",
+        f"div^Q v: min {verdict.min_value:.12g} at {verdict.argmin}, "
+        f"max {verdict.max_value:.12g} at {verdict.argmax} "
+        f"(tolerance {verdict.tolerance:g})",
+        f"status: {verdict.epistemic_status}",
+    ]
 
 
 def _check_payload(check: CheckResult) -> dict:

@@ -131,8 +131,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 #: Deepest nesting ``parse`` accepts, counted both as the height of the
 #: tree and as the parser's own nesting of parentheses, function
-#: arguments and powers.  Parsing, evaluation, compilation and
-#: differentiation all recurse on the tree, and differentiation and the
+#: arguments and powers.  Parsing, evaluation, the build of a ``Plan``
+#: and differentiation all recurse on the tree, and differentiation and the
 #: mean-curvature candidate build trees deeper than their input, so the
 #: bound keeps all of them well inside Python's recursion limit.
 MAX_DEPTH = 64

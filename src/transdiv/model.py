@@ -31,7 +31,6 @@ from .records import (
     ModelError,
     SchemaError,
     SingularFrameError,
-    _as_point,
     foliation_split,
 )
 
@@ -86,31 +85,30 @@ class VectorFieldSpec:
 
 
 class Grid:
-    """Evaluation points: a cell-centered lattice, or the single abstract
-    point () of a constant-structure model.  A lattice keeps ``axes``,
-    the values of each coordinate, whose product in row-major order is
-    its points; ``sweep`` reads it on sub-lattices of them.  Its
-    ``coordinates``, one float64 row per point, are built (``_meshed``)
-    only if something asks for them; a reported point is read from the
-    axes by index (``point``).  A grid without axes holds its rows."""
+    """Evaluation points: the lattice of ``axes``, the float64 values of
+    each coordinate, whose product in row-major order is its points;
+    ``sweep`` reads it on sub-lattices of them.  A point is a one-point
+    lattice, and the single abstract point of a constant-structure model
+    is the lattice of no axes, ``Grid(())``.  An empty axis is refused.
+    Its ``coordinates``, one row per point, are built (``_meshed``) only
+    if something asks for them; a reported point is read from the axes
+    by index (``point``)."""
 
-    def __init__(self, resolution: Sequence[int], coordinates=None, axes=None):
-        self.resolution = tuple(resolution)
-        self.axes = axes
-        if coordinates is not None:
-            self.coordinates = coordinates
+    def __init__(self, axes: Sequence[Sequence[float]]):
+        self.axes = tuple(np.asarray(axis, dtype=float) for axis in axes)
+        self.resolution = tuple(map(len, self.axes))
+        if not all(self.resolution):
+            raise ModelError(f"resolution entries must be >= 1, got {self.resolution}")
 
     @functools.cached_property
     def coordinates(self) -> np.ndarray:
         return _meshed(self.axes)
 
     def __len__(self) -> int:
-        return len(self.coordinates) if self.axes is None else math.prod(self.resolution)
+        return math.prod(self.resolution)
 
     def point(self, index: int) -> tuple[float, ...]:
         """Point ``index`` in row-major order, as reports give it."""
-        if self.axes is None:
-            return _as_point(self.coordinates[index])
         return tuple(float(a[i]) for a, i in zip(self.axes, _unravel(index, self.resolution)))
 
 
@@ -247,18 +245,17 @@ def point_env(model: FrameModel, point: tuple[float, ...]) -> dict[str, float]:
     """Evaluation environment at ``point``: coordinates (wrapped if the
     model is a covering) plus declared parameters."""
     env = dict(model.parameters)
-    if model.is_chart:
-        wraps = model.coordinate_wraps or (None,) * model.dim
-        for name, value, wrap in zip(model.coordinate_names(), point, wraps):
-            env[name] = value if wrap is None else value % wrap
+    wraps = model.coordinate_wraps or (None,) * model.dim
+    for name, value, wrap in zip(model.coordinate_names(), point, wraps):
+        env[name] = value if wrap is None else value % wrap
     return env
 
 
 def sample_grid(model: FrameModel, resolution: int | Sequence[int]) -> Grid:
-    """Cell-centered uniform lattice (chart) or the single abstract point
-    (one row of no coordinates)."""
+    """Cell-centered uniform lattice (chart) or the single abstract point,
+    the lattice of no axes (constant structure)."""
     if not model.is_chart:
-        return Grid(resolution=(), coordinates=np.empty((1, 0)))
+        return Grid(())
     if isinstance(resolution, int):
         res = (resolution,) * model.dim
     else:
@@ -279,23 +276,18 @@ def _lattice(model: FrameModel, resolution: tuple[int, ...], offset: float) -> G
     is identified with 0).  The same IEEE operations as the Python
     ``(j + offset) * L / N``, so the same bits."""
     assert model.periods is not None
-    axes = tuple((np.arange(n) + offset) * length / n for n, length in zip(resolution, model.periods))
-    return Grid(resolution, axes=axes)
+    return Grid((np.arange(n) + offset) * length / n for n, length in zip(resolution, model.periods))
 
 
 def _meshed(axes: Sequence[np.ndarray]) -> np.ndarray:
     """The coordinate rows of the lattice of ``axes`` in row-major order,
-    read-only: the one builder of rows from axes."""
-    rows = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    read-only, one row of no coordinates for no axes: the one builder of
+    rows from axes."""
+    rows = np.empty((math.prod(map(len, axes)), len(axes)))
+    for m, values in enumerate(np.meshgrid(*axes, indexing="ij")):
+        rows[:, m] = values.ravel()
     rows.flags.writeable = False
     return rows
-
-
-def _coordinates(points, width: int) -> np.ndarray:
-    """Coordinate tuples (or rows) as a float64 array of shape (N, d);
-    no copy of such an array, and shape (0, ``width``) when empty."""
-    array = np.asarray(points, dtype=float)
-    return array if array.ndim == 2 else array.reshape(len(array), width)
 
 
 # --- frame evaluation ------------------------------------------------------
@@ -354,10 +346,11 @@ def _index(block: Block, shape: tuple[int, ...], index: int) -> int:
     return block.start + offset
 
 
-def _extreme(parts: list, pick: Callable, better: Callable) -> tuple[float, int] | None:
+def _extreme(parts: list, pick: Callable, better: Callable) -> tuple[float, int]:
     """The least (``np.argmin``, ``float.__lt__``) or greatest value of
-    a sweep's ``parts`` of one read, one value per point, and the index
-    of its first point; the earliest block wins a tie."""
+    a sweep's ``parts`` of one read (a grid has a point, so a sweep has
+    a block), one value per point, and the index of its first point;
+    the earliest block wins a tie."""
     best = None
     for block, values in parts:
         index = int(pick(values))
@@ -457,7 +450,7 @@ def _require_finite(values: np.ndarray, block: Block, what: str) -> None:
 def _non_finite(block: Block, what: str) -> expr.DomainError:
     """The DomainError of a FrameData check that fails on ``block``, at
     its first point (``_located`` reports only a one-point block's)."""
-    return expr.DomainError(f"non-finite {what} at {_as_point(block.rows[0])}")
+    return expr.DomainError(f"non-finite {what} at {block.first}")
 
 
 def _ascending_sum(terms: Iterable[np.ndarray]) -> np.ndarray:
@@ -471,54 +464,50 @@ def _ascending_sum(terms: Iterable[np.ndarray]) -> np.ndarray:
 
 
 class Block:
-    """The points of one FrameData block, a lattice of shape ``shape``
-    (the trailing axes of every FrameData array): ``columns`` holds each
-    coordinate's values, broadcasting to ``shape``; ``start`` is the
-    index of its first point among the swept points; ``rows``, their
-    coordinate rows, are built on demand.  A block of rows is a one-axis
-    lattice.  A block of a Grid has each coordinate's column along its
-    own axis, so each subexpression is evaluated once per value of the
+    """The points of one FrameData block, a sub-lattice of a swept grid:
+    ``segments`` holds the values of each coordinate, ``shape`` their
+    lengths (the trailing axes of every FrameData array), and ``columns``
+    the segments, each along its own axis so that they broadcast to
+    ``shape``; ``start`` is the index of its first point among the swept
+    points.  Each subexpression is evaluated once per value of the
     coordinates it reads: sin(2 pi x3) takes 16 values on 16^3 points."""
 
-    def __init__(self, columns: Sequence[np.ndarray], shape: tuple[int, ...], start: int, rows=None):
-        self.columns, self.shape, self.start = columns, shape, start
-        if rows is not None:
-            self.rows = rows
-
-    @functools.cached_property
-    def rows(self) -> np.ndarray:
-        return _meshed([column.ravel() for column in self.columns])
+    def __init__(self, segments: Sequence[np.ndarray], start: int):
+        self.segments, self.start = segments, start
+        self.shape = tuple(map(len, segments))
+        dim = len(segments)
+        self.columns = [
+            segment.reshape((1,) * m + (-1,) + (1,) * (dim - m - 1))
+            for m, segment in enumerate(segments)
+        ]
 
     def __len__(self) -> int:
         return math.prod(self.shape)
 
+    @property
+    def first(self) -> tuple[float, ...]:
+        """Its first point, as reports give it."""
+        return tuple(float(segment[0]) for segment in self.segments)
 
-def _rows(points: np.ndarray, start: int = 0) -> Block:
-    """The block of the coordinate rows ``points``, from point ``start``."""
-    return Block(tuple(points.T), (len(points),), start, points)
 
-
-def _lattice_blocks(grid: Grid, limit: int) -> Iterator[Block]:
+def _lattice_blocks(grid: Grid, limit: int, start: int = 0) -> Iterator[Block]:
     """The blocks of at most ``limit`` points that cover ``grid`` in
-    point order, each contiguous in row-major order: one index on each
-    axis before a split axis, a run on it, later axes whole.  The split
-    axis is the last whose later axes fit into ``limit``."""
-    assert grid.axes is not None
-    resolution, dim = grid.resolution, len(grid.resolution)
-    axis = dim - 1
+    point order, numbered from point ``start``, each contiguous in
+    row-major order: one index on each axis before a split axis, a run
+    on it, later axes whole.  The split axis is the last whose later
+    axes fit into ``limit``.  A grid of no axes is one block."""
+    resolution, axes = grid.resolution, grid.axes
+    if not axes:
+        yield Block((), start)
+        return
+    axis = len(axes) - 1
     while axis and math.prod(resolution[axis:]) <= limit:
         axis -= 1
     run = max(1, limit // math.prod(resolution[axis + 1:]))
-    start = 0
     for index in itertools.product(*map(range, resolution[:axis])):
         for first in range(0, resolution[axis], run):
-            segments = [values[i:i + 1] for values, i in zip(grid.axes, index)]
-            segments += [grid.axes[axis][first:first + run], *grid.axes[axis + 1:]]
-            columns = [
-                segment.reshape((1,) * m + (-1,) + (1,) * (dim - m - 1))
-                for m, segment in enumerate(segments)
-            ]
-            block = Block(columns, tuple(map(len, segments)), start)
+            segments = [values[i:i + 1] for values, i in zip(axes, index)]
+            block = Block([*segments, axes[axis][first:first + run], *axes[axis + 1:]], start)
             yield block
             start += len(block)
 
@@ -574,7 +563,7 @@ class FrameData:
             if (np.abs(self.det) < DET_TOLERANCE).any():
                 # index 0 of an array that broadcasts to the block's shape
                 # is its value at the block's first point
-                raise SingularFrameError(_as_point(block.rows[0]), float(self.det.flat[0]))
+                raise SingularFrameError(block.first, float(self.det.flat[0]))
             next(values)  # the frame partials, checked before C reads them
             upper = _stacked(_next_finite(values, block, "structure functions"), (-1, n), block)
             self.c = np.zeros((n, n) + upper.shape[1:])
@@ -642,8 +631,7 @@ def _block_env(model: FrameModel, block: Block) -> dict:
     """``point_env`` for a block: each coordinate bound to its column,
     wrapped by ``_wrapped_columns``."""
     env: dict = dict(model.parameters)
-    if model.is_chart:
-        env.update(zip(model.coordinate_names(), _wrapped_columns(model, block.columns)))
+    env.update(zip(model.coordinate_names(), _wrapped_columns(model, block.columns)))
     return env
 
 
@@ -654,27 +642,26 @@ def _located(model, block, field_spec, structure, plan) -> FrameData:
     """The FrameData of ``block``, evaluating ``plan``.
 
     A failure is reported as a point-by-point sweep would report it: the
-    error of the first point that fails on its own (found by bisection
-    of the block's rows), that point stored on an ExprError as ``point``.
-    A lattice block that fails is built again as a block of its rows,
-    which fail at the same points.
+    error of the first point that fails on its own, that point stored on
+    an ExprError as ``point``.  A block that fails is cut by
+    ``_lattice_blocks`` into sub-lattices of at most half its points,
+    and the first of them that fails (the last, if none before it does)
+    is searched in turn, down to one point.
     """
     try:
         return _build(model, block, field_spec, structure, plan)
     except _POINT_ERRORS:
         if len(block) == 1:
             raise
-    if block.shape != (len(block),):
-        return _located(model, _rows(block.rows, block.start), field_spec, structure, plan)
-    failing = block.rows  # fails as a whole; the first half that fails holds the culprit
-    while len(failing) > 1:
-        half = failing[: len(failing) // 2]
-        try:
-            _build(model, _rows(half), field_spec, structure, plan)
-            failing = failing[len(half):]
-        except _POINT_ERRORS:
-            failing = half
-    return _build(model, _rows(failing), field_spec, structure, plan)
+    while len(block) > 1:
+        *before, block = _lattice_blocks(Grid(block.segments), len(block) // 2, block.start)
+        for part in before:
+            try:
+                _build(model, part, field_spec, structure, plan)
+            except _POINT_ERRORS:
+                block = part
+                break
+    return _build(model, block, field_spec, structure, plan)
 
 
 def _build(model, block, field_spec, structure, plan) -> FrameData:
@@ -683,13 +670,13 @@ def _build(model, block, field_spec, structure, plan) -> FrameData:
             return FrameData(model, block, field_spec, structure, plan)
     except ExprError as exc:
         if len(block) == 1:
-            exc.point = _as_point(block.rows[0])
+            exc.point = block.first
         raise
 
 
 def sweep(
     model: FrameModel,
-    points: Grid | Sequence | np.ndarray,
+    grid: Grid,
     *reads: Callable[[FrameData], np.ndarray],
     field_spec: VectorFieldSpec | None = None,
     structure: bool = True,
@@ -698,17 +685,22 @@ def sweep(
     an array whose trailing axes broadcast to the block's shape, as the
     block's own arrays do), its values block by block: a list of
     (block, values) pairs in point order, each array as the read returned
-    it, on the sub-lattice of the coordinates it reads.  ``points`` is a
-    Grid, or coordinate rows (tuples are converted once).
+    it, on the sub-lattice of the coordinates it reads.  ``grid`` has an
+    axis per coordinate of a chart and none on a constant-structure
+    model (ModelError otherwise).
 
     The only builder of FrameData: a one-point caller uses ``at_point``.
-    A Grid with axes is swept in lattice blocks (``_lattice_blocks``),
-    anything else in blocks of rows; a block holds at most BLOCK_VALUES
-    values of the steps it runs of ``_block_plan``, the plan that the
-    model keeps for every sweep of it with the same field.  The blocks
-    are built in point order by ``_located``, each read by every read
-    before the next is built.
+    The grid is swept in lattice blocks (``_lattice_blocks``), each
+    holding at most BLOCK_VALUES values of the steps it runs of
+    ``_block_plan``, the plan that the model keeps for every sweep of it
+    with the same field.  The blocks are built in point order by
+    ``_located``, each read by every read before the next is built.
     """
+    coordinates = model.dim if model.is_chart else 0
+    if len(grid.axes) != coordinates:
+        raise ModelError(
+            f"points have {len(grid.axes)} coordinates, model {model.name!r} takes {coordinates}"
+        )
     if field_spec is not None and field_spec.dim != model.dim:
         raise ModelError(
             f"field has {field_spec.dim} components, model has dim {model.dim}"
@@ -719,13 +711,8 @@ def sweep(
     # a det-only block runs a chart's first two groups, a and det A
     steps = len(plan) if structure else plan.steps(2 if model.is_chart else 0)
     limit = max(1, BLOCK_VALUES // max(1, steps))
-    if isinstance(points, Grid) and points.axes is not None:
-        blocks = _lattice_blocks(points, limit)
-    else:
-        rows = _coordinates(points.coordinates if isinstance(points, Grid) else points, model.dim)
-        blocks = (_rows(rows[start:start + limit], start) for start in range(0, len(rows), limit))
     results: list[list] = [[] for _ in reads]
-    for block in blocks:
+    for block in _lattice_blocks(grid, limit):
         frame = _located(model, block, field_spec, structure, plan)
         for result, read in zip(results, reads):
             result.append((frame.block, read(frame)))
@@ -733,8 +720,10 @@ def sweep(
 
 
 def at_point(model: FrameModel, point: tuple[float, ...], *reads, **options) -> list[np.ndarray]:
-    """The values of ``reads`` at ``point``, from a one-point sweep."""
-    return [values[..., 0] for ((_, values),) in sweep(model, (point,), *reads, **options)]
+    """The values of ``reads`` at ``point``, from a sweep of the one-point
+    lattice of ``point``, with the block's axes stripped."""
+    parts = sweep(model, Grid([x] for x in point), *reads, **options)
+    return [values.reshape(values.shape[:values.ndim - len(point)]) for ((_, values),) in parts]
 
 
 def frame_matrix(model: FrameModel, point: tuple[float, ...]) -> np.ndarray:
@@ -906,10 +895,8 @@ def basic_field_check(residuals: list, grid: Grid, tol: float = BASIC_TOLERANCE)
     a non-finite residual raises DomainError."""
     require_finite(residuals, grid, "basic-check residual")
     detail = f"max |pi_Q [F_a, v]| over {len(grid)} points (threshold {tol:g})"
-    worst = _extreme(residuals, np.argmax, float.__gt__)
-    if worst is None:
-        return CheckResult("basic_field", True, detail, 0.0, None, tol)
-    return CheckResult("basic_field", worst[0] <= tol, detail, worst[0], grid.point(worst[1]), tol)
+    worst, index = _extreme(residuals, np.argmax, float.__gt__)
+    return CheckResult("basic_field", worst <= tol, detail, worst, grid.point(index), tol)
 
 
 def check_basic(

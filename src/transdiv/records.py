@@ -10,7 +10,7 @@ sweep layers.  ``expr``, ``model``, ``spectral``, ``tautness`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
     from .expr import Expr
@@ -102,17 +102,12 @@ class UnknownBuiltinError(ModelError):
         )
 
 
-def _as_point(row: Sequence[float]) -> tuple[float, ...]:
-    """A reported point: a coordinate row as a tuple of Python floats."""
-    return tuple(map(float, row))
-
-
 @dataclass(frozen=True)
 class CheckResult:
     """Outcome of one check of a model, a field or a matrix.  A measured
     check also carries its worst value, the first point where it occurs
-    (None when there is none) and the tolerance that value was held to;
-    an exact check leaves all three None."""
+    and the tolerance that value was held to; an exact check leaves all
+    three None."""
 
     name: str
     passed: bool

@@ -65,7 +65,6 @@ class TautnessClass(enum.Enum):
     MIXED_SIGN = "MixedSign"
     NON_TAUT_WITNESS = "NonTautWitness"
     NEGATED_NON_TAUT_WITNESS = "NegatedNonTautWitness"
-    INCONCLUSIVE = "Inconclusive"
 
 
 _STATUS = {
@@ -86,7 +85,6 @@ _STATUS = {
         "consistent with tautness for this candidate only: div^Q v vanishes on "
         "the sample grid to tolerance"
     ),
-    TautnessClass.INCONCLUSIVE: "empty grid; no points were evaluated",
 }
 
 
@@ -95,10 +93,10 @@ class TautnessVerdict:
     """Sign classification of div^Q v over a grid, with extremal points."""
 
     classification: TautnessClass
-    min_value: float | None
-    max_value: float | None
-    argmin: tuple[float, ...] | None
-    argmax: tuple[float, ...] | None
+    min_value: float
+    max_value: float
+    argmin: tuple[float, ...]
+    argmax: tuple[float, ...]
     tolerance: float
 
     @property
@@ -188,10 +186,6 @@ def _divergence(split: FoliationSplit):
 def _classify(values: list, grid: Grid, tol: float) -> TautnessVerdict:
     """The verdict on the parts of a sweep of ``grid``'s div^Q v, each
     extreme reported at its first point."""
-    if not values:
-        return TautnessVerdict(
-            TautnessClass.INCONCLUSIVE, None, None, None, None, tol
-        )
     (min_value, low), (max_value, high) = (
         _extreme(values, np.argmin, float.__lt__), _extreme(values, np.argmax, float.__gt__)
     )
@@ -457,7 +451,7 @@ def compare_with_cover(
     cover_grid = sample_grid(cover, resolution)
     base_verdict = classify_divergence(model, split, field_spec, base_grid, tol)
     (lifted,) = _divergence_sweep(cover, cover_split, cover_field, cover_grid)
-    projected = Grid(cover_grid.resolution, axes=tuple(_wrapped_columns(cover, cover_grid.axes)))
+    projected = Grid(_wrapped_columns(cover, cover_grid.axes))
     (below,) = sweep(model, projected, _divergence(split), field_spec=field_spec)
     # both sweeps run plans of the same expressions, so their blocks match
     difference = [(block, np.abs(ups - downs)) for (block, ups), (_, downs) in zip(lifted, below)]

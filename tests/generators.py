@@ -7,7 +7,8 @@ models use frames of the form rotation(theta) * diag(exp g_i), or dense
 diagonally dominant frames (trigonometric, or built with ln, sqrt,
 powers and quotients of random expressions), all invertible everywhere
 by construction.
-``at`` reads one point of a sweep, ``CountingEnv`` counts the variable
+``at`` reads one point of a sweep, ``pointwise_rows`` many points one by
+one, ``CountingEnv`` counts the variable
 reads of an evaluation, and ``block_runs`` the plan steps that each
 FrameData block runs.
 """
@@ -241,9 +242,18 @@ def rows_of(parts) -> np.ndarray:
     return np.ascontiguousarray(np.concatenate(arrays)) if arrays else np.empty(0)
 
 
-def swept_rows(model: td.FrameModel, points, *reads, **options) -> list[np.ndarray]:
-    """``model.sweep`` with each read's parts as ``rows_of`` gives them."""
-    return [rows_of(parts) for parts in td.model.sweep(model, points, *reads, **options)]
+def swept_rows(model: td.FrameModel, grid: td.Grid, *reads, **options) -> list[np.ndarray]:
+    """``model.sweep`` of ``grid`` with each read's parts as ``rows_of``
+    gives them."""
+    return [rows_of(parts) for parts in td.model.sweep(model, grid, *reads, **options)]
+
+
+def pointwise_rows(model: td.FrameModel, points, *reads, **options) -> list[np.ndarray]:
+    """The values of ``reads`` at each of ``points`` (tuples), from one
+    ``model.at_point`` sweep per point, with a row per point in the
+    order given: the point-by-point reference of ``swept_rows``."""
+    values = [td.model.at_point(model, point, *reads, **options) for point in points]
+    return [np.array(column) for column in zip(*values)]
 
 
 def projected(cover: td.FrameModel, point: tuple[float, ...]) -> tuple[float, ...]:

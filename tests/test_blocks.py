@@ -1,4 +1,4 @@
-"""The block path (``model.FrameData`` over compiled expressions) against a
+"""The block path (``model.FrameData`` over expression plans) against a
 point-by-point scalar reference built on ``expr.evaluate``.
 
 Verdict classifications must be identical.  Values may differ in the
@@ -22,10 +22,11 @@ import pytest
 
 import transdiv as td
 from transdiv import expr
-from transdiv.model import _block_plan, _lattice, _lattice_blocks, _rows, point_env
+from transdiv.model import Block, _block_plan, _lattice, _lattice_blocks, point_env
 
 from generators import (
     CountingEnv,
+    at,
     block_runs,
     dense_chart_case,
     point_tuples,
@@ -35,8 +36,8 @@ from generators import (
     swept_rows,
 )
 
-#: Points in a block of rows in the tests that set the budget of plan
-#: values (``model.BLOCK_VALUES``) to this many points' worth of their plan
+#: Points in a block in the tests that set the budget of plan values
+#: (``model.BLOCK_VALUES``) to this many points' worth of their plan
 BLOCK = 128
 
 #: Units in the last place of the grid-wide scale of each quantity; the
@@ -212,10 +213,10 @@ def test_block_path_matches_scalar_reference(case, monkeypatch):
         ]
         if model.is_chart:
             reads.append(lambda block: block.det)
-        c, gamma, div, *det = swept_rows(model, point_tuples(grid), *reads, field_spec=field)
-        # one build per block of at most BLOCK rows, none for a bisection
-        total = len(grid.coordinates)
-        assert built == [min(BLOCK, total - start) for start in range(0, total, BLOCK)]
+        c, gamma, div, *det = swept_rows(model, grid, *reads, field_spec=field)
+        # one build per lattice block of at most BLOCK points, none for a
+        # bisection
+        assert built == [len(block) for block in _lattice_blocks(grid, BLOCK)]
         assert_close(c, reference["c"], "C")
         assert_close(gamma, reference["gamma"], "Gamma")
         assert_close(div, reference["div"], "div^Q")
@@ -252,8 +253,7 @@ def test_one_point_functions_match_the_reference():
         c, gamma, _, rows, _, _ = ref_point(model, field, point)
         assert_close(td.structure_functions(model, point), c, "C")
         assert_close(td.christoffel(model, point).values, gamma, "Gamma")
-        (swept,) = swept_rows(model, (point,), lambda block: block.rows, field_spec=field)
-        assert_close(swept[0], rows, "rows")
+        assert_close(at(model, point, lambda block: block.rows, field), rows, "rows")
         assert_close(
             np.array([td.transverse_divergence(model, split, field, point)]),
             np.array([sum(rows[i, i] for i in split.transverse_ordered)]),
@@ -363,16 +363,24 @@ def layout_cases():
     ]
 
 
+#: Lattices of each size and dimension: 511 = 7 * 73 and 513 = 3^3 * 19
+#: points, so that blocks of at most 512 points cut an axis
+LAYOUT_SHAPES = {
+    1: {2: (1, 1), 3: (1, 1, 1), 4: (1, 1, 1, 1)},
+    511: {2: (7, 73), 3: (7, 73, 1), 4: (7, 1, 73, 1)},
+    512: {2: (16, 32), 3: (8, 8, 8), 4: (4, 4, 4, 8)},
+    513: {2: (19, 27), 3: (3, 9, 19), 4: (3, 3, 3, 19)},
+}
+
+
 @pytest.mark.parametrize("size", [1, 511, 512, 513])
 def test_points_last_blocks_match_the_in_order_formulas_bit_for_bit(size, monkeypatch):
     cell = 0.37
     for model, split, field in layout_cases():
-        # blocks of 512 rows, so that 513 points take two
+        # blocks of at most 512 points, so that 513 points take two
         monkeypatch.setattr(td.model, "BLOCK_VALUES", 512 * len(_block_plan(model, field, True)))
-        if model.is_chart:
-            points = td.sample_grid(model, {2: 23, 3: 9, 4: 5}[model.dim]).coordinates[:size]
-        else:
-            points = np.empty((size, 0))
+        # a constant-structure model has its one abstract point at every size
+        grid = td.sample_grid(model, LAYOUT_SHAPES[size].get(model.dim, ()))
         reads = {
             "c": lambda block: block.c,
             "v": lambda block: block.v,
@@ -386,8 +394,9 @@ def test_points_last_blocks_match_the_in_order_formulas_bit_for_bit(size, monkey
             reads.update(a=lambda block: block.a, dv=lambda block: block.dv,
                          det=lambda block: block.det)
             reads["green_lhs"], reads["green_rhs"] = td.tautness._green_terms(split, cell)
-        swept = dict(zip(reads, swept_rows(model, points, *reads.values(), field_spec=field)))
-        assert all(len(values) == size for values in swept.values())
+        swept = dict(zip(reads, swept_rows(model, grid, *reads.values(), field_spec=field)))
+        assert all(len(values) == len(grid) for values in swept.values())
+        assert len(grid) == (size if model.is_chart else 1)
         expected = in_order_formulas(
             swept.get("a"), swept["c"], swept["v"], swept.get("dv"), swept.get("det"), split, cell
         )
@@ -456,13 +465,14 @@ def test_domain_error_reported_at_first_failing_point():
 
 def test_require_finite_locates_the_first_point_on_points_last_arrays():
     # point 3 fails at an earlier tensor entry than point 2
-    values = np.zeros((2, 2, 5))
+    values = np.zeros((2, 2, 5, 1))
     values[1, 1, 2] = math.nan
     values[0, 0, 3] = math.inf
-    points = np.arange(10.0).reshape(5, 2)
+    grid = td.Grid([np.arange(0.0, 10.0, 2.0), [5.0]])
     with pytest.raises(td.DomainError, match=r"^non-finite Gamma at \(4\.0, 5\.0\)$"):
-        td.model.require_finite([(_rows(points), values)], td.Grid((5,), points), "Gamma")
-    td.model.require_finite([(_rows(points[:2]), values[..., :2])], td.Grid((2,), points[:2]), "Gamma")
+        td.model.require_finite([(Block(grid.axes, 0), values)], grid, "Gamma")
+    grid = td.Grid([grid.axes[0][:2], [5.0]])
+    td.model.require_finite([(Block(grid.axes, 0), values[:, :, :2])], grid, "Gamma")
 
 
 # 40 x 32 lattice: x1 > 0.5992 first at point 24 * 32 = 768, where

@@ -106,10 +106,9 @@ def sweeps(monkeypatch):
     calls = []
     sweep = td.model.sweep
 
-    def spy(model, points, *reads, structure=True, **kwargs):
-        rows = points.coordinates if isinstance(points, td.Grid) else np.array(points)
-        calls.append((rows, structure))
-        return sweep(model, points, *reads, structure=structure, **kwargs)
+    def spy(model, grid, *reads, structure=True, **kwargs):
+        calls.append((grid.coordinates, structure))
+        return sweep(model, grid, *reads, structure=structure, **kwargs)
 
     for module in (td.model, td.tautness):
         monkeypatch.setattr(module, "sweep", spy)

@@ -1,6 +1,6 @@
-"""Grid coordinates: the lattice against a reference built from Python
-floats, and points that become tuples only where they are reported,
-never one per grid point."""
+"""Grids: the lattice against a reference built from Python floats, point
+sets that must fit their model, and points that become tuples only
+where they are reported, never one per grid point."""
 
 from __future__ import annotations
 
@@ -16,10 +16,8 @@ from hypothesis import strategies as st
 
 import transdiv as td
 from transdiv.cli import main
-from transdiv.model import _as_point, _coordinates, _lattice
+from transdiv.model import Block, Grid, _lattice
 from transdiv.tautness import compare_with_cover
-
-from generators import point_tuples, swept_rows
 
 
 def reference_lattice(periods, resolution, offset):
@@ -70,23 +68,50 @@ def test_lattice_is_bit_identical_to_the_float_product(case):
 def test_constant_model_grid_is_one_abstract_point():
     model, _ = td.builtin_model("t3a")
     grid = td.sample_grid(model, 7)
+    assert grid.axes == () and grid.resolution == () and len(grid) == 1
+    assert grid.point(0) == ()
     assert grid.coordinates.shape == (1, 0)
 
 
-def test_sweep_takes_tuples_or_the_array():
+def test_a_grid_is_its_axes():
+    grid = Grid([[0.25, 0.75], np.arange(3)])
+    assert grid.resolution == (2, 3) and len(grid) == 6
+    assert all(axis.dtype == np.float64 for axis in grid.axes)
+    assert grid.point(4) == (0.75, 1.0) and float_tuple(grid.point(4))
+    assert grid.coordinates.tolist() == [
+        [0.25, 0.0], [0.25, 1.0], [0.25, 2.0], [0.75, 0.0], [0.75, 1.0], [0.75, 2.0],
+    ]
+
+
+# --- a point set must fit its model ------------------------------------------------
+
+def test_a_point_with_a_coordinate_too_many_is_refused():
+    model, _ = td.builtin_model("torus-warped")
+    with pytest.raises(td.ModelError, match="^points have 3 coordinates, model 'torus-warped' takes 2$"):
+        td.model.frame_matrix(model, (0.5, 0.5, 0.5))
+
+
+def test_a_point_with_a_coordinate_too_few_is_refused():
     model, split = td.builtin_model("torus-warped")
-    tau = td.alvarez_candidate(model, split)
-    grid = td.sample_grid(model, (3, 5))
+    with pytest.raises(td.ModelError, match="^points have 1 coordinates, model 'torus-warped' takes 2$"):
+        td.model.frame_matrix(model, (0.5,))
+    with pytest.raises(td.ModelError, match="takes 2$"):
+        td.classify_divergence(model, split, td.alvarez_candidate(model, split), Grid([[0.5]]))
 
-    def read(block):
-        return block.divergence(split.transverse_ordered)
 
-    (from_array,) = swept_rows(model, grid.coordinates, read, field_spec=tau)
-    (from_tuples,) = swept_rows(model, list(point_tuples(grid)), read, field_spec=tau)
-    assert from_array.tobytes() == from_tuples.tobytes()
-    # tuples are converted once, to the array a grid holds
-    assert _coordinates([(0.25,), (0.75,)], 1).tolist() == [[0.25], [0.75]]
-    assert _coordinates((), 0).shape == (0, 0)
+def test_a_constant_structure_model_takes_only_the_point_of_no_coordinates():
+    model, split = td.builtin_model("t3a")
+    with pytest.raises(td.ModelError, match="^points have 1 coordinates, model 't3a' takes 0$"):
+        td.structure_functions(model, (0.5,))
+    with pytest.raises(td.ModelError, match="takes 0$"):
+        td.classify_divergence(model, split, td.alvarez_candidate(model, split), Grid([[0.5], [0.5]]))
+    assert td.structure_functions(model, ()).shape == (3, 3, 3)
+
+
+@pytest.mark.parametrize("axes", [[[]], [[0.5], []], [np.arange(0), np.arange(4)]])
+def test_an_empty_axis_is_refused(axes):
+    with pytest.raises(td.ModelError, match=r"^resolution entries must be >= 1, got \("):
+        Grid(axes)
 
 
 # --- no sweep consumer turns its grid into tuples ------------------------------------
@@ -100,15 +125,22 @@ REPORTED = 7
 
 @pytest.fixture
 def points_unread(monkeypatch):
-    """The coordinate rows turned into tuples so far: a consumer that
-    turned every grid point into one would add a row per point."""
+    """The points turned into tuples so far (``Grid.point`` and
+    ``Block.first``): a consumer that turned every grid point into one
+    would add one per point."""
     converted = []
+    point, first = Grid.point, Block.first.fget
 
-    def spy(row):
-        converted.append(row)
-        return _as_point(row)
+    def point_spy(grid, index):
+        converted.append(index)
+        return point(grid, index)
 
-    monkeypatch.setattr(td.model, "_as_point", spy)
+    def first_spy(block):
+        converted.append(block.start)
+        return first(block)
+
+    monkeypatch.setattr(Grid, "point", point_spy)
+    monkeypatch.setattr(Block, "first", property(first_spy))
     return converted
 
 
@@ -246,11 +278,11 @@ def test_failing_points_are_float_tuples():
     # singular on the line x2 = 0.25
     model = td.chart_model("log-pinched", (1.0, 1.0), [["2 + ln(x1)", "0"], ["0", "x2 - 0.25"]])
     with pytest.raises(td.DomainError) as info:
-        td.model.sweep(model, np.array([[0.5, 0.5], [0.0, 0.5], [0.0, 0.75]]))
+        td.model.sweep(model, Grid([[0.5, 0.0], [0.5, 0.75]]))
     assert str(info.value) == "ln of non-positive value 0.0 in 'ln(x1)'"
     assert info.value.point == (0.0, 0.5) and float_tuple(info.value.point)
     with pytest.raises(td.SingularFrameError) as info:
-        td.model.sweep(model, np.array([[0.5, 0.5], [0.5, 0.25]]))
+        td.model.sweep(model, Grid([[0.5], [0.5, 0.25]]))
     assert str(info.value) == "frame matrix is singular at (0.5, 0.25) (|det| = 0.000e+00)"
     assert info.value.point == (0.5, 0.25) and float_tuple(info.value.point)
     report = td.validate_model(model, td.sample_grid(model, 4))

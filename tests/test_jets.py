@@ -34,8 +34,8 @@ from generators import (
     TERM_KINDS,
     bounded_term,
     dense_chart_case,
+    pointwise_rows,
     random_chart_case,
-    swept_rows,
     transcendental_chart_case,
 )
 
@@ -95,7 +95,7 @@ def test_the_sweep_matches_the_jets(case, field, seed, data):
         components = drawn_field(rng, model.dim)
         document = {"components": [expr.to_string(node) for node in components]}
         spec = td.load_field(document, model)
-    swept = dict(zip(QUANTITIES, swept_rows(model, drawn, *reads(split), field_spec=spec)))
+    swept = dict(zip(QUANTITIES, pointwise_rows(model, drawn, *reads(split), field_spec=spec)))
     for index, point in enumerate(drawn):
         expected = jets.frame_quantities(model, split, point, components)
         magnitudes = jets.frame_quantities(model, split, point, components, magnitudes=True)

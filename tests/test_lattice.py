@@ -1,24 +1,36 @@
-"""Lattice sweeps against sweeps of the same points as coordinate rows.
+"""Lattice sweeps against sweeps of the same points one by one.
 
 A Grid is swept block by block as sub-lattices, each coordinate bound
 along its own axis, so a subexpression is evaluated once per value of
-the coordinates it reads; coordinate rows are swept as blocks of rows.
-Both must give every read the same bits at every point, and a frame
-that fails must fail with the same error at the same point.  Blocks
-hold at most ``model.BLOCK_VALUES`` plan values.
+the coordinates it reads; ``model.at_point`` sweeps the one-point
+lattice of a point.  Both must give every read the same bits at every
+point, and a frame that fails must fail with the same error at the
+same point as the first point that fails on its own, in row-major
+order.  Blocks hold at most ``model.BLOCK_VALUES`` plan values.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import transdiv as td
-from transdiv.model import _block_plan, _lattice, sweep
+from transdiv.model import _block_plan, _lattice, at_point, sweep
 
-from generators import block_runs, dense_chart_case, random_chart_case, random_field, swept_rows
+from generators import (
+    block_runs,
+    dense_chart_case,
+    point_tuples,
+    pointwise_rows,
+    random_chart_case,
+    random_field,
+    swept_rows,
+)
 
 #: Points of a block in the split runs: a run of two or three indices
 #: along one axis, so blocks end in the middle of it
@@ -77,10 +89,21 @@ def assert_same_bits(got, expected, what):
     assert np.array_equal(got.view(np.int64), expected.view(np.int64)), what
 
 
+@functools.cache
+def pointwise(index, shape):
+    """The reads of ``reads`` at every point of the grid of ``shape`` on
+    case ``index``, one ``at_point`` sweep per point, with a row per
+    point: computed once for the whole and the split sweeps."""
+    model, split, field = CASES[index]
+    grid = td.sample_grid(model, shape)
+    return pointwise_rows(model, point_tuples(grid), *reads(split, 0.37).values(), field_spec=field)
+
+
 @pytest.mark.parametrize("split_blocks", [False, True], ids=["whole", "split"])
-@pytest.mark.parametrize("case", CASES, ids=[case[0].name for case in CASES])
-def test_lattice_and_row_sweeps_agree_bit_for_bit(case, split_blocks, monkeypatch):
-    model, split, field = case
+@pytest.mark.parametrize("index", range(len(CASES)), ids=[case[0].name for case in CASES])
+def test_lattice_and_row_sweeps_agree_bit_for_bit(index, split_blocks, monkeypatch):
+    # the reference has a row per point, each from a sweep of that point
+    model, split, field = CASES[index]
     if split_blocks:
         plan = _block_plan(model, field, True)
         monkeypatch.setattr(td.model, "BLOCK_VALUES", SPLIT * len(plan))
@@ -88,9 +111,9 @@ def test_lattice_and_row_sweeps_agree_bit_for_bit(case, split_blocks, monkeypatc
     for shape in SHAPES[model.dim]:
         grid = td.sample_grid(model, shape)
         lattice = swept_rows(model, grid, *named.values(), field_spec=field)
-        rows = swept_rows(model, grid.coordinates, *named.values(), field_spec=field)
+        rows = pointwise(index, shape)
         for name, got, expected in zip(named, lattice, rows):
-            assert len(got) == len(grid.coordinates)
+            assert len(got) == len(grid)
             assert_same_bits(got, expected, (model.name, shape, name))
         (dets,) = swept_rows(model, grid, named["det"], structure=False)
         assert_same_bits(dets, rows[1], (model.name, shape, "det only"))
@@ -123,13 +146,36 @@ FAILING = {
 }
 
 
-def failure(model, points, field, structure):
+def failure(call, model, points, field, structure):
+    """The error type, message and point of ``call`` (``sweep`` of a
+    grid, or ``at_point`` of a point) reading det A, if it fails, else
+    None."""
     with np.errstate(all="ignore"):
         try:
-            sweep(model, points, lambda block: block.det, field_spec=field, structure=structure)
+            call(model, points, lambda block: block.det, field_spec=field, structure=structure)
         except (td.ExprError, td.SingularFrameError) as exc:
             return type(exc), str(exc), getattr(exc, "point", None)
     return None
+
+
+def scanned(model, grid, field, structure):
+    """``failure`` of ``at_point`` at the first point of ``grid``, in
+    row-major order, that fails on its own, else None: the reference of
+    a sweep that fails."""
+    for point in point_tuples(grid):
+        found = failure(at_point, model, point, field, structure)
+        if found is not None:
+            return found
+    return None
+
+
+@functools.cache
+def first_failure(name, shape, offset, with_field):
+    """``scanned`` on the lattice of ``shape`` and ``offset`` of model
+    ``name``, computed once for the whole and the split sweeps."""
+    model = td.chart_model(name, (1.0, 1.0), FAILING[name])
+    field = td.alvarez_candidate(model, td.foliation_split(2, {0})) if with_field else None
+    return scanned(model, _lattice(model, shape, offset), field, with_field)
 
 
 @pytest.mark.parametrize("split_blocks", [False, True], ids=["whole", "split"])
@@ -142,12 +188,68 @@ def test_failing_frames_fail_alike(name, split_blocks, monkeypatch):
         monkeypatch.setattr(td.model, "BLOCK_VALUES", SPLIT * len(_block_plan(model, candidate, True)))
     failed = 0
     for shape in [(1, 9), (9, 1), (16, 12), (7, 5)]:
-        for grid in (td.sample_grid(model, shape), _lattice(model, shape, 0.0)):
+        for offset in (0.5, 0.0):
+            grid = _lattice(model, shape, offset)
             for field, structure in [(None, False), (candidate, True)]:
-                expected = failure(model, grid.coordinates, field, structure)
-                assert failure(model, grid, field, structure) == expected
+                expected = first_failure(name, shape, offset, structure)
+                assert failure(sweep, model, grid, field, structure) == expected
                 failed += expected is not None
     assert failed
+
+
+#: Axis lengths of the drawn lattices: primes and 1, so that blocks and
+#: their halves end inside an axis
+PRIMES = st.sampled_from([2, 3, 5, 7, 11, 13, 1])
+
+
+@st.composite
+def refusals(draw):
+    """(model, grid, structure, points per block): a diagonal frame of
+    1s with one entry that fails on a region of one or two coordinates.
+    ``sqrt`` and ``ln`` fail where the product of the +-(x_i - t_i) is
+    negative (not positive for ln); ``det`` is singular on the lines
+    x_i = t_i, which only a sweep of the structure refuses."""
+    dim = draw(st.integers(2, 3))
+    lengths = PRIMES if dim == 2 else st.sampled_from([2, 3, 5, 7, 1])
+    shape = tuple(draw(st.lists(lengths, min_size=dim, max_size=dim)))
+
+    def factor(i):
+        # t_i is a value of the axis (an odd multiple of 1 / 2n) or a cell
+        # edge between two (an even multiple), where no point is singular
+        sign = draw(st.sampled_from(["-", ""]))
+        threshold = draw(st.integers(1, 2 * shape[i] - 1)) / (2 * shape[i])
+        return f"({sign}(x{i + 1} - {threshold!r}))"
+
+    on = draw(st.lists(st.integers(0, dim - 1), min_size=1, max_size=2, unique=True))
+    product = "*".join(map(factor, on))
+    kind = draw(st.sampled_from(["sqrt", "ln", "det"]))
+    frame = [["1" if i == m else "0" for m in range(dim)] for i in range(dim)]
+    diagonal = draw(st.integers(0, dim - 1))
+    frame[diagonal][diagonal] = {"sqrt": f"1 + sqrt({product})", "ln": f"2 + ln({product})", "det": product}[kind]
+    model = td.chart_model(kind, (1.0,) * dim, frame)
+    grid = td.sample_grid(model, shape)
+    structure = kind == "det" or draw(st.booleans())
+    return model, grid, structure, draw(st.integers(1, len(grid)))
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(refusals())
+def test_a_refusal_names_the_first_point_that_fails_on_its_own(monkeypatch, case):
+    model, grid, structure, points = case
+    expected = scanned(model, grid, None, structure)
+    steps = len(_block_plan(model, None, True)) if structure else _block_plan(model, None, False).steps(2)
+    monkeypatch.setattr(td.model, "BLOCK_VALUES", points * steps)
+    built = []
+    build = td.model.FrameData.__init__
+
+    def spy(self, model, block, field_spec, structure, plan):
+        built.append(block)
+        build(self, model, block, field_spec, structure, plan)
+
+    monkeypatch.setattr(td.model.FrameData, "__init__", spy)
+    assert failure(sweep, model, grid, None, structure) == expected
+    # every block, a bisection's included, starts at its own first point
+    assert all(grid.point(block.start) == block.first for block in built)
 
 
 WARPED_3D = {

@@ -439,10 +439,10 @@ def test_sweep_refuses_a_field_without_the_structure(torus):
     # a field's rows need Gamma, so a field sweep needs the structure
     model, split = torus
     field = td.alvarez_candidate(model, split)
-    points = td.sample_grid(model, 2).coordinates
+    grid = td.sample_grid(model, 2)
     with pytest.raises(td.ModelError, match="needs the structure"):
-        td.model.sweep(model, points, lambda block: block.rows, field_spec=field, structure=False)
-    (dets,) = swept_rows(model, points, lambda block: block.det, structure=False)
+        td.model.sweep(model, grid, lambda block: block.rows, field_spec=field, structure=False)
+    (dets,) = swept_rows(model, grid, lambda block: block.det, structure=False)
     assert dets.shape == (4,)
 
 

@@ -25,7 +25,7 @@ import pytest
 import transdiv as td
 from transdiv import connection, expr
 from transdiv.cli import main
-from transdiv.model import _det, _lattice, sweep
+from transdiv.model import _det, _lattice, at_point, sweep
 
 import generators
 
@@ -104,7 +104,7 @@ def test_one_point_calls_share_the_model_plan(plans, tables):
     points = [tuple(row) for row in td.sample_grid(model, 8).coordinates]
     values = [connection.christoffel(model, point).values for point in points]
     assert len(points) == 64 and len(plans) == 1 and len(tables) == 1
-    (swept,) = generators.swept_rows(model, points, lambda block: block.gamma)
+    (swept,) = generators.swept_rows(model, td.sample_grid(model, 8), lambda block: block.gamma)
     assert np.array_equal(np.stack(values).view(np.int64), swept.view(np.int64))
     assert len(plans) == 1
 
@@ -167,8 +167,8 @@ def test_the_lazy_prefix_keeps_the_cli_output(plans, tmp_path):
     ]) + "\n", "")
 
 
-def det_bits(model, points):
-    (dets,) = generators.swept_rows(model, points, _det, structure=False)
+def det_bits(model, grid):
+    (dets,) = generators.swept_rows(model, grid, _det, structure=False)
     return dets.view(np.int64)
 
 
@@ -181,7 +181,6 @@ def test_a_det_only_sweep_after_a_structure_sweep_gives_fresh_bits(plans, with_f
     sweep(model, td.sample_grid(model, 8), lambda block: block.c, field_spec=field)
     built = len(plans)
     assert np.array_equal(det_bits(model, corners), fresh)
-    assert np.array_equal(det_bits(model, corners.coordinates), fresh)
     assert len(plans) == built  # the kept plan, not a new one
     with pytest.raises(td.DomainError, match="division by zero"):
         sweep(model, corners, lambda block: block.c, field_spec=field)
@@ -195,11 +194,13 @@ def test_a_failing_det_reports_its_point_from_a_kept_plan():
         model = td.chart_model("overflow", (1.0, 1.0), frame)
         grid = td.sample_grid(model, 8)
         if keep:
-            sweep(model, [(0.5, 0.5)], lambda block: block.c)
-        for points in (grid, grid.coordinates):
-            with pytest.raises(td.DomainError) as raised:
-                sweep(model, points, _det, structure=False)
-            assert str(raised.value) == message and raised.value.point == (0.9375, 0.0625)
+            at_point(model, (0.5, 0.5), lambda block: block.c)
+        with pytest.raises(td.DomainError) as raised:
+            sweep(model, grid, _det, structure=False)
+        assert str(raised.value) == message and raised.value.point == (0.9375, 0.0625)
+        with pytest.raises(td.DomainError) as raised:
+            at_point(model, (0.9375, 0.0625), _det, structure=False)
+        assert str(raised.value) == message and raised.value.point == (0.9375, 0.0625)
         (check,) = td.validate_model(model, grid)
         assert not check.passed and check.worst_point == (0.9375, 0.0625)
         assert check.detail == f"frame evaluation failed: {message}"
@@ -279,10 +280,10 @@ def test_a_chart_command_leaves_no_expression_to_the_cyclic_collector(argv, tmp_
 
 def test_many_field_specs_keep_a_bounded_number_of_plans(plans):
     model, _ = td.builtin_model("torus-warped")
-    sweep(model, [(0.5, 0.5)], lambda block: block.c)
+    at_point(model, (0.5, 0.5), lambda block: block.c)
     for k in range(200):
         field = td.vector_field(["0", f"{k + 1}*sin(2*pi*x2)"], model)
-        sweep(model, [(0.5, 0.5)], lambda block: block.rows, field_spec=field)
+        at_point(model, (0.5, 0.5), lambda block: block.rows, field_spec=field)
     gc.collect()
     assert len(plans) == 201
     # the plan without a field and the last field's plan
@@ -363,9 +364,9 @@ def built_groups(monkeypatch):
 @pytest.mark.parametrize("case", sorted(PINNED))
 def test_plans_are_the_hash_consed_dags_of_their_roots(built_groups, case):
     model, split = PINNED[case]()
-    sweep(model, [(0.5,) * model.dim] if model.is_chart else [()], lambda block: block.c)
-    sweep(
-        model, [(0.25,) * model.dim] if model.is_chart else [()], lambda block: block.rows,
+    at_point(model, (0.5,) * model.dim if model.is_chart else (), lambda block: block.c)
+    at_point(
+        model, (0.25,) * model.dim if model.is_chart else (), lambda block: block.rows,
         field_spec=td.alvarez_candidate(model, split),
     )
     assert len(built_groups) == 2

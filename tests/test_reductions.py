@@ -16,6 +16,9 @@ as ``model.BLOCK_VALUES`` is set.
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import math
 
 import numpy as np
@@ -24,8 +27,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import transdiv as td
+from transdiv import connection
+from transdiv.cli import main
 from transdiv.model import _block_plan, _lattice, sweep
 from transdiv.tautness import _classify, _integral, compare_with_cover
+
+from generators import point_tuples
 
 #: Axis lengths: 1, primes and other lengths that are not powers of two
 LENGTHS = st.sampled_from([1, 2, 3, 5, 6, 7, 12])
@@ -103,17 +110,17 @@ settings_ = settings(
 def test_extremes_are_the_full_grid_extremes_at_their_first_points(monkeypatch, case):
     resolution, table, points = case
     model, grid, parts = swept(resolution, table, points, monkeypatch)
-    rows = grid.coordinates
+    points = point_tuples(grid)
     reference = full(resolution, table)
     low, high = int(np.argmin(reference)), int(np.argmax(reference))
     verdict = _classify(parts, grid, 0.25)
     assert (bits(verdict.min_value), bits(verdict.max_value)) == (bits(reference[low]), bits(reference[high]))
-    assert verdict.argmin == td.model._as_point(rows[low])
-    assert verdict.argmax == td.model._as_point(rows[high])
+    assert verdict.argmin == points[low]
+    assert verdict.argmax == points[high]
     check = td.model.basic_field_check(parts, grid, 0.25)
     assert bits(check.worst) == bits(reference[high])
-    assert check.worst_point == td.model._as_point(rows[high])
-    assert check.detail == f"max |pi_Q [F_a, v]| over {len(rows)} points (threshold 0.25)"
+    assert check.worst_point == points[high]
+    assert check.detail == f"max |pi_Q [F_a, v]| over {len(points)} points (threshold 0.25)"
 
 
 @settings_
@@ -127,7 +134,7 @@ def test_the_first_non_finite_point_is_the_full_grid_one(monkeypatch, case, data
     first = int(np.argmin(np.isfinite(full(resolution, table))))
     with pytest.raises(td.DomainError) as info:
         td.model.require_finite(parts, grid, "value")
-    assert str(info.value) == f"non-finite value at {td.model._as_point(grid.coordinates[first])}"
+    assert str(info.value) == f"non-finite value at {point_tuples(grid)[first]}"
 
 
 #: Magnitudes near the top of the float range, so that a value counted
@@ -179,12 +186,12 @@ def test_the_smallest_det_is_the_grids_then_the_corners(monkeypatch, case):
     resolution, table, points = case
     model, grid, parts = swept(resolution, table, points, monkeypatch)
     corners = _lattice(model, grid.resolution, 0.0)
-    probes = np.concatenate((grid.coordinates, corners.coordinates))
+    probes = point_tuples(grid) + point_tuples(corners)
     dets = np.abs(np.concatenate((full(resolution, table), np.ones(len(corners)))))
     index = int(np.argmin(dets))
     (check,) = td.validate_model(model, grid, parts)
     assert bits(check.worst) == bits(dets[index])
-    assert check.worst_point == td.model._as_point(probes[index])
+    assert check.worst_point == probes[index]
     assert check.detail == f"min |det(frame)| over {len(probes)} probe points (threshold 1e-10)"
 
 
@@ -227,6 +234,74 @@ def test_verdicts_build_no_coordinate_rows_on_a_lattice(rows_built):
     assert list(verdict.argmin) in centres and list(verdict.argmax) in centres
     assert list(check.worst_point) in centres + corners
     assert report.abs_error < 1e-9 and comparison.max_pointwise_difference == 0.0
+
+
+def cli(*argv):
+    """``main(argv)``'s exit code, its output discarded."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(list(argv))
+
+
+#: Frames that fail only on part of the box: sqrt of a negative value
+#: where x1 * x2 > 0.64, ln of 0 at x1 = 0 (the corners), and a frame
+#: singular on the line x2 = 0.4375
+REFUSED = {
+    "sqrt": [["1", "0"], ["0", "1 + sqrt(0.64 - x1*x2)"]],
+    "ln": [["2 + ln(x1)", "0"], ["0", "1"]],
+    "singular": [["1", "0"], ["0", "x2 - 0.4375"]],
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "torus-warped", "--grid", "6,4"),
+        ("analyze", "t3a"),
+        ("taut-check", "suspension-3", "--field", "alvarez"),
+        ("volume-check", "t3a", "--field", "alvarez", "--format", "json"),
+        ("cover", "torus-warped", "--field", "alvarez", "--coord", "1", "--fold", "2", "--grid", "6"),
+    ],
+)
+def test_no_command_builds_coordinate_rows(rows_built, argv):
+    assert cli(*argv) == 0
+    assert rows_built == []
+
+
+@pytest.mark.parametrize("name", ["torus-warped", "t3a"])
+def test_no_one_point_function_builds_coordinate_rows(rows_built, name):
+    model, split = td.builtin_model(name)
+    tau = td.alvarez_candidate(model, split)
+    point = (0.3, 0.7) if model.is_chart else ()
+    if model.is_chart:
+        td.model.frame_matrix(model, point)
+    td.structure_functions(model, point)
+    connection.christoffel(model, point)
+    connection.covariant_rows(model, tau, point)
+    connection.transverse_divergence(model, split, tau, point)
+    connection.mean_curvature(model, split.leaf_ordered, point)
+    td.classify_divergence(model, split, tau, td.sample_grid(model, (5, 3)))
+    td.validate_model(model, td.sample_grid(model, (5, 3)))
+    assert rows_built == []
+
+
+@pytest.mark.parametrize("name", REFUSED)
+def test_no_refusal_builds_coordinate_rows(rows_built, name, tmp_path):
+    model = td.chart_model(name, (1.0, 1.0), REFUSED[name])
+    split = td.foliation_split(2, {0})
+    grid = td.sample_grid(model, (24, 8))
+    with pytest.raises((td.ExprError, td.ModelError)):
+        td.classify_divergence(model, split, td.vector_field(["0", "1"], model), grid)
+    (check,) = td.validate_model(model, grid)
+    assert not check.passed
+    path = tmp_path / f"{name}.json"
+    frame = [entry for row in REFUSED[name] for entry in row]
+    path.write_text(json.dumps({
+        "name": name, "kind": "chart", "dim": 2, "leaf_indices": [1], "periods": [1.0, 1.0],
+        "frame": frame,
+    }))
+    assert cli("taut-check", str(path), "--field", "alvarez", "--grid", "24,8") in (2, 3)
+    assert cli("analyze", str(path), "--grid", "24,8") in (2, 3)
+    assert rows_built == []
 
 
 def test_the_sweeps_of_a_cover_comparison_have_the_same_blocks(monkeypatch):

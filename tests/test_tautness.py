@@ -113,8 +113,8 @@ def test_non_finite_values_are_refused():
     with pytest.raises(td.DomainError, match="non-finite"):
         td.check_basic(model, split, field, grid)
     with pytest.raises(td.DomainError, match="non-finite"):
-        rows = np.empty((2, 0))
-        td.model.basic_field_check([(td.model._rows(rows), np.array([0.0, math.nan]))], td.Grid((2,), rows))
+        grid = td.Grid([[0.25, 0.75]])
+        td.model.basic_field_check([(td.model.Block(grid.axes, 0), np.array([0.0, math.nan]))], grid)
 
 
 def test_nan_field_is_refused_not_classified(torus):
@@ -153,12 +153,16 @@ def test_infinite_tolerance_is_refused(t3a, kronecker):
         compare_with_cover(model, split, td.alvarez_candidate(model, split), 1, 2, 4, math.inf)
 
 
-def test_classify_empty_grid_inconclusive(t3a):
-    model, split = t3a
+def test_classify_empty_grid_refused(torus):
+    # an empty axis once reached validate_model's reduction (TypeError)
+    # on a chart, and read INCONCLUSIVE on a constant-structure model
+    model, split = torus
     tau = td.alvarez_candidate(model, split)
-    empty = td.Grid(resolution=(), coordinates=np.empty((0, 0)))
-    verdict = td.classify_divergence(model, split, tau, empty)
-    assert verdict.classification is TautnessClass.INCONCLUSIVE
+    with pytest.raises(td.ModelError, match=r"^resolution entries must be >= 1, got \(0, 4\)$"):
+        td.classify_divergence(model, split, tau, td.Grid([np.array([]), np.arange(4) / 4]))
+    assert [kind.value for kind in TautnessClass] == [
+        "IdenticallyZero", "MixedSign", "NonTautWitness", "NegatedNonTautWitness",
+    ]
 
 
 def test_negated_witness(t3a):
@@ -460,19 +464,19 @@ def test_cover_wrap_is_python_modulo_everywhere(torus, monkeypatch, coord, fold)
     swept = []
     sweep = td.tautness.sweep
 
-    def spy(swept_model, points, *reads, **options):
-        swept.append((swept_model, points))
-        return sweep(swept_model, points, *reads, **options)
+    def spy(swept_model, grid, *reads, **options):
+        swept.append((swept_model, grid))
+        return sweep(swept_model, grid, *reads, **options)
 
     monkeypatch.setattr(td.tautness, "sweep", spy)
     for resolution in (8, (5, 7)):
         swept.clear()
         compare_with_cover(model, split, field, coord, fold, resolution)
-        base_rows = [points for swept_model, points in swept if swept_model is model][-1].coordinates
+        base_rows = [grid for swept_model, grid in swept if swept_model is model][-1].coordinates
         cover = td.lift_to_cover(model, split, field, coord, fold)[0]
         grid = td.sample_grid(cover, resolution)
         # the cover's grid is one lattice block, each coordinate on its own axis
-        (block,) = td.model._lattice_blocks(grid, len(grid.coordinates))
+        (block,) = td.model._lattice_blocks(grid, len(grid))
         env = td.model._block_env(cover, block)
         columns = [np.broadcast_to(env[name], block.shape).ravel() for name in cover.coordinate_names()]
         moved = 0
