@@ -306,22 +306,6 @@ def _entry_lines(symbol: str, entries: list[dict]) -> list[str]:
 # so that ``import transdiv.cli``, ``spectral`` and ``suspend`` load no
 # NumPy.
 
-def _numpy_quiet(handler):
-    """Run ``handler`` with NumPy's floating-point warnings off: every
-    NaN or infinity is refused by an explicit check, so they would only
-    add noise."""
-
-    @functools.wraps(handler)
-    def run(args: argparse.Namespace) -> tuple[dict, list[str], int]:
-        import numpy as np
-
-        with np.errstate(all="ignore"):
-            return handler(args)
-
-    return run
-
-
-@_numpy_quiet
 def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     from .model import at_point, validate_model
 
@@ -367,7 +351,6 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     return payload, lines, code
 
 
-@_numpy_quiet
 def _cmd_taut_check(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     from .tautness import classify_divergence
 
@@ -387,7 +370,6 @@ def _cmd_taut_check(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     return payload, lines, EXIT_OK
 
 
-@_numpy_quiet
 def _cmd_green_check(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     from .tautness import green_check
 
@@ -490,7 +472,6 @@ def _cmd_suspend(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     return payload, lines, EXIT_OK
 
 
-@_numpy_quiet
 def _cmd_cover(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     from .tautness import compare_with_cover
 
@@ -532,7 +513,6 @@ def _cmd_cover(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     return payload, lines, EXIT_OK
 
 
-@_numpy_quiet
 def _cmd_volume_check(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     from .tautness import volume_preservation_check
 

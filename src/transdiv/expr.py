@@ -527,8 +527,8 @@ class Plan:
         missing variable and DomainError for ln(x <= 0), sqrt(x < 0),
         division by zero, a power outside the real domain, exp overflow,
         or any non-finite value; the message names the first offending
-        element.  Callers silence NumPy's floating-point warnings with
-        ``np.errstate``.
+        element.  ``model.sweep`` runs plans, and the reads of their
+        values, with NumPy's floating-point warnings off (``np.errstate``).
         """
         table: list = []
         for start, stop, roots in self._groups:

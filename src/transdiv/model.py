@@ -86,13 +86,13 @@ class VectorFieldSpec:
 
 class Grid:
     """Evaluation points: the lattice of ``axes``, the float64 values of
-    each coordinate, whose product in row-major order is its points;
-    ``sweep`` reads it on sub-lattices of them.  A point is a one-point
-    lattice, and the single abstract point of a constant-structure model
-    is the lattice of no axes, ``Grid(())``.  An empty axis is refused.
-    Its ``coordinates``, one row per point, are built (``_meshed``) only
-    if something asks for them; a reported point is read from the axes
-    by index (``point``)."""
+    each coordinate, whose product in row-major order is its points.
+    ``sweep`` reads it in blocks, each a Grid whose axes are runs of its
+    axes.  A point is a one-point lattice, and the single abstract point
+    of a constant-structure model is the lattice of no axes,
+    ``Grid(())``.  An empty axis is refused.  Its ``coordinates``, one
+    row per point, are built (``_meshed``) only if something asks for
+    them; a reported point is read from the axes by index (``point``)."""
 
     def __init__(self, axes: Sequence[Sequence[float]]):
         self.axes = tuple(np.asarray(axis, dtype=float) for axis in axes)
@@ -178,7 +178,6 @@ def chart_model(
     frame: Sequence[Sequence[Expr | float | int | str]],
     parameters: Mapping[str, float] | None = None,
     dense_leaves: bool = False,
-    coordinate_wraps: Sequence[float | None] | None = None,
 ) -> FrameModel:
     """Periodic-box model; frame row i holds the coefficients of E_i."""
     dim = len(periods)
@@ -197,11 +196,6 @@ def chart_model(
             _check_bound(node, dim, params, f"frame entry ({i},{m})")
             entries.append(node)
         rows.append(tuple(entries))
-    wraps = None
-    if coordinate_wraps is not None:
-        if len(coordinate_wraps) != dim:
-            raise ModelError("coordinate_wraps must give one entry per coordinate")
-        wraps = tuple(None if w is None else float(w) for w in coordinate_wraps)
     return FrameModel(
         name=name,
         kind=CHART,
@@ -210,7 +204,6 @@ def chart_model(
         dense_leaves=dense_leaves,
         periods=tuple(float(length) for length in periods),
         frame=tuple(rows),
-        coordinate_wraps=wraps,
     )
 
 
@@ -274,9 +267,11 @@ def _lattice(model: FrameModel, resolution: tuple[int, ...], offset: float) -> G
     j = 0..N-1: cell centers for offset 0.5, corners for 0 (which include
     0, where constructed singularities tend to sit; the period endpoint
     is identified with 0).  The same IEEE operations as the Python
-    ``(j + offset) * L / N``, so the same bits."""
+    ``(j + offset) * L / N``, so the same bits, and like them silent
+    where a coordinate passes the float range."""
     assert model.periods is not None
-    return Grid((np.arange(n) + offset) * length / n for n, length in zip(resolution, model.periods))
+    with np.errstate(all="ignore"):
+        return Grid((np.arange(n) + offset) * length / n for n, length in zip(resolution, model.periods))
 
 
 def _meshed(axes: Sequence[np.ndarray]) -> np.ndarray:
@@ -336,50 +331,47 @@ def _unravel(index: int, shape: Sequence[int]) -> list[int]:
     return out[::-1]
 
 
-def _index(block: Block, shape: tuple[int, ...], index: int) -> int:
-    """The index among the swept points of the first point that entry
-    ``index`` of a read of ``block`` of trailing ``shape`` stands for:
-    each broadcast axis at 0."""
-    offset = 0
-    for i, size in zip(_unravel(index, shape), block.shape):
-        offset = offset * size + i
-    return block.start + offset
+def _point(block: Grid, shape: tuple[int, ...], index: int) -> tuple[float, ...]:
+    """The first point of ``block`` that entry ``index`` of a read of
+    trailing ``shape`` stands for (each broadcast axis at 0), as reports
+    give it: the block's axes hold the swept grid's own values."""
+    return tuple(float(axis[i]) for axis, i in zip(block.axes, _unravel(index, shape)))
 
 
-def _extreme(parts: list, pick: Callable, better: Callable) -> tuple[float, int]:
+def _extreme(parts: list, pick: Callable, better: Callable) -> tuple[float, tuple]:
     """The least (``np.argmin``, ``float.__lt__``) or greatest value of
     a sweep's ``parts`` of one read (a grid has a point, so a sweep has
-    a block), one value per point, and the index of its first point;
-    the earliest block wins a tie."""
+    a block), one value per point, and where it is, the arguments of
+    ``_point`` for its first point; the earliest block wins a tie."""
     best = None
     for block, values in parts:
         index = int(pick(values))
         value = float(values.flat[index])
         if best is None or better(value, best[0]):
-            best = value, _index(block, values.shape, index)
+            best = value, (block, values.shape, index)
     return best
 
 
-def require_finite(parts: list, grid: Grid, what: str) -> None:
-    """Raise DomainError at the first point of ``grid`` where a sweep's
-    ``parts`` of one read hold a NaN or an infinity.  Each block's
-    values are checked as stored; the point is looked for on failure."""
+def require_finite(parts: list, what: str) -> None:
+    """Raise DomainError at the first point where a sweep's ``parts`` of
+    one read hold a NaN or an infinity.  Each block's values are checked
+    as stored; the point is looked for on failure."""
     for block, values in parts:
         finite = np.isfinite(values)
         if not finite.all():
-            shape = values.shape[values.ndim - len(block.shape):]
+            shape = values.shape[values.ndim - len(block.axes):]
             index = int(np.argmin(finite.reshape(-1, *shape).all(axis=0)))
-            raise expr.DomainError(f"non-finite {what} at {grid.point(_index(block, shape, index))}")
+            raise expr.DomainError(f"non-finite {what} at {_point(block, shape, index)}")
 
 
-def _stacked(values: Sequence, shape: tuple[int, ...], block: Block) -> np.ndarray:
+def _stacked(values: Sequence, shape: tuple[int, ...], block: Grid) -> np.ndarray:
     """``values`` (floats, or arrays with as many axes as ``block`` that
     broadcast to its shape), a row-major flattening of ``shape``, as one
     array of shape (*shape, *B), each value one contiguous row.  B is the
     broadcast shape of the values, so values that depend on few
     coordinates stay on their sub-lattice."""
     shapes = [value.shape for value in values if getattr(value, "ndim", 0)]
-    common = tuple(map(max, zip((1,) * len(block.shape), *shapes)))
+    common = tuple(map(max, zip((1,) * len(block.axes), *shapes)))
     out = np.empty((len(values), *common))
     for index, value in enumerate(values):
         out[index] = value
@@ -430,7 +422,7 @@ def _block_plan(
     return kept[1]
 
 
-def _next_finite(values: Iterator[list], block: Block, what: str) -> list:
+def _next_finite(values: Iterator[list], block: Grid, what: str) -> list:
     """The next group of ``values``, built by +, -, * and / from finite
     values with nonzero divisors: it fails only by overflowing, raised as
     ``_require_finite`` raises it."""
@@ -440,17 +432,17 @@ def _next_finite(values: Iterator[list], block: Block, what: str) -> list:
         raise _non_finite(block, what) from None
 
 
-def _require_finite(values: np.ndarray, block: Block, what: str) -> None:
+def _require_finite(values: np.ndarray, block: Grid, what: str) -> None:
     """Raise DomainError if ``values``, an array of FrameData ``block``,
     holds a NaN or an infinity anywhere."""
     if not np.isfinite(values).all():
         raise _non_finite(block, what)
 
 
-def _non_finite(block: Block, what: str) -> expr.DomainError:
+def _non_finite(block: Grid, what: str) -> expr.DomainError:
     """The DomainError of a FrameData check that fails on ``block``, at
     its first point (``_located`` reports only a one-point block's)."""
-    return expr.DomainError(f"non-finite {what} at {block.first}")
+    return expr.DomainError(f"non-finite {what} at {block.point(0)}")
 
 
 def _ascending_sum(terms: Iterable[np.ndarray]) -> np.ndarray:
@@ -463,42 +455,16 @@ def _ascending_sum(terms: Iterable[np.ndarray]) -> np.ndarray:
     return functools.reduce(np.add, terms, 0.0)
 
 
-class Block:
-    """The points of one FrameData block, a sub-lattice of a swept grid:
-    ``segments`` holds the values of each coordinate, ``shape`` their
-    lengths (the trailing axes of every FrameData array), and ``columns``
-    the segments, each along its own axis so that they broadcast to
-    ``shape``; ``start`` is the index of its first point among the swept
-    points.  Each subexpression is evaluated once per value of the
-    coordinates it reads: sin(2 pi x3) takes 16 values on 16^3 points."""
-
-    def __init__(self, segments: Sequence[np.ndarray], start: int):
-        self.segments, self.start = segments, start
-        self.shape = tuple(map(len, segments))
-        dim = len(segments)
-        self.columns = [
-            segment.reshape((1,) * m + (-1,) + (1,) * (dim - m - 1))
-            for m, segment in enumerate(segments)
-        ]
-
-    def __len__(self) -> int:
-        return math.prod(self.shape)
-
-    @property
-    def first(self) -> tuple[float, ...]:
-        """Its first point, as reports give it."""
-        return tuple(float(segment[0]) for segment in self.segments)
-
-
-def _lattice_blocks(grid: Grid, limit: int, start: int = 0) -> Iterator[Block]:
+def _lattice_blocks(grid: Grid, limit: int) -> Iterator[Grid]:
     """The blocks of at most ``limit`` points that cover ``grid`` in
-    point order, numbered from point ``start``, each contiguous in
+    point order, each a Grid whose axes are runs of ``grid``'s axes
+    (views of them, so its points have the same bits), contiguous in
     row-major order: one index on each axis before a split axis, a run
     on it, later axes whole.  The split axis is the last whose later
     axes fit into ``limit``.  A grid of no axes is one block."""
     resolution, axes = grid.resolution, grid.axes
     if not axes:
-        yield Block((), start)
+        yield grid
         return
     axis = len(axes) - 1
     while axis and math.prod(resolution[axis:]) <= limit:
@@ -507,15 +473,15 @@ def _lattice_blocks(grid: Grid, limit: int, start: int = 0) -> Iterator[Block]:
     for index in itertools.product(*map(range, resolution[:axis])):
         for first in range(0, resolution[axis], run):
             segments = [values[i:i + 1] for values, i in zip(axes, index)]
-            block = Block([*segments, axes[axis][first:first + run], *axes[axis + 1:]], start)
-            yield block
-            start += len(block)
+            yield Grid([*segments, axes[axis][first:first + run], *axes[axis + 1:]])
 
 
 class FrameData:
-    """Frame quantities on one Block of points, ``block``, each an array
-    whose trailing axes (S below) broadcast to the block's shape: stored
-    on the sub-lattice of the coordinates it depends on.
+    """Frame quantities on one block of points, ``block`` (a Grid), each
+    an array whose trailing axes (S below) broadcast to the block's
+    ``resolution``: stored on the sub-lattice of the coordinates it
+    depends on.  Each subexpression is evaluated once per value of the
+    coordinates it reads: sin(2 pi x3) takes 16 values on 16^3 points.
 
     - chart models: ``a[i, m, *S]`` = a_i^m and ``det[*S]`` = det A;
     - with ``structure``: ``c[i, j, k, *S]`` = C_ij^k and
@@ -544,7 +510,7 @@ class FrameData:
     def __init__(
         self,
         model: FrameModel,
-        block: Block,
+        block: Grid,
         field_spec: VectorFieldSpec | None,
         structure: bool,
         plan: expr.Plan,
@@ -563,7 +529,7 @@ class FrameData:
             if (np.abs(self.det) < DET_TOLERANCE).any():
                 # index 0 of an array that broadcasts to the block's shape
                 # is its value at the block's first point
-                raise SingularFrameError(block.first, float(self.det.flat[0]))
+                raise SingularFrameError(block.point(0), float(self.det.flat[0]))
             next(values)  # the frame partials, checked before C reads them
             upper = _stacked(_next_finite(values, block, "structure functions"), (-1, n), block)
             self.c = np.zeros((n, n) + upper.shape[1:])
@@ -571,7 +537,7 @@ class FrameData:
                 self.c[i, j] = row
                 np.negative(row, out=self.c[j, i])
         else:
-            self.c = _constant_table(model).reshape((n, n, n) + (1,) * len(block.shape))
+            self.c = _constant_table(model).reshape((n, n, n) + (1,) * len(block.axes))
         _require_finite(self.c, block, "structure functions")
         block_axes = tuple(range(3, self.c.ndim))
         self.gamma = 0.5 * (
@@ -586,7 +552,7 @@ class FrameData:
             self.dv = _stacked(next(values), (n, n), block)
             self.ev = _ascending_sum(self.a[:, None, c] * self.dv[None, :, c] for c in range(n))
         else:
-            self.dv = self.ev = np.zeros((n, n) + (1,) * len(block.shape))
+            self.dv = self.ev = np.zeros((n, n) + (1,) * len(block.axes))
         self.rows = _ascending_sum(self.v[j] * self.gamma[:, j] for j in range(n)) + self.ev
         _require_finite(self.rows, block, "covariant derivative")
 
@@ -627,11 +593,14 @@ def _wrapped_columns(model: FrameModel, columns: Sequence[np.ndarray]) -> list[n
     ]
 
 
-def _block_env(model: FrameModel, block: Block) -> dict:
-    """``point_env`` for a block: each coordinate bound to its column,
-    wrapped by ``_wrapped_columns``."""
+def _block_env(model: FrameModel, block: Grid) -> dict:
+    """``point_env`` for a block: each coordinate bound to its axis laid
+    along its own array axis (a sparse ``np.meshgrid``), so that they
+    broadcast to the block's ``resolution``, wrapped by
+    ``_wrapped_columns``."""
+    columns = np.meshgrid(*block.axes, indexing="ij", sparse=True)
     env: dict = dict(model.parameters)
-    env.update(zip(model.coordinate_names(), _wrapped_columns(model, block.columns)))
+    env.update(zip(model.coordinate_names(), _wrapped_columns(model, columns)))
     return env
 
 
@@ -654,7 +623,7 @@ def _located(model, block, field_spec, structure, plan) -> FrameData:
         if len(block) == 1:
             raise
     while len(block) > 1:
-        *before, block = _lattice_blocks(Grid(block.segments), len(block) // 2, block.start)
+        *before, block = _lattice_blocks(block, len(block) // 2)
         for part in before:
             try:
                 _build(model, part, field_spec, structure, plan)
@@ -666,11 +635,10 @@ def _located(model, block, field_spec, structure, plan) -> FrameData:
 
 def _build(model, block, field_spec, structure, plan) -> FrameData:
     try:
-        with np.errstate(all="ignore"):
-            return FrameData(model, block, field_spec, structure, plan)
+        return FrameData(model, block, field_spec, structure, plan)
     except ExprError as exc:
         if len(block) == 1:
-            exc.point = block.first
+            exc.point = block.point(0)
         raise
 
 
@@ -680,7 +648,7 @@ def sweep(
     *reads: Callable[[FrameData], np.ndarray],
     field_spec: VectorFieldSpec | None = None,
     structure: bool = True,
-) -> list[list[tuple[Block, np.ndarray]]]:
+) -> list[list[tuple[Grid, np.ndarray]]]:
     """For each of ``reads`` (a function of one FrameData block returning
     an array whose trailing axes broadcast to the block's shape, as the
     block's own arrays do), its values block by block: a list of
@@ -694,7 +662,9 @@ def sweep(
     holding at most BLOCK_VALUES values of the steps it runs of
     ``_block_plan``, the plan that the model keeps for every sweep of it
     with the same field.  The blocks are built in point order by
-    ``_located``, each read by every read before the next is built.
+    ``_located``, each read by every read before the next is built,
+    all with NumPy's floating-point warnings off: every NaN or infinity
+    is refused by an explicit check.
     """
     coordinates = model.dim if model.is_chart else 0
     if len(grid.axes) != coordinates:
@@ -712,10 +682,11 @@ def sweep(
     steps = len(plan) if structure else plan.steps(2 if model.is_chart else 0)
     limit = max(1, BLOCK_VALUES // max(1, steps))
     results: list[list] = [[] for _ in reads]
-    for block in _lattice_blocks(grid, limit):
-        frame = _located(model, block, field_spec, structure, plan)
-        for result, read in zip(results, reads):
-            result.append((frame.block, read(frame)))
+    with np.errstate(all="ignore"):
+        for block in _lattice_blocks(grid, limit):
+            frame = _located(model, block, field_spec, structure, plan)
+            for result, read in zip(results, reads):
+                result.append((frame.block, read(frame)))
     return results
 
 
@@ -855,11 +826,11 @@ def validate_model(model: FrameModel, grid: Grid, dets: list | None = None) -> t
                 0.0, exc.point, DET_TOLERANCE,
             )
         else:
-            (worst, index), (corner, at) = (
+            (worst, at), (corner, at_corner) = (
                 _extreme([(block, np.abs(values)) for block, values in parts], np.argmin, float.__lt__)
                 for parts in (dets, rest)
             )
-            point = corners.point(at) if corner < worst else grid.point(index)
+            point = _point(*at_corner) if corner < worst else _point(*at)
             worst = min(worst, corner)
             check = CheckResult(
                 "frame_invertibility",
@@ -872,10 +843,11 @@ def validate_model(model: FrameModel, grid: Grid, dets: list | None = None) -> t
             )
     else:
         table = _constant_table(model)
-        term1 = np.einsum("ijm,mkl->ijkl", table, table)
-        term2 = np.einsum("jkm,mil->ijkl", table, table)
-        term3 = np.einsum("kim,mjl->ijkl", table, table)
-        jacobi = float(np.max(np.abs(term1 + term2 + term3)))
+        with np.errstate(all="ignore"):  # a non-finite residual is refused below
+            term1 = np.einsum("ijm,mkl->ijkl", table, table)
+            term2 = np.einsum("jkm,mil->ijkl", table, table)
+            term3 = np.einsum("kim,mjl->ijkl", table, table)
+            jacobi = float(np.max(np.abs(term1 + term2 + term3)))
         if not math.isfinite(jacobi):
             raise expr.DomainError("non-finite Jacobi residual |cyclic sum C_ij^m C_mk^l| at ()")
         check = CheckResult(
@@ -889,14 +861,15 @@ def validate_model(model: FrameModel, grid: Grid, dets: list | None = None) -> t
     return (check,)
 
 
-def basic_field_check(residuals: list, grid: Grid, tol: float = BASIC_TOLERANCE) -> CheckResult:
-    """Reduce the parts of a sweep of ``grid``'s residuals
+def basic_field_check(residuals: list, tol: float = BASIC_TOLERANCE) -> CheckResult:
+    """Reduce the parts of a sweep of the residuals
     (``FrameData.basic_residuals``) to the worst one and its first point;
     a non-finite residual raises DomainError."""
-    require_finite(residuals, grid, "basic-check residual")
-    detail = f"max |pi_Q [F_a, v]| over {len(grid)} points (threshold {tol:g})"
-    worst, index = _extreme(residuals, np.argmax, float.__gt__)
-    return CheckResult("basic_field", worst <= tol, detail, worst, grid.point(index), tol)
+    require_finite(residuals, "basic-check residual")
+    points = sum(len(block) for block, _ in residuals)
+    detail = f"max |pi_Q [F_a, v]| over {points} points (threshold {tol:g})"
+    worst, at = _extreme(residuals, np.argmax, float.__gt__)
+    return CheckResult("basic_field", worst <= tol, detail, worst, _point(*at), tol)
 
 
 def check_basic(
@@ -911,7 +884,7 @@ def check_basic(
     (residuals,) = sweep(
         model, grid, lambda block: block.basic_residuals(split), field_spec=field_spec
     )
-    return basic_field_check(residuals, grid, tol)
+    return basic_field_check(residuals, tol)
 
 
 # --- model and field documents ---------------------------------------------

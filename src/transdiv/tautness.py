@@ -25,7 +25,8 @@ refuses the model with ModelError, its message the record's line.
 Every reduction over a grid here (``_classify``, ``_integral``, the
 cover's largest difference) runs on the parts of a sweep, each block's
 values on the sub-lattice of the coordinates they vary over, and gives
-the value and first point of the same reduction over every grid point.
+the value and first point of the same reduction over every grid point,
+the point read from the block that holds the value (``model._point``).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,9 +46,9 @@ from .model import (
     _constant_table,
     _det,
     _extreme,
+    _point,
     _wrapped_columns,
     basic_field_check,
-    chart_model,
     require_finite,
     sample_grid,
     structure_functions_symbolic,
@@ -148,7 +149,7 @@ def _basic_reads(
     residuals, *arrays = sweep(
         model, grid, lambda block: block.basic_residuals(split), *reads, field_spec=field_spec
     )
-    check = basic_field_check(residuals, grid)
+    check = basic_field_check(residuals)
     if not check.passed:
         raise NotBasicError(check)
     return arrays
@@ -164,7 +165,7 @@ def _divergence_sweep(
     """div^Q v over the grid, after the basic test over the whole grid,
     then the parts of ``reads`` from the same sweep."""
     values, *arrays = _basic_reads(model, split, field_spec, grid, _divergence(split), *reads)
-    require_finite(values, grid, "div^Q v")
+    require_finite(values, "div^Q v")
     return [values, *arrays]
 
 
@@ -183,9 +184,9 @@ def _divergence(split: FoliationSplit):
     return lambda block: block.divergence(split.transverse_ordered)
 
 
-def _classify(values: list, grid: Grid, tol: float) -> TautnessVerdict:
-    """The verdict on the parts of a sweep of ``grid``'s div^Q v, each
-    extreme reported at its first point."""
+def _classify(values: list, tol: float) -> TautnessVerdict:
+    """The verdict on the parts of a sweep of div^Q v, each extreme
+    reported at its first point."""
     (min_value, low), (max_value, high) = (
         _extreme(values, np.argmin, float.__lt__), _extreme(values, np.argmax, float.__gt__)
     )
@@ -198,7 +199,7 @@ def _classify(values: list, grid: Grid, tol: float) -> TautnessVerdict:
     else:
         classification = TautnessClass.MIXED_SIGN
     return TautnessVerdict(
-        classification, min_value, max_value, grid.point(low), grid.point(high), tol
+        classification, min_value, max_value, _point(*low), _point(*high), tol
     )
 
 
@@ -224,7 +225,7 @@ def classify_divergence(
     reads = (_det,) if model.is_chart else ()  # det A, for the gate
     values, *dets = _divergence_sweep(model, split, field_spec, grid, *reads)
     _require_hypotheses(model, grid, *dets)
-    return _classify(values, grid, tol)
+    return _classify(values, tol)
 
 
 def alvarez_candidate(model: FrameModel, split: FoliationSplit) -> VectorFieldSpec:
@@ -283,8 +284,8 @@ def green_check(
     lhs_terms, rhs_terms, dets = _basic_reads(
         model, split, field_spec, grid, *_green_terms(split, cell), _det
     )
-    lhs = _integral(lhs_terms, grid, "div^Q v dmu")
-    rhs = _integral(rhs_terms, grid, "g(v, kappa#) dmu")
+    lhs = _integral(lhs_terms, "div^Q v dmu")
+    rhs = _integral(rhs_terms, "g(v, kappa#) dmu")
     abs_error = abs(lhs - rhs)
     if not math.isfinite(abs_error):
         raise expr.DomainError(f"|lhs - rhs| overflows ({lhs!r} - {rhs!r})")
@@ -311,20 +312,20 @@ def _green_terms(split: FoliationSplit, cell: float):
     return lhs_term, rhs_term
 
 
-def _integral(terms: list, grid: Grid, what: str) -> float:
-    """math.fsum of the per-point terms of the parts ``terms`` of a sweep
-    of ``grid``.  A value of a block's sub-lattice stands for the count c
+def _integral(terms: list, what: str) -> float:
+    """math.fsum of the per-point terms of the parts ``terms`` of a
+    sweep.  A value of a block's sub-lattice stands for the count c
     of points it is broadcast to, written as one term ldexp(value, b) per
     set bit b of c: exact terms, so the correctly rounded sum is that of
     the per-point terms.  Where a scaled term or a partial sum overflows,
     the values are repeated at their points instead."""
-    require_finite(terms, grid, f"term of the integral of {what}")
+    require_finite(terms, f"term of the integral of {what}")
     try:
         try:
             return math.fsum(itertools.chain.from_iterable(_scaled_terms(terms)))
         except OverflowError:
             return math.fsum(itertools.chain.from_iterable(
-                np.broadcast_to(values, block.shape).ravel().tolist() for block, values in terms
+                np.broadcast_to(values, block.resolution).ravel().tolist() for block, values in terms
             ))
     except OverflowError:
         raise expr.DomainError(f"the integral of {what} overflows") from None
@@ -402,19 +403,19 @@ def lift_to_cover(
         raise ModelError(f"fold must be a positive integer, got {fold}")
     if fold == 1:
         return model, split, field_spec
-    assert model.periods is not None and model.frame is not None
+    assert model.periods is not None
     wraps = list(model.coordinate_wraps or (None,) * model.dim)
     if wraps[coord] is None:
         wraps[coord] = model.periods[coord]
     periods = list(model.periods)
     periods[coord] *= fold
-    lifted = chart_model(
+    if periods[coord] == math.inf:
+        raise ModelError(f"periods must be positive and finite, got {tuple(periods)}")
+    lifted = replace(
+        model,
         name=f"{model.name}::{fold}-fold-cover(x{coord + 1})",
-        periods=periods,
-        frame=model.frame,
-        parameters=model.parameters,
-        dense_leaves=model.dense_leaves,
-        coordinate_wraps=wraps,
+        periods=tuple(periods),
+        coordinate_wraps=tuple(wraps),
     )
     return lifted, split, field_spec
 
@@ -451,14 +452,16 @@ def compare_with_cover(
     cover_grid = sample_grid(cover, resolution)
     base_verdict = classify_divergence(model, split, field_spec, base_grid, tol)
     (lifted,) = _divergence_sweep(cover, cover_split, cover_field, cover_grid)
-    projected = Grid(_wrapped_columns(cover, cover_grid.axes))
-    (below,) = sweep(model, projected, _divergence(split), field_spec=field_spec)
-    # both sweeps run plans of the same expressions, so their blocks match
-    difference = [(block, np.abs(ups - downs)) for (block, ups), (_, downs) in zip(lifted, below)]
-    require_finite(difference, cover_grid, "pointwise difference of div^Q")
+    # as silent as Python floats: a check refuses any non-finite value a result reads
+    with np.errstate(all="ignore"):
+        projected = Grid(_wrapped_columns(cover, cover_grid.axes))
+        (below,) = sweep(model, projected, _divergence(split), field_spec=field_spec)
+        # both sweeps run plans of the same expressions, so their blocks match
+        difference = [(block, np.abs(ups - downs)) for (block, ups), (_, downs) in zip(lifted, below)]
+    require_finite(difference, "pointwise difference of div^Q")
     return CoverComparison(
         cover=cover,
         base_verdict=base_verdict,
-        cover_verdict=_classify(lifted, cover_grid, tol),
+        cover_verdict=_classify(lifted, tol),
         max_pointwise_difference=_extreme(difference, np.argmax, float.__gt__)[0],
     )

@@ -236,8 +236,8 @@ def rows_of(parts) -> np.ndarray:
     point axis in front."""
     arrays = []
     for block, values in parts:
-        lead = values.shape[:values.ndim - len(block.shape)]
-        full = np.broadcast_to(values, lead + block.shape).reshape(*lead, -1)
+        lead = values.shape[:values.ndim - len(block.axes)]
+        full = np.broadcast_to(values, lead + block.resolution).reshape(*lead, -1)
         arrays.append(np.moveaxis(full, -1, 0))
     return np.ascontiguousarray(np.concatenate(arrays)) if arrays else np.empty(0)
 
@@ -355,7 +355,7 @@ def block_runs(monkeypatch) -> list[tuple[tuple[int, ...], int]]:
         try:
             build(self, model, block, field_spec, structure, drawn)
         finally:
-            runs.append((block.shape, plan.steps(drawn.groups)))
+            runs.append((block.resolution, plan.steps(drawn.groups)))
 
     monkeypatch.setattr(td.model.FrameData, "__init__", spy)
     return runs

@@ -22,7 +22,7 @@ import pytest
 
 import transdiv as td
 from transdiv import expr
-from transdiv.model import Block, _block_plan, _lattice, _lattice_blocks, point_env
+from transdiv.model import _block_plan, _lattice, _lattice_blocks, point_env
 
 from generators import (
     CountingEnv,
@@ -297,7 +297,7 @@ def test_each_block_reads_each_variable_once(name, monkeypatch):
     assert det_steps < len(_block_plan(model, field, True))
     det_block = td.model.BLOCK_VALUES // det_steps
     blocks = [*verdict, *_lattice_blocks(corners, det_block)]
-    assert [shape for shape, _ in runs] == [block.shape for block in blocks]
+    assert [shape for shape, _ in runs] == [block.resolution for block in blocks]
     assert len(envs) == len(blocks) > 2
     coords = model.coordinate_names()
     partials = [d for comp in field.components for d in expr.gradient(comp, coords)]
@@ -470,9 +470,9 @@ def test_require_finite_locates_the_first_point_on_points_last_arrays():
     values[0, 0, 3] = math.inf
     grid = td.Grid([np.arange(0.0, 10.0, 2.0), [5.0]])
     with pytest.raises(td.DomainError, match=r"^non-finite Gamma at \(4\.0, 5\.0\)$"):
-        td.model.require_finite([(Block(grid.axes, 0), values)], grid, "Gamma")
+        td.model.require_finite([(grid, values)], "Gamma")
     grid = td.Grid([grid.axes[0][:2], [5.0]])
-    td.model.require_finite([(Block(grid.axes, 0), values[:, :, :2])], grid, "Gamma")
+    td.model.require_finite([(grid, values[:, :, :2])], "Gamma")
 
 
 # 40 x 32 lattice: x1 > 0.5992 first at point 24 * 32 = 768, where

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import transdiv as td
 from transdiv.cli import main
-from transdiv.model import Block, Grid, _lattice
+from transdiv.model import Grid, _lattice
 from transdiv.tautness import compare_with_cover
 
 
@@ -125,22 +125,24 @@ REPORTED = 7
 
 @pytest.fixture
 def points_unread(monkeypatch):
-    """The points turned into tuples so far (``Grid.point`` and
-    ``Block.first``): a consumer that turned every grid point into one
-    would add one per point."""
+    """The points turned into tuples so far (``Grid.point``, which gives
+    a block's first point too, and ``model._point`` in every module that
+    binds it): a consumer that turned every grid point into one would
+    add one per point."""
     converted = []
-    point, first = Grid.point, Block.first.fget
+    point, located = Grid.point, td.model._point
 
     def point_spy(grid, index):
         converted.append(index)
         return point(grid, index)
 
-    def first_spy(block):
-        converted.append(block.start)
-        return first(block)
+    def located_spy(block, shape, index):
+        converted.append(index)
+        return located(block, shape, index)
 
     monkeypatch.setattr(Grid, "point", point_spy)
-    monkeypatch.setattr(Block, "first", property(first_spy))
+    for module in (td.model, td.tautness):
+        monkeypatch.setattr(module, "_point", located_spy)
     return converted
 
 

@@ -126,7 +126,7 @@ def test_split_blocks_end_inside_an_axis(monkeypatch):
     build = td.model.FrameData.__init__
 
     def spy(self, model, block, field_spec, structure, plan):
-        shapes.append(block.shape)
+        shapes.append(block.resolution)
         build(self, model, block, field_spec, structure, plan)
 
     monkeypatch.setattr(td.model.FrameData, "__init__", spy)
@@ -248,8 +248,46 @@ def test_a_refusal_names_the_first_point_that_fails_on_its_own(monkeypatch, case
 
     monkeypatch.setattr(td.model.FrameData, "__init__", spy)
     assert failure(sweep, model, grid, None, structure) == expected
-    # every block, a bisection's included, starts at its own first point
-    assert all(grid.point(block.start) == block.first for block in built)
+    # every block, a bisection's included, is a lattice of runs of the grid's axes
+    assert all(runs_of(block, grid) for block in built)
+
+
+def runs_of(block, grid):
+    """Whether each axis of ``block`` is a contiguous run of the same
+    axis of ``grid`` (whose values increase), bit for bit."""
+
+    def run(segment, axis):
+        start = int(np.searchsorted(axis, segment[0]))
+        return axis[start:start + len(segment)].tobytes() == segment.tobytes()
+
+    return len(block.axes) == len(grid.axes) and all(map(run, block.axes, grid.axes))
+
+
+def listed(blocks):
+    """The points of ``blocks`` in order, as the bytes of their rows."""
+    return np.concatenate([block.coordinates for block in blocks]).tobytes()
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(PRIMES, min_size=1, max_size=4), st.integers(1, 40), st.sampled_from([0.5, 0.0]))
+def test_blocks_are_runs_that_list_the_grid_in_row_major_order(monkeypatch, resolution, points, offset):
+    # the blocks of a sweep, and the halves a bisection cuts from each,
+    # are lattices of runs of the grid's axes that list the points of
+    # what they cut, in order, in row-major order
+    dim = len(resolution)
+    frame = [["1" if i == m else "0" for m in range(dim)] for i in range(dim)]
+    model = td.chart_model("box", (1.0,) * dim, frame)
+    grid = _lattice(model, tuple(resolution), offset)
+    monkeypatch.setattr(td.model, "BLOCK_VALUES", points * _block_plan(model, None, False).steps(2))
+    (parts,) = sweep(model, grid, lambda block: block.det, structure=False)
+    blocks = [block for block, _ in parts]
+    assert listed(blocks) == grid.coordinates.tobytes()
+    for block in blocks:
+        assert len(block) <= points and runs_of(block, grid)
+        if len(block) > 1:
+            halves = list(td.model._lattice_blocks(block, len(block) // 2))
+            assert listed(halves) == block.coordinates.tobytes()
+            assert all(runs_of(half, grid) for half in halves)
 
 
 WARPED_3D = {

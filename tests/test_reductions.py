@@ -69,12 +69,10 @@ def read_of(table, resolution):
     ``table`` varies over."""
 
     def read(frame):
-        block = frame.block
-        index = tuple(
-            np.rint(column * n - 0.5).astype(int) if size > 1 else np.zeros((1,) * len(block.shape), int)
-            for column, n, size in zip(block.columns, resolution, table.shape)
-        )
-        return table[index]
+        return table[np.ix_(*(
+            np.rint(axis * n - 0.5).astype(int) if size > 1 else np.zeros(1, int)
+            for axis, n, size in zip(frame.block.axes, resolution, table.shape)
+        ))]
 
     return read
 
@@ -113,11 +111,11 @@ def test_extremes_are_the_full_grid_extremes_at_their_first_points(monkeypatch, 
     points = point_tuples(grid)
     reference = full(resolution, table)
     low, high = int(np.argmin(reference)), int(np.argmax(reference))
-    verdict = _classify(parts, grid, 0.25)
+    verdict = _classify(parts, 0.25)
     assert (bits(verdict.min_value), bits(verdict.max_value)) == (bits(reference[low]), bits(reference[high]))
     assert verdict.argmin == points[low]
     assert verdict.argmax == points[high]
-    check = td.model.basic_field_check(parts, grid, 0.25)
+    check = td.model.basic_field_check(parts, 0.25)
     assert bits(check.worst) == bits(reference[high])
     assert check.worst_point == points[high]
     assert check.detail == f"max |pi_Q [F_a, v]| over {len(points)} points (threshold 0.25)"
@@ -133,7 +131,7 @@ def test_the_first_non_finite_point_is_the_full_grid_one(monkeypatch, case, data
     model, grid, parts = swept(resolution, table, points, monkeypatch)
     first = int(np.argmin(np.isfinite(full(resolution, table))))
     with pytest.raises(td.DomainError) as info:
-        td.model.require_finite(parts, grid, "value")
+        td.model.require_finite(parts, "value")
     assert str(info.value) == f"non-finite value at {point_tuples(grid)[first]}"
 
 
@@ -149,9 +147,9 @@ def fsum_or_overflow(terms):
         return "overflows"
 
 
-def integral_or_overflow(parts, grid):
+def integral_or_overflow(parts):
     try:
-        return _integral(parts, grid, "terms")
+        return _integral(parts, "terms")
     except td.DomainError as exc:
         assert str(exc) == "the integral of terms overflows"
         return "overflows"
@@ -163,7 +161,7 @@ def test_sums_with_multiplicities_are_the_full_grid_fsum(monkeypatch, case):
     resolution, table, points = case
     model, grid, parts = swept(resolution, table, points, monkeypatch)
     expected = fsum_or_overflow(full(resolution, table).tolist())
-    got = integral_or_overflow(parts, grid)
+    got = integral_or_overflow(parts)
     assert got == expected and (got == "overflows" or bits(got) == bits(expected))
 
 
@@ -172,10 +170,10 @@ def test_a_sum_over_many_points_counts_each_value_by_its_multiplicity(monkeypatc
     # any sum of fewer; 1e308 twice overflows as a scaled term, so the sum
     # is taken point by point, where -1e308 comes between the two copies
     model, grid, parts = swept((8, 125), np.full((1, 125), 0.1), 1000, monkeypatch)
-    assert _integral(parts, grid, "terms") == math.fsum([0.1] * 1000) == 100.0
+    assert _integral(parts, "terms") == math.fsum([0.1] * 1000) == 100.0
     table = np.array([[1e308, -1e308]])
     model, grid, parts = swept((2, 2), table, 4, monkeypatch)
-    assert _integral(parts, grid, "terms") == 0.0
+    assert _integral(parts, "terms") == 0.0
 
 
 @settings_
@@ -307,7 +305,8 @@ def test_no_refusal_builds_coordinate_rows(rows_built, name, tmp_path):
 def test_the_sweeps_of_a_cover_comparison_have_the_same_blocks(monkeypatch):
     # compare_with_cover subtracts the cover's and the base's parts block
     # by block: their plans are of the same expressions, so they have the
-    # same length, and the same blocks
+    # same length, and blocks of the same resolutions (the cover's blocks
+    # hold its own coordinates, the projected sweep's the wrapped ones)
     model, split = td.builtin_model("torus-warped")
     tau = td.alvarez_candidate(model, split)
     monkeypatch.setattr(td.model, "BLOCK_VALUES", 50 * len(_block_plan(model, tau, True)))
@@ -316,7 +315,7 @@ def test_the_sweeps_of_a_cover_comparison_have_the_same_blocks(monkeypatch):
 
     def spy(swept_model, points, *reads, **options):
         parts = sweep_(swept_model, points, *reads, **options)
-        shapes.append([(block.start, block.shape) for block, _ in parts[-1]])
+        shapes.append([block.resolution for block, _ in parts[-1]])
         return parts
 
     monkeypatch.setattr(td.tautness, "sweep", spy)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -114,7 +115,42 @@ def test_non_finite_values_are_refused():
         td.check_basic(model, split, field, grid)
     with pytest.raises(td.DomainError, match="non-finite"):
         grid = td.Grid([[0.25, 0.75]])
-        td.model.basic_field_check([(td.model.Block(grid.axes, 0), np.array([0.0, math.nan]))], grid)
+        td.model.basic_field_check([(grid, np.array([0.0, math.nan]))])
+
+
+JACOBI_OVERFLOWS = "non-finite Jacobi residual |cyclic sum C_ij^m C_mk^l| at ()"
+
+
+def test_library_calls_refuse_overflow_without_numpy_warnings():
+    # each call silences NumPy's floating-point warnings around its own
+    # arithmetic, so with every warning an error an overflow is still the
+    # DomainError, and the message, that the CLI reports
+    flat = td.chart_model("flat", (1.0,) * 3, [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
+    split = td.foliation_split(3, {0})
+    field = td.vector_field(["0", "1.5e308*x2", "1.5e308*x3"], flat)
+    big = td.constant_structure_model("big", 3, [(0, 1, 2, 1e200), (0, 2, 1, 1e200), (1, 2, 0, 1e200)])
+    point = td.sample_grid(big, 1)
+    calls = [
+        (lambda: td.classify_divergence(flat, split, field, td.sample_grid(flat, 4)),
+         "non-finite div^Q v at (0.125, 0.125, 0.125)"),
+        (lambda: td.green_check(flat, split, field, 4),
+         "non-finite term of the integral of div^Q v dmu at (0.125, 0.125, 0.125)"),
+        (lambda: td.validate_model(big, point), JACOBI_OVERFLOWS),
+        (lambda: td.classify_divergence(big, split, td.alvarez_candidate(big, split), point),
+         JACOBI_OVERFLOWS),
+    ]
+    # the cover's lattice passes the float range, as Python's floats do,
+    # and its projection wraps inf to NaN, with no warning either
+    wide = td.chart_model("wide", (1.0, 5e307), [["1", "0"], ["0", "1"]])
+    wide_split = td.foliation_split(2, {0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call, message in calls:
+            with pytest.raises(td.DomainError) as info:
+                call()
+            assert str(info.value) == message
+        comparison = compare_with_cover(wide, wide_split, td.vector_field(["0", "1"], wide), 1, 2, 4)
+    assert comparison.max_pointwise_difference == 0.0
 
 
 def test_nan_field_is_refused_not_classified(torus):
@@ -478,7 +514,7 @@ def test_cover_wrap_is_python_modulo_everywhere(torus, monkeypatch, coord, fold)
         # the cover's grid is one lattice block, each coordinate on its own axis
         (block,) = td.model._lattice_blocks(grid, len(grid))
         env = td.model._block_env(cover, block)
-        columns = [np.broadcast_to(env[name], block.shape).ravel() for name in cover.coordinate_names()]
+        columns = [np.broadcast_to(env[name], block.resolution).ravel() for name in cover.coordinate_names()]
         moved = 0
         for index, point in enumerate(point_tuples(grid)):
             wrapped = [x if w is None else x % w for x, w in zip(point, cover.coordinate_wraps)]
@@ -531,6 +567,13 @@ def test_lift_requires_chart(t3a):
     field = td.vector_field([1, 0, 0], model)
     with pytest.raises(td.ModelError):
         td.lift_to_cover(model, split, field, 0, 2)
+
+
+def test_a_cover_whose_period_overflows_is_refused():
+    model = td.chart_model("huge", (1e308, 1.0), [["1", "0"], ["0", "1"]])
+    split = td.foliation_split(2, {0})
+    with pytest.raises(td.ModelError, match=r"^periods must be positive and finite, got \(inf, 1\.0\)$"):
+        td.lift_to_cover(model, split, td.vector_field(["0", "1"], model), 0, 2)
 
 
 def test_lift_of_lift_wraps_to_base(torus):
