@@ -109,7 +109,7 @@ class Grid:
 
     def point(self, index: int) -> tuple[float, ...]:
         """Point ``index`` in row-major order, as reports give it."""
-        return tuple(float(a[i]) for a, i in zip(self.axes, _unravel(index, self.resolution)))
+        return _point(self, self.resolution, index)
 
 
 def coordinate_names(dim: int) -> tuple[str, ...]:
@@ -267,11 +267,14 @@ def _lattice(model: FrameModel, resolution: tuple[int, ...], offset: float) -> G
     j = 0..N-1: cell centers for offset 0.5, corners for 0 (which include
     0, where constructed singularities tend to sit; the period endpoint
     is identified with 0).  The same IEEE operations as the Python
-    ``(j + offset) * L / N``, so the same bits, and like them silent
-    where a coordinate passes the float range."""
+    ``(j + offset) * L / N``, so the same bits; where one of them passes
+    the float range, the lattice is refused with ModelError."""
     assert model.periods is not None
     with np.errstate(all="ignore"):
-        return Grid((np.arange(n) + offset) * length / n for n, length in zip(resolution, model.periods))
+        axes = [(np.arange(n) + offset) * length / n for n, length in zip(resolution, model.periods)]
+    if not all(np.isfinite(axis).all() for axis in axes):
+        raise ModelError(f"lattice coordinates of periods {model.periods} pass the float range")
+    return Grid(axes)
 
 
 def _meshed(axes: Sequence[np.ndarray]) -> np.ndarray:
@@ -322,46 +325,64 @@ def _constant_table(model: FrameModel) -> np.ndarray:
     return table
 
 
-def _unravel(index: int, shape: Sequence[int]) -> list[int]:
-    """The row-major multi-index of flat ``index`` in ``shape``."""
-    out = []
-    for size in reversed(shape):
-        index, i = divmod(index, size)
-        out.append(i)
-    return out[::-1]
-
-
 def _point(block: Grid, shape: tuple[int, ...], index: int) -> tuple[float, ...]:
     """The first point of ``block`` that entry ``index`` of a read of
     trailing ``shape`` stands for (each broadcast axis at 0), as reports
     give it: the block's axes hold the swept grid's own values."""
-    return tuple(float(axis[i]) for axis, i in zip(block.axes, _unravel(index, shape)))
+    return tuple(float(axis[i]) for axis, i in zip(block.axes, np.unravel_index(index, shape)))
 
 
-def _extreme(parts: list, pick: Callable, better: Callable) -> tuple[float, tuple]:
-    """The least (``np.argmin``, ``float.__lt__``) or greatest value of
-    a sweep's ``parts`` of one read (a grid has a point, so a sweep has
-    a block), one value per point, and where it is, the arguments of
-    ``_point`` for its first point; the earliest block wins a tie."""
-    best = None
-    for block, values in parts:
-        index = int(pick(values))
-        value = float(values.flat[index])
-        if best is None or better(value, best[0]):
-            best = value, (block, values.shape, index)
-    return best
+@dataclass(frozen=True)
+class Fold:
+    """A read of ``sweep`` (a function of one FrameData block returning an
+    array whose trailing axes broadcast to the block's shape) and its
+    reduction: ``step(state, block, values)`` is the state after a
+    block's values, the blocks taken in point order from ``start``."""
+
+    read: Callable
+    step: Callable
+    start: object = None
 
 
-def require_finite(parts: list, what: str) -> None:
-    """Raise DomainError at the first point where a sweep's ``parts`` of
-    one read hold a NaN or an infinity.  Each block's values are checked
-    as stored; the point is looked for on failure."""
-    for block, values in parts:
+def _extreme(pick: Callable, better: Callable, best, block: Grid, values: np.ndarray):
+    """The step of the least (``np.argmin``, ``float.__lt__``) or greatest
+    value, one per point, and where it is first, the arguments of
+    ``_point``: (value, (block, shape, index)); the earliest block wins a tie."""
+    index = int(pick(values))
+    value = float(values.flat[index])
+    return (value, (block, values.shape, index)) if best is None or better(value, best[0]) else best
+
+
+_least = functools.partial(_extreme, np.argmin, float.__lt__)
+_greatest = functools.partial(_extreme, np.argmax, float.__gt__)
+
+
+def _first_non_finite(found, block: Grid, values: np.ndarray):
+    """The step of the first NaN or infinity in point order: None, or
+    where it is, the arguments of ``_point``.  Each block's values are
+    checked as stored; the point is looked for on failure."""
+    if found is None:
         finite = np.isfinite(values)
         if not finite.all():
             shape = values.shape[values.ndim - len(block.axes):]
-            index = int(np.argmin(finite.reshape(-1, *shape).all(axis=0)))
-            raise expr.DomainError(f"non-finite {what} at {_point(block, shape, index)}")
+            found = block, shape, int(np.argmin(finite.reshape(-1, *shape).all(axis=0)))
+    return found
+
+
+def _taken(_, block: Grid, values: np.ndarray) -> np.ndarray:
+    """The step that keeps the last block's values, a one-block sweep's."""
+    return values
+
+
+def _checked(read: Callable, *steps: Callable) -> tuple[Fold, ...]:
+    """The folds of ``read``'s first non-finite value, then of ``steps``."""
+    return tuple(Fold(read, step) for step in (_first_non_finite, *steps))
+
+
+def require_finite(found, what: str) -> None:
+    """Raise DomainError at ``found``, a ``_first_non_finite`` state."""
+    if found is not None:
+        raise expr.DomainError(f"non-finite {what} at {_point(*found)}")
 
 
 def _stacked(values: Sequence, shape: tuple[int, ...], block: Grid) -> np.ndarray:
@@ -645,16 +666,12 @@ def _build(model, block, field_spec, structure, plan) -> FrameData:
 def sweep(
     model: FrameModel,
     grid: Grid,
-    *reads: Callable[[FrameData], np.ndarray],
+    *folds: Fold,
     field_spec: VectorFieldSpec | None = None,
     structure: bool = True,
-) -> list[list[tuple[Grid, np.ndarray]]]:
-    """For each of ``reads`` (a function of one FrameData block returning
-    an array whose trailing axes broadcast to the block's shape, as the
-    block's own arrays do), its values block by block: a list of
-    (block, values) pairs in point order, each array as the read returned
-    it, on the sub-lattice of the coordinates it reads.  ``grid`` has an
-    axis per coordinate of a chart and none on a constant-structure
+) -> list:
+    """The final state of each of ``folds`` over ``grid``.  ``grid`` has
+    an axis per coordinate of a chart and none on a constant-structure
     model (ModelError otherwise).
 
     The only builder of FrameData: a one-point caller uses ``at_point``.
@@ -662,9 +679,9 @@ def sweep(
     holding at most BLOCK_VALUES values of the steps it runs of
     ``_block_plan``, the plan that the model keeps for every sweep of it
     with the same field.  The blocks are built in point order by
-    ``_located``, each read by every read before the next is built,
-    all with NumPy's floating-point warnings off: every NaN or infinity
-    is refused by an explicit check.
+    ``_located``; each read runs once, and its values are dropped once
+    every fold of it has taken them.  NumPy's floating-point warnings are
+    off: every NaN or infinity is refused by an explicit check.
     """
     coordinates = model.dim if model.is_chart else 0
     if len(grid.axes) != coordinates:
@@ -681,20 +698,24 @@ def sweep(
     # a det-only block runs a chart's first two groups, a and det A
     steps = len(plan) if structure else plan.steps(2 if model.is_chart else 0)
     limit = max(1, BLOCK_VALUES // max(1, steps))
-    results: list[list] = [[] for _ in reads]
+    states = [fold.start for fold in folds]
     with np.errstate(all="ignore"):
         for block in _lattice_blocks(grid, limit):
             frame = _located(model, block, field_spec, structure, plan)
-            for result, read in zip(results, reads):
-                result.append((frame.block, read(frame)))
-    return results
+            values: dict = {}
+            for index, fold in enumerate(folds):
+                if fold.read not in values:
+                    values[fold.read] = fold.read(frame)
+                states[index] = fold.step(states[index], block, values[fold.read])
+            del values
+    return states
 
 
 def at_point(model: FrameModel, point: tuple[float, ...], *reads, **options) -> list[np.ndarray]:
-    """The values of ``reads`` at ``point``, from a sweep of the one-point
-    lattice of ``point``, with the block's axes stripped."""
-    parts = sweep(model, Grid([x] for x in point), *reads, **options)
-    return [values.reshape(values.shape[:values.ndim - len(point)]) for ((_, values),) in parts]
+    """The values of ``reads`` at ``point``, kept by the folds of a sweep
+    of the one-point lattice of ``point``, with the block's axes stripped."""
+    states = sweep(model, Grid([x] for x in point), *(Fold(read, _taken) for read in reads), **options)
+    return [values.reshape(values.shape[:values.ndim - len(point)]) for values in states]
 
 
 def frame_matrix(model: FrameModel, point: tuple[float, ...]) -> np.ndarray:
@@ -795,16 +816,15 @@ def _minor(frame: tuple, memo: dict, rows: tuple, cols: tuple) -> Expr:
 
 # --- validation ------------------------------------------------------------
 
-def _det(block: FrameData) -> np.ndarray:
-    """The read of det A from a chart's FrameData block."""
-    return block.det
+#: The fold of the gate: the least |det A| over a chart's points
+_least_det = Fold(lambda block: np.abs(block.det), _least)
 
 
-def validate_model(model: FrameModel, grid: Grid, dets: list | None = None) -> tuple[CheckResult, ...]:
+def validate_model(model: FrameModel, grid: Grid, least_det=None) -> tuple[CheckResult, ...]:
     """The records of the hypotheses the sign test rests on, at ``grid``:
     frame invertibility over its points, then its lattice corners, for
-    charts (``dets``, the parts of det A of the caller's own sweep of
-    ``grid``, spares sweeping it again); the Jacobi identity for
+    charts (``least_det``, the ``_least_det`` state of the caller's own
+    sweep of ``grid``, spares sweeping it again); the Jacobi identity for
     constant-structure models.  Neither needs an antisymmetry check:
     C_ji^k = -C_ij^k is filled in from C_ij^k, i < j, in both.
 
@@ -817,28 +837,23 @@ def validate_model(model: FrameModel, grid: Grid, dets: list | None = None) -> t
     if model.is_chart:
         corners = _lattice(model, grid.resolution, 0.0)
         try:
-            if dets is None:
-                (dets,) = sweep(model, grid, _det, structure=False)
-            (rest,) = sweep(model, corners, _det, structure=False)
+            if least_det is None:
+                (least_det,) = sweep(model, grid, _least_det, structure=False)
+            (corner,) = sweep(model, corners, _least_det, structure=False)
         except ExprError as exc:
             check = CheckResult(
                 "frame_invertibility", False, f"frame evaluation failed: {exc}",
                 0.0, exc.point, DET_TOLERANCE,
             )
         else:
-            (worst, at), (corner, at_corner) = (
-                _extreme([(block, np.abs(values)) for block, values in parts], np.argmin, float.__lt__)
-                for parts in (dets, rest)
-            )
-            point = _point(*at_corner) if corner < worst else _point(*at)
-            worst = min(worst, corner)
+            worst, at = min(least_det, corner, key=lambda found: found[0])  # the grid wins a tie
             check = CheckResult(
                 "frame_invertibility",
                 worst >= DET_TOLERANCE,
                 f"min |det(frame)| over {2 * len(grid)} probe points "
                 f"(threshold {DET_TOLERANCE:g})",
                 worst,
-                point,
+                _point(*at),
                 DET_TOLERANCE,
             )
     else:
@@ -861,15 +876,18 @@ def validate_model(model: FrameModel, grid: Grid, dets: list | None = None) -> t
     return (check,)
 
 
-def basic_field_check(residuals: list, tol: float = BASIC_TOLERANCE) -> CheckResult:
-    """Reduce the parts of a sweep of the residuals
-    (``FrameData.basic_residuals``) to the worst one and its first point;
-    a non-finite residual raises DomainError."""
-    require_finite(residuals, "basic-check residual")
-    points = sum(len(block) for block, _ in residuals)
+def _basic_folds(split: FoliationSplit) -> tuple[Fold, ...]:
+    """The folds of the first non-finite and the worst basic residual."""
+    return _checked(lambda block: block.basic_residuals(split), _greatest)
+
+
+def basic_field_check(found, worst, points: int, tol: float = BASIC_TOLERANCE) -> CheckResult:
+    """The record of the basic test from the states of ``_basic_folds``
+    over ``points`` points; a non-finite residual raises DomainError."""
+    require_finite(found, "basic-check residual")
+    value, at = worst
     detail = f"max |pi_Q [F_a, v]| over {points} points (threshold {tol:g})"
-    worst, at = _extreme(residuals, np.argmax, float.__gt__)
-    return CheckResult("basic_field", worst <= tol, detail, worst, _point(*at), tol)
+    return CheckResult("basic_field", value <= tol, detail, value, _point(*at), tol)
 
 
 def check_basic(
@@ -881,10 +899,8 @@ def check_basic(
 ) -> CheckResult:
     """Test whether v is basic: the transverse part of [F_a, v] must
     vanish for every leafwise frame direction F_a, at every grid point."""
-    (residuals,) = sweep(
-        model, grid, lambda block: block.basic_residuals(split), field_spec=field_spec
-    )
-    return basic_field_check(residuals, tol)
+    states = sweep(model, grid, *_basic_folds(split), field_spec=field_spec)
+    return basic_field_check(*states, len(grid), tol)
 
 
 # --- model and field documents ---------------------------------------------

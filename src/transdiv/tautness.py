@@ -18,15 +18,18 @@ The sign test characterises tautness only for a model whose hypotheses
 hold, so every verdict here (``classify_divergence``, and through it
 the volume check and the cover comparison, and ``green_check``) ends
 with one gate: ``validate_model``'s records on the verdict's grid,
-after the verdict's own sweep, which supplies det A at the grid
-points, so the gate sweeps only the lattice corners.  A failed record
-refuses the model with ModelError, its message the record's line.
+whose least |det A| the verdict's own sweep folds, so the gate sweeps
+only the lattice corners.  A failed record refuses the model with
+ModelError, its message the record's line.
 
 Every reduction over a grid here (``_classify``, ``_integral``, the
-cover's largest difference) runs on the parts of a sweep, each block's
-values on the sub-lattice of the coordinates they vary over, and gives
-the value and first point of the same reduction over every grid point,
-the point read from the block that holds the value (``model._point``).
+cover's largest difference) is a fold of the verdict's sweep
+(``model.Fold``) that takes each block's values as it is swept, so a
+verdict holds one block, not the lattice, and gives the value and first
+point of the same reduction over every grid point.  Each fold keeps its
+first failure, raised after the sweep in one order: a non-finite basic
+residual, a field that is not basic, a non-finite div^Q v or Green
+term, then the gate.
 """
 
 from __future__ import annotations
@@ -40,19 +43,9 @@ import numpy as np
 
 from . import expr
 from .model import (
-    FrameModel,
-    Grid,
-    VectorFieldSpec,
-    _constant_table,
-    _det,
-    _extreme,
-    _point,
-    _wrapped_columns,
-    basic_field_check,
-    require_finite,
-    sample_grid,
-    structure_functions_symbolic,
-    sweep,
+    Fold, FrameModel, Grid, VectorFieldSpec, _basic_folds, _checked, _constant_table,
+    _first_non_finite, _greatest, _least, _least_det, _point, _taken, _wrapped_columns,
+    basic_field_check, require_finite, sample_grid, structure_functions_symbolic, sweep,
     validate_model,
 )
 from .records import (
@@ -136,60 +129,38 @@ class CoverComparison:
     max_pointwise_difference: float
 
 
-def _basic_reads(
-    model: FrameModel,
-    split: FoliationSplit,
-    field_spec: VectorFieldSpec,
-    grid: Grid,
-    *reads,
-) -> list[list]:
-    """The ``model.sweep`` of ``reads`` over ``grid``, after the basic
-    test's residuals as the sweep's first read, refusing a field that is
-    not basic over all of its points with NotBasicError."""
-    residuals, *arrays = sweep(
-        model, grid, lambda block: block.basic_residuals(split), *reads, field_spec=field_spec
-    )
-    check = basic_field_check(residuals)
+def _basic_sweep(model: FrameModel, split: FoliationSplit, field_spec, grid: Grid, *folds) -> list:
+    """The states of ``folds`` in the ``model.sweep`` of ``grid`` whose
+    first folds are the basic test's, refusing a field that is not basic
+    over all of its points with NotBasicError."""
+    found, worst, *states = sweep(model, grid, *_basic_folds(split), *folds, field_spec=field_spec)
+    check = basic_field_check(found, worst, len(grid))
     if not check.passed:
         raise NotBasicError(check)
-    return arrays
+    return states
 
 
-def _divergence_sweep(
-    model: FrameModel,
-    split: FoliationSplit,
-    field_spec: VectorFieldSpec,
-    grid: Grid,
-    *reads,
-) -> list[list]:
-    """div^Q v over the grid, after the basic test over the whole grid,
-    then the parts of ``reads`` from the same sweep."""
-    values, *arrays = _basic_reads(model, split, field_spec, grid, _divergence(split), *reads)
-    require_finite(values, "div^Q v")
-    return [values, *arrays]
-
-
-def _require_hypotheses(model: FrameModel, grid: Grid, dets: list | None = None) -> None:
+def _require_hypotheses(model: FrameModel, grid: Grid, least_det=None) -> None:
     """The gate of every verdict: raise ModelError with the line of the
-    first of ``validate_model``'s records on ``grid`` that fails.
-    ``dets`` is the parts of det A of the verdict's own sweep (none on a
-    constant-structure model, whose blocks have no frame matrix)."""
-    for check in validate_model(model, grid, dets):
+    first of ``validate_model``'s records on ``grid`` that fails, given
+    the verdict's ``model._least_det`` state on a chart."""
+    for check in validate_model(model, grid, least_det):
         if not check.passed:
             raise ModelError(check_line(check))
 
 
-def _divergence(split: FoliationSplit):
-    """The read of div^Q v from a FrameData block."""
-    return lambda block: block.divergence(split.transverse_ordered)
+def _divergence_folds(split: FoliationSplit) -> tuple[Fold, ...]:
+    """The folds of a verdict's read of div^Q v: its first non-finite
+    value, its least and its greatest."""
+    return _checked(lambda block: block.divergence(split.transverse_ordered), _least, _greatest)
 
 
-def _classify(values: list, tol: float) -> TautnessVerdict:
-    """The verdict on the parts of a sweep of div^Q v, each extreme
-    reported at its first point."""
-    (min_value, low), (max_value, high) = (
-        _extreme(values, np.argmin, float.__lt__), _extreme(values, np.argmax, float.__gt__)
-    )
+def _classify(found, low, high, tol: float) -> TautnessVerdict:
+    """The verdict from the states of ``_divergence_folds``, each
+    extreme reported at its first point; a non-finite div^Q v raises
+    DomainError."""
+    require_finite(found, "div^Q v")
+    (min_value, at_min), (max_value, at_max) = low, high
     if max(abs(min_value), abs(max_value)) <= tol:
         classification = TautnessClass.IDENTICALLY_ZERO
     elif min_value >= -tol and max_value > tol:
@@ -199,7 +170,7 @@ def _classify(values: list, tol: float) -> TautnessVerdict:
     else:
         classification = TautnessClass.MIXED_SIGN
     return TautnessVerdict(
-        classification, min_value, max_value, _point(*low), _point(*high), tol
+        classification, min_value, max_value, _point(*at_min), _point(*at_max), tol
     )
 
 
@@ -222,10 +193,11 @@ def classify_divergence(
     """
     if not 0.0 <= tol < math.inf:
         raise ModelError(f"tolerance must be a non-negative number and finite, got {tol!r}")
-    reads = (_det,) if model.is_chart else ()  # det A, for the gate
-    values, *dets = _divergence_sweep(model, split, field_spec, grid, *reads)
-    _require_hypotheses(model, grid, *dets)
-    return _classify(values, tol)
+    folds = (*_divergence_folds(split), _least_det) if model.is_chart else _divergence_folds(split)
+    found, low, high, *least_det = _basic_sweep(model, split, field_spec, grid, *folds)
+    verdict = _classify(found, low, high, tol)
+    _require_hypotheses(model, grid, *least_det)
+    return verdict
 
 
 def alvarez_candidate(model: FrameModel, split: FoliationSplit) -> VectorFieldSpec:
@@ -269,34 +241,25 @@ def green_check(
     by the cell-centered Riemann sum with density 1/|det(frame)| per
     point (the Riemannian density induced by the orthonormal frame).
     Both sums are correctly rounded sums of the per-point terms
-    (``_integral``), so independent of the order of the points.  A model
-    that fails a hypothesis record on the grid raises ModelError
-    (``_require_hypotheses``).
+    (``_integral``), so independent of the order of the points and of the
+    blocks.  A model that fails a hypothesis record on the grid raises
+    ModelError (``_require_hypotheses``).
     """
     if not model.is_chart:
         raise ModelError("the Green-formula quadrature needs a chart model")
     grid = sample_grid(model, resolution)
     assert model.periods is not None
-    cell = 1.0
-    for length, n in zip(model.periods, grid.resolution):
-        cell *= length / n
-
-    lhs_terms, rhs_terms, dets = _basic_reads(
-        model, split, field_spec, grid, *_green_terms(split, cell), _det
-    )
-    lhs = _integral(lhs_terms, "div^Q v dmu")
-    rhs = _integral(rhs_terms, "g(v, kappa#) dmu")
+    cell = math.prod(length / n for length, n in zip(model.periods, grid.resolution))
+    sums = (Fold(term, _sum_step, (None, [], None)) for term in _green_terms(split, cell))
+    lhs, rhs, least_det = _basic_sweep(model, split, field_spec, grid, *sums, _least_det)
+    lhs = _integral(lhs, "div^Q v dmu")
+    rhs = _integral(rhs, "g(v, kappa#) dmu")
     abs_error = abs(lhs - rhs)
     if not math.isfinite(abs_error):
         raise expr.DomainError(f"|lhs - rhs| overflows ({lhs!r} - {rhs!r})")
-    _require_hypotheses(model, grid, dets)
-    return QuadratureReport(
-        lhs=lhs,
-        rhs=rhs,
-        abs_error=abs_error,
-        resolution=grid.resolution,
-        density="1/|det(frame)| (Riemannian density of the orthonormal frame)",
-    )
+    _require_hypotheses(model, grid, least_det)
+    density = "1/|det(frame)| (Riemannian density of the orthonormal frame)"
+    return QuadratureReport(lhs, rhs, abs_error, grid.resolution, density)
 
 
 def _green_terms(split: FoliationSplit, cell: float):
@@ -312,34 +275,56 @@ def _green_terms(split: FoliationSplit, cell: float):
     return lhs_term, rhs_term
 
 
-def _integral(terms: list, what: str) -> float:
-    """math.fsum of the per-point terms of the parts ``terms`` of a
-    sweep.  A value of a block's sub-lattice stands for the count c
-    of points it is broadcast to, written as one term ldexp(value, b) per
-    set bit b of c: exact terms, so the correctly rounded sum is that of
-    the per-point terms.  Where a scaled term or a partial sum overflows,
-    the values are repeated at their points instead."""
-    require_finite(terms, f"term of the integral of {what}")
+def _sum_step(state, block: Grid, values: np.ndarray):
+    """The step of a Green sum: (its first non-finite term, the exact
+    expansion of the blocks before the latest, None once they overflow,
+    the latest block and values), which joins it when a block follows."""
+    found, parts, latest = state
+    if found is None and parts is not None and latest is not None:
+        parts = _summed(_expansion, parts, *latest)
+    return _first_non_finite(found, block, values), parts, (block, values)
+
+
+def _integral(state, what: str) -> float:
+    """The correctly rounded sum of the per-point terms, one math.fsum of
+    a ``_sum_step`` state; a non-finite term, then an overflow, raises."""
+    found, parts, latest = state
+    require_finite(found, f"term of the integral of {what}")
+    total = None if parts is None else _summed(math.fsum, parts, *latest)
+    if total is None:
+        raise expr.DomainError(f"the integral of {what} overflows")
+    return total
+
+
+def _summed(total, parts: list, block: Grid, values: np.ndarray):
+    """``total`` (math.fsum or ``_expansion``) of ``parts``, then of the
+    terms of ``values``: a value standing for c points of ``block`` is one
+    exact term ldexp(value, b) per set bit b of c.  Where a scaled term
+    or a partial sum overflows, the values are repeated at their points
+    instead; None where that overflows too."""
+    count = len(block) // values.size
+    bits = [bit for bit in range(count.bit_length()) if count >> bit & 1]
     try:
         try:
-            return math.fsum(itertools.chain.from_iterable(_scaled_terms(terms)))
+            math.ldexp(float(np.abs(values).max()), bits[-1])  # OverflowError where a term would
+            terms = [*parts]
+            for bit in bits:
+                terms += np.ldexp(values, bit).ravel().tolist()
+            return total(terms)
         except OverflowError:
-            return math.fsum(itertools.chain.from_iterable(
-                np.broadcast_to(values, block.resolution).ravel().tolist() for block, values in terms
-            ))
+            return total([*parts, *np.broadcast_to(values, block.resolution).ravel().tolist()])
     except OverflowError:
-        raise expr.DomainError(f"the integral of {what} overflows") from None
+        return None
 
 
-def _scaled_terms(terms: list):
-    """The terms ldexp(value, b) of ``_integral``, a list per block and
-    bit; OverflowError where one would overflow."""
-    for block, values in terms:
-        count, top = len(block) // values.size, float(np.abs(values).max())
-        for bit in range(count.bit_length()):
-            if count >> bit & 1:
-                math.ldexp(top, bit)  # raises OverflowError where a term would overflow
-                yield np.ldexp(values, bit).ravel().tolist()
+def _expansion(terms: list) -> list:
+    """The exact sum of ``terms`` as a non-overlapping expansion (Shewchuk,
+    Discrete Comput. Geom. 18, 1997): math.fsum of the terms less the
+    floats before, until that is 0.  OverflowError where math.fsum is."""
+    parts = [math.fsum(terms)]
+    while parts[-1]:
+        parts.append(math.fsum(itertools.chain(terms, (-part for part in parts))))
+    return parts
 
 
 def volume_preservation_check(
@@ -432,16 +417,14 @@ def compare_with_cover(
     """Classify div^Q v on ``model`` and on its ``fold``-times cover along
     ``coord`` (see lift_to_cover), each on a grid of ``resolution``, and
     compare the lift pointwise with the base field at the projected
-    points, reusing the values of the cover's sweep.  The projected
-    points are the lattice of the cover grid's axes wrapped by
-    ``model._wrapped_columns``, the same function the cover's sweep
-    applies to them.
+    points in a fold of the cover's sweep: at each block, the base is
+    swept at the block's axes wrapped by ``model._wrapped_columns``, the
+    same function the cover's sweep applies to them.
 
     ``max_pointwise_difference`` is exactly 0 by construction, since the
     cover evaluates the base's expressions at wrapped coordinates (0 on
     torus-warped and flat-kronecker, folds 1 to 5, grids 4 to 64; up to
-    6.2e-13 without the wrap).  It checks the wrapping, not the geometry,
-    at the cost of a base sweep at the projected points.
+    6.2e-13 without the wrap).  It checks the wrapping, not the geometry.
 
     The hypothesis gate runs once, on the base model and grid, in the
     base's classification; the cover's sweep still refuses a frame that
@@ -451,17 +434,18 @@ def compare_with_cover(
     base_grid = sample_grid(model, resolution)
     cover_grid = sample_grid(cover, resolution)
     base_verdict = classify_divergence(model, split, field_spec, base_grid, tol)
-    (lifted,) = _divergence_sweep(cover, cover_split, cover_field, cover_grid)
-    # as silent as Python floats: a check refuses any non-finite value a result reads
-    with np.errstate(all="ignore"):
-        projected = Grid(_wrapped_columns(cover, cover_grid.axes))
-        (below,) = sweep(model, projected, _divergence(split), field_spec=field_spec)
-        # both sweeps run plans of the same expressions, so their blocks match
-        difference = [(block, np.abs(ups - downs)) for (block, ups), (_, downs) in zip(lifted, below)]
-    require_finite(difference, "pointwise difference of div^Q")
-    return CoverComparison(
-        cover=cover,
-        base_verdict=base_verdict,
-        cover_verdict=_classify(lifted, tol),
-        max_pointwise_difference=_extreme(difference, np.argmax, float.__gt__)[0],
-    )
+    base = _divergence_folds(split)[0].read
+
+    def difference(state, block: Grid, lifted: np.ndarray):
+        # the base at the block's projected points: the same plan, so one block
+        projected = Grid(_wrapped_columns(cover, block.axes))
+        (below,) = sweep(model, projected, Fold(base, _taken), field_spec=field_spec)
+        gap = np.abs(lifted - below)
+        return _first_non_finite(state[0], block, gap), _greatest(state[1], block, gap)
+
+    folds = _divergence_folds(cover_split)
+    folds += (Fold(folds[0].read, difference, (None, None)),)
+    *states, (found, largest) = _basic_sweep(cover, cover_split, cover_field, cover_grid, *folds)
+    cover_verdict = _classify(*states, tol)  # a non-finite div^Q v before the difference
+    require_finite(found, "pointwise difference of div^Q")
+    return CoverComparison(cover, base_verdict, cover_verdict, largest[0])

@@ -6,11 +6,14 @@ orthogonal matrices, so the Jacobi identity genuinely holds.  Chart
 models use frames of the form rotation(theta) * diag(exp g_i), or dense
 diagonally dominant frames (trigonometric, or built with ln, sqrt,
 powers and quotients of random expressions), all invertible everywhere
-by construction.
-``at`` reads one point of a sweep, ``pointwise_rows`` many points one by
-one, ``CountingEnv`` counts the variable
-reads of an evaluation, and ``block_runs`` the plan steps that each
-FrameData block runs.
+by construction.  Warped tori (``warped_torus_case``) come with a basic
+field, and ``rescaled_rows`` and ``shifted_normals`` change their frame
+but not their transverse structure.
+``at`` reads one point of a sweep, ``kept`` is the fold that keeps every
+value of a read and ``swept_parts`` a sweep with it, ``pointwise_rows``
+reads many points one by one, ``CountingEnv`` counts the variable reads
+of an evaluation, and ``block_runs`` the plan steps that each FrameData
+block runs.
 """
 
 from __future__ import annotations
@@ -23,11 +26,14 @@ import transdiv as td
 from transdiv import expr
 
 
-def trig_poly(rng: random.Random, dim: int, amplitude: float = 0.4) -> expr.Expr:
-    """c0 + sum of small sin/cos(2 pi x_j) terms: smooth and periodic."""
+def trig_poly(
+    rng: random.Random, dim: int, amplitude: float = 0.4, coords: tuple[int, ...] | None = None
+) -> expr.Expr:
+    """c0 + sum of small sin/cos(2 pi x_j) terms: smooth and periodic,
+    in any of x1..x_dim or, if given, in x_j for j in ``coords`` only."""
     node: expr.Expr = expr.Literal(round(rng.uniform(-1.0, 1.0), 6))
     for _ in range(rng.randint(1, 2)):
-        coord = f"x{rng.randint(1, dim)}"
+        coord = f"x{rng.choice(coords) if coords else rng.randint(1, dim)}"
         coeff = round(rng.uniform(-amplitude, amplitude), 6)
         fn = rng.choice(("sin", "cos"))
         arg = expr.mul(expr.mul(expr.Literal(2.0), expr.Constant("pi")), expr.Variable(coord))
@@ -129,6 +135,52 @@ def transcendental_chart_case(
     ]
     model = td.chart_model(f"transcendental-chart-{dim}d", (1.0,) * dim, rows)
     return model, td.foliation_split(dim, set(range(rng.randint(1, dim - 1))))
+
+
+def warped_torus_case(
+    rng: random.Random, dim: int
+) -> tuple[td.FrameModel, td.FoliationSplit, td.VectorFieldSpec]:
+    """A warped torus with leaves along x1 and a basic field: E1 =
+    exp(-f) d/dx1 with f a trig_poly of every coordinate, E_j =
+    exp(-g_j) d/dx_j with g_j one of x_j+1..x_dim (E_dim = d/dx_dim), so
+    the transverse metric does not depend on x1 and the metric is
+    bundle-like; the field has transverse components in x2..x_dim only,
+    so it is basic, and a zero leaf component."""
+    transverse = tuple(range(2, dim + 1))
+    rows = [[expr.ZERO] * dim for _ in range(dim)]
+    rows[0][0] = expr.FunctionCall("exp", expr.neg(trig_poly(rng, dim)))
+    for j in range(1, dim - 1):
+        rows[j][j] = expr.FunctionCall("exp", expr.neg(trig_poly(rng, dim, coords=transverse[j:])))
+    rows[dim - 1][dim - 1] = expr.ONE
+    model = td.chart_model(f"warped-{dim}d", (1.0,) * dim, rows)
+    field = td.vector_field([expr.ZERO, *(trig_poly(rng, dim, coords=transverse) for _ in transverse)], model)
+    return model, td.foliation_split(dim, {0}), field
+
+
+def rescaled_rows(model: td.FrameModel, rows, phi: expr.Expr) -> td.FrameModel:
+    """``model`` with each frame row i in ``rows`` scaled, E_i -> phi E_i.
+    Scaling the leaf rows by a positive phi keeps the foliation, its
+    transverse metric and bundle-likeness, and changes only the metric
+    along the leaves (Haefliger, J. Differential Geom. 15, 1980: tautness
+    is a property of the transverse structure); scaling a transverse row
+    changes the transverse metric."""
+    frame = [
+        [expr.mul(phi, entry) if i in rows else entry for entry in row] for i, row in enumerate(model.frame)
+    ]
+    return td.chart_model(f"{model.name}-rescaled", model.periods, frame)
+
+
+def shifted_normals(model: td.FrameModel, split: td.FoliationSplit, shifts) -> td.FrameModel:
+    """``model`` with its normal bundle shifted, E_j -> E_j + sum_a
+    c_j^a E_a for transverse j and leaf a, c_j^a = ``shifts[j, a]``: each
+    E_j keeps its class modulo the leaves, so the foliation, its
+    transverse metric and bundle-likeness stay."""
+    frame = [list(row) for row in model.frame]
+    for j in split.transverse_ordered:
+        for a in split.leaf_ordered:
+            shift = shifts[j, a]
+            frame[j] = [expr.add(entry, expr.mul(shift, leaf)) for entry, leaf in zip(frame[j], model.frame[a])]
+    return td.chart_model(f"{model.name}-shifted", model.periods, frame)
 
 
 _BASE_ALGEBRAS = ("abelian", "heisenberg", "so3", "suspension")
@@ -242,10 +294,22 @@ def rows_of(parts) -> np.ndarray:
     return np.ascontiguousarray(np.concatenate(arrays)) if arrays else np.empty(0)
 
 
+def kept(read) -> td.model.Fold:
+    """The fold that keeps every value of ``read``: (block, values) pairs
+    in point order, each array as the read returned it."""
+    return td.model.Fold(read, lambda parts, block, values: (*parts, (block, values)), ())
+
+
+def swept_parts(model: td.FrameModel, grid: td.Grid, *reads, **options) -> list:
+    """``model.sweep`` of ``grid`` with the fold that keeps the values of
+    each of ``reads``: its parts, (block, values) pairs in point order."""
+    return td.model.sweep(model, grid, *map(kept, reads), **options)
+
+
 def swept_rows(model: td.FrameModel, grid: td.Grid, *reads, **options) -> list[np.ndarray]:
-    """``model.sweep`` of ``grid`` with each read's parts as ``rows_of``
+    """``swept_parts`` of ``grid`` with each read's parts as ``rows_of``
     gives them."""
-    return [rows_of(parts) for parts in td.model.sweep(model, grid, *reads, **options)]
+    return [rows_of(parts) for parts in swept_parts(model, grid, *reads, **options)]
 
 
 def pointwise_rows(model: td.FrameModel, points, *reads, **options) -> list[np.ndarray]:

@@ -469,10 +469,13 @@ def test_require_finite_locates_the_first_point_on_points_last_arrays():
     values[1, 1, 2] = math.nan
     values[0, 0, 3] = math.inf
     grid = td.Grid([np.arange(0.0, 10.0, 2.0), [5.0]])
+    found = td.model._first_non_finite(None, grid, values)
     with pytest.raises(td.DomainError, match=r"^non-finite Gamma at \(4\.0, 5\.0\)$"):
-        td.model.require_finite([(grid, values)], "Gamma")
+        td.model.require_finite(found, "Gamma")
+    # a later block's NaN does not displace the first one found
+    assert td.model._first_non_finite(found, grid, np.full((1, 1), math.nan)) is found
     grid = td.Grid([grid.axes[0][:2], [5.0]])
-    td.model.require_finite([(grid, values[:, :, :2])], "Gamma")
+    td.model.require_finite(td.model._first_non_finite(None, grid, values[:, :, :2]), "Gamma")
 
 
 # 40 x 32 lattice: x1 > 0.5992 first at point 24 * 32 = 768, where

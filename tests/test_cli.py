@@ -532,6 +532,29 @@ def test_frame_refusals_name_the_failure(capsys, tmp_path, frame, code, message,
     assert result == (code, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "periods, argv",
+    [
+        ([1e308, 1.0], ["taut-check", "--field", "alvarez"]),
+        ([1e308, 1.0], ["green-check", "--field", "alvarez"]),
+        ([1e308, 1.0], ["volume-check", "--field", "alvarez"]),
+        ([1e308, 1.0], ["analyze"]),
+        ([1.0, 5e307], ["cover", "--field", "alvarez", "--coord", "2", "--fold", "2"]),
+    ],
+)
+def test_a_lattice_past_the_float_range_is_refused(capsys, tmp_path, periods, argv):
+    # (j + 0.5) * 1e308 / 4 passes the float range at j = 2 and 3, where
+    # the sweep once read x1 = inf, and printed IDENTICALLY ZERO (exit 0)
+    # since no expression reads x1; the cover's period is 1e308
+    path = tmp_path / "wide.json"
+    frame = ["1", "0", "0", "1"]
+    path.write_text(json.dumps({**CHART_2D, "name": "wide", "periods": periods, "frame": frame}))
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:], "--grid", "4")
+    shown = f"({periods[0]!r}, {periods[1] * (2 if argv[0] == 'cover' else 1)!r})"
+    assert (code, out) == (3, "")
+    assert err == f"error: lattice coordinates of periods {shown} pass the float range\n"
+
+
 def test_non_basic_field_exit_3(capsys, tmp_path):
     field = write_field(tmp_path, "bad.json", ["0", "cos(2*pi*x1)"])
     code, _, err = run(capsys, "taut-check", "torus-warped", "--field", field)

@@ -1,0 +1,117 @@
+"""The verdicts depend only on the transverse structure.
+
+Tautness of a Riemannian foliation is a property of its transverse
+structure (Haefliger, J. Differential Geom. 15, 1980, whose result the
+paper derives).  Two changes of the frame keep the foliation, the
+transverse metric and bundle-likeness, and change only the metric:
+rescaling the leaf rows, E_a -> phi E_a for a positive phi
+(``generators.rescaled_rows``), and shifting the normal bundle, E_j ->
+E_j + sum_a c_j^a E_a (``generators.shifted_normals``).  A basic field
+given by the same transverse components is the same section of the
+normal bundle, so its div^Q, the divergence for the holonomy-invariant
+transverse volume, must not change (to 1e-12 of the grid-wide
+magnitude), nor its verdict class; the Green identity holds in every
+metric.  Rescaling a transverse row instead changes the transverse
+metric, and the oracle must catch it.
+"""
+
+from __future__ import annotations
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import transdiv as td
+from transdiv import expr
+
+from generators import rescaled_rows, shifted_normals, swept_rows, trig_poly, warped_torus_case
+
+#: The dimensions of the warped tori drawn; "torus-warped" is the builtin
+CASES = st.sampled_from(["torus-warped", 2, 3])
+
+#: Points per axis: the Green sums of these smooth periodic terms are
+#: then exact to about 1e-15 of their size
+POINTS = 16
+
+
+def case(kind, rng):
+    """A model, its split and a basic field with a zero leaf component."""
+    if kind == "torus-warped":
+        model, split = td.builtin_model(kind)
+        return model, split, td.vector_field(["0", trig_poly(rng, 2, coords=(2,))], model)
+    return warped_torus_case(rng, kind)
+
+
+def positive(rng, dim):
+    """exp of a trig_poly of every coordinate."""
+    return expr.FunctionCall("exp", trig_poly(rng, dim))
+
+
+def transforms(rng, model, split):
+    """The frames with the transverse structure of ``model``: its leaf rows
+    rescaled, its normals shifted, and both."""
+    phi = positive(rng, model.dim)
+    shifts = {(j, a): trig_poly(rng, model.dim) for j in split.transverse for a in split.leaf}
+    rescaled = rescaled_rows(model, split.leaf, phi)
+    return [rescaled, shifted_normals(model, split, shifts), shifted_normals(rescaled, split, shifts)]
+
+
+def divergences(model, split, field):
+    (values,) = swept_rows(
+        model, td.sample_grid(model, POINTS),
+        lambda block: block.divergence(split.transverse_ordered), field_spec=field,
+    )
+    return values
+
+
+def invariant(model, split, field, other):
+    """Whether the frame ``other`` gives ``field``'s transverse components
+    the div^Q, verdict class and Green identity of ``model``'s."""
+    moved = td.vector_field(field.components, other)
+    grid = td.sample_grid(model, POINTS)
+    try:
+        verdicts = [td.classify_divergence(m, split, f, grid) for m, f in ((model, field), (other, moved))]
+    except td.NotBasicError:
+        return False
+    reference, values = divergences(model, split, field), divergences(other, split, moved)
+    scale = max(float(np.max(np.abs(reference))), 1.0)
+    report = td.green_check(other, split, moved, POINTS)
+    return (
+        float(np.max(np.abs(values - reference))) <= 1e-12 * scale
+        and verdicts[0].classification is verdicts[1].classification
+        and report.abs_error <= 1e-12 * max(abs(report.lhs), abs(report.rhs), 1.0)
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(CASES, st.integers(0, 2**32 - 1))
+def test_div_q_and_the_verdict_depend_only_on_the_transverse_structure(kind, seed):
+    rng = random.Random(seed)
+    model, split, field = case(kind, rng)
+    for other in transforms(rng, model, split):
+        assert invariant(model, split, field, other), other.frame
+
+
+@settings(max_examples=15, deadline=None)
+@given(CASES, st.integers(0, 2**32 - 1))
+def test_rescaling_a_transverse_row_is_caught(kind, seed):
+    # psi varies along every transverse coordinate: a factor of x_j alone
+    # on the row of x_j would only reparametrize x_j, which a field whose
+    # x_j component does not vary along x_j cannot see
+    rng = random.Random(seed)
+    model, split, field = case(kind, rng)
+    row = rng.choice(split.transverse_ordered)
+    total = "+".join(f"x{j + 1}" for j in split.transverse_ordered)
+    psi = expr.parse(f"exp(0.3*sin(2*pi*({total})))")
+    assert not invariant(model, split, field, rescaled_rows(model, {row}, psi))
+
+
+@pytest.mark.parametrize("kind", ["torus-warped", 2, 3])
+def test_the_green_identity_holds_before_the_frame_changes(kind):
+    # the bound the transformed frames are held to holds on the originals
+    model, split, field = case(kind, random.Random(5))
+    report = td.green_check(model, split, field, POINTS)
+    assert report.abs_error <= 1e-12 * max(abs(report.lhs), abs(report.rhs), 1.0)

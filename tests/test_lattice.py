@@ -25,10 +25,12 @@ from transdiv.model import _block_plan, _lattice, at_point, sweep
 from generators import (
     block_runs,
     dense_chart_case,
+    kept,
     point_tuples,
     pointwise_rows,
     random_chart_case,
     random_field,
+    swept_parts,
     swept_rows,
 )
 
@@ -147,8 +149,8 @@ FAILING = {
 
 
 def failure(call, model, points, field, structure):
-    """The error type, message and point of ``call`` (``sweep`` of a
-    grid, or ``at_point`` of a point) reading det A, if it fails, else
+    """The error type, message and point of ``call`` (``swept_parts`` of
+    a grid, or ``at_point`` of a point) reading det A, if it fails, else
     None."""
     with np.errstate(all="ignore"):
         try:
@@ -192,7 +194,7 @@ def test_failing_frames_fail_alike(name, split_blocks, monkeypatch):
             grid = _lattice(model, shape, offset)
             for field, structure in [(None, False), (candidate, True)]:
                 expected = first_failure(name, shape, offset, structure)
-                assert failure(sweep, model, grid, field, structure) == expected
+                assert failure(swept_parts, model, grid, field, structure) == expected
                 failed += expected is not None
     assert failed
 
@@ -247,7 +249,7 @@ def test_a_refusal_names_the_first_point_that_fails_on_its_own(monkeypatch, case
         build(self, model, block, field_spec, structure, plan)
 
     monkeypatch.setattr(td.model.FrameData, "__init__", spy)
-    assert failure(sweep, model, grid, None, structure) == expected
+    assert failure(swept_parts, model, grid, None, structure) == expected
     # every block, a bisection's included, is a lattice of runs of the grid's axes
     assert all(runs_of(block, grid) for block in built)
 
@@ -279,7 +281,7 @@ def test_blocks_are_runs_that_list_the_grid_in_row_major_order(monkeypatch, reso
     model = td.chart_model("box", (1.0,) * dim, frame)
     grid = _lattice(model, tuple(resolution), offset)
     monkeypatch.setattr(td.model, "BLOCK_VALUES", points * _block_plan(model, None, False).steps(2))
-    (parts,) = sweep(model, grid, lambda block: block.det, structure=False)
+    (parts,) = sweep(model, grid, kept(lambda block: block.det), structure=False)
     blocks = [block for block, _ in parts]
     assert listed(blocks) == grid.coordinates.tobytes()
     for block in blocks:

@@ -13,7 +13,7 @@ from transdiv import expr
 from transdiv.model import _lattice
 from transdiv.records import check_line
 
-from generators import identity_cases, point_tuples, swept_rows
+from generators import identity_cases, kept, point_tuples, swept_rows
 
 LAMBDA_SMALL = (3 - math.sqrt(5)) / 2  # eigenvalues of [[2,1],[1,1]]
 LAMBDA_BIG = (3 + math.sqrt(5)) / 2
@@ -441,7 +441,7 @@ def test_sweep_refuses_a_field_without_the_structure(torus):
     field = td.alvarez_candidate(model, split)
     grid = td.sample_grid(model, 2)
     with pytest.raises(td.ModelError, match="needs the structure"):
-        td.model.sweep(model, grid, lambda block: block.rows, field_spec=field, structure=False)
+        td.model.sweep(model, grid, kept(lambda block: block.rows), field_spec=field, structure=False)
     (dets,) = swept_rows(model, grid, lambda block: block.det, structure=False)
     assert dets.shape == (4,)
 

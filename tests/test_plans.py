@@ -25,9 +25,10 @@ import pytest
 import transdiv as td
 from transdiv import connection, expr
 from transdiv.cli import main
-from transdiv.model import _det, _lattice, at_point, sweep
+from transdiv.model import _lattice, at_point, sweep
 
 import generators
+from generators import kept
 
 
 @pytest.fixture
@@ -167,6 +168,10 @@ def test_the_lazy_prefix_keeps_the_cli_output(plans, tmp_path):
     ]) + "\n", "")
 
 
+def _det(block):
+    return block.det
+
+
 def det_bits(model, grid):
     (dets,) = generators.swept_rows(model, grid, _det, structure=False)
     return dets.view(np.int64)
@@ -178,12 +183,12 @@ def test_a_det_only_sweep_after_a_structure_sweep_gives_fresh_bits(plans, with_f
     corners = _lattice(model, (8, 8), 0.0)
     fresh = det_bits(td.load_model(LAZY)[0], corners)
     field = td.alvarez_candidate(model, split) if with_field else None
-    sweep(model, td.sample_grid(model, 8), lambda block: block.c, field_spec=field)
+    sweep(model, td.sample_grid(model, 8), kept(lambda block: block.c), field_spec=field)
     built = len(plans)
     assert np.array_equal(det_bits(model, corners), fresh)
     assert len(plans) == built  # the kept plan, not a new one
     with pytest.raises(td.DomainError, match="division by zero"):
-        sweep(model, corners, lambda block: block.c, field_spec=field)
+        sweep(model, corners, kept(lambda block: block.c), field_spec=field)
 
 
 def test_a_failing_det_reports_its_point_from_a_kept_plan():
@@ -196,7 +201,7 @@ def test_a_failing_det_reports_its_point_from_a_kept_plan():
         if keep:
             at_point(model, (0.5, 0.5), lambda block: block.c)
         with pytest.raises(td.DomainError) as raised:
-            sweep(model, grid, _det, structure=False)
+            sweep(model, grid, kept(_det), structure=False)
         assert str(raised.value) == message and raised.value.point == (0.9375, 0.0625)
         with pytest.raises(td.DomainError) as raised:
             at_point(model, (0.9375, 0.0625), _det, structure=False)

@@ -1,17 +1,17 @@
-"""Grid reductions on the sub-lattices that sweeps return, against the
-full grid.
+"""Grid reductions, the folds of a sweep, against the full grid.
 
-A sweep returns each read block by block, on the sub-lattice of the
-coordinates it varies over.  Each reduction of the verdicts (the
-extremes of ``_classify`` and their first points, the worst basic
-residual, the first non-finite point of ``require_finite``, the Green
-sums of ``_integral`` and the smallest |det A| of ``validate_model``)
-must give the bits and the point that the same reduction gives on the
-values broadcast to every grid point: ``np.argmin``, ``np.argmax`` or
-``math.fsum`` over the rows in point order, the grid's points before
-its corners.  The values are drawn as tables on a drawn subset of the
-axes and read in real lattice sweeps of a flat box, in blocks as small
-as ``model.BLOCK_VALUES`` is set.
+A sweep gives each fold a read's values block by block, on the
+sub-lattice of the coordinates it varies over.  Each fold of the
+verdicts (the extremes of ``_classify`` and their first points, the
+worst basic residual, the first non-finite point of ``require_finite``,
+the Green sums of ``_integral`` and the smallest |det A| of
+``validate_model``) must give the bits and the point that the same
+reduction gives on the values broadcast to every grid point:
+``np.argmin``, ``np.argmax`` or ``math.fsum`` over the rows in point
+order, the grid's points before its corners.  The values are drawn as
+tables on a drawn subset of the axes and folded in real lattice sweeps
+of a flat box, in blocks as small as ``model.BLOCK_VALUES`` is set.  A
+verdict holds one block's values at a time, not the lattice's.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import contextlib
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,10 +30,12 @@ from hypothesis import strategies as st
 import transdiv as td
 from transdiv import connection
 from transdiv.cli import main
-from transdiv.model import _block_plan, _lattice, sweep
-from transdiv.tautness import _classify, _integral, compare_with_cover
+from transdiv.model import (
+    Fold, _block_plan, _first_non_finite, _greatest, _lattice, _least, _wrapped_columns, sweep,
+)
+from transdiv.tautness import _classify, _integral, _sum_step, compare_with_cover
 
-from generators import point_tuples
+from generators import kept, point_tuples
 
 #: Axis lengths: 1, primes and other lengths that are not powers of two
 LENGTHS = st.sampled_from([1, 2, 3, 5, 6, 7, 12])
@@ -77,16 +80,19 @@ def read_of(table, resolution):
     return read
 
 
-def swept(resolution, table, points, monkeypatch):
-    """The grid of ``resolution`` on a box and the parts of ``table``
-    read in its sweep, in blocks of at most ``points`` points."""
+def swept(resolution, table, points, monkeypatch, *steps):
+    """The grid of ``resolution`` on a box and the states of the folds of
+    ``steps``, (step, start) pairs, of ``table``'s read in its sweep, in
+    blocks of at most ``points`` points."""
     model = box(len(resolution))
     grid = td.sample_grid(model, resolution)
-    steps = _block_plan(model, None, False).steps(2)
-    monkeypatch.setattr(td.model, "BLOCK_VALUES", points * steps)
-    (parts,) = sweep(model, grid, read_of(table, resolution), structure=False)
+    monkeypatch.setattr(td.model, "BLOCK_VALUES", points * _block_plan(model, None, False).steps(2))
+    read = read_of(table, resolution)
+    *states, parts = sweep(
+        model, grid, *(Fold(read, step, start) for step, start in steps), kept(read), structure=False
+    )
     assert all(len(block) <= points for block, _ in parts)
-    return model, grid, parts
+    return model, grid, states
 
 
 def full(resolution, table):
@@ -107,15 +113,17 @@ settings_ = settings(
 @given(lattices())
 def test_extremes_are_the_full_grid_extremes_at_their_first_points(monkeypatch, case):
     resolution, table, points = case
-    model, grid, parts = swept(resolution, table, points, monkeypatch)
+    model, grid, (found, least, greatest) = swept(
+        resolution, table, points, monkeypatch, (_first_non_finite, None), (_least, None), (_greatest, None)
+    )
     points = point_tuples(grid)
     reference = full(resolution, table)
     low, high = int(np.argmin(reference)), int(np.argmax(reference))
-    verdict = _classify(parts, 0.25)
+    verdict = _classify(found, least, greatest, 0.25)
     assert (bits(verdict.min_value), bits(verdict.max_value)) == (bits(reference[low]), bits(reference[high]))
     assert verdict.argmin == points[low]
     assert verdict.argmax == points[high]
-    check = td.model.basic_field_check(parts, 0.25)
+    check = td.model.basic_field_check(found, greatest, len(grid), 0.25)
     assert bits(check.worst) == bits(reference[high])
     assert check.worst_point == points[high]
     assert check.detail == f"max |pi_Q [F_a, v]| over {len(points)} points (threshold 0.25)"
@@ -128,10 +136,10 @@ def test_the_first_non_finite_point_is_the_full_grid_one(monkeypatch, case, data
     table = table.copy()
     spoiled = data.draw(st.lists(st.integers(0, table.size - 1), min_size=1, max_size=3))
     table.flat[spoiled] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
-    model, grid, parts = swept(resolution, table, points, monkeypatch)
+    model, grid, (found,) = swept(resolution, table, points, monkeypatch, (_first_non_finite, None))
     first = int(np.argmin(np.isfinite(full(resolution, table))))
     with pytest.raises(td.DomainError) as info:
-        td.model.require_finite(parts, "value")
+        td.model.require_finite(found, "value")
     assert str(info.value) == f"non-finite value at {point_tuples(grid)[first]}"
 
 
@@ -147,9 +155,13 @@ def fsum_or_overflow(terms):
         return "overflows"
 
 
-def integral_or_overflow(parts):
+#: The step and start of a Green sum's fold
+SUM = (_sum_step, (None, [], None))
+
+
+def integral_or_overflow(state):
     try:
-        return _integral(parts, "terms")
+        return _integral(state, "terms")
     except td.DomainError as exc:
         assert str(exc) == "the integral of terms overflows"
         return "overflows"
@@ -159,9 +171,9 @@ def integral_or_overflow(parts):
 @given(st.one_of(lattices(), lattices(HUGE)))
 def test_sums_with_multiplicities_are_the_full_grid_fsum(monkeypatch, case):
     resolution, table, points = case
-    model, grid, parts = swept(resolution, table, points, monkeypatch)
+    model, grid, (state,) = swept(resolution, table, points, monkeypatch, SUM)
     expected = fsum_or_overflow(full(resolution, table).tolist())
-    got = integral_or_overflow(parts)
+    got = integral_or_overflow(state)
     assert got == expected and (got == "overflows" or bits(got) == bits(expected))
 
 
@@ -169,11 +181,40 @@ def test_a_sum_over_many_points_counts_each_value_by_its_multiplicity(monkeypatc
     # 0.1 is not a power of two, so 1000 copies round differently from
     # any sum of fewer; 1e308 twice overflows as a scaled term, so the sum
     # is taken point by point, where -1e308 comes between the two copies
-    model, grid, parts = swept((8, 125), np.full((1, 125), 0.1), 1000, monkeypatch)
-    assert _integral(parts, "terms") == math.fsum([0.1] * 1000) == 100.0
+    model, grid, (state,) = swept((8, 125), np.full((1, 125), 0.1), 1000, monkeypatch, SUM)
+    assert _integral(state, "terms") == math.fsum([0.1] * 1000) == 100.0
     table = np.array([[1e308, -1e308]])
-    model, grid, parts = swept((2, 2), table, 4, monkeypatch)
-    assert _integral(parts, "terms") == 0.0
+    model, grid, (state,) = swept((2, 2), table, 4, monkeypatch, SUM)
+    assert _integral(state, "terms") == 0.0
+    # 1e308 once per block of two points: the first block's sum joins the
+    # components when the second block comes, and the last is summed there
+    model, grid, (state,) = swept((2, 2), table, 2, monkeypatch, SUM)
+    assert _integral(state, "terms") == 0.0
+
+
+def test_a_one_block_sum_is_one_fsum_and_blocks_keep_its_bits(monkeypatch):
+    # every bench grid is one block: its Green sums cost one math.fsum each
+    model, split = td.builtin_model("torus-warped")
+    tau = td.alvarez_candidate(model, split)
+    calls = []
+    fsum = math.fsum
+
+    def spy(terms):
+        calls.append(1)
+        return fsum(terms)
+
+    monkeypatch.setattr(math, "fsum", spy)
+    whole = td.green_check(model, split, tau, (16, 32))
+    assert len(calls) == 2
+    monkeypatch.setattr(td.model, "BLOCK_VALUES", 7 * len(_block_plan(model, tau, True)))
+    split_up = td.green_check(model, split, tau, (16, 32))
+    assert (bits(split_up.lhs), bits(split_up.rhs)) == (bits(whole.lhs), bits(whole.rhs))
+
+
+def least_det_of(table):
+    """The (step, start) of the least |det A| fold (``model._least_det``)
+    for a read of ``table`` as det A."""
+    return [(lambda least, block, values: _least(least, block, np.abs(values)), None)]
 
 
 @settings_
@@ -182,20 +223,21 @@ def test_the_smallest_det_is_the_grids_then_the_corners(monkeypatch, case):
     # the box's det A is 1 at every corner, so a drawn |det| of 1 ties
     # the grid with the corners and the grid's point wins
     resolution, table, points = case
-    model, grid, parts = swept(resolution, table, points, monkeypatch)
+    model, grid, (least_det,) = swept(resolution, table, points, monkeypatch, *least_det_of(table))
     corners = _lattice(model, grid.resolution, 0.0)
     probes = point_tuples(grid) + point_tuples(corners)
     dets = np.abs(np.concatenate((full(resolution, table), np.ones(len(corners)))))
     index = int(np.argmin(dets))
-    (check,) = td.validate_model(model, grid, parts)
+    (check,) = td.validate_model(model, grid, least_det)
     assert bits(check.worst) == bits(dets[index])
     assert check.worst_point == probes[index]
     assert check.detail == f"min |det(frame)| over {len(probes)} probe points (threshold 1e-10)"
 
 
 def test_a_tie_of_the_grid_with_the_corners_reports_the_grid(monkeypatch):
-    model, grid, parts = swept((3, 4), np.array([[2.0, 1.0, 1.0, 3.0]]), 12, monkeypatch)
-    (check,) = td.validate_model(model, grid, parts)
+    table = np.array([[2.0, 1.0, 1.0, 3.0]])
+    model, grid, (least_det,) = swept((3, 4), table, 12, monkeypatch, *least_det_of(table))
+    (check,) = td.validate_model(model, grid, least_det)
     assert check.worst == 1.0 and check.worst_point == grid.point(1)
     assert grid.point(1) == (1 / 6, 0.375)
 
@@ -302,25 +344,56 @@ def test_no_refusal_builds_coordinate_rows(rows_built, name, tmp_path):
     assert rows_built == []
 
 
-def test_the_sweeps_of_a_cover_comparison_have_the_same_blocks(monkeypatch):
-    # compare_with_cover subtracts the cover's and the base's parts block
-    # by block: their plans are of the same expressions, so they have the
-    # same length, and blocks of the same resolutions (the cover's blocks
-    # hold its own coordinates, the projected sweep's the wrapped ones)
+def test_each_cover_block_sweeps_the_base_once_as_one_block(monkeypatch):
+    # compare_with_cover reads the base's div^Q at the projected points of
+    # each block of the cover's sweep from a sweep of the base over that
+    # block's wrapped axes: the plans are of the same expressions, so it
+    # is one block, right after the cover's, with the wrapped bits
     model, split = td.builtin_model("torus-warped")
     tau = td.alvarez_candidate(model, split)
     monkeypatch.setattr(td.model, "BLOCK_VALUES", 50 * len(_block_plan(model, tau, True)))
-    shapes = []
-    sweep_ = td.tautness.sweep
+    built = []
+    build = td.model.FrameData.__init__
 
-    def spy(swept_model, points, *reads, **options):
-        parts = sweep_(swept_model, points, *reads, **options)
-        shapes.append([block.resolution for block, _ in parts[-1]])
-        return parts
+    def spy(self, swept_model, block, *args):
+        built.append((swept_model, block))
+        build(self, swept_model, block, *args)
 
-    monkeypatch.setattr(td.tautness, "sweep", spy)
+    monkeypatch.setattr(td.model.FrameData, "__init__", spy)
     for coord in (0, 1):
-        shapes.clear()
-        compare_with_cover(model, split, tau, coord, 2, (9, 20))
-        lifted, below = shapes[-2:]
-        assert lifted == below and len(lifted) > 3
+        built.clear()
+        cover = compare_with_cover(model, split, tau, coord, 2, (9, 20)).cover
+        first = next(index for index, (swept_model, _) in enumerate(built) if swept_model is cover)
+        pairs = list(zip(built[first::2], built[first + 1::2]))
+        assert len(pairs) > 3 and len(built) == first + 2 * len(pairs)
+        for (lifted_model, lifted), (below_model, below) in pairs:
+            assert lifted_model is cover and below_model is model
+            wrapped = _wrapped_columns(cover, lifted.axes)
+            assert [axis.tobytes() for axis in below.axes] == [axis.tobytes() for axis in wrapped]
+
+
+#: A chart whose frame varies along both coordinates, so each read's
+#: values fill the whole block
+SQRT = [["1", "0"], ["0", "1 + sqrt(1.5 - x1*x2)"]]
+
+
+def test_a_verdict_holds_one_block_not_the_lattice(monkeypatch):
+    # the folds drop each block's values once taken, so the peak traced
+    # memory of a verdict and a Green check does not grow with the grid
+    # beyond one block's worth of plan values
+    model = td.chart_model("sqrt", (1.0, 1.0), SQRT)
+    split = td.foliation_split(2, {0})
+    tau = td.alvarez_candidate(model, split)
+    monkeypatch.setattr(td.model, "BLOCK_VALUES", 100_000)
+    peaks = []
+    for n in (128, 512):
+        grid = td.sample_grid(model, n)
+        td.classify_divergence(model, split, tau, grid)
+        tracemalloc.start()
+        try:
+            td.classify_divergence(model, split, tau, grid)
+            td.green_check(model, split, tau, n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 8 * td.model.BLOCK_VALUES, peaks

@@ -115,7 +115,9 @@ def test_non_finite_values_are_refused():
         td.check_basic(model, split, field, grid)
     with pytest.raises(td.DomainError, match="non-finite"):
         grid = td.Grid([[0.25, 0.75]])
-        td.model.basic_field_check([(grid, np.array([0.0, math.nan]))])
+        residuals = np.array([0.0, math.nan])
+        found = td.model._first_non_finite(None, grid, residuals)
+        td.model.basic_field_check(found, td.model._greatest(None, grid, residuals), len(grid))
 
 
 JACOBI_OVERFLOWS = "non-finite Jacobi residual |cyclic sum C_ij^m C_mk^l| at ()"
@@ -140,7 +142,7 @@ def test_library_calls_refuse_overflow_without_numpy_warnings():
          JACOBI_OVERFLOWS),
     ]
     # the cover's lattice passes the float range, as Python's floats do,
-    # and its projection wraps inf to NaN, with no warning either
+    # and is refused, with no warning either
     wide = td.chart_model("wide", (1.0, 5e307), [["1", "0"], ["0", "1"]])
     wide_split = td.foliation_split(2, {0})
     with warnings.catch_warnings():
@@ -149,8 +151,9 @@ def test_library_calls_refuse_overflow_without_numpy_warnings():
             with pytest.raises(td.DomainError) as info:
                 call()
             assert str(info.value) == message
-        comparison = compare_with_cover(wide, wide_split, td.vector_field(["0", "1"], wide), 1, 2, 4)
-    assert comparison.max_pointwise_difference == 0.0
+        refusal = r"^lattice coordinates of periods \(1.0, 1e\+308\) pass the float range$"
+        with pytest.raises(td.ModelError, match=refusal):
+            compare_with_cover(wide, wide_split, td.vector_field(["0", "1"], wide), 1, 2, 4)
 
 
 def test_nan_field_is_refused_not_classified(torus):
