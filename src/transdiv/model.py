@@ -90,19 +90,14 @@ class Grid:
     ``sweep`` reads it in blocks, each a Grid whose axes are runs of its
     axes.  A point is a one-point lattice, and the single abstract point
     of a constant-structure model is the lattice of no axes,
-    ``Grid(())``.  An empty axis is refused.  Its ``coordinates``, one
-    row per point, are built (``_meshed``) only if something asks for
-    them; a reported point is read from the axes by index (``point``)."""
+    ``Grid(())``.  An empty axis is refused.  No coordinate rows are
+    built: a reported point is read from the axes by index (``point``)."""
 
     def __init__(self, axes: Sequence[Sequence[float]]):
         self.axes = tuple(np.asarray(axis, dtype=float) for axis in axes)
         self.resolution = tuple(map(len, self.axes))
         if not all(self.resolution):
             raise ModelError(f"resolution entries must be >= 1, got {self.resolution}")
-
-    @functools.cached_property
-    def coordinates(self) -> np.ndarray:
-        return _meshed(self.axes)
 
     def __len__(self) -> int:
         return math.prod(self.resolution)
@@ -275,17 +270,6 @@ def _lattice(model: FrameModel, resolution: tuple[int, ...], offset: float) -> G
     if not all(np.isfinite(axis).all() for axis in axes):
         raise ModelError(f"lattice coordinates of periods {model.periods} pass the float range")
     return Grid(axes)
-
-
-def _meshed(axes: Sequence[np.ndarray]) -> np.ndarray:
-    """The coordinate rows of the lattice of ``axes`` in row-major order,
-    read-only, one row of no coordinates for no axes: the one builder of
-    rows from axes."""
-    rows = np.empty((math.prod(map(len, axes)), len(axes)))
-    for m, values in enumerate(np.meshgrid(*axes, indexing="ij")):
-        rows[:, m] = values.ravel()
-    rows.flags.writeable = False
-    return rows
 
 
 # --- frame evaluation ------------------------------------------------------

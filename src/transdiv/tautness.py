@@ -29,13 +29,13 @@ verdict holds one block, not the lattice, and gives the value and first
 point of the same reduction over every grid point.  Each fold keeps its
 first failure, raised after the sweep in one order: a non-finite basic
 residual, a field that is not basic, a non-finite div^Q v or Green
-term, then the gate.
+term, then the gate.  A Green sum's fold keeps its exact total as an
+int, so the integral is rounded once, at the end.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -240,17 +240,19 @@ def green_check(
 
     by the cell-centered Riemann sum with density 1/|det(frame)| per
     point (the Riemannian density induced by the orthonormal frame).
-    Both sums are correctly rounded sums of the per-point terms
+    Both sums are the correctly rounded exact sums of the per-point terms
     (``_integral``), so independent of the order of the points and of the
-    blocks.  A model that fails a hypothesis record on the grid raises
-    ModelError (``_require_hypotheses``).
+    blocks; a sum is refused with DomainError as overflowing exactly when
+    that rounding passes the float range.  A model that fails a
+    hypothesis record on the grid raises ModelError
+    (``_require_hypotheses``).
     """
     if not model.is_chart:
         raise ModelError("the Green-formula quadrature needs a chart model")
     grid = sample_grid(model, resolution)
     assert model.periods is not None
     cell = math.prod(length / n for length, n in zip(model.periods, grid.resolution))
-    sums = (Fold(term, _sum_step, (None, [], None)) for term in _green_terms(split, cell))
+    sums = (Fold(term, _sum_step, (None, 0)) for term in _green_terms(split, cell))
     lhs, rhs, least_det = _basic_sweep(model, split, field_spec, grid, *sums, _least_det)
     lhs = _integral(lhs, "div^Q v dmu")
     rhs = _integral(rhs, "g(v, kappa#) dmu")
@@ -275,56 +277,45 @@ def _green_terms(split: FoliationSplit, cell: float):
     return lhs_term, rhs_term
 
 
+#: A Green sum's total counts units of 2^-1126: np.frexp writes a finite
+#: double as m * 2^(e - 53), an integer |m| < 2^53 and e >= -1073, which
+#: is m * 2^(e + 1073) units
+_UNIT = 1126
+
+
 def _sum_step(state, block: Grid, values: np.ndarray):
-    """The step of a Green sum: (its first non-finite term, the exact
-    expansion of the blocks before the latest, None once they overflow,
-    the latest block and values), which joins it when a block follows."""
-    found, parts, latest = state
-    if found is None and parts is not None and latest is not None:
-        parts = _summed(_expansion, parts, *latest)
-    return _first_non_finite(found, block, values), parts, (block, values)
+    """The step of a Green sum: (its first non-finite term, the exact sum
+    of its terms in units of 2^-_UNIT, an int), each value counted for
+    the len(block) // values.size points it stands for.  The mantissas'
+    27- and 26-bit halves are summed by exponent with np.bincount, which
+    is exact for fewer than 2^26 values."""
+    found, total = state
+    found = _first_non_finite(found, block, values)
+    if found is not None:
+        return found, total
+    assert values.size < 1 << 26, "per-exponent sums of the halves are exact below 2^26 values"
+    mantissas, exponents = np.frexp(values.ravel())
+    m = np.ldexp(mantissas, 53).astype(np.int64)
+    shifts = exponents + (_UNIT - 53)
+    high = np.bincount(shifts, m >> 26)
+    low = np.bincount(shifts, m & ((1 << 26) - 1))
+    exact = 0
+    for shift in np.flatnonzero((high != 0) | (low != 0)):
+        exact += ((int(high[shift]) << 26) + int(low[shift])) << int(shift)
+    return found, total + len(block) // values.size * exact
 
 
 def _integral(state, what: str) -> float:
-    """The correctly rounded sum of the per-point terms, one math.fsum of
-    a ``_sum_step`` state; a non-finite term, then an overflow, raises."""
-    found, parts, latest = state
+    """The correctly rounded sum of the per-point terms, the exact total
+    of a ``_sum_step`` state divided by 2^_UNIT (CPython's int true
+    division rounds correctly); a non-finite term, then a total that
+    rounds past the float range, raises DomainError."""
+    found, total = state
     require_finite(found, f"term of the integral of {what}")
-    total = None if parts is None else _summed(math.fsum, parts, *latest)
-    if total is None:
-        raise expr.DomainError(f"the integral of {what} overflows")
-    return total
-
-
-def _summed(total, parts: list, block: Grid, values: np.ndarray):
-    """``total`` (math.fsum or ``_expansion``) of ``parts``, then of the
-    terms of ``values``: a value standing for c points of ``block`` is one
-    exact term ldexp(value, b) per set bit b of c.  Where a scaled term
-    or a partial sum overflows, the values are repeated at their points
-    instead; None where that overflows too."""
-    count = len(block) // values.size
-    bits = [bit for bit in range(count.bit_length()) if count >> bit & 1]
     try:
-        try:
-            math.ldexp(float(np.abs(values).max()), bits[-1])  # OverflowError where a term would
-            terms = [*parts]
-            for bit in bits:
-                terms += np.ldexp(values, bit).ravel().tolist()
-            return total(terms)
-        except OverflowError:
-            return total([*parts, *np.broadcast_to(values, block.resolution).ravel().tolist()])
+        return total / (1 << _UNIT)
     except OverflowError:
-        return None
-
-
-def _expansion(terms: list) -> list:
-    """The exact sum of ``terms`` as a non-overlapping expansion (Shewchuk,
-    Discrete Comput. Geom. 18, 1997): math.fsum of the terms less the
-    floats before, until that is 0.  OverflowError where math.fsum is."""
-    parts = [math.fsum(terms)]
-    while parts[-1]:
-        parts.append(math.fsum(itertools.chain(terms, (-part for part in parts))))
-    return parts
+        raise expr.DomainError(f"the integral of {what} overflows") from None
 
 
 def volume_preservation_check(

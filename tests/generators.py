@@ -270,10 +270,20 @@ def identity_cases(seed: int, count: int = 20):
     return cases
 
 
+def lattice_rows(grid: td.Grid) -> np.ndarray:
+    """The coordinate rows of ``grid``, shape (N, d), one per point in
+    row-major order, one row of no coordinates for no axes: the lattice
+    as a table, which the package never builds."""
+    rows = np.empty((len(grid), len(grid.axes)))
+    for m, values in enumerate(np.meshgrid(*grid.axes, indexing="ij")):
+        rows[:, m] = values.ravel()
+    return rows
+
+
 def point_tuples(grid: td.Grid) -> tuple[tuple[float, ...], ...]:
     """Every point of ``grid`` as a tuple of Python floats, as reports
     give a point."""
-    return tuple(map(tuple, grid.coordinates.tolist()))
+    return tuple(map(tuple, lattice_rows(grid).tolist()))
 
 
 def at(model: td.FrameModel, point: tuple[float, ...], read, field=None):

@@ -185,7 +185,7 @@ CASES = (
 
 
 def test_grid_sizes_straddle_the_block():
-    sizes = {len(grid.coordinates) for _, model, _, _ in CASES for grid in grids(model)}
+    sizes = {len(grid) for _, model, _, _ in CASES for grid in grids(model)}
     assert any(size > BLOCK and size % BLOCK for size in sizes)
     assert 1 in sizes
     assert any(1 < size < BLOCK for size in sizes)

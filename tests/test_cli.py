@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 import os
 import subprocess
 import sys
@@ -13,6 +14,9 @@ import pytest
 import transdiv as td
 from transdiv import cli
 from transdiv.cli import main
+from transdiv.tautness import _green_terms
+
+from generators import swept_rows
 
 LOG_BIG = math.log((3 + math.sqrt(5)) / 2)
 
@@ -128,6 +132,32 @@ def test_green_check_cli(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["abs_error"] <= 1e-10
     assert payload["lhs"] == pytest.approx(payload["rhs"], abs=1e-10)
+
+
+def test_a_green_sum_overflows_only_where_its_exact_total_does(capsys, tmp_path):
+    # the terms 2.4e307 * 2 pi cos(2 pi x2) reach about 1.4e308, so a sum
+    # in point order passes the float range at its second term (math.fsum
+    # raises), while the exact total is about -8e292: the report gives it
+    # correctly rounded
+    document = {
+        "name": "wide", "kind": "chart", "dim": 2, "leaf_indices": [1],
+        "periods": [8.0, 1.0], "frame": ["1", "0", "0", "1"],
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(document))
+    field = write_field(tmp_path, "sine.json", ["0", "2.4e307*sin(2*pi*x2)"])
+    code, out, err = run(
+        capsys, "green-check", str(path), "--field", field, "--grid", "1,8", "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    model, split = td.load_model(document)
+    spec = td.vector_field(["0", "2.4e307*sin(2*pi*x2)"], model)
+    lhs_term, _ = _green_terms(split, 8.0 / 1 * 1.0 / 8)
+    (terms,) = swept_rows(model, td.sample_grid(model, (1, 8)), lhs_term, field_spec=spec)
+    with pytest.raises(OverflowError):
+        math.fsum(terms.tolist())
+    lhs = json.loads(out)["lhs"]
+    assert lhs == float(sum(map(Fraction, terms.tolist()))) and -1e293 < lhs < -1e292
 
 
 def test_a_folded_constant_reports_as_its_parameter_does(capsys, tmp_path):

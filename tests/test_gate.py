@@ -16,6 +16,8 @@ from transdiv.cli import main
 from transdiv.model import _lattice
 from transdiv.records import CheckResult, check_line
 
+from generators import lattice_rows
+
 # the cyclic Jacobi sum is 1 at (E1, E2, E3)
 NOJACOBI = {
     "name": "nojacobi",
@@ -107,7 +109,7 @@ def sweeps(monkeypatch):
     sweep = td.model.sweep
 
     def spy(model, grid, *reads, structure=True, **kwargs):
-        calls.append((grid.coordinates, structure))
+        calls.append((lattice_rows(grid), structure))
         return sweep(model, grid, *reads, structure=structure, **kwargs)
 
     for module in (td.model, td.tautness):
@@ -119,8 +121,8 @@ def test_a_verdict_sweeps_its_grid_once_and_the_corners_once(sweeps):
     code, _, _ = run(["taut-check", "torus-warped", "--field", "alvarez", "--grid", "64"])
     assert code == 0
     model, _ = td.builtin_model("torus-warped")
-    centres = td.sample_grid(model, 64).coordinates
-    corners = _lattice(model, (64, 64), 0.0).coordinates
+    centres = lattice_rows(td.sample_grid(model, 64))
+    corners = lattice_rows(_lattice(model, (64, 64), 0.0))
     assert [(len(points), structure) for points, structure in sweeps] == [
         (4096, True), (4096, False),
     ]

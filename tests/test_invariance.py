@@ -29,8 +29,9 @@ from transdiv import expr
 
 from generators import rescaled_rows, shifted_normals, swept_rows, trig_poly, warped_torus_case
 
-#: The dimensions of the warped tori drawn; "torus-warped" is the builtin
-CASES = st.sampled_from(["torus-warped", 2, 3])
+#: The builtins and the dimensions of the warped tori drawn
+KINDS = ["torus-warped", "flat-kronecker", 2, 3]
+CASES = st.sampled_from(KINDS)
 
 #: Points per axis: the Green sums of these smooth periodic terms are
 #: then exact to about 1e-15 of their size
@@ -38,10 +39,15 @@ POINTS = 16
 
 
 def case(kind, rng):
-    """A model, its split and a basic field with a zero leaf component."""
+    """A model, its split and a basic field with a zero leaf component.
+    The leaves of flat-kronecker are dense, so its basic functions are
+    constant."""
     if kind == "torus-warped":
         model, split = td.builtin_model(kind)
         return model, split, td.vector_field(["0", trig_poly(rng, 2, coords=(2,))], model)
+    if kind == "flat-kronecker":
+        model, split = td.builtin_model(kind)
+        return model, split, td.vector_field(["0", repr(rng.uniform(0.5, 2.0))], model)
     return warped_torus_case(rng, kind)
 
 
@@ -109,7 +115,7 @@ def test_rescaling_a_transverse_row_is_caught(kind, seed):
     assert not invariant(model, split, field, rescaled_rows(model, {row}, psi))
 
 
-@pytest.mark.parametrize("kind", ["torus-warped", 2, 3])
+@pytest.mark.parametrize("kind", KINDS)
 def test_the_green_identity_holds_before_the_frame_changes(kind):
     # the bound the transformed frames are held to holds on the originals
     model, split, field = case(kind, random.Random(5))

@@ -26,6 +26,7 @@ from generators import (
     block_runs,
     dense_chart_case,
     kept,
+    lattice_rows,
     point_tuples,
     pointwise_rows,
     random_chart_case,
@@ -267,7 +268,7 @@ def runs_of(block, grid):
 
 def listed(blocks):
     """The points of ``blocks`` in order, as the bytes of their rows."""
-    return np.concatenate([block.coordinates for block in blocks]).tobytes()
+    return np.concatenate([lattice_rows(block) for block in blocks]).tobytes()
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -283,12 +284,12 @@ def test_blocks_are_runs_that_list_the_grid_in_row_major_order(monkeypatch, reso
     monkeypatch.setattr(td.model, "BLOCK_VALUES", points * _block_plan(model, None, False).steps(2))
     (parts,) = sweep(model, grid, kept(lambda block: block.det), structure=False)
     blocks = [block for block, _ in parts]
-    assert listed(blocks) == grid.coordinates.tobytes()
+    assert listed(blocks) == lattice_rows(grid).tobytes()
     for block in blocks:
         assert len(block) <= points and runs_of(block, grid)
         if len(block) > 1:
             halves = list(td.model._lattice_blocks(block, len(block) // 2))
-            assert listed(halves) == block.coordinates.tobytes()
+            assert listed(halves) == lattice_rows(block).tobytes()
             assert all(runs_of(half, grid) for half in halves)
 
 

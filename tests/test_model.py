@@ -200,7 +200,7 @@ def test_cover_models_refuse_serialization(torus):
 def test_sample_grid_cell_centers(torus):
     model, _ = torus
     grid = td.sample_grid(model, (4, 4))
-    assert len(grid.coordinates) == 16
+    assert len(grid) == 16
     expected = {((j + 0.5) / 4, (k + 0.5) / 4) for j in range(4) for k in range(4)}
     assert set(point_tuples(grid)) == expected
 
@@ -214,7 +214,7 @@ def test_sample_grid_constant_model(t3a):
 def test_sample_grid_line(torus):
     model, _ = torus
     grid = td.sample_grid(model, (1, 256))
-    assert len(grid.coordinates) == 256
+    assert len(grid) == 256
     assert all(point[0] == 0.5 for point in point_tuples(grid))
 
 
@@ -377,9 +377,8 @@ def test_validate_reports_first_failing_probe():
 
 def test_corner_probe_includes_origin(torus):
     model, _ = torus
-    corners = _lattice(model, td.sample_grid(model, 8).resolution, 0.0).coordinates
-    # a row check: `in` on an ndarray is an elementwise any()
-    assert [0.0, 0.0] in corners.tolist()
+    corners = _lattice(model, td.sample_grid(model, 8).resolution, 0.0)
+    assert (0.0, 0.0) in point_tuples(corners)
 
 
 # --- basic-field test -----------------------------------------------------------

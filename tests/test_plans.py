@@ -102,7 +102,7 @@ def test_each_invocation_builds_one_plan_per_model(plans, tables, argv, count):
 
 def test_one_point_calls_share_the_model_plan(plans, tables):
     model, _ = td.builtin_model("torus-warped")
-    points = [tuple(row) for row in td.sample_grid(model, 8).coordinates]
+    points = list(generators.point_tuples(td.sample_grid(model, 8)))
     values = [connection.christoffel(model, point).values for point in points]
     assert len(points) == 64 and len(plans) == 1 and len(tables) == 1
     (swept,) = generators.swept_rows(model, td.sample_grid(model, 8), lambda block: block.gamma)

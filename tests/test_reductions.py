@@ -7,16 +7,18 @@ worst basic residual, the first non-finite point of ``require_finite``,
 the Green sums of ``_integral`` and the smallest |det A| of
 ``validate_model``) must give the bits and the point that the same
 reduction gives on the values broadcast to every grid point:
-``np.argmin``, ``np.argmax`` or ``math.fsum`` over the rows in point
-order, the grid's points before its corners.  The values are drawn as
-tables on a drawn subset of the axes and folded in real lattice sweeps
-of a flat box, in blocks as small as ``model.BLOCK_VALUES`` is set.  A
-verdict holds one block's values at a time, not the lattice's.
+``np.argmin`` or ``np.argmax`` over the rows in point order, the grid's
+points before its corners, or the correctly rounded exact sum.  The
+values are drawn as tables on a drawn subset of the axes and folded in
+real lattice sweeps of a flat box, in blocks as small as
+``model.BLOCK_VALUES`` is set.  A verdict holds one block's values at a
+time, not the lattice's.
 """
 
 from __future__ import annotations
 
 import contextlib
+import fractions
 import io
 import json
 import math
@@ -28,7 +30,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import transdiv as td
-from transdiv import connection
+from transdiv import connection, tautness
 from transdiv.cli import main
 from transdiv.model import (
     Fold, _block_plan, _first_non_finite, _greatest, _lattice, _least, _wrapped_columns, sweep,
@@ -143,20 +145,23 @@ def test_the_first_non_finite_point_is_the_full_grid_one(monkeypatch, case, data
     assert str(info.value) == f"non-finite value at {point_tuples(grid)[first]}"
 
 
-#: Magnitudes near the top of the float range, so that a value counted
-#: for two or more points overflows as one scaled term
+#: Magnitudes near the top of the float range, so that a sum may pass it
+#: in its exact total, or only in a running sum in point order
 HUGE = st.sampled_from([1e308, -1e308, 6e307, -6e307, 1.5, -0.75, 0.0])
 
 
-def fsum_or_overflow(terms):
+def exact_or_overflow(terms):
+    """The correctly rounded sum of ``terms``, which is ``math.fsum``'s
+    wherever that does not raise, or "overflows" where the exact sum
+    rounds past the float range."""
     try:
-        return math.fsum(terms)
+        return float(sum(map(fractions.Fraction, terms)))
     except OverflowError:
         return "overflows"
 
 
 #: The step and start of a Green sum's fold
-SUM = (_sum_step, (None, [], None))
+SUM = (_sum_step, (None, 0))
 
 
 def integral_or_overflow(state):
@@ -172,43 +177,61 @@ def integral_or_overflow(state):
 def test_sums_with_multiplicities_are_the_full_grid_fsum(monkeypatch, case):
     resolution, table, points = case
     model, grid, (state,) = swept(resolution, table, points, monkeypatch, SUM)
-    expected = fsum_or_overflow(full(resolution, table).tolist())
+    expected = exact_or_overflow(full(resolution, table).tolist())
     got = integral_or_overflow(state)
     assert got == expected and (got == "overflows" or bits(got) == bits(expected))
 
 
 def test_a_sum_over_many_points_counts_each_value_by_its_multiplicity(monkeypatch):
     # 0.1 is not a power of two, so 1000 copies round differently from
-    # any sum of fewer; 1e308 twice overflows as a scaled term, so the sum
-    # is taken point by point, where -1e308 comes between the two copies
+    # any sum of fewer; 1e308 counted twice passes the float range, but
+    # the exact total, with -1e308 twice, is 0
     model, grid, (state,) = swept((8, 125), np.full((1, 125), 0.1), 1000, monkeypatch, SUM)
     assert _integral(state, "terms") == math.fsum([0.1] * 1000) == 100.0
     table = np.array([[1e308, -1e308]])
     model, grid, (state,) = swept((2, 2), table, 4, monkeypatch, SUM)
     assert _integral(state, "terms") == 0.0
-    # 1e308 once per block of two points: the first block's sum joins the
-    # components when the second block comes, and the last is summed there
+    # 1e308 once per block of two points: the first block's total is 0 too
     model, grid, (state,) = swept((2, 2), table, 2, monkeypatch, SUM)
     assert _integral(state, "terms") == 0.0
+    # the running sum in point order passes the float range, the total does not
+    table = np.array([[1e308], [1e308], [-1e308]])
+    model, grid, (state,) = swept((3, 1), table, 1, monkeypatch, SUM)
+    assert _integral(state, "terms") == 1e308
 
 
-def test_a_one_block_sum_is_one_fsum_and_blocks_keep_its_bits(monkeypatch):
-    # every bench grid is one block: its Green sums cost one math.fsum each
-    model, split = td.builtin_model("torus-warped")
-    tau = td.alvarez_candidate(model, split)
-    calls = []
-    fsum = math.fsum
+#: A chart whose frame varies along both coordinates, so each read's
+#: values fill the whole block, and a basic field on it whose div^Q
+#: terms are not 0
+SQRT = [["1", "0"], ["0", "1 + sqrt(1.5 - x1*x2)"]]
+SQRT_FIELD = ["0", "(2 + sin(2*pi*x2))/(1 + sqrt(1.5 - x1*x2))"]
 
-    def spy(terms):
-        calls.append(1)
-        return fsum(terms)
 
-    monkeypatch.setattr(math, "fsum", spy)
-    whole = td.green_check(model, split, tau, (16, 32))
-    assert len(calls) == 2
-    monkeypatch.setattr(td.model, "BLOCK_VALUES", 7 * len(_block_plan(model, tau, True)))
-    split_up = td.green_check(model, split, tau, (16, 32))
+@pytest.mark.parametrize("name", ["torus-warped", "sqrt"])
+def test_a_sum_holds_no_array_and_blocks_keep_its_bits(monkeypatch, name):
+    # a Green sum's state is its first non-finite term and an int, however
+    # many blocks it takes; blocks of 7 points give the one-block bits
+    if name == "sqrt":
+        model, split = td.chart_model(name, (1.0, 1.0), SQRT), td.foliation_split(2, {0})
+        field = td.vector_field(SQRT_FIELD, model)
+    else:
+        model, split = td.builtin_model(name)
+        field = td.alvarez_candidate(model, split)
+    states = []
+    integral = tautness._integral
+
+    def spy(state, what):
+        states.append(state)
+        return integral(state, what)
+
+    monkeypatch.setattr(tautness, "_integral", spy)
+    whole = td.green_check(model, split, field, (16, 32))
+    assert whole.lhs != 0.0
+    monkeypatch.setattr(td.model, "BLOCK_VALUES", 7 * len(_block_plan(model, field, True)))
+    split_up = td.green_check(model, split, field, (16, 32))
     assert (bits(split_up.lhs), bits(split_up.rhs)) == (bits(whole.lhs), bits(whole.rhs))
+    assert len(states) == 4
+    assert all(found is None and type(total) is int for found, total in states)
 
 
 def least_det_of(table):
@@ -244,22 +267,11 @@ def test_a_tie_of_the_grid_with_the_corners_reports_the_grid(monkeypatch):
 
 # --- no rows on a lattice ------------------------------------------------------------
 
-@pytest.fixture
-def rows_built(monkeypatch):
-    """The number of coordinate rows of every call of the row builder."""
-    built = []
-    meshed = td.model._meshed
+# A Grid is its axes and has no coordinate rows to build (the tests build
+# them, ``generators.lattice_rows``): these runs read every point from the
+# axes and must still give their verdicts and refusals.
 
-    def spy(axes):
-        rows = meshed(axes)
-        built.append(len(rows))
-        return rows
-
-    monkeypatch.setattr(td.model, "_meshed", spy)
-    return built
-
-
-def test_verdicts_build_no_coordinate_rows_on_a_lattice(rows_built):
+def test_verdicts_build_no_coordinate_rows_on_a_lattice():
     model, split = td.builtin_model("torus-warped")
     tau = td.alvarez_candidate(model, split)
     grid = td.sample_grid(model, (64, 48))
@@ -267,12 +279,12 @@ def test_verdicts_build_no_coordinate_rows_on_a_lattice(rows_built):
     report = td.green_check(model, split, tau, (16, 32))
     (check,) = td.validate_model(model, grid)
     comparison = compare_with_cover(model, split, tau, 1, 3, (8, 12))
-    assert rows_built == []
-    # the reported points, read from the axes, are rows of the lattices
-    centres = grid.coordinates.tolist()
-    corners = _lattice(model, grid.resolution, 0.0).coordinates.tolist()
-    assert list(verdict.argmin) in centres and list(verdict.argmax) in centres
-    assert list(check.worst_point) in centres + corners
+    assert not hasattr(grid, "coordinates")
+    # the reported points, read from the axes, are points of the lattices
+    centres = point_tuples(grid)
+    corners = point_tuples(_lattice(model, grid.resolution, 0.0))
+    assert verdict.argmin in centres and verdict.argmax in centres
+    assert check.worst_point in centres + corners
     assert report.abs_error < 1e-9 and comparison.max_pointwise_difference == 0.0
 
 
@@ -302,13 +314,12 @@ REFUSED = {
         ("cover", "torus-warped", "--field", "alvarez", "--coord", "1", "--fold", "2", "--grid", "6"),
     ],
 )
-def test_no_command_builds_coordinate_rows(rows_built, argv):
+def test_no_command_builds_coordinate_rows(argv):
     assert cli(*argv) == 0
-    assert rows_built == []
 
 
 @pytest.mark.parametrize("name", ["torus-warped", "t3a"])
-def test_no_one_point_function_builds_coordinate_rows(rows_built, name):
+def test_no_one_point_function_builds_coordinate_rows(name):
     model, split = td.builtin_model(name)
     tau = td.alvarez_candidate(model, split)
     point = (0.3, 0.7) if model.is_chart else ()
@@ -321,11 +332,10 @@ def test_no_one_point_function_builds_coordinate_rows(rows_built, name):
     connection.mean_curvature(model, split.leaf_ordered, point)
     td.classify_divergence(model, split, tau, td.sample_grid(model, (5, 3)))
     td.validate_model(model, td.sample_grid(model, (5, 3)))
-    assert rows_built == []
 
 
 @pytest.mark.parametrize("name", REFUSED)
-def test_no_refusal_builds_coordinate_rows(rows_built, name, tmp_path):
+def test_no_refusal_builds_coordinate_rows(name, tmp_path):
     model = td.chart_model(name, (1.0, 1.0), REFUSED[name])
     split = td.foliation_split(2, {0})
     grid = td.sample_grid(model, (24, 8))
@@ -341,7 +351,6 @@ def test_no_refusal_builds_coordinate_rows(rows_built, name, tmp_path):
     }))
     assert cli("taut-check", str(path), "--field", "alvarez", "--grid", "24,8") in (2, 3)
     assert cli("analyze", str(path), "--grid", "24,8") in (2, 3)
-    assert rows_built == []
 
 
 def test_each_cover_block_sweeps_the_base_once_as_one_block(monkeypatch):
@@ -370,11 +379,6 @@ def test_each_cover_block_sweeps_the_base_once_as_one_block(monkeypatch):
             assert lifted_model is cover and below_model is model
             wrapped = _wrapped_columns(cover, lifted.axes)
             assert [axis.tobytes() for axis in below.axes] == [axis.tobytes() for axis in wrapped]
-
-
-#: A chart whose frame varies along both coordinates, so each read's
-#: values fill the whole block
-SQRT = [["1", "0"], ["0", "1 + sqrt(1.5 - x1*x2)"]]
 
 
 def test_a_verdict_holds_one_block_not_the_lattice(monkeypatch):

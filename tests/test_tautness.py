@@ -13,7 +13,7 @@ import transdiv as td
 from transdiv import expr
 from transdiv.tautness import TautnessClass, compare_with_cover
 
-from generators import point_tuples, projected, random_admissible_matrix
+from generators import lattice_rows, point_tuples, projected, random_admissible_matrix
 
 LOG_BIG = math.log((3 + math.sqrt(5)) / 2)
 
@@ -511,7 +511,7 @@ def test_cover_wrap_is_python_modulo_everywhere(torus, monkeypatch, coord, fold)
     for resolution in (8, (5, 7)):
         swept.clear()
         compare_with_cover(model, split, field, coord, fold, resolution)
-        base_rows = [grid for swept_model, grid in swept if swept_model is model][-1].coordinates
+        base_rows = lattice_rows([grid for swept_model, grid in swept if swept_model is model][-1])
         cover = td.lift_to_cover(model, split, field, coord, fold)[0]
         grid = td.sample_grid(cover, resolution)
         # the cover's grid is one lattice block, each coordinate on its own axis
