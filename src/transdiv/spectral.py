@@ -6,7 +6,9 @@ roots are certified and isolated by an integer Sturm chain, built from
 sign-preserving pseudo-remainders and evaluated at dyadic points
 m / 2^k, then refined on the sign of the polynomial by a search over
 the floats and the half-way points between them, which ends at the
-correctly rounded float of each root.  Float guesses of the roots
+correctly rounded float of each root.  A root whose float would be an
+infinity is refused (SpectralError), before any isolation where the
+Sturm counts at -+2^1024 show it.  Float guesses of the roots
 (Laguerre's iteration, in pure Python) only choose where isolation cuts
 and where the search starts; every decision is the sign of an exact
 integer, so the certified roots do not depend on them.  No fractions,
@@ -326,6 +328,12 @@ def _dyadic(x: float) -> tuple[int, int]:
     return m, d.bit_length() - 1
 
 
+#: Every root whose float is finite lies in (-_FLOAT_BOUND, _FLOAT_BOUND].
+_FLOAT_BOUND = 2**1024
+
+_BEYOND_FLOAT_RANGE = "an eigenvalue is beyond the float range (above 1.8e308)"
+
+
 def real_eigenvalues(coefficients: Sequence[int]) -> tuple[IsolatedRoot, ...]:
     """Certified real roots of an integer polynomial with all-real simple roots.
 
@@ -342,17 +350,34 @@ def real_eigenvalues(coefficients: Sequence[int]) -> tuple[IsolatedRoot, ...]:
     hits the root or brackets it between two neighbours, and, where
     those are more than 1 apart, by the same search over the integers
     between them.  A value is the correctly rounded float of the root:
-    ties go to even, a root beyond the float range gets an infinity and
-    one that rounds to zero a zero of its sign.  The enclosure of an
-    integer root r is (r, r); any other root gets (m, m + 1), m its
-    floor.  Raises SpectralError ("complex or repeated roots") when the
-    real-root count falls short of the degree or the polynomial is not
-    square-free.
+    ties go to even, and a root that rounds to zero gets a zero of its
+    sign.  The enclosure of an integer root r is (r, r); any other root
+    gets (m, m + 1), m its floor.  Raises SpectralError ("complex or
+    repeated roots") when the real-root count falls short of the degree
+    or the polynomial is not square-free, and SpectralError
+    (``_BEYOND_FLOAT_RANGE``) when a root's float would be an infinity:
+    where R exceeds 2^1024, two more Sturm counts at -+2^1024 decide
+    that before any guess or isolation, and a root in (2^1024 - 2^970,
+    2^1024], which rounds up to an infinity, is refused as it is rounded.
     """
     poly = _int_poly(coefficients)
     if len(poly) < 2:
         raise SpectralError("polynomial must have positive degree")
-    chain, radius, low_variations, high_variations = _sturm_counts(poly)
+    chain = _sturm_chain(poly)
+    if len(chain[-1]) > 1:
+        # the chain bottoms out at gcd(p, p'); nonconstant means repeated roots
+        raise SpectralError("complex or repeated roots: polynomial is not square-free")
+    radius, degree = _cauchy_radius(poly), len(poly) - 1
+    low_variations, high_variations = (_sign_variations(chain, end, 0) for end in (-radius, radius))
+    real = low_variations - high_variations
+    if real < degree:
+        raise SpectralError(
+            f"complex or repeated roots: only {real} real roots for degree {degree}"
+        )
+    if radius > _FLOAT_BOUND:
+        below, above = (_sign_variations(chain, end, 0) for end in (-_FLOAT_BOUND, _FLOAT_BOUND))
+        if below - above < degree:
+            raise SpectralError(_BEYOND_FLOAT_RANGE)
     guesses = sorted(g for g in _float_roots(poly) if math.isfinite(g))
     cuts = [(-radius, 0)]  # increasing dyadics (m, j), the point m / 2^j
     for a, b in zip(guesses, guesses[1:]):
@@ -400,48 +425,6 @@ def _cauchy_radius(poly: list[int]) -> int:
     return 1 - (-max(abs(c) for c in poly[:-1]) // abs(poly[-1]))
 
 
-def _sturm_counts(poly: list[int]) -> tuple[list[list[int]], int, int, int]:
-    """The Sturm chain of p, a polynomial of positive degree, its root
-    bound R (``_cauchy_radius``) and the chain's sign variations at -R
-    and R.  Raises SpectralError ("complex or repeated roots") when p is
-    not square-free or its real roots number fewer than its degree."""
-    chain = _sturm_chain(poly)
-    if len(chain[-1]) > 1:
-        # the chain bottoms out at gcd(p, p'); nonconstant means repeated roots
-        raise SpectralError("complex or repeated roots: polynomial is not square-free")
-    radius = _cauchy_radius(poly)
-    low, high = _sign_variations(chain, -radius, 0), _sign_variations(chain, radius, 0)
-    degree = len(poly) - 1
-    if low - high < degree:
-        raise SpectralError(
-            f"complex or repeated roots: only {low - high} real roots for degree {degree}"
-        )
-    return chain, radius, low, high
-
-
-#: Every root whose float is finite lies in (-_FLOAT_BOUND, _FLOAT_BOUND].
-_FLOAT_BOUND = 2**1024
-
-
-def _beyond_float_range(coefficients: Sequence[int]) -> bool:
-    """Whether p, a polynomial of positive degree, has only real simple
-    roots (``_sturm_counts``) and one of them outside (-2^1024, 2^1024],
-    where its float is an infinity: decided, where the root bound exceeds
-    2^1024, by two more Sturm counts at -+2^1024, before any root is
-    isolated.  False where the bound does not exceed 2^1024; a root that
-    rounds up to an infinity from below 2^1024 is then found by
-    isolation."""
-    poly = _int_poly(coefficients)
-    if _cauchy_radius(poly) <= _FLOAT_BOUND:
-        return False
-    try:
-        chain = _sturm_counts(poly)[0]
-    except SpectralError:
-        return False  # real_eigenvalues refuses p
-    inside = _sign_variations(chain, -_FLOAT_BOUND, 0) - _sign_variations(chain, _FLOAT_BOUND, 0)
-    return inside < len(poly) - 1
-
-
 def _midpoint(low: int, high: int, k: int) -> tuple[int, int, int, int]:
     """Split (low / 2^k, high / 2^k] at an integer strictly inside, which
     keeps early enclosures integral, else at the half-way point.
@@ -453,11 +436,12 @@ def _midpoint(low: int, high: int, k: int) -> tuple[int, int, int, int]:
 
 
 def _rounded(m: int, k: int) -> float:
-    """The float nearest to m / 2^k, an infinity beyond the float range."""
+    """The float nearest to m / 2^k; raises SpectralError where that is
+    an infinity."""
     try:
         return m / (1 << k)
     except OverflowError:
-        return math.inf if m > 0 else -math.inf
+        raise SpectralError(_BEYOND_FLOAT_RANGE) from None
 
 
 def _point(place: int) -> tuple[int, int]:
@@ -543,12 +527,12 @@ def _refine(
     between them (``_point``) hits the root or brackets it between two
     neighbours.  Every point strictly between those rounds to the float
     among them, as the root does; a root that is a half-way point rounds
-    to the even float beside it; past the largest float, the float is an
-    infinity.  Where the neighbours are integers, |root| >= 2^53, the same
-    search over the integers between them gives the root's floor or
-    hits it.  The first search starts at the first of the sorted places
-    ``starts`` (the guesses') inside the interval, else at the nearest
-    one, clamped into it."""
+    to the even float beside it; past the largest float, rounding raises
+    SpectralError (``_rounded``).  Where the neighbours are integers,
+    |root| >= 2^53, the same search over the integers between them gives
+    the root's floor or hits it.  The first search starts at the first
+    of the sorted places ``starts`` (the guesses') inside the interval,
+    else at the nearest one, clamped into it."""
     # the places around the interval: every place between them is inside
     lo, hi = _place(low, k), _place(high, k) + 1
     start = None
@@ -579,16 +563,16 @@ def _refine(
 
 # --- admissibility and the suspension model ---------------------------------
 
-_BEYOND_FLOAT_RANGE = "an eigenvalue is beyond the float range (above 1.8e308)"
+_BELOW_FLOAT_RANGE = "an eigenvalue is below the float range (nonzero, rounds to 0)"
 
 
 def validate_suspension_matrix(matrix: Sequence[Sequence[int]]) -> MatrixDiagnostics:
     """Diagnostics: det = 1 exactly; eigenvalues real, simple, positive,
     distinct from 1.  For 2x2 matrices the trace condition (> 2) is also
-    reported; it is equivalent to admissibility there.  Real simple
-    eigenvalues of which one is beyond the float range raise
-    SpectralError, decided before isolation where the root bound
-    exceeds 2^1024 (``_beyond_float_range``)."""
+    reported; it is equivalent to admissibility there.  Complex or
+    repeated eigenvalues fail a check; an eigenvalue whose float is an
+    infinity (refused by ``real_eigenvalues``) or a zero of a nonzero
+    root raises SpectralError, since no check could be reported on it."""
     checks: list[CheckResult] = []
     try:
         rows = _normalize(matrix)
@@ -602,8 +586,6 @@ def validate_suspension_matrix(matrix: Sequence[Sequence[int]]) -> MatrixDiagnos
         CheckResult("determinant_one", det == 1, f"det = {det} (exact)")
     )
     roots: tuple[IsolatedRoot, ...] | None
-    if _beyond_float_range(coefficients):
-        raise SpectralError(_BEYOND_FLOAT_RANGE)
     try:
         roots = real_eigenvalues(coefficients)
         checks.append(
@@ -614,11 +596,13 @@ def validate_suspension_matrix(matrix: Sequence[Sequence[int]]) -> MatrixDiagnos
             )
         )
     except SpectralError as exc:
+        if str(exc) == _BEYOND_FLOAT_RANGE:
+            raise
         roots = None
         checks.append(CheckResult("eigenvalues_real_simple", False, str(exc)))
     if roots is not None:
-        if any(math.isinf(root.value) for root in roots):
-            raise SpectralError(_BEYOND_FLOAT_RANGE)
+        if any(root.value == 0 and root.enclosure != (0, 0) for root in roots):
+            raise SpectralError(_BELOW_FLOAT_RANGE)
         positive = all(root.value > 0 for root in roots)
         checks.append(
             CheckResult(

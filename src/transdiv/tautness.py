@@ -369,7 +369,9 @@ def lift_to_cover(
     The covering model keeps every expression and evaluates it modulo
     the base period in the unrolled coordinate, so the transverse
     divergence of the lift at a covering point equals that of the base
-    field at its image.
+    field at its image.  It shares the base model's derived data (frame
+    partials, minors, C and plans: ``model._kept``), since only the
+    periods and wraps differ and those enter as a block is evaluated.
     """
     if not model.is_chart:
         raise ModelError("only chart models can be unrolled to a cover")
@@ -393,6 +395,7 @@ def lift_to_cover(
         periods=tuple(periods),
         coordinate_wraps=tuple(wraps),
     )
+    lifted.__dict__["_memo"] = expr._memo(model)
     return lifted, split, field_spec
 
 

@@ -6,8 +6,8 @@ orthogonal matrices, so the Jacobi identity genuinely holds.  Chart
 models use frames of the form rotation(theta) * diag(exp g_i), or dense
 diagonally dominant frames (trigonometric, or built with ln, sqrt,
 powers and quotients of random expressions), all invertible everywhere
-by construction.  Warped tori (``warped_torus_case``) come with a basic
-field, and ``rescaled_rows`` and ``shifted_normals`` change their frame
+by construction.  Warped tori (``warped_torus_case``) and the tori of
+the chart benchmarks (``bench_torus_case``) come with a basic field, and ``rescaled_rows`` and ``shifted_normals`` change their frame
 but not their transverse structure.
 ``at`` reads one point of a sweep, ``kept`` is the fold that keeps every
 value of a read and ``swept_parts`` a sweep with it, ``pointwise_rows``
@@ -155,6 +155,51 @@ def warped_torus_case(
     model = td.chart_model(f"warped-{dim}d", (1.0,) * dim, rows)
     field = td.vector_field([expr.ZERO, *(trig_poly(rng, dim, coords=transverse) for _ in transverse)], model)
     return model, td.foliation_split(dim, {0}), field
+
+
+#: The tori the chart benchmarks draw, and warped-both, a periodic chart
+#: whose leaf row varies along both coordinates
+BENCH_TORI = ("bench-warped-2d", "bench-warped-3d", "bench-kronecker", "warped-both")
+
+
+def _bench_trig(rng: random.Random, var: str, offset: bool = False) -> str:
+    """c0 + a sin(2 pi k var) + b cos(2 pi m var) as the chart benchmarks
+    draw their warps and fields: k and m 2 or 3, a and |b| in [0.05,
+    0.3], c0 in [0.1, 1] with ``offset`` and 0 without."""
+    c0 = round(rng.uniform(0.1, 1.0), 6) if offset else 0.0
+    a, k = round(rng.uniform(0.05, 0.3), 6), rng.randint(2, 3)
+    b, m = round(rng.choice((-1.0, 1.0)) * rng.uniform(0.05, 0.3), 6), rng.randint(2, 3)
+    return f"{c0!r} + {a!r}*sin(2*pi*{k}*{var}) + {b!r}*cos(2*pi*{m}*{var})"
+
+
+def bench_torus_case(
+    rng: random.Random, kind: str
+) -> tuple[td.FrameModel, td.FoliationSplit, td.VectorFieldSpec]:
+    """A torus of ``BENCH_TORI`` with leaves along E1 and a basic field
+    with a zero leaf component: the warped 2-torus exp(-f(x2)) d/dx1,
+    d/dx2 with s(x2) E2; the warped 3-torus diag(exp(-f(x3)),
+    exp(-h(x3)), 1) with transverse components in x2 and x3; the flat
+    Kronecker torus at a drawn angle, whose dense leaves leave only a
+    constant c E2; warped-both, E1 = (2 + sin 2 pi x1)(2 + cos 2 pi x2)
+    d/dx1, with s(x2) E2."""
+    if kind == "bench-warped-2d":
+        frame = [[f"exp(-({_bench_trig(rng, 'x2')}))", "0"], ["0", "1"]]
+        field = ["0", _bench_trig(rng, "x2", offset=True)]
+    elif kind == "bench-warped-3d":
+        f, h = (f"exp(-({_bench_trig(rng, 'x3')}))" for _ in range(2))
+        frame = [[f, "0", "0"], ["0", h, "0"], ["0", "0", "1"]]
+        field = ["0", *(trig_poly(rng, 3, coords=(2, 3)) for _ in range(2))]
+    elif kind == "bench-kronecker":
+        angle = round(rng.uniform(0.1, 1.4), 9)
+        c, s = f"cos({angle!r})", f"sin({angle!r})"
+        frame = [[c, s], [f"-{s}", c]]
+        field = ["0", repr(round(rng.uniform(0.5, 2.0), 6))]
+    else:
+        assert kind == "warped-both"
+        frame = [["(2 + sin(2*pi*x1))*(2 + cos(2*pi*x2))", "0"], ["0", "1"]]
+        field = ["0", _bench_trig(rng, "x2", offset=True)]
+    model = td.chart_model(kind, (1.0,) * len(frame), frame, dense_leaves=kind == "bench-kronecker")
+    return model, td.foliation_split(len(frame), {0}), td.vector_field(field, model)
 
 
 def rescaled_rows(model: td.FrameModel, rows, phi: expr.Expr) -> td.FrameModel:

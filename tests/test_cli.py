@@ -486,6 +486,34 @@ def test_eigenvalue_beyond_float_range_exit_2(capsys, tmp_path, argv, fmt):
     assert not (tmp_path / "unused").exists()
 
 
+#: SL(3, Z) companion matrices of x^3 - 3 10^165 x^2 -+ 10^330 x - 1: det 1
+#: and real simple eigenvalues near 3.8e164 (or -3.0e164), 2.6e165 (or
+#: 3.3e165) and +-1e-330, whose float is a zero
+UNDERFLOWING = [f"0,0,1;1,0,{sign}{10**330};0,1,{3 * 10**165}" for sign in ("-", "")]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("subcommand", ["spectral", "suspend"])
+@pytest.mark.parametrize("matrix", UNDERFLOWING, ids=["positive", "negative"])
+def test_eigenvalue_below_float_range_exit_2(capsys, tmp_path, matrix, subcommand, fmt):
+    # a nonzero eigenvalue whose float is 0 is refused: its check would
+    # report a false eigenvalues_positive: FAIL and a product of 0
+    out_path = tmp_path / "model.json"
+    extra = ("--leaf", "2", "-o", str(out_path)) if subcommand == "suspend" else ()
+    code, out, err = run(capsys, subcommand, "--matrix", matrix, *extra, "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == "error: an eigenvalue is below the float range (nonzero, rounds to 0)\n"
+    assert not out_path.exists()
+
+
+def test_a_zero_eigenvalue_is_reported(capsys):
+    # an eigenvalue that is 0 exactly, enclosure (0, 0), fails its check
+    code, out, _ = run(capsys, "spectral", "--matrix", "0,0;0,2", "--format", "json")
+    payload = json.loads(out)
+    assert code == 0 and payload["enclosures"] == [[0, 0], [2, 2]]
+    assert [check["passed"] for check in payload["checks"] if check["name"] == "eigenvalues_positive"] == [False]
+
+
 def test_non_finite_tolerance_exit_1(capsys):
     code, _, err = run(capsys, "taut-check", "t3a", "--field", "alvarez", "--tol", "nan")
     assert code == 1

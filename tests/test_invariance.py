@@ -27,27 +27,39 @@ from hypothesis import strategies as st
 import transdiv as td
 from transdiv import expr
 
-from generators import rescaled_rows, shifted_normals, swept_rows, trig_poly, warped_torus_case
+from generators import (
+    BENCH_TORI, bench_torus_case, rescaled_rows, shifted_normals, swept_rows, trig_poly, warped_torus_case,
+)
 
-#: The builtins and the dimensions of the warped tori drawn
-KINDS = ["torus-warped", "flat-kronecker", 2, 3]
+#: The builtins, the dimensions of the warped tori drawn and the tori of
+#: the chart benchmarks
+KINDS = ["torus-warped", "flat-kronecker", 2, 3, *BENCH_TORI]
 CASES = st.sampled_from(KINDS)
 
 #: Points per axis: the Green sums of these smooth periodic terms are
-#: then exact to about 1e-15 of their size
+#: then exact to about 1e-15 of their size.  The benchmark's warps and
+#: fields have frequencies 2 and 3 inside exp, so their Green sums need
+#: 48 (at 16 they miss by up to 1e-5 of their size, at 32 by 2e-12)
 POINTS = 16
+BENCH_POINTS = 48
+
+
+def points(kind):
+    return BENCH_POINTS if kind in BENCH_TORI else POINTS
 
 
 def case(kind, rng):
     """A model, its split and a basic field with a zero leaf component.
     The leaves of flat-kronecker are dense, so its basic functions are
-    constant."""
+    constant, as are those of the Kronecker torus the benchmark draws."""
     if kind == "torus-warped":
         model, split = td.builtin_model(kind)
         return model, split, td.vector_field(["0", trig_poly(rng, 2, coords=(2,))], model)
     if kind == "flat-kronecker":
         model, split = td.builtin_model(kind)
         return model, split, td.vector_field(["0", repr(rng.uniform(0.5, 2.0))], model)
+    if kind in BENCH_TORI:
+        return bench_torus_case(rng, kind)
     return warped_torus_case(rng, kind)
 
 
@@ -65,26 +77,28 @@ def transforms(rng, model, split):
     return [rescaled, shifted_normals(model, split, shifts), shifted_normals(rescaled, split, shifts)]
 
 
-def divergences(model, split, field):
+def divergences(model, split, field, resolution):
     (values,) = swept_rows(
-        model, td.sample_grid(model, POINTS),
+        model, td.sample_grid(model, resolution),
         lambda block: block.divergence(split.transverse_ordered), field_spec=field,
     )
     return values
 
 
-def invariant(model, split, field, other):
+def invariant(model, split, field, other, resolution):
     """Whether the frame ``other`` gives ``field``'s transverse components
-    the div^Q, verdict class and Green identity of ``model``'s."""
+    the div^Q, verdict class and Green identity of ``model``'s, on
+    ``resolution`` points per axis."""
     moved = td.vector_field(field.components, other)
-    grid = td.sample_grid(model, POINTS)
+    grid = td.sample_grid(model, resolution)
     try:
         verdicts = [td.classify_divergence(m, split, f, grid) for m, f in ((model, field), (other, moved))]
     except td.NotBasicError:
         return False
-    reference, values = divergences(model, split, field), divergences(other, split, moved)
+    reference = divergences(model, split, field, resolution)
+    values = divergences(other, split, moved, resolution)
     scale = max(float(np.max(np.abs(reference))), 1.0)
-    report = td.green_check(other, split, moved, POINTS)
+    report = td.green_check(other, split, moved, resolution)
     return (
         float(np.max(np.abs(values - reference))) <= 1e-12 * scale
         and verdicts[0].classification is verdicts[1].classification
@@ -98,7 +112,7 @@ def test_div_q_and_the_verdict_depend_only_on_the_transverse_structure(kind, see
     rng = random.Random(seed)
     model, split, field = case(kind, rng)
     for other in transforms(rng, model, split):
-        assert invariant(model, split, field, other), other.frame
+        assert invariant(model, split, field, other, points(kind)), other.frame
 
 
 @settings(max_examples=15, deadline=None)
@@ -112,12 +126,12 @@ def test_rescaling_a_transverse_row_is_caught(kind, seed):
     row = rng.choice(split.transverse_ordered)
     total = "+".join(f"x{j + 1}" for j in split.transverse_ordered)
     psi = expr.parse(f"exp(0.3*sin(2*pi*({total})))")
-    assert not invariant(model, split, field, rescaled_rows(model, {row}, psi))
+    assert not invariant(model, split, field, rescaled_rows(model, {row}, psi), points(kind))
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_the_green_identity_holds_before_the_frame_changes(kind):
     # the bound the transformed frames are held to holds on the originals
     model, split, field = case(kind, random.Random(5))
-    report = td.green_check(model, split, field, POINTS)
+    report = td.green_check(model, split, field, points(kind))
     assert report.abs_error <= 1e-12 * max(abs(report.lhs), abs(report.rhs), 1.0)

@@ -18,6 +18,7 @@ import io
 import json
 import random
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -85,9 +86,9 @@ LAZY = {
         (("green-check", "torus-warped", "--field", "alvarez", "--grid", "8"), 1),
         (("volume-check", "torus-warped", "--field", "alvarez", "--grid", "8"), 1),
         (("analyze", "torus-warped", "--grid", "8"), 1),
-        # the base model and its cover
+        # the cover shares the base model's plan
         (("cover", "torus-warped", "--field", "alvarez", "--coord", "1", "--fold", "2",
-          "--grid", "8"), 2),
+          "--grid", "8"), 1),
         (("taut-check", "t3a", "--field", "alvarez"), 1),
     ],
     ids=["taut-check", "green-check", "volume-check", "analyze", "cover", "constant-structure"],
@@ -96,7 +97,8 @@ def test_each_invocation_builds_one_plan_per_model(plans, tables, argv, count):
     code, _, _ = run_main(*argv)
     assert code == 0
     assert len(plans) == count
-    # C is derived once for each chart model, and never for t3a
+    # C is derived once per chart command, the cover's included, and
+    # never for t3a
     assert len(tables) == len({id(model) for model in tables}) == (count if "t3a" not in argv else 0)
 
 
@@ -189,6 +191,29 @@ def test_a_det_only_sweep_after_a_structure_sweep_gives_fresh_bits(plans, with_f
     assert len(plans) == built  # the kept plan, not a new one
     with pytest.raises(td.DomainError, match="division by zero"):
         sweep(model, corners, kept(lambda block: block.c), field_spec=field)
+
+
+def test_a_cover_sweeps_with_its_base_plan_and_keeps_the_bits(plans):
+    # the lift changes only periods and wraps, which enter at evaluation,
+    # so its sweep from the base's plan gives the bits of a fresh lift's
+    model, split = td.builtin_model("torus-warped")
+    field = td.alvarez_candidate(model, split)
+    grid = td.sample_grid(model, 8)
+    sweep(model, grid, kept(lambda block: block.c), field_spec=field)
+    lifted = td.lift_to_cover(model, split, field, 1, 3)[0]
+    fresh = replace(lifted)
+    cover_grid = td.sample_grid(lifted, (8, 24))
+
+    def field_derivative_bits(swept):
+        # E_i(v^k): the frame and the field partials, at wrapped coordinates
+        (rows,) = generators.swept_rows(swept, cover_grid, lambda block: block.ev, field_spec=field)
+        return rows.view(np.int64)
+
+    assert len(plans) == 1
+    shared = field_derivative_bits(lifted)
+    assert len(plans) == 1
+    assert np.array_equal(shared, field_derivative_bits(fresh))
+    assert len(plans) == 2
 
 
 def test_a_failing_det_reports_its_point_from_a_kept_plan():

@@ -428,18 +428,20 @@ def test_roots_on_a_rounding_tie_round_to_even():
     ]
     (root,) = td.real_eigenvalues((2, -(2**53 + 1)))
     assert root.value == float(2**52) and root.enclosure == (2**52, 2**52 + 1)
-    # halfway from the largest float to 2^1024 is where rounding overflows
-    (root,) = td.real_eigenvalues((1, -(2**1024 - 2**970)))
-    assert root.value == math.inf and root.enclosure == (2**1024 - 2**970,) * 2
+    # halfway from the largest float to 2^1024 is where rounding overflows,
+    # and real_eigenvalues refuses the root there
+    with pytest.raises(td.SpectralError, match=r"^an eigenvalue is beyond the float range \(above 1.8e308\)$"):
+        td.real_eigenvalues((1, -(2**1024 - 2**970)))
     (root,) = td.real_eigenvalues((1, -(2**1024 - 2**970 - 1)))
     assert root.value == 1.7976931348623157e308
 
 
 def test_root_beyond_float_range():
-    # the correctly rounded float of 10^309 is inf: real_eigenvalues
-    # returns it, and validate_suspension_matrix refuses it
-    (root,) = td.real_eigenvalues((1, -(10**309)))
-    assert root.value == math.inf
+    # the correctly rounded float of 10^309 is inf: real_eigenvalues and
+    # validate_suspension_matrix refuse it, below 2^1024 and past it
+    for coefficients in ((1, -(10**309)), (1, 0, -(2**2048 + 1)), (1, 2**1024)):
+        with pytest.raises(td.SpectralError, match="beyond the float range"):
+            td.real_eigenvalues(coefficients)
     with pytest.raises(td.SpectralError, match="beyond the float range"):
         td.validate_suspension_matrix(((10**309, 1), (10**309 - 1, 1)))
 
@@ -900,33 +902,48 @@ def test_float_roots_of_overflowing_coefficients_come_from_a_scaled_polynomial(m
 
 def test_an_eigenvalue_beyond_the_float_range_is_refused_before_isolation(monkeypatch):
     # eigenvalues up to about 1e800: the Sturm counts at -+2^1024 show
-    # them, and no root is isolated or refined
-    sign_at, calls = td.spectral._sign_at, [0]
+    # them, and no guess is computed and no root isolated or refined
+    sign_at, sturm_chain, calls, chains = td.spectral._sign_at, td.spectral._sturm_chain, [0], []
 
     def counting(*args):
         calls[0] += 1
         return sign_at(*args)
 
-    def isolating(coefficients):
-        raise AssertionError("isolation reached")
+    def building(poly):
+        chains.append(sturm_chain(poly))
+        return chains[-1]
+
+    def reached(*args):
+        raise AssertionError("guesses or refinement reached")
 
     monkeypatch.setattr(td.spectral, "_sign_at", counting)
-    monkeypatch.setattr(td.spectral, "real_eigenvalues", isolating)
+    monkeypatch.setattr(td.spectral, "_sturm_chain", building)
+    monkeypatch.setattr(td.spectral, "_float_roots", reached)
+    monkeypatch.setattr(td.spectral, "_refine", reached)
     with pytest.raises(td.SpectralError, match=r"^an eigenvalue is beyond the float range \(above 1.8e308\)$"):
         td.validate_suspension_matrix(_huge_gram(400))
-    chain = td.spectral._sturm_chain(td.spectral._int_poly(td.char_poly(_huge_gram(400))))
+    (chain,) = chains
     assert calls[0] == 4 * len(chain)
+    # the same refusal from the library call, one chain per call
+    with pytest.raises(td.SpectralError, match="beyond the float range"):
+        td.real_eigenvalues(td.char_poly(_huge_gram(400)))
+    assert len(chains) == 2
     monkeypatch.undo()
     # complex and repeated eigenvalues are reported first, as before
     for rows in (((0, -(10**400)), (10**400, 0)), ((10**400, 0), (0, 10**400))):
         report = td.validate_suspension_matrix(rows)
         assert [check.name for check in report.checks if not check.passed][:1] == ["determinant_one"]
         assert not report.checks[2].passed and report.checks[2].name == "eigenvalues_real_simple"
-    # a root bound past 2^1024 with every root a float: isolated as before
-    coefficients = (1, -(2 * 10**300 + 1), 10**300 * (10**300 + 1))
+    # a root bound past 2^1024 with every root a float: isolated as before,
+    # from the one chain that the counts at -+2^1024 read too
+    rows = ((10**300, 0), (0, 10**300 + 1))
+    coefficients = td.char_poly(rows)
     assert td.spectral._cauchy_radius(td.spectral._int_poly(coefficients)) > 2**1024
-    assert not td.spectral._beyond_float_range(coefficients)
-    assert [root.value for root in td.real_eigenvalues(coefficients)] == [1e300, float(10**300 + 1)]
+    del chains[:]
+    monkeypatch.setattr(td.spectral, "_sturm_chain", building)
+    report = td.validate_suspension_matrix(rows)
+    assert len(chains) == 1
+    assert [root.value for root in report.roots] == [1e300, float(10**300 + 1)]
 
 
 def test_real_eigenvalues_coefficient_types():
