@@ -448,10 +448,10 @@ class Plan:
     already computed are not run again, so a group raises exactly what
     evaluating its roots one by one after the earlier groups would raise.
 
-    A subexpression without variables is folded when the plan is built:
-    its own step runs once on its children's folded values, so it has
-    the value a run would give it.  One whose step raises DomainError
-    keeps that step, and a run that reaches it raises the same error.
+    The plan holds steps, not values: building it runs none of them.  A
+    subexpression without variables is a step like any other, run once
+    per run, and one that fails (``ln(0)``, ``1/0``) raises its
+    DomainError when a run reaches it.
 
     Each node visit is one branch on the node's type, which takes its
     children's slots and its key: kind, own data (a literal's type and
@@ -461,7 +461,6 @@ class Plan:
 
     def __init__(self, groups: Sequence[Sequence[Expr]]):
         steps: list[Callable] = []
-        folded: dict[int, float] = {}  # slot -> value of a folded subexpression
         keys: dict[tuple, int] = {}
         seen: dict[int, int] = {}  # id(node) -> slot; the roots keep every node alive
 
@@ -488,23 +487,15 @@ class Plan:
             slot = keys.get(key)
             if slot is None:
                 slot = keys[key] = len(steps)
-                step = _operation(kind, node, children)
-                if kind is not Variable and all(map(folded.__contains__, children)):
-                    try:
-                        value = folded[slot] = step(folded, None)
-                        step = lambda table, env: value
-                    except DomainError:
-                        pass
-                steps.append(step)
+                steps.append(_operation(kind, node, children))
             seen[id(node)] = slot
             return slot
 
-        self._steps, self._folded, self._groups = steps, folded, []
-        with np.errstate(all="ignore"):  # a fold that overflows raises DomainError
-            for group in groups:
-                start = len(steps)
-                roots = tuple(map(visit, group))
-                self._groups.append((start, len(steps), roots))
+        self._steps, self._groups = steps, []
+        for group in groups:
+            start = len(steps)
+            roots = tuple(map(visit, group))
+            self._groups.append((start, len(steps), roots))
         del visit  # it refers to itself: unbound, it and the tables die now, not in a collection
 
     def __len__(self) -> int:

@@ -388,8 +388,9 @@ def _block_plan(
 ) -> expr.Plan:
     """The evaluation plan of FrameData blocks: one group for each of the
     frame entries, det A, the frame partials, the structure functions
-    C_ij^k with i < j (k running fastest), the field components and the
-    field partials that a block may compute, in that order.
+    C_ij^k (the whole table of ``structure_functions_symbolic`` in
+    row-major (i, j, k) order), the field components and the field
+    partials that a block may compute, in that order.
 
     The model keeps its plan without a field and that of the last field
     spec asked for (by identity).  Every plan of a chart begins with the
@@ -416,9 +417,7 @@ def _block_plan(
                     raise
                 return expr.Plan(groups)
             groups.append([d for row in partials for entry in row for d in entry])
-            table = structure_functions_symbolic(model)
-            pairs = itertools.combinations(every, 2)
-            groups.append([table[i][j][k] for i, j in pairs for k in every])
+            groups.append([c for plane in structure_functions_symbolic(model) for row in plane for c in row])
         if field_spec is not None:
             groups.append(field_spec.components)
             if model.is_chart:
@@ -505,8 +504,9 @@ class FrameData:
     Built only by ``sweep`` from the groups of ``plan`` (``_block_plan``),
     each evaluated once the checks of those before it pass; without
     ``structure`` only the first two run.  det A and C are the trees of
-    ``structure_functions_symbolic``, C_ij^k for i < j, C_ji^k = -C_ij^k
-    filled in.  Every value is finite: a NaN or infinity raises
+    ``structure_functions_symbolic``, whose C_ji^k is the negation of
+    C_ij^k, so every value is stored as one run of the plan gives it.
+    Every value is finite: a NaN or infinity raises
     DomainError, and |det A| < DET_TOLERANCE raises SingularFrameError
     before C is evaluated.  Each check tests a whole array and raises at
     the block's first point (``_non_finite``).
@@ -536,11 +536,7 @@ class FrameData:
                 # is its value at the block's first point
                 raise SingularFrameError(block.point(0), float(self.det.flat[0]))
             next(values)  # the frame partials, checked before C reads them
-            upper = _stacked(_next_finite(values, block, "structure functions"), (-1, n), block)
-            self.c = np.zeros((n, n) + upper.shape[1:])
-            for row, (i, j) in zip(upper, itertools.combinations(range(n), 2)):
-                self.c[i, j] = row
-                np.negative(row, out=self.c[j, i])
+            self.c = _stacked(_next_finite(values, block, "structure functions"), (n, n, n), block)
         else:
             self.c = _constant_table(model).reshape((n, n, n) + (1,) * len(block.axes))
         _require_finite(self.c, block, "structure functions")
@@ -809,8 +805,9 @@ def validate_model(model: FrameModel, grid: Grid, least_det=None) -> tuple[Check
     frame invertibility over its points, then its lattice corners, for
     charts (``least_det``, the ``_least_det`` state of the caller's own
     sweep of ``grid``, spares sweeping it again); the Jacobi identity for
-    constant-structure models.  Neither needs an antisymmetry check:
-    C_ji^k = -C_ij^k is filled in from C_ij^k, i < j, in both.
+    constant-structure models.  Neither needs an antisymmetry check: a
+    chart's C_ji^k is the tree that negates C_ij^k, and a constant
+    table's C_ji^k is filled in from C_ij^k, i < j.
 
     A failed check is a record, not an exception: ``analyze`` reports
     the records, and the verdicts of ``tautness`` refuse a model whose

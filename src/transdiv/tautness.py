@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -243,15 +244,21 @@ def green_check(
     Both sums are the correctly rounded exact sums of the per-point terms
     (``_integral``), so independent of the order of the points and of the
     blocks; a sum is refused with DomainError as overflowing exactly when
-    that rounding passes the float range.  A model that fails a
-    hypothesis record on the grid raises ModelError
-    (``_require_hypotheses``).
+    that rounding passes the float range.  A cell volume that is not a
+    normal float (it underflows, which would zero every term, or
+    overflows) raises ModelError, as does a model that fails a
+    hypothesis record on the grid (``_require_hypotheses``).
     """
     if not model.is_chart:
         raise ModelError("the Green-formula quadrature needs a chart model")
     grid = sample_grid(model, resolution)
     assert model.periods is not None
     cell = math.prod(length / n for length, n in zip(model.periods, grid.resolution))
+    if not sys.float_info.min <= cell < math.inf:
+        raise ModelError(
+            f"cell volume {cell!r} of periods {model.periods} at grid {grid.resolution} "
+            "leaves the float range"
+        )
     sums = (Fold(term, _sum_step, (None, 0)) for term in _green_terms(split, cell))
     lhs, rhs, least_det = _basic_sweep(model, split, field_spec, grid, *sums, _least_det)
     lhs = _integral(lhs, "div^Q v dmu")
@@ -418,7 +425,9 @@ def compare_with_cover(
     ``max_pointwise_difference`` is exactly 0 by construction, since the
     cover evaluates the base's expressions at wrapped coordinates (0 on
     torus-warped and flat-kronecker, folds 1 to 5, grids 4 to 64; up to
-    6.2e-13 without the wrap).  It checks the wrapping, not the geometry.
+    6.2e-13 without the wrap).  It checks nothing, not even the wrap:
+    both sides wrap through ``_wrapped_columns``, so a fault there moves
+    them alike.
 
     The hypothesis gate runs once, on the base model and grid, in the
     base's classification; the cover's sweep still refuses a frame that

@@ -7,8 +7,10 @@ models use frames of the form rotation(theta) * diag(exp g_i), or dense
 diagonally dominant frames (trigonometric, or built with ln, sqrt,
 powers and quotients of random expressions), all invertible everywhere
 by construction.  Warped tori (``warped_torus_case``) and the tori of
-the chart benchmarks (``bench_torus_case``) come with a basic field, and ``rescaled_rows`` and ``shifted_normals`` change their frame
-but not their transverse structure.
+the chart benchmarks (``bench_torus_case``) come with a basic field;
+``rotated_rows`` turns two frame rows and a field's components alike,
+keeping the metric, and ``rescaled_rows`` and ``shifted_normals``
+change the frame but not its transverse structure.
 ``at`` reads one point of a sweep, ``kept`` is the fold that keeps every
 value of a read and ``swept_parts`` a sweep with it, ``pointwise_rows``
 reads many points one by one, ``CountingEnv`` counts the variable reads
@@ -200,6 +202,28 @@ def bench_torus_case(
         field = ["0", _bench_trig(rng, "x2", offset=True)]
     model = td.chart_model(kind, (1.0,) * len(frame), frame, dense_leaves=kind == "bench-kronecker")
     return model, td.foliation_split(len(frame), {0}), td.vector_field(field, model)
+
+
+def rotated_rows(
+    model: td.FrameModel, field: td.VectorFieldSpec, rows: tuple[int, int], theta: expr.Expr
+) -> tuple[td.FrameModel, td.VectorFieldSpec]:
+    """``model`` with its frame rows j, k = ``rows`` turned by the angle
+    ``theta``, E_j -> cos theta E_j + sin theta E_k and E_k -> -sin theta
+    E_j + cos theta E_k, and ``field`` with its components v^j, v^k
+    turned the same way, so that it is the same vector field.  A gauge
+    rotation of two transverse rows (or two leaf rows) keeps the metric,
+    the foliation and its splitting, so every intrinsic quantity stays."""
+    cos, sin = expr.FunctionCall("cos", theta), expr.FunctionCall("sin", theta)
+
+    def turned(x: expr.Expr, y: expr.Expr) -> tuple[expr.Expr, expr.Expr]:
+        return expr.add(expr.mul(cos, x), expr.mul(sin, y)), expr.sub(expr.mul(cos, y), expr.mul(sin, x))
+
+    j, k = rows
+    frame, components = [list(row) for row in model.frame], list(field.components)
+    frame[j], frame[k] = map(list, zip(*map(turned, model.frame[j], model.frame[k])))
+    components[j], components[k] = turned(components[j], components[k])
+    rotated = td.chart_model(f"{model.name}-rotated", model.periods, frame, dense_leaves=model.dense_leaves)
+    return rotated, td.vector_field(components, rotated)
 
 
 def rescaled_rows(model: td.FrameModel, rows, phi: expr.Expr) -> td.FrameModel:

@@ -161,7 +161,7 @@ def test_a_green_sum_overflows_only_where_its_exact_total_does(capsys, tmp_path)
 
 
 def test_a_folded_constant_reports_as_its_parameter_does(capsys, tmp_path):
-    # exp(0.019) folded and exp(s) at s = 0.019 give one value, so the
+    # the constant exp(0.019) and exp(s) at s = 0.019 give one value, so the
     # two charts report the same Green terms bit for bit
     reports = []
     for parameters, factor in (({}, "exp(0.019)"), ({"s": 0.019}, "exp(s)")):
@@ -611,6 +611,40 @@ def test_a_lattice_past_the_float_range_is_refused(capsys, tmp_path, periods, ar
     shown = f"({periods[0]!r}, {periods[1] * (2 if argv[0] == 'cover' else 1)!r})"
     assert (code, out) == (3, "")
     assert err == f"error: lattice coordinates of periods {shown} pass the float range\n"
+
+
+@pytest.mark.parametrize(
+    "periods, frame, field, resolution, cell",
+    [
+        # the cell volume 1e-400 underflows to 0 and zeroed every term:
+        # lhs = rhs = 0 passed, where the integrals are about -9.5e-201
+        (
+            [1e-200, 1e-200], ["exp(-(0.3*sin(2*pi*x2*1e200)))", "0", "0", "1"],
+            ["0", "cos(2*pi*x2*1e200)"], (64, 64), "0.0",
+        ),
+        # the cell volume 1e360/64 overflows to inf, which made every
+        # finite term inf and was refused as a non-finite term
+        (
+            [1e120] * 3, ["exp(-(0.3*sin(2*pi*x3*1e-120)))", "0", "0", "0", "1", "0", "0", "0", "1"],
+            ["0", "0", "1e-100*cos(2*pi*x3*1e-120)"], (4, 4, 64), "inf",
+        ),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_green_cell_volume_past_the_float_range_is_refused(
+    capsys, tmp_path, periods, frame, field, resolution, cell, fmt
+):
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps({
+        **CHART_2D, "name": "scaled", "dim": len(periods), "periods": periods, "frame": frame,
+    }))
+    argv = ["green-check", str(path), "--field", write_field(tmp_path, "v.json", field)]
+    code, out, err = run(capsys, *argv, "--grid", ",".join(map(str, resolution)), "--format", fmt)
+    assert (code, out) == (3, "")
+    assert err == (
+        f"error: cell volume {cell} of periods {tuple(periods)} at grid {resolution} "
+        "leaves the float range\n"
+    )
 
 
 def test_non_basic_field_exit_3(capsys, tmp_path):

@@ -231,7 +231,7 @@ def test_plan_holds_each_distinct_subexpression_once():
     value = plan_value(node, env)
     assert env.reads == {"x1": 1}
     assert list(value) == [evaluate(node, {"x1": x}) for x in (0.25, 1.5)]
-    # nothing is kept on the node; constant subtrees are folded to floats
+    # nothing is kept on the node; a constant subtree is a step of its own
     assert "_memo" not in vars(node)
     assert plan_value(parse("2*pi + 1"), {}) == 2 * math.pi + 1
     roots = [parse("2*pi + sin(x1)"), parse("x2*(2*pi) + 1"), parse("sin(x1)")]
@@ -311,8 +311,8 @@ def test_groups_run_only_when_asked_for():
 )
 def test_a_folded_constant_has_the_value_a_run_gives(folded, over_x1, x1):
     # math.exp(0.019) is 1.0191816486174081 but NumPy's exp gives
-    # 1.019181648617408: a fold runs the node's own array step, so a
-    # constant has one value whether it is folded or not
+    # 1.019181648617408: a variable-free subexpression runs its node's
+    # own array step, so a constant has one value with or without variables
     constant = plan_value(parse(folded), {})
     for env in ({"x1": x1}, {"x1": np.full(5, x1)}):
         values = np.broadcast_to(plan_value(parse(over_x1), env), (5,))
@@ -334,7 +334,7 @@ def test_a_failing_fold_raises_when_a_run_reaches_it(text, message):
     node = parse(f"x1 + 2*({text})")
     with pytest.raises(DomainError) as scalar:
         evaluate(node, {"x1": 1.0})
-    plan = expr.Plan([[parse("x1")], [node]])  # built outside np.errstate: folding warns nothing
+    plan = expr.Plan([[parse("x1")], [node]])  # built outside np.errstate: a build runs no step
     values = plan.run({"x1": np.ones(3)})
     assert list(next(values)[0]) == [1.0, 1.0, 1.0]
     with pytest.raises(DomainError) as planned, np.errstate(all="ignore"):

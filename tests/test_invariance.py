@@ -13,6 +13,13 @@ transverse volume, must not change (to 1e-12 of the grid-wide
 magnitude), nor its verdict class; the Green identity holds in every
 metric.  Rescaling a transverse row instead changes the transverse
 metric, and the oracle must catch it.
+
+A gauge rotation of the two transverse rows of a 3-torus, E_2 -> cos
+theta E_2 + sin theta E_3 and E_3 -> -sin theta E_2 + cos theta E_3
+(``generators.rotated_rows``), keeps the metric itself; the field's
+components turn the same way, so it is the same field and the same
+checks hold.  Keeping its unrotated components instead makes another
+field, and the oracle must catch that too.
 """
 
 from __future__ import annotations
@@ -28,13 +35,16 @@ import transdiv as td
 from transdiv import expr
 
 from generators import (
-    BENCH_TORI, bench_torus_case, rescaled_rows, shifted_normals, swept_rows, trig_poly, warped_torus_case,
+    BENCH_TORI, bench_torus_case, rescaled_rows, rotated_rows, shifted_normals, swept_rows, trig_poly,
+    warped_torus_case,
 )
 
 #: The builtins, the dimensions of the warped tori drawn and the tori of
 #: the chart benchmarks
 KINDS = ["torus-warped", "flat-kronecker", 2, 3, *BENCH_TORI]
 CASES = st.sampled_from(KINDS)
+#: The cases with two transverse rows for a gauge rotation to turn
+ROTATED = st.sampled_from([3, "bench-warped-3d"])
 
 #: Points per axis: the Green sums of these smooth periodic terms are
 #: then exact to about 1e-15 of their size.  The benchmark's warps and
@@ -85,11 +95,16 @@ def divergences(model, split, field, resolution):
     return values
 
 
-def invariant(model, split, field, other, resolution):
-    """Whether the frame ``other`` gives ``field``'s transverse components
-    the div^Q, verdict class and Green identity of ``model``'s, on
-    ``resolution`` points per axis."""
-    moved = td.vector_field(field.components, other)
+def gauge_rotated(rng, model, split, field):
+    """``model`` and ``field`` with the two transverse rows turned by a
+    trig_poly of every coordinate."""
+    return rotated_rows(model, field, tuple(split.transverse_ordered), trig_poly(rng, model.dim))
+
+
+def invariant(model, split, field, other, moved, resolution):
+    """Whether ``moved`` on the frame ``other`` has the div^Q, verdict
+    class and Green identity of ``field`` on ``model``, on ``resolution``
+    points per axis."""
     grid = td.sample_grid(model, resolution)
     try:
         verdicts = [td.classify_divergence(m, split, f, grid) for m, f in ((model, field), (other, moved))]
@@ -112,7 +127,8 @@ def test_div_q_and_the_verdict_depend_only_on_the_transverse_structure(kind, see
     rng = random.Random(seed)
     model, split, field = case(kind, rng)
     for other in transforms(rng, model, split):
-        assert invariant(model, split, field, other, points(kind)), other.frame
+        moved = td.vector_field(field.components, other)
+        assert invariant(model, split, field, other, moved, points(kind)), other.frame
 
 
 @settings(max_examples=15, deadline=None)
@@ -126,7 +142,26 @@ def test_rescaling_a_transverse_row_is_caught(kind, seed):
     row = rng.choice(split.transverse_ordered)
     total = "+".join(f"x{j + 1}" for j in split.transverse_ordered)
     psi = expr.parse(f"exp(0.3*sin(2*pi*({total})))")
-    assert not invariant(model, split, field, rescaled_rows(model, {row}, psi), points(kind))
+    other = rescaled_rows(model, {row}, psi)
+    assert not invariant(model, split, field, other, td.vector_field(field.components, other), points(kind))
+
+
+@settings(max_examples=20, deadline=None)
+@given(ROTATED, st.integers(0, 2**32 - 1))
+def test_div_q_and_the_verdict_survive_a_gauge_rotation(kind, seed):
+    rng = random.Random(seed)
+    model, split, field = case(kind, rng)
+    other, moved = gauge_rotated(rng, model, split, field)
+    assert invariant(model, split, field, other, moved, points(kind)), other.frame
+
+
+@settings(max_examples=10, deadline=None)
+@given(ROTATED, st.integers(0, 2**32 - 1))
+def test_a_rotation_that_keeps_the_unrotated_components_is_caught(kind, seed):
+    rng = random.Random(seed)
+    model, split, field = case(kind, rng)
+    other, _ = gauge_rotated(rng, model, split, field)
+    assert not invariant(model, split, field, other, td.vector_field(field.components, other), points(kind))
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -7,7 +7,8 @@ groups of a kept plan, its frame entries and det A, and must give the
 bits and the errors of a det-only sweep of a fresh model.  The kept
 plans die with the model, and a model swept with many field specs
 keeps a bounded number of them.  Each plan is the hash-consed DAG of
-its roots, as a plain recursive walk predicts it.
+its roots, as a plain recursive walk predicts it, and holds no values:
+building it runs no step, and a run computes each step once.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import pytest
 import transdiv as td
 from transdiv import connection, expr
 from transdiv.cli import main
-from transdiv.model import _lattice, at_point, sweep
+from transdiv.model import _block_env, _lattice, at_point, sweep
 
 import generators
 from generators import kept
@@ -327,10 +328,9 @@ def predicted(groups):
     node's key is its kind, its own data (a literal's by ``float.hex``)
     and its children's slots; a key seen before takes its slot, a new
     one the next slot after its children's (post-order, first occurrence
-    first).  Returns the slot count after each group, each group's root
-    slots, and the slots of the variable-free nodes that evaluate."""
+    first).  Returns the slot count after each group and each group's
+    root slots."""
     slots: dict = {}
-    folded: set = set()
 
     def visit(node):
         if isinstance(node, expr.Literal):
@@ -345,17 +345,13 @@ def predicted(groups):
             key = (node.name, visit(node.argument))
         if key not in slots:
             slots[key] = len(slots)
-            if not expr.variables(node):
-                with contextlib.suppress(td.DomainError):
-                    expr.evaluate(node, {})
-                    folded.add(slots[key])
         return slots[key]
 
     ends, roots = [], []
     for group in groups:
         roots.append(tuple(visit(node) for node in group))
         ends.append(len(slots))
-    return ends, roots, folded
+    return ends, roots
 
 
 def bench_warped_3d():
@@ -401,8 +397,37 @@ def test_plans_are_the_hash_consed_dags_of_their_roots(built_groups, case):
     )
     assert len(built_groups) == 2
     for plan, groups in built_groups:
-        ends, roots, folded = predicted(groups)
+        ends, roots = predicted(groups)
         assert len(plan) == (ends[-1] if ends else 0)
         assert [plan.steps(g) for g in range(len(groups) + 1)] == [0, *ends]
         assert [group_roots for _, _, group_roots in plan._groups] == roots
-        assert set(plan._folded) == folded
+
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_a_plan_holds_no_values_and_a_run_computes_each_step_once(built_groups, monkeypatch, case):
+    # building a plan runs none of its steps, variable-free ones such as
+    # 2*pi included; a run of every group computes each step once
+    model, split = PINNED[case]()
+    grid = td.sample_grid(model, 3)
+    sweep(model, grid, field_spec=td.alvarez_candidate(model, split))
+    ((_, groups),) = built_groups
+    calls: list[int] = []
+    operation = expr._operation
+
+    def counted(kind, node, children):
+        slot, step = len(calls), operation(kind, node, children)
+        calls.append(0)
+
+        def run(table, env):
+            calls[slot] += 1
+            return step(table, env)
+
+        return run
+
+    monkeypatch.setattr(expr, "_operation", counted)
+    plan = expr.Plan(groups)
+    assert calls == [0] * len(plan)
+    with np.errstate(all="ignore"):
+        assert len(list(plan.run(_block_env(model, grid)))) == len(groups)
+    assert calls == [1] * len(plan)
