@@ -61,9 +61,6 @@ class FrameModel:
     # chart payload
     periods: tuple[float, ...] | None = None
     frame: tuple[tuple[Expr, ...], ...] | None = None
-    # per-coordinate wrap period applied before evaluating any expression;
-    # None entries mean no wrap.  Used by finite covers.
-    coordinate_wraps: tuple[float | None, ...] | None = None
 
     @property
     def is_chart(self) -> bool:
@@ -230,12 +227,10 @@ def vector_field(
 
 
 def point_env(model: FrameModel, point: tuple[float, ...]) -> dict[str, float]:
-    """Evaluation environment at ``point``: coordinates (wrapped if the
-    model is a covering) plus declared parameters."""
+    """Evaluation environment at ``point``: coordinates plus declared
+    parameters."""
     env = dict(model.parameters)
-    wraps = model.coordinate_wraps or (None,) * model.dim
-    for name, value, wrap in zip(model.coordinate_names(), point, wraps):
-        env[name] = value if wrap is None else value % wrap
+    env.update(zip(model.coordinate_names(), point))
     return env
 
 
@@ -583,25 +578,13 @@ class FrameData:
         ))
 
 
-def _wrapped_columns(model: FrameModel, columns: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """``columns``, the values of each coordinate, each taken modulo its
-    wrap period where ``model`` is a cover and kept as it is elsewhere:
-    the one place coordinates are wrapped (``point_env`` is the scalar
-    reference; np.mod gives the bits of Python's ``%``)."""
-    wraps = model.coordinate_wraps or (None,) * len(columns)
-    return [
-        column if wrap is None else np.mod(column, wrap) for column, wrap in zip(columns, wraps)
-    ]
-
-
 def _block_env(model: FrameModel, block: Grid) -> dict:
     """``point_env`` for a block: each coordinate bound to its axis laid
     along its own array axis (a sparse ``np.meshgrid``), so that they
-    broadcast to the block's ``resolution``, wrapped by
-    ``_wrapped_columns``."""
+    broadcast to the block's ``resolution``."""
     columns = np.meshgrid(*block.axes, indexing="ij", sparse=True)
     env: dict = dict(model.parameters)
-    env.update(zip(model.coordinate_names(), _wrapped_columns(model, columns)))
+    env.update(zip(model.coordinate_names(), columns))
     return env
 
 
@@ -1058,10 +1041,6 @@ def load_field(document: Mapping, model: FrameModel) -> VectorFieldSpec:
 
 def model_to_document(model: FrameModel, split: FoliationSplit) -> dict:
     """Serialize to the model-file schema (1-based indices)."""
-    if model.coordinate_wraps is not None and any(
-        w is not None for w in model.coordinate_wraps
-    ):
-        raise ModelError("covering models cannot be serialized to a model file")
     document: dict = {
         "name": model.name,
         "kind": model.kind,

@@ -399,11 +399,12 @@ def pointwise_rows(model: td.FrameModel, points, *reads, **options) -> list[np.n
     return [np.array(column) for column in zip(*values)]
 
 
-def projected(cover: td.FrameModel, point: tuple[float, ...]) -> tuple[float, ...]:
-    """The image of a cover's ``point`` in the base box: each coordinate
-    wrapped by ``model._wrapped_columns``, as the cover's sweeps wrap it."""
-    columns = td.model._wrapped_columns(cover, np.transpose([point]))
-    return tuple(float(column[0]) for column in columns)
+def projected(point: tuple[float, ...], coord: int, period: float) -> tuple[float, ...]:
+    """The image of a point of a cover unrolled along ``coord`` in the base
+    box: that coordinate taken modulo the base ``period`` by Python's
+    ``%``, whose bits are those of the np.mod that ``compare_with_cover``
+    projects with."""
+    return tuple(x % period if m == coord else x for m, x in enumerate(point))
 
 
 def grid_points(model: td.FrameModel, count: int = 20) -> list[tuple[float, ...]]:

@@ -191,7 +191,7 @@ def test_criterion_6_covering_suite():
         )
         grid = td.sample_grid(lifted, (2, 16 * fold))
         for point in point_tuples(grid):
-            down = projected(lifted, point)
+            down = projected(point, 1, model.periods[1])
             worst = max(
                 worst,
                 abs(

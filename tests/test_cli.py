@@ -264,6 +264,35 @@ def test_cover_cli(capsys, tmp_path):
     assert payload["max_pointwise_difference"] <= 1e-12
 
 
+@pytest.mark.parametrize("coord, difference", [("1", 0.0), ("2", 2.0)])
+def test_cover_measures_the_seam_of_a_field_not_periodic_along_its_coordinate(
+    capsys, tmp_path, coord, difference
+):
+    # div^Q(x2^2 E2) = 2 x2 on torus-warped: the lift reads 2 x2 on the
+    # second sheet of x2, the base 2 (x2 - 1) at the projected point;
+    # along x1, which no expression reads, the two agree
+    field = write_field(tmp_path, "square.json", ["0", "x2*x2"])
+    argv = ("cover", "torus-warped", "--field", field, "--coord", coord, "--fold", "2", "--grid", "16")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["max_pointwise_difference"] == difference
+
+
+def test_cover_of_a_chart_defined_on_the_base_box_only_is_refused(capsys, tmp_path):
+    # E2 = 1 + sqrt(1.5 - x1*x2) is real on the unit box, but not on its
+    # 2-fold cover along x2, whose x2 runs to 2
+    path = tmp_path / "sqrt-both.json"
+    path.write_text(json.dumps({
+        "name": "sqrt-both", "kind": "chart", "dim": 2, "leaf_indices": [1], "periods": [1.0, 1.0],
+        "frame": ["1", "0", "0", "1 + sqrt(1.5 - x1*x2)"],
+    }))
+    argv = ("cover", str(path), "--field", "alvarez", "--coord", "2", "--fold", "2", "--grid", "16")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: sqrt of negative value")
+    assert run(capsys, "taut-check", str(path), "--field", "alvarez", "--grid", "16")[0] == 0
+
+
 def test_output_file(capsys, tmp_path):
     target = tmp_path / "report.json"
     code, out, _ = run(

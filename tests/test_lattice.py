@@ -43,7 +43,8 @@ SHAPES = {2: [(1, 9), (9, 1), (16, 256)], 3: [(3, 5, 7)], 4: [(2, 3, 5, 4)]}
 
 
 def cover_case(rng):
-    """A random chart unrolled 3-fold along x2, so x2 is wrapped."""
+    """A random chart unrolled 3-fold along x2, so x2 runs past its
+    base period."""
     model, split = random_chart_case(rng)
     field = random_field(rng, model, split, transverse_only=True)
     return td.lift_to_cover(model, split, field, 1, 3)

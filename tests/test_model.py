@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 
@@ -186,13 +187,25 @@ def test_document_round_trip(t3a, torus):
         )
 
 
-def test_cover_models_refuse_serialization(torus):
+def test_a_cover_round_trips_through_a_model_file(torus):
+    # a cover is an ordinary chart, so its model file loads to a model
+    # that sweeps to the lift's bits
     model, split = torus
-    lifted, _, _ = td.lift_to_cover(
-        model, split, td.vector_field(["0", "1"], model), 1, 2
-    )
-    with pytest.raises(td.ModelError, match="covering"):
-        td.model_to_document(lifted, split)
+    lifted, _, _ = td.lift_to_cover(model, split, td.vector_field(["0", "1"], model), 1, 2)
+    document = json.loads(json.dumps(td.model_to_document(lifted, split)))
+    again, split_again = td.load_model(document)
+    assert split_again == split and document["periods"] == [1.0, 2.0]
+    grid = td.sample_grid(again, (6, 16))
+
+    def divergence(block):
+        return block.divergence(split.transverse_ordered)
+
+    def bits(swept):
+        tau = td.alvarez_candidate(swept, split)
+        rows = swept_rows(swept, grid, lambda block: block.c, divergence, field_spec=tau)
+        return [values.view(np.int64) for values in rows]
+
+    assert all(map(np.array_equal, bits(again), bits(lifted)))
 
 
 # --- grids -------------------------------------------------------------------

@@ -195,8 +195,8 @@ def test_a_det_only_sweep_after_a_structure_sweep_gives_fresh_bits(plans, with_f
 
 
 def test_a_cover_sweeps_with_its_base_plan_and_keeps_the_bits(plans):
-    # the lift changes only periods and wraps, which enter at evaluation,
-    # so its sweep from the base's plan gives the bits of a fresh lift's
+    # the lift changes only the periods, which enter only the lattice, so
+    # its sweep from the base's plan gives the bits of a fresh lift's
     model, split = td.builtin_model("torus-warped")
     field = td.alvarez_candidate(model, split)
     grid = td.sample_grid(model, 8)
@@ -206,7 +206,7 @@ def test_a_cover_sweeps_with_its_base_plan_and_keeps_the_bits(plans):
     cover_grid = td.sample_grid(lifted, (8, 24))
 
     def field_derivative_bits(swept):
-        # E_i(v^k): the frame and the field partials, at wrapped coordinates
+        # E_i(v^k): the frame and the field partials, at the cover's coordinates
         (rows,) = generators.swept_rows(swept, cover_grid, lambda block: block.ev, field_spec=field)
         return rows.view(np.int64)
 

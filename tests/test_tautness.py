@@ -13,7 +13,10 @@ import transdiv as td
 from transdiv import expr
 from transdiv.tautness import TautnessClass, compare_with_cover
 
-from generators import lattice_rows, point_tuples, projected, random_admissible_matrix
+from generators import (
+    BENCH_TORI, bench_torus_case, lattice_rows, point_tuples, projected, random_admissible_matrix,
+    swept_rows,
+)
 
 LOG_BIG = math.log((3 + math.sqrt(5)) / 2)
 
@@ -471,7 +474,7 @@ def test_cover_equivariance(torus, fold):
         lifted, lsplit, lfield = td.lift_to_cover(model, split, field, 1, fold)
         grid = td.sample_grid(lifted, (2, 16 * fold))
         for point in point_tuples(grid):
-            down = projected(lifted, point)
+            down = projected(point, 1, model.periods[1])
             difference = abs(
                 td.transverse_divergence(lifted, lsplit, lfield, point)
                 - td.transverse_divergence(model, split, field, down)
@@ -480,24 +483,26 @@ def test_cover_equivariance(torus, fold):
 
 
 @pytest.mark.parametrize("coord, fold, resolution", [(0, 2, 8), (1, 3, (4, 12)), (1, 5, 16)])
-def test_cover_pointwise_difference_is_exactly_zero(torus, kronecker, coord, fold, resolution):
-    # the lift evaluates the base's expressions at wrapped coordinates,
-    # so both sweeps compute the same numbers
+def test_cover_pointwise_difference_is_rounding(torus, kronecker, coord, fold, resolution):
+    # the lift evaluates the base's expressions at its own coordinates, so
+    # on these periodic fields the difference is rounding, not 0 by
+    # construction (it is 0 along x1 on torus-warped, where no expression
+    # reads x1)
     for model, split in (torus, kronecker):
         for field in (
             td.alvarez_candidate(model, split),
             td.vector_field(["0", "0.3*sin(2*pi*x2)"] if model.name == "torus-warped" else ["0", "0.6"], model),
         ):
             comparison = compare_with_cover(model, split, field, coord, fold, resolution)
-            assert comparison.max_pointwise_difference == 0.0
+            assert comparison.max_pointwise_difference <= 1e-12
 
 
 @pytest.mark.parametrize("coord", [0, 1])
 @pytest.mark.parametrize("fold", [2, 3])
 def test_cover_wrap_is_python_modulo_everywhere(torus, monkeypatch, coord, fold):
-    # model._wrapped_columns, the coordinates the cover's blocks evaluate
-    # and the rows compare_with_cover projects all equal Python's %, bit
-    # for bit
+    # the rows compare_with_cover projects take the unrolled coordinate
+    # modulo the base period, the bits of Python's %, while the cover's
+    # blocks evaluate its own coordinates, past the base period unwrapped
     model, split = torus
     field = td.alvarez_candidate(model, split)
     swept = []
@@ -508,6 +513,7 @@ def test_cover_wrap_is_python_modulo_everywhere(torus, monkeypatch, coord, fold)
         return sweep(swept_model, grid, *reads, **options)
 
     monkeypatch.setattr(td.tautness, "sweep", spy)
+    period = model.periods[coord]
     for resolution in (8, (5, 7)):
         swept.clear()
         compare_with_cover(model, split, field, coord, fold, resolution)
@@ -520,13 +526,43 @@ def test_cover_wrap_is_python_modulo_everywhere(torus, monkeypatch, coord, fold)
         columns = [np.broadcast_to(env[name], block.resolution).ravel() for name in cover.coordinate_names()]
         moved = 0
         for index, point in enumerate(point_tuples(grid)):
-            wrapped = [x if w is None else x % w for x, w in zip(point, cover.coordinate_wraps)]
-            moved += wrapped != list(point)
-            expected = [x.hex() for x in wrapped]
-            assert [x.hex() for x in projected(cover, point)] == expected
-            assert [float(x).hex() for x in base_rows[index]] == expected
-            assert [float(column[index]).hex() for column in columns] == expected
+            down = projected(point, coord, period)
+            moved += down != point
+            assert [float(x).hex() for x in base_rows[index]] == [x.hex() for x in down]
+            assert [float(column[index]).hex() for column in columns] == [x.hex() for x in point]
         assert len(base_rows) == len(point_tuples(grid)) and moved > 0
+        assert grid.axes[coord].max() > period
+
+
+def green_cover_cases():
+    """torus-warped, flat-kronecker and the tori of the chart benchmarks,
+    each with a basic field."""
+    rng = random.Random(35)
+    model, split = td.builtin_model("torus-warped")
+    yield model, split, td.vector_field(["0", "cos(2*pi*x2)"], model)
+    model, split = td.builtin_model("flat-kronecker")
+    yield model, split, td.vector_field(["0", "0.6"], model)
+    for kind in BENCH_TORI:
+        yield bench_torus_case(rng, kind)
+
+
+@pytest.mark.parametrize("coord", [0, 1])
+@pytest.mark.parametrize("fold", [2, 3])
+def test_the_green_sums_of_a_cover_are_fold_times_the_base_sums(coord, fold):
+    # the cover's cell centres at fold * n points along coord are the
+    # base's at n shifted by whole base periods, once per sheet, so on a
+    # periodic chart both Green sums on the cover are fold times the base's
+    n, nonzero = 6, 0
+    for model, split, field in green_cover_cases():
+        base = td.green_check(model, split, field, n)
+        cover, cover_split, cover_field = td.lift_to_cover(model, split, field, coord, fold)
+        resolution = [n] * model.dim
+        resolution[coord] *= fold
+        lifted = td.green_check(cover, cover_split, cover_field, tuple(resolution))
+        for up, down in ((lifted.lhs, base.lhs), (lifted.rhs, base.rhs)):
+            assert abs(up - fold * down) <= 1e-12 * max(1.0, abs(fold * down))
+            nonzero += abs(down) > 1e-3
+    assert nonzero >= 4
 
 
 def test_deck_average_projects_to_same_verdict(torus):
@@ -584,11 +620,19 @@ def test_lift_of_lift_wraps_to_base(torus):
     field = td.vector_field(["0", "cos(2*pi*x2)"], model)
     lifted, ls, lf = td.lift_to_cover(model, split, field, 1, 2)
     again, als, alf = td.lift_to_cover(lifted, ls, lf, 1, 2)
-    assert again.periods[1] == 4.0
-    assert again.coordinate_wraps[1] == 1.0
+    four, _, _ = td.lift_to_cover(model, split, field, 1, 4)
+    assert again.periods == four.periods == (1.0, 4.0)
     up = td.transverse_divergence(again, als, alf, (0.1, 3.25))
     down = td.transverse_divergence(model, split, field, (0.1, 0.25))
     assert abs(up - down) <= 1e-12
+
+    # a 2-fold lift of a 2-fold lift sweeps to the bits of the 4-fold lift
+    def divergence(block):
+        return block.divergence(split.transverse_ordered)
+
+    (twice,) = swept_rows(again, td.sample_grid(again, (4, 32)), divergence, field_spec=alf)
+    (once,) = swept_rows(four, td.sample_grid(four, (4, 32)), divergence, field_spec=field)
+    assert np.array_equal(twice.view(np.int64), once.view(np.int64))
 
 
 # --- witness consistency on suspensions ---------------------------------------------------
