@@ -26,10 +26,7 @@ _HOMES = {
         "UnknownFunctionError", "foliation_split",
     ),
     "catalog": ("builtin_document", "builtin_model"),
-    "connection": (
-        "ChristoffelTable", "MeanCurvatureVector", "christoffel", "mean_curvature",
-        "transverse_divergence",
-    ),
+    "connection": ("christoffel", "mean_curvature", "transverse_divergence"),
     "expr": ("Expr", "differentiate", "evaluate", "parse", "to_string"),
     "model": (
         "FrameModel", "Grid", "VectorFieldSpec", "chart_model", "check_basic",
@@ -38,9 +35,8 @@ _HOMES = {
         "validate_model", "vector_field",
     ),
     "spectral": (
-        "IsolatedRoot", "MatrixDiagnostics", "SpectralData", "build_suspension",
-        "char_poly", "determinant", "parse_matrix", "real_eigenvalues",
-        "spectral_data", "validate_suspension_matrix",
+        "IsolatedRoot", "MatrixDiagnostics", "build_suspension", "char_poly",
+        "determinant", "parse_matrix", "real_eigenvalues", "validate_suspension_matrix",
     ),
     "tautness": (
         "QuadratureReport", "TautnessClass", "TautnessVerdict",

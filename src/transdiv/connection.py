@@ -13,7 +13,6 @@ They are the library's pointwise API.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -27,36 +26,13 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class ChristoffelTable:
-    """values[i, j, k] = Gamma_ij^k at ``point``.
+def christoffel(model: FrameModel, point: tuple[float, ...]) -> np.ndarray:
+    """gamma[i, j, k] = Gamma_ij^k at ``point`` (0-based indices).
 
     Satisfies Gamma_ij^k = -Gamma_ik^j (metric skew-symmetry) and
     Gamma_ij^k - Gamma_ji^k = C_ij^k (torsion-freeness).
     """
-
-    values: np.ndarray
-    point: tuple[float, ...]
-
-    def coefficient(self, i: int, j: int, k: int) -> float:
-        """Gamma_ij^k with 1-based indices, as printed in reports."""
-        return float(self.values[i - 1, j - 1, k - 1])
-
-
-@dataclass(frozen=True)
-class MeanCurvatureVector:
-    """Frame components of the mean curvature of the sub-distribution
-    spanned by ``indices``; components vanish on those indices."""
-
-    components: np.ndarray
-    indices: frozenset[int]
-    point: tuple[float, ...]
-
-
-def christoffel(model: FrameModel, point: tuple[float, ...]) -> ChristoffelTable:
-    """Connection coefficients at ``point`` in the orthonormal frame."""
-    (values,) = at_point(model, point, lambda block: block.gamma)
-    return ChristoffelTable(values=values, point=point)
+    return at_point(model, point, lambda block: block.gamma)[0]
 
 
 def _check_indices(model: FrameModel, indices: Iterable[int]) -> tuple[int, ...]:
@@ -97,13 +73,11 @@ def transverse_divergence(
 
 def mean_curvature(
     model: FrameModel, indices: Iterable[int], point: tuple[float, ...]
-) -> MeanCurvatureVector:
-    """Mean curvature of the sub-distribution spanned by ``indices``:
-    component k (k outside D) equals sum_{a in D} Gamma_aa^k."""
+) -> np.ndarray:
+    """Frame components at ``point`` of the mean curvature of the
+    sub-distribution D spanned by ``indices`` (0-based): component k
+    equals sum_{a in D} Gamma_aa^k, and vanishes for k in D."""
     ordered = _check_indices(model, indices)
     if len(ordered) == model.dim:
         raise ModelError("mean curvature needs a proper sub-distribution")
-    (components,) = at_point(model, point, lambda block: block.mean_curvature(ordered))
-    return MeanCurvatureVector(
-        components=components, indices=frozenset(ordered), point=point
-    )
+    return at_point(model, point, lambda block: block.mean_curvature(ordered))[0]

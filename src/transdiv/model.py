@@ -226,14 +226,6 @@ def vector_field(
     return VectorFieldSpec(components=nodes)
 
 
-def point_env(model: FrameModel, point: tuple[float, ...]) -> dict[str, float]:
-    """Evaluation environment at ``point``: coordinates plus declared
-    parameters."""
-    env = dict(model.parameters)
-    env.update(zip(model.coordinate_names(), point))
-    return env
-
-
 def sample_grid(model: FrameModel, resolution: int | Sequence[int]) -> Grid:
     """Cell-centered uniform lattice (chart) or the single abstract point,
     the lattice of no axes (constant structure)."""
@@ -579,9 +571,10 @@ class FrameData:
 
 
 def _block_env(model: FrameModel, block: Grid) -> dict:
-    """``point_env`` for a block: each coordinate bound to its axis laid
-    along its own array axis (a sparse ``np.meshgrid``), so that they
-    broadcast to the block's ``resolution``."""
+    """The evaluation environment of a block: the declared parameters,
+    and each coordinate bound to its axis laid along its own array axis
+    (a sparse ``np.meshgrid``), so that they broadcast to the block's
+    ``resolution``."""
     columns = np.meshgrid(*block.axes, indexing="ij", sparse=True)
     env: dict = dict(model.parameters)
     env.update(zip(model.coordinate_names(), columns))
@@ -845,26 +838,26 @@ def _basic_folds(split: FoliationSplit) -> tuple[Fold, ...]:
     return _checked(lambda block: block.basic_residuals(split), _greatest)
 
 
-def basic_field_check(found, worst, points: int, tol: float = BASIC_TOLERANCE) -> CheckResult:
+def basic_field_check(found, worst, points: int) -> CheckResult:
     """The record of the basic test from the states of ``_basic_folds``
-    over ``points`` points; a non-finite residual raises DomainError."""
+    over ``points`` points, against BASIC_TOLERANCE; a non-finite
+    residual raises DomainError."""
     require_finite(found, "basic-check residual")
     value, at = worst
-    detail = f"max |pi_Q [F_a, v]| over {points} points (threshold {tol:g})"
-    return CheckResult("basic_field", value <= tol, detail, value, _point(*at), tol)
+    detail = f"max |pi_Q [F_a, v]| over {points} points (threshold {BASIC_TOLERANCE:g})"
+    return CheckResult(
+        "basic_field", value <= BASIC_TOLERANCE, detail, value, _point(*at), BASIC_TOLERANCE
+    )
 
 
 def check_basic(
-    model: FrameModel,
-    split: FoliationSplit,
-    field_spec: VectorFieldSpec,
-    grid: Grid,
-    tol: float = BASIC_TOLERANCE,
+    model: FrameModel, split: FoliationSplit, field_spec: VectorFieldSpec, grid: Grid
 ) -> CheckResult:
     """Test whether v is basic: the transverse part of [F_a, v] must
-    vanish for every leafwise frame direction F_a, at every grid point."""
+    vanish, to BASIC_TOLERANCE, for every leafwise frame direction F_a at
+    every grid point."""
     states = sweep(model, grid, *_basic_folds(split), field_spec=field_spec)
-    return basic_field_check(*states, len(grid), tol)
+    return basic_field_check(*states, len(grid))
 
 
 # --- model and field documents ---------------------------------------------

@@ -44,16 +44,6 @@ class IsolatedRoot:
 
 
 @dataclass(frozen=True)
-class SpectralData:
-    """Exact spectral summary of an admissible matrix."""
-
-    char_poly: tuple[int, ...]  # descending, leading coefficient (-1)^n
-    eigenvalues: tuple[float, ...]  # sorted ascending
-    enclosures: tuple[tuple[int, int], ...]
-    log_eigenvalues: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class MatrixDiagnostics:
     admissible: bool
     checks: tuple[CheckResult, ...]
@@ -635,42 +625,29 @@ def validate_suspension_matrix(matrix: Sequence[Sequence[int]]) -> MatrixDiagnos
     return MatrixDiagnostics(admissible, tuple(checks), coefficients, roots)
 
 
-def spectral_data(matrix: Sequence[Sequence[int]]) -> SpectralData:
-    """Exact spectral summary; raises InadmissibleMatrixError unless the
-    matrix is suspension-admissible."""
-    diagnostics = validate_suspension_matrix(matrix)
-    if not diagnostics.admissible:
-        reasons = "; ".join(
-            f"{check.name}: {check.detail}"
-            for check in diagnostics.checks
-            if not check.passed
-        )
-        raise InadmissibleMatrixError(f"matrix is not admissible ({reasons})")
-    assert diagnostics.char_poly is not None and diagnostics.roots is not None
-    eigenvalues = tuple(root.value for root in diagnostics.roots)
-    return SpectralData(
-        char_poly=diagnostics.char_poly,
-        eigenvalues=eigenvalues,
-        enclosures=tuple(root.enclosure for root in diagnostics.roots),
-        log_eigenvalues=tuple(math.log(value) for value in eigenvalues),
-    )
-
-
 def build_suspension(matrix: Sequence[Sequence[int]], leaf_index: int) -> dict:
     """The model document of the suspension of an admissible matrix, dim
     n+1, in the model-file schema (1-based frame indices).
 
+    The matrix is read by ``validate_suspension_matrix``; one that is not
+    admissible raises InadmissibleMatrixError naming each failed check.
     Frame index 1 is the suspension direction E_0; frame index i + 1 is
     the eigen-direction of lambda_i (eigenvalues ascending), and each
     log(lambda_i) is the parameter ``log_lambda_i``.  ``leaf_index``
     selects which eigen-direction spans the one-dimensional leaves
     (1 <= leaf_index <= n).
     """
-    data = spectral_data(matrix)
-    n = len(data.eigenvalues)
+    diagnostics = validate_suspension_matrix(matrix)
+    if not diagnostics.admissible:
+        reasons = "; ".join(
+            f"{check.name}: {check.detail}" for check in diagnostics.checks if not check.passed
+        )
+        raise InadmissibleMatrixError(f"matrix is not admissible ({reasons})")
+    assert diagnostics.roots is not None
+    n = len(diagnostics.roots)
     if not 1 <= leaf_index <= n:
         raise ValueError(f"leaf_index must be in 1..{n}, got {leaf_index}")
-    logs = list(enumerate(data.log_eigenvalues, 1))
+    logs = [(i, math.log(root.value)) for i, root in enumerate(diagnostics.roots, 1)]
     return {
         "name": f"suspension({format_matrix(_normalize(matrix))})",
         "kind": "constant_structure",

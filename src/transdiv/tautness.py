@@ -362,20 +362,15 @@ def volume_preservation_check(
     )
 
 
-def lift_to_cover(
-    model: FrameModel,
-    split: FoliationSplit,
-    field_spec: VectorFieldSpec,
-    coord: int,
-    fold: int,
-) -> tuple[FrameModel, FoliationSplit, VectorFieldSpec]:
-    """The fold-times periodic cover unrolled along coordinate ``coord``
-    (0-based), with the pulled-back field.
+def lift_to_cover(model: FrameModel, coord: int, fold: int) -> FrameModel:
+    """The fold-times periodic cover of a chart unrolled along coordinate
+    ``coord`` (0-based).
 
-    The cover is an ordinary chart: the same frame and field expressions
-    on a box whose period along ``coord`` is ``fold`` times the base's,
-    evaluated at its own coordinates.  Its div^Q agrees with the base's
-    at the projected point only where the expressions are periodic along
+    The cover is an ordinary chart: the same frame expressions on a box
+    whose period along ``coord`` is ``fold`` times the base's, evaluated
+    at its own coordinates, so a split and a field of the base are the
+    cover's as they stand.  Its div^Q agrees with the base's at the
+    projected point only where the expressions are periodic along
     ``coord``, which ``compare_with_cover`` measures.  It shares the base
     model's derived data (frame partials, minors, C and plans:
     ``model._kept``), since only the periods differ and they enter only
@@ -387,8 +382,6 @@ def lift_to_cover(
         raise ModelError(f"coordinate {coord} out of range for dim {model.dim}")
     if fold < 1:
         raise ModelError(f"fold must be a positive integer, got {fold}")
-    if fold == 1:
-        return model, split, field_spec
     assert model.periods is not None
     periods = list(model.periods)
     periods[coord] *= fold
@@ -397,7 +390,7 @@ def lift_to_cover(
     name = f"{model.name}::{fold}-fold-cover(x{coord + 1})"
     lifted = replace(model, name=name, periods=tuple(periods))
     lifted.__dict__["_memo"] = expr._memo(model)
-    return lifted, split, field_spec
+    return lifted
 
 
 def compare_with_cover(
@@ -410,11 +403,12 @@ def compare_with_cover(
     tol: float = DEFAULT_TOLERANCE,
 ) -> CoverComparison:
     """Classify div^Q v on ``model`` and on its ``fold``-times cover along
-    ``coord`` (see lift_to_cover), each on a grid of ``resolution``, and
-    compare the lift pointwise with the base field at the projected
-    points in a fold of the cover's sweep: at each block, the base is
-    swept at the block's axes with the ``coord`` axis taken modulo the
-    base period L by np.mod (the bits of Python's ``%``).
+    ``coord`` (see lift_to_cover), each on a grid of ``resolution`` and
+    with the base's ``split`` and ``field_spec``, and compare the lift
+    pointwise with the base field at the projected points in a fold of
+    the cover's sweep: at each block, the base is swept at the block's
+    axes with the ``coord`` axis taken modulo the base period L by np.mod
+    (the bits of Python's ``%``).
 
     ``max_pointwise_difference`` is the largest |div^Q(lift v)(x) -
     div^Q(v)(x mod L)|.  Where div^Q v is periodic along ``coord`` it is
@@ -427,11 +421,12 @@ def compare_with_cover(
     is singular at one of its points with SingularFrameError, and an
     expression that fails at one of them with its ExprError.
     """
-    cover, cover_split, cover_field = lift_to_cover(model, split, field_spec, coord, fold)
+    cover = lift_to_cover(model, coord, fold)
     base_grid = sample_grid(model, resolution)
     cover_grid = sample_grid(cover, resolution)
     base_verdict = classify_divergence(model, split, field_spec, base_grid, tol)
-    base = _divergence_folds(split)[0].read
+    folds = _divergence_folds(split)
+    base = folds[0].read
     assert model.periods is not None
     period = model.periods[coord]
 
@@ -443,9 +438,8 @@ def compare_with_cover(
         gap = np.abs(lifted - below)
         return _first_non_finite(state[0], block, gap), _greatest(state[1], block, gap)
 
-    folds = _divergence_folds(cover_split)
-    folds += (Fold(folds[0].read, difference, (None, None)),)
-    *states, (found, largest) = _basic_sweep(cover, cover_split, cover_field, cover_grid, *folds)
+    folds += (Fold(base, difference, (None, None)),)
+    *states, (found, largest) = _basic_sweep(cover, split, field_spec, cover_grid, *folds)
     cover_verdict = _classify(*states, tol)  # a non-finite div^Q v before the difference
     require_finite(found, "pointwise difference of div^Q")
     return CoverComparison(cover, base_verdict, cover_verdict, largest[0])

@@ -11,11 +11,12 @@ the chart benchmarks (``bench_torus_case``) come with a basic field;
 ``rotated_rows`` turns two frame rows and a field's components alike,
 keeping the metric, and ``rescaled_rows`` and ``shifted_normals``
 change the frame but not its transverse structure.
-``at`` reads one point of a sweep, ``kept`` is the fold that keeps every
-value of a read and ``swept_parts`` a sweep with it, ``pointwise_rows``
-reads many points one by one, ``CountingEnv`` counts the variable reads
-of an evaluation, and ``block_runs`` the plan steps that each FrameData
-block runs.
+``at`` reads one point of a sweep, ``point_env`` binds one point for
+the scalar evaluator, ``kept`` is the fold that keeps every value of a
+read and ``swept_parts`` a sweep with it, ``pointwise_rows`` reads many
+points one by one, ``CountingEnv`` counts the variable reads of an
+evaluation, and ``block_runs`` the plan steps that each FrameData block
+runs.
 """
 
 from __future__ import annotations
@@ -359,6 +360,14 @@ def at(model: td.FrameModel, point: tuple[float, ...], read, field=None):
     """The value of ``read`` (a function of one FrameData block, as for
     ``model.sweep``) at ``point``, with the field ``field`` if given."""
     return td.model.at_point(model, point, read, field_spec=field)[0]
+
+
+def point_env(model: td.FrameModel, point: tuple[float, ...]) -> dict[str, float]:
+    """The scalar evaluator's environment at ``point``: the declared
+    parameters and the coordinates."""
+    env = dict(model.parameters)
+    env.update(zip(model.coordinate_names(), point))
+    return env
 
 
 def rows_of(parts) -> np.ndarray:

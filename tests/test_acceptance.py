@@ -16,7 +16,9 @@ import transdiv as td
 from transdiv import expr
 from transdiv.tautness import TautnessClass
 
-from generators import at, grid_points, identity_cases, point_tuples, projected, random_field
+from generators import (
+    at, grid_points, identity_cases, point_env, point_tuples, projected, random_field,
+)
 from test_expr import central_difference
 from test_tautness import substitute
 
@@ -36,11 +38,11 @@ def test_criterion_1_hyperbolic_torus_flow():
     model, split = td.load_model(td.build_suspension(((2, 1), (1, 1)), leaf_index=2))
     gamma = td.christoffel(model, ())
     checks = [
-        abs(gamma.coefficient(3, 3, 1) - LOG_BIG) <= 1e-12,
-        abs(gamma.coefficient(2, 1, 2) - (-LOG_SMALL)) <= 1e-12,
-        abs(gamma.coefficient(1, 1, 1)) <= 1e-12,
-        abs(gamma.coefficient(3, 3, 2)) <= 1e-12,
-        abs(gamma.coefficient(1, 2, 1)) <= 1e-12,
+        abs(gamma[2, 2, 0] - LOG_BIG) <= 1e-12,
+        abs(gamma[1, 0, 1] - (-LOG_SMALL)) <= 1e-12,
+        abs(gamma[0, 0, 0]) <= 1e-12,
+        abs(gamma[2, 2, 1]) <= 1e-12,
+        abs(gamma[0, 1, 0]) <= 1e-12,
     ]
     tau = td.alvarez_candidate(model, split)
     env = dict(model.parameters)
@@ -77,16 +79,16 @@ def test_criterion_3_codimension_three_suspension():
     matrix = ((2, 0, -1), (0, 3, -1), (-1, -1, 1))
     coefficients = td.char_poly(matrix)
     checks = [coefficients == (-1, 6, -9, 1)]
-    data = td.spectral_data(matrix)
-    checks.append(data.enclosures == ((0, 1), (2, 3), (3, 4)))
+    roots = td.validate_suspension_matrix(matrix).roots
+    checks.append(tuple(root.enclosure for root in roots) == ((0, 1), (2, 3), (3, 4)))
     product = 1.0
-    for value in data.eigenvalues:
-        product *= value
+    for root in roots:
+        product *= root.value
     checks.append(abs(product - 1.0) <= 1e-12)
     model, split = td.load_model(td.build_suspension(matrix, leaf_index=2))
     tau = td.alvarez_candidate(model, split)
     divergence = td.transverse_divergence(model, split, tau, ())
-    l1, l2, l3 = data.log_eigenvalues
+    l1, l2, l3 = (math.log(root.value) for root in roots)
     checks.append(abs(divergence - (-l2 * (l1 + l3))) <= 1e-10)
     checks.append(abs(divergence - l2**2) <= 1e-10)
     checks.append(abs((-l2 * (l1 + l3)) - l2**2) <= 1e-10)
@@ -143,7 +145,7 @@ def test_criterion_5_identity_suites():
         field = random_field(rng, model, split, transverse_only=True)
         for point in grid_points(model, count=20):
             table = td.structure_functions(model, point)
-            gamma = td.christoffel(model, point).values
+            gamma = td.christoffel(model, point)
             worst_skew = max(
                 worst_skew, float(np.max(np.abs(gamma + gamma.transpose((0, 2, 1)))))
             )
@@ -151,9 +153,9 @@ def test_criterion_5_identity_suites():
                 worst_torsion,
                 float(np.max(np.abs(gamma - gamma.transpose((1, 0, 2)) - table))),
             )
-            env = td.model.point_env(model, point)
+            env = point_env(model, point)
             comps = np.array([td.evaluate(c, env) for c in field.components])
-            kappa = td.mean_curvature(model, split.leaf_ordered, point).components
+            kappa = td.mean_curvature(model, split.leaf_ordered, point)
             div_q = td.transverse_divergence(model, split, field, point)
             div_full = at(model, point, lambda block: block.divergence(range(model.dim)), field)
             div_leaf = at(model, point, lambda block: block.divergence(split.leaf_ordered), field)
@@ -186,16 +188,14 @@ def test_criterion_6_covering_suite():
     field = td.vector_field(["0", "cos(2*pi*x2)"], model)
     worst = 0.0
     for fold in (1, 2, 3):
-        lifted, lifted_split, lifted_field = td.lift_to_cover(
-            model, split, field, 1, fold
-        )
+        lifted = td.lift_to_cover(model, 1, fold)
         grid = td.sample_grid(lifted, (2, 16 * fold))
         for point in point_tuples(grid):
             down = projected(point, 1, model.periods[1])
             worst = max(
                 worst,
                 abs(
-                    td.transverse_divergence(lifted, lifted_split, lifted_field, point)
+                    td.transverse_divergence(lifted, split, field, point)
                     - td.transverse_divergence(model, split, field, down)
                 ),
             )

@@ -14,6 +14,7 @@ from generators import (
     at,
     grid_points,
     identity_cases,
+    point_env,
     random_admissible_matrix,
     random_field,
 )
@@ -43,17 +44,17 @@ def warp_slope(y):
 def test_christoffel_t3a_values(t3a):
     model, _ = t3a
     gamma = td.christoffel(model, ())
-    assert abs(gamma.coefficient(3, 3, 1) - LOG_BIG) < 1e-12
-    assert abs(gamma.coefficient(2, 1, 2) - (-LOG_SMALL)) < 1e-12
-    assert gamma.coefficient(1, 1, 1) == 0.0
-    assert gamma.coefficient(3, 3, 2) == 0.0
-    assert gamma.coefficient(1, 2, 1) == 0.0
+    assert abs(gamma[2, 2, 0] - LOG_BIG) < 1e-12
+    assert abs(gamma[1, 0, 1] - (-LOG_SMALL)) < 1e-12
+    assert gamma[0, 0, 0] == 0.0
+    assert gamma[2, 2, 1] == 0.0
+    assert gamma[0, 1, 0] == 0.0
 
 
 def test_christoffel_flat_zero():
     model, _ = td.builtin_model("flat-kronecker")
     gamma = td.christoffel(model, (0.2, 0.7))
-    assert np.max(np.abs(gamma.values)) < 1e-15
+    assert np.max(np.abs(gamma)) < 1e-15
 
 
 def test_christoffel_torus_pair(torus):
@@ -62,8 +63,8 @@ def test_christoffel_torus_pair(torus):
     model, _ = torus
     for y in (0.0, 0.31):
         gamma = td.christoffel(model, (0.5, y))
-        assert abs(gamma.coefficient(1, 1, 2) - (-warp_slope(y))) < 1e-12
-        assert abs(gamma.coefficient(1, 1, 2) + gamma.coefficient(1, 2, 1)) < 1e-15
+        assert abs(gamma[0, 0, 1] - (-warp_slope(y))) < 1e-12
+        assert abs(gamma[0, 0, 1] + gamma[0, 1, 0]) < 1e-15
 
 
 # --- covariant derivatives -------------------------------------------------------
@@ -125,25 +126,25 @@ def test_divergence_zero_field(t3a):
 def test_mean_curvature_t3a(t3a):
     model, _ = t3a
     kappa = td.mean_curvature(model, (2,), ())
-    assert abs(kappa.components[0] - LOG_BIG) < 1e-12
-    assert kappa.components[1] == 0.0
-    assert kappa.components[2] == 0.0  # vanishes on D
+    assert abs(kappa[0] - LOG_BIG) < 1e-12
+    assert kappa[1] == 0.0
+    assert kappa[2] == 0.0  # vanishes on D
 
 
 def test_mean_curvature_torus(torus):
     model, _ = torus
     for y in (0.0, 0.25, 0.6):
         kappa = td.mean_curvature(model, (0,), (0.2, y))
-        assert kappa.components[0] == 0.0
-        assert abs(kappa.components[1] - (-warp_slope(y))) < 1e-12
+        assert kappa[0] == 0.0
+        assert abs(kappa[1] - (-warp_slope(y))) < 1e-12
     at_quarter = td.mean_curvature(model, (0,), (0.2, 0.25))
-    assert abs(at_quarter.components[1]) < 1e-12
+    assert abs(at_quarter[1]) < 1e-12
 
 
 def test_mean_curvature_flat_zero():
     model, _ = td.builtin_model("flat-kronecker")
     kappa = td.mean_curvature(model, (0,), (0.4, 0.9))
-    assert np.max(np.abs(kappa.components)) < 1e-15
+    assert np.max(np.abs(kappa)) < 1e-15
 
 
 def test_mean_curvature_rejects_full_set(t3a):
@@ -162,7 +163,7 @@ def test_koszul_identities(case_index):
     model, _ = CASES[case_index]
     for point in grid_points(model):
         table = td.structure_functions(model, point)
-        gamma = td.christoffel(model, point).values
+        gamma = td.christoffel(model, point)
         skew = np.max(np.abs(gamma + gamma.transpose((0, 2, 1))))
         torsion = np.max(np.abs(gamma - gamma.transpose((1, 0, 2)) - table))
         assert skew <= 1e-12
@@ -178,8 +179,8 @@ def test_divergence_decomposition(case_index):
     for point in grid_points(model):
         div_q = td.transverse_divergence(model, split, field, point)
         div_full = at(model, point, lambda block: block.divergence(range(model.dim)), field)
-        kappa = td.mean_curvature(model, split.leaf_ordered, point).components
-        env = td.model.point_env(model, point)
+        kappa = td.mean_curvature(model, split.leaf_ordered, point)
+        env = point_env(model, point)
         comps = np.array(
             [td.evaluate(c, env) for c in field.components]
         )
@@ -194,8 +195,8 @@ def test_perpendicular_identity(case_index):
     field = random_field(rng, model, split, transverse_only=True)
     for point in grid_points(model):
         div_leafwise = at(model, point, lambda block: block.divergence(split.leaf_ordered), field)
-        kappa = td.mean_curvature(model, split.leaf_ordered, point).components
-        env = td.model.point_env(model, point)
+        kappa = td.mean_curvature(model, split.leaf_ordered, point)
+        env = point_env(model, point)
         comps = np.array([td.evaluate(c, env) for c in field.components])
         assert abs(div_leafwise + float(comps @ kappa)) <= 1e-10
 
@@ -224,7 +225,7 @@ def test_decomposition_constant_fields_on_suspensions():
         field = random_field(rng, model, split)
         div_q = td.transverse_divergence(model, split, field, ())
         div_full = at(model, (), lambda block: block.divergence(range(model.dim)), field)
-        kappa = td.mean_curvature(model, split.leaf_ordered, ()).components
+        kappa = td.mean_curvature(model, split.leaf_ordered, ())
         comps = np.array(
             [td.evaluate(c, dict(model.parameters)) for c in field.components]
         )

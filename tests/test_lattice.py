@@ -47,7 +47,7 @@ def cover_case(rng):
     base period."""
     model, split = random_chart_case(rng)
     field = random_field(rng, model, split, transverse_only=True)
-    return td.lift_to_cover(model, split, field, 1, 3)
+    return td.lift_to_cover(model, 1, 3), split, field
 
 
 def cases():
@@ -60,7 +60,7 @@ def cases():
     ]
     out.append(cover_case(rng))
     model, split = td.builtin_model("torus-warped")
-    out.append(td.lift_to_cover(model, split, td.alvarez_candidate(model, split), 0, 2))
+    out.append((td.lift_to_cover(model, 0, 2), split, td.alvarez_candidate(model, split)))
     return out
 
 

@@ -14,7 +14,7 @@ from transdiv import expr
 from transdiv.model import _lattice
 from transdiv.records import check_line
 
-from generators import identity_cases, kept, point_tuples, swept_rows
+from generators import identity_cases, kept, point_env, point_tuples, swept_rows
 
 LAMBDA_SMALL = (3 - math.sqrt(5)) / 2  # eigenvalues of [[2,1],[1,1]]
 LAMBDA_BIG = (3 + math.sqrt(5)) / 2
@@ -90,7 +90,7 @@ def test_builtin_torus_configurable_warp():
     })
     kappa = td.mean_curvature(model, split.leaf_ordered, (0.5, 0.25))
     slope = -0.1 * 2 * math.pi * math.sin(2 * math.pi * 0.25)
-    assert abs(kappa.components[1] - (-slope)) < 1e-12
+    assert abs(kappa[1] - (-slope)) < 1e-12
 
 
 def test_empty_leaf_set_rejected():
@@ -191,7 +191,7 @@ def test_a_cover_round_trips_through_a_model_file(torus):
     # a cover is an ordinary chart, so its model file loads to a model
     # that sweeps to the lift's bits
     model, split = torus
-    lifted, _, _ = td.lift_to_cover(model, split, td.vector_field(["0", "1"], model), 1, 2)
+    lifted = td.lift_to_cover(model, 1, 2)
     document = json.loads(json.dumps(td.model_to_document(lifted, split)))
     again, split_again = td.load_model(document)
     assert split_again == split and document["periods"] == [1.0, 2.0]
@@ -325,7 +325,7 @@ def test_symbolic_structure_functions_match_numeric(torus):
     symbolic = td.model.structure_functions_symbolic(model)
     for point in [(0.1, 0.3), (0.8, 0.62)]:
         numeric = td.structure_functions(model, point)
-        env = td.model.point_env(model, point)
+        env = point_env(model, point)
         for i in range(2):
             for j in range(2):
                 for k in range(2):

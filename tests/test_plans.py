@@ -106,7 +106,7 @@ def test_each_invocation_builds_one_plan_per_model(plans, tables, argv, count):
 def test_one_point_calls_share_the_model_plan(plans, tables):
     model, _ = td.builtin_model("torus-warped")
     points = list(generators.point_tuples(td.sample_grid(model, 8)))
-    values = [connection.christoffel(model, point).values for point in points]
+    values = [connection.christoffel(model, point) for point in points]
     assert len(points) == 64 and len(plans) == 1 and len(tables) == 1
     (swept,) = generators.swept_rows(model, td.sample_grid(model, 8), lambda block: block.gamma)
     assert np.array_equal(np.stack(values).view(np.int64), swept.view(np.int64))
@@ -201,7 +201,7 @@ def test_a_cover_sweeps_with_its_base_plan_and_keeps_the_bits(plans):
     field = td.alvarez_candidate(model, split)
     grid = td.sample_grid(model, 8)
     sweep(model, grid, kept(lambda block: block.c), field_spec=field)
-    lifted = td.lift_to_cover(model, split, field, 1, 3)[0]
+    lifted = td.lift_to_cover(model, 1, 3)
     fresh = replace(lifted)
     cover_grid = td.sample_grid(lifted, (8, 24))
 

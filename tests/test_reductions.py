@@ -123,10 +123,10 @@ def test_extremes_are_the_full_grid_extremes_at_their_first_points(monkeypatch, 
     assert (bits(verdict.min_value), bits(verdict.max_value)) == (bits(reference[low]), bits(reference[high]))
     assert verdict.argmin == points[low]
     assert verdict.argmax == points[high]
-    check = td.model.basic_field_check(found, greatest, len(grid), 0.25)
+    check = td.model.basic_field_check(found, greatest, len(grid))
     assert bits(check.worst) == bits(reference[high])
     assert check.worst_point == points[high]
-    assert check.detail == f"max |pi_Q [F_a, v]| over {len(points)} points (threshold 0.25)"
+    assert check.detail == f"max |pi_Q [F_a, v]| over {len(points)} points (threshold 1e-09)"
 
 
 @settings_

@@ -447,19 +447,26 @@ def test_volume_torus_inapplicable(torus):
 def test_lift_pointwise_match(torus):
     model, split = torus
     field = td.vector_field(["0", "cos(2*pi*x2)"], model)
-    lifted, lifted_split, lifted_field = td.lift_to_cover(model, split, field, 1, 3)
-    up = td.transverse_divergence(lifted, lifted_split, lifted_field, (0.2, 1.25))
+    lifted = td.lift_to_cover(model, 1, 3)
+    up = td.transverse_divergence(lifted, split, field, (0.2, 1.25))
     down = td.transverse_divergence(model, split, field, (0.2, 0.25))
     assert abs(up - down) <= 1e-12
 
 
 def test_identity_cover_unchanged(torus):
+    # a 1-fold lift is a chart on the base's periods, so it sweeps to the
+    # base's bits
     model, split = torus
-    field = td.vector_field(["0", "1"], model)
-    same_model, same_split, same_field = td.lift_to_cover(model, split, field, 1, 1)
-    assert same_model is model
-    assert same_split is split
-    assert same_field is field
+    field = td.alvarez_candidate(model, split)
+    same = td.lift_to_cover(model, 1, 1)
+    assert same.periods == model.periods and same.frame == model.frame
+
+    def divergence(block):
+        return block.divergence(split.transverse_ordered)
+
+    (lifted,) = swept_rows(same, td.sample_grid(same, (4, 16)), divergence, field_spec=field)
+    (base,) = swept_rows(model, td.sample_grid(model, (4, 16)), divergence, field_spec=field)
+    assert np.array_equal(lifted.view(np.int64), base.view(np.int64))
 
 
 @pytest.mark.parametrize("fold", [1, 2, 3])
@@ -471,12 +478,12 @@ def test_cover_equivariance(torus, fold):
         td.alvarez_candidate(model, split),
     ]
     for field in fields:
-        lifted, lsplit, lfield = td.lift_to_cover(model, split, field, 1, fold)
+        lifted = td.lift_to_cover(model, 1, fold)
         grid = td.sample_grid(lifted, (2, 16 * fold))
         for point in point_tuples(grid):
             down = projected(point, 1, model.periods[1])
             difference = abs(
-                td.transverse_divergence(lifted, lsplit, lfield, point)
+                td.transverse_divergence(lifted, split, field, point)
                 - td.transverse_divergence(model, split, field, down)
             )
             assert difference <= 1e-12
@@ -518,7 +525,7 @@ def test_cover_wrap_is_python_modulo_everywhere(torus, monkeypatch, coord, fold)
         swept.clear()
         compare_with_cover(model, split, field, coord, fold, resolution)
         base_rows = lattice_rows([grid for swept_model, grid in swept if swept_model is model][-1])
-        cover = td.lift_to_cover(model, split, field, coord, fold)[0]
+        cover = td.lift_to_cover(model, coord, fold)
         grid = td.sample_grid(cover, resolution)
         # the cover's grid is one lattice block, each coordinate on its own axis
         (block,) = td.model._lattice_blocks(grid, len(grid))
@@ -555,10 +562,10 @@ def test_the_green_sums_of_a_cover_are_fold_times_the_base_sums(coord, fold):
     n, nonzero = 6, 0
     for model, split, field in green_cover_cases():
         base = td.green_check(model, split, field, n)
-        cover, cover_split, cover_field = td.lift_to_cover(model, split, field, coord, fold)
+        cover = td.lift_to_cover(model, coord, fold)
         resolution = [n] * model.dim
         resolution[coord] *= fold
-        lifted = td.green_check(cover, cover_split, cover_field, tuple(resolution))
+        lifted = td.green_check(cover, split, field, tuple(resolution))
         for up, down in ((lifted.lhs, base.lhs), (lifted.rhs, base.rhs)):
             assert abs(up - fold * down) <= 1e-12 * max(1.0, abs(fold * down))
             nonzero += abs(down) > 1e-3
@@ -602,27 +609,24 @@ def test_deck_average_projects_to_same_verdict(torus):
 
 
 def test_lift_requires_chart(t3a):
-    model, split = t3a
-    field = td.vector_field([1, 0, 0], model)
+    model, _ = t3a
     with pytest.raises(td.ModelError):
-        td.lift_to_cover(model, split, field, 0, 2)
+        td.lift_to_cover(model, 0, 2)
 
 
 def test_a_cover_whose_period_overflows_is_refused():
     model = td.chart_model("huge", (1e308, 1.0), [["1", "0"], ["0", "1"]])
-    split = td.foliation_split(2, {0})
     with pytest.raises(td.ModelError, match=r"^periods must be positive and finite, got \(inf, 1\.0\)$"):
-        td.lift_to_cover(model, split, td.vector_field(["0", "1"], model), 0, 2)
+        td.lift_to_cover(model, 0, 2)
 
 
 def test_lift_of_lift_wraps_to_base(torus):
     model, split = torus
     field = td.vector_field(["0", "cos(2*pi*x2)"], model)
-    lifted, ls, lf = td.lift_to_cover(model, split, field, 1, 2)
-    again, als, alf = td.lift_to_cover(lifted, ls, lf, 1, 2)
-    four, _, _ = td.lift_to_cover(model, split, field, 1, 4)
+    again = td.lift_to_cover(td.lift_to_cover(model, 1, 2), 1, 2)
+    four = td.lift_to_cover(model, 1, 4)
     assert again.periods == four.periods == (1.0, 4.0)
-    up = td.transverse_divergence(again, als, alf, (0.1, 3.25))
+    up = td.transverse_divergence(again, split, field, (0.1, 3.25))
     down = td.transverse_divergence(model, split, field, (0.1, 0.25))
     assert abs(up - down) <= 1e-12
 
@@ -630,7 +634,7 @@ def test_lift_of_lift_wraps_to_base(torus):
     def divergence(block):
         return block.divergence(split.transverse_ordered)
 
-    (twice,) = swept_rows(again, td.sample_grid(again, (4, 32)), divergence, field_spec=alf)
+    (twice,) = swept_rows(again, td.sample_grid(again, (4, 32)), divergence, field_spec=field)
     (once,) = swept_rows(four, td.sample_grid(four, (4, 32)), divergence, field_spec=field)
     assert np.array_equal(twice.view(np.int64), once.view(np.int64))
 
