@@ -19,13 +19,13 @@ Expression nodes are immutable, so evaluation and differentiation are
 pure.  A ``Plan`` evaluates groups of expressions over NumPy arrays for
 grid sweeps: it hash-conses their subtrees into the DAG of distinct
 subexpressions, and each evaluation computes every distinct
-subexpression once.  A model keeps the plans of its grid sweeps for as
-long as it lives.  ``Plan`` is the only array evaluator, and
-``evaluate``, a tree walk over floats, is its scalar reference.  Partial
-derivatives are built once per node and variable and kept on the node.
-No simplification is attempted
-beyond folding literal zeros and ones out of derivative terms;
-correctness is always checked pointwise, never by canonical form.
+subexpression once.  A model keeps the plan of its last grid sweep
+with structure.  ``Plan`` is the only array evaluator, and ``evaluate``,
+a tree walk over floats, is its scalar reference.  Partial derivatives
+are built once per node and variable and kept on the node.  No
+simplification is attempted beyond folding literal zeros and ones out
+of derivative terms; correctness is always checked pointwise, never by
+canonical form.
 """
 
 from __future__ import annotations
@@ -500,10 +500,6 @@ class Plan:
 
     def __len__(self) -> int:
         return len(self._steps)
-
-    def steps(self, groups: int) -> int:
-        """The steps that a run computes for its first ``groups`` groups."""
-        return self._groups[groups - 1][1] if groups else 0
 
     def run(self, env: Mapping[str, Any]) -> Iterator[list]:
         """For each group in turn, the values of its roots at ``env``, as a

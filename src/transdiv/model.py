@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -249,9 +250,12 @@ def _lattice(model: FrameModel, resolution: tuple[int, ...], offset: float) -> G
     j = 0..N-1: cell centers for offset 0.5, corners for 0 (which include
     0, where constructed singularities tend to sit; the period endpoint
     is identified with 0).  The same IEEE operations as the Python
-    ``(j + offset) * L / N``, so the same bits; where one of them passes
-    the float range, the lattice is refused with ModelError."""
+    ``(j + offset) * L / N``, so the same bits.  ModelError refuses a
+    lattice of more points than a NumPy array of float64 holds, or one
+    where an operation passes the float range."""
     assert model.periods is not None
+    if math.prod(resolution) > np.iinfo(np.intp).max // 8:
+        raise ModelError(f"a lattice of resolution {resolution} has more points than a NumPy array can hold")
     with np.errstate(all="ignore"):
         axes = [(np.arange(n) + offset) * length / n for n, length in zip(resolution, model.periods)]
     if not all(np.isfinite(axis).all() for axis in axes):
@@ -379,24 +383,23 @@ def _block_plan(
     row-major (i, j, k) order), the field components and the field
     partials that a block may compute, in that order.
 
-    The model keeps its plan without a field and that of the last field
-    spec asked for (by identity).  Every plan of a chart begins with the
-    groups of a and det A, all that a det-only sweep runs, so it takes
-    any kept plan, or else the plan without a field (just those two
-    groups for a frame outside the differentiable fragment).
+    The model keeps one plan, that of its last sweep with structure,
+    keyed by the identity of its field spec (None without a field).  A
+    det-only sweep runs the first two groups, a and det A, of the kept
+    plan, or else builds and keeps the plan without a field (just those
+    two groups, and unkept, for a frame outside the differentiable
+    fragment).
     """
-    plans = expr._memo(model).setdefault("plans", {})
-    if not structure and plans:
-        return next(iter(plans.values()))[1]
-    kept = plans.get(field_spec is not None)
-    if kept is None or kept[0] is not field_spec:
+    memo = expr._memo(model)
+    kept = memo.get("plan")
+    if kept is None or structure and kept[0] is not field_spec:
         groups = []
         coords = model.coordinate_names()
         if model.is_chart:
             assert model.frame is not None
             groups.append([entry for row in model.frame for entry in row])
             every = tuple(range(model.dim))
-            groups.append([_transposed_minors(model)(every, every)])
+            groups.append([_minor(model.frame, _kept(model, "minors", lambda _: {}), every, every)])
             try:
                 partials = _frame_partials(model)
             except expr.DifferentiationError:
@@ -409,7 +412,7 @@ def _block_plan(
             groups.append(field_spec.components)
             if model.is_chart:
                 groups.append([d for comp in field_spec.components for d in expr.gradient(comp, coords)])
-        kept = plans[field_spec is not None] = (field_spec, expr.Plan(groups))
+        kept = memo["plan"] = (field_spec, expr.Plan(groups))
     return kept[1]
 
 
@@ -631,13 +634,13 @@ def sweep(
     model (ModelError otherwise).
 
     The only builder of FrameData: a one-point caller uses ``at_point``.
-    The grid is swept in lattice blocks (``_lattice_blocks``), each
-    holding at most BLOCK_VALUES values of the steps it runs of
-    ``_block_plan``, the plan that the model keeps for every sweep of it
-    with the same field.  The blocks are built in point order by
-    ``_located``; each read runs once, and its values are dropped once
-    every fold of it has taken them.  NumPy's floating-point warnings are
-    off: every NaN or infinity is refused by an explicit check.
+    The grid is swept in lattice blocks (``_lattice_blocks``) of
+    BLOCK_VALUES // len(plan) points, ``plan`` the one that the model
+    keeps (``_block_plan``), whose first two groups a det-only sweep
+    runs.  The blocks are built in point order by ``_located``; each
+    read runs once, and its values are dropped once every fold of it has
+    taken them.  NumPy's floating-point warnings are off: every NaN or
+    infinity is refused by an explicit check.
     """
     coordinates = model.dim if model.is_chart else 0
     if len(grid.axes) != coordinates:
@@ -651,9 +654,7 @@ def sweep(
     if field_spec is not None and not structure:
         raise ModelError("a field's covariant derivative needs the structure: pass structure=True")
     plan = _block_plan(model, field_spec, structure)
-    # a det-only block runs a chart's first two groups, a and det A
-    steps = len(plan) if structure else plan.steps(2 if model.is_chart else 0)
-    limit = max(1, BLOCK_VALUES // max(1, steps))
+    limit = max(1, BLOCK_VALUES // max(1, len(plan)))
     states = [fold.start for fold in folds]
     with np.errstate(all="ignore"):
         for block in _lattice_blocks(grid, limit):
@@ -711,9 +712,9 @@ def _cramer_table(model: FrameModel) -> tuple:
     n = model.dim
     assert model.frame is not None
     partials = _frame_partials(model)
-    minor = _transposed_minors(model)
+    frame, memo = model.frame, _kept(model, "minors", lambda _: {})
     every = tuple(range(n))
-    det = minor(every, every)
+    det = _minor(frame, memo, every, every)
 
     def directional(i: int, j: int, m: int) -> Expr:
         # E_i(a_j^m) = sum_c a_i^c * d a_j^m / d x_c
@@ -724,7 +725,7 @@ def _cramer_table(model: FrameModel) -> tuple:
 
     # M_mk, the minor of A^T without row m and column k
     without = [every[:index] + every[index + 1:] for index in every]
-    minors = [[minor(without[m], without[k]) for k in every] for m in every]
+    minors = [[_minor(frame, memo, without[m], without[k]) for k in every] for m in every]
     table: list[list[list[Expr]]] = [
         [[expr.ZERO] * n for _ in range(n)] for _ in range(n)
     ]
@@ -742,22 +743,13 @@ def _cramer_table(model: FrameModel) -> tuple:
     return tuple(tuple(tuple(row) for row in plane) for plane in table)
 
 
-def _transposed_minors(model: FrameModel) -> Callable[[tuple, tuple], Expr]:
-    """minor(rows, cols): the determinant of the submatrix of A^T (whose
-    columns are the frame rows) on ``rows`` and ``cols``, ascending index
-    tuples of one length, by Laplace expansion along its first row.  Each
-    minor is built once per model and kept on it, so the minors that
-    several expansions reach are one shared node."""
-    assert model.frame is not None
-    frame = model.frame
-    memo: dict[tuple, Expr] = expr._memo(model).setdefault("minors", {})
-    return lambda rows, cols: _minor(frame, memo, rows, cols)
-
-
 def _minor(frame: tuple, memo: dict, rows: tuple, cols: tuple) -> Expr:
-    """``_transposed_minors``'s minor(rows, cols) of the frame rows
-    ``frame``, kept in ``memo``.  A module function, not a closure that
-    calls itself, so the memo dies with its model, not in a collection."""
+    """The determinant of the submatrix of A^T (whose columns are the
+    frame rows ``frame``) on ``rows`` and ``cols``, ascending index
+    tuples of one length, by Laplace expansion along its first row.  Each
+    minor is built once and kept in ``memo``, the model's "minors"
+    (``_kept``), passed down the recursion: the minors that several
+    expansions reach are one shared node, and die with the model."""
     found = memo.get((rows, cols))
     if found is None:
         found = expr.ONE if not rows else expr.ZERO
@@ -863,7 +855,7 @@ def check_basic(
 # --- model and field documents ---------------------------------------------
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    return type(value) is not bool and isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
 
 
 def _require(document: Mapping, key: str, kinds, what: str):

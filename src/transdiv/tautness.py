@@ -372,7 +372,7 @@ def lift_to_cover(model: FrameModel, coord: int, fold: int) -> FrameModel:
     cover's as they stand.  Its div^Q agrees with the base's at the
     projected point only where the expressions are periodic along
     ``coord``, which ``compare_with_cover`` measures.  It shares the base
-    model's derived data (frame partials, minors, C and plans:
+    model's derived data (frame partials, minors, C and the kept plan:
     ``model._kept``), since only the periods differ and they enter only
     the lattice.  A period that overflows is refused with ModelError.
     """
@@ -384,7 +384,7 @@ def lift_to_cover(model: FrameModel, coord: int, fold: int) -> FrameModel:
         raise ModelError(f"fold must be a positive integer, got {fold}")
     assert model.periods is not None
     periods = list(model.periods)
-    periods[coord] *= fold
+    periods[coord] = periods[coord] * fold if fold <= sys.float_info.max else math.inf
     if periods[coord] == math.inf:
         raise ModelError(f"periods must be positive and finite, got {tuple(periods)}")
     name = f"{model.name}::{fold}-fold-cover(x{coord + 1})"

@@ -10,18 +10,24 @@ by construction.  Warped tori (``warped_torus_case``) and the tori of
 the chart benchmarks (``bench_torus_case``) come with a basic field;
 ``rotated_rows`` turns two frame rows and a field's components alike,
 keeping the metric, and ``rescaled_rows`` and ``shifted_normals``
-change the frame but not its transverse structure.
+change the frame but not its transverse structure; ``pulled_back``
+pulls a chart and a field back by a torus diffeomorphism (``shear``,
+``linear``), by way of ``substituted``.
 ``at`` reads one point of a sweep, ``point_env`` binds one point for
 the scalar evaluator, ``kept`` is the fold that keeps every value of a
 read and ``swept_parts`` a sweep with it, ``pointwise_rows`` reads many
 points one by one, ``CountingEnv`` counts the variable reads of an
-evaluation, and ``block_runs`` the plan steps that each FrameData block
-runs.
+evaluation, and ``block_runs`` the plan steps (``plan_steps``) that
+each FrameData block runs.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import random
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -251,6 +257,114 @@ def shifted_normals(model: td.FrameModel, split: td.FoliationSplit, shifts) -> t
             shift = shifts[j, a]
             frame[j] = [expr.add(entry, expr.mul(shift, leaf)) for entry, leaf in zip(frame[j], model.frame[a])]
     return td.chart_model(f"{model.name}-shifted", model.periods, frame)
+
+
+def substituted(node: expr.Expr, images: dict) -> expr.Expr:
+    """``node`` with each variable named in ``images`` replaced by its
+    image, an expression, all at once; a subtree shared in ``node`` is
+    shared in the result."""
+    done: dict[int, expr.Expr] = {}
+
+    def walk(node: expr.Expr) -> expr.Expr:
+        if id(node) not in done:
+            kind = type(node)
+            if kind is expr.Variable:
+                done[id(node)] = images.get(node.name, node)
+            elif kind is expr.BinaryOp:
+                done[id(node)] = expr.BinaryOp(node.op, walk(node.left), walk(node.right))
+            elif kind is expr.FunctionCall:
+                done[id(node)] = expr.FunctionCall(node.name, walk(node.argument))
+            elif kind is expr.Negate:
+                done[id(node)] = expr.Negate(walk(node.operand))
+            else:
+                done[id(node)] = node
+        return done[id(node)]
+
+    return walk(node)
+
+
+@dataclass(frozen=True)
+class TorusMap:
+    """A diffeomorphism x = Psi(y) of the unit n-torus: the coordinate
+    expressions of x in terms of y (named x1..xn, the coordinates of the
+    chart pulled back), those of Psi^-1, the entries of D Psi^-1 at y, and
+    ``at``, Psi on a point of Python floats."""
+
+    name: str
+    forward: tuple[expr.Expr, ...]
+    inverse: tuple[expr.Expr, ...]
+    inverse_jacobian: tuple[tuple[expr.Expr, ...], ...]
+    at: Callable[[tuple[float, ...]], tuple[float, ...]]
+
+
+def shear(dim: int, m: int, k: int, epsilon: float) -> TorusMap:
+    """x_m = y_m + epsilon sin(2 pi y_k), k != m (0-based), the other
+    coordinates kept: D Psi = I + epsilon s'(y_k) e_m e_k^T, whose inverse
+    is I - epsilon s'(y_k) e_m e_k^T, s' = 2 pi cos(2 pi y_k), and
+    Psi^-1 is y_m = x_m - epsilon sin(2 pi x_k)."""
+    assert k != m
+    names = [expr.Variable(f"x{j + 1}") for j in range(dim)]
+    pi = expr.Constant("pi")
+    angle = expr.mul(expr.mul(expr.TWO, pi), names[k])
+    term = expr.mul(expr.Literal(epsilon), expr.FunctionCall("sin", angle))
+    forward, inverse = list(names), list(names)
+    forward[m], inverse[m] = expr.add(names[m], term), expr.sub(names[m], term)
+    jacobian = [[expr.ONE if p == q else expr.ZERO for q in range(dim)] for p in range(dim)]
+    jacobian[m][k] = expr.mul(expr.mul(expr.Literal(-2.0 * epsilon), pi), expr.FunctionCall("cos", angle))
+
+    def at(point):
+        return tuple(y + epsilon * math.sin(2 * math.pi * point[k]) if j == m else y for j, y in enumerate(point))
+
+    return TorusMap(
+        f"shear x{m + 1} += {epsilon!r} sin(2 pi x{k + 1})", tuple(forward), tuple(inverse),
+        tuple(map(tuple, jacobian)), at,
+    )
+
+
+def linear(matrix) -> TorusMap:
+    """x = M y for M in SL(n, Z): D Psi^-1 = M^-1, an integer matrix."""
+    dim = len(matrix)
+    inverse_matrix = np.rint(np.linalg.inv(np.array(matrix, dtype=float))).astype(int)
+    assert round(np.linalg.det(np.array(matrix, dtype=float))) == 1
+    assert (np.array(matrix) @ inverse_matrix == np.eye(dim, dtype=int)).all()
+
+    def combination(row) -> expr.Expr:
+        total: expr.Expr = expr.ZERO
+        for j, c in enumerate(row):
+            total = expr.add(total, expr.mul(expr.Literal(float(c)), expr.Variable(f"x{j + 1}")))
+        return total
+
+    def at(point):
+        return tuple(sum(c * y for c, y in zip(row, point)) for row in matrix)
+
+    constant = tuple(tuple(expr.Literal(float(c)) for c in row) for row in inverse_matrix.tolist())
+    return TorusMap(
+        f"SL(n, Z) {matrix}", tuple(map(combination, matrix)), tuple(map(combination, inverse_matrix.tolist())),
+        constant, at,
+    )
+
+
+def pulled_back(
+    model: td.FrameModel, field: td.VectorFieldSpec, images, inverse_jacobian
+) -> tuple[td.FrameModel, td.VectorFieldSpec]:
+    """``model`` and ``field`` pulled back by a torus map whose coordinate
+    expressions are ``images`` (x_m in terms of y) and whose D Psi^-1 at y
+    is ``inverse_jacobian``: each frame row becomes D Psi^-1 a_i(Psi(y))
+    and each field component v^k(Psi(y)).  Psi is then an isometry of the
+    two foliated tori, so every intrinsic quantity at y is the model's at
+    Psi(y).  A ``TorusMap`` gives ``forward`` and ``inverse_jacobian``;
+    the mutants of the tests pass ``inverse`` or the identity instead."""
+    images = dict(zip(model.coordinate_names(), images))
+    moved = [[substituted(entry, images) for entry in row] for row in model.frame]
+    frame = [
+        [
+            functools.reduce(expr.add, (expr.mul(d, a) for d, a in zip(inverse_jacobian[p], row)), expr.ZERO)
+            for p in range(model.dim)
+        ]
+        for row in moved
+    ]
+    other = td.chart_model(f"{model.name}-pulled-back", model.periods, frame, dense_leaves=model.dense_leaves)
+    return other, td.vector_field([substituted(c, images) for c in field.components], other)
 
 
 _BASE_ALGEBRAS = ("abelian", "heisenberg", "so3", "suspension")
@@ -496,10 +610,16 @@ class _DrawnPlan:
             yield values
 
 
+def plan_steps(plan: expr.Plan, groups: int) -> int:
+    """The steps that a run of ``plan`` computes for its first ``groups``
+    groups: those of the last of them end where its own steps end."""
+    return plan._groups[groups - 1][1] if groups else 0
+
+
 def block_runs(monkeypatch) -> list[tuple[tuple[int, ...], int]]:
     """(shape, steps run) of every FrameData block built from now on.  A
     run computes a group's steps only when the block draws the group, so
-    a block runs ``plan.steps`` of the groups it drew."""
+    a block runs the ``plan_steps`` of the groups it drew."""
     runs = []
     build = td.model.FrameData.__init__
 
@@ -508,7 +628,7 @@ def block_runs(monkeypatch) -> list[tuple[tuple[int, ...], int]]:
         try:
             build(self, model, block, field_spec, structure, drawn)
         finally:
-            runs.append((block.resolution, plan.steps(drawn.groups)))
+            runs.append((block.resolution, plan_steps(plan, drawn.groups)))
 
     monkeypatch.setattr(td.model.FrameData, "__init__", spy)
     return runs

@@ -290,14 +290,13 @@ def test_each_block_reads_each_variable_once(name, monkeypatch):
     grid = td.sample_grid(model, (23, 29) if model.dim == 2 else (9, 9, 8))
     td.classify_divergence(model, split, field, grid)
     # the verdict's sweep in lattice blocks of at most BLOCK points, then
-    # its gate's det-only sweep of as many lattice corners, in blocks of
-    # as many points as the budget gives the steps that its blocks run
+    # its gate's det-only sweep of as many lattice corners, in blocks
+    # sized by the same plan, whose first two groups alone they run
     corners = _lattice(model, grid.resolution, 0.0)
     verdict = list(_lattice_blocks(grid, BLOCK))
     (det_steps,) = {steps for _, steps in runs[len(verdict):]}
     assert det_steps < len(_block_plan(model, field, True))
-    det_block = td.model.BLOCK_VALUES // det_steps
-    blocks = [*verdict, *_lattice_blocks(corners, det_block)]
+    blocks = [*verdict, *_lattice_blocks(corners, BLOCK)]
     assert [shape for shape, _ in runs] == [block.resolution for block in blocks]
     assert len(envs) == len(blocks) > 2
     coords = model.coordinate_names()

@@ -423,10 +423,34 @@ CHART_2D = {
             None,
             "frame entry inf must be a string or finite number",
         ),
+        # ints past the float range, which math.isfinite cannot convert
+        # (each message holds the int's first digits, which name the case)
+        *(
+            case
+            for huge, digits in ((10**400, "10000"), (-(10**400), "-1000"))
+            for case in (
+                ({**CHART_2D, "parameters": {"p": huge}}, None, f"parameter 'p': {digits}"),
+                ({**CHART_2D, "periods": [1.0, huge]}, None, "'periods' must list 2 positive finite numbers"),
+                ({**CHART_2D, "frame": [huge, 0, 0, 1]}, None, f"frame entry {digits}"),
+                (
+                    {
+                        "name": "huge-constant",
+                        "kind": "constant_structure",
+                        "dim": 3,
+                        "leaf_indices": [3],
+                        "structure_constants": [{"i": 1, "j": 2, "k": 3, "value": huge}],
+                    },
+                    None,
+                    f"structure-constant value must be a finite number or string, got {digits}",
+                ),
+                (CHART_2D, [0, huge], f"field component 1 must be a finite number, got {digits}"),
+            )
+        ),
     ],
 )
 def test_non_finite_document_number_exit_1(capsys, tmp_path, model, field, message):
-    # json writes NaN and Infinity, which json.loads reads back as floats
+    # json writes NaN and Infinity, which json.loads reads back as floats,
+    # and ints of any size
     model_path = tmp_path / "model.json"
     model_path.write_text(json.dumps(model))
     field_path = "alvarez" if field is None else write_field(tmp_path, "field.json", field)

@@ -2,12 +2,13 @@
 ``spectral`` and ``suspend`` with random ``--matrix`` text.
 
 Expressions mix benign terms with overflow, NaN-producing and
-domain-error cases; documents may carry NaN or infinite numbers;
-matrices may be ragged, hold entries far beyond the float range or
-entries that ``int()`` reads and the parser refuses.  Whatever the
-input, ``main`` returns an exit code in 0..3 and never raises, a JSON
-report it writes is strict JSON (no NaN/Infinity), and the text format
-gives the same exit code and error line as JSON.
+domain-error cases; documents may carry NaN or infinite numbers, or
+ints past the float range; a fold or a grid may pass what a float or a
+NumPy array holds; matrices may be ragged, hold entries far beyond the
+float range or entries that ``int()`` reads and the parser refuses.
+Whatever the input, ``main`` returns an exit code in 0..3 and never
+raises, a JSON report it writes is strict JSON (no NaN/Infinity), and
+the text format gives the same exit code and error line as JSON.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 import os
 import tempfile
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -39,7 +41,8 @@ HAZARDS = [
     "x1^x2",  # not differentiable in the supported fragment
     "x9",  # unbound
 ]
-NUMBERS = [0.0, 1.0, -1.0, 1e300, -1e300, 1e-300, float("nan"), float("inf"), float("-inf")]
+#: JSON numbers, the ints 10**400 and -10**400 past the float range among them
+NUMBERS = [0.0, 1.0, -1.0, 1e300, -1e300, 1e-300, float("nan"), float("inf"), float("-inf"), 10**400, -(10**400)]
 
 
 def expressions(max_leaves=6):
@@ -145,6 +148,8 @@ HUGE_CONSTANTS = {
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(invocations())
 @example((HUGE_CONSTANTS, "alvarez", "analyze", "1e-9", "1"))
+@example(({**HUGE_CONSTANTS, "parameters": {"p": 10**400}}, "alvarez", "taut-check", "1e-9", "1"))
+@example(({**HUGE_CONSTANTS, "parameters": {}}, {"components": [0, 0, -(10**400)]}, "taut-check", "1e-9", "1"))
 def test_main_always_exits_0_to_3(case):
     model, field, subcommand, tol, coord = case
     with tempfile.TemporaryDirectory() as directory:
@@ -175,6 +180,25 @@ def test_main_always_exits_0_to_3(case):
         strict_json(out)
     else:
         assert code != 0 and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    (["cover", "torus-warped", "--field", "alvarez", "--coord", "1", "--fold", str(10**320)],
+     "error: periods must be positive and finite, got (inf, 1.0)\n"),
+    (["cover", "torus-warped", "--field", "alvarez", "--coord", "2", "--fold", str(10**400)],
+     "error: periods must be positive and finite, got (1.0, inf)\n"),
+    (["taut-check", "torus-warped", "--field", "alvarez", "--grid", f"{10**19},4"],
+     f"error: a lattice of resolution ({10**19}, 4) has more points than a NumPy array can hold\n"),
+    (["green-check", "torus-warped", "--field", "alvarez", "--grid", f"4,{10**19}"],
+     f"error: a lattice of resolution (4, {10**19}) has more points than a NumPy array can hold\n"),
+    (["analyze", "torus-warped", "--grid", f"{10**400},4"],
+     f"error: a lattice of resolution ({10**400}, 4) has more points than a NumPy array can hold\n"),
+], ids=["fold-1e320", "fold-1e400", "grid-1e19", "green-grid-1e19", "grid-1e400"])
+def test_a_fold_or_grid_past_what_a_float_or_an_array_holds_is_refused(argv, refusal):
+    # a fold whose product with the period passes the float range, and a
+    # lattice with more points than NumPy can size, exit 3
+    for form in ("json", "text"):
+        assert run_main([*argv, "--format", form]) == (3, "", refusal)
 
 
 # --- spectral and suspend on drawn --matrix text ------------------------------

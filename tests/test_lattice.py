@@ -241,8 +241,8 @@ def refusals(draw):
 def test_a_refusal_names_the_first_point_that_fails_on_its_own(monkeypatch, case):
     model, grid, structure, points = case
     expected = scanned(model, grid, None, structure)
-    steps = len(_block_plan(model, None, True)) if structure else _block_plan(model, None, False).steps(2)
-    monkeypatch.setattr(td.model, "BLOCK_VALUES", points * steps)
+    # the plan without a field, which a det-only sweep keeps too
+    monkeypatch.setattr(td.model, "BLOCK_VALUES", points * len(_block_plan(model, None, True)))
     built = []
     build = td.model.FrameData.__init__
 
@@ -282,7 +282,7 @@ def test_blocks_are_runs_that_list_the_grid_in_row_major_order(monkeypatch, reso
     frame = [["1" if i == m else "0" for m in range(dim)] for i in range(dim)]
     model = td.chart_model("box", (1.0,) * dim, frame)
     grid = _lattice(model, tuple(resolution), offset)
-    monkeypatch.setattr(td.model, "BLOCK_VALUES", points * _block_plan(model, None, False).steps(2))
+    monkeypatch.setattr(td.model, "BLOCK_VALUES", points * len(_block_plan(model, None, False)))
     (parts,) = sweep(model, grid, kept(lambda block: block.det), structure=False)
     blocks = [block for block, _ in parts]
     assert listed(blocks) == lattice_rows(grid).tobytes()

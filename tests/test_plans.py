@@ -1,14 +1,13 @@
 """The symbolic layer of a model is derived once and read by every sweep.
 
-A model keeps its table of Cramer quotients C_ij^k and the evaluation
-plans of its sweeps (``model._block_plan``): the plan without a field
-and that of the last field spec.  A det-only sweep runs the first two
-groups of a kept plan, its frame entries and det A, and must give the
-bits and the errors of a det-only sweep of a fresh model.  The kept
-plans die with the model, and a model swept with many field specs
-keeps a bounded number of them.  Each plan is the hash-consed DAG of
-its roots, as a plain recursive walk predicts it, and holds no values:
-building it runs no step, and a run computes each step once.
+A model keeps its table of Cramer quotients C_ij^k and one evaluation
+plan (``model._block_plan``), that of its last sweep with structure.  A
+det-only sweep runs the first two groups of the kept plan, its frame
+entries and det A, and must give the bits and the errors of a det-only
+sweep of a fresh model.  The kept plan dies with the model, and a model
+swept with many field specs keeps one.  Each plan is the hash-consed
+DAG of its roots, as a plain recursive walk predicts it, and holds no
+values: building it runs no step, and a run computes each step once.
 """
 
 from __future__ import annotations
@@ -237,16 +236,33 @@ def test_a_failing_det_reports_its_point_from_a_kept_plan():
         assert check.detail == f"frame evaluation failed: {message}"
 
 
-def test_a_frame_outside_the_differentiable_fragment_keeps_its_det():
+def test_a_det_only_sweep_keeps_the_plan_without_a_field_until_a_field_sweep(plans):
+    # every sweep of the model, det-only or not, then sizes its blocks by
+    # the one plan it keeps
+    model, split = td.builtin_model("torus-warped")
+    grid = td.sample_grid(model, 8)
+    td.validate_model(model, grid)
+    at_point(model, (0.5, 0.5), lambda block: block.c)
+    assert len(plans) == 1
+    td.classify_divergence(model, split, td.alvarez_candidate(model, split), grid)
+    td.validate_model(model, grid)
+    assert len(plans) == 2
+    gc.collect()
+    assert [ref() is not None for ref in plans] == [False, True]
+
+
+def test_a_frame_outside_the_differentiable_fragment_keeps_its_det(plans):
     model = td.chart_model("power", (1.0, 1.0), [["2 + x1^x2", "0"], ["0", "1"]])
     assert td.model.frame_matrix(model, (0.5, 0.5))[0, 0] == 2 + 0.5 ** 0.5
     (check,) = td.validate_model(model, td.sample_grid(model, 4))
     assert check.passed and check.worst == 2.0
+    # its plan of a and det A is not kept: each of the three sweeps builds one
+    assert len(plans) == 3
     with pytest.raises(td.DifferentiationError, match="x1\\^x2"):
         td.structure_functions(model, (0.5, 0.5))
 
 
-# --- the kept plans are bounded and die with the model ------------------------
+# --- the model keeps one plan, which dies with it -----------------------------
 
 def test_a_deleted_model_leaves_nothing_alive(plans, tables):
     model, split = td.builtin_model("torus-warped")
@@ -317,8 +333,8 @@ def test_many_field_specs_keep_a_bounded_number_of_plans(plans):
         at_point(model, (0.5, 0.5), lambda block: block.rows, field_spec=field)
     gc.collect()
     assert len(plans) == 201
-    # the plan without a field and the last field's plan
-    assert sum(ref() is not None for ref in plans) == 2
+    # the last field's plan
+    assert sum(ref() is not None for ref in plans) == 1
 
 
 # --- the plan is the hash-consed DAG of its roots -----------------------------
@@ -399,7 +415,7 @@ def test_plans_are_the_hash_consed_dags_of_their_roots(built_groups, case):
     for plan, groups in built_groups:
         ends, roots = predicted(groups)
         assert len(plan) == (ends[-1] if ends else 0)
-        assert [plan.steps(g) for g in range(len(groups) + 1)] == [0, *ends]
+        assert [generators.plan_steps(plan, g) for g in range(len(groups) + 1)] == [0, *ends]
         assert [group_roots for _, _, group_roots in plan._groups] == roots
 
 

@@ -86,7 +86,7 @@ def swept(resolution, table, points, monkeypatch, *steps):
     blocks of at most ``points`` points."""
     model = box(len(resolution))
     grid = td.sample_grid(model, resolution)
-    monkeypatch.setattr(td.model, "BLOCK_VALUES", points * _block_plan(model, None, False).steps(2))
+    monkeypatch.setattr(td.model, "BLOCK_VALUES", points * len(_block_plan(model, None, False)))
     read = read_of(table, resolution)
     *states, parts = sweep(
         model, grid, *(Fold(read, step, start) for step, start in steps), kept(read), structure=False
