@@ -182,17 +182,12 @@ def _resolve_model(source: str) -> tuple[FrameModel, FoliationSplit]:
 
     if is_builtin(source):
         return builtin_model(source)
-    path = Path(source)
-    if not path.exists():
+    if not Path(source).exists():
         raise UsageError(
             f"{source!r} is neither a builtin name ({', '.join(BUILTIN_NAMES)}) "
             "nor an existing model file"
         )
-    try:
-        document = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"model file {source} is not valid JSON: {exc}") from exc
-    return load_model(document)
+    return load_model(_read_document(source, "model"))
 
 
 def _resolve_field(
@@ -203,14 +198,17 @@ def _resolve_field(
 
     if source == "alvarez":
         return alvarez_candidate(model, split), "alvarez (mean-curvature candidate)"
-    path = Path(source)
-    if not path.exists():
+    if not Path(source).exists():
         raise UsageError(f"field file {source!r} does not exist")
+    return load_field(_read_document(source, "field"), model), source
+
+
+def _read_document(source: str, kind: str):
+    """The parsed JSON of the ``kind`` file ``source``, or SchemaError."""
     try:
-        document = json.loads(path.read_text())
+        return json.loads(Path(source).read_text())
     except json.JSONDecodeError as exc:
-        raise SchemaError(f"field file {source} is not valid JSON: {exc}") from exc
-    return load_field(document, model), source
+        raise SchemaError(f"{kind} file {source} is not valid JSON: {exc}") from exc
 
 
 def _resolution(model: FrameModel, grid: tuple[int, ...] | None) -> int | tuple[int, ...]:
@@ -311,12 +309,13 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, list[str], int]:
 
     model, split = _resolve_model(args.model)
     grid = _grid_for(model, args)
-    checks = validate_model(model, grid)
-    passed = all(check.passed for check in checks)
+    # the report point first: its sweep builds the plan that the records' det-only sweeps run
     point = grid.point(0)
     reads = (lambda block: block.c, lambda block: block.gamma,
              lambda block: block.mean_curvature(split.leaf_ordered))
     table, gamma, kappa = at_point(model, point, *reads)
+    checks = validate_model(model, grid)
+    passed = all(check.passed for check in checks)
     payload = {
         "subcommand": "analyze",
         "model": model.name,

@@ -138,7 +138,7 @@ def constant_structure_model(
     parameters: Mapping[str, float] | None = None,
     dense_leaves: bool = False,
 ) -> FrameModel:
-    """Model with constant structure functions, indexed 0-based with i < j."""
+    """Model with finite constant structure functions, indexed 0-based with i < j."""
     if dim < 1:
         raise ModelError(f"dimension must be positive, got {dim}")
     params = _check_parameters(dim, parameters or {})
@@ -154,7 +154,13 @@ def constant_structure_model(
         if (i, j, k) in seen:
             raise ModelError(f"duplicate structure constant ({i},{j},{k})")
         seen.add((i, j, k))
-        stored.append((i, j, k, float(value)))
+        try:
+            value = float(value)
+        except OverflowError:  # an int past the float range
+            value = math.inf
+        if not math.isfinite(value):
+            raise ModelError(f"structure constant ({i},{j},{k}) must be finite, got {value!r}")
+        stored.append((i, j, k, value))
     return FrameModel(
         name=name,
         kind=CONSTANT_STRUCTURE,
@@ -386,34 +392,30 @@ def _block_plan(
     The model keeps one plan, that of its last sweep with structure,
     keyed by the identity of its field spec (None without a field).  A
     det-only sweep runs the first two groups, a and det A, of the kept
-    plan, or else builds and keeps the plan without a field (just those
-    two groups, and unkept, for a frame outside the differentiable
-    fragment).
+    plan, or else an unkept plan of just those two groups: it derives
+    neither the frame partials nor C.
     """
     memo = expr._memo(model)
     kept = memo.get("plan")
-    if kept is None or structure and kept[0] is not field_spec:
-        groups = []
-        coords = model.coordinate_names()
+    if kept is not None and (not structure or kept[0] is field_spec):
+        return kept[1]
+    groups, coords = [], model.coordinate_names()
+    if model.is_chart:
+        assert model.frame is not None
+        groups.append([entry for row in model.frame for entry in row])
+        every = tuple(range(model.dim))
+        groups.append([_minor(model.frame, _kept(model, "minors", lambda _: {}), every, every)])
+    if not structure:
+        return expr.Plan(groups)
+    if model.is_chart:
+        groups.append([d for row in _frame_partials(model) for entry in row for d in entry])
+        groups.append([c for plane in structure_functions_symbolic(model) for row in plane for c in row])
+    if field_spec is not None:
+        groups.append(field_spec.components)
         if model.is_chart:
-            assert model.frame is not None
-            groups.append([entry for row in model.frame for entry in row])
-            every = tuple(range(model.dim))
-            groups.append([_minor(model.frame, _kept(model, "minors", lambda _: {}), every, every)])
-            try:
-                partials = _frame_partials(model)
-            except expr.DifferentiationError:
-                if structure:
-                    raise
-                return expr.Plan(groups)
-            groups.append([d for row in partials for entry in row for d in entry])
-            groups.append([c for plane in structure_functions_symbolic(model) for row in plane for c in row])
-        if field_spec is not None:
-            groups.append(field_spec.components)
-            if model.is_chart:
-                groups.append([d for comp in field_spec.components for d in expr.gradient(comp, coords)])
-        kept = memo["plan"] = (field_spec, expr.Plan(groups))
-    return kept[1]
+            groups.append([d for comp in field_spec.components for d in expr.gradient(comp, coords)])
+    memo["plan"] = (field_spec, expr.Plan(groups))
+    return memo["plan"][1]
 
 
 def _next_finite(values: Iterator[list], block: Grid, what: str) -> list:
@@ -496,10 +498,11 @@ class FrameData:
     ``structure`` only the first two run.  det A and C are the trees of
     ``structure_functions_symbolic``, whose C_ji^k is the negation of
     C_ij^k, so every value is stored as one run of the plan gives it.
-    Every value is finite: a NaN or infinity raises
-    DomainError, and |det A| < DET_TOLERANCE raises SingularFrameError
-    before C is evaluated.  Each check tests a whole array and raises at
-    the block's first point (``_non_finite``).
+    Every value is finite: a NaN or infinity raises DomainError (in C
+    where it is made, by the run or ``constant_structure_model``), and
+    |det A| < DET_TOLERANCE raises SingularFrameError before C is
+    evaluated.  Each check tests a whole array and raises at the
+    block's first point (``_non_finite``).
     """
 
     def __init__(
@@ -529,7 +532,6 @@ class FrameData:
             self.c = _stacked(_next_finite(values, block, "structure functions"), (n, n, n), block)
         else:
             self.c = _constant_table(model).reshape((n, n, n) + (1,) * len(block.axes))
-        _require_finite(self.c, block, "structure functions")
         block_axes = tuple(range(3, self.c.ndim))
         self.gamma = 0.5 * (
             self.c + self.c.transpose((1, 2, 0, *block_axes))
@@ -635,11 +637,10 @@ def sweep(
 
     The only builder of FrameData: a one-point caller uses ``at_point``.
     The grid is swept in lattice blocks (``_lattice_blocks``) of
-    BLOCK_VALUES // len(plan) points, ``plan`` the one that the model
-    keeps (``_block_plan``), whose first two groups a det-only sweep
-    runs.  The blocks are built in point order by ``_located``; each
-    read runs once, and its values are dropped once every fold of it has
-    taken them.  NumPy's floating-point warnings are off: every NaN or
+    BLOCK_VALUES // len(plan) points, ``plan`` that of ``_block_plan``.
+    The blocks are built in point order by ``_located``; each read runs
+    once, and its values are dropped once every fold of it has taken
+    them.  NumPy's floating-point warnings are off: every NaN or
     infinity is refused by an explicit check.
     """
     coordinates = model.dim if model.is_chart else 0

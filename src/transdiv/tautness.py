@@ -371,10 +371,9 @@ def lift_to_cover(model: FrameModel, coord: int, fold: int) -> FrameModel:
     at its own coordinates, so a split and a field of the base are the
     cover's as they stand.  Its div^Q agrees with the base's at the
     projected point only where the expressions are periodic along
-    ``coord``, which ``compare_with_cover`` measures.  It shares the base
-    model's derived data (frame partials, minors, C and the kept plan:
-    ``model._kept``), since only the periods differ and they enter only
-    the lattice.  A period that overflows is refused with ModelError.
+    ``coord``, which ``compare_with_cover`` measures.  Swept, it derives
+    its own frame partials, C and plan, as any chart does.  A period
+    that overflows is refused with ModelError.
     """
     if not model.is_chart:
         raise ModelError("only chart models can be unrolled to a cover")
@@ -388,9 +387,7 @@ def lift_to_cover(model: FrameModel, coord: int, fold: int) -> FrameModel:
     if periods[coord] == math.inf:
         raise ModelError(f"periods must be positive and finite, got {tuple(periods)}")
     name = f"{model.name}::{fold}-fold-cover(x{coord + 1})"
-    lifted = replace(model, name=name, periods=tuple(periods))
-    lifted.__dict__["_memo"] = expr._memo(model)
-    return lifted
+    return replace(model, name=name, periods=tuple(periods))
 
 
 def compare_with_cover(
@@ -408,7 +405,9 @@ def compare_with_cover(
     pointwise with the base field at the projected points in a fold of
     the cover's sweep: at each block, the base is swept at the block's
     axes with the ``coord`` axis taken modulo the base period L by np.mod
-    (the bits of Python's ``%``).
+    (the bits of Python's ``%``).  The cover's sweep is the base's on
+    the cover's lattice (the periods enter only the lattice): every
+    sweep here is of one model, with one plan.
 
     ``max_pointwise_difference`` is the largest |div^Q(lift v)(x) -
     div^Q(v)(x mod L)|.  Where div^Q v is periodic along ``coord`` it is
@@ -439,7 +438,7 @@ def compare_with_cover(
         return _first_non_finite(state[0], block, gap), _greatest(state[1], block, gap)
 
     folds += (Fold(base, difference, (None, None)),)
-    *states, (found, largest) = _basic_sweep(cover, split, field_spec, cover_grid, *folds)
+    *states, (found, largest) = _basic_sweep(model, split, field_spec, cover_grid, *folds)
     cover_verdict = _classify(*states, tol)  # a non-finite div^Q v before the difference
     require_finite(found, "pointwise difference of div^Q")
     return CoverComparison(cover, base_verdict, cover_verdict, largest[0])

@@ -6,7 +6,8 @@ orthogonal matrices, so the Jacobi identity genuinely holds.  Chart
 models use frames of the form rotation(theta) * diag(exp g_i), or dense
 diagonally dominant frames (trigonometric, or built with ln, sqrt,
 powers and quotients of random expressions), all invertible everywhere
-by construction.  Warped tori (``warped_torus_case``) and the tori of
+by construction.  Warped tori (``warped_torus_case``), a warped
+3-torus with two leaf rows (``two_leaf_torus_case``) and the tori of
 the chart benchmarks (``bench_torus_case``) come with a basic field;
 ``rotated_rows`` turns two frame rows and a field's components alike,
 keeping the metric, and ``rescaled_rows`` and ``shifted_normals``
@@ -164,6 +165,22 @@ def warped_torus_case(
     model = td.chart_model(f"warped-{dim}d", (1.0,) * dim, rows)
     field = td.vector_field([expr.ZERO, *(trig_poly(rng, dim, coords=transverse) for _ in transverse)], model)
     return model, td.foliation_split(dim, {0}), field
+
+
+def two_leaf_torus_case(rng: random.Random) -> tuple[td.FrameModel, td.FoliationSplit, td.VectorFieldSpec]:
+    """A warped 3-torus of codimension 1 with two leaf rows, leaves [1, 2]:
+    E_a = exp(-f_a) d/dx_a for a = 1, 2, f_a a trig_poly of every
+    coordinate, and E3 = d/dx3.  A trig_poly is a sum of terms in one
+    coordinate each, so d f_a / dx3 depends on x3 alone: the mean
+    curvature -(d f1/dx3 + d f2/dx3) E3 is basic, and so is the drawn
+    field h(x3) E3, with zero leaf components."""
+    rows = [[expr.ZERO] * 3 for _ in range(3)]
+    for a in (0, 1):
+        rows[a][a] = expr.FunctionCall("exp", expr.neg(trig_poly(rng, 3)))
+    rows[2][2] = expr.ONE
+    model = td.chart_model("two-leaf-3d", (1.0,) * 3, rows)
+    field = td.vector_field([expr.ZERO, expr.ZERO, trig_poly(rng, 3, coords=(3,))], model)
+    return model, td.foliation_split(3, {0, 1}), field
 
 
 #: The tori the chart benchmarks draw, and warped-both, a periodic chart

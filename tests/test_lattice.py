@@ -241,7 +241,7 @@ def refusals(draw):
 def test_a_refusal_names_the_first_point_that_fails_on_its_own(monkeypatch, case):
     model, grid, structure, points = case
     expected = scanned(model, grid, None, structure)
-    # the plan without a field, which a det-only sweep keeps too
+    # the plan without a field, kept here, so that a det-only sweep runs it too
     monkeypatch.setattr(td.model, "BLOCK_VALUES", points * len(_block_plan(model, None, True)))
     built = []
     build = td.model.FrameData.__init__

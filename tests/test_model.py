@@ -139,6 +139,13 @@ def test_constant_structure_schema_violations():
         td.load_model(bad)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400])
+def test_a_structure_constant_that_is_not_a_finite_float_is_refused(value):
+    # as load_model refuses it in a document, so no sweep checks C again
+    with pytest.raises(td.ModelError, match=r"structure constant \(0,1,1\) must be finite"):
+        td.constant_structure_model("huge", 2, [(0, 1, 1, value)])
+
+
 def test_structure_constant_values_may_reference_parameters(t3a):
     model, _ = t3a
     document = td.builtin_document("t3a")

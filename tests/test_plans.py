@@ -4,10 +4,12 @@ A model keeps its table of Cramer quotients C_ij^k and one evaluation
 plan (``model._block_plan``), that of its last sweep with structure.  A
 det-only sweep runs the first two groups of the kept plan, its frame
 entries and det A, and must give the bits and the errors of a det-only
-sweep of a fresh model.  The kept plan dies with the model, and a model
-swept with many field specs keeps one.  Each plan is the hash-consed
-DAG of its roots, as a plain recursive walk predicts it, and holds no
-values: building it runs no step, and a run computes each step once.
+sweep of a fresh model, which derives nothing: it runs an unkept plan
+of those two groups.  A cover is swept as its base.  The kept plan dies
+with the model, and a model swept with many field specs keeps one.
+Each plan is the hash-consed DAG of its roots, as a plain recursive
+walk predicts it, and holds no values: building it runs no step, and a
+run computes each step once.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import io
 import json
 import random
 import weakref
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -195,25 +196,65 @@ def test_a_det_only_sweep_after_a_structure_sweep_gives_fresh_bits(plans, with_f
 
 def test_a_cover_sweeps_with_its_base_plan_and_keeps_the_bits(plans):
     # the lift changes only the periods, which enter only the lattice, so
-    # its sweep from the base's plan gives the bits of a fresh lift's
+    # the base swept on the cover's lattice, from the base's plan, gives
+    # the bits of the lift's own sweep, from a plan the lift builds
     model, split = td.builtin_model("torus-warped")
     field = td.alvarez_candidate(model, split)
-    grid = td.sample_grid(model, 8)
-    sweep(model, grid, kept(lambda block: block.c), field_spec=field)
+    sweep(model, td.sample_grid(model, 8), kept(lambda block: block.c), field_spec=field)
     lifted = td.lift_to_cover(model, 1, 3)
-    fresh = replace(lifted)
     cover_grid = td.sample_grid(lifted, (8, 24))
 
-    def field_derivative_bits(swept):
-        # E_i(v^k): the frame and the field partials, at the cover's coordinates
-        (rows,) = generators.swept_rows(swept, cover_grid, lambda block: block.ev, field_spec=field)
-        return rows.view(np.int64)
+    def bits(swept):
+        # E_i(v^k), the frame and the field partials, and div^Q v, at the cover's coordinates
+        rows = generators.swept_rows(
+            swept, cover_grid, lambda block: block.ev, lambda block: block.divergence(split.transverse_ordered),
+            field_spec=field,
+        )
+        return [values.view(np.int64) for values in rows]
 
     assert len(plans) == 1
-    shared = field_derivative_bits(lifted)
+    base = bits(model)
     assert len(plans) == 1
-    assert np.array_equal(shared, field_derivative_bits(fresh))
+    assert all(map(np.array_equal, base, bits(lifted)))
     assert len(plans) == 2
+
+
+@pytest.mark.parametrize(
+    "field, coord, fold, grid, verdict, difference",
+    [
+        # no expression of torus-warped reads x1
+        ("alvarez", "1", "3", "8", "MixedSign", 0.0),
+        # div^Q(x2^2 E2) = 2 x2 jumps by 2 across the seam of x2
+        ("square", "2", "2", "16", "NonTautWitness", 2.0),
+    ],
+)
+def test_a_cover_invocation_sweeps_only_the_base_model(
+    monkeypatch, tmp_path, field, coord, fold, grid, verdict, difference
+):
+    swept = []
+    for module in (td.model, td.tautness):
+        monkeypatch.setattr(module, "sweep", lambda model, *args, sweep=module.sweep, **options: (
+            swept.append(model) or sweep(model, *args, **options)
+        ))
+    loaded = []
+    load = td.catalog.builtin_model
+    monkeypatch.setattr(td.catalog, "builtin_model", lambda name: loaded.append(load(name)) or loaded[-1])
+    label = "alvarez (mean-curvature candidate)"
+    if field == "square":
+        field = label = str(tmp_path / "square.json")
+        (tmp_path / "square.json").write_text(json.dumps({"components": ["0", "x2*x2"]}))
+    code, out, err = run_main(
+        "cover", "torus-warped", "--field", field, "--coord", coord, "--fold", fold, "--grid", grid,
+        "--format", "json",
+    )
+    ((model, _),) = loaded
+    # the base verdict, its corners, the cover's lattice (one block) and its projection
+    assert (code, err) == (0, "") and len(swept) == 4 and all(each is model for each in swept)
+    assert json.loads(out) == {
+        "subcommand": "cover", "model": "torus-warped", "field": label,
+        "coord": int(coord), "fold": int(fold), "base_verdict": verdict, "lifted_verdict": verdict,
+        "verdicts_agree": True, "max_pointwise_difference": difference,
+    }
 
 
 def test_a_failing_det_reports_its_point_from_a_kept_plan():
@@ -236,19 +277,63 @@ def test_a_failing_det_reports_its_point_from_a_kept_plan():
         assert check.detail == f"frame evaluation failed: {message}"
 
 
-def test_a_det_only_sweep_keeps_the_plan_without_a_field_until_a_field_sweep(plans):
-    # every sweep of the model, det-only or not, then sizes its blocks by
-    # the one plan it keeps
+def test_a_det_only_sweep_keeps_no_plan_and_runs_the_kept_one(plans):
+    # validate_model's two det-only sweeps (the grid, its corners) of a
+    # model that keeps no plan each build one of a and det A and keep
+    # neither; once a sweep with structure keeps a plan, they run it
     model, split = td.builtin_model("torus-warped")
     grid = td.sample_grid(model, 8)
     td.validate_model(model, grid)
+    assert len(plans) == 2 and "plan" not in expr._memo(model)
     at_point(model, (0.5, 0.5), lambda block: block.c)
-    assert len(plans) == 1
+    td.validate_model(model, grid)
+    assert len(plans) == 3
     td.classify_divergence(model, split, td.alvarez_candidate(model, split), grid)
     td.validate_model(model, grid)
-    assert len(plans) == 2
+    assert len(plans) == 4
     gc.collect()
-    assert [ref() is not None for ref in plans] == [False, True]
+    assert [ref() is not None for ref in plans] == [False, False, False, True]
+
+
+@pytest.mark.parametrize("case", ["torus-warped", "lazy", "dense-3d", "dense-4d"])
+def test_a_det_only_sweep_of_a_fresh_chart_derives_nothing_and_keeps_the_bits(
+    monkeypatch, plans, case
+):
+    # validate_model and frame_matrix read only a and det A, so they
+    # derive neither the frame partials nor C and keep no plan; their bits
+    # are those of the same sweeps run from the kept plan of a sweep with
+    # structure
+    def load():
+        if case == "lazy":
+            return td.load_model(LAZY)
+        if case == "torus-warped":
+            return td.builtin_model(case)
+        return generators.dense_chart_case(random.Random(7), int(case[-2]))
+
+    derived = []
+    for name in ("_frame_partials", "_cramer_table"):
+        monkeypatch.setattr(
+            td.model, name,
+            lambda model, derive=getattr(td.model, name), name=name: derived.append(name) or derive(model),
+        )
+    grid = td.sample_grid(load()[0], 5)
+    point = grid.point(7)
+
+    def det_only(model):
+        (check,) = td.validate_model(model, grid)
+        return [np.float64(check.worst).view(np.int64), check.worst_point,
+                td.model.frame_matrix(model, point).view(np.int64).tolist(),
+                det_bits(model, grid).tolist(), det_bits(model, _lattice(model, grid.resolution, 0.0)).tolist()]
+
+    fresh, _ = load()
+    swept = det_only(fresh)
+    assert derived == [] and expr._memo(fresh).keys() <= {"minors"}
+    # the grid and the corners of validate_model, frame_matrix and det_bits
+    assert len(plans) == 5 and all(ref() is None for ref in plans)
+    kept_plan, _ = load()
+    at_point(kept_plan, point, lambda block: block.c)
+    assert set(derived) == {"_frame_partials", "_cramer_table"}
+    assert det_only(kept_plan) == swept
 
 
 def test_a_frame_outside_the_differentiable_fragment_keeps_its_det(plans):

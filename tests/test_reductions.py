@@ -352,30 +352,34 @@ def test_no_refusal_builds_coordinate_rows(name, tmp_path):
 
 
 def test_each_cover_block_sweeps_the_base_once_as_one_block(monkeypatch):
-    # compare_with_cover reads the base's div^Q at the projected points of
-    # each block of the cover's sweep from a sweep of the base over that
-    # block's axes, the unrolled one taken modulo the base period: the
-    # plans are of the same expressions, so it is one block, right after
-    # the cover's, with the bits of np.mod
+    # compare_with_cover sweeps the base on the cover's lattice, after the
+    # base verdict and its det-only corner sweep, and reads the base's
+    # div^Q at the projected points of each of its blocks from a sweep of
+    # the base over that block's axes, the unrolled one taken modulo the
+    # base period: one plan, so one block, right after the cover's, with
+    # the bits of np.mod
     model, split = td.builtin_model("torus-warped")
     tau = td.alvarez_candidate(model, split)
-    monkeypatch.setattr(td.model, "BLOCK_VALUES", 50 * len(_block_plan(model, tau, True)))
+    limit = 50
+    monkeypatch.setattr(td.model, "BLOCK_VALUES", limit * len(_block_plan(model, tau, True)))
     built = []
     build = td.model.FrameData.__init__
 
-    def spy(self, swept_model, block, *args):
-        built.append((swept_model, block))
-        build(self, swept_model, block, *args)
+    def spy(self, swept_model, block, field_spec, structure, plan):
+        built.append((swept_model, block, structure))
+        build(self, swept_model, block, field_spec, structure, plan)
 
     monkeypatch.setattr(td.model.FrameData, "__init__", spy)
     for coord in (0, 1):
         built.clear()
         cover = compare_with_cover(model, split, tau, coord, 2, (9, 20)).cover
-        first = next(index for index, (swept_model, _) in enumerate(built) if swept_model is cover)
+        assert all(swept_model is model for swept_model, _, _ in built)
+        first = 1 + max(index for index, (_, _, structure) in enumerate(built) if not structure)
         pairs = list(zip(built[first::2], built[first + 1::2]))
-        assert len(pairs) > 3 and len(built) == first + 2 * len(pairs)
-        for (lifted_model, lifted), (below_model, below) in pairs:
-            assert lifted_model is cover and below_model is model
+        lattice = list(td.model._lattice_blocks(td.sample_grid(cover, (9, 20)), limit))
+        assert len(pairs) == len(lattice) > 3 and len(built) == first + 2 * len(pairs)
+        for ((_, lifted, _), (_, below, _)), block in zip(pairs, lattice):
+            assert [axis.tobytes() for axis in lifted.axes] == [axis.tobytes() for axis in block.axes]
             projected = list(lifted.axes)
             projected[coord] = np.mod(projected[coord], model.periods[coord])
             assert [axis.tobytes() for axis in below.axes] == [axis.tobytes() for axis in projected]
