@@ -765,65 +765,104 @@ def _minor(frame: tuple, memo: dict, rows: tuple, cols: tuple) -> Expr:
 
 # --- validation ------------------------------------------------------------
 
-#: The fold of the gate: the least |det A| over a chart's points
+@dataclass(frozen=True)
+class Hypothesis:
+    """A record of the gate: its ``folds``, which read only a and det A,
+    so that a verdict's sweep and a det-only sweep fold them alike, and
+    ``judge(model, grid, states)``, its CheckResult from the final states
+    of those folds over ``grid``."""
+
+    folds: tuple[Fold, ...]
+    judge: Callable
+
+
+#: The fold of frame_invertibility: the least |det A| over a chart's points
 _least_det = Fold(lambda block: np.abs(block.det), _least)
 
 
-def validate_model(model: FrameModel, grid: Grid, least_det=None) -> tuple[CheckResult, ...]:
-    """The records of the hypotheses the sign test rests on, at ``grid``:
-    frame invertibility over its points, then its lattice corners, for
-    charts (``least_det``, the ``_least_det`` state of the caller's own
-    sweep of ``grid``, spares sweeping it again); the Jacobi identity for
+def _frame_invertibility(model: FrameModel, grid: Grid, states) -> CheckResult:
+    """The least |det A| over the points of ``grid`` (the ``_least_det``
+    state of ``states``), then over its lattice corners, swept det-only
+    here: the grid wins a tie, and a frame that fails to evaluate at a
+    corner fails the record there."""
+    (least,) = states
+    corners = _lattice(model, grid.resolution, 0.0)
+    try:
+        (corner,) = sweep(model, corners, _least_det, structure=False)
+    except ExprError as exc:
+        return _unevaluated(exc)
+    worst, at = min(least, corner, key=lambda found: found[0])
+    detail = f"min |det(frame)| over {2 * len(grid)} probe points (threshold {DET_TOLERANCE:g})"
+    passed = worst >= DET_TOLERANCE
+    return CheckResult("frame_invertibility", passed, detail, worst, _point(*at), DET_TOLERANCE)
+
+
+def _unevaluated(exc: ExprError) -> CheckResult:
+    """The failed frame_invertibility record of a frame that fails to
+    evaluate at a probe, at that point."""
+    detail = f"frame evaluation failed: {exc}"
+    return CheckResult("frame_invertibility", False, detail, 0.0, exc.point, DET_TOLERANCE)
+
+
+def _jacobi_identity(model: FrameModel, grid: Grid, states) -> CheckResult:
+    """The largest |cyclic sum C_ij^m C_mk^l| of the constant table, in
+    runs of max(1, BLOCK_VALUES // dim^3) values of ``i``, so that no array
+    holds dim^4 values; a residual that is not finite raises DomainError."""
+    table, n = _constant_table(model), model.dim
+    run, jacobi = max(1, BLOCK_VALUES // n**3), 0.0
+    with np.errstate(all="ignore"):  # a non-finite residual is refused below
+        for first in range(0, n, run):
+            i = slice(first, first + run)
+            cyclic = (
+                np.einsum("ijm,mkl->ijkl", table[i], table)
+                + np.einsum("jkm,mil->ijkl", table, table[:, i])
+                + np.einsum("kim,mjl->ijkl", table[:, i], table)
+            )
+            worst = float(np.max(np.abs(cyclic)))
+            if not math.isfinite(worst):
+                raise expr.DomainError("non-finite Jacobi residual |cyclic sum C_ij^m C_mk^l| at ()")
+            jacobi = max(jacobi, worst)
+    detail = f"max |cyclic sum C_ij^m C_mk^l| (threshold {JACOBI_TOLERANCE:g})"
+    return CheckResult("jacobi_identity", jacobi <= JACOBI_TOLERANCE, detail, jacobi, (), JACOBI_TOLERANCE)
+
+
+def hypotheses(model: FrameModel) -> tuple[Hypothesis, ...]:
+    """The records of the hypotheses the sign test rests on, in gate
+    order: frame invertibility for charts, the Jacobi identity for
     constant-structure models.  Neither needs an antisymmetry check: a
     chart's C_ji^k is the tree that negates C_ij^k, and a constant
-    table's C_ji^k is filled in from C_ij^k, i < j.
+    table's C_ji^k is filled in from C_ij^k, i < j."""
+    if model.is_chart:
+        return (Hypothesis((_least_det,), _frame_invertibility),)
+    return (Hypothesis((), _jacobi_identity),)
+
+
+def judged(model: FrameModel, grid: Grid, records: Sequence[Hypothesis], states) -> Iterator[CheckResult]:
+    """Each of ``records`` judged in order on the final states of its
+    folds over ``grid``, ``states`` those of every record's folds in order."""
+    states = iter(states)
+    for record in records:
+        yield record.judge(model, grid, list(itertools.islice(states, len(record.folds))))
+
+
+def validate_model(model: FrameModel, grid: Grid) -> tuple[CheckResult, ...]:
+    """The records of ``hypotheses(model)``, judged on one det-only sweep
+    of ``grid`` that folds them all, and no sweep when none has a fold.
 
     A failed check is a record, not an exception: ``analyze`` reports
     the records, and the verdicts of ``tautness`` refuse a model whose
     record fails.  A frame that fails to evaluate at a probe fails the
-    invertibility record at that point; a Jacobi residual that is not
-    finite raises DomainError, as any non-finite value does.
+    invertibility record at that point, and no other record is judged; a
+    Jacobi residual that is not finite raises DomainError, as any
+    non-finite value does.
     """
-    if model.is_chart:
-        corners = _lattice(model, grid.resolution, 0.0)
-        try:
-            if least_det is None:
-                (least_det,) = sweep(model, grid, _least_det, structure=False)
-            (corner,) = sweep(model, corners, _least_det, structure=False)
-        except ExprError as exc:
-            check = CheckResult(
-                "frame_invertibility", False, f"frame evaluation failed: {exc}",
-                0.0, exc.point, DET_TOLERANCE,
-            )
-        else:
-            worst, at = min(least_det, corner, key=lambda found: found[0])  # the grid wins a tie
-            check = CheckResult(
-                "frame_invertibility",
-                worst >= DET_TOLERANCE,
-                f"min |det(frame)| over {2 * len(grid)} probe points "
-                f"(threshold {DET_TOLERANCE:g})",
-                worst,
-                _point(*at),
-                DET_TOLERANCE,
-            )
-    else:
-        table = _constant_table(model)
-        with np.errstate(all="ignore"):  # a non-finite residual is refused below
-            term1 = np.einsum("ijm,mkl->ijkl", table, table)
-            term2 = np.einsum("jkm,mil->ijkl", table, table)
-            term3 = np.einsum("kim,mjl->ijkl", table, table)
-            jacobi = float(np.max(np.abs(term1 + term2 + term3)))
-        if not math.isfinite(jacobi):
-            raise expr.DomainError("non-finite Jacobi residual |cyclic sum C_ij^m C_mk^l| at ()")
-        check = CheckResult(
-            "jacobi_identity",
-            jacobi <= JACOBI_TOLERANCE,
-            f"max |cyclic sum C_ij^m C_mk^l| (threshold {JACOBI_TOLERANCE:g})",
-            jacobi,
-            (),
-            JACOBI_TOLERANCE,
-        )
-    return (check,)
+    records = hypotheses(model)
+    folds = [fold for record in records for fold in record.folds]
+    try:
+        states = sweep(model, grid, *folds, structure=False) if folds else []
+    except ExprError as exc:
+        return (_unevaluated(exc),)
+    return tuple(judged(model, grid, records, states))
 
 
 def _basic_folds(split: FoliationSplit) -> tuple[Fold, ...]:
@@ -879,7 +918,7 @@ def load_model(document: Mapping) -> tuple[FrameModel, FoliationSplit]:
 
     Schema violations, and expressions that do not parse or bind, raise
     SchemaError.  Nothing is evaluated on a grid and no hypothesis is
-    checked here: every verdict checks the model's (``validate_model``)
+    checked here: every verdict checks the model's (``hypotheses``)
     on the grid it sweeps, so a chart frame that is singular, or fails
     to evaluate, somewhere loads.
     """

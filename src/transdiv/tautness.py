@@ -17,9 +17,9 @@ div^Q v.
 The sign test characterises tautness only for a model whose hypotheses
 hold, so every verdict here (``classify_divergence``, and through it
 the volume check and the cover comparison, and ``green_check``) ends
-with one gate: ``validate_model``'s records on the verdict's grid,
-whose least |det A| the verdict's own sweep folds, so the gate sweeps
-only the lattice corners.  A failed record refuses the model with
+with one gate: the records of ``model.hypotheses``, whose folds the
+verdict's own sweep of its grid takes (``_verdict_sweep``), each then
+judged on their final states.  A failed record refuses the model with
 ModelError, its message the record's line.
 
 Every reduction over a grid here (``_classify``, ``_integral``, the
@@ -35,6 +35,7 @@ int, so the integral is rounded once, at the end.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
 import sys
@@ -45,8 +46,8 @@ import numpy as np
 from . import expr
 from .model import (
     Fold, FrameModel, Grid, VectorFieldSpec, _basic_folds, _checked, _constant_table,
-    _first_non_finite, _greatest, _least, _least_det, _point, _taken, basic_field_check,
-    require_finite, sample_grid, structure_functions_symbolic, sweep, validate_model,
+    _first_non_finite, _greatest, _least, _point, _taken, basic_field_check, hypotheses, judged,
+    require_finite, sample_grid, structure_functions_symbolic, sweep,
 )
 from .records import (
     DEFAULT_TOLERANCE, CheckResult, FoliationSplit, ModelError, NotBasicError,
@@ -129,22 +130,24 @@ class CoverComparison:
     max_pointwise_difference: float
 
 
-def _basic_sweep(model: FrameModel, split: FoliationSplit, field_spec, grid: Grid, *folds) -> list:
-    """The states of ``folds`` in the ``model.sweep`` of ``grid`` whose
-    first folds are the basic test's, refusing a field that is not basic
-    over all of its points with NotBasicError."""
-    found, worst, *states = sweep(model, grid, *_basic_folds(split), *folds, field_spec=field_spec)
+@contextlib.contextmanager
+def _verdict_sweep(model: FrameModel, split: FoliationSplit, field_spec, grid: Grid, *folds, records):
+    """The states of ``folds``, for the body of a with statement, in the
+    one ``model.sweep`` of ``grid`` whose first folds are the basic test's
+    and whose last are those of ``records`` (``model.hypotheses``).  A
+    field that is not basic is refused with NotBasicError before the body
+    runs; after a body that raises nothing, the first of ``records`` that
+    its judge fails refuses the model with ModelError, its message the
+    record's line."""
+    found, worst, *states = sweep(
+        model, grid, *_basic_folds(split), *folds, *(fold for record in records for fold in record.folds),
+        field_spec=field_spec,
+    )
     check = basic_field_check(found, worst, len(grid))
     if not check.passed:
         raise NotBasicError(check)
-    return states
-
-
-def _require_hypotheses(model: FrameModel, grid: Grid, least_det=None) -> None:
-    """The gate of every verdict: raise ModelError with the line of the
-    first of ``validate_model``'s records on ``grid`` that fails, given
-    the verdict's ``model._least_det`` state on a chart."""
-    for check in validate_model(model, grid, least_det):
+    yield states[:len(folds)]
+    for check in judged(model, grid, records, states[len(folds):]):
         if not check.passed:
             raise ModelError(check_line(check))
 
@@ -189,15 +192,13 @@ def classify_divergence(
     negative or not finite raises ModelError (an infinite one would call
     every finite divergence zero), and a non-finite value DomainError.
     A model that fails a hypothesis record on ``grid`` raises ModelError
-    (``_require_hypotheses``).
+    (``_verdict_sweep``).
     """
     if not 0.0 <= tol < math.inf:
         raise ModelError(f"tolerance must be a non-negative number and finite, got {tol!r}")
-    folds = (*_divergence_folds(split), _least_det) if model.is_chart else _divergence_folds(split)
-    found, low, high, *least_det = _basic_sweep(model, split, field_spec, grid, *folds)
-    verdict = _classify(found, low, high, tol)
-    _require_hypotheses(model, grid, *least_det)
-    return verdict
+    folds = _divergence_folds(split)
+    with _verdict_sweep(model, split, field_spec, grid, *folds, records=hypotheses(model)) as states:
+        return _classify(*states, tol)
 
 
 def alvarez_candidate(model: FrameModel, split: FoliationSplit) -> VectorFieldSpec:
@@ -246,7 +247,7 @@ def green_check(
     that rounding passes the float range.  A cell volume that is not a
     normal float (it underflows, which would zero every term, or
     overflows) raises ModelError, as does a model that fails a
-    hypothesis record on the grid (``_require_hypotheses``).
+    hypothesis record on the grid (``_verdict_sweep``).
     """
     if not model.is_chart:
         raise ModelError("the Green-formula quadrature needs a chart model")
@@ -259,13 +260,12 @@ def green_check(
             "leaves the float range"
         )
     sums = (Fold(term, _sum_step, (None, 0)) for term in _green_terms(split, cell))
-    lhs, rhs, least_det = _basic_sweep(model, split, field_spec, grid, *sums, _least_det)
-    lhs = _integral(lhs, "div^Q v dmu")
-    rhs = _integral(rhs, "g(v, kappa#) dmu")
-    abs_error = abs(lhs - rhs)
-    if not math.isfinite(abs_error):
-        raise expr.DomainError(f"|lhs - rhs| overflows ({lhs!r} - {rhs!r})")
-    _require_hypotheses(model, grid, least_det)
+    with _verdict_sweep(model, split, field_spec, grid, *sums, records=hypotheses(model)) as (lhs, rhs):
+        lhs = _integral(lhs, "div^Q v dmu")
+        rhs = _integral(rhs, "g(v, kappa#) dmu")
+        abs_error = abs(lhs - rhs)
+        if not math.isfinite(abs_error):
+            raise expr.DomainError(f"|lhs - rhs| overflows ({lhs!r} - {rhs!r})")
     density = "1/|det(frame)| (Riemannian density of the orthonormal frame)"
     return QuadratureReport(lhs, rhs, abs_error, grid.resolution, density)
 
@@ -438,7 +438,8 @@ def compare_with_cover(
         return _first_non_finite(state[0], block, gap), _greatest(state[1], block, gap)
 
     folds += (Fold(base, difference, (None, None)),)
-    *states, (found, largest) = _basic_sweep(model, split, field_spec, cover_grid, *folds)
-    cover_verdict = _classify(*states, tol)  # a non-finite div^Q v before the difference
-    require_finite(found, "pointwise difference of div^Q")
+    ungated = _verdict_sweep(model, split, field_spec, cover_grid, *folds, records=())
+    with ungated as (*states, (found, largest)):
+        cover_verdict = _classify(*states, tol)  # a non-finite div^Q v before the difference
+        require_finite(found, "pointwise difference of div^Q")
     return CoverComparison(cover, base_verdict, cover_verdict, largest[0])

@@ -75,6 +75,43 @@ def scaled_t3a(factor: float) -> dict:
     return {**document, "name": f"t3a-times-{factor!r}", "structure_constants": constants}
 
 
+def rotated_so3(factor: float) -> dict:
+    """so(3), [E_i, E_j] = eps_ijk E_k, in the orthonormal basis turned
+    by the rotation Rz(0.3) Rx(1.1) Rz(2.3), built with ``math`` alone:
+    C_ij^k = factor * sum R_ia R_jb R_kc eps_abc, which is factor * eps_ijk
+    up to rounding, with leaf [1].  A rotation is an automorphism, so
+    every scale is the same Lie algebra, with kappa = 0."""
+
+    def turn(axis: int, angle: float) -> list[list[float]]:
+        c, s = math.cos(angle), math.sin(angle)
+        p, q = [m for m in range(3) if m != axis]
+        rows = [[float(m == n) for n in range(3)] for m in range(3)]
+        rows[p][p], rows[p][q], rows[q][p], rows[q][q] = c, -s, s, c
+        return rows
+
+    def product(a, b):
+        return [[sum(a[i][m] * b[m][j] for m in range(3)) for j in range(3)] for i in range(3)]
+
+    r = product(product(turn(2, 0.3), turn(0, 1.1)), turn(2, 2.3))
+    constants = [
+        {"i": i + 1, "j": j + 1, "k": k + 1, "value": factor * sum(
+            r[i][a] * r[j][b] * r[k][c] * (a - b) * (b - c) * (c - a) / 2
+            for a in range(3) for b in range(3) for c in range(3)
+        )}
+        for i in range(3) for j in range(i + 1, 3) for k in range(3)
+    ]
+    return {
+        "name": f"so3-times-{factor!r}", "kind": "constant_structure", "dim": 3, "leaf_indices": [1],
+        "structure_constants": constants,
+    }
+
+
+#: E1 = scale (1 + 0.5 sin 2 pi x2) d/dx1, E2 = scale d/dx2: orthogonal
+#: rows, a warped torus at every scale
+def orthogonal_frame(scale: str) -> list[str]:
+    return [f"{scale}*(1 + 0.5*sin(2*pi*x2))", "0", "0", scale]
+
+
 AFFINE = {
     "name": "affine", "kind": "constant_structure", "dim": 3, "leaf_indices": [2],
     "structure_constants": [{"i": 1, "j": 2, "k": 2, "value": 1.0}],
@@ -132,7 +169,7 @@ def xfail(item: str):
 # --- the ledger ----------------------------------------------------------------------
 #
 # (command, model, field, grid, required outcome, owning item); today's
-# outcome of each, exit 0, is in the comment.
+# outcome of each is in the comment.
 
 LEDGER = {
     # IDENTICALLY ZERO: the leaf distribution [E1, E2] is not integrable
@@ -178,6 +215,18 @@ LEDGER = {
     "flat-kronecker-not-basic": pytest.param(
         "taut-check", "flat-kronecker", ["0", "sin(2*pi*x1)"], "2,24", REFUSED, marks=xfail("24"),
     ),
+    # exit 3, jacobi_identity: FAIL, worst 6.9e-11: the rounding of the
+    # turned constants grows with the square of the scale, against an
+    # absolute tolerance of 1e-12
+    "so3-times-1000": pytest.param(
+        "taut-check", rotated_so3(1000.0), "alvarez", None, "IdenticallyZero", marks=xfail("19"),
+    ),
+    # exit 3, "frame matrix is singular" (|det| = 1.098e-12): orthogonal
+    # rows against an absolute determinant tolerance of 1e-10
+    "orthogonal-frame-times-1e-6": pytest.param(
+        "taut-check", chart("orthogonal-times-1e-6", orthogonal_frame("1e-6"), [1]), "alvarez", "16",
+        "MixedSign", marks=xfail("19"),
+    ),
     # "preserved: yes", "characterizes tautness": the leaves of slope 1/2
     # are closed, not dense
     "false-dense-leaves": pytest.param(
@@ -213,6 +262,17 @@ def test_the_plain_t3a_chart_is_a_non_taut_witness(capsys, tmp_path):
     assert "div^Q v: min 0.926259282309 at" in found[0][2]
     for value in (report["min_value"], report["max_value"]):
         assert abs(value - LOG_LAMBDA**2) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "model, grid, verdict",
+    [(rotated_so3(1.0), None, "IdenticallyZero"), (chart("orthogonal", orthogonal_frame("1"), [1]), "16", "MixedSign")],
+    ids=["so3", "orthogonal-frame"],
+)
+def test_the_scale_cases_at_scale_1_reach_the_verdict(capsys, tmp_path, model, grid, verdict):
+    # the ledger's so3-times-1000 and orthogonal-frame-times-1e-6 differ
+    # from these only by a homothety of the frame
+    require(outcomes(capsys, tmp_path, "taut-check", model, "alvarez", grid), verdict)
 
 
 def test_the_fejer_field_resolved_is_mixed_sign(capsys, tmp_path):

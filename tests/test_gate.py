@@ -1,6 +1,8 @@
 """The hypothesis gate: every verdict subcommand refuses a model whose
 hypothesis record fails, with that record's line, and the gate costs one
-det-only sweep of the lattice corners."""
+det-only sweep of the lattice corners.  ``model.hypotheses`` is the one
+list of records: a record added to it refuses through every verdict
+subcommand and ``analyze``."""
 
 from __future__ import annotations
 
@@ -13,10 +15,10 @@ import pytest
 
 import transdiv as td
 from transdiv.cli import main
-from transdiv.model import _lattice
+from transdiv.model import Fold, _greatest, _lattice, _point
 from transdiv.records import CheckResult, check_line
 
-from generators import lattice_rows
+from generators import lattice_rows, swept_rows
 
 # the cyclic Jacobi sum is 1 at (E1, E2, E3)
 NOJACOBI = {
@@ -133,3 +135,42 @@ def test_load_model_sweeps_nothing(sweeps):
     for document in (PINCHED, LOG_FRAME, td.builtin_document("torus-warped")):
         td.load_model(document)
     assert sweeps == []
+
+
+def marked(model, grid, states):
+    """The judge of a record of this test alone: it fails at the state of
+    its one fold, the first point where a_1^1 is greatest."""
+    ((value, at),) = states
+    return CheckResult("marked", False, "greatest a_1^1", value, _point(*at), 0.0)
+
+
+@pytest.fixture
+def marked_record(monkeypatch):
+    """``model.hypotheses`` with the ``marked`` record last."""
+    hypotheses = td.model.hypotheses
+    record = td.model.Hypothesis((Fold(lambda block: block.a[0, 0], _greatest),), marked)
+    for module in (td.model, td.tautness):
+        monkeypatch.setattr(module, "hypotheses", lambda model: (*hypotheses(model), record))
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("subcommand", ["analyze", *VERDICTS])
+def test_a_record_added_to_the_list_refuses_through_every_command(marked_record, subcommand, fmt):
+    model, _ = td.builtin_model("torus-warped")
+    grid = td.sample_grid(model, 8)
+    (values,) = swept_rows(model, grid, lambda block: block.a[0, 0], structure=False)
+    index = int(np.argmax(values))
+    line = check_line(CheckResult("marked", False, "greatest a_1^1", values[index], grid.point(index)))
+    argv = [subcommand, "torus-warped", *(GRID if subcommand == "analyze" else VERDICTS[subcommand])]
+    code, out, err = run([*argv, "--format", fmt])
+    assert code == 3
+    if subcommand != "analyze":
+        assert (out, err) == ("", f"error: {line}\n")
+    elif fmt == "text":
+        assert err == "" and "\n  frame_invertibility: pass (" in out and f"\n  {line}\n" in out
+    else:
+        invertibility, record = json.loads(out)["validation"]["checks"]
+        check = CheckResult(
+            record["name"], record["passed"], record["detail"], record["worst"], tuple(record["worst_point"]),
+        )
+        assert err == "" and invertibility["passed"] and check_line(check) == line

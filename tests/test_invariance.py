@@ -224,6 +224,29 @@ def test_a_rotation_of_a_leaf_row_with_the_transverse_row_is_caught(seed):
     assert not leaf_rotation_invariant(random.Random(seed), (0, 2))
 
 
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_div_q_and_the_verdict_of_a_two_leaf_torus_depend_only_on_the_transverse_structure(seed):
+    # besides ``transforms``, each leaf row rescaled by its own phi, which
+    # changes kappa along both leaf rows at once
+    rng = random.Random(seed)
+    model, split, field = two_leaf_torus_case(rng)
+    own = model
+    for a in split.leaf_ordered:
+        own = rescaled_rows(own, {a}, positive(rng, model.dim))
+    for other in (*transforms(rng, model, split), own):
+        moved = td.vector_field(field.components, other)
+        assert invariant(model, split, field, other, moved, LEAF_POINTS), other.frame
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_rescaling_the_transverse_row_of_a_two_leaf_torus_is_caught(seed):
+    model, split, field = two_leaf_torus_case(random.Random(seed))
+    other = rescaled_rows(model, {2}, expr.parse("exp(0.3*sin(2*pi*x3))"))
+    assert not invariant(model, split, field, other, td.vector_field(field.components, other), LEAF_POINTS)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_the_green_identity_holds_before_the_frame_changes(kind):
     # the bound the transformed frames are held to holds on the originals

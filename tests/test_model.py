@@ -369,6 +369,38 @@ def test_validate_broken_jacobi():
     assert not jacobi.passed
 
 
+def whole_jacobi_residual(table):
+    """The oracle: the largest |cyclic sum C_ij^m C_mk^l| from the three
+    dim^4 einsums over every i at once."""
+    cyclic = (
+        np.einsum("ijm,mkl->ijkl", table, table)
+        + np.einsum("jkm,mil->ijkl", table, table)
+        + np.einsum("kim,mjl->ijkl", table, table)
+    )
+    return float(np.max(np.abs(cyclic)))
+
+
+@pytest.mark.parametrize("dim", range(2, 13))
+def test_the_jacobi_residual_in_runs_of_i_is_the_whole_tables(monkeypatch, dim):
+    # the record sums runs of max(1, BLOCK_VALUES // dim^3) values of i;
+    # every run length 1..dim must give the bits of the whole table's
+    # residual, on dense and sparse drawn tables of magnitudes 1e-3..1e3
+    rng = random.Random(dim)
+    for density in (1.0, 0.3, 0.1):
+        constants = [
+            (i, j, k, rng.uniform(-1.0, 1.0) * 10 ** rng.uniform(-3.0, 3.0))
+            for i in range(dim) for j in range(i + 1, dim) for k in range(dim)
+            if rng.random() < density
+        ]
+        model = td.constant_structure_model("drawn", dim, constants)
+        expected = whole_jacobi_residual(td.model._constant_table(model))
+        (record,) = td.model.hypotheses(model)
+        for run in range(1, dim + 1):
+            monkeypatch.setattr(td.model, "BLOCK_VALUES", run * dim**3)
+            check = record.judge(model, td.sample_grid(model, 1), [])
+            assert check.worst.hex() == expected.hex(), (density, run)
+
+
 def test_validate_chart_checks_only_invertibility(torus):
     # a chart's C_ji^k is the tree that negates C_ij^k, so charts carry no
     # antisymmetry check

@@ -4,9 +4,9 @@ A sweep gives each fold a read's values block by block, on the
 sub-lattice of the coordinates it varies over.  Each fold of the
 verdicts (the extremes of ``_classify`` and their first points, the
 worst basic residual, the first non-finite point of ``require_finite``,
-the Green sums of ``_integral`` and the smallest |det A| of
-``validate_model``) must give the bits and the point that the same
-reduction gives on the values broadcast to every grid point:
+the Green sums of ``_integral`` and the smallest |det A| of the
+``frame_invertibility`` record) must give the bits and the point that
+the same reduction gives on the values broadcast to every grid point:
 ``np.argmin`` or ``np.argmax`` over the rows in point order, the grid's
 points before its corners, or the correctly rounded exact sum.  The
 values are drawn as tables on a drawn subset of the axes and folded in
@@ -238,6 +238,13 @@ def least_det_of(table):
     return [(lambda least, block, values: _least(least, block, np.abs(values)), None)]
 
 
+def frame_invertibility(model, grid, least_det):
+    """The judge of the box's one record on the ``least_det`` state of
+    its fold over ``grid``: the record a verdict's sweep hands it."""
+    (record,) = td.model.hypotheses(model)
+    return record.judge(model, grid, [least_det])
+
+
 @settings_
 @given(lattices(st.sampled_from([0.5, 1.0, -1.0, 2.0, -3.0, 1e-300])))
 def test_the_smallest_det_is_the_grids_then_the_corners(monkeypatch, case):
@@ -249,7 +256,7 @@ def test_the_smallest_det_is_the_grids_then_the_corners(monkeypatch, case):
     probes = point_tuples(grid) + point_tuples(corners)
     dets = np.abs(np.concatenate((full(resolution, table), np.ones(len(corners)))))
     index = int(np.argmin(dets))
-    (check,) = td.validate_model(model, grid, least_det)
+    check = frame_invertibility(model, grid, least_det)
     assert bits(check.worst) == bits(dets[index])
     assert check.worst_point == probes[index]
     assert check.detail == f"min |det(frame)| over {len(probes)} probe points (threshold 1e-10)"
@@ -258,7 +265,7 @@ def test_the_smallest_det_is_the_grids_then_the_corners(monkeypatch, case):
 def test_a_tie_of_the_grid_with_the_corners_reports_the_grid(monkeypatch):
     table = np.array([[2.0, 1.0, 1.0, 3.0]])
     model, grid, (least_det,) = swept((3, 4), table, 12, monkeypatch, *least_det_of(table))
-    (check,) = td.validate_model(model, grid, least_det)
+    check = frame_invertibility(model, grid, least_det)
     assert check.worst == 1.0 and check.worst_point == grid.point(1)
     assert grid.point(1) == (1 / 6, 0.375)
 
