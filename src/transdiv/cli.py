@@ -39,6 +39,7 @@ from .records import (
     check_line,
 )
 from .spectral import (
+    _INTEGER,
     build_suspension,
     format_matrix,
     format_poly,
@@ -76,11 +77,24 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _integer(text: str) -> int:
+    """``--coord``, ``--fold``, ``--leaf`` and each ``--grid`` entry: an
+    integer of ASCII digits, as ``--matrix`` reads its entries
+    (``spectral._INTEGER``), where int() also reads "1_6" and non-ASCII
+    digits."""
+    try:
+        if _INTEGER.fullmatch(text.strip()):
+            return int(text)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _grid(text: str) -> tuple[int, ...]:
     """``--grid``: resolution per coordinate, each >= 1."""
     try:
-        entries = tuple(int(part) for part in text.split(","))
-    except ValueError:
+        entries = tuple(_integer(part) for part in text.split(","))
+    except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(
             f"expects comma-separated integers, got {text!r}"
         ) from None
@@ -154,15 +168,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--leaf",
         required=True,
-        type=int,
+        type=_integer,
         help="eigen-direction (1-based, eigenvalues ascending) spanning the leaves",
     )
     p.add_argument("-o", "--out", required=True, help="model-file path to write")
 
     p = sub.add_parser("cover", help="finite periodic cover and verdict comparison")
     common(p, field=True, tol=True)
-    p.add_argument("--coord", required=True, type=int, help="coordinate to unroll (1-based)")
-    p.add_argument("--fold", required=True, type=int, help="number of sheets (>= 1)")
+    p.add_argument("--coord", required=True, type=_integer, help="coordinate to unroll (1-based)")
+    p.add_argument("--fold", required=True, type=_integer, help="number of sheets (>= 1)")
 
     p = sub.add_parser("volume-check", help="transverse volume preservation")
     common(p, field=True, tol=True)
@@ -309,7 +323,6 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, list[str], int]:
 
     model, split = _resolve_model(args.model)
     grid = _grid_for(model, args)
-    # the report point first: its sweep builds the plan that the records' det-only sweeps run
     point = grid.point(0)
     reads = (lambda block: block.c, lambda block: block.gamma,
              lambda block: block.mean_curvature(split.leaf_ordered))

@@ -19,13 +19,14 @@ Expression nodes are immutable, so evaluation and differentiation are
 pure.  A ``Plan`` evaluates groups of expressions over NumPy arrays for
 grid sweeps: it hash-conses their subtrees into the DAG of distinct
 subexpressions, and each evaluation computes every distinct
-subexpression once.  A model keeps the plan of its last grid sweep
-with structure.  ``Plan`` is the only array evaluator, and ``evaluate``,
-a tree walk over floats, is its scalar reference.  Partial derivatives
-are built once per node and variable and kept on the node.  No
-simplification is attempted beyond folding literal zeros and ones out
-of derivative terms; correctness is always checked pointwise, never by
-canonical form.
+subexpression once.  A model keeps the plan of its frame and det A,
+and its last grid sweep's with structure, built as an extension of it
+(``Plan.extended``).  ``Plan`` is the only array evaluator, and
+``evaluate``, a tree walk over floats, is its scalar reference.
+Partial derivatives are built once per node and variable and kept on
+the node.  No simplification is attempted beyond folding literal zeros
+and ones out of derivative terms; correctness is always checked
+pointwise, never by canonical form.
 """
 
 from __future__ import annotations
@@ -456,12 +457,25 @@ class Plan:
     Each node visit is one branch on the node's type, which takes its
     children's slots and its key: kind, own data (a literal's type and
     bits, as ``==`` would merge -0.0 into 0.0) and children's slots.  A
-    new key gets the next slot and its step (``_operation``).
+    new key gets the next slot and its step (``_operation``); the keys
+    are kept, so that ``extended`` builds none of the plan's steps again.
     """
 
     def __init__(self, groups: Sequence[Sequence[Expr]]):
-        steps: list[Callable] = []
-        keys: dict[tuple, int] = {}
+        # the steps, each group's (first step, end step, root slots), each key's slot
+        self._steps, self._groups, self._keys = [], [], {}
+        self._append(groups)
+
+    def extended(self, groups: Sequence[Sequence[Expr]]) -> Plan:
+        """``Plan([*this plan's groups, *groups])``, its steps shared with
+        this plan, which is left as it is."""
+        plan = object.__new__(Plan)
+        plan._steps, plan._groups, plan._keys = [*self._steps], [*self._groups], dict(self._keys)
+        plan._append(groups)
+        return plan
+
+    def _append(self, groups: Sequence[Sequence[Expr]]) -> None:
+        steps, keys = self._steps, self._keys
         seen: dict[int, int] = {}  # id(node) -> slot; the roots keep every node alive
 
         def visit(node: Expr) -> int:
@@ -491,12 +505,11 @@ class Plan:
             seen[id(node)] = slot
             return slot
 
-        self._steps, self._groups = steps, []
         for group in groups:
             start = len(steps)
             roots = tuple(map(visit, group))
             self._groups.append((start, len(steps), roots))
-        del visit  # it refers to itself: unbound, it and the tables die now, not in a collection
+        del visit  # it refers to itself: unbound, it and ``seen`` die now, not in a collection
 
     def __len__(self) -> int:
         return len(self._steps)

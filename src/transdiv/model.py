@@ -141,6 +141,11 @@ def constant_structure_model(
     """Model with finite constant structure functions, indexed 0-based with i < j."""
     if dim < 1:
         raise ModelError(f"dimension must be positive, got {dim}")
+    if dim > MAX_CONSTANT_DIM:
+        raise ModelError(
+            f"'dim' must be at most {MAX_CONSTANT_DIM} for a constant-structure model "
+            f"(its dim^3 table of C within BLOCK_VALUES = {BLOCK_VALUES} values), got {dim}"
+        )
     params = _check_parameters(dim, parameters or {})
     seen = set()
     stored = []
@@ -277,6 +282,10 @@ def _lattice(model: FrameModel, resolution: tuple[int, ...], offset: float) -> G
 #: points; a plan of under 220 steps sweeps 4096 points as one.
 BLOCK_VALUES = 900_000
 
+#: Largest dim of a constant-structure model, the largest whose dim^3
+#: table of C_ij^k holds at most BLOCK_VALUES values
+MAX_CONSTANT_DIM = 96
+
 
 def _kept(model: FrameModel, key: str, derive: Callable[[FrameModel], object]):
     """``derive(model)``, derived once per model and kept on it
@@ -380,33 +389,33 @@ def _stacked(values: Sequence, shape: tuple[int, ...], block: Grid) -> np.ndarra
     return out.reshape(shape + common)
 
 
+def _frame_plan(model: FrameModel) -> expr.Plan:
+    """A group of the frame entries and one of det A (none off a chart)."""
+    if not model.is_chart:
+        return expr.Plan(())
+    every = tuple(range(model.dim))
+    det = _minor(model.frame, _kept(model, "minors", lambda _: {}), every, every)
+    return expr.Plan([[entry for row in model.frame for entry in row], [det]])
+
+
 def _block_plan(
     model: FrameModel, field_spec: VectorFieldSpec | None, structure: bool
 ) -> expr.Plan:
-    """The evaluation plan of FrameData blocks: one group for each of the
-    frame entries, det A, the frame partials, the structure functions
-    C_ij^k (the whole table of ``structure_functions_symbolic`` in
-    row-major (i, j, k) order), the field components and the field
-    partials that a block may compute, in that order.
-
-    The model keeps one plan, that of its last sweep with structure,
-    keyed by the identity of its field spec (None without a field).  A
-    det-only sweep runs the first two groups, a and det A, of the kept
-    plan, or else an unkept plan of just those two groups: it derives
-    neither the frame partials nor C.
-    """
+    """The evaluation plan of FrameData blocks, kept on the model: without
+    ``structure`` its frame plan (``_frame_plan``), else that extended by
+    a group for each of the frame partials, C_ij^k (the table of
+    ``structure_functions_symbolic`` in row-major (i, j, k) order), the
+    field components and the field partials a block may compute, in that
+    order.  The model keeps one field plan, that of its last sweep with
+    structure, keyed by the identity of its field spec (None without a
+    field); one that fails to derive extends nothing."""
+    if not structure:
+        return _kept(model, "frame plan", _frame_plan)
     memo = expr._memo(model)
     kept = memo.get("plan")
-    if kept is not None and (not structure or kept[0] is field_spec):
+    if kept is not None and kept[0] is field_spec:
         return kept[1]
     groups, coords = [], model.coordinate_names()
-    if model.is_chart:
-        assert model.frame is not None
-        groups.append([entry for row in model.frame for entry in row])
-        every = tuple(range(model.dim))
-        groups.append([_minor(model.frame, _kept(model, "minors", lambda _: {}), every, every)])
-    if not structure:
-        return expr.Plan(groups)
     if model.is_chart:
         groups.append([d for row in _frame_partials(model) for entry in row for d in entry])
         groups.append([c for plane in structure_functions_symbolic(model) for row in plane for c in row])
@@ -414,31 +423,18 @@ def _block_plan(
         groups.append(field_spec.components)
         if model.is_chart:
             groups.append([d for comp in field_spec.components for d in expr.gradient(comp, coords)])
-    memo["plan"] = (field_spec, expr.Plan(groups))
+    memo["plan"] = (field_spec, _kept(model, "frame plan", _frame_plan).extended(groups))
     return memo["plan"][1]
 
 
 def _next_finite(values: Iterator[list], block: Grid, what: str) -> list:
     """The next group of ``values``, built by +, -, * and / from finite
-    values with nonzero divisors: it fails only by overflowing, raised as
-    ``_require_finite`` raises it."""
+    values with nonzero divisors: it fails only by overflowing, raised at
+    the block's first point."""
     try:
         return next(values)
     except expr.DomainError:
-        raise _non_finite(block, what) from None
-
-
-def _require_finite(values: np.ndarray, block: Grid, what: str) -> None:
-    """Raise DomainError if ``values``, an array of FrameData ``block``,
-    holds a NaN or an infinity anywhere."""
-    if not np.isfinite(values).all():
-        raise _non_finite(block, what)
-
-
-def _non_finite(block: Grid, what: str) -> expr.DomainError:
-    """The DomainError of a FrameData check that fails on ``block``, at
-    its first point (``_located`` reports only a one-point block's)."""
-    return expr.DomainError(f"non-finite {what} at {block.point(0)}")
+        raise expr.DomainError(f"non-finite {what} at {block.point(0)}") from None
 
 
 def _ascending_sum(terms: Iterable[np.ndarray]) -> np.ndarray:
@@ -501,8 +497,8 @@ class FrameData:
     Every value is finite: a NaN or infinity raises DomainError (in C
     where it is made, by the run or ``constant_structure_model``), and
     |det A| < DET_TOLERANCE raises SingularFrameError before C is
-    evaluated.  Each check tests a whole array and raises at the
-    block's first point (``_non_finite``).
+    evaluated.  A check raises at a point of the block, and ``_located``
+    at the first point that fails on its own.
     """
 
     def __init__(
@@ -537,7 +533,7 @@ class FrameData:
             self.c + self.c.transpose((1, 2, 0, *block_axes))
             + self.c.transpose((2, 1, 0, *block_axes))
         )
-        _require_finite(self.gamma, block, "connection coefficients")
+        require_finite(_first_non_finite(None, block, self.gamma), "connection coefficients")
         if field_spec is None:
             return
         self.v = _stacked(next(values), (n,), block)
@@ -547,7 +543,7 @@ class FrameData:
         else:
             self.dv = self.ev = np.zeros((n, n) + (1,) * len(block.axes))
         self.rows = _ascending_sum(self.v[j] * self.gamma[:, j] for j in range(n)) + self.ev
-        _require_finite(self.rows, block, "covariant derivative")
+        require_finite(_first_non_finite(None, block, self.rows), "covariant derivative")
 
     def divergence(self, indices: Sequence[int]) -> np.ndarray:
         """div^D v = sum_{i in D} (nabla_{E_i} v)^i at each point."""

@@ -27,6 +27,7 @@ from transdiv.model import _block_plan, _lattice, _lattice_blocks
 from generators import (
     CountingEnv,
     at,
+    bench_torus_case,
     block_runs,
     dense_chart_case,
     point_env,
@@ -290,13 +291,16 @@ def test_each_block_reads_each_variable_once(name, monkeypatch):
     grid = td.sample_grid(model, (23, 29) if model.dim == 2 else (9, 9, 8))
     td.classify_divergence(model, split, field, grid)
     # the verdict's sweep in lattice blocks of at most BLOCK points, then
-    # its gate's det-only sweep of as many lattice corners, in blocks
-    # sized by the same plan, whose first two groups alone they run
+    # its gate's det-only sweep of as many lattice corners, which runs the
+    # frame plan in blocks sized by that plan
     corners = _lattice(model, grid.resolution, 0.0)
     verdict = list(_lattice_blocks(grid, BLOCK))
+    frame_plan = _block_plan(model, None, False)
     (det_steps,) = {steps for _, steps in runs[len(verdict):]}
-    assert det_steps < len(_block_plan(model, field, True))
-    blocks = [*verdict, *_lattice_blocks(corners, BLOCK)]
+    assert det_steps == len(frame_plan) < len(_block_plan(model, field, True))
+    corner_block = td.model.BLOCK_VALUES // len(frame_plan)
+    assert corner_block > BLOCK
+    blocks = [*verdict, *_lattice_blocks(corners, corner_block)]
     assert [shape for shape, _ in runs] == [block.resolution for block in blocks]
     assert len(envs) == len(blocks) > 2
     coords = model.coordinate_names()
@@ -306,6 +310,37 @@ def test_each_block_reads_each_variable_once(name, monkeypatch):
     for env in envs:
         assert env.reads == {name: 1 for name in env.reads}
         assert read <= set(env.reads)
+
+
+def test_det_only_blocks_are_sized_by_the_frame_plan(monkeypatch):
+    # a det-only sweep runs the model's frame plan, in blocks of
+    # BLOCK_VALUES // len(frame plan) points whatever ran before it: at
+    # 2048^2 on warped-both the gate's corner probe takes 64 285 points a
+    # block, where the 43 steps of the Alvarez candidate's plan would give
+    # 20 930
+    model, split, _ = bench_torus_case(random.Random(3), "warped-both")
+    field = td.alvarez_candidate(model, split)
+    frame_plan = _block_plan(model, None, False)
+    assert (len(frame_plan), len(_block_plan(model, field, True))) == (14, 43)
+    assert [td.model.BLOCK_VALUES // steps for steps in (14, 43)] == [64285, 20930]
+    # 56 points of the field plan a block, 172 of the frame plan
+    monkeypatch.setattr(td.model, "BLOCK_VALUES", 4 * 14 * 43)
+    runs = block_runs(monkeypatch)
+    grid = td.sample_grid(model, (24, 24))
+    corners = _lattice(model, grid.resolution, 0.0)
+
+    def shapes(*blocks):
+        return [(block.resolution, steps) for blocks, steps in blocks for block in blocks]
+
+    td.validate_model(model, grid)
+    det_only = shapes((_lattice_blocks(grid, 172), 14), (_lattice_blocks(corners, 172), 14))
+    assert runs == det_only
+    runs.clear()
+    td.classify_divergence(model, split, field, grid)
+    assert runs == shapes((_lattice_blocks(grid, 56), 43), (_lattice_blocks(corners, 172), 14))
+    runs.clear()
+    td.validate_model(model, grid)
+    assert runs == det_only
 
 
 # --- the points-last layout against in-order formulas ------------------------

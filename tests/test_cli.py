@@ -356,6 +356,45 @@ def test_matrix_entries_are_ascii_digits(capsys, matrix):
     assert "is not an integer" in err
 
 
+#: Values that int() reads but that are not integers of ASCII digits:
+#: "1_6" is 16 to int(), and "\u0663" (Arabic-Indic three) and "\uff12"
+#: (fullwidth two) are 3 and 2
+NOT_ASCII_INTEGERS = ["1_6", "\u0663", "\uff12"]
+
+
+@pytest.mark.parametrize("value", NOT_ASCII_INTEGERS)
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("taut-check", "torus-warped", "--field", "alvarez", "--grid", "{}"), "--grid"),
+        (("taut-check", "torus-warped", "--field", "alvarez", "--grid", "4,{}"), "--grid"),
+        (("cover", "torus-warped", "--field", "alvarez", "--coord", "{}", "--fold", "2", "--grid", "4"),
+         "--coord"),
+        (("cover", "torus-warped", "--field", "alvarez", "--coord", "2", "--fold", "{}", "--grid", "4"),
+         "--fold"),
+        (("suspend", "--matrix", "2,1;1,1", "--leaf", "{}", "-o", "{out}"), "--leaf"),
+    ],
+    ids=["grid", "grid-entry", "coord", "fold", "leaf"],
+)
+def test_integer_arguments_are_ascii_digits(capsys, tmp_path, argv, option, value):
+    # each is refused as --matrix refuses such an entry: exit 1 with one
+    # usage line naming the argument, and nothing written
+    out = tmp_path / "model.json"
+    code, stdout, err = run(capsys, *(arg.format(value, out=out) for arg in argv))
+    assert (code, stdout) == (1, "")
+    assert err.startswith(f"error: argument {option}: ") and err.count("\n") == 1
+    assert repr(argv[argv.index(option) + 1].format(value)) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value, grid", [("3", (3, 3)), (" 3", (3, 3)), ("+3", (3, 3)), ("4, 3", (4, 3))])
+def test_grid_reads_signed_and_spaced_ascii_integers(capsys, value, grid):
+    # as int() reads them, and as --matrix reads its entries
+    code, out, _ = run(capsys, "taut-check", "torus-warped", "--field", "alvarez", "--grid", value)
+    assert code == 0
+    assert f"grid: {grid[0]}x{grid[1]} cell-centered lattice" in out
+
+
 def test_schema_error_exit_1(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"name": "x", "kind": "chart"}))

@@ -146,6 +146,55 @@ def test_a_structure_constant_that_is_not_a_finite_float_is_refused(value):
         td.constant_structure_model("huge", 2, [(0, 1, 1, value)])
 
 
+@pytest.fixture
+def allocation_guard(monkeypatch):
+    """Fail the test if NumPy is asked for an array of more than
+    model.BLOCK_VALUES values."""
+    def guarded(allocate):
+        def allocation(shape, *args, **kwargs):
+            size = math.prod(shape) if isinstance(shape, (tuple, list)) else shape
+            assert size <= td.model.BLOCK_VALUES, f"NumPy asked for {size} values"
+            return allocate(shape, *args, **kwargs)
+        return allocation
+
+    for name in ("zeros", "empty", "ones", "full"):
+        monkeypatch.setattr(np, name, guarded(getattr(np, name)))
+
+
+def test_the_dim_bound_is_the_largest_whose_table_fits_a_block():
+    bound = td.model.MAX_CONSTANT_DIM
+    assert bound**3 <= td.model.BLOCK_VALUES < (bound + 1) ** 3
+    assert bound == 96
+
+
+@pytest.mark.parametrize("dim", [97, 2000])
+def test_a_constant_structure_dim_past_the_bound_is_one_schema_error(allocation_guard, tmp_path, capsys, dim):
+    # refused before any table is made: a dim-2000 document would ask
+    # NumPy for 8e9 values
+    document = {
+        "name": "wide", "kind": "constant_structure", "dim": dim, "leaf_indices": [1],
+        "structure_constants": [{"i": 1, "j": 2, "k": 3, "value": 1.0}],
+    }
+    message = (
+        "model document for 'wide' is invalid: 'dim' must be at most 96 for a constant-structure "
+        f"model (its dim^3 table of C within BLOCK_VALUES = 900000 values), got {dim}"
+    )
+    with pytest.raises(td.SchemaError) as raised:
+        td.load_model(document)
+    assert str(raised.value) == message
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(document))
+    assert td.cli.main(["analyze", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_a_constant_structure_model_at_the_bound_loads():
+    model = td.constant_structure_model("widest", 96, [(0, 1, 95, 1.0)])
+    assert model.dim == 96
+    with pytest.raises(td.ModelError, match="'dim' must be at most 96"):
+        td.constant_structure_model("wider", 97, [(0, 1, 95, 1.0)])
+
+
 def test_structure_constant_values_may_reference_parameters(t3a):
     model, _ = t3a
     document = td.builtin_document("t3a")

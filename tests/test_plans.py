@@ -1,15 +1,16 @@
 """The symbolic layer of a model is derived once and read by every sweep.
 
-A model keeps its table of Cramer quotients C_ij^k and one evaluation
-plan (``model._block_plan``), that of its last sweep with structure.  A
-det-only sweep runs the first two groups of the kept plan, its frame
-entries and det A, and must give the bits and the errors of a det-only
-sweep of a fresh model, which derives nothing: it runs an unkept plan
-of those two groups.  A cover is swept as its base.  The kept plan dies
-with the model, and a model swept with many field specs keeps one.
-Each plan is the hash-consed DAG of its roots, as a plain recursive
-walk predicts it, and holds no values: building it runs no step, and a
-run computes each step once.
+A model keeps its table of Cramer quotients C_ij^k, its frame plan (a
+group of the frame entries and one of det A) and one field plan, that
+of its last sweep with structure (``model._block_plan``), built as the
+extension of its frame plan (``expr.Plan.extended``), so that no node
+becomes a step twice.  Every det-only sweep runs the frame plan, which
+derives neither the frame partials nor C, and gives the same bits and
+errors whatever ran before it.  A cover is swept as its base.  The kept
+plans die with the model, and a model swept with many field specs keeps
+two.  Each plan is the hash-consed DAG of its roots, as a plain
+recursive walk predicts it, and holds no values: building it runs no
+step, and a run computes each step once.
 """
 
 from __future__ import annotations
@@ -33,18 +34,52 @@ import generators
 from generators import kept
 
 
+def spy_plans(monkeypatch, record):
+    """Call ``record(plan, groups)`` with every expr.Plan built from now
+    on, by the constructor or as an extension, ``groups`` all its groups."""
+    groups_of: dict = {}
+    build, extend = expr.Plan.__init__, expr.Plan.extended
+
+    def built(self, groups):
+        build(self, groups)
+        groups_of[id(self)] = list(groups)
+        record(self, list(groups))
+
+    def extended(self, groups):
+        plan = extend(self, groups)
+        groups_of[id(plan)] = [*groups_of[id(self)], *groups]
+        record(plan, groups_of[id(plan)])
+        return plan
+
+    monkeypatch.setattr(expr.Plan, "__init__", built)
+    monkeypatch.setattr(expr.Plan, "extended", extended)
+
+
 @pytest.fixture
 def plans(monkeypatch):
     """Weak references to every expr.Plan built from now on."""
     built = []
-    build = expr.Plan.__init__
-
-    def spy(self, groups):
-        built.append(weakref.ref(self))
-        build(self, groups)
-
-    monkeypatch.setattr(expr.Plan, "__init__", spy)
+    spy_plans(monkeypatch, lambda plan, groups: built.append(weakref.ref(plan)))
     return built
+
+
+@pytest.fixture
+def built_groups(monkeypatch):
+    """(plan, all its groups) of every expr.Plan built from now on."""
+    built = []
+    spy_plans(monkeypatch, lambda plan, groups: built.append((plan, groups)))
+    return built
+
+
+@pytest.fixture
+def steps(monkeypatch):
+    """The nodes made a plan step from now on, one entry per step built."""
+    made = []
+    operation = expr._operation
+    monkeypatch.setattr(expr, "_operation", lambda kind, node, children: (
+        made.append(node) or operation(kind, node, children)
+    ))
+    return made
 
 
 @pytest.fixture
@@ -81,36 +116,42 @@ LAZY = {
 
 
 @pytest.mark.parametrize(
-    "argv, count",
+    "argv, made",
     [
-        (("taut-check", "torus-warped", "--field", "alvarez", "--grid", "8"), 1),
-        (("green-check", "torus-warped", "--field", "alvarez", "--grid", "8"), 1),
-        (("volume-check", "torus-warped", "--field", "alvarez", "--grid", "8"), 1),
-        (("analyze", "torus-warped", "--grid", "8"), 1),
-        # the cover shares the base model's plan
+        (("taut-check", "torus-warped", "--field", "alvarez", "--grid", "8"), 36),
+        (("green-check", "torus-warped", "--field", "alvarez", "--grid", "8"), 36),
+        (("volume-check", "torus-warped", "--field", "alvarez", "--grid", "8"), 36),
+        (("analyze", "torus-warped", "--grid", "8"), 21),
+        # the cover shares the base model's plans
         (("cover", "torus-warped", "--field", "alvarez", "--coord", "1", "--fold", "2",
-          "--grid", "8"), 1),
-        (("taut-check", "t3a", "--field", "alvarez"), 1),
+          "--grid", "8"), 36),
+        (("taut-check", "t3a", "--field", "alvarez"), 2),
     ],
     ids=["taut-check", "green-check", "volume-check", "analyze", "cover", "constant-structure"],
 )
-def test_each_invocation_builds_one_plan_per_model(plans, tables, argv, count):
+def test_each_invocation_builds_a_frame_plan_and_its_extension(built_groups, tables, steps, argv, made):
     code, _, _ = run_main(*argv)
     assert code == 0
-    assert len(plans) == count
+    (frame_plan, _), (field_plan, _) = built_groups
+    # the field plan runs the frame plan's steps, not copies of them
+    assert field_plan._steps[:len(frame_plan)] == frame_plan._steps
+    # no node becomes a step twice: the steps built are the field plan's
+    assert len(steps) == len(field_plan) == made
+    assert len(frame_plan) == (0 if "t3a" in argv else 12)
     # C is derived once per chart command, the cover's included, and
     # never for t3a
-    assert len(tables) == len({id(model) for model in tables}) == (count if "t3a" not in argv else 0)
+    assert len(tables) == len({id(model) for model in tables}) == (0 if "t3a" in argv else 1)
 
 
 def test_one_point_calls_share_the_model_plan(plans, tables):
     model, _ = td.builtin_model("torus-warped")
     points = list(generators.point_tuples(td.sample_grid(model, 8)))
     values = [connection.christoffel(model, point) for point in points]
-    assert len(points) == 64 and len(plans) == 1 and len(tables) == 1
+    # the frame plan and its extension by the frame partials and C
+    assert len(points) == 64 and len(plans) == 2 and len(tables) == 1
     (swept,) = generators.swept_rows(model, td.sample_grid(model, 8), lambda block: block.gamma)
     assert np.array_equal(np.stack(values).view(np.int64), swept.view(np.int64))
-    assert len(plans) == 1
+    assert len(plans) == 2
 
 
 def test_a_shared_subtree_is_differentiated_once(monkeypatch):
@@ -136,16 +177,18 @@ def test_a_shared_subtree_is_differentiated_once(monkeypatch):
     )
 
 
-# --- det-only sweeps run the prefix of a kept plan ----------------------------
+# --- every det-only sweep runs the kept frame plan -----------------------------
 
-def test_the_lazy_prefix_keeps_the_cli_output(plans, tmp_path):
+def test_a_lazy_frame_keeps_the_cli_output(plans, tmp_path):
     # the verdict's field plan and analyze's plan both hold the frame
-    # partials, which fail at the corners that the det-only sweeps probe
+    # partials, which fail at the corners that the det-only sweeps probe;
+    # those run the frame plan, which holds no partial
     path = tmp_path / "lazy.json"
     path.write_text(json.dumps(LAZY))
     taut = run_main("taut-check", str(path), "--field", "alvarez", "--grid", "8")
     analyze = run_main("analyze", str(path), "--grid", "8")
-    assert len(plans) == 2
+    # each invocation loads the model: a frame plan and its extension each
+    assert len(plans) == 4
     assert taut == (0, "\n".join([
         "model: lazy (chart, dim 2)",
         "split: leaf indices [2], transverse indices [1]",
@@ -189,7 +232,7 @@ def test_a_det_only_sweep_after_a_structure_sweep_gives_fresh_bits(plans, with_f
     sweep(model, td.sample_grid(model, 8), kept(lambda block: block.c), field_spec=field)
     built = len(plans)
     assert np.array_equal(det_bits(model, corners), fresh)
-    assert len(plans) == built  # the kept plan, not a new one
+    assert len(plans) == built  # the kept frame plan, not a new one
     with pytest.raises(td.DomainError, match="division by zero"):
         sweep(model, corners, kept(lambda block: block.c), field_spec=field)
 
@@ -212,11 +255,11 @@ def test_a_cover_sweeps_with_its_base_plan_and_keeps_the_bits(plans):
         )
         return [values.view(np.int64) for values in rows]
 
-    assert len(plans) == 1
-    base = bits(model)
-    assert len(plans) == 1
-    assert all(map(np.array_equal, base, bits(lifted)))
     assert len(plans) == 2
+    base = bits(model)
+    assert len(plans) == 2
+    assert all(map(np.array_equal, base, bits(lifted)))
+    assert len(plans) == 4
 
 
 @pytest.mark.parametrize(
@@ -257,7 +300,7 @@ def test_a_cover_invocation_sweeps_only_the_base_model(
     }
 
 
-def test_a_failing_det_reports_its_point_from_a_kept_plan():
+def test_a_failing_det_reports_its_point_whatever_ran_before():
     # each entry is finite, det A = exp(800 x1) is not beyond x1 = 0.887
     frame = [["exp(400*x1)", "0"], ["0", "exp(400*x1)"]]
     message = "non-finite frame determinant at (0.9375, 0.0625)"
@@ -277,32 +320,40 @@ def test_a_failing_det_reports_its_point_from_a_kept_plan():
         assert check.detail == f"frame evaluation failed: {message}"
 
 
-def test_a_det_only_sweep_keeps_no_plan_and_runs_the_kept_one(plans):
-    # validate_model's two det-only sweeps (the grid, its corners) of a
-    # model that keeps no plan each build one of a and det A and keep
-    # neither; once a sweep with structure keeps a plan, they run it
+def test_det_only_sweeps_run_the_kept_frame_plan(plans, steps):
+    # validate_model's two det-only sweeps (the grid, its corners) and
+    # frame_matrix run one frame plan, built once and kept; a sweep with
+    # structure extends it, and the det-only sweeps after it run it still
     model, split = td.builtin_model("torus-warped")
     grid = td.sample_grid(model, 8)
+    for _ in range(2):
+        td.validate_model(model, grid)
+    for point in [(0.5, 0.5), (0.25, 0.75), (0.0, 0.0)]:
+        td.model.frame_matrix(model, point)
+    assert len(plans) == 1 and "plan" not in expr._memo(model)
+    (frame_plan,) = (ref() for ref in plans)
+    assert expr._memo(model)["frame plan"] is frame_plan and len(steps) == len(frame_plan)
+    # each field plan extends the frame plan, whose steps are not built again
+    field = td.alvarez_candidate(model, split)
+    for sweep_with_structure, field_spec in [
+        (lambda: at_point(model, (0.5, 0.5), lambda block: block.c), None),
+        (lambda: td.classify_divergence(model, split, field, grid), field),
+    ]:
+        made = len(steps)
+        sweep_with_structure()
+        assert len(steps) - made == len(td.model._block_plan(model, field_spec, True)) - len(frame_plan)
     td.validate_model(model, grid)
-    assert len(plans) == 2 and "plan" not in expr._memo(model)
-    at_point(model, (0.5, 0.5), lambda block: block.c)
-    td.validate_model(model, grid)
-    assert len(plans) == 3
-    td.classify_divergence(model, split, td.alvarez_candidate(model, split), grid)
-    td.validate_model(model, grid)
-    assert len(plans) == 4
+    td.model.frame_matrix(model, (0.5, 0.5))
+    assert len(plans) == 3 and td.model._block_plan(model, None, False) is frame_plan
     gc.collect()
-    assert [ref() is not None for ref in plans] == [False, False, False, True]
+    assert [ref() is not None for ref in plans] == [True, False, True]
 
 
 @pytest.mark.parametrize("case", ["torus-warped", "lazy", "dense-3d", "dense-4d"])
-def test_a_det_only_sweep_of_a_fresh_chart_derives_nothing_and_keeps_the_bits(
-    monkeypatch, plans, case
-):
+def test_a_det_only_sweep_derives_nothing_and_keeps_the_bits(monkeypatch, plans, case):
     # validate_model and frame_matrix read only a and det A, so they
-    # derive neither the frame partials nor C and keep no plan; their bits
-    # are those of the same sweeps run from the kept plan of a sweep with
-    # structure
+    # derive neither the frame partials nor C; their bits are those of
+    # the same sweeps after a sweep with structure
     def load():
         if case == "lazy":
             return td.load_model(LAZY)
@@ -327,13 +378,14 @@ def test_a_det_only_sweep_of_a_fresh_chart_derives_nothing_and_keeps_the_bits(
 
     fresh, _ = load()
     swept = det_only(fresh)
-    assert derived == [] and expr._memo(fresh).keys() <= {"minors"}
+    assert derived == [] and expr._memo(fresh).keys() == {"minors", "frame plan"}
     # the grid and the corners of validate_model, frame_matrix and det_bits
-    assert len(plans) == 5 and all(ref() is None for ref in plans)
-    kept_plan, _ = load()
-    at_point(kept_plan, point, lambda block: block.c)
+    # all run the one frame plan
+    assert len(plans) == 1 and plans[0]() is expr._memo(fresh)["frame plan"]
+    structured, _ = load()
+    at_point(structured, point, lambda block: block.c)
     assert set(derived) == {"_frame_partials", "_cramer_table"}
-    assert det_only(kept_plan) == swept
+    assert det_only(structured) == swept
 
 
 def test_a_frame_outside_the_differentiable_fragment_keeps_its_det(plans):
@@ -341,13 +393,25 @@ def test_a_frame_outside_the_differentiable_fragment_keeps_its_det(plans):
     assert td.model.frame_matrix(model, (0.5, 0.5))[0, 0] == 2 + 0.5 ** 0.5
     (check,) = td.validate_model(model, td.sample_grid(model, 4))
     assert check.passed and check.worst == 2.0
-    # its plan of a and det A is not kept: each of the three sweeps builds one
-    assert len(plans) == 3
+    # the three sweeps run one frame plan
+    assert len(plans) == 1
     with pytest.raises(td.DifferentiationError, match="x1\\^x2"):
         td.structure_functions(model, (0.5, 0.5))
+    # a field plan that fails to derive extends nothing
+    assert len(plans) == 1 and "plan" not in expr._memo(model)
 
 
-# --- the model keeps one plan, which dies with it -----------------------------
+def test_a_field_plan_that_fails_to_derive_builds_no_plan(plans, steps):
+    # the groups of a field plan are derived before the frame plan that
+    # they extend is built, so a structure sweep that fails to derive
+    # them builds no plan at all
+    model = td.chart_model("power", (1.0, 1.0), [["2 + x1^x2", "0"], ["0", "1"]])
+    with pytest.raises(td.DifferentiationError):
+        at_point(model, (0.5, 0.5), lambda block: block.c)
+    assert plans == [] and steps == []
+
+
+# --- the model keeps two plans, which die with it -----------------------------
 
 def test_a_deleted_model_leaves_nothing_alive(plans, tables):
     model, split = td.builtin_model("torus-warped")
@@ -417,9 +481,10 @@ def test_many_field_specs_keep_a_bounded_number_of_plans(plans):
         field = td.vector_field(["0", f"{k + 1}*sin(2*pi*x2)"], model)
         at_point(model, (0.5, 0.5), lambda block: block.rows, field_spec=field)
     gc.collect()
-    assert len(plans) == 201
-    # the last field's plan
-    assert sum(ref() is not None for ref in plans) == 1
+    # the frame plan and 201 extensions of it
+    assert len(plans) == 202
+    # the frame plan and the last field's plan
+    assert [ref() is not None for ref in plans] == [True] + [False] * 200 + [True]
 
 
 # --- the plan is the hash-consed DAG of its roots -----------------------------
@@ -474,20 +539,6 @@ PINNED = {
 }
 
 
-@pytest.fixture
-def built_groups(monkeypatch):
-    """(plan, groups) of every expr.Plan built from now on."""
-    built = []
-    build = expr.Plan.__init__
-
-    def spy(self, groups):
-        build(self, groups)
-        built.append((self, groups))
-
-    monkeypatch.setattr(expr.Plan, "__init__", spy)
-    return built
-
-
 @pytest.mark.parametrize("case", sorted(PINNED))
 def test_plans_are_the_hash_consed_dags_of_their_roots(built_groups, case):
     model, split = PINNED[case]()
@@ -496,7 +547,12 @@ def test_plans_are_the_hash_consed_dags_of_their_roots(built_groups, case):
         model, (0.25,) * model.dim if model.is_chart else (), lambda block: block.rows,
         field_spec=td.alvarez_candidate(model, split),
     )
-    assert len(built_groups) == 2
+    # the frame plan and its extension by each sweep's groups, which
+    # shares its steps and leaves it as it was
+    (frame_plan, _), *extensions = built_groups
+    assert len(extensions) == 2
+    for plan, _ in extensions:
+        assert plan._steps[:len(frame_plan)] == frame_plan._steps
     for plan, groups in built_groups:
         ends, roots = predicted(groups)
         assert len(plan) == (ends[-1] if ends else 0)
@@ -512,7 +568,8 @@ def test_a_plan_holds_no_values_and_a_run_computes_each_step_once(built_groups, 
     model, split = PINNED[case]()
     grid = td.sample_grid(model, 3)
     sweep(model, grid, field_spec=td.alvarez_candidate(model, split))
-    ((_, groups),) = built_groups
+    (_, frame_groups), (_, groups) = built_groups
+    assert groups[:len(frame_groups)] == frame_groups
     calls: list[int] = []
     operation = expr._operation
 
