@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import sys
@@ -296,10 +295,10 @@ def _grid_text(model: FrameModel, grid: Grid) -> str:
 
 def _nonzero_entries(array: np.ndarray) -> list[dict]:
     """The nonzero entries of a table indexed ij^k, 1-based, i then j then k."""
+    indices = array.nonzero()  # in row-major order
     return [
-        {"i": i + 1, "j": j + 1, "k": k + 1, "value": float(array[i, j, k])}
-        for i, j, k in itertools.product(range(len(array)), repeat=3)
-        if array[i, j, k] != 0.0
+        {"i": i + 1, "j": j + 1, "k": k + 1, "value": value}
+        for i, j, k, value in zip(*(index.tolist() for index in indices), array[indices].tolist())
     ]
 
 
@@ -581,16 +580,14 @@ def _non_finite_field(value, path: str = "") -> str | None:
 
 def _emit(payload: dict, lines: list[str], args: argparse.Namespace) -> None:
     # the text lines show values of the payload, so a NaN or infinity,
-    # which is not JSON, is refused in both formats
-    if args.format == "text":
-        field, text = _non_finite_field(payload), "\n".join(lines) + "\n"
-    else:
-        try:
-            field, text = None, json.dumps(payload, indent=2, allow_nan=False) + "\n"
-        except ValueError:
-            field = _non_finite_field(payload)
-    if field is not None:
-        raise DomainError(f"report holds a non-finite value: {field}")
+    # which is not JSON, is refused in both formats by one encoding; a text
+    # report's is compact, which the C encoder writes in less time and
+    # far less memory than an indented one
+    try:
+        report = json.dumps(payload, indent=2 if args.format == "json" else None, allow_nan=False)
+    except ValueError:
+        raise DomainError(f"report holds a non-finite value: {_non_finite_field(payload)}") from None
+    text = (report if args.format == "json" else "\n".join(lines)) + "\n"
     if args.output:
         Path(args.output).write_text(text)
     else:

@@ -18,22 +18,26 @@ pulls a chart and a field back by a torus diffeomorphism (``shear``,
 the scalar evaluator, ``kept`` is the fold that keeps every value of a
 read and ``swept_parts`` a sweep with it, ``pointwise_rows`` reads many
 points one by one, ``CountingEnv`` counts the variable reads of an
-evaluation, and ``block_runs`` the plan steps (``plan_steps``) that
-each FrameData block runs.
+evaluation, ``block_runs`` records every FrameData build with the plan
+steps (``plan_steps``) it runs, and ``run_cli`` runs the command line
+in this process.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import io
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 import transdiv as td
 from transdiv import expr
+from transdiv.cli import main
 
 
 def trig_poly(
@@ -633,19 +637,42 @@ def plan_steps(plan: expr.Plan, groups: int) -> int:
     return plan._groups[groups - 1][1] if groups else 0
 
 
-def block_runs(monkeypatch) -> list[tuple[tuple[int, ...], int]]:
-    """(shape, steps run) of every FrameData block built from now on.  A
-    run computes a group's steps only when the block draws the group, so
-    a block runs the ``plan_steps`` of the groups it drew."""
+class BlockRun(NamedTuple):
+    """One FrameData build: the model, block, field spec and structure
+    flag it was given, and the plan steps it ran."""
+
+    model: td.FrameModel
+    block: td.Grid
+    field_spec: td.VectorFieldSpec | None
+    structure: bool
+    steps: int
+
+
+#: FrameData's own builder, so that a second spy replaces the first
+_BUILD = td.model.FrameData.__init__
+
+
+def block_runs(monkeypatch) -> list[BlockRun]:
+    """Every FrameData build from now on, failed ones included, in build
+    order.  A run computes a group's steps only when the block draws the
+    group, so a block runs the ``plan_steps`` of the groups it drew.  A
+    second call replaces the first's spy."""
     runs = []
-    build = td.model.FrameData.__init__
 
     def spy(self, model, block, field_spec, structure, plan):
         drawn = _DrawnPlan(plan)
         try:
-            build(self, model, block, field_spec, structure, drawn)
+            _BUILD(self, model, block, field_spec, structure, drawn)
         finally:
-            runs.append((block.resolution, plan_steps(plan, drawn.groups)))
+            runs.append(BlockRun(model, block, field_spec, structure, plan_steps(plan, drawn.groups)))
 
     monkeypatch.setattr(td.model.FrameData, "__init__", spy)
     return runs
+
+
+def run_cli(*argv: str) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of ``transdiv argv...`` in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()

@@ -196,14 +196,7 @@ def test_grid_sizes_straddle_the_block():
 @pytest.mark.parametrize("case", CASES, ids=[case[0] for case in CASES])
 def test_block_path_matches_scalar_reference(case, monkeypatch):
     _, model, split, field = case
-    built = []
-    build = td.model.FrameData.__init__
-
-    def counting(self, model, block, field_spec, structure, plan):
-        built.append(len(block))
-        build(self, model, block, field_spec, structure, plan)
-
-    monkeypatch.setattr(td.model.FrameData, "__init__", counting)
+    built = block_runs(monkeypatch)
     monkeypatch.setattr(td.model, "BLOCK_VALUES", BLOCK * len(_block_plan(model, field, True)))
     for grid in grids(model):
         reference = ref_sweep(model, split, field, point_tuples(grid))
@@ -218,7 +211,7 @@ def test_block_path_matches_scalar_reference(case, monkeypatch):
         c, gamma, div, *det = swept_rows(model, grid, *reads, field_spec=field)
         # one build per lattice block of at most BLOCK points, none for a
         # bisection
-        assert built == [len(block) for block in _lattice_blocks(grid, BLOCK)]
+        assert [len(run.block) for run in built] == [len(block) for block in _lattice_blocks(grid, BLOCK)]
         assert_close(c, reference["c"], "C")
         assert_close(gamma, reference["gamma"], "Gamma")
         assert_close(div, reference["div"], "div^Q")
@@ -296,12 +289,12 @@ def test_each_block_reads_each_variable_once(name, monkeypatch):
     corners = _lattice(model, grid.resolution, 0.0)
     verdict = list(_lattice_blocks(grid, BLOCK))
     frame_plan = _block_plan(model, None, False)
-    (det_steps,) = {steps for _, steps in runs[len(verdict):]}
+    (det_steps,) = {run.steps for run in runs[len(verdict):]}
     assert det_steps == len(frame_plan) < len(_block_plan(model, field, True))
     corner_block = td.model.BLOCK_VALUES // len(frame_plan)
     assert corner_block > BLOCK
     blocks = [*verdict, *_lattice_blocks(corners, corner_block)]
-    assert [shape for shape, _ in runs] == [block.resolution for block in blocks]
+    assert [run.block.resolution for run in runs] == [block.resolution for block in blocks]
     assert len(envs) == len(blocks) > 2
     coords = model.coordinate_names()
     partials = [d for comp in field.components for d in expr.gradient(comp, coords)]
@@ -332,15 +325,16 @@ def test_det_only_blocks_are_sized_by_the_frame_plan(monkeypatch):
     def shapes(*blocks):
         return [(block.resolution, steps) for blocks, steps in blocks for block in blocks]
 
-    td.validate_model(model, grid)
+    def ran(call, *args):
+        runs.clear()
+        call(*args)
+        return [(run.block.resolution, run.steps) for run in runs]
+
     det_only = shapes((_lattice_blocks(grid, 172), 14), (_lattice_blocks(corners, 172), 14))
-    assert runs == det_only
-    runs.clear()
-    td.classify_divergence(model, split, field, grid)
-    assert runs == shapes((_lattice_blocks(grid, 56), 43), (_lattice_blocks(corners, 172), 14))
-    runs.clear()
-    td.validate_model(model, grid)
-    assert runs == det_only
+    assert ran(td.validate_model, model, grid) == det_only
+    field_sweep = shapes((_lattice_blocks(grid, 56), 43), (_lattice_blocks(corners, 172), 14))
+    assert ran(td.classify_divergence, model, split, field, grid) == field_sweep
+    assert ran(td.validate_model, model, grid) == det_only
 
 
 # --- the points-last layout against in-order formulas ------------------------

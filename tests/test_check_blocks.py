@@ -7,13 +7,11 @@ rendering; they pin what that rendering prints.
 
 from __future__ import annotations
 
-import contextlib
-import io
 import json
 
 import pytest
 
-from transdiv import cli
+from generators import run_cli
 
 NON_JACOBI = {
     "name": "broken",
@@ -232,8 +230,6 @@ def test_check_block_is_byte_exact(tmp_path, subcommand, argument, fmt, code, go
         argv = ["analyze", str(path)]
     else:
         argv = ["analyze", argument]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        assert cli.main([*argv, "--format", fmt]) == code
-    assert err.getvalue() == ""
-    assert check_block(out.getvalue(), subcommand, fmt) == golden
+    exit_code, out, err = run_cli(*argv, "--format", fmt)
+    assert (exit_code, err) == (code, "")
+    assert check_block(out, subcommand, fmt) == golden

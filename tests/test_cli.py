@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from fractions import Fraction
 import os
+import random
+import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import transdiv as td
@@ -16,7 +20,7 @@ from transdiv import cli
 from transdiv.cli import main
 from transdiv.tautness import _green_terms
 
-from generators import swept_rows
+from generators import block_runs, swept_rows
 
 LOG_BIG = math.log((3 + math.sqrt(5)) / 2)
 
@@ -540,16 +544,50 @@ def test_non_finite_report_exit_2_in_both_formats(capsys, tmp_path, argv, error,
     assert (code, out, err) == (2, "", error)
 
 
-def test_text_reports_are_checked_without_json(monkeypatch, capsys):
-    def dumps(*args, **kwargs):
-        raise AssertionError("a text report was encoded as JSON")
+def test_text_reports_are_checked_by_the_json_guard(monkeypatch, capsys):
+    # one non-finite guard for both formats: the payload's JSON encoding
+    # decides, and a text report still writes its lines
+    encodings = []
+    dumps = cli.json.dumps
 
-    monkeypatch.setattr(cli.json, "dumps", dumps)
+    def spy(*args, **kwargs):
+        encodings.append(kwargs)
+        return dumps(*args, **kwargs)
+
+    monkeypatch.setattr(cli.json, "dumps", spy)
     code, out, err = run(capsys, "taut-check", "torus-warped", "--field", "alvarez", "--grid", "4")
     assert (code, err) == (0, "") and out.startswith("model: torus-warped")
+    assert [kwargs["allow_nan"] for kwargs in encodings] == [False]
     args = cli._parser().parse_args(["analyze", "t3a"])
     with pytest.raises(td.DomainError, match=r"non-finite value: checks\[1\]\.worst$"):
         cli._emit({"checks": [{"worst": 1.0}, {"worst": -math.inf}]}, ["line"], args)
+
+
+def _nonzero_entries_by_loop(array):
+    """``cli._nonzero_entries`` as it was, one Python test per entry: the
+    reference its NumPy indices must match byte for byte."""
+    return [
+        {"i": i + 1, "j": j + 1, "k": k + 1, "value": float(array[i, j, k])}
+        for i, j, k in itertools.product(range(len(array)), repeat=3)
+        if array[i, j, k] != 0.0
+    ]
+
+
+def test_nonzero_entries_match_the_loop_over_every_entry():
+    # a drawn dim-40 constant-structure document, a third of its constants
+    # nonzero, and a table holding -0.0, NaN and infinities
+    rng = random.Random(40)
+    constants = [
+        (i, j, k, rng.uniform(-1.0, 1.0) if rng.random() < 0.3 else 0.0)
+        for i in range(40) for j in range(i + 1, 40) for k in range(40)
+    ]
+    model = td.constant_structure_model("drawn-40", 40, constants)
+    tables = td.model.at_point(model, (), lambda block: block.c, lambda block: block.gamma)
+    odd = np.zeros((3, 3, 3))
+    odd[0, 1, 2], odd[1, 0, 0], odd[2, 2, 1], odd[2, 2, 2] = -0.0, math.nan, math.inf, -math.inf
+    for table in (*tables, odd):
+        assert list(map(repr, cli._nonzero_entries(table))) == list(map(repr, _nonzero_entries_by_loop(table)))
+    assert len(cli._nonzero_entries(tables[0])) > 10_000
 
 
 def test_non_finite_field_is_named_in_json_order():
@@ -812,33 +850,17 @@ def test_each_field_sweep_covers_each_point_once(
         path = tmp_path / "warped-3d.json"
         path.write_text(json.dumps(WARPED_3D))
         model = str(path)
-    swept = []
-    build = td.model.FrameData.__init__
-
-    def counting(self, model, block, field_spec, structure, plan):
-        if field_spec is not None and structure:
-            swept.append(len(block))
-        build(self, model, block, field_spec, structure, plan)
-
-    monkeypatch.setattr(td.model.FrameData, "__init__", counting)
+    built = block_runs(monkeypatch)
     code, _, err = run(capsys, subcommand, model, "--field", "alvarez", "--grid", grid)
     assert (code, err) == (0, "")
-    assert sum(swept) == points
+    assert sum(len(run.block) for run in built if run.field_spec is not None and run.structure) == points
 
 
 def test_analyze_builds_the_structure_once(capsys, monkeypatch):
-    built = []
-    build = td.model.FrameData.__init__
-
-    def counting(self, model, block, field_spec, structure, plan):
-        if structure:
-            built.append(len(block))
-        build(self, model, block, field_spec, structure, plan)
-
-    monkeypatch.setattr(td.model.FrameData, "__init__", counting)
+    built = block_runs(monkeypatch)
     code, _, err = run(capsys, "analyze", "torus-warped", "--grid", "64")
     assert (code, err) == (0, "")
-    assert built == [1]
+    assert [len(run.block) for run in built if run.structure] == [1]
 
 
 def _raising(exc):
@@ -1031,6 +1053,29 @@ def test_python_dash_m_entry_point():
     )
     assert completed.returncode == 0
     assert "x^2-3x+1" in completed.stdout
+
+
+def test_fresh_run_holds_a_run_to_its_exit_code_and_line(capsys):
+    # tests/fresh_run.py, the runner of CI's large-grid runs: it passes the
+    # run's report through and fails on a wrong exit code or a missing line
+    argv = ["taut-check", "torus-warped", "--field", "alvarez", "--grid", "8"]
+
+    def fresh(code, line):
+        runner = os.path.join(os.path.dirname(__file__), "fresh_run.py")
+        return subprocess.run(
+            [sys.executable, runner, code, line, *argv], capture_output=True, text=True, env=_child_env()
+        )
+
+    passed = fresh("0", "stdout:verdict: MIXED SIGN (consistent with taut)")
+    assert (passed.returncode, passed.stdout) == (0, run(capsys, *argv)[1])
+    summary = rf"{re.escape(' '.join(argv))}: exit 0, [0-9.]+ s, peak [0-9.]+ MB, [0-9]+ minor faults\n"
+    assert re.fullmatch(summary, passed.stderr), passed.stderr
+    wrong_code = fresh("3", "")
+    assert wrong_code.returncode == 1
+    assert wrong_code.stderr.endswith(f"error: {' '.join(argv)}: exit 0, not 3\n")
+    missing = fresh("0", "stderr:verdict: MIXED SIGN")
+    assert missing.returncode == 1
+    assert missing.stderr.endswith(f"error: {' '.join(argv)}: no 'stderr:verdict: MIXED SIGN'\n")
 
 
 def test_cli_import_loads_no_numpy_and_no_sweep_layer():

@@ -13,8 +13,6 @@ the text format gives the same exit code and error line as JSON.
 
 from __future__ import annotations
 
-import contextlib
-import io
 import json
 import os
 import tempfile
@@ -23,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from transdiv.cli import main
+from generators import run_cli
 
 BENIGN = ["x1", "x2", "1", "0", "0.5", "pi", "0.3*sin(2*pi*x2)", "cos(2*pi*x1)", "p"]
 HAZARDS = [
@@ -117,13 +115,6 @@ def invocations(draw):
     return model, field, subcommand, tol, coord
 
 
-def run_main(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
 def strict_json(text):
     def refuse(constant):
         raise AssertionError(f"report holds {constant}")
@@ -170,8 +161,8 @@ def test_main_always_exits_0_to_3(case):
             argv += ["--tol", tol]
         if subcommand == "cover":
             argv += ["--coord", coord, "--fold", "2"]
-        code, out, err = run_main([*argv, "--format", "json"])
-        text_code, text_out, text_err = run_main([*argv, "--format", "text"])
+        code, out, err = run_cli(*argv, "--format", "json")
+        text_code, text_out, text_err = run_cli(*argv, "--format", "text")
     assert (text_code, text_err) == (code, err)
     assert bool(text_out) == bool(out)
     assert code in (0, 1, 2, 3)
@@ -198,7 +189,7 @@ def test_a_fold_or_grid_past_what_a_float_or_an_array_holds_is_refused(argv, ref
     # a fold whose product with the period passes the float range, and a
     # lattice with more points than NumPy can size, exit 3
     for form in ("json", "text"):
-        assert run_main([*argv, "--format", form]) == (3, "", refusal)
+        assert run_cli(*argv, "--format", form) == (3, "", refusal)
 
 
 # --- spectral and suspend on drawn --matrix text ------------------------------
@@ -239,8 +230,8 @@ def test_spectral_and_suspend_always_exit_0_to_3(subcommand, matrix, leaf):
         argv = [subcommand, f"--matrix={matrix}"]
         if subcommand == "suspend":
             argv += ["--leaf", str(leaf), "-o", os.path.join(directory, "model.json")]
-        code, out, err = run_main([*argv, "--format", "json"])
-        text_code, text_out, text_err = run_main([*argv, "--format", "text"])
+        code, out, err = run_cli(*argv, "--format", "json")
+        text_code, text_out, text_err = run_cli(*argv, "--format", "text")
     assert (text_code, text_err) == (code, err)
     assert bool(text_out) == bool(out)
     assert code in (0, 1, 2, 3)
@@ -288,7 +279,7 @@ def test_analyze_and_the_verdicts_refuse_the_same_tables(table):
         with open(field_path, "w") as handle:
             json.dump({"components": [0, 0, 0]}, handle)
         codes = [
-            run_main(argv)[0]
+            run_cli(*argv)[0]
             for argv in (
                 ["analyze", model_path],
                 ["taut-check", model_path, "--field", field_path],

@@ -19,7 +19,17 @@ case must show the outcome the mathematics requires:
   ``NonTautWitness`` with that value to 1e-12 relative, lambda_leaf from
   NumPy's eigenvalues of the matrix.  A homothety E_i -> c E_i keeps the
   foliation and multiplies div^Q kappa by c^2, so the same holds for
-  c in {1e-3, 1e3} with c^2 (ln lambda_leaf)^2.
+  c in {1e-3, 1e3} with c^2 (ln lambda_leaf)^2;
+- models outside the hypotheses, each with the zero field: a
+  non-integrable split (E1 = d/dx1, E2 = d/dx2 + a sin(2 pi k x1) d/dx3,
+  E3 = d/dx3, leaf [1, 2], where [E1, E2] leaves the leaf span),
+  leafwise-varying transverse rows (E1 = d/dx1, E2 = e^{-f(x1)} d/dx2,
+  leaf [1], f a drawn ``trig_poly``: the transverse metric varies along
+  the leaves) and non-unimodular constant-structure algebras ([E1, E_j]
+  = a_j E_j for j = 2..n with sum a_j != 0, which satisfy Jacobi: ad E1
+  is diagonal and the E_j commute; no such group has a compact
+  quotient).  None is a Riemannian foliation with the given metric, so
+  ``classify_divergence`` must refuse each with ModelError.
 
 A case that the program gets wrong is a false verdict.  It is a strict
 xfail naming the roadmap items that own it, so ``-rxX`` lists every
@@ -36,6 +46,7 @@ import numpy as np
 import pytest
 
 import transdiv as td
+from transdiv import expr
 from transdiv.tautness import TautnessClass
 
 from generators import (
@@ -54,11 +65,18 @@ SCALES = (1.0, 1e-3, 1e3)
 ROTATED = {"warped-3d": (1, 2), "two-leaf": (0, 1), "bench-warped-3d": (1, 2)}
 SL = {2: ((2, 1), (1, 1)), 3: ((1, 1, 0), (0, 1, 1), (1, 1, 1))}
 
-#: False verdicts per family: the strict xfails below
-FALSE_VERDICTS = {"taut-tori": 0, "one-leaf-suspensions": 0}
+#: The kinds of model outside the hypotheses, and the draws of each
+OUTSIDE = ("non-integrable", "leafwise-rows", "non-unimodular-2", "non-unimodular-3", "non-unimodular-4")
+OUTSIDE_DRAWS = 3
 
-#: Known false verdicts: case id -> the roadmap items that own it
-KNOWN: dict[str, str] = {}
+#: False verdicts per family: the strict xfails below
+FALSE_VERDICTS = {"taut-tori": 0, "one-leaf-suspensions": 0, "outside-hypotheses": 15}
+
+#: Known false verdicts: case id -> the roadmap items that own it.  No
+#: gate refuses a model outside the hypotheses yet (item 1)
+KNOWN: dict[str, str] = {
+    f"outside-hypotheses/{kind}-{draw}": "1" for kind in OUTSIDE for draw in range(OUTSIDE_DRAWS)
+}
 
 
 def torus(kind: str, rng: random.Random):
@@ -113,13 +131,47 @@ def suspension_outcome(n: int, draw: int, leaf: int, scale: float):
     return verdict.classification.value, verdict.min_value, verdict.max_value, float(expected)
 
 
+def outside_case(kind: str, draw: int) -> tuple[td.FrameModel, td.FoliationSplit]:
+    """The model outside the hypotheses of ``kind`` and draw ``draw``."""
+    rng = random.Random(f"outside-hypotheses:{kind}:{draw}")
+    if kind == "non-integrable":
+        a, k = round(rng.uniform(0.2, 1.0), 6), rng.randint(1, 3)
+        frame = [["1", "0", "0"], ["0", "1", f"{a!r}*sin(2*pi*{k}*x1)"], ["0", "0", "1"]]
+        return td.chart_model(kind, (1.0,) * 3, frame), td.foliation_split(3, {0, 1})
+    if kind == "leafwise-rows":
+        rows = [["1", "0"], ["0", expr.FunctionCall("exp", expr.neg(trig_poly(rng, 2, coords=(1,))))]]
+        return td.chart_model(kind, (1.0, 1.0), rows), td.foliation_split(2, {0})
+    n = int(kind.rsplit("-", 1)[1])
+    rates = [round(rng.uniform(-1.0, 1.0), 6) for _ in range(n - 2)]
+    total = round(rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 2.0), 6)
+    rates.insert(0, round(total - sum(rates), 6))
+    constants = [(0, j, j, rate) for j, rate in enumerate(rates, start=1)]
+    return td.constant_structure_model(kind, n, constants), td.foliation_split(n, {rng.randrange(n)})
+
+
+def gate_outcome(kind: str, draw: int) -> str:
+    """What ``classify_divergence`` makes of the case with the zero field:
+    "refused" if it raises ModelError, else its verdict."""
+    model, split = outside_case(kind, draw)
+    grid = td.sample_grid(model, POINTS[model.dim] if model.is_chart else ())
+    try:
+        verdict = td.classify_divergence(model, split, td.vector_field(["0"] * model.dim, model), grid)
+    except td.ModelError:
+        return "refused"
+    return verdict.classification.value
+
+
 def members(family: str, cases):
     """The parameters of ``family``'s cases, each (id, arguments), the
     known false verdicts marked as strict xfails with their items."""
     params = []
     for case_id, arguments in cases:
         full = f"{family}/{case_id}"
-        marks = [pytest.mark.xfail(strict=True, reason=f"ROADMAP items {KNOWN[full]}")] if full in KNOWN else []
+        marks = []
+        if full in KNOWN:
+            label = "items" if "," in KNOWN[full] else "item"
+            reason = f"ROADMAP {label} {KNOWN[full]}"
+            marks.append(pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason))
         params.append(pytest.param(*arguments, id=full, marks=marks))
     return params
 
@@ -140,6 +192,11 @@ ONE_LEAF_SUSPENSIONS = members("one-leaf-suspensions", [
 ])
 
 
+OUTSIDE_HYPOTHESES = members("outside-hypotheses", [
+    (f"{kind}-{draw}", (kind, draw)) for kind in OUTSIDE for draw in range(OUTSIDE_DRAWS)
+])
+
+
 @pytest.mark.parametrize("kind, draw, image", TAUT_TORI)
 def test_a_taut_torus_never_gives_a_witness(kind, draw, image):
     assert taut_outcome(kind, draw, image) in {TautnessClass.MIXED_SIGN.value, TautnessClass.IDENTICALLY_ZERO.value}
@@ -153,10 +210,16 @@ def test_a_one_leaf_suspension_is_a_witness_with_div_kappa_its_log_squared(n, dr
         assert abs(value - expected) <= 1e-12 * expected
 
 
+@pytest.mark.parametrize("kind, draw", OUTSIDE_HYPOTHESES)
+def test_a_model_outside_the_hypotheses_is_refused(kind, draw):
+    assert gate_outcome(kind, draw) == "refused"
+
+
 def test_false_verdicts_are_counted_per_family():
-    marked = {
-        family: sum(bool(param.marks) for param in params)
-        for family, params in (("taut-tori", TAUT_TORI), ("one-leaf-suspensions", ONE_LEAF_SUSPENSIONS))
+    families = {
+        "taut-tori": TAUT_TORI, "one-leaf-suspensions": ONE_LEAF_SUSPENSIONS,
+        "outside-hypotheses": OUTSIDE_HYPOTHESES,
     }
+    marked = {family: sum(bool(param.marks) for param in params) for family, params in families.items()}
     assert marked == FALSE_VERDICTS
-    assert (len(TAUT_TORI), len(ONE_LEAF_SUSPENSIONS)) == (72, 54)
+    assert [len(params) for params in families.values()] == [72, 54, 15]

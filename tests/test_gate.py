@@ -6,19 +6,16 @@ subcommand and ``analyze``."""
 
 from __future__ import annotations
 
-import contextlib
-import io
 import json
 
 import numpy as np
 import pytest
 
 import transdiv as td
-from transdiv.cli import main
 from transdiv.model import Fold, _greatest, _lattice, _point
 from transdiv.records import CheckResult, check_line
 
-from generators import lattice_rows, swept_rows
+from generators import lattice_rows, run_cli, swept_rows
 
 # the cyclic Jacobi sum is 1 at (E1, E2, E3)
 NOJACOBI = {
@@ -69,13 +66,6 @@ MATRIX = [
 ]
 
 
-def run(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize(
     "document, line, subcommand",
@@ -88,7 +78,7 @@ def test_every_verdict_refuses_a_failed_record_with_its_line(
     path = tmp_path / "model.json"
     path.write_text(json.dumps(document))
     argv = [subcommand, str(path), *(GRID if subcommand == "analyze" else VERDICTS[subcommand])]
-    code, out, err = run([*argv, "--format", fmt])
+    code, out, err = run_cli(*argv, "--format", fmt)
     assert code == 3
     if subcommand != "analyze":
         assert (out, err) == ("", f"error: {line}\n")
@@ -120,7 +110,7 @@ def sweeps(monkeypatch):
 
 
 def test_a_verdict_sweeps_its_grid_once_and_the_corners_once(sweeps):
-    code, _, _ = run(["taut-check", "torus-warped", "--field", "alvarez", "--grid", "64"])
+    code, _, _ = run_cli("taut-check", "torus-warped", "--field", "alvarez", "--grid", "64")
     assert code == 0
     model, _ = td.builtin_model("torus-warped")
     centres = lattice_rows(td.sample_grid(model, 64))
@@ -162,7 +152,7 @@ def test_a_record_added_to_the_list_refuses_through_every_command(marked_record,
     index = int(np.argmax(values))
     line = check_line(CheckResult("marked", False, "greatest a_1^1", values[index], grid.point(index)))
     argv = [subcommand, "torus-warped", *(GRID if subcommand == "analyze" else VERDICTS[subcommand])]
-    code, out, err = run([*argv, "--format", fmt])
+    code, out, err = run_cli(*argv, "--format", fmt)
     assert code == 3
     if subcommand != "analyze":
         assert (out, err) == ("", f"error: {line}\n")

@@ -4,8 +4,6 @@ where they are reported, never one per grid point."""
 
 from __future__ import annotations
 
-import contextlib
-import io
 import itertools
 import json
 
@@ -15,11 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import transdiv as td
-from transdiv.cli import main
 from transdiv.model import Grid, _lattice
 from transdiv.tautness import compare_with_cover
 
-from generators import point_tuples
+from generators import point_tuples, run_cli
 
 
 def reference_lattice(periods, resolution, offset):
@@ -186,29 +183,20 @@ def test_library_sweeps_do_not_read_grid_points(points_unread):
 )
 def test_cli_does_not_read_grid_points(points_unread, argv):
     for fmt in ("text", "json"):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            assert main([*argv, "--format", fmt]) == 0, err.getvalue()
+        code, _, err = run_cli(*argv, "--format", fmt)
+        assert code == 0, err
         reported_only(points_unread)
 
 
 def test_suspend_and_its_model_do_not_read_grid_points(points_unread, tmp_path):
     path = str(tmp_path / "suspension.json")
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["suspend", "--matrix", "2,1;1,1", "--leaf", "1", "-o", path]) == 0
-        reported_only(points_unread)
-        assert main(["taut-check", path, "--field", "alvarez"]) == 0
-        reported_only(points_unread)
+    assert run_cli("suspend", "--matrix", "2,1;1,1", "--leaf", "1", "-o", path)[0] == 0
+    reported_only(points_unread)
+    assert run_cli("taut-check", path, "--field", "alvarez")[0] == 0
+    reported_only(points_unread)
 
 
 # --- reported points render as Python float tuples ------------------------------------
-
-def run(*argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
-    return code, out.getvalue(), err.getvalue()
-
 
 def lines_with(text, prefix):
     return [line for line in text.splitlines() if line.lstrip().startswith(prefix)]
@@ -216,21 +204,21 @@ def lines_with(text, prefix):
 
 def test_verdict_points_render_as_tuples():
     for subcommand in ("taut-check", "volume-check"):
-        _, out, _ = run(subcommand, "torus-warped", "--field", "alvarez", "--grid", "4")
+        _, out, _ = run_cli(subcommand, "torus-warped", "--field", "alvarez", "--grid", "4")
         assert lines_with(out, "div^Q v:") == [
             "div^Q v: min -8.37463703957 at (0.125, 0.875), "
             "max 8.37463703957 at (0.125, 0.125) (tolerance 1e-09)"
         ]
-        _, out, _ = run(subcommand, "t3a", "--field", "alvarez")
+        _, out, _ = run_cli(subcommand, "t3a", "--field", "alvarez")
         assert lines_with(out, "div^Q v:") == [
             "div^Q v: min 0.926259282309 at (), max 0.926259282309 at () (tolerance 1e-09)"
         ]
-    _, out, _ = run("taut-check", "flat-kronecker", "--field", "alvarez", "--grid", "3,5")
+    _, out, _ = run_cli("taut-check", "flat-kronecker", "--field", "alvarez", "--grid", "3,5")
     assert lines_with(out, "div^Q v:") == [
         "div^Q v: min 0 at (0.16666666666666666, 0.1), "
         "max 0 at (0.16666666666666666, 0.1) (tolerance 1e-09)"
     ]
-    _, out, _ = run(
+    _, out, _ = run_cli(
         "taut-check", "torus-warped", "--field", "alvarez", "--grid", "4", "--format", "json"
     )
     payload = json.loads(out)
@@ -238,19 +226,19 @@ def test_verdict_points_render_as_tuples():
 
 
 def test_validation_points_render_as_tuples():
-    _, out, _ = run("analyze", "torus-warped", "--grid", "4")
+    _, out, _ = run_cli("analyze", "torus-warped", "--grid", "4")
     assert lines_with(out, "frame_invertibility:") == [
         "  frame_invertibility: pass (min |det(frame)| over 32 probe points "
         "(threshold 1e-10), worst 7.408e-01 at (0.0, 0.25))"
     ]
     assert lines_with(out, "report point:") == ["report point: (0.125, 0.125)"]
-    _, out, _ = run("analyze", "t3a")
+    _, out, _ = run_cli("analyze", "t3a")
     assert lines_with(out, "jacobi_identity:") == [
         "  jacobi_identity: pass (max |cyclic sum C_ij^m C_mk^l| "
         "(threshold 1e-12), worst 0.000e+00 at ())"
     ]
     assert lines_with(out, "report point:") == ["report point: abstract"]
-    _, out, _ = run("analyze", "torus-warped", "--grid", "4", "--format", "json")
+    _, out, _ = run_cli("analyze", "torus-warped", "--grid", "4", "--format", "json")
     payload = json.loads(out)
     assert payload["validation"]["checks"][0]["worst_point"] == [0.0, 0.25]
     assert payload["report_point"] == [0.125, 0.125]
@@ -259,7 +247,7 @@ def test_validation_points_render_as_tuples():
 def test_basic_check_worst_point_renders_as_a_tuple(tmp_path):
     field = tmp_path / "cubic.json"
     field.write_text(json.dumps({"components": ["0", "x1*x1*x1"]}))
-    code, _, err = run("taut-check", "torus-warped", "--field", str(field), "--grid", "4")
+    code, _, err = run_cli("taut-check", "torus-warped", "--field", str(field), "--grid", "4")
     assert code == 3
     assert err == (
         "error: field is not basic: worst residual 2.840e+00 "
@@ -307,7 +295,7 @@ def test_failing_points_are_float_tuples():
 def test_non_finite_values_are_reported_at_a_float_tuple(tmp_path):
     field = tmp_path / "huge.json"
     field.write_text(json.dumps({"components": ["0", "1.5e308 + x2"]}))
-    code, _, err = run("taut-check", "torus-warped", "--field", str(field), "--grid", "4")
+    code, _, err = run_cli("taut-check", "torus-warped", "--field", str(field), "--grid", "4")
     assert code == 2
     assert err == "error: non-finite covariant derivative at (0.125, 0.125)\n"
     model = td.constant_structure_model("huge", 3, [(0, 1, 2, 1e300)])

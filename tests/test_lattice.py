@@ -126,15 +126,9 @@ def test_lattice_and_row_sweeps_agree_bit_for_bit(index, split_blocks, monkeypat
 def test_split_blocks_end_inside_an_axis(monkeypatch):
     model, split, field = CASES[0]
     monkeypatch.setattr(td.model, "BLOCK_VALUES", SPLIT * len(_block_plan(model, field, True)))
-    shapes = []
-    build = td.model.FrameData.__init__
-
-    def spy(self, model, block, field_spec, structure, plan):
-        shapes.append(block.resolution)
-        build(self, model, block, field_spec, structure, plan)
-
-    monkeypatch.setattr(td.model.FrameData, "__init__", spy)
+    built = block_runs(monkeypatch)
     sweep(model, td.sample_grid(model, (3, 5, 7) if model.dim == 3 else (16, 256)), field_spec=field)
+    shapes = [run.block.resolution for run in built]
     # every block is at most SPLIT points, with one axis cut short
     assert all(np.prod(shape) <= SPLIT for shape in shapes)
     assert len(set(shapes)) > 1
@@ -243,17 +237,10 @@ def test_a_refusal_names_the_first_point_that_fails_on_its_own(monkeypatch, case
     expected = scanned(model, grid, None, structure)
     # the plan without a field, kept here, so that a det-only sweep runs it too
     monkeypatch.setattr(td.model, "BLOCK_VALUES", points * len(_block_plan(model, None, True)))
-    built = []
-    build = td.model.FrameData.__init__
-
-    def spy(self, model, block, field_spec, structure, plan):
-        built.append(block)
-        build(self, model, block, field_spec, structure, plan)
-
-    monkeypatch.setattr(td.model.FrameData, "__init__", spy)
+    built = block_runs(monkeypatch)
     assert failure(swept_parts, model, grid, None, structure) == expected
     # every block, a bisection's included, is a lattice of runs of the grid's axes
-    assert all(runs_of(block, grid) for block in built)
+    assert all(runs_of(run.block, grid) for run in built)
 
 
 def runs_of(block, grid):
@@ -308,25 +295,20 @@ WARPED_3D = {
 }
 
 
-@pytest.fixture
-def blocks(monkeypatch):
-    """(shape, plan steps run) of every FrameData block built so far."""
-    return block_runs(monkeypatch)
-
-
-def test_blocks_stay_within_the_budget(blocks):
+def test_blocks_stay_within_the_budget(monkeypatch):
+    blocks = block_runs(monkeypatch)
     model, split = dense_chart_case(random.Random(7), 4)
     grid = td.sample_grid(model, 10)
     td.check_basic(model, split, td.alvarez_candidate(model, split), grid)
     td.validate_model(model, grid)
-    sizes = [int(np.prod(shape)) for shape, _ in blocks]
+    sizes = [len(run.block) for run in blocks]
     assert sum(sizes) == 3 * 10 ** 4 and len(sizes) > 3
-    assert all(size * steps <= td.model.BLOCK_VALUES for size, (_, steps) in zip(sizes, blocks))
+    assert all(size * run.steps <= td.model.BLOCK_VALUES for size, run in zip(sizes, blocks))
 
     blocks.clear()
     model, split = td.load_model(WARPED_3D)
     td.classify_divergence(model, split, td.alvarez_candidate(model, split), td.sample_grid(model, 16))
     # the verdict's sweep and its gate's sweep of the corners, each one
     # lattice block
-    assert [shape for shape, _ in blocks] == [(16, 16, 16)] * 2
-    assert all(16 ** 3 * steps <= td.model.BLOCK_VALUES for _, steps in blocks)
+    assert [run.block.resolution for run in blocks] == [(16, 16, 16)] * 2
+    assert all(16 ** 3 * run.steps <= td.model.BLOCK_VALUES for run in blocks)

@@ -15,9 +15,7 @@ step, and a run computes each step once.
 
 from __future__ import annotations
 
-import contextlib
 import gc
-import io
 import json
 import random
 import weakref
@@ -27,11 +25,10 @@ import pytest
 
 import transdiv as td
 from transdiv import connection, expr
-from transdiv.cli import main
 from transdiv.model import _block_env, _lattice, at_point, sweep
 
 import generators
-from generators import kept
+from generators import kept, run_cli
 
 
 def spy_plans(monkeypatch, record):
@@ -97,13 +94,6 @@ def tables(monkeypatch):
     return derived
 
 
-def run_main(*argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
-    return code, out.getvalue(), err.getvalue()
-
-
 LAZY = {
     "name": "lazy",
     "kind": "chart",
@@ -130,7 +120,7 @@ LAZY = {
     ids=["taut-check", "green-check", "volume-check", "analyze", "cover", "constant-structure"],
 )
 def test_each_invocation_builds_a_frame_plan_and_its_extension(built_groups, tables, steps, argv, made):
-    code, _, _ = run_main(*argv)
+    code, _, _ = run_cli(*argv)
     assert code == 0
     (frame_plan, _), (field_plan, _) = built_groups
     # the field plan runs the frame plan's steps, not copies of them
@@ -185,8 +175,8 @@ def test_a_lazy_frame_keeps_the_cli_output(plans, tmp_path):
     # those run the frame plan, which holds no partial
     path = tmp_path / "lazy.json"
     path.write_text(json.dumps(LAZY))
-    taut = run_main("taut-check", str(path), "--field", "alvarez", "--grid", "8")
-    analyze = run_main("analyze", str(path), "--grid", "8")
+    taut = run_cli("taut-check", str(path), "--field", "alvarez", "--grid", "8")
+    analyze = run_cli("analyze", str(path), "--grid", "8")
     # each invocation loads the model: a frame plan and its extension each
     assert len(plans) == 4
     assert taut == (0, "\n".join([
@@ -286,7 +276,7 @@ def test_a_cover_invocation_sweeps_only_the_base_model(
     if field == "square":
         field = label = str(tmp_path / "square.json")
         (tmp_path / "square.json").write_text(json.dumps({"components": ["0", "x2*x2"]}))
-    code, out, err = run_main(
+    code, out, err = run_cli(
         "cover", "torus-warped", "--field", field, "--coord", coord, "--fold", fold, "--grid", grid,
         "--format", "json",
     )
@@ -461,11 +451,11 @@ def test_a_chart_command_leaves_no_expression_to_the_cyclic_collector(argv, tmp_
         path = tmp_path / "model.json"
         path.write_text(json.dumps(EXP_SQRT_3D))
         argv = (argv[0], str(path), *argv[2:])
-    assert run_main(*argv)[0] == 0
+    assert run_cli(*argv)[0] == 0
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        assert run_main(*argv)[0] == 0
+        assert run_cli(*argv)[0] == 0
         gc.collect()
         nodes = [thing for thing in gc.garbage if isinstance(thing, expr.Expr)]
     finally:

@@ -17,9 +17,7 @@ time, not the lattice's.
 
 from __future__ import annotations
 
-import contextlib
 import fractions
-import io
 import json
 import math
 import tracemalloc
@@ -31,11 +29,10 @@ from hypothesis import strategies as st
 
 import transdiv as td
 from transdiv import connection, tautness
-from transdiv.cli import main
 from transdiv.model import Fold, _block_plan, _first_non_finite, _greatest, _lattice, _least, sweep
 from transdiv.tautness import _classify, _integral, _sum_step, compare_with_cover
 
-from generators import kept, point_tuples
+from generators import block_runs, kept, point_tuples, run_cli
 
 #: Axis lengths: 1, primes and other lengths that are not powers of two
 LENGTHS = st.sampled_from([1, 2, 3, 5, 6, 7, 12])
@@ -293,12 +290,6 @@ def test_verdicts_build_no_coordinate_rows_on_a_lattice():
     assert report.abs_error < 1e-9 and comparison.max_pointwise_difference <= 1e-12
 
 
-def cli(*argv):
-    """``main(argv)``'s exit code, its output discarded."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return main(list(argv))
-
-
 #: Frames that fail only on part of the box: sqrt of a negative value
 #: where x1 * x2 > 0.64, ln of 0 at x1 = 0 (the corners), and a frame
 #: singular on the line x2 = 0.4375
@@ -320,7 +311,7 @@ REFUSED = {
     ],
 )
 def test_no_command_builds_coordinate_rows(argv):
-    assert cli(*argv) == 0
+    assert run_cli(*argv)[0] == 0
 
 
 @pytest.mark.parametrize("name", ["torus-warped", "t3a"])
@@ -354,8 +345,8 @@ def test_no_refusal_builds_coordinate_rows(name, tmp_path):
         "name": name, "kind": "chart", "dim": 2, "leaf_indices": [1], "periods": [1.0, 1.0],
         "frame": frame,
     }))
-    assert cli("taut-check", str(path), "--field", "alvarez", "--grid", "24,8") in (2, 3)
-    assert cli("analyze", str(path), "--grid", "24,8") in (2, 3)
+    assert run_cli("taut-check", str(path), "--field", "alvarez", "--grid", "24,8")[0] in (2, 3)
+    assert run_cli("analyze", str(path), "--grid", "24,8")[0] in (2, 3)
 
 
 def test_each_cover_block_sweeps_the_base_once_as_one_block(monkeypatch):
@@ -369,23 +360,16 @@ def test_each_cover_block_sweeps_the_base_once_as_one_block(monkeypatch):
     tau = td.alvarez_candidate(model, split)
     limit = 50
     monkeypatch.setattr(td.model, "BLOCK_VALUES", limit * len(_block_plan(model, tau, True)))
-    built = []
-    build = td.model.FrameData.__init__
-
-    def spy(self, swept_model, block, field_spec, structure, plan):
-        built.append((swept_model, block, structure))
-        build(self, swept_model, block, field_spec, structure, plan)
-
-    monkeypatch.setattr(td.model.FrameData, "__init__", spy)
+    built = block_runs(monkeypatch)
     for coord in (0, 1):
         built.clear()
         cover = compare_with_cover(model, split, tau, coord, 2, (9, 20)).cover
-        assert all(swept_model is model for swept_model, _, _ in built)
-        first = 1 + max(index for index, (_, _, structure) in enumerate(built) if not structure)
-        pairs = list(zip(built[first::2], built[first + 1::2]))
+        assert all(run.model is model for run in built)
+        first = 1 + max(index for index, run in enumerate(built) if not run.structure)
+        pairs = [(lifted.block, below.block) for lifted, below in zip(built[first::2], built[first + 1::2])]
         lattice = list(td.model._lattice_blocks(td.sample_grid(cover, (9, 20)), limit))
         assert len(pairs) == len(lattice) > 3 and len(built) == first + 2 * len(pairs)
-        for ((_, lifted, _), (_, below, _)), block in zip(pairs, lattice):
+        for (lifted, below), block in zip(pairs, lattice):
             assert [axis.tobytes() for axis in lifted.axes] == [axis.tobytes() for axis in block.axes]
             projected = list(lifted.axes)
             projected[coord] = np.mod(projected[coord], model.periods[coord])
