@@ -38,7 +38,7 @@ from .records import (
     check_line,
 )
 from .spectral import (
-    _INTEGER,
+    _read_integer,
     build_suspension,
     format_matrix,
     format_poly,
@@ -78,15 +78,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _integer(text: str) -> int:
     """``--coord``, ``--fold``, ``--leaf`` and each ``--grid`` entry: an
-    integer of ASCII digits, as ``--matrix`` reads its entries
-    (``spectral._INTEGER``), where int() also reads "1_6" and non-ASCII
-    digits."""
-    try:
-        if _INTEGER.fullmatch(text.strip()):
-            return int(text)
-    except ValueError:  # more digits than int() converts
-        pass
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    integer of ASCII digits, read as ``--matrix`` reads its entries
+    (``spectral._read_integer``)."""
+    value = _read_integer(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return value
 
 
 def _grid(text: str) -> tuple[int, ...]:
@@ -203,25 +200,43 @@ def _resolve_model(source: str) -> tuple[FrameModel, FoliationSplit]:
     return load_model(_read_document(source, "model"))
 
 
-def _resolve_field(
-    source: str, model: FrameModel, split: FoliationSplit
-) -> tuple[VectorFieldSpec, str]:
+def _field_run(
+    args: argparse.Namespace,
+) -> tuple[FrameModel, FoliationSplit, VectorFieldSpec, dict, list[str]]:
+    """The model and field of a field subcommand, resolved in that order,
+    and the head of its report: ``subcommand``, ``model`` and ``field``
+    in the payload, the model header and the ``field:`` line in the text."""
     from .model import load_field
     from .tautness import alvarez_candidate
 
+    model, split = _resolve_model(args.model)
+    source = args.field
     if source == "alvarez":
-        return alvarez_candidate(model, split), "alvarez (mean-curvature candidate)"
-    if not Path(source).exists():
+        field_spec, label = alvarez_candidate(model, split), "alvarez (mean-curvature candidate)"
+    elif not Path(source).exists():
         raise UsageError(f"field file {source!r} does not exist")
-    return load_field(_read_document(source, "field"), model), source
+    else:
+        field_spec, label = load_field(_read_document(source, "field"), model), source
+    payload = {"subcommand": args.subcommand, "model": model.name, "field": label}
+    return model, split, field_spec, payload, [*_model_header(model, split), f"field: {label}"]
 
 
 def _read_document(source: str, kind: str):
-    """The parsed JSON of the ``kind`` file ``source``, or SchemaError."""
+    """The parsed JSON of the UTF-8 ``kind`` file ``source``, or
+    SchemaError naming the file."""
     try:
-        return json.loads(Path(source).read_text())
+        return json.loads(Path(source).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{kind} file {source} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{kind} file {source} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise SchemaError(f"{kind} file {source} nests too deeply to read") from None
+    except ValueError:  # an integer literal past the digits that int() converts
+        raise SchemaError(
+            f"{kind} file {source} holds an integer of more than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def _resolution(model: FrameModel, grid: tuple[int, ...] | None) -> int | tuple[int, ...]:
@@ -365,18 +380,11 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, list[str], int]:
 def _cmd_taut_check(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     from .tautness import classify_divergence
 
-    model, split = _resolve_model(args.model)
-    field_spec, label = _resolve_field(args.field, model, split)
+    model, split, field_spec, payload, lines = _field_run(args)
     grid = _grid_for(model, args)
     verdict = classify_divergence(model, split, field_spec, grid, args.tol)
-    payload = {
-        "subcommand": "taut-check",
-        "model": model.name,
-        "field": label,
-        "grid": list(grid.resolution),
-        **_verdict_payload(verdict),
-    }
-    lines = [*_model_header(model, split), f"field: {label}", f"grid: {_grid_text(model, grid)}"]
+    payload |= {"grid": list(grid.resolution), **_verdict_payload(verdict)}
+    lines.append(f"grid: {_grid_text(model, grid)}")
     lines.extend(_verdict_lines(verdict))
     return payload, lines, EXIT_OK
 
@@ -384,13 +392,9 @@ def _cmd_taut_check(args: argparse.Namespace) -> tuple[dict, list[str], int]:
 def _cmd_green_check(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     from .tautness import green_check
 
-    model, split = _resolve_model(args.model)
-    field_spec, label = _resolve_field(args.field, model, split)
+    model, split, field_spec, payload, lines = _field_run(args)
     report = green_check(model, split, field_spec, _resolution(model, args.grid))
-    payload = {
-        "subcommand": "green-check",
-        "model": model.name,
-        "field": label,
+    payload |= {
         "resolution": list(report.resolution),
         "identity": "integral of div^Q v dmu = integral of g(v, kappa#) dmu",
         "lhs": report.lhs,
@@ -398,7 +402,6 @@ def _cmd_green_check(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         "abs_error": report.abs_error,
         "density": report.density,
     }
-    lines = [*_model_header(model, split), f"field: {label}"]
     lines.append(f"grid: {'x'.join(str(n) for n in report.resolution)} cell-centered")
     lines.append("identity: integral of div^Q v dmu = integral of g(v, kappa#) dmu")
     lines.append(f"lhs (div^Q side):  {report.lhs:+.15e}")
@@ -486,8 +489,7 @@ def _cmd_suspend(args: argparse.Namespace) -> tuple[dict, list[str], int]:
 def _cmd_cover(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     from .tautness import compare_with_cover
 
-    model, split = _resolve_model(args.model)
-    field_spec, label = _resolve_field(args.field, model, split)
+    model, split, field_spec, payload, lines = _field_run(args)
     if not 1 <= args.coord <= model.dim:
         raise UsageError(f"--coord must be in 1..{model.dim}")
     if args.fold < 1:
@@ -499,10 +501,7 @@ def _cmd_cover(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     base_verdict, lifted_verdict = comparison.base_verdict, comparison.cover_verdict
     worst = comparison.max_pointwise_difference
     lifted = comparison.cover
-    payload = {
-        "subcommand": "cover",
-        "model": model.name,
-        "field": label,
+    payload |= {
         "coord": args.coord,
         "fold": args.fold,
         "base_verdict": base_verdict.classification.value,
@@ -510,7 +509,6 @@ def _cmd_cover(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         "verdicts_agree": base_verdict.classification is lifted_verdict.classification,
         "max_pointwise_difference": worst,
     }
-    lines = [*_model_header(model, split), f"field: {label}"]
     lines.append(
         f"cover: {args.fold}-fold along x{args.coord} "
         f"(period {model.periods[args.coord - 1]:g} -> "
@@ -527,21 +525,17 @@ def _cmd_cover(args: argparse.Namespace) -> tuple[dict, list[str], int]:
 def _cmd_volume_check(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     from .tautness import volume_preservation_check
 
-    model, split = _resolve_model(args.model)
-    field_spec, label = _resolve_field(args.field, model, split)
+    model, split, field_spec, payload, lines = _field_run(args)
     grid = _grid_for(model, args)
     report = volume_preservation_check(model, split, field_spec, grid, args.tol)
-    payload = {
-        "subcommand": "volume-check",
-        "model": model.name,
-        "field": label,
+    payload |= {
         "grid": list(grid.resolution),
         "preserved": report.preserved,
         "dense_leaves_asserted": report.applicable,
         "note": report.note,
         **{f"divergence_{k}": v for k, v in _verdict_payload(report.verdict).items()},
     }
-    lines = [*_model_header(model, split), f"field: {label}", f"grid: {_grid_text(model, grid)}"]
+    lines.append(f"grid: {_grid_text(model, grid)}")
     lines.append(
         f"transverse volume form preserved (L_v nu_Q = 0): "
         f"{'yes' if report.preserved else 'no'}"

@@ -968,6 +968,7 @@ def _load_constant_structure(document, name, dim, parameters, dense) -> FrameMod
     entries = _require(document, "structure_constants", (list, tuple), "model document")
     params = _check_parameters(dim, parameters)
     constants = []
+    seen = set()
     for entry in entries:
         if not isinstance(entry, Mapping) or set(entry) != {"i", "j", "k", "value"}:
             raise SchemaError(
@@ -981,6 +982,9 @@ def _load_constant_structure(document, name, dim, parameters, dense) -> FrameMod
             raise SchemaError(
                 f"structure constants are stored with i < j; got i={i}, j={j}"
             )
+        if (i, j, k) in seen:
+            raise SchemaError(f"duplicate structure constant ({i},{j},{k})")
+        seen.add((i, j, k))
         value = entry["value"]
         if isinstance(value, str):
             node = expr.parse(value)

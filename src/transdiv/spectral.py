@@ -55,16 +55,29 @@ class MatrixDiagnostics:
 _INTEGER = re.compile("[+-]?[0-9]+")
 
 
+def _read_integer(text: str) -> int | None:
+    """The integer that ``text`` spells in ASCII digits (``_INTEGER``),
+    signed and spaced as int() reads it, or None; also None past the
+    digits that int() converts (``sys.get_int_max_str_digits()``)."""
+    text = text.strip()
+    if not _INTEGER.fullmatch(text):
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
 def parse_matrix(text: str) -> tuple[tuple[int, ...], ...]:
     """Parse "2,0,-1;0,3,-1;-1,-1,1" into integer rows."""
     rows = []
     for row_text in text.split(";"):
         entries = []
         for entry in row_text.split(","):
-            entry = entry.strip()
-            if not _INTEGER.fullmatch(entry):
-                raise SpectralError(f"matrix entry {entry!r} is not an integer")
-            entries.append(int(entry))
+            value = _read_integer(entry)
+            if value is None:
+                raise SpectralError(f"matrix entry {entry.strip()!r} is not an integer")
+            entries.append(value)
         rows.append(tuple(entries))
     return tuple(rows)
 

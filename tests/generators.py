@@ -20,7 +20,7 @@ read and ``swept_parts`` a sweep with it, ``pointwise_rows`` reads many
 points one by one, ``CountingEnv`` counts the variable reads of an
 evaluation, ``block_runs`` records every FrameData build with the plan
 steps (``plan_steps``) it runs, and ``run_cli`` runs the command line
-in this process.
+in this process; ``UNREADABLE`` holds files that no JSON reader reads.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import functools
 import io
 import math
 import random
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -668,6 +669,19 @@ def block_runs(monkeypatch) -> list[BlockRun]:
 
     monkeypatch.setattr(td.model.FrameData, "__init__", spy)
     return runs
+
+
+#: Files that json.loads cannot read, each with the end of the CLI's
+#: refusal: bytes that are not UTF-8, arrays nested past the recursion
+#: limit, an integer past int()'s digit limit
+UNREADABLE = {
+    "not-utf-8": (
+        b"\xff\xfe{",
+        "is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+    ),
+    "nested": (b"[" * 200_000, "nests too deeply to read"),
+    "digits": (b"1" * 5000, f"holds an integer of more than {sys.get_int_max_str_digits()} digits"),
+}
 
 
 def run_cli(*argv: str) -> tuple[int, str, str]:

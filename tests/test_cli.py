@@ -20,7 +20,7 @@ from transdiv import cli
 from transdiv.cli import main
 from transdiv.tautness import _green_terms
 
-from generators import block_runs, swept_rows
+from generators import UNREADABLE, block_runs, run_cli, swept_rows
 
 LOG_BIG = math.log((3 + math.sqrt(5)) / 2)
 
@@ -352,9 +352,12 @@ def test_bad_matrix_exit_1(capsys):
     assert "integer" in err
 
 
-@pytest.mark.parametrize("matrix", ["1_000,1;999,1", "\uff12,1;1,1"])
+@pytest.mark.parametrize(
+    "matrix", ["1_000,1;999,1", "\uff12,1;1,1", pytest.param("1" * 5000 + ",0;0,1", id="5000-digits")]
+)
 def test_matrix_entries_are_ascii_digits(capsys, matrix):
-    # int() reads "1_000" as 1000 and a fullwidth digit as 2
+    # int() reads "1_000" as 1000 and a fullwidth digit as 2, and refuses
+    # more than 4300 digits with ValueError
     code, _, err = run(capsys, "spectral", "--matrix", matrix)
     assert code == 1
     assert "is not an integer" in err
@@ -362,8 +365,8 @@ def test_matrix_entries_are_ascii_digits(capsys, matrix):
 
 #: Values that int() reads but that are not integers of ASCII digits:
 #: "1_6" is 16 to int(), and "\u0663" (Arabic-Indic three) and "\uff12"
-#: (fullwidth two) are 3 and 2
-NOT_ASCII_INTEGERS = ["1_6", "\u0663", "\uff12"]
+#: (fullwidth two) are 3 and 2; and 5000 digits, more than int() converts
+NOT_ASCII_INTEGERS = ["1_6", "\u0663", "\uff12", pytest.param("9" * 5000, id="5000-digits")]
 
 
 @pytest.mark.parametrize("value", NOT_ASCII_INTEGERS)
@@ -964,6 +967,124 @@ def test_analyze_reports_validation_failure_exit_3(capsys, tmp_path):
     assert "jacobi_identity: FAIL" in out
 
 
+# --- one-line refusals ---------------------------------------------------------------
+#
+# Every refusal below exits 1 with one error line and no report.
+
+@pytest.mark.parametrize("kind, argv", [
+    ("model", ("analyze", "{}")), ("field", ("taut-check", "torus-warped", "--field", "{}")),
+], ids=["model", "field"])
+@pytest.mark.parametrize("content, message", UNREADABLE.values(), ids=UNREADABLE)
+def test_an_unreadable_file_is_refused_with_one_line_naming_it(tmp_path, kind, argv, content, message):
+    path = tmp_path / "document.json"
+    path.write_bytes(content)
+    assert run_cli(*(arg.format(path) for arg in argv)) == (1, "", f"error: {kind} file {path} {message}\n")
+
+
+OPTION_REFUSALS = {
+    "tol": (("taut-check", "t3a", "--field", "alvarez", "--tol", "abc"), "argument --tol: expects a number, got 'abc'"),
+    "missing-field": (
+        ("taut-check", "torus-warped", "--field", "{tmp}/absent.json"),
+        "field file '{tmp}/absent.json' does not exist",
+    ),
+    "coord": (
+        ("cover", "torus-warped", "--field", "alvarez", "--coord", "0", "--fold", "2"),
+        "--coord must be in 1..2",
+    ),
+    "fold": (("cover", "torus-warped", "--field", "alvarez", "--coord", "1", "--fold", "0"), "--fold must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("argv, message", OPTION_REFUSALS.values(), ids=OPTION_REFUSALS)
+def test_an_option_refusal_is_one_line(tmp_path, argv, message):
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    assert run_cli(*argv) == (1, "", f"error: {message.replace('{tmp}', str(tmp_path))}\n")
+
+
+CONSTANT_3D = {
+    "name": "heisenberg",
+    "kind": "constant_structure",
+    "dim": 3,
+    "leaf_indices": [3],
+    "structure_constants": [{"i": 1, "j": 2, "k": 3, "value": 1.0}],
+}
+
+#: Model documents that load_model refuses, each with its message
+MODEL_REFUSALS = {
+    "list": ([CHART_2D], "model document must be an object, got <class 'list'>"),
+    "dim-true": ({**CHART_2D, "dim": True}, "'dim' must be a positive integer, got True"),
+    "dim-0": ({**CHART_2D, "dim": 0}, "'dim' must be a positive integer, got 0"),
+    "parameters-list": ({**CHART_2D, "parameters": [1.0]}, "'parameters' must be a mapping of name to number"),
+    "parameter-pi": (
+        {**CHART_2D, "parameters": {"pi": 1.0}},
+        "model document for 'flat' is invalid: parameter name 'pi' is reserved",
+    ),
+    "parameter-x1": (
+        {**CONSTANT_3D, "parameters": {"x1": 1.0}},
+        "model document for 'heisenberg' is invalid: parameter name 'x1' shadows a coordinate",
+    ),
+    "dense-leaves": ({**CHART_2D, "dense_leaves": 1}, "'dense_leaves' must be a boolean"),
+    "constant-periods": ({**CONSTANT_3D, "periods": [1.0] * 3}, "constant_structure model cannot carry 'periods'"),
+    "constant-frame": ({**CONSTANT_3D, "frame": ["1"] * 9}, "constant_structure model cannot carry 'frame'"),
+    "chart-constants": ({**CHART_2D, "structure_constants": []}, "chart model cannot carry 'structure_constants'"),
+    "constant-keys": (
+        {**CONSTANT_3D, "structure_constants": [{"i": 1, "j": 2, "k": 3}]},
+        "structure constant entries need exactly the keys i, j, k, value; got {'i': 1, 'j': 2, 'k': 3}",
+    ),
+    "undeclared": (
+        {**CONSTANT_3D, "parameters": {"p": 1.0}, "structure_constants": [{"i": 1, "j": 2, "k": 3, "value": "2*q"}]},
+        "structure-constant value '2*q' references undeclared ['q']",
+    ),
+    # the document's 1-based indices
+    "duplicate": (
+        {**CONSTANT_3D, "structure_constants": [{"i": 1, "j": 2, "k": 2, "value": v} for v in (1.0, 2.0)]},
+        "duplicate structure constant (1,2,2)",
+    ),
+}
+
+
+@pytest.mark.parametrize("document, message", MODEL_REFUSALS.values(), ids=MODEL_REFUSALS)
+def test_a_model_document_refusal_is_one_line(tmp_path, document, message):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(document))
+    for argv in (("analyze", str(path)), ("taut-check", str(path), "--field", "alvarez")):
+        assert run_cli(*argv) == (1, "", f"error: {message}\n")
+
+
+#: Field documents that load_field refuses on a model, each with its message
+FIELD_REFUSALS = {
+    "list": ("torus-warped", [0, 1], "field document must be an object, got <class 'list'>"),
+    "unknown-key": ("torus-warped", {"components": [0, 1], "scale": 2}, "field document has unknown key(s) ['scale']"),
+    "count": ("torus-warped", {"components": [0, 1, 2]}, "field document has 3 components, model needs 2"),
+    "true": ("torus-warped", {"components": [True, 1]}, "field component 0 must be a number or string"),
+    "null": ("torus-warped", {"components": [0, None]}, "field component 1 must be a number or string"),
+    "string-on-constant": (
+        "t3a", {"components": [0, "1", 0]},
+        "constant-structure field components must be plain numbers; component 1 is '1'",
+    ),
+}
+
+
+@pytest.mark.parametrize("model, document, message", FIELD_REFUSALS.values(), ids=FIELD_REFUSALS)
+def test_a_field_document_refusal_is_one_line(tmp_path, model, document, message):
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(document))
+    for subcommand in ("taut-check", "volume-check", "green-check"):
+        assert run_cli(subcommand, model, "--field", str(path), "--grid", "4") == (1, "", f"error: {message}\n")
+
+
+def test_numeric_frame_entries_load_as_their_strings(tmp_path):
+    reports = []
+    for frame in (["exp(-0.3*sin(2*pi*x2))", 0, 0.5, 2], ["exp(-0.3*sin(2*pi*x2))", "0", "0.5", "2"]):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({**CHART_2D, "frame": frame}))
+        code, out, err = run_cli("taut-check", str(path), "--field", "alvarez", "--grid", "8", "--format", "json")
+        assert (code, err) == (0, "")
+        reports.append(out)
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["verdict"] == "MixedSign"
+
+
 # --- expression nesting ------------------------------------------------------------
 
 DEEP_SHAPES = {
@@ -1053,6 +1174,19 @@ def test_python_dash_m_entry_point():
     )
     assert completed.returncode == 0
     assert "x^2-3x+1" in completed.stdout
+
+
+def test_model_files_are_read_as_utf_8_in_any_locale(tmp_path):
+    # under the C locale, with its coercion and UTF-8 mode off, Python's
+    # default encoding is ASCII
+    path = tmp_path / "model.json"
+    path.write_bytes(json.dumps({**CHART_2D, "name": "tore-\u00e9"}, ensure_ascii=False).encode("utf-8"))
+    env = {**_child_env(), "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0", "PYTHONIOENCODING": "utf-8"}
+    completed = subprocess.run(
+        [sys.executable, "-m", "transdiv", "analyze", str(path), "--grid", "2"], capture_output=True, env=env
+    )
+    assert (completed.returncode, completed.stderr) == (0, b"")
+    assert completed.stdout.startswith("model: tore-\u00e9 (chart, dim 2)\n".encode("utf-8"))
 
 
 def test_fresh_run_holds_a_run_to_its_exit_code_and_line(capsys):

@@ -3,9 +3,11 @@
 
 Expressions mix benign terms with overflow, NaN-producing and
 domain-error cases; documents may carry NaN or infinite numbers, or
-ints past the float range; a fold or a grid may pass what a float or a
-NumPy array holds; matrices may be ragged, hold entries far beyond the
-float range or entries that ``int()`` reads and the parser refuses.
+ints past the float range, and the examples add files that no JSON
+reader reads (``generators.UNREADABLE``); a fold or a grid may pass
+what a float or a NumPy array holds; matrices may be ragged, hold
+entries far beyond the float range or entries that ``int()`` reads and
+the parser refuses.
 Whatever the input, ``main`` returns an exit code in 0..3 and never
 raises, a JSON report it writes is strict JSON (no NaN/Infinity), and
 the text format gives the same exit code and error line as JSON.
@@ -21,7 +23,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from generators import run_cli
+from generators import UNREADABLE, run_cli
 
 BENIGN = ["x1", "x2", "1", "0", "0.5", "pi", "0.3*sin(2*pi*x2)", "cos(2*pi*x1)", "p"]
 HAZARDS = [
@@ -115,6 +117,17 @@ def invocations(draw):
     return model, field, subcommand, tol, coord
 
 
+def write(path, document):
+    """``document`` as JSON (NaN and inf become NaN / Infinity), or as it
+    stands if it is bytes, which json.dump cannot write."""
+    if isinstance(document, bytes):
+        with open(path, "wb") as handle:
+            handle.write(document)
+    else:
+        with open(path, "w") as handle:
+            json.dump(document, handle)
+
+
 def strict_json(text):
     def refuse(constant):
         raise AssertionError(f"report holds {constant}")
@@ -136,25 +149,32 @@ HUGE_CONSTANTS = {
 }
 
 
+NOT_UTF_8, NESTED, DIGITS = (content for content, _ in UNREADABLE.values())
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(invocations())
 @example((HUGE_CONSTANTS, "alvarez", "analyze", "1e-9", "1"))
+@example((NOT_UTF_8, "alvarez", "analyze", "1e-9", "1"))
+@example((NESTED, "alvarez", "taut-check", "1e-9", "1"))
+@example((DIGITS, "alvarez", "cover", "1e-9", "1"))
+@example((HUGE_CONSTANTS, NOT_UTF_8, "taut-check", "1e-9", "1"))
+@example((HUGE_CONSTANTS, NESTED, "volume-check", "1e-9", "1"))
+@example((HUGE_CONSTANTS, DIGITS, "green-check", "1e-9", "1"))
 @example(({**HUGE_CONSTANTS, "parameters": {"p": 10**400}}, "alvarez", "taut-check", "1e-9", "1"))
 @example(({**HUGE_CONSTANTS, "parameters": {}}, {"components": [0, 0, -(10**400)]}, "taut-check", "1e-9", "1"))
 def test_main_always_exits_0_to_3(case):
     model, field, subcommand, tol, coord = case
     with tempfile.TemporaryDirectory() as directory:
         model_path = os.path.join(directory, "model.json")
-        with open(model_path, "w") as handle:
-            json.dump(model, handle)  # NaN and inf become NaN / Infinity
+        write(model_path, model)
         argv = [subcommand, model_path]
         if subcommand != "analyze":
-            if field == "alvarez":
-                argv += ["--field", "alvarez"]
+            if isinstance(field, str):
+                argv += ["--field", field]
             else:
                 field_path = os.path.join(directory, "field.json")
-                with open(field_path, "w") as handle:
-                    json.dump(field, handle)
+                write(field_path, field)
                 argv += ["--field", field_path]
         argv += ["--grid", "2,3" if subcommand == "green-check" else "3"]
         if subcommand in ("taut-check", "volume-check", "cover"):

@@ -29,7 +29,13 @@ case must show the outcome the mathematics requires:
   = a_j E_j for j = 2..n with sum a_j != 0, which satisfy Jacobi: ad E1
   is diagonal and the E_j commute; no such group has a compact
   quotient).  None is a Riemannian foliation with the given metric, so
-  ``classify_divergence`` must refuse each with ModelError.
+  ``classify_divergence`` must refuse each with ModelError;
+- seams: ``warped_torus_case`` in 2-D and 3-D, with its drawn basic
+  field plus eps x_t in the component along E_t, or with the leaf row
+  times exp(eps x_t), for a drawn transverse coordinate x_t and |eps|
+  drawn from [0.05, 1] with either sign.  The field, or the frame, then
+  jumps across the face x_t = 1 ~ 0, so it is not smooth on the closed
+  torus, and ``classify_divergence`` must refuse each with ModelError.
 
 A case that the program gets wrong is a false verdict.  It is a strict
 xfail naming the roadmap items that own it, so ``-rxX`` lists every
@@ -50,8 +56,8 @@ from transdiv import expr
 from transdiv.tautness import TautnessClass
 
 from generators import (
-    BENCH_TORI, bench_torus_case, linear, pulled_back, random_admissible_matrix, rotated_rows, shear,
-    trig_poly, two_leaf_torus_case, warped_torus_case,
+    BENCH_TORI, bench_torus_case, linear, pulled_back, random_admissible_matrix, rescaled_rows, rotated_rows,
+    shear, trig_poly, two_leaf_torus_case, warped_torus_case,
 )
 
 #: Points per axis of the taut tori's grids
@@ -69,13 +75,21 @@ SL = {2: ((2, 1), (1, 1)), 3: ((1, 1, 0), (0, 1, 1), (1, 1, 1))}
 OUTSIDE = ("non-integrable", "leafwise-rows", "non-unimodular-2", "non-unimodular-3", "non-unimodular-4")
 OUTSIDE_DRAWS = 3
 
+#: The kinds of seam, each what carries it and the torus's dimension,
+#: and the draws of each
+SEAMS = (("field", 2), ("field", 3), ("frame", 2), ("frame", 3))
+SEAM_DRAWS = 3
+
 #: False verdicts per family: the strict xfails below
-FALSE_VERDICTS = {"taut-tori": 0, "one-leaf-suspensions": 0, "outside-hypotheses": 15}
+FALSE_VERDICTS = {"taut-tori": 0, "one-leaf-suspensions": 0, "outside-hypotheses": 15, "seams": 12}
 
 #: Known false verdicts: case id -> the roadmap items that own it.  No
-#: gate refuses a model outside the hypotheses yet (item 1)
+#: gate refuses a model outside the hypotheses yet (item 1), nor a
+#: frame or field that jumps across a face of the torus (items 10, 15
+#: and 24)
 KNOWN: dict[str, str] = {
-    f"outside-hypotheses/{kind}-{draw}": "1" for kind in OUTSIDE for draw in range(OUTSIDE_DRAWS)
+    **{f"outside-hypotheses/{kind}-{draw}": "1" for kind in OUTSIDE for draw in range(OUTSIDE_DRAWS)},
+    **{f"seams/{carrier}-{dim}d-{draw}": "10, 15, 24" for carrier, dim in SEAMS for draw in range(SEAM_DRAWS)},
 }
 
 
@@ -149,16 +163,37 @@ def outside_case(kind: str, draw: int) -> tuple[td.FrameModel, td.FoliationSplit
     return td.constant_structure_model(kind, n, constants), td.foliation_split(n, {rng.randrange(n)})
 
 
-def gate_outcome(kind: str, draw: int) -> str:
-    """What ``classify_divergence`` makes of the case with the zero field:
-    "refused" if it raises ModelError, else its verdict."""
-    model, split = outside_case(kind, draw)
+def refusal_outcome(model: td.FrameModel, split: td.FoliationSplit, field: td.VectorFieldSpec) -> str:
+    """What ``classify_divergence`` makes of the case: "refused" if it
+    raises ModelError, else its verdict."""
     grid = td.sample_grid(model, POINTS[model.dim] if model.is_chart else ())
     try:
-        verdict = td.classify_divergence(model, split, td.vector_field(["0"] * model.dim, model), grid)
+        verdict = td.classify_divergence(model, split, field, grid)
     except td.ModelError:
         return "refused"
     return verdict.classification.value
+
+
+def gate_outcome(kind: str, draw: int) -> str:
+    """``refusal_outcome`` of the case with the zero field."""
+    model, split = outside_case(kind, draw)
+    return refusal_outcome(model, split, td.vector_field(["0"] * model.dim, model))
+
+
+def seam_case(carrier: str, dim: int, draw: int):
+    """The warped ``dim``-torus of draw ``draw`` with a seam along a drawn
+    transverse coordinate x_t: eps x_t added to the field's E_t component
+    (``carrier`` "field") or the leaf row times exp(eps x_t) ("frame")."""
+    rng = random.Random(f"seams:{carrier}-{dim}d:{draw}")
+    model, split, field = warped_torus_case(rng, dim)
+    t = rng.randint(2, dim)
+    epsilon = round(rng.choice((-1.0, 1.0)) * rng.uniform(0.05, 1.0), 6)
+    ramp = expr.mul(expr.Literal(epsilon), expr.Variable(f"x{t}"))
+    if carrier == "field":
+        components = list(field.components)
+        components[t - 1] = expr.add(components[t - 1], ramp)
+        return model, split, td.vector_field(components, model)
+    return rescaled_rows(model, split.leaf, expr.FunctionCall("exp", ramp)), split, field
 
 
 def members(family: str, cases):
@@ -196,6 +231,10 @@ OUTSIDE_HYPOTHESES = members("outside-hypotheses", [
     (f"{kind}-{draw}", (kind, draw)) for kind in OUTSIDE for draw in range(OUTSIDE_DRAWS)
 ])
 
+SEAM_CASES = members("seams", [
+    (f"{carrier}-{dim}d-{draw}", (carrier, dim, draw)) for carrier, dim in SEAMS for draw in range(SEAM_DRAWS)
+])
+
 
 @pytest.mark.parametrize("kind, draw, image", TAUT_TORI)
 def test_a_taut_torus_never_gives_a_witness(kind, draw, image):
@@ -215,11 +254,16 @@ def test_a_model_outside_the_hypotheses_is_refused(kind, draw):
     assert gate_outcome(kind, draw) == "refused"
 
 
+@pytest.mark.parametrize("carrier, dim, draw", SEAM_CASES)
+def test_a_seam_is_refused(carrier, dim, draw):
+    assert refusal_outcome(*seam_case(carrier, dim, draw)) == "refused"
+
+
 def test_false_verdicts_are_counted_per_family():
     families = {
         "taut-tori": TAUT_TORI, "one-leaf-suspensions": ONE_LEAF_SUSPENSIONS,
-        "outside-hypotheses": OUTSIDE_HYPOTHESES,
+        "outside-hypotheses": OUTSIDE_HYPOTHESES, "seams": SEAM_CASES,
     }
     marked = {family: sum(bool(param.marks) for param in params) for family, params in families.items()}
     assert marked == FALSE_VERDICTS
-    assert [len(params) for params in families.values()] == [72, 54, 15]
+    assert [len(params) for params in families.values()] == [72, 54, 15, 12]

@@ -547,6 +547,65 @@ def test_sweep_refuses_a_field_without_the_structure(torus):
     assert dets.shape == (4,)
 
 
+#: Library calls that raise ModelError, each given the builtins
+#: torus-warped and t3a, with the message it raises
+LIBRARY_REFUSALS = {
+    "constant-dim": (lambda *_: td.constant_structure_model("c", 0, []), "dimension must be positive, got 0"),
+    "constant-index": (
+        lambda *_: td.constant_structure_model("c", 3, [(0, 3, 1, 1.0)]),
+        "structure-constant index (0,3,1) out of range",
+    ),
+    "constant-order": (
+        lambda *_: td.constant_structure_model("c", 3, [(1, 0, 2, 1.0)]),
+        "structure constants are stored with i < j, got (1,0,2)",
+    ),
+    "constant-duplicate": (
+        lambda *_: td.constant_structure_model("c", 3, [(0, 1, 1, 1.0), (0, 1, 1, 2.0)]),
+        "duplicate structure constant (0,1,1)",
+    ),
+    "chart-dim": (lambda *_: td.chart_model("c", (), []), "chart model needs at least one coordinate"),
+    "chart-period": (
+        lambda *_: td.chart_model("c", (1.0, 0.0), [["1", "0"], ["0", "1"]]),
+        "periods must be positive and finite, got (1.0, 0.0)",
+    ),
+    "chart-infinite-period": (
+        lambda *_: td.chart_model("c", (math.inf, 1.0), [["1", "0"], ["0", "1"]]),
+        "periods must be positive and finite, got (inf, 1.0)",
+    ),
+    "chart-frame-shape": (
+        lambda *_: td.chart_model("c", (1.0, 1.0), [["1", "0"]]), "frame must be a 2x2 matrix of expressions",
+    ),
+    "split-index": (lambda *_: td.foliation_split(2, {2}), "leaf indices [2] out of range for dim 2"),
+    "split-negative": (lambda *_: td.foliation_split(2, {-1, 0}), "leaf indices [-1, 0] out of range for dim 2"),
+    "sweep-field": (
+        lambda torus, _: td.model.sweep(torus[0], td.sample_grid(torus[0], 2), field_spec=td.vector_field([0] * 3)),
+        "field has 3 components, model has dim 2",
+    ),
+    "frame-matrix": (lambda _, t3a: td.model.frame_matrix(t3a[0], ()), "frame matrix exists only for chart models"),
+    "cover-coord": (lambda torus, _: td.lift_to_cover(torus[0], 2, 2), "coordinate 2 out of range for dim 2"),
+    "cover-negative-coord": (
+        lambda torus, _: td.lift_to_cover(torus[0], -1, 2), "coordinate -1 out of range for dim 2",
+    ),
+    "cover-fold": (lambda torus, _: td.lift_to_cover(torus[0], 0, 0), "fold must be a positive integer, got 0"),
+    "mean-curvature-empty": (
+        lambda torus, _: td.mean_curvature(torus[0], (), (0.5, 0.5)), "index set must be nonempty",
+    ),
+    "mean-curvature-index": (
+        lambda torus, _: td.mean_curvature(torus[0], (0, 2), (0.5, 0.5)), "index set (0, 2) out of range for dim 2",
+    ),
+    "mean-curvature-negative": (
+        lambda torus, _: td.mean_curvature(torus[0], (-1,), (0.5, 0.5)), "index set (-1,) out of range for dim 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", LIBRARY_REFUSALS.values(), ids=LIBRARY_REFUSALS)
+def test_a_library_refusal_raises_model_error_with_its_message(torus, t3a, call, message):
+    with pytest.raises(td.ModelError) as raised:
+        call(torus, t3a)
+    assert str(raised.value) == message
+
+
 def test_random_basic_fields_add(torus):
     # transverse fields with x2-only coefficients are basic on the warped
     # torus; their sums must stay basic with additive residuals

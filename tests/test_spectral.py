@@ -1126,6 +1126,13 @@ def test_parse_matrix_round_trip():
     with pytest.raises(td.SpectralError):
         td.parse_matrix("2,x;1,1")
     assert td.parse_matrix(" +2 , -1 ;-1,1") == ((2, -1), (-1, 1))
-    for text in ("1_000,1;999,1", "\uff12,1;1,1", "0x2,1;1,1", "2.0,1;1,1", "2 0,1;1,1", ",1;1,1"):
+    # and an entry of more digits than int() converts
+    for text in ("1_000,1;999,1", "\uff12,1;1,1", "0x2,1;1,1", "2.0,1;1,1", "2 0,1;1,1", ",1;1,1", "1" * 5000):
         with pytest.raises(td.SpectralError, match="is not an integer"):
             td.parse_matrix(text)
+
+
+def test_an_empty_matrix_fails_its_one_check():
+    assert td.validate_suspension_matrix(()) == td.MatrixDiagnostics(
+        False, (td.CheckResult("square_integer", False, "matrix must be nonempty"),), None, None
+    )
