@@ -34,6 +34,7 @@ from .records import (
     ModelError,
     ParseError,
     SchemaError,
+    SingularFrameError,
     SpectralError,
     check_line,
 )
@@ -338,10 +339,7 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     model, split = _resolve_model(args.model)
     grid = _grid_for(model, args)
     point = grid.point(0)
-    reads = (lambda block: block.c, lambda block: block.gamma,
-             lambda block: block.mean_curvature(split.leaf_ordered))
-    table, gamma, kappa = at_point(model, point, *reads)
-    checks = validate_model(model, grid)
+    checks = validate_model(model, split, grid)
     passed = all(check.passed for check in checks)
     payload = {
         "subcommand": "analyze",
@@ -353,6 +351,21 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         "dense_leaves": model.dense_leaves,
         "validation": {"passed": passed, "checks": [_check_payload(check) for check in checks]},
         "report_point": _point(point),
+    }
+    lines = _model_header(model, split)
+    lines.append(f"validation: {'pass' if passed else 'FAIL'}")
+    lines.extend(f"  {check_line(check)}" for check in checks)
+    lines.append(f"report point: {point if point else 'abstract'}")
+    reads = (lambda block: block.c, lambda block: block.gamma,
+             lambda block: block.mean_curvature(split.leaf_ordered))
+    try:
+        table, gamma, kappa = at_point(model, point, *reads)
+    except (ExprError, SingularFrameError) as exc:
+        if passed:
+            raise
+        payload |= dict.fromkeys(("structure_functions", "christoffel", "mean_curvature"))
+        return payload, [*lines, f"structure not evaluated at the report point: {exc}"], EXIT_VALIDATION
+    payload |= {
         "structure_functions": _nonzero_entries(table),
         "christoffel": _nonzero_entries(gamma),
         "mean_curvature": {
@@ -360,10 +373,6 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, list[str], int]:
             "formula": "kappa^k = sum over leafwise a of Gamma_aa^k",
         },
     }
-    lines = _model_header(model, split)
-    lines.append(f"validation: {'pass' if passed else 'FAIL'}")
-    lines.extend(f"  {check_line(check)}" for check in checks)
-    lines.append(f"report point: {point if point else 'abstract'}")
     lines.append("nonzero structure functions C_ij^k ([E_i, E_j] = C_ij^k E_k):")
     lines.extend(_entry_lines("C", payload["structure_functions"]))
     lines.append(
@@ -373,8 +382,7 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     lines.extend(_entry_lines("Gamma", payload["christoffel"]))
     comps = ", ".join(f"{x:.12g}" for x in kappa)
     lines.append(f"mean curvature of the leaves, frame components: ({comps})")
-    code = EXIT_OK if passed else EXIT_VALIDATION
-    return payload, lines, code
+    return payload, lines, EXIT_OK if passed else EXIT_VALIDATION
 
 
 def _cmd_taut_check(args: argparse.Namespace) -> tuple[dict, list[str], int]:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -117,6 +118,8 @@ def _check_parameters(dim: int, parameters: Mapping[str, float]) -> dict[str, fl
             raise ModelError(f"parameter name '{name}' is reserved")
         if name in coords:
             raise ModelError(f"parameter name '{name}' shadows a coordinate")
+        if not _is_number(value):
+            raise ModelError(f"parameter {name!r}: {value!r} is not a finite number")
         cleaned[name] = float(value)
     return cleaned
 
@@ -763,10 +766,13 @@ def _minor(frame: tuple, memo: dict, rows: tuple, cols: tuple) -> Expr:
 
 @dataclass(frozen=True)
 class Hypothesis:
-    """A record of the gate: its ``folds``, which read only a and det A,
-    so that a verdict's sweep and a det-only sweep fold them alike, and
-    ``judge(model, grid, states)``, its CheckResult from the final states
-    of those folds over ``grid``."""
+    """A record of the gate, built by ``hypotheses(model, split)`` with
+    what it reads: its ``folds`` and ``judge(grid, states)``, its
+    CheckResult from their final states over ``grid``.  A chart's first
+    record, ``frame_invertibility``, is the precondition of a sweep with
+    structure (FrameData raises SingularFrameError), so ``validate_model``
+    judges it det-only, then the later records, once it passes, on one
+    sweep with structure, and none when they have no folds."""
 
     folds: tuple[Fold, ...]
     judge: Callable
@@ -822,28 +828,32 @@ def _jacobi_identity(model: FrameModel, grid: Grid, states) -> CheckResult:
     return CheckResult("jacobi_identity", jacobi <= JACOBI_TOLERANCE, detail, jacobi, (), JACOBI_TOLERANCE)
 
 
-def hypotheses(model: FrameModel) -> tuple[Hypothesis, ...]:
-    """The records of the hypotheses the sign test rests on, in gate
-    order: frame invertibility for charts, the Jacobi identity for
-    constant-structure models.  Neither needs an antisymmetry check: a
-    chart's C_ji^k is the tree that negates C_ij^k, and a constant
-    table's C_ji^k is filled in from C_ij^k, i < j."""
+def hypotheses(model: FrameModel, split: FoliationSplit) -> tuple[Hypothesis, ...]:
+    """The records of the hypotheses the sign test rests on for ``model``
+    and ``split``, in gate order: frame invertibility for charts, the
+    Jacobi identity for constant-structure models.  Neither needs an
+    antisymmetry check: a chart's C_ji^k is the tree that negates
+    C_ij^k, and a constant table's C_ji^k is filled in from C_ij^k, i < j."""
     if model.is_chart:
-        return (Hypothesis((_least_det,), _frame_invertibility),)
-    return (Hypothesis((), _jacobi_identity),)
+        return (Hypothesis((_least_det,), functools.partial(_frame_invertibility, model)),)
+    return (Hypothesis((), functools.partial(_jacobi_identity, model)),)
 
 
-def judged(model: FrameModel, grid: Grid, records: Sequence[Hypothesis], states) -> Iterator[CheckResult]:
-    """Each of ``records`` judged in order on the final states of its
-    folds over ``grid``, ``states`` those of every record's folds in order."""
-    states = iter(states)
-    for record in records:
-        yield record.judge(model, grid, list(itertools.islice(states, len(record.folds))))
+def judged_sweep(model: FrameModel, grid: Grid, records: Sequence[Hypothesis], *folds: Fold, **options):
+    """The final states of ``folds``, and each of ``records`` judged in
+    order on those of its folds, lazily, from one ``sweep`` of ``grid``
+    with ``options`` that takes ``folds`` then every record's folds, and
+    no sweep when there are none."""
+    every = (*folds, *(fold for record in records for fold in record.folds))
+    states = iter(sweep(model, grid, *every, **options) if every else ())
+    own = list(itertools.islice(states, len(folds)))
+    return own, (record.judge(grid, list(itertools.islice(states, len(record.folds)))) for record in records)
 
 
-def validate_model(model: FrameModel, grid: Grid) -> tuple[CheckResult, ...]:
-    """The records of ``hypotheses(model)``, judged on one det-only sweep
-    of ``grid`` that folds them all, and no sweep when none has a fold.
+def validate_model(model: FrameModel, split: FoliationSplit, grid: Grid) -> tuple[CheckResult, ...]:
+    """The records of ``hypotheses(model, split)`` judged on ``grid``:
+    the first on a det-only sweep, then, once it passes, the others on
+    one sweep with structure (see ``Hypothesis``).
 
     A failed check is a record, not an exception: ``analyze`` reports
     the records, and the verdicts of ``tautness`` refuse a model whose
@@ -852,13 +862,13 @@ def validate_model(model: FrameModel, grid: Grid) -> tuple[CheckResult, ...]:
     Jacobi residual that is not finite raises DomainError, as any
     non-finite value does.
     """
-    records = hypotheses(model)
-    folds = [fold for record in records for fold in record.folds]
+    first, *later = hypotheses(model, split)
     try:
-        states = sweep(model, grid, *folds, structure=False) if folds else []
+        _, judgements = judged_sweep(model, grid, (first,), structure=False)
     except ExprError as exc:
         return (_unevaluated(exc),)
-    return tuple(judged(model, grid, records, states))
+    (check,) = judgements
+    return (check, *judged_sweep(model, grid, later)[1]) if check.passed else (check,)
 
 
 def _basic_folds(split: FoliationSplit) -> tuple[Fold, ...]:
@@ -891,7 +901,9 @@ def check_basic(
 # --- model and field documents ---------------------------------------------
 
 def _is_number(value) -> bool:
-    return type(value) is not bool and isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if isinstance(value, numbers.Rational):  # exact, so an int past the float range fails
+        return not isinstance(value, bool) and abs(value) <= sys.float_info.max
+    return isinstance(value, numbers.Real) and math.isfinite(value)
 
 
 def _require(document: Mapping, key: str, kinds, what: str):

@@ -46,7 +46,7 @@ import numpy as np
 from . import expr
 from .model import (
     Fold, FrameModel, Grid, VectorFieldSpec, _basic_folds, _checked, _constant_table,
-    _first_non_finite, _greatest, _least, _point, _taken, basic_field_check, hypotheses, judged,
+    _first_non_finite, _greatest, _least, _point, _taken, basic_field_check, hypotheses, judged_sweep,
     require_finite, sample_grid, structure_functions_symbolic, sweep,
 )
 from .records import (
@@ -131,23 +131,23 @@ class CoverComparison:
 
 
 @contextlib.contextmanager
-def _verdict_sweep(model: FrameModel, split: FoliationSplit, field_spec, grid: Grid, *folds, records):
+def _verdict_sweep(model: FrameModel, split: FoliationSplit, field_spec, grid: Grid, *folds, records=None):
     """The states of ``folds``, for the body of a with statement, in the
-    one ``model.sweep`` of ``grid`` whose first folds are the basic test's
-    and whose last are those of ``records`` (``model.hypotheses``).  A
-    field that is not basic is refused with NotBasicError before the body
-    runs; after a body that raises nothing, the first of ``records`` that
-    its judge fails refuses the model with ModelError, its message the
-    record's line."""
-    found, worst, *states = sweep(
-        model, grid, *_basic_folds(split), *folds, *(fold for record in records for fold in record.folds),
-        field_spec=field_spec,
+    one ``model.judged_sweep`` of ``grid`` whose first folds are the
+    basic test's and whose last are those of ``records``, by default
+    ``model.hypotheses(model, split)``.  A field that is not basic is
+    refused with NotBasicError before the body runs; after a body that
+    raises nothing, the first of ``records`` that its judge fails
+    refuses the model with ModelError, its message the record's line."""
+    records = hypotheses(model, split) if records is None else records
+    (found, worst, *states), judgements = judged_sweep(
+        model, grid, records, *_basic_folds(split), *folds, field_spec=field_spec
     )
     check = basic_field_check(found, worst, len(grid))
     if not check.passed:
         raise NotBasicError(check)
-    yield states[:len(folds)]
-    for check in judged(model, grid, records, states[len(folds):]):
+    yield states
+    for check in judgements:
         if not check.passed:
             raise ModelError(check_line(check))
 
@@ -197,7 +197,7 @@ def classify_divergence(
     if not 0.0 <= tol < math.inf:
         raise ModelError(f"tolerance must be a non-negative number and finite, got {tol!r}")
     folds = _divergence_folds(split)
-    with _verdict_sweep(model, split, field_spec, grid, *folds, records=hypotheses(model)) as states:
+    with _verdict_sweep(model, split, field_spec, grid, *folds) as states:
         return _classify(*states, tol)
 
 
@@ -260,7 +260,7 @@ def green_check(
             "leaves the float range"
         )
     sums = (Fold(term, _sum_step, (None, 0)) for term in _green_terms(split, cell))
-    with _verdict_sweep(model, split, field_spec, grid, *sums, records=hypotheses(model)) as (lhs, rhs):
+    with _verdict_sweep(model, split, field_spec, grid, *sums) as (lhs, rhs):
         lhs = _integral(lhs, "div^Q v dmu")
         rhs = _integral(rhs, "g(v, kappa#) dmu")
         abs_error = abs(lhs - rhs)

@@ -164,7 +164,7 @@ def test_criterion_5_identity_suites():
             )
             worst_eq3 = max(worst_eq3, abs(div_leaf + float(comps @ kappa)))
         if not model.is_chart:
-            report = td.validate_model(model, td.sample_grid(model, 1))
+            report = td.validate_model(model, split, td.sample_grid(model, 1))
             jacobi = [c for c in report if c.name == "jacobi_identity"][0]
             worst_jacobi = max(worst_jacobi, jacobi.worst)
     passed = (

@@ -331,10 +331,10 @@ def test_det_only_blocks_are_sized_by_the_frame_plan(monkeypatch):
         return [(run.block.resolution, run.steps) for run in runs]
 
     det_only = shapes((_lattice_blocks(grid, 172), 14), (_lattice_blocks(corners, 172), 14))
-    assert ran(td.validate_model, model, grid) == det_only
+    assert ran(td.validate_model, model, split, grid) == det_only
     field_sweep = shapes((_lattice_blocks(grid, 56), 43), (_lattice_blocks(corners, 172), 14))
     assert ran(td.classify_divergence, model, split, field, grid) == field_sweep
-    assert ran(td.validate_model, model, grid) == det_only
+    assert ran(td.validate_model, model, split, grid) == det_only
 
 
 # --- the points-last layout against in-order formulas ------------------------

@@ -18,6 +18,7 @@ import pytest
 import transdiv as td
 from transdiv import cli
 from transdiv.cli import main
+from transdiv.records import CheckResult, check_line
 from transdiv.tautness import _green_terms
 
 from generators import UNREADABLE, block_runs, run_cli, swept_rows
@@ -698,29 +699,103 @@ def test_singular_model_exit_3(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "frame, code, message",
+    "frame, code, message, record",
     [
-        (  # det A overflows at every grid point; the first is reported
+        (  # det A overflows at every grid point; the first is reported, and
+           # analyze reports it as the failed invertibility record
             ["1e200*(2+sin(2*pi*x2))", "0", "0", "1e200"],
             2,
             "non-finite frame determinant at (0.015625, 0.015625)",
+            "frame_invertibility: FAIL (frame evaluation failed: non-finite frame determinant at "
+            "(0.015625, 0.015625), worst 0.000e+00 at (0.015625, 0.015625))",
         ),
-        (  # a frame partial, not an entry, divides by zero at the report point
+        (  # a frame partial, not an entry, divides by zero at the report
+           # point, where every record passes
             ["1", "0", "0", "sqrt((x1-0.015625)*(x1-0.015625))+1"],
             2,
             "division by zero in "
             "'(x1-0.015625+(x1-0.015625))/(2.0*sqrt((x1-0.015625)*(x1-0.015625)))'",
+            None,
         ),
     ],
     ids=["determinant-overflow", "failing-frame-partial"],
 )
 @pytest.mark.parametrize("argv", [["analyze"], ["taut-check", "--field", "alvarez"]])
 @pytest.mark.parametrize("fmt", ["text", "json"])
-def test_frame_refusals_name_the_failure(capsys, tmp_path, frame, code, message, argv, fmt):
+def test_frame_refusals_name_the_failure(capsys, tmp_path, frame, code, message, record, argv, fmt):
     model = tmp_path / "refused.json"
     model.write_text(json.dumps({**CHART_2D, "name": "refused", "frame": frame}))
     result = run(capsys, argv[0], str(model), *argv[1:], "--format", fmt)
-    assert result == (code, "", f"error: {message}\n")
+    if argv[0] != "analyze" or record is None:
+        assert result == (code, "", f"error: {message}\n")
+    elif fmt == "text":
+        assert result[0::2] == (3, "") and result[1].endswith(
+            f"\n  {record}\nreport point: (0.015625, 0.015625)\n"
+            f"structure not evaluated at the report point: {message}\n"
+        )
+    else:
+        report = json.loads(result[1])
+        assert result[0::2] == (3, "") and not report["validation"]["passed"]
+        assert [report[key] for key in ("structure_functions", "christoffel", "mean_curvature")] == [None] * 3
+
+
+#: Charts whose frame fails at one cell centre of an 8x8 grid, each with
+#: its failed record, and the message that reading the structure at the
+#: report point (0.0625, 0.0625) raises, None where it reads there
+GATE_BEFORE_THE_REPORT_POINT = {
+    "singular-at-the-report-point": (
+        "x1 - 0.0625",
+        "frame_invertibility: FAIL (min |det(frame)| over 128 probe points (threshold 1e-10), "
+        "worst 0.000e+00 at (0.0625, 0.0625))",
+        "frame matrix is singular at (0.0625, 0.0625) (|det| = 0.000e+00)",
+    ),
+    "singular-elsewhere": (
+        "x1 - 0.1875",
+        "frame_invertibility: FAIL (min |det(frame)| over 128 probe points (threshold 1e-10), "
+        "worst 0.000e+00 at (0.1875, 0.0625))",
+        None,
+    ),
+    "failing-at-the-report-point": (
+        "2 + sqrt(x1 - 0.5)",
+        "frame_invertibility: FAIL (frame evaluation failed: sqrt of negative value -0.4375 in "
+        "'sqrt(x1-0.5)', worst 0.000e+00 at (0.0625, 0.0625))",
+        "sqrt of negative value -0.4375 in 'sqrt(x1-0.5)'",
+    ),
+    "failing-elsewhere": (
+        "2 + sqrt(0.5 - x1)",
+        "frame_invertibility: FAIL (frame evaluation failed: sqrt of negative value -0.0625 in "
+        "'sqrt(0.5-x1)', worst 0.000e+00 at (0.5625, 0.0625))",
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "entry, record, unevaluated", GATE_BEFORE_THE_REPORT_POINT.values(), ids=GATE_BEFORE_THE_REPORT_POINT,
+)
+def test_analyze_judges_the_gate_before_its_report_point(capsys, tmp_path, entry, record, unevaluated, fmt):
+    # analyze exits 3 with the failed record wherever the frame fails;
+    # where it fails at the report point, the structure is not evaluated
+    model = tmp_path / "gated.json"
+    model.write_text(json.dumps({**CHART_2D, "name": "gated", "frame": [entry, "0", "0", "1"]}))
+    code, out, err = run(capsys, "analyze", str(model), "--grid", "8", "--format", fmt)
+    assert (code, err) == (3, "")
+    head = [
+        "model: gated (chart, dim 2)", "split: leaf indices [1], transverse indices [2]",
+        "validation: FAIL", f"  {record}", "report point: (0.0625, 0.0625)",
+    ]
+    if fmt == "json":
+        report = json.loads(out)
+        (check,) = report["validation"]["checks"]
+        shown = CheckResult(check["name"], check["passed"], check["detail"], check["worst"], tuple(check["worst_point"]))
+        assert check_line(shown) == record and report["report_point"] == [0.0625, 0.0625]
+        structure = [report[key] for key in ("structure_functions", "christoffel", "mean_curvature")]
+        assert (structure == [None] * 3) == (unevaluated is not None)
+    elif unevaluated is None:
+        assert out.startswith("\n".join(head) + "\nnonzero structure functions C_ij^k")
+    else:
+        assert out == "\n".join([*head, f"structure not evaluated at the report point: {unevaluated}"]) + "\n"
 
 
 @pytest.mark.parametrize(

@@ -208,8 +208,8 @@ CONSTANT_CASE_INDICES = [
 
 @pytest.mark.parametrize("case_index", CONSTANT_CASE_INDICES)
 def test_jacobi_every_constant_model(case_index):
-    model, _ = CASES[case_index]
-    report = td.validate_model(model, td.sample_grid(model, 1))
+    model, split = CASES[case_index]
+    report = td.validate_model(model, split, td.sample_grid(model, 1))
     jacobi = [c for c in report if c.name == "jacobi_identity"][0]
     assert jacobi.passed
     assert jacobi.worst <= 1e-12

@@ -2,7 +2,8 @@
 hypothesis record fails, with that record's line, and the gate costs one
 det-only sweep of the lattice corners.  ``model.hypotheses`` is the one
 list of records: a record added to it refuses through every verdict
-subcommand and ``analyze``."""
+subcommand and ``analyze``, whether it reads the frame alone or the
+structure and the split."""
 
 from __future__ import annotations
 
@@ -127,7 +128,7 @@ def test_load_model_sweeps_nothing(sweeps):
     assert sweeps == []
 
 
-def marked(model, grid, states):
+def marked(grid, states):
     """The judge of a record of this test alone: it fails at the state of
     its one fold, the first point where a_1^1 is greatest."""
     ((value, at),) = states
@@ -140,7 +141,25 @@ def marked_record(monkeypatch):
     hypotheses = td.model.hypotheses
     record = td.model.Hypothesis((Fold(lambda block: block.a[0, 0], _greatest),), marked)
     for module in (td.model, td.tautness):
-        monkeypatch.setattr(module, "hypotheses", lambda model: (*hypotheses(model), record))
+        monkeypatch.setattr(module, "hypotheses", lambda model, split: (*hypotheses(model, split), record))
+
+
+def assert_refused_with(argv, fmt, line, first):
+    """``transdiv argv`` in ``fmt`` exits 3 with the record ``line``: a
+    verdict refuses with it, and ``analyze`` prints it after the model's
+    passing record ``first``."""
+    code, out, err = run_cli(*argv, "--format", fmt)
+    assert code == 3
+    if argv[0] != "analyze":
+        assert (out, err) == ("", f"error: {line}\n")
+    elif fmt == "text":
+        assert err == "" and f"\n  {first}: pass (" in out and f"\n  {line}\n" in out
+    else:
+        passed, record = json.loads(out)["validation"]["checks"]
+        check = CheckResult(
+            record["name"], record["passed"], record["detail"], record["worst"], tuple(record["worst_point"]),
+        )
+        assert err == "" and passed["name"] == first and passed["passed"] and check_line(check) == line
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -152,15 +171,56 @@ def test_a_record_added_to_the_list_refuses_through_every_command(marked_record,
     index = int(np.argmax(values))
     line = check_line(CheckResult("marked", False, "greatest a_1^1", values[index], grid.point(index)))
     argv = [subcommand, "torus-warped", *(GRID if subcommand == "analyze" else VERDICTS[subcommand])]
-    code, out, err = run_cli(*argv, "--format", fmt)
-    assert code == 3
-    if subcommand != "analyze":
-        assert (out, err) == ("", f"error: {line}\n")
-    elif fmt == "text":
-        assert err == "" and "\n  frame_invertibility: pass (" in out and f"\n  {line}\n" in out
-    else:
-        invertibility, record = json.loads(out)["validation"]["checks"]
-        check = CheckResult(
-            record["name"], record["passed"], record["detail"], record["worst"], tuple(record["worst_point"]),
+    assert_refused_with(argv, fmt, line, "frame_invertibility")
+
+
+def structured(split):
+    """A record of this test alone that reads the structure and the
+    split, and its read: it fails at the first point where C_ta^a is
+    greatest, ``a`` the first leaf index and ``t`` the first transverse."""
+    t, a = split.transverse_ordered[0], split.leaf_ordered[0]
+
+    def read(block):
+        return block.c[t, a, a]
+
+    def judge(grid, states):
+        ((value, at),) = states
+        return CheckResult("structured", False, f"greatest C_{t + 1}{a + 1}^{a + 1}", value, _point(*at), 0.0)
+
+    return td.model.Hypothesis((Fold(read, _greatest),), judge), read
+
+
+@pytest.fixture
+def structured_record(monkeypatch):
+    """``model.hypotheses`` with the ``structured`` record last."""
+    hypotheses = td.model.hypotheses
+    for module in (td.model, td.tautness):
+        monkeypatch.setattr(
+            module, "hypotheses", lambda model, split: (*hypotheses(model, split), structured(split)[0])
         )
-        assert err == "" and invertibility["passed"] and check_line(check) == line
+
+
+STRUCTURED = [
+    (name, subcommand)
+    for name, verdicts in [("torus-warped", VERDICTS), ("t3a", CONSTANT_VERDICTS)]
+    for subcommand in ("analyze", *verdicts)
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name, subcommand", STRUCTURED, ids=[f"{n}-{s}" for n, s in STRUCTURED])
+def test_a_record_that_reads_the_structure_and_the_split_refuses_through_every_command(
+    structured_record, name, subcommand, fmt
+):
+    # analyze judges it on a sweep with structure once the model's first
+    # record passes; judged on the det-only sweep, it would find no C
+    model, split = td.builtin_model(name)
+    grid = td.sample_grid(model, 8)
+    _, read = structured(split)
+    (values,) = swept_rows(model, grid, read)
+    index = int(np.argmax(values))
+    t, a = split.transverse_ordered[0] + 1, split.leaf_ordered[0] + 1
+    line = check_line(CheckResult("structured", False, f"greatest C_{t}{a}^{a}", values[index], grid.point(index)))
+    argv = [subcommand, name, *(GRID if subcommand == "analyze" else VERDICTS[subcommand])]
+    first = "frame_invertibility" if model.is_chart else "jacobi_identity"
+    assert_refused_with(argv, fmt, line, first)

@@ -157,7 +157,7 @@ def test_library_sweeps_do_not_read_grid_points(points_unread):
             lambda: td.classify_divergence(model, split, tau, grid),
             lambda: td.check_basic(model, split, tau, grid),
             lambda: td.volume_preservation_check(model, split, tau, grid),
-            lambda: td.validate_model(model, grid),
+            lambda: td.validate_model(model, split, grid),
         ]
         if model.is_chart:
             calls.append(lambda: td.green_check(model, split, tau, (4, 6)))
@@ -275,15 +275,15 @@ def test_failing_points_are_float_tuples():
         td.model.sweep(model, Grid([[0.5], [0.5, 0.25]]))
     assert str(info.value) == "frame matrix is singular at (0.5, 0.25) (|det| = 0.000e+00)"
     assert info.value.point == (0.5, 0.25) and float_tuple(info.value.point)
-    report = td.validate_model(model, td.sample_grid(model, 4))
+    split = td.foliation_split(2, {0})
+    report = td.validate_model(model, split, td.sample_grid(model, 4))
     (check,) = report
     assert check.worst_point == (0.0, 0.0) and float_tuple(check.worst_point)
     assert check.detail == "frame evaluation failed: ln of non-positive value 0.0 in 'ln(x1)'"
     # a frame that evaluates everywhere: the worst probe is a float tuple
     model = td.chart_model("pinched", (1.0, 1.0), [["1", "0"], ["0", "x2 - 0.25"]])
-    (check,) = td.validate_model(model, td.sample_grid(model, 4))
+    (check,) = td.validate_model(model, split, td.sample_grid(model, 4))
     assert check.worst_point == (0.0, 0.25) and float_tuple(check.worst_point)
-    split = td.foliation_split(2, {0})
     with pytest.raises(td.SingularFrameError) as info:
         td.classify_divergence(model, split, td.vector_field(["0", "1"], model), td.sample_grid(model, (3, 2)))
     assert str(info.value) == (

@@ -300,7 +300,7 @@ def test_blocks_stay_within_the_budget(monkeypatch):
     model, split = dense_chart_case(random.Random(7), 4)
     grid = td.sample_grid(model, 10)
     td.check_basic(model, split, td.alvarez_candidate(model, split), grid)
-    td.validate_model(model, grid)
+    td.validate_model(model, split, grid)
     sizes = [len(run.block) for run in blocks]
     assert sum(sizes) == 3 * 10 ** 4 and len(sizes) > 3
     assert all(size * run.steps <= td.model.BLOCK_VALUES for size, run in zip(sizes, blocks))

@@ -221,7 +221,7 @@ def test_singular_frame_loads_and_is_refused_by_the_verdict():
     }
     model, split = td.load_model(document)
     grid = td.sample_grid(model, 8)
-    (check,) = td.validate_model(model, grid)
+    (check,) = td.validate_model(model, split, grid)
     assert not check.passed and check.worst_point == (0.0, 0.0)
     field = td.vector_field(["0", "1"], model)
     with pytest.raises(td.ModelError) as info:
@@ -392,8 +392,8 @@ def test_symbolic_structure_functions_match_numeric(torus):
 # --- validation ----------------------------------------------------------------
 
 def test_validate_t3a(t3a):
-    model, _ = t3a
-    report = td.validate_model(model, td.sample_grid(model, 1))
+    model, split = t3a
+    report = td.validate_model(model, split, td.sample_grid(model, 1))
     assert all(c.passed for c in report)
     # the table is antisymmetric by construction, so only Jacobi is checked
     assert [check.name for check in report] == ["jacobi_identity"]
@@ -403,7 +403,7 @@ def test_validate_so3_jacobi():
     model = td.constant_structure_model(
         "so3", 3, [(0, 1, 2, 1.0), (1, 2, 0, 1.0), (0, 2, 1, -1.0)]
     )
-    report = td.validate_model(model, td.sample_grid(model, 1))
+    report = td.validate_model(model, td.foliation_split(3, {0}), td.sample_grid(model, 1))
     assert all(c.passed for c in report)
 
 
@@ -413,7 +413,7 @@ def test_validate_broken_jacobi():
     model = td.constant_structure_model(
         "not-a-lie-algebra", 3, [(0, 1, 1, 1.0), (0, 2, 2, 1.0), (1, 2, 0, 1.0)]
     )
-    report = td.validate_model(model, td.sample_grid(model, 1))
+    report = td.validate_model(model, td.foliation_split(3, {0}), td.sample_grid(model, 1))
     jacobi = [c for c in report if c.name == "jacobi_identity"][0]
     assert not jacobi.passed
 
@@ -443,25 +443,25 @@ def test_the_jacobi_residual_in_runs_of_i_is_the_whole_tables(monkeypatch, dim):
         ]
         model = td.constant_structure_model("drawn", dim, constants)
         expected = whole_jacobi_residual(td.model._constant_table(model))
-        (record,) = td.model.hypotheses(model)
+        (record,) = td.model.hypotheses(model, td.foliation_split(dim, {0}))
         for run in range(1, dim + 1):
             monkeypatch.setattr(td.model, "BLOCK_VALUES", run * dim**3)
-            check = record.judge(model, td.sample_grid(model, 1), [])
+            check = record.judge(td.sample_grid(model, 1), [])
             assert check.worst.hex() == expected.hex(), (density, run)
 
 
 def test_validate_chart_checks_only_invertibility(torus):
     # a chart's C_ji^k is the tree that negates C_ij^k, so charts carry no
     # antisymmetry check
-    model, _ = torus
-    report = td.validate_model(model, td.sample_grid(model, 8))
+    model, split = torus
+    report = td.validate_model(model, split, td.sample_grid(model, 8))
     assert all(c.passed for c in report)
     assert [check.name for check in report] == ["frame_invertibility"]
 
 
 def test_validate_singular_frame_near_zero():
     model = td.chart_model("pinched", (1.0, 1.0), [["x1", "0"], ["0", "1"]])
-    report = td.validate_model(model, td.sample_grid(model, 8))
+    report = td.validate_model(model, td.foliation_split(2, {0}), td.sample_grid(model, 8))
     invertibility = [c for c in report if c.name == "frame_invertibility"][0]
     assert not invertibility.passed
     assert invertibility.worst_point[0] == 0.0  # the corner probe at x1 = 0
@@ -470,7 +470,7 @@ def test_validate_singular_frame_near_zero():
 def test_validate_reports_first_failing_probe():
     # ln(x1) is fine at every cell centre and fails at the corner x1 = 0
     model = td.chart_model("log-frame", (1.0, 1.0), [["2 + ln(x1)", "0"], ["0", "1"]])
-    report = td.validate_model(model, td.sample_grid(model, 8))
+    report = td.validate_model(model, td.foliation_split(2, {0}), td.sample_grid(model, 8))
     invertibility = [c for c in report if c.name == "frame_invertibility"][0]
     assert not invertibility.passed
     assert invertibility.worst_point == (0.0, 0.0)
@@ -575,6 +575,27 @@ LIBRARY_REFUSALS = {
     "chart-frame-shape": (
         lambda *_: td.chart_model("c", (1.0, 1.0), [["1", "0"]]), "frame must be a 2x2 matrix of expressions",
     ),
+    # a parameter is refused by the rule load_model applies to a document's
+    "parameter-past-the-float-range": (
+        lambda *_: td.chart_model("c", (1.0,), [["1"]], parameters={"p": 10**400}),
+        f"parameter 'p': {10**400!r} is not a finite number",
+    ),
+    "parameter-string": (
+        lambda *_: td.constant_structure_model("c", 2, [], parameters={"p": "abc"}),
+        "parameter 'p': 'abc' is not a finite number",
+    ),
+    "parameter-nan": (
+        lambda *_: td.chart_model("c", (1.0,), [["1"]], parameters={"p": math.nan}),
+        "parameter 'p': nan is not a finite number",
+    ),
+    "parameter-inf": (
+        lambda *_: td.constant_structure_model("c", 2, [], parameters={"p": math.inf}),
+        "parameter 'p': inf is not a finite number",
+    ),
+    "parameter-bool": (
+        lambda *_: td.chart_model("c", (1.0,), [["1"]], parameters={"p": True}),
+        "parameter 'p': True is not a finite number",
+    ),
     "split-index": (lambda *_: td.foliation_split(2, {2}), "leaf indices [2] out of range for dim 2"),
     "split-negative": (lambda *_: td.foliation_split(2, {-1, 0}), "leaf indices [-1, 0] out of range for dim 2"),
     "sweep-field": (
@@ -597,6 +618,14 @@ LIBRARY_REFUSALS = {
         lambda torus, _: td.mean_curvature(torus[0], (-1,), (0.5, 0.5)), "index set (-1,) out of range for dim 2",
     ),
 }
+
+
+def test_numpy_numbers_are_parameters():
+    # the rule of a parameter is a real number that is not a bool, so
+    # NumPy's integers and floats are parameters as Python's are
+    model = td.chart_model("c", (1.0,), [["p + q"]], parameters={"p": np.int64(2), "q": np.float32(0.5)})
+    assert model.parameters == {"p": 2.0, "q": 0.5}
+    assert all(type(value) is float for value in model.parameters.values())
 
 
 @pytest.mark.parametrize("call, message", LIBRARY_REFUSALS.values(), ids=LIBRARY_REFUSALS)

@@ -305,7 +305,7 @@ def test_a_failing_det_reports_its_point_whatever_ran_before():
         with pytest.raises(td.DomainError) as raised:
             at_point(model, (0.9375, 0.0625), _det, structure=False)
         assert str(raised.value) == message and raised.value.point == (0.9375, 0.0625)
-        (check,) = td.validate_model(model, grid)
+        (check,) = td.validate_model(model, td.foliation_split(2, {0}), grid)
         assert not check.passed and check.worst_point == (0.9375, 0.0625)
         assert check.detail == f"frame evaluation failed: {message}"
 
@@ -317,7 +317,7 @@ def test_det_only_sweeps_run_the_kept_frame_plan(plans, steps):
     model, split = td.builtin_model("torus-warped")
     grid = td.sample_grid(model, 8)
     for _ in range(2):
-        td.validate_model(model, grid)
+        td.validate_model(model, split, grid)
     for point in [(0.5, 0.5), (0.25, 0.75), (0.0, 0.0)]:
         td.model.frame_matrix(model, point)
     assert len(plans) == 1 and "plan" not in expr._memo(model)
@@ -332,7 +332,7 @@ def test_det_only_sweeps_run_the_kept_frame_plan(plans, steps):
         made = len(steps)
         sweep_with_structure()
         assert len(steps) - made == len(td.model._block_plan(model, field_spec, True)) - len(frame_plan)
-    td.validate_model(model, grid)
+    td.validate_model(model, split, grid)
     td.model.frame_matrix(model, (0.5, 0.5))
     assert len(plans) == 3 and td.model._block_plan(model, None, False) is frame_plan
     gc.collect()
@@ -357,11 +357,12 @@ def test_a_det_only_sweep_derives_nothing_and_keeps_the_bits(monkeypatch, plans,
             td.model, name,
             lambda model, derive=getattr(td.model, name), name=name: derived.append(name) or derive(model),
         )
-    grid = td.sample_grid(load()[0], 5)
+    first, split = load()
+    grid = td.sample_grid(first, 5)
     point = grid.point(7)
 
     def det_only(model):
-        (check,) = td.validate_model(model, grid)
+        (check,) = td.validate_model(model, split, grid)
         return [np.float64(check.worst).view(np.int64), check.worst_point,
                 td.model.frame_matrix(model, point).view(np.int64).tolist(),
                 det_bits(model, grid).tolist(), det_bits(model, _lattice(model, grid.resolution, 0.0)).tolist()]
@@ -381,7 +382,7 @@ def test_a_det_only_sweep_derives_nothing_and_keeps_the_bits(monkeypatch, plans,
 def test_a_frame_outside_the_differentiable_fragment_keeps_its_det(plans):
     model = td.chart_model("power", (1.0, 1.0), [["2 + x1^x2", "0"], ["0", "1"]])
     assert td.model.frame_matrix(model, (0.5, 0.5))[0, 0] == 2 + 0.5 ** 0.5
-    (check,) = td.validate_model(model, td.sample_grid(model, 4))
+    (check,) = td.validate_model(model, td.foliation_split(2, {0}), td.sample_grid(model, 4))
     assert check.passed and check.worst == 2.0
     # the three sweeps run one frame plan
     assert len(plans) == 1
@@ -407,7 +408,7 @@ def test_a_deleted_model_leaves_nothing_alive(plans, tables):
     model, split = td.builtin_model("torus-warped")
     grid = td.sample_grid(model, 8)
     td.classify_divergence(model, split, td.alvarez_candidate(model, split), grid)
-    td.validate_model(model, grid)
+    td.validate_model(model, split, grid)
     connection.christoffel(model, (0.5, 0.5))
     assert plans and tables
     alive = [weakref.ref(model), *plans]

@@ -237,9 +237,14 @@ def least_det_of(table):
 
 def frame_invertibility(model, grid, least_det):
     """The judge of the box's one record on the ``least_det`` state of
-    its fold over ``grid``: the record a verdict's sweep hands it."""
-    (record,) = td.model.hypotheses(model)
-    return record.judge(model, grid, [least_det])
+    its fold over ``grid``: the record a verdict's sweep hands it.  The
+    1-D box has no split, so the judge is called as ``hypotheses`` binds
+    it, and is that record's on the boxes that have one."""
+    check = td.model._frame_invertibility(model, grid, [least_det])
+    if model.dim > 1:
+        (record,) = td.model.hypotheses(model, td.foliation_split(model.dim, {0}))
+        assert record.judge(grid, [least_det]) == check
+    return check
 
 
 @settings_
@@ -279,7 +284,7 @@ def test_verdicts_build_no_coordinate_rows_on_a_lattice():
     grid = td.sample_grid(model, (64, 48))
     verdict = td.classify_divergence(model, split, tau, grid)
     report = td.green_check(model, split, tau, (16, 32))
-    (check,) = td.validate_model(model, grid)
+    (check,) = td.validate_model(model, split, grid)
     comparison = compare_with_cover(model, split, tau, 1, 3, (8, 12))
     assert not hasattr(grid, "coordinates")
     # the reported points, read from the axes, are points of the lattices
@@ -327,7 +332,7 @@ def test_no_one_point_function_builds_coordinate_rows(name):
     connection.transverse_divergence(model, split, tau, point)
     connection.mean_curvature(model, split.leaf_ordered, point)
     td.classify_divergence(model, split, tau, td.sample_grid(model, (5, 3)))
-    td.validate_model(model, td.sample_grid(model, (5, 3)))
+    td.validate_model(model, split, td.sample_grid(model, (5, 3)))
 
 
 @pytest.mark.parametrize("name", REFUSED)
@@ -337,7 +342,7 @@ def test_no_refusal_builds_coordinate_rows(name, tmp_path):
     grid = td.sample_grid(model, (24, 8))
     with pytest.raises((td.ExprError, td.ModelError)):
         td.classify_divergence(model, split, td.vector_field(["0", "1"], model), grid)
-    (check,) = td.validate_model(model, grid)
+    (check,) = td.validate_model(model, split, grid)
     assert not check.passed
     path = tmp_path / f"{name}.json"
     frame = [entry for row in REFUSED[name] for entry in row]

@@ -1095,8 +1095,8 @@ def test_build_suspension_jacobi():
     rng = random.Random(23)
     for n in (2, 3):
         matrix = random_admissible_matrix(rng, n)
-        model, _ = td.load_model(td.build_suspension(matrix, 1))
-        report = td.validate_model(model, td.sample_grid(model, 1))
+        model, split = td.load_model(td.build_suspension(matrix, 1))
+        report = td.validate_model(model, split, td.sample_grid(model, 1))
         assert all(c.passed for c in report)
 
 

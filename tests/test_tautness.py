@@ -140,7 +140,7 @@ def test_library_calls_refuse_overflow_without_numpy_warnings():
          "non-finite div^Q v at (0.125, 0.125, 0.125)"),
         (lambda: td.green_check(flat, split, field, 4),
          "non-finite term of the integral of div^Q v dmu at (0.125, 0.125, 0.125)"),
-        (lambda: td.validate_model(big, point), JACOBI_OVERFLOWS),
+        (lambda: td.validate_model(big, split, point), JACOBI_OVERFLOWS),
         (lambda: td.classify_divergence(big, split, td.alvarez_candidate(big, split), point),
          JACOBI_OVERFLOWS),
     ]
