@@ -591,9 +591,12 @@ def _emit(payload: dict, lines: list[str], args: argparse.Namespace) -> None:
         raise DomainError(f"report holds a non-finite value: {_non_finite_field(payload)}") from None
     text = (report if args.format == "json" else "\n".join(lines)) + "\n"
     if args.output:
-        Path(args.output).write_text(text)
+        Path(args.output).write_text(text, encoding="utf-8")
     else:
-        sys.stdout.write(text)
+        # a character that stdout's encoding cannot write (a model name
+        # under an ASCII locale) is escaped, as Python escapes it on stderr
+        encoding = sys.stdout.encoding or "utf-8"
+        sys.stdout.write(text.encode(encoding, "backslashreplace").decode(encoding))
 
 
 def main(argv: list[str] | None = None) -> int:

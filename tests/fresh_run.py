@@ -3,19 +3,24 @@ this fresh process, pass its output through, and print on stderr its exit
 code, wall time from before ``import transdiv.cli``, peak (ru_maxrss) and
 minor faults.  Exits 1, naming each failure, on an exit code other than
 CODE, a LINE ("stdout:TEXT" or "stderr:TEXT"; "" for none) missing from
-its stream, or a peak above 150 MB."""
+its stream, or a peak above 150 MB.  The run's streams take the encoding
+and error handler of this process's, so a character that the real stdout
+cannot write fails here as it would there."""
 import time
 start = time.perf_counter()
 import contextlib, io, resource, sys  # noqa: E401, E402
 from transdiv.cli import main  # noqa: E402
 
 code, line, argv = int(sys.argv[1]), sys.argv[2], sys.argv[3:]
-out, err = io.StringIO(), io.StringIO()
+out, err = (io.TextIOWrapper(io.BytesIO(), stream.encoding, stream.errors) for stream in (sys.stdout, sys.stderr))
 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
     got = main(argv)
 usage = resource.getrusage(resource.RUSAGE_SELF)
 peak, seconds, run = usage.ru_maxrss / 1024, time.perf_counter() - start, " ".join(argv)
-streams = {"stdout": out.getvalue(), "stderr": err.getvalue()}
+streams = {}
+for name, captured in (("stdout", out), ("stderr", err)):
+    captured.flush()
+    streams[name] = captured.buffer.getvalue().decode(captured.encoding, captured.errors)
 print(streams["stdout"], end="")
 print(f"{streams['stderr']}{run}: exit {got}, {seconds:.2f} s, peak {peak:.3f} MB, "
       f"{usage.ru_minflt} minor faults", file=sys.stderr)

@@ -17,19 +17,12 @@ import pytest
 
 import transdiv as td
 from transdiv import cli
-from transdiv.cli import main
 from transdiv.records import CheckResult, check_line
 from transdiv.tautness import _green_terms
 
 from generators import UNREADABLE, block_runs, run_cli, swept_rows
 
 LOG_BIG = math.log((3 + math.sqrt(5)) / 2)
-
-
-def run(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 def write_field(tmp_path, name, components):
@@ -40,8 +33,8 @@ def write_field(tmp_path, name, components):
 
 # --- happy paths ------------------------------------------------------------------
 
-def test_taut_check_t3a_text(capsys):
-    code, out, err = run(capsys, "taut-check", "t3a", "--field", "alvarez")
+def test_taut_check_t3a_text():
+    code, out, err = run_cli("taut-check", "t3a", "--field", "alvarez")
     assert code == 0
     assert err == ""
     assert "verdict: NON-TAUT WITNESS" in out
@@ -49,9 +42,9 @@ def test_taut_check_t3a_text(capsys):
     assert "not proof" in out
 
 
-def test_taut_check_json_round_trip(capsys):
-    code, out, _ = run(
-        capsys, "taut-check", "t3a", "--field", "alvarez", "--format", "json"
+def test_taut_check_json_round_trip():
+    code, out, _ = run_cli(
+        "taut-check", "t3a", "--field", "alvarez", "--format", "json"
     )
     assert code == 0
     payload = json.loads(out)
@@ -64,17 +57,17 @@ def test_taut_check_json_round_trip(capsys):
     assert json.loads(json.dumps(payload)) == payload
 
 
-def test_spectral_example_text(capsys):
-    code, out, _ = run(capsys, "spectral", "--matrix", "2,0,-1;0,3,-1;-1,-1,1")
+def test_spectral_example_text():
+    code, out, _ = run_cli("spectral", "--matrix", "2,0,-1;0,3,-1;-1,-1,1")
     assert code == 0
     assert "-x^3+6x^2-9x+1" in out
     assert "(0, 1)" in out and "(2, 3)" in out and "(3, 4)" in out
     assert "suspension-admissible: yes" in out
 
 
-def test_spectral_json_round_trip(capsys):
-    code, out, _ = run(
-        capsys, "spectral", "--matrix", "2,1;1,1", "--format", "json"
+def test_spectral_json_round_trip():
+    code, out, _ = run_cli(
+        "spectral", "--matrix", "2,1;1,1", "--format", "json"
     )
     assert code == 0
     payload = json.loads(out)
@@ -83,14 +76,14 @@ def test_spectral_json_round_trip(capsys):
     assert json.loads(json.dumps(payload)) == payload
 
 
-def test_spectral_and_suspend_report_equal_logs(capsys, tmp_path):
+def test_spectral_and_suspend_report_equal_logs(tmp_path):
     # numpy's log and math.log differ by one ulp on the third eigenvalue here
     matrix = "1,-2,1,1,2;-2,5,-4,-2,-4;1,-4,6,3,2;1,-2,3,6,2;2,-4,2,2,5"
-    code, out, _ = run(capsys, "spectral", "--matrix", matrix, "--format", "json")
+    code, out, _ = run_cli("spectral", "--matrix", matrix, "--format", "json")
     assert code == 0
     spectral_logs = json.loads(out)["log_eigenvalues"]
-    code, out, _ = run(
-        capsys, "suspend", "--matrix", matrix, "--leaf", "1",
+    code, out, _ = run_cli(
+        "suspend", "--matrix", matrix, "--leaf", "1",
         "-o", str(tmp_path / "model.json"), "--format", "json",
     )
     assert code == 0
@@ -99,31 +92,30 @@ def test_spectral_and_suspend_report_equal_logs(capsys, tmp_path):
     assert spectral_logs[2].hex() == "0x1.309dfb46a95ddp+0"
 
 
-def test_small_eigenvalue_keeps_the_product_and_the_log_sum(capsys, tmp_path):
+def test_small_eigenvalue_keeps_the_product_and_the_log_sum(tmp_path):
     # eigenvalues near 1e-20 and 1e20, det 1
     matrix = f"{10**20},1;{10**20 - 1},1"
-    code, out, _ = run(capsys, "spectral", "--matrix", matrix, "--format", "json")
+    code, out, _ = run_cli("spectral", "--matrix", matrix, "--format", "json")
     assert code == 0
     assert abs(json.loads(out)["eigenvalue_product"] - 1.0) <= 1e-12
-    code, out, _ = run(
-        capsys, "suspend", "--matrix", matrix, "--leaf", "1",
+    code, out, _ = run_cli(
+        "suspend", "--matrix", matrix, "--leaf", "1",
         "-o", str(tmp_path / "model.json"), "--format", "json",
     )
     assert code == 0
     assert abs(sum(json.loads(out)["log_eigenvalues"].values())) <= 1e-12
 
 
-def test_taut_check_constant_field_file(capsys, tmp_path):
+def test_taut_check_constant_field_file(tmp_path):
     field = write_field(tmp_path, "const.json", ["0", "0.4"])
-    code, out, _ = run(capsys, "taut-check", "torus-warped", "--field", field)
+    code, out, _ = run_cli("taut-check", "torus-warped", "--field", field)
     assert code == 0
     assert "IDENTICALLY ZERO (consistent with taut)" in out
 
 
-def test_green_check_cli(capsys, tmp_path):
+def test_green_check_cli(tmp_path):
     field = write_field(tmp_path, "cos.json", ["0", "cos(2*pi*x2)"])
-    code, out, _ = run(
-        capsys,
+    code, out, _ = run_cli(
         "green-check",
         "torus-warped",
         "--field",
@@ -139,7 +131,7 @@ def test_green_check_cli(capsys, tmp_path):
     assert payload["lhs"] == pytest.approx(payload["rhs"], abs=1e-10)
 
 
-def test_a_green_sum_overflows_only_where_its_exact_total_does(capsys, tmp_path):
+def test_a_green_sum_overflows_only_where_its_exact_total_does(tmp_path):
     # the terms 2.4e307 * 2 pi cos(2 pi x2) reach about 1.4e308, so a sum
     # in point order passes the float range at its second term (math.fsum
     # raises), while the exact total is about -8e292: the report gives it
@@ -151,8 +143,8 @@ def test_a_green_sum_overflows_only_where_its_exact_total_does(capsys, tmp_path)
     path = tmp_path / "wide.json"
     path.write_text(json.dumps(document))
     field = write_field(tmp_path, "sine.json", ["0", "2.4e307*sin(2*pi*x2)"])
-    code, out, err = run(
-        capsys, "green-check", str(path), "--field", field, "--grid", "1,8", "--format", "json",
+    code, out, err = run_cli(
+        "green-check", str(path), "--field", field, "--grid", "1,8", "--format", "json",
     )
     assert (code, err) == (0, "")
     model, split = td.load_model(document)
@@ -165,7 +157,7 @@ def test_a_green_sum_overflows_only_where_its_exact_total_does(capsys, tmp_path)
     assert lhs == float(sum(map(Fraction, terms.tolist()))) and -1e293 < lhs < -1e292
 
 
-def test_a_folded_constant_reports_as_its_parameter_does(capsys, tmp_path):
+def test_a_folded_constant_reports_as_its_parameter_does(tmp_path):
     # the constant exp(0.019) and exp(s) at s = 0.019 give one value, so the
     # two charts report the same Green terms bit for bit
     reports = []
@@ -176,8 +168,8 @@ def test_a_folded_constant_reports_as_its_parameter_does(capsys, tmp_path):
             "periods": [1, 1], "parameters": parameters,
             "frame": [f"{factor}*exp(-(0.3*sin(2*pi*x2)))", "0", "0", "1"],
         }))
-        code, out, err = run(
-            capsys, "green-check", str(path), "--field", "alvarez", "--grid", "8,64",
+        code, out, err = run_cli(
+            "green-check", str(path), "--field", "alvarez", "--grid", "8,64",
             "--format", "json",
         )
         assert (code, err) == (0, "")
@@ -185,10 +177,10 @@ def test_a_folded_constant_reports_as_its_parameter_does(capsys, tmp_path):
     assert reports[0] == reports[1]
 
 
-def test_suspend_writes_loadable_model(capsys, tmp_path):
+def test_suspend_writes_loadable_model(tmp_path):
     out_path = tmp_path / "model.json"
-    code, out, _ = run(
-        capsys, "suspend", "--matrix", "2,1;1,1", "--leaf", "2", "-o", str(out_path)
+    code, out, _ = run_cli(
+        "suspend", "--matrix", "2,1;1,1", "--leaf", "2", "-o", str(out_path)
     )
     assert code == 0
     assert "wrote model file" in out
@@ -198,29 +190,29 @@ def test_suspend_writes_loadable_model(capsys, tmp_path):
     assert split.leaf_ordered == (2,)
 
 
-def test_builtin_and_suspended_file_agree(capsys, tmp_path):
+def test_builtin_and_suspended_file_agree(tmp_path):
     out_path = tmp_path / "t3a.json"
-    run(capsys, "suspend", "--matrix", "2,1;1,1", "--leaf", "2", "-o", str(out_path))
-    code1, out1, _ = run(
-        capsys, "taut-check", "t3a", "--field", "alvarez", "--format", "json"
+    run_cli("suspend", "--matrix", "2,1;1,1", "--leaf", "2", "-o", str(out_path))
+    code1, out1, _ = run_cli(
+        "taut-check", "t3a", "--field", "alvarez", "--format", "json"
     )
-    code2, out2, _ = run(
-        capsys, "taut-check", str(out_path), "--field", "alvarez", "--format", "json"
+    code2, out2, _ = run_cli(
+        "taut-check", str(out_path), "--field", "alvarez", "--format", "json"
     )
     assert code1 == code2 == 0
     assert json.loads(out1)["max_value"] == json.loads(out2)["max_value"]
 
 
-def test_analyze_t3a(capsys):
-    code, out, _ = run(capsys, "analyze", "t3a")
+def test_analyze_t3a():
+    code, out, _ = run_cli("analyze", "t3a")
     assert code == 0
     assert "validation: pass" in out
     assert "Gamma_33^1" in out
     assert f"{LOG_BIG:.12g}"[:10] in out
 
 
-def test_analyze_json_round_trip(capsys):
-    code, out, _ = run(capsys, "analyze", "torus-warped", "--format", "json")
+def test_analyze_json_round_trip():
+    code, out, _ = run_cli("analyze", "torus-warped", "--format", "json")
     assert code == 0
     payload = json.loads(out)
     assert payload["validation"]["passed"]
@@ -228,28 +220,27 @@ def test_analyze_json_round_trip(capsys):
     assert json.loads(json.dumps(payload)) == payload
 
 
-def test_volume_check_flat(capsys, tmp_path):
+def test_volume_check_flat(tmp_path):
     field = write_field(tmp_path, "unit.json", ["0", "1"])
-    code, out, _ = run(capsys, "volume-check", "flat-kronecker", "--field", field)
+    code, out, _ = run_cli("volume-check", "flat-kronecker", "--field", field)
     assert code == 0
     assert "preserved (L_v nu_Q = 0): yes" in out
     assert "dense leaves asserted by model: yes" in out
 
 
-def test_volume_check_inapplicable(capsys, tmp_path):
+def test_volume_check_inapplicable(tmp_path):
     field = write_field(tmp_path, "cos.json", ["0", "cos(2*pi*x2)"])
-    code, out, _ = run(
-        capsys, "volume-check", "torus-warped", "--field", field, "--grid", "1,64"
+    code, out, _ = run_cli(
+        "volume-check", "torus-warped", "--field", field, "--grid", "1,64"
     )
     assert code == 0
     assert "preserved (L_v nu_Q = 0): no" in out
     assert "not asserted" in out
 
 
-def test_cover_cli(capsys, tmp_path):
+def test_cover_cli(tmp_path):
     field = write_field(tmp_path, "cos.json", ["0", "cos(2*pi*x2)"])
-    code, out, _ = run(
-        capsys,
+    code, out, _ = run_cli(
         "cover",
         "torus-warped",
         "--field",
@@ -271,19 +262,19 @@ def test_cover_cli(capsys, tmp_path):
 
 @pytest.mark.parametrize("coord, difference", [("1", 0.0), ("2", 2.0)])
 def test_cover_measures_the_seam_of_a_field_not_periodic_along_its_coordinate(
-    capsys, tmp_path, coord, difference
+    tmp_path, coord, difference
 ):
     # div^Q(x2^2 E2) = 2 x2 on torus-warped: the lift reads 2 x2 on the
     # second sheet of x2, the base 2 (x2 - 1) at the projected point;
     # along x1, which no expression reads, the two agree
     field = write_field(tmp_path, "square.json", ["0", "x2*x2"])
     argv = ("cover", "torus-warped", "--field", field, "--coord", coord, "--fold", "2", "--grid", "16")
-    code, out, _ = run(capsys, *argv, "--format", "json")
+    code, out, _ = run_cli(*argv, "--format", "json")
     assert code == 0
     assert json.loads(out)["max_pointwise_difference"] == difference
 
 
-def test_cover_of_a_chart_defined_on_the_base_box_only_is_refused(capsys, tmp_path):
+def test_cover_of_a_chart_defined_on_the_base_box_only_is_refused(tmp_path):
     # E2 = 1 + sqrt(1.5 - x1*x2) is real on the unit box, but not on its
     # 2-fold cover along x2, whose x2 runs to 2
     path = tmp_path / "sqrt-both.json"
@@ -292,16 +283,15 @@ def test_cover_of_a_chart_defined_on_the_base_box_only_is_refused(capsys, tmp_pa
         "frame": ["1", "0", "0", "1 + sqrt(1.5 - x1*x2)"],
     }))
     argv = ("cover", str(path), "--field", "alvarez", "--coord", "2", "--fold", "2", "--grid", "16")
-    code, out, err = run(capsys, *argv)
+    code, out, err = run_cli(*argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: sqrt of negative value")
-    assert run(capsys, "taut-check", str(path), "--field", "alvarez", "--grid", "16")[0] == 0
+    assert run_cli("taut-check", str(path), "--field", "alvarez", "--grid", "16")[0] == 0
 
 
-def test_output_file(capsys, tmp_path):
+def test_output_file(tmp_path):
     target = tmp_path / "report.json"
-    code, out, _ = run(
-        capsys,
+    code, out, _ = run_cli(
         "taut-check",
         "t3a",
         "--field",
@@ -319,8 +309,8 @@ def test_output_file(capsys, tmp_path):
 
 # --- exit codes ---------------------------------------------------------------------
 
-def test_usage_error_exit_1(capsys):
-    code, _, err = run(capsys, "taut-check", "t3a")  # --field missing
+def test_usage_error_exit_1():
+    code, _, err = run_cli("taut-check", "t3a")  # --field missing
     assert code == 1
     assert "field" in err
 
@@ -333,22 +323,22 @@ def test_usage_error_exit_1(capsys):
     ],
     ids=["entry-below-1", "entry-count"],
 )
-def test_bad_grid_exit_1(capsys, model, grid, message):
-    code, _, err = run(
-        capsys, "taut-check", model, "--field", "alvarez", "--grid", grid
+def test_bad_grid_exit_1(model, grid, message):
+    code, _, err = run_cli(
+        "taut-check", model, "--field", "alvarez", "--grid", grid
     )
     assert code == 1
     assert message in err
 
 
-def test_unknown_model_exit_1(capsys):
-    code, _, err = run(capsys, "analyze", "moebius")
+def test_unknown_model_exit_1():
+    code, _, err = run_cli("analyze", "moebius")
     assert code == 1
     assert "builtin" in err
 
 
-def test_bad_matrix_exit_1(capsys):
-    code, _, err = run(capsys, "spectral", "--matrix", "2,x;1,1")
+def test_bad_matrix_exit_1():
+    code, _, err = run_cli("spectral", "--matrix", "2,x;1,1")
     assert code == 1
     assert "integer" in err
 
@@ -356,10 +346,10 @@ def test_bad_matrix_exit_1(capsys):
 @pytest.mark.parametrize(
     "matrix", ["1_000,1;999,1", "\uff12,1;1,1", pytest.param("1" * 5000 + ",0;0,1", id="5000-digits")]
 )
-def test_matrix_entries_are_ascii_digits(capsys, matrix):
+def test_matrix_entries_are_ascii_digits(matrix):
     # int() reads "1_000" as 1000 and a fullwidth digit as 2, and refuses
     # more than 4300 digits with ValueError
-    code, _, err = run(capsys, "spectral", "--matrix", matrix)
+    code, _, err = run_cli("spectral", "--matrix", matrix)
     assert code == 1
     assert "is not an integer" in err
 
@@ -384,11 +374,11 @@ NOT_ASCII_INTEGERS = ["1_6", "\u0663", "\uff12", pytest.param("9" * 5000, id="50
     ],
     ids=["grid", "grid-entry", "coord", "fold", "leaf"],
 )
-def test_integer_arguments_are_ascii_digits(capsys, tmp_path, argv, option, value):
+def test_integer_arguments_are_ascii_digits(tmp_path, argv, option, value):
     # each is refused as --matrix refuses such an entry: exit 1 with one
     # usage line naming the argument, and nothing written
     out = tmp_path / "model.json"
-    code, stdout, err = run(capsys, *(arg.format(value, out=out) for arg in argv))
+    code, stdout, err = run_cli(*(arg.format(value, out=out) for arg in argv))
     assert (code, stdout) == (1, "")
     assert err.startswith(f"error: argument {option}: ") and err.count("\n") == 1
     assert repr(argv[argv.index(option) + 1].format(value)) in err
@@ -396,31 +386,31 @@ def test_integer_arguments_are_ascii_digits(capsys, tmp_path, argv, option, valu
 
 
 @pytest.mark.parametrize("value, grid", [("3", (3, 3)), (" 3", (3, 3)), ("+3", (3, 3)), ("4, 3", (4, 3))])
-def test_grid_reads_signed_and_spaced_ascii_integers(capsys, value, grid):
+def test_grid_reads_signed_and_spaced_ascii_integers(value, grid):
     # as int() reads them, and as --matrix reads its entries
-    code, out, _ = run(capsys, "taut-check", "torus-warped", "--field", "alvarez", "--grid", value)
+    code, out, _ = run_cli("taut-check", "torus-warped", "--field", "alvarez", "--grid", value)
     assert code == 0
     assert f"grid: {grid[0]}x{grid[1]} cell-centered lattice" in out
 
 
-def test_schema_error_exit_1(capsys, tmp_path):
+def test_schema_error_exit_1(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"name": "x", "kind": "chart"}))
-    code, _, err = run(capsys, "analyze", str(bad))
+    code, _, err = run_cli("analyze", str(bad))
     assert code == 1
     assert "missing required key" in err
 
 
-def test_invalid_json_exit_1(capsys, tmp_path):
+def test_invalid_json_exit_1(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    code, _, err = run(capsys, "analyze", str(bad))
+    code, _, err = run_cli("analyze", str(bad))
     assert code == 1
 
 
-def test_domain_error_exit_2(capsys, tmp_path):
+def test_domain_error_exit_2(tmp_path):
     field = write_field(tmp_path, "log.json", ["0", "ln(x2-2)"])
-    code, _, err = run(capsys, "taut-check", "torus-warped", "--field", field)
+    code, _, err = run_cli("taut-check", "torus-warped", "--field", field)
     assert code == 2
     assert "ln" in err
 
@@ -429,10 +419,10 @@ def test_domain_error_exit_2(capsys, tmp_path):
     "component",
     ["sin(1e200*1e200)", "1e200*1e200*x2 - 1e200*1e200*x2", "exp(1000*x2)"],
 )
-def test_non_finite_field_exit_2_with_one_line(capsys, tmp_path, component):
+def test_non_finite_field_exit_2_with_one_line(tmp_path, component):
     field = write_field(tmp_path, "overflow.json", ["0", component])
-    code, out, err = run(
-        capsys, "taut-check", "torus-warped", "--field", field, "--format", "json"
+    code, out, err = run_cli(
+        "taut-check", "torus-warped", "--field", field, "--format", "json"
     )
     assert code == 2
     assert out == ""
@@ -495,13 +485,13 @@ CHART_2D = {
         ),
     ],
 )
-def test_non_finite_document_number_exit_1(capsys, tmp_path, model, field, message):
+def test_non_finite_document_number_exit_1(tmp_path, model, field, message):
     # json writes NaN and Infinity, which json.loads reads back as floats,
     # and ints of any size
     model_path = tmp_path / "model.json"
     model_path.write_text(json.dumps(model))
     field_path = "alvarez" if field is None else write_field(tmp_path, "field.json", field)
-    code, out, err = run(capsys, "taut-check", str(model_path), "--field", field_path)
+    code, out, err = run_cli("taut-check", str(model_path), "--field", field_path)
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
@@ -537,18 +527,18 @@ ZERO_FIELD = {"components": [0, 0, 0]}
     ids=["analyze-nan-jacobi", "taut-check-nan-jacobi", "volume-check-nan-jacobi",
          "spectral-inf-product"],
 )
-def test_non_finite_report_exit_2_in_both_formats(capsys, tmp_path, argv, error, fmt):
+def test_non_finite_report_exit_2_in_both_formats(tmp_path, argv, error, fmt):
     argv = list(argv)
     for index, entry in enumerate(argv):
         if isinstance(entry, dict):  # a model or field document, passed as its file
             path = tmp_path / f"{index}.json"
             path.write_text(json.dumps(entry))
             argv[index] = str(path)
-    code, out, err = run(capsys, *argv, "--format", fmt)
+    code, out, err = run_cli(*argv, "--format", fmt)
     assert (code, out, err) == (2, "", error)
 
 
-def test_text_reports_are_checked_by_the_json_guard(monkeypatch, capsys):
+def test_text_reports_are_checked_by_the_json_guard(monkeypatch):
     # one non-finite guard for both formats: the payload's JSON encoding
     # decides, and a text report still writes its lines
     encodings = []
@@ -559,7 +549,7 @@ def test_text_reports_are_checked_by_the_json_guard(monkeypatch, capsys):
         return dumps(*args, **kwargs)
 
     monkeypatch.setattr(cli.json, "dumps", spy)
-    code, out, err = run(capsys, "taut-check", "torus-warped", "--field", "alvarez", "--grid", "4")
+    code, out, err = run_cli("taut-check", "torus-warped", "--field", "alvarez", "--grid", "4")
     assert (code, err) == (0, "") and out.startswith("model: torus-warped")
     assert [kwargs["allow_nan"] for kwargs in encodings] == [False]
     args = cli._parser().parse_args(["analyze", "t3a"])
@@ -612,9 +602,9 @@ def test_non_finite_field_is_named_in_json_order():
     ],
     ids=["spectral", "suspend"],
 )
-def test_eigenvalue_beyond_float_range_exit_2(capsys, tmp_path, argv, fmt):
+def test_eigenvalue_beyond_float_range_exit_2(tmp_path, argv, fmt):
     argv = tuple(str(tmp_path / entry) if entry == "unused" else entry for entry in argv)
-    code, out, err = run(capsys, *argv, "--format", fmt)
+    code, out, err = run_cli(*argv, "--format", fmt)
     assert (code, out) == (2, "")
     assert err == "error: an eigenvalue is beyond the float range (above 1.8e308)\n"
     assert not (tmp_path / "unused").exists()
@@ -629,27 +619,27 @@ UNDERFLOWING = [f"0,0,1;1,0,{sign}{10**330};0,1,{3 * 10**165}" for sign in ("-",
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("subcommand", ["spectral", "suspend"])
 @pytest.mark.parametrize("matrix", UNDERFLOWING, ids=["positive", "negative"])
-def test_eigenvalue_below_float_range_exit_2(capsys, tmp_path, matrix, subcommand, fmt):
+def test_eigenvalue_below_float_range_exit_2(tmp_path, matrix, subcommand, fmt):
     # a nonzero eigenvalue whose float is 0 is refused: its check would
     # report a false eigenvalues_positive: FAIL and a product of 0
     out_path = tmp_path / "model.json"
     extra = ("--leaf", "2", "-o", str(out_path)) if subcommand == "suspend" else ()
-    code, out, err = run(capsys, subcommand, "--matrix", matrix, *extra, "--format", fmt)
+    code, out, err = run_cli(subcommand, "--matrix", matrix, *extra, "--format", fmt)
     assert (code, out) == (2, "")
     assert err == "error: an eigenvalue is below the float range (nonzero, rounds to 0)\n"
     assert not out_path.exists()
 
 
-def test_a_zero_eigenvalue_is_reported(capsys):
+def test_a_zero_eigenvalue_is_reported():
     # an eigenvalue that is 0 exactly, enclosure (0, 0), fails its check
-    code, out, _ = run(capsys, "spectral", "--matrix", "0,0;0,2", "--format", "json")
+    code, out, _ = run_cli("spectral", "--matrix", "0,0;0,2", "--format", "json")
     payload = json.loads(out)
     assert code == 0 and payload["enclosures"] == [[0, 0], [2, 2]]
     assert [check["passed"] for check in payload["checks"] if check["name"] == "eigenvalues_positive"] == [False]
 
 
-def test_non_finite_tolerance_exit_1(capsys):
-    code, _, err = run(capsys, "taut-check", "t3a", "--field", "alvarez", "--tol", "nan")
+def test_non_finite_tolerance_exit_1():
+    code, _, err = run_cli("taut-check", "t3a", "--field", "alvarez", "--tol", "nan")
     assert code == 1
     assert "--tol" in err
 
@@ -663,23 +653,23 @@ def test_non_finite_tolerance_exit_1(capsys):
         ("cover", "torus-warped", "--field", "alvarez", "--grid", "4", "--tol=-1"),
     ],
 )
-def test_negative_tolerance_exit_1(capsys, argv):
+def test_negative_tolerance_exit_1(argv):
     # a negative tolerance once called a one-point grid and an identically
     # zero divergence MIXED SIGN, with exit code 0
-    code, out, err = run(capsys, *argv)
+    code, out, err = run_cli(*argv)
     assert code == 1
     assert out == ""
     assert err == f"error: argument --tol: must be >= 0, got {argv[-1].split('=')[1]!r}\n"
 
 
-def test_unwritable_output_exit_1(capsys, tmp_path):
+def test_unwritable_output_exit_1(tmp_path):
     target = tmp_path / "missing-directory" / "report.json"
-    code, _, err = run(capsys, "taut-check", "t3a", "--field", "alvarez", "--output", str(target))
+    code, _, err = run_cli("taut-check", "t3a", "--field", "alvarez", "--output", str(target))
     assert code == 1
     assert err.startswith("error: ")
 
 
-def test_singular_model_exit_3(capsys, tmp_path):
+def test_singular_model_exit_3(tmp_path):
     bad = tmp_path / "singular.json"
     bad.write_text(
         json.dumps(
@@ -693,7 +683,7 @@ def test_singular_model_exit_3(capsys, tmp_path):
             }
         )
     )
-    code, out, err = run(capsys, "analyze", str(bad))
+    code, out, err = run_cli("analyze", str(bad))
     assert (code, err) == (3, "")
     assert "  frame_invertibility: FAIL (min |det(frame)|" in out
 
@@ -722,10 +712,10 @@ def test_singular_model_exit_3(capsys, tmp_path):
 )
 @pytest.mark.parametrize("argv", [["analyze"], ["taut-check", "--field", "alvarez"]])
 @pytest.mark.parametrize("fmt", ["text", "json"])
-def test_frame_refusals_name_the_failure(capsys, tmp_path, frame, code, message, record, argv, fmt):
+def test_frame_refusals_name_the_failure(tmp_path, frame, code, message, record, argv, fmt):
     model = tmp_path / "refused.json"
     model.write_text(json.dumps({**CHART_2D, "name": "refused", "frame": frame}))
-    result = run(capsys, argv[0], str(model), *argv[1:], "--format", fmt)
+    result = run_cli(argv[0], str(model), *argv[1:], "--format", fmt)
     if argv[0] != "analyze" or record is None:
         assert result == (code, "", f"error: {message}\n")
     elif fmt == "text":
@@ -774,12 +764,12 @@ GATE_BEFORE_THE_REPORT_POINT = {
 @pytest.mark.parametrize(
     "entry, record, unevaluated", GATE_BEFORE_THE_REPORT_POINT.values(), ids=GATE_BEFORE_THE_REPORT_POINT,
 )
-def test_analyze_judges_the_gate_before_its_report_point(capsys, tmp_path, entry, record, unevaluated, fmt):
+def test_analyze_judges_the_gate_before_its_report_point(tmp_path, entry, record, unevaluated, fmt):
     # analyze exits 3 with the failed record wherever the frame fails;
     # where it fails at the report point, the structure is not evaluated
     model = tmp_path / "gated.json"
     model.write_text(json.dumps({**CHART_2D, "name": "gated", "frame": [entry, "0", "0", "1"]}))
-    code, out, err = run(capsys, "analyze", str(model), "--grid", "8", "--format", fmt)
+    code, out, err = run_cli("analyze", str(model), "--grid", "8", "--format", fmt)
     assert (code, err) == (3, "")
     head = [
         "model: gated (chart, dim 2)", "split: leaf indices [1], transverse indices [2]",
@@ -808,14 +798,14 @@ def test_analyze_judges_the_gate_before_its_report_point(capsys, tmp_path, entry
         ([1.0, 5e307], ["cover", "--field", "alvarez", "--coord", "2", "--fold", "2"]),
     ],
 )
-def test_a_lattice_past_the_float_range_is_refused(capsys, tmp_path, periods, argv):
+def test_a_lattice_past_the_float_range_is_refused(tmp_path, periods, argv):
     # (j + 0.5) * 1e308 / 4 passes the float range at j = 2 and 3, where
     # the sweep once read x1 = inf, and printed IDENTICALLY ZERO (exit 0)
     # since no expression reads x1; the cover's period is 1e308
     path = tmp_path / "wide.json"
     frame = ["1", "0", "0", "1"]
     path.write_text(json.dumps({**CHART_2D, "name": "wide", "periods": periods, "frame": frame}))
-    code, out, err = run(capsys, argv[0], str(path), *argv[1:], "--grid", "4")
+    code, out, err = run_cli(argv[0], str(path), *argv[1:], "--grid", "4")
     shown = f"({periods[0]!r}, {periods[1] * (2 if argv[0] == 'cover' else 1)!r})"
     assert (code, out) == (3, "")
     assert err == f"error: lattice coordinates of periods {shown} pass the float range\n"
@@ -840,14 +830,14 @@ def test_a_lattice_past_the_float_range_is_refused(capsys, tmp_path, periods, ar
 )
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_a_green_cell_volume_past_the_float_range_is_refused(
-    capsys, tmp_path, periods, frame, field, resolution, cell, fmt
+    tmp_path, periods, frame, field, resolution, cell, fmt
 ):
     path = tmp_path / "scaled.json"
     path.write_text(json.dumps({
         **CHART_2D, "name": "scaled", "dim": len(periods), "periods": periods, "frame": frame,
     }))
     argv = ["green-check", str(path), "--field", write_field(tmp_path, "v.json", field)]
-    code, out, err = run(capsys, *argv, "--grid", ",".join(map(str, resolution)), "--format", fmt)
+    code, out, err = run_cli(*argv, "--grid", ",".join(map(str, resolution)), "--format", fmt)
     assert (code, out) == (3, "")
     assert err == (
         f"error: cell volume {cell} of periods {tuple(periods)} at grid {resolution} "
@@ -855,14 +845,14 @@ def test_a_green_cell_volume_past_the_float_range_is_refused(
     )
 
 
-def test_non_basic_field_exit_3(capsys, tmp_path):
+def test_non_basic_field_exit_3(tmp_path):
     field = write_field(tmp_path, "bad.json", ["0", "cos(2*pi*x1)"])
-    code, _, err = run(capsys, "taut-check", "torus-warped", "--field", field)
+    code, _, err = run_cli("taut-check", "torus-warped", "--field", field)
     assert code == 3
     assert "residual" in err
 
 
-def test_non_basic_mean_curvature_exit_3_with_one_line(capsys, tmp_path):
+def test_non_basic_mean_curvature_exit_3_with_one_line(tmp_path):
     # the warp varies along the leaves, so kappa# = -f_y(x, y) E2 is not basic
     path = tmp_path / "leafwise-warp.json"
     path.write_text(
@@ -877,7 +867,7 @@ def test_non_basic_mean_curvature_exit_3_with_one_line(capsys, tmp_path):
             }
         )
     )
-    code, out, err = run(capsys, "taut-check", str(path), "--field", "alvarez")
+    code, out, err = run_cli("taut-check", str(path), "--field", "alvarez")
     assert code == 3
     assert out == ""
     assert err.startswith("error: field is not basic: ") and err.count("\n") == 1
@@ -922,21 +912,21 @@ def _sweep_id(subcommand, model, grid, points):
     [pytest.param(*case, id=_sweep_id(*case)) for case in _SWEEPS],
 )
 def test_each_field_sweep_covers_each_point_once(
-    capsys, monkeypatch, tmp_path, subcommand, model, grid, points
+    monkeypatch, tmp_path, subcommand, model, grid, points
 ):
     if model == "warped-3d":
         path = tmp_path / "warped-3d.json"
         path.write_text(json.dumps(WARPED_3D))
         model = str(path)
     built = block_runs(monkeypatch)
-    code, _, err = run(capsys, subcommand, model, "--field", "alvarez", "--grid", grid)
+    code, _, err = run_cli(subcommand, model, "--field", "alvarez", "--grid", grid)
     assert (code, err) == (0, "")
     assert sum(len(run.block) for run in built if run.field_spec is not None and run.structure) == points
 
 
-def test_analyze_builds_the_structure_once(capsys, monkeypatch):
+def test_analyze_builds_the_structure_once(monkeypatch):
     built = block_runs(monkeypatch)
-    code, _, err = run(capsys, "analyze", "torus-warped", "--grid", "64")
+    code, _, err = run_cli("analyze", "torus-warped", "--grid", "64")
     assert (code, err) == (0, "")
     assert [len(run.block) for run in built if run.structure] == [1]
 
@@ -971,12 +961,12 @@ _CHECK = td.CheckResult("basic_field", False, "residual", worst=1.0, worst_point
         (td.DifferentiationError("differentiation"), 2),
     ],
 )
-def test_exit_code_ladder(capsys, monkeypatch, exc, code):
+def test_exit_code_ladder(monkeypatch, exc, code):
     monkeypatch.setitem(cli._HANDLERS, "analyze", _raising(exc))
-    assert run(capsys, "analyze", "t3a") == (code, "", f"error: {exc}\n")
+    assert run_cli("analyze", "t3a") == (code, "", f"error: {exc}\n")
 
 
-def test_main_reuses_one_parser(capsys, monkeypatch, tmp_path):
+def test_main_reuses_one_parser(monkeypatch, tmp_path):
     field = write_field(tmp_path, "log.json", ["0", "ln(x2-2)"])
     sequence = [
         ("spectral", "--matrix", "2,1;1,1"),
@@ -997,16 +987,15 @@ def test_main_reuses_one_parser(capsys, monkeypatch, tmp_path):
         return build()
 
     monkeypatch.setattr(cli, "build_parser", counting)
-    shared = [run(capsys, *argv) for argv in sequence]
+    shared = [run_cli(*argv) for argv in sequence]
     assert len(built) <= 1
     assert [code for code, _, _ in shared] == [0, 1, 0, 2, 1, 1, 0, 1, 0]
     monkeypatch.setattr(cli, "_parser", build)  # a fresh parser for every call
-    assert [run(capsys, *argv) for argv in sequence] == shared
+    assert [run_cli(*argv) for argv in sequence] == shared
 
 
-def test_inadmissible_suspend_exit_3(capsys, tmp_path):
-    code, _, err = run(
-        capsys,
+def test_inadmissible_suspend_exit_3(tmp_path):
+    code, _, err = run_cli(
         "suspend",
         "--matrix",
         "0,-1;1,0",
@@ -1019,7 +1008,7 @@ def test_inadmissible_suspend_exit_3(capsys, tmp_path):
     assert "admissible" in err
 
 
-def test_analyze_reports_validation_failure_exit_3(capsys, tmp_path):
+def test_analyze_reports_validation_failure_exit_3(tmp_path):
     # loads fine, but the stored constants break the Jacobi identity
     bad = tmp_path / "nonjacobi.json"
     bad.write_text(
@@ -1037,7 +1026,7 @@ def test_analyze_reports_validation_failure_exit_3(capsys, tmp_path):
             }
         )
     )
-    code, out, _ = run(capsys, "analyze", str(bad))
+    code, out, _ = run_cli("analyze", str(bad))
     assert code == 3
     assert "jacobi_identity: FAIL" in out
 
@@ -1185,9 +1174,9 @@ def deepest_accepted(build):
     ["(" * 300 + "x2" + ")" * 300, "+".join(["x2"] * 600)],
     ids=["300-parentheses", "600-term-sum"],
 )
-def test_over_deep_field_exit_1_with_one_line(capsys, tmp_path, component):
+def test_over_deep_field_exit_1_with_one_line(tmp_path, component):
     field = write_field(tmp_path, "deep.json", ["0", component])
-    code, out, err = run(capsys, "taut-check", "torus-warped", "--field", field)
+    code, out, err = run_cli("taut-check", "torus-warped", "--field", field)
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -1195,10 +1184,10 @@ def test_over_deep_field_exit_1_with_one_line(capsys, tmp_path, component):
 
 
 @pytest.mark.parametrize("shape", sorted(DEEP_SHAPES))
-def test_deepest_accepted_expression_runs(capsys, tmp_path, shape):
+def test_deepest_accepted_expression_runs(tmp_path, shape):
     component = deepest_accepted(DEEP_SHAPES[shape])
     field = write_field(tmp_path, "deep.json", ["0", component])
-    code, _, err = run(capsys, "taut-check", "torus-warped", "--field", field, "--grid", "4")
+    code, _, err = run_cli("taut-check", "torus-warped", "--field", field, "--grid", "4")
     assert (code, err) == (0, "")
     model = tmp_path / "deep-model.json"
     model.write_text(
@@ -1213,10 +1202,10 @@ def test_deepest_accepted_expression_runs(capsys, tmp_path, shape):
             }
         )
     )
-    code, _, err = run(capsys, "analyze", str(model), "--grid", "4")
+    code, _, err = run_cli("analyze", str(model), "--grid", "4")
     assert (code, err) == (0, "")
     # the mean-curvature candidate differentiates the frame twice
-    code, _, err = run(capsys, "taut-check", str(model), "--field", "alvarez", "--grid", "4")
+    code, _, err = run_cli("taut-check", str(model), "--field", "alvarez", "--grid", "4")
     assert (code, err) == (0, "")
 
 
@@ -1251,20 +1240,33 @@ def test_python_dash_m_entry_point():
     assert "x^2-3x+1" in completed.stdout
 
 
-def test_model_files_are_read_as_utf_8_in_any_locale(tmp_path):
+@pytest.mark.parametrize(
+    "io_encoding, output, report",
+    [
+        ("utf-8", False, "model: tore-\u00e9 (chart, dim 2)\n".encode("utf-8")),
+        (None, False, b"model: tore-\\xe9 (chart, dim 2)\n"),
+        (None, True, "model: tore-\u00e9 (chart, dim 2)\n".encode("utf-8")),
+    ],
+    ids=["stdout-utf-8", "stdout-ascii", "output"],
+)
+def test_model_files_are_read_as_utf_8_in_any_locale(tmp_path, io_encoding, output, report):
     # under the C locale, with its coercion and UTF-8 mode off, Python's
-    # default encoding is ASCII
-    path = tmp_path / "model.json"
+    # default encoding is ASCII: stdout escapes what it cannot write, as
+    # stderr does, and --output is written as UTF-8, as inputs are read
+    path, written = tmp_path / "model.json", tmp_path / "report.txt"
     path.write_bytes(json.dumps({**CHART_2D, "name": "tore-\u00e9"}, ensure_ascii=False).encode("utf-8"))
-    env = {**_child_env(), "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0", "PYTHONIOENCODING": "utf-8"}
-    completed = subprocess.run(
-        [sys.executable, "-m", "transdiv", "analyze", str(path), "--grid", "2"], capture_output=True, env=env
-    )
+    env = {**_child_env(), "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    env.pop("PYTHONIOENCODING", None)
+    env.update({"PYTHONIOENCODING": io_encoding} if io_encoding else {})
+    argv = ["analyze", str(path), "--grid", "2", *(["--output", str(written)] if output else [])]
+    completed = subprocess.run([sys.executable, "-m", "transdiv", *argv], capture_output=True, env=env)
     assert (completed.returncode, completed.stderr) == (0, b"")
-    assert completed.stdout.startswith("model: tore-\u00e9 (chart, dim 2)\n".encode("utf-8"))
+    if output:
+        assert completed.stdout == b""
+    assert (written.read_bytes() if output else completed.stdout).startswith(report)
 
 
-def test_fresh_run_holds_a_run_to_its_exit_code_and_line(capsys):
+def test_fresh_run_holds_a_run_to_its_exit_code_and_line():
     # tests/fresh_run.py, the runner of CI's large-grid runs: it passes the
     # run's report through and fails on a wrong exit code or a missing line
     argv = ["taut-check", "torus-warped", "--field", "alvarez", "--grid", "8"]
@@ -1276,7 +1278,7 @@ def test_fresh_run_holds_a_run_to_its_exit_code_and_line(capsys):
         )
 
     passed = fresh("0", "stdout:verdict: MIXED SIGN (consistent with taut)")
-    assert (passed.returncode, passed.stdout) == (0, run(capsys, *argv)[1])
+    assert (passed.returncode, passed.stdout) == (0, run_cli(*argv)[1])
     summary = rf"{re.escape(' '.join(argv))}: exit 0, [0-9.]+ s, peak [0-9.]+ MB, [0-9]+ minor faults\n"
     assert re.fullmatch(summary, passed.stderr), passed.stderr
     wrong_code = fresh("3", "")
@@ -1322,7 +1324,7 @@ SPECTRAL_MATRICES = (
 )
 
 
-def test_spectral_runs_with_numpy_blocked(capsys):
+def test_spectral_runs_with_numpy_blocked():
     argvs = [
         ["spectral", "--matrix", matrix, "--format", fmt]
         for matrix in SPECTRAL_MATRICES
@@ -1341,7 +1343,7 @@ def test_spectral_runs_with_numpy_blocked(capsys):
         "    reports.append([code, out.getvalue(), err.getvalue()])\n"
         "print(json.dumps(reports))\n"
     )
-    assert blocked == [list(run(capsys, *argv)) for argv in argvs]
+    assert blocked == [list(run_cli(*argv)) for argv in argvs]
     assert [code for code, _, _ in blocked] == [0] * len(argvs)
 
 

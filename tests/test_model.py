@@ -14,7 +14,7 @@ from transdiv import expr
 from transdiv.model import _lattice
 from transdiv.records import check_line
 
-from generators import identity_cases, kept, point_env, point_tuples, swept_rows
+from generators import identity_cases, kept, point_env, point_tuples, run_cli, swept_rows
 
 LAMBDA_SMALL = (3 - math.sqrt(5)) / 2  # eigenvalues of [[2,1],[1,1]]
 LAMBDA_BIG = (3 + math.sqrt(5)) / 2
@@ -168,7 +168,7 @@ def test_the_dim_bound_is_the_largest_whose_table_fits_a_block():
 
 
 @pytest.mark.parametrize("dim", [97, 2000])
-def test_a_constant_structure_dim_past_the_bound_is_one_schema_error(allocation_guard, tmp_path, capsys, dim):
+def test_a_constant_structure_dim_past_the_bound_is_one_schema_error(allocation_guard, tmp_path, dim):
     # refused before any table is made: a dim-2000 document would ask
     # NumPy for 8e9 values
     document = {
@@ -184,8 +184,7 @@ def test_a_constant_structure_dim_past_the_bound_is_one_schema_error(allocation_
     assert str(raised.value) == message
     path = tmp_path / "wide.json"
     path.write_text(json.dumps(document))
-    assert td.cli.main(["analyze", str(path)]) == 1
-    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert run_cli("analyze", str(path)) == (1, "", f"error: {message}\n")
 
 
 def test_a_constant_structure_model_at_the_bound_loads():
