@@ -41,8 +41,6 @@ import numpy as np
 from .records import (
     DifferentiationError,
     DomainError,
-    EvalError,
-    ExprError,
     ParseError,
     UnboundVariableError,
     UnknownFunctionError,

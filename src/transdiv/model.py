@@ -26,9 +26,10 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from . import expr
-from .expr import Expr, ExprError
+from .expr import Expr
 from .records import (
     CheckResult,
+    ExprError,
     FoliationSplit,
     ModelError,
     SchemaError,

@@ -3,8 +3,7 @@ and its reported points, the foliation split and two shared defaults.
 
 Nothing here imports NumPy or another transdiv module at import time,
 so ``cli`` and ``spectral`` can use these names without loading the
-sweep layers.  ``expr``, ``model``, ``spectral``, ``tautness`` and
-``catalog`` re-export the names they used to define.
+sweep layers.
 """
 
 from __future__ import annotations

@@ -19,8 +19,10 @@ hold, so every verdict here (``classify_divergence``, and through it
 the volume check and the cover comparison, and ``green_check``) ends
 with one gate: the records of ``model.hypotheses``, whose folds the
 verdict's own sweep of its grid takes (``_verdict_sweep``), each then
-judged on their final states.  A failed record refuses the model with
-ModelError, its message the record's line.
+judged on their final states; a record with no folds (the Jacobi
+identity) is judged before that sweep, as ``analyze`` judges it.  A
+failed record refuses the model with ModelError, its message the
+record's line.
 
 Every reduction over a grid here (``_classify``, ``_integral``, the
 cover's largest difference) is a fold of the verdict's sweep
@@ -29,8 +31,8 @@ verdict holds one block, not the lattice, and gives the value and first
 point of the same reduction over every grid point.  Each fold keeps its
 first failure, raised after the sweep in one order: a non-finite basic
 residual, a field that is not basic, a non-finite div^Q v or Green
-term, then the gate.  A Green sum's fold keeps its exact total as an
-int, so the integral is rounded once, at the end.
+term, then the gate's records with folds.  A Green sum's fold keeps its
+exact total as an int, so the integral is rounded once, at the end.
 """
 
 from __future__ import annotations
@@ -50,8 +52,7 @@ from .model import (
     require_finite, sample_grid, structure_functions_symbolic, sweep,
 )
 from .records import (
-    DEFAULT_TOLERANCE, CheckResult, FoliationSplit, ModelError, NotBasicError,
-    check_line,
+    DEFAULT_TOLERANCE, FoliationSplit, ModelError, NotBasicError, check_line,
 )
 
 
@@ -134,20 +135,29 @@ class CoverComparison:
 def _verdict_sweep(model: FrameModel, split: FoliationSplit, field_spec, grid: Grid, *folds, records=None):
     """The states of ``folds``, for the body of a with statement, in the
     one ``model.judged_sweep`` of ``grid`` whose first folds are the
-    basic test's and whose last are those of ``records``, by default
-    ``model.hypotheses(model, split)``.  A field that is not basic is
-    refused with NotBasicError before the body runs; after a body that
-    raises nothing, the first of ``records`` that its judge fails
-    refuses the model with ModelError, its message the record's line."""
+    basic test's and whose last are those of ``records`` (by default
+    ``model.hypotheses(model, split)``) with folds.  Each record with
+    no folds is judged before the sweep, as ``validate_model`` judges
+    it.  A field that is not basic is refused with NotBasicError before
+    the body runs; after a body that raises nothing, the records with
+    folds are judged.  The first failed record refuses the model with
+    ModelError, its message the record's line."""
     records = hypotheses(model, split) if records is None else records
+    _refuse_failed(record.judge(grid, []) for record in records if not record.folds)
     (found, worst, *states), judgements = judged_sweep(
-        model, grid, records, *_basic_folds(split), *folds, field_spec=field_spec
+        model, grid, [record for record in records if record.folds], *_basic_folds(split), *folds,
+        field_spec=field_spec,
     )
     check = basic_field_check(found, worst, len(grid))
     if not check.passed:
         raise NotBasicError(check)
     yield states
-    for check in judgements:
+    _refuse_failed(judgements)
+
+
+def _refuse_failed(checks) -> None:
+    """Raise ModelError with the line of the first failed check of ``checks``."""
+    for check in checks:
         if not check.passed:
             raise ModelError(check_line(check))
 

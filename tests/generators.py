@@ -20,7 +20,9 @@ read and ``swept_parts`` a sweep with it, ``pointwise_rows`` reads many
 points one by one, ``CountingEnv`` counts the variable reads of an
 evaluation, ``block_runs`` records every FrameData build with the plan
 steps (``plan_steps``) it runs, and ``run_cli`` runs the command line
-in this process; ``UNREADABLE`` holds files that no JSON reader reads.
+in this process; ``written`` writes the model and field documents of an
+argv to files, ``refused`` tells a one-line refusal, and ``UNREADABLE``
+holds files that no JSON reader reads.
 """
 
 from __future__ import annotations
@@ -28,10 +30,12 @@ from __future__ import annotations
 import contextlib
 import functools
 import io
+import json
 import math
 import random
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -690,3 +694,35 @@ def run_cli(*argv: str) -> tuple[int, str, str]:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+def written(directory, argv) -> list[str]:
+    """``argv`` with each model or field document in it (a dict, a list or
+    bytes) written to a file in ``directory`` and replaced by its path:
+    ``field.json`` after ``--field``, ``model.json`` otherwise.  Bytes are
+    written as they stand, the rest as JSON, NaN and infinities as NaN
+    and Infinity."""
+    args = []
+    for previous, arg in zip(("", *argv), argv):
+        if not isinstance(arg, str):
+            path = Path(directory) / ("field.json" if previous == "--field" else "model.json")
+            path.write_bytes(arg if isinstance(arg, bytes) else json.dumps(arg).encode())
+            arg = str(path)
+        args.append(arg)
+    return args
+
+
+def refused(result: tuple[int, str, str], code: int | None = None, line: str | None = None) -> bool:
+    """Whether ``result``, a run's exit code, stdout and stderr, is a
+    one-line refusal: exit code ``code`` (any of 1, 2 and 3 by default),
+    nothing on stdout and one ``error:`` line on stderr, ``error: line``
+    if ``line`` is given."""
+    exit_code, out, err = result
+    return (
+        exit_code in ((1, 2, 3) if code is None else (code,))
+        and out == ""
+        and err.startswith("error: ")
+        and err.endswith("\n")
+        and err.count("\n") == 1
+        and (line is None or err == f"error: {line}\n")
+    )

@@ -126,7 +126,7 @@ def ref_first_error(model, field, points):
     for point in points:
         try:
             ref_point(model, field, point)
-        except (expr.ExprError, td.SingularFrameError) as exc:
+        except (td.ExprError, td.SingularFrameError) as exc:
             return type(exc), point
     return None
 

@@ -20,15 +20,18 @@ from transdiv import cli
 from transdiv.records import CheckResult, check_line
 from transdiv.tautness import _green_terms
 
-from generators import UNREADABLE, block_runs, run_cli, swept_rows
+from generators import UNREADABLE, block_runs, refused, run_cli, swept_rows, written
 
 LOG_BIG = math.log((3 + math.sqrt(5)) / 2)
 
-
-def write_field(tmp_path, name, components):
-    path = tmp_path / name
-    path.write_text(json.dumps({"components": components}))
-    return str(path)
+CHART_2D = {
+    "name": "flat",
+    "kind": "chart",
+    "dim": 2,
+    "leaf_indices": [1],
+    "periods": [1.0, 1.0],
+    "frame": ["1", "0", "0", "1"],
+}
 
 
 # --- happy paths ------------------------------------------------------------------
@@ -107,24 +110,15 @@ def test_small_eigenvalue_keeps_the_product_and_the_log_sum(tmp_path):
 
 
 def test_taut_check_constant_field_file(tmp_path):
-    field = write_field(tmp_path, "const.json", ["0", "0.4"])
-    code, out, _ = run_cli("taut-check", "torus-warped", "--field", field)
+    code, out, _ = run_cli(*written(tmp_path, ("taut-check", "torus-warped", "--field", {"components": ["0", "0.4"]})))
     assert code == 0
     assert "IDENTICALLY ZERO (consistent with taut)" in out
 
 
 def test_green_check_cli(tmp_path):
-    field = write_field(tmp_path, "cos.json", ["0", "cos(2*pi*x2)"])
-    code, out, _ = run_cli(
-        "green-check",
-        "torus-warped",
-        "--field",
-        field,
-        "--grid",
-        "8,128",
-        "--format",
-        "json",
-    )
+    field = {"components": ["0", "cos(2*pi*x2)"]}
+    code, out, _ = run_cli(*written(tmp_path, ("green-check", "torus-warped", "--field", field, "--grid", "8,128")),
+                           "--format", "json")
     assert code == 0
     payload = json.loads(out)
     assert payload["abs_error"] <= 1e-10
@@ -140,12 +134,9 @@ def test_a_green_sum_overflows_only_where_its_exact_total_does(tmp_path):
         "name": "wide", "kind": "chart", "dim": 2, "leaf_indices": [1],
         "periods": [8.0, 1.0], "frame": ["1", "0", "0", "1"],
     }
-    path = tmp_path / "wide.json"
-    path.write_text(json.dumps(document))
-    field = write_field(tmp_path, "sine.json", ["0", "2.4e307*sin(2*pi*x2)"])
-    code, out, err = run_cli(
-        "green-check", str(path), "--field", field, "--grid", "1,8", "--format", "json",
-    )
+    field = {"components": ["0", "2.4e307*sin(2*pi*x2)"]}
+    code, out, err = run_cli(*written(tmp_path, ("green-check", document, "--field", field, "--grid", "1,8")),
+                             "--format", "json")
     assert (code, err) == (0, "")
     model, split = td.load_model(document)
     spec = td.vector_field(["0", "2.4e307*sin(2*pi*x2)"], model)
@@ -162,16 +153,13 @@ def test_a_folded_constant_reports_as_its_parameter_does(tmp_path):
     # two charts report the same Green terms bit for bit
     reports = []
     for parameters, factor in (({}, "exp(0.019)"), ({"s": 0.019}, "exp(s)")):
-        path = tmp_path / f"chart{len(reports)}.json"
-        path.write_text(json.dumps({
+        document = {
             "name": "warped", "kind": "chart", "dim": 2, "leaf_indices": [1],
             "periods": [1, 1], "parameters": parameters,
             "frame": [f"{factor}*exp(-(0.3*sin(2*pi*x2)))", "0", "0", "1"],
-        }))
-        code, out, err = run_cli(
-            "green-check", str(path), "--field", "alvarez", "--grid", "8,64",
-            "--format", "json",
-        )
+        }
+        argv = written(tmp_path, ("green-check", document, "--field", "alvarez", "--grid", "8,64"))
+        code, out, err = run_cli(*argv, "--format", "json")
         assert (code, err) == (0, "")
         reports.append(out)
     assert reports[0] == reports[1]
@@ -221,39 +209,25 @@ def test_analyze_json_round_trip():
 
 
 def test_volume_check_flat(tmp_path):
-    field = write_field(tmp_path, "unit.json", ["0", "1"])
-    code, out, _ = run_cli("volume-check", "flat-kronecker", "--field", field)
+    field = {"components": ["0", "1"]}
+    code, out, _ = run_cli(*written(tmp_path, ("volume-check", "flat-kronecker", "--field", field)))
     assert code == 0
     assert "preserved (L_v nu_Q = 0): yes" in out
     assert "dense leaves asserted by model: yes" in out
 
 
 def test_volume_check_inapplicable(tmp_path):
-    field = write_field(tmp_path, "cos.json", ["0", "cos(2*pi*x2)"])
-    code, out, _ = run_cli(
-        "volume-check", "torus-warped", "--field", field, "--grid", "1,64"
-    )
+    field = {"components": ["0", "cos(2*pi*x2)"]}
+    code, out, _ = run_cli(*written(tmp_path, ("volume-check", "torus-warped", "--field", field, "--grid", "1,64")))
     assert code == 0
     assert "preserved (L_v nu_Q = 0): no" in out
     assert "not asserted" in out
 
 
 def test_cover_cli(tmp_path):
-    field = write_field(tmp_path, "cos.json", ["0", "cos(2*pi*x2)"])
-    code, out, _ = run_cli(
-        "cover",
-        "torus-warped",
-        "--field",
-        field,
-        "--coord",
-        "2",
-        "--fold",
-        "3",
-        "--grid",
-        "2,24",
-        "--format",
-        "json",
-    )
+    field = {"components": ["0", "cos(2*pi*x2)"]}
+    argv = written(tmp_path, ("cover", "torus-warped", "--field", field, "--coord", "2", "--fold", "3"))
+    code, out, _ = run_cli(*argv, "--grid", "2,24", "--format", "json")
     assert code == 0
     payload = json.loads(out)
     assert payload["verdicts_agree"]
@@ -267,26 +241,18 @@ def test_cover_measures_the_seam_of_a_field_not_periodic_along_its_coordinate(
     # div^Q(x2^2 E2) = 2 x2 on torus-warped: the lift reads 2 x2 on the
     # second sheet of x2, the base 2 (x2 - 1) at the projected point;
     # along x1, which no expression reads, the two agree
-    field = write_field(tmp_path, "square.json", ["0", "x2*x2"])
-    argv = ("cover", "torus-warped", "--field", field, "--coord", coord, "--fold", "2", "--grid", "16")
-    code, out, _ = run_cli(*argv, "--format", "json")
+    field = {"components": ["0", "x2*x2"]}
+    argv = written(tmp_path, ("cover", "torus-warped", "--field", field, "--coord", coord, "--fold", "2"))
+    code, out, _ = run_cli(*argv, "--grid", "16", "--format", "json")
     assert code == 0
     assert json.loads(out)["max_pointwise_difference"] == difference
 
 
-def test_cover_of_a_chart_defined_on_the_base_box_only_is_refused(tmp_path):
+def test_a_chart_whose_cover_is_refused_runs_on_its_base_box(tmp_path):
     # E2 = 1 + sqrt(1.5 - x1*x2) is real on the unit box, but not on its
-    # 2-fold cover along x2, whose x2 runs to 2
-    path = tmp_path / "sqrt-both.json"
-    path.write_text(json.dumps({
-        "name": "sqrt-both", "kind": "chart", "dim": 2, "leaf_indices": [1], "periods": [1.0, 1.0],
-        "frame": ["1", "0", "0", "1 + sqrt(1.5 - x1*x2)"],
-    }))
-    argv = ("cover", str(path), "--field", "alvarez", "--coord", "2", "--fold", "2", "--grid", "16")
-    code, out, err = run_cli(*argv)
-    assert (code, out) == (2, "")
-    assert err.startswith("error: sqrt of negative value")
-    assert run_cli("taut-check", str(path), "--field", "alvarez", "--grid", "16")[0] == 0
+    # 2-fold cover along x2: REFUSALS["sweep/cover-past-the-base-box"]
+    model = {**CHART_2D, "name": "sqrt-both", "frame": ["1", "0", "0", "1 + sqrt(1.5 - x1*x2)"]}
+    assert run_cli(*written(tmp_path, ("taut-check", model, "--field", "alvarez", "--grid", "16")))[0] == 0
 
 
 def test_output_file(tmp_path):
@@ -309,233 +275,12 @@ def test_output_file(tmp_path):
 
 # --- exit codes ---------------------------------------------------------------------
 
-def test_usage_error_exit_1():
-    code, _, err = run_cli("taut-check", "t3a")  # --field missing
-    assert code == 1
-    assert "field" in err
-
-
-@pytest.mark.parametrize(
-    "model, grid, message",
-    [
-        ("t3a", "0,4", "grid"),
-        ("torus-warped", "4,4,4", "error: resolution (4, 4, 4) does not match model dimension 2\n"),
-    ],
-    ids=["entry-below-1", "entry-count"],
-)
-def test_bad_grid_exit_1(model, grid, message):
-    code, _, err = run_cli(
-        "taut-check", model, "--field", "alvarez", "--grid", grid
-    )
-    assert code == 1
-    assert message in err
-
-
-def test_unknown_model_exit_1():
-    code, _, err = run_cli("analyze", "moebius")
-    assert code == 1
-    assert "builtin" in err
-
-
-def test_bad_matrix_exit_1():
-    code, _, err = run_cli("spectral", "--matrix", "2,x;1,1")
-    assert code == 1
-    assert "integer" in err
-
-
-@pytest.mark.parametrize(
-    "matrix", ["1_000,1;999,1", "\uff12,1;1,1", pytest.param("1" * 5000 + ",0;0,1", id="5000-digits")]
-)
-def test_matrix_entries_are_ascii_digits(matrix):
-    # int() reads "1_000" as 1000 and a fullwidth digit as 2, and refuses
-    # more than 4300 digits with ValueError
-    code, _, err = run_cli("spectral", "--matrix", matrix)
-    assert code == 1
-    assert "is not an integer" in err
-
-
-#: Values that int() reads but that are not integers of ASCII digits:
-#: "1_6" is 16 to int(), and "\u0663" (Arabic-Indic three) and "\uff12"
-#: (fullwidth two) are 3 and 2; and 5000 digits, more than int() converts
-NOT_ASCII_INTEGERS = ["1_6", "\u0663", "\uff12", pytest.param("9" * 5000, id="5000-digits")]
-
-
-@pytest.mark.parametrize("value", NOT_ASCII_INTEGERS)
-@pytest.mark.parametrize(
-    "argv, option",
-    [
-        (("taut-check", "torus-warped", "--field", "alvarez", "--grid", "{}"), "--grid"),
-        (("taut-check", "torus-warped", "--field", "alvarez", "--grid", "4,{}"), "--grid"),
-        (("cover", "torus-warped", "--field", "alvarez", "--coord", "{}", "--fold", "2", "--grid", "4"),
-         "--coord"),
-        (("cover", "torus-warped", "--field", "alvarez", "--coord", "2", "--fold", "{}", "--grid", "4"),
-         "--fold"),
-        (("suspend", "--matrix", "2,1;1,1", "--leaf", "{}", "-o", "{out}"), "--leaf"),
-    ],
-    ids=["grid", "grid-entry", "coord", "fold", "leaf"],
-)
-def test_integer_arguments_are_ascii_digits(tmp_path, argv, option, value):
-    # each is refused as --matrix refuses such an entry: exit 1 with one
-    # usage line naming the argument, and nothing written
-    out = tmp_path / "model.json"
-    code, stdout, err = run_cli(*(arg.format(value, out=out) for arg in argv))
-    assert (code, stdout) == (1, "")
-    assert err.startswith(f"error: argument {option}: ") and err.count("\n") == 1
-    assert repr(argv[argv.index(option) + 1].format(value)) in err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("value, grid", [("3", (3, 3)), (" 3", (3, 3)), ("+3", (3, 3)), ("4, 3", (4, 3))])
 def test_grid_reads_signed_and_spaced_ascii_integers(value, grid):
     # as int() reads them, and as --matrix reads its entries
     code, out, _ = run_cli("taut-check", "torus-warped", "--field", "alvarez", "--grid", value)
     assert code == 0
     assert f"grid: {grid[0]}x{grid[1]} cell-centered lattice" in out
-
-
-def test_schema_error_exit_1(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"name": "x", "kind": "chart"}))
-    code, _, err = run_cli("analyze", str(bad))
-    assert code == 1
-    assert "missing required key" in err
-
-
-def test_invalid_json_exit_1(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    code, _, err = run_cli("analyze", str(bad))
-    assert code == 1
-
-
-def test_domain_error_exit_2(tmp_path):
-    field = write_field(tmp_path, "log.json", ["0", "ln(x2-2)"])
-    code, _, err = run_cli("taut-check", "torus-warped", "--field", field)
-    assert code == 2
-    assert "ln" in err
-
-
-@pytest.mark.parametrize(
-    "component",
-    ["sin(1e200*1e200)", "1e200*1e200*x2 - 1e200*1e200*x2", "exp(1000*x2)"],
-)
-def test_non_finite_field_exit_2_with_one_line(tmp_path, component):
-    field = write_field(tmp_path, "overflow.json", ["0", component])
-    code, out, err = run_cli(
-        "taut-check", "torus-warped", "--field", field, "--format", "json"
-    )
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-
-
-CHART_2D = {
-    "name": "flat",
-    "kind": "chart",
-    "dim": 2,
-    "leaf_indices": [1],
-    "periods": [1.0, 1.0],
-    "frame": ["1", "0", "0", "1"],
-}
-
-
-@pytest.mark.parametrize(
-    "model, field, message",
-    [
-        (
-            {
-                "name": "nan-constant",
-                "kind": "constant_structure",
-                "dim": 3,
-                "leaf_indices": [3],
-                "structure_constants": [{"i": 1, "j": 2, "k": 2, "value": math.nan}],
-            },
-            None,
-            "structure-constant value must be a finite number or string, got nan",
-        ),
-        (CHART_2D, [0, math.nan], "field component 1 must be a finite number, got nan"),
-        (CHART_2D, [math.inf, 0], "field component 0 must be a finite number, got inf"),
-        (
-            {**CHART_2D, "frame": [math.inf, 0, 0, 1]},
-            None,
-            "frame entry inf must be a string or finite number",
-        ),
-        # ints past the float range, which math.isfinite cannot convert
-        # (each message holds the int's first digits, which name the case)
-        *(
-            case
-            for huge, digits in ((10**400, "10000"), (-(10**400), "-1000"))
-            for case in (
-                ({**CHART_2D, "parameters": {"p": huge}}, None, f"parameter 'p': {digits}"),
-                ({**CHART_2D, "periods": [1.0, huge]}, None, "'periods' must list 2 positive finite numbers"),
-                ({**CHART_2D, "frame": [huge, 0, 0, 1]}, None, f"frame entry {digits}"),
-                (
-                    {
-                        "name": "huge-constant",
-                        "kind": "constant_structure",
-                        "dim": 3,
-                        "leaf_indices": [3],
-                        "structure_constants": [{"i": 1, "j": 2, "k": 3, "value": huge}],
-                    },
-                    None,
-                    f"structure-constant value must be a finite number or string, got {digits}",
-                ),
-                (CHART_2D, [0, huge], f"field component 1 must be a finite number, got {digits}"),
-            )
-        ),
-    ],
-)
-def test_non_finite_document_number_exit_1(tmp_path, model, field, message):
-    # json writes NaN and Infinity, which json.loads reads back as floats,
-    # and ints of any size
-    model_path = tmp_path / "model.json"
-    model_path.write_text(json.dumps(model))
-    field_path = "alvarez" if field is None else write_field(tmp_path, "field.json", field)
-    code, out, err = run_cli("taut-check", str(model_path), "--field", field_path)
-    assert (code, out) == (1, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert message in err
-
-
-# C_12^2 C_13^3 overflows, so the Jacobi residual is inf - inf = nan
-HUGE = {
-    "name": "huge",
-    "kind": "constant_structure",
-    "dim": 3,
-    "leaf_indices": [3],
-    "structure_constants": [
-        {"i": 1, "j": 2, "k": 2, "value": 1e200},
-        {"i": 1, "j": 3, "k": 3, "value": -1e200},
-    ],
-}
-JACOBI_OVERFLOW = "error: non-finite Jacobi residual |cyclic sum C_ij^m C_mk^l| at ()\n"
-ZERO_FIELD = {"components": [0, 0, 0]}
-
-
-@pytest.mark.parametrize("fmt", ["text", "json"])
-@pytest.mark.parametrize(
-    "argv, error",
-    [
-        (("analyze", HUGE), JACOBI_OVERFLOW),
-        # the zero field's sweep is finite, so the verdict's gate refuses
-        (("taut-check", HUGE, "--field", ZERO_FIELD), JACOBI_OVERFLOW),
-        (("volume-check", HUGE, "--field", ZERO_FIELD), JACOBI_OVERFLOW),
-        # the eigenvalues are finite, their product is not
-        (("spectral", "--matrix", f"{10**200},0;0,{10**200 + 1}"),
-         "error: report holds a non-finite value: eigenvalue_product\n"),
-    ],
-    ids=["analyze-nan-jacobi", "taut-check-nan-jacobi", "volume-check-nan-jacobi",
-         "spectral-inf-product"],
-)
-def test_non_finite_report_exit_2_in_both_formats(tmp_path, argv, error, fmt):
-    argv = list(argv)
-    for index, entry in enumerate(argv):
-        if isinstance(entry, dict):  # a model or field document, passed as its file
-            path = tmp_path / f"{index}.json"
-            path.write_text(json.dumps(entry))
-            argv[index] = str(path)
-    code, out, err = run_cli(*argv, "--format", fmt)
-    assert (code, out, err) == (2, "", error)
 
 
 def test_text_reports_are_checked_by_the_json_guard(monkeypatch):
@@ -592,44 +337,6 @@ def test_non_finite_field_is_named_in_json_order():
     assert cli._non_finite_field({"values": [0.5, "inf", None, True]}) is None
 
 
-@pytest.mark.parametrize("fmt", ["text", "json"])
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("spectral", "--matrix", str(10**309)),
-        # det = 1 and real, simple, positive eigenvalues near 10^309 and 10^-309
-        ("suspend", "--matrix", f"{10**309},1;{10**309 - 1},1", "--leaf", "1", "-o", "unused"),
-    ],
-    ids=["spectral", "suspend"],
-)
-def test_eigenvalue_beyond_float_range_exit_2(tmp_path, argv, fmt):
-    argv = tuple(str(tmp_path / entry) if entry == "unused" else entry for entry in argv)
-    code, out, err = run_cli(*argv, "--format", fmt)
-    assert (code, out) == (2, "")
-    assert err == "error: an eigenvalue is beyond the float range (above 1.8e308)\n"
-    assert not (tmp_path / "unused").exists()
-
-
-#: SL(3, Z) companion matrices of x^3 - 3 10^165 x^2 -+ 10^330 x - 1: det 1
-#: and real simple eigenvalues near 3.8e164 (or -3.0e164), 2.6e165 (or
-#: 3.3e165) and +-1e-330, whose float is a zero
-UNDERFLOWING = [f"0,0,1;1,0,{sign}{10**330};0,1,{3 * 10**165}" for sign in ("-", "")]
-
-
-@pytest.mark.parametrize("fmt", ["text", "json"])
-@pytest.mark.parametrize("subcommand", ["spectral", "suspend"])
-@pytest.mark.parametrize("matrix", UNDERFLOWING, ids=["positive", "negative"])
-def test_eigenvalue_below_float_range_exit_2(tmp_path, matrix, subcommand, fmt):
-    # a nonzero eigenvalue whose float is 0 is refused: its check would
-    # report a false eigenvalues_positive: FAIL and a product of 0
-    out_path = tmp_path / "model.json"
-    extra = ("--leaf", "2", "-o", str(out_path)) if subcommand == "suspend" else ()
-    code, out, err = run_cli(subcommand, "--matrix", matrix, *extra, "--format", fmt)
-    assert (code, out) == (2, "")
-    assert err == "error: an eigenvalue is below the float range (nonzero, rounds to 0)\n"
-    assert not out_path.exists()
-
-
 def test_a_zero_eigenvalue_is_reported():
     # an eigenvalue that is 0 exactly, enclosure (0, 0), fails its check
     code, out, _ = run_cli("spectral", "--matrix", "0,0;0,2", "--format", "json")
@@ -638,94 +345,30 @@ def test_a_zero_eigenvalue_is_reported():
     assert [check["passed"] for check in payload["checks"] if check["name"] == "eigenvalues_positive"] == [False]
 
 
-def test_non_finite_tolerance_exit_1():
-    code, _, err = run_cli("taut-check", "t3a", "--field", "alvarez", "--tol", "nan")
-    assert code == 1
-    assert "--tol" in err
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("taut-check", "t3a", "--field", "alvarez", "--tol=-5"),
-        ("taut-check", "flat-kronecker", "--field", "alvarez", "--grid", "4", "--tol=-1e-9"),
-        ("volume-check", "flat-kronecker", "--field", "alvarez", "--grid", "4", "--tol=-1e-9"),
-        ("cover", "torus-warped", "--field", "alvarez", "--grid", "4", "--tol=-1"),
-    ],
-)
-def test_negative_tolerance_exit_1(argv):
-    # a negative tolerance once called a one-point grid and an identically
-    # zero divergence MIXED SIGN, with exit code 0
-    code, out, err = run_cli(*argv)
-    assert code == 1
-    assert out == ""
-    assert err == f"error: argument --tol: must be >= 0, got {argv[-1].split('=')[1]!r}\n"
-
-
-def test_unwritable_output_exit_1(tmp_path):
-    target = tmp_path / "missing-directory" / "report.json"
-    code, _, err = run_cli("taut-check", "t3a", "--field", "alvarez", "--output", str(target))
-    assert code == 1
-    assert err.startswith("error: ")
-
-
 def test_singular_model_exit_3(tmp_path):
-    bad = tmp_path / "singular.json"
-    bad.write_text(
-        json.dumps(
-            {
-                "name": "pinched",
-                "kind": "chart",
-                "dim": 2,
-                "leaf_indices": [1],
-                "periods": [1.0, 1.0],
-                "frame": ["x1", "0", "0", "1"],
-            }
-        )
-    )
-    code, out, err = run_cli("analyze", str(bad))
+    model = {**CHART_2D, "name": "pinched", "frame": ["x1", "0", "0", "1"]}
+    code, out, err = run_cli(*written(tmp_path, ("analyze", model)))
     assert (code, err) == (3, "")
     assert "  frame_invertibility: FAIL (min |det(frame)|" in out
 
 
-@pytest.mark.parametrize(
-    "frame, code, message, record",
-    [
-        (  # det A overflows at every grid point; the first is reported, and
-           # analyze reports it as the failed invertibility record
-            ["1e200*(2+sin(2*pi*x2))", "0", "0", "1e200"],
-            2,
-            "non-finite frame determinant at (0.015625, 0.015625)",
-            "frame_invertibility: FAIL (frame evaluation failed: non-finite frame determinant at "
-            "(0.015625, 0.015625), worst 0.000e+00 at (0.015625, 0.015625))",
-        ),
-        (  # a frame partial, not an entry, divides by zero at the report
-           # point, where every record passes
-            ["1", "0", "0", "sqrt((x1-0.015625)*(x1-0.015625))+1"],
-            2,
-            "division by zero in "
-            "'(x1-0.015625+(x1-0.015625))/(2.0*sqrt((x1-0.015625)*(x1-0.015625)))'",
-            None,
-        ),
-    ],
-    ids=["determinant-overflow", "failing-frame-partial"],
-)
-@pytest.mark.parametrize("argv", [["analyze"], ["taut-check", "--field", "alvarez"]])
 @pytest.mark.parametrize("fmt", ["text", "json"])
-def test_frame_refusals_name_the_failure(tmp_path, frame, code, message, record, argv, fmt):
-    model = tmp_path / "refused.json"
-    model.write_text(json.dumps({**CHART_2D, "name": "refused", "frame": frame}))
-    result = run_cli(argv[0], str(model), *argv[1:], "--format", fmt)
-    if argv[0] != "analyze" or record is None:
-        assert result == (code, "", f"error: {message}\n")
-    elif fmt == "text":
-        assert result[0::2] == (3, "") and result[1].endswith(
-            f"\n  {record}\nreport point: (0.015625, 0.015625)\n"
-            f"structure not evaluated at the report point: {message}\n"
+def test_analyze_reports_an_overflowing_determinant_as_its_failed_record(tmp_path, fmt):
+    # det A overflows at every grid point, so the gate fails at the first,
+    # which is the report point; a verdict refuses it with
+    # REFUSALS["sweep/frame-determinant-overflow"]
+    model = {**CHART_2D, "name": "refused", "frame": ["1e200*(2+sin(2*pi*x2))", "0", "0", "1e200"]}
+    code, out, err = run_cli(*written(tmp_path, ("analyze", model)), "--format", fmt)
+    assert (code, err) == (3, "")
+    if fmt == "text":
+        assert out.endswith(
+            "\n  frame_invertibility: FAIL (frame evaluation failed: non-finite frame determinant at "
+            "(0.015625, 0.015625), worst 0.000e+00 at (0.015625, 0.015625))\nreport point: (0.015625, 0.015625)\n"
+            "structure not evaluated at the report point: non-finite frame determinant at (0.015625, 0.015625)\n"
         )
     else:
-        report = json.loads(result[1])
-        assert result[0::2] == (3, "") and not report["validation"]["passed"]
+        report = json.loads(out)
+        assert not report["validation"]["passed"]
         assert [report[key] for key in ("structure_functions", "christoffel", "mean_curvature")] == [None] * 3
 
 
@@ -767,9 +410,8 @@ GATE_BEFORE_THE_REPORT_POINT = {
 def test_analyze_judges_the_gate_before_its_report_point(tmp_path, entry, record, unevaluated, fmt):
     # analyze exits 3 with the failed record wherever the frame fails;
     # where it fails at the report point, the structure is not evaluated
-    model = tmp_path / "gated.json"
-    model.write_text(json.dumps({**CHART_2D, "name": "gated", "frame": [entry, "0", "0", "1"]}))
-    code, out, err = run_cli("analyze", str(model), "--grid", "8", "--format", fmt)
+    model = {**CHART_2D, "name": "gated", "frame": [entry, "0", "0", "1"]}
+    code, out, err = run_cli(*written(tmp_path, ("analyze", model, "--grid", "8")), "--format", fmt)
     assert (code, err) == (3, "")
     head = [
         "model: gated (chart, dim 2)", "split: leaf indices [1], transverse indices [2]",
@@ -786,91 +428,6 @@ def test_analyze_judges_the_gate_before_its_report_point(tmp_path, entry, record
         assert out.startswith("\n".join(head) + "\nnonzero structure functions C_ij^k")
     else:
         assert out == "\n".join([*head, f"structure not evaluated at the report point: {unevaluated}"]) + "\n"
-
-
-@pytest.mark.parametrize(
-    "periods, argv",
-    [
-        ([1e308, 1.0], ["taut-check", "--field", "alvarez"]),
-        ([1e308, 1.0], ["green-check", "--field", "alvarez"]),
-        ([1e308, 1.0], ["volume-check", "--field", "alvarez"]),
-        ([1e308, 1.0], ["analyze"]),
-        ([1.0, 5e307], ["cover", "--field", "alvarez", "--coord", "2", "--fold", "2"]),
-    ],
-)
-def test_a_lattice_past_the_float_range_is_refused(tmp_path, periods, argv):
-    # (j + 0.5) * 1e308 / 4 passes the float range at j = 2 and 3, where
-    # the sweep once read x1 = inf, and printed IDENTICALLY ZERO (exit 0)
-    # since no expression reads x1; the cover's period is 1e308
-    path = tmp_path / "wide.json"
-    frame = ["1", "0", "0", "1"]
-    path.write_text(json.dumps({**CHART_2D, "name": "wide", "periods": periods, "frame": frame}))
-    code, out, err = run_cli(argv[0], str(path), *argv[1:], "--grid", "4")
-    shown = f"({periods[0]!r}, {periods[1] * (2 if argv[0] == 'cover' else 1)!r})"
-    assert (code, out) == (3, "")
-    assert err == f"error: lattice coordinates of periods {shown} pass the float range\n"
-
-
-@pytest.mark.parametrize(
-    "periods, frame, field, resolution, cell",
-    [
-        # the cell volume 1e-400 underflows to 0 and zeroed every term:
-        # lhs = rhs = 0 passed, where the integrals are about -9.5e-201
-        (
-            [1e-200, 1e-200], ["exp(-(0.3*sin(2*pi*x2*1e200)))", "0", "0", "1"],
-            ["0", "cos(2*pi*x2*1e200)"], (64, 64), "0.0",
-        ),
-        # the cell volume 1e360/64 overflows to inf, which made every
-        # finite term inf and was refused as a non-finite term
-        (
-            [1e120] * 3, ["exp(-(0.3*sin(2*pi*x3*1e-120)))", "0", "0", "0", "1", "0", "0", "0", "1"],
-            ["0", "0", "1e-100*cos(2*pi*x3*1e-120)"], (4, 4, 64), "inf",
-        ),
-    ],
-)
-@pytest.mark.parametrize("fmt", ["text", "json"])
-def test_a_green_cell_volume_past_the_float_range_is_refused(
-    tmp_path, periods, frame, field, resolution, cell, fmt
-):
-    path = tmp_path / "scaled.json"
-    path.write_text(json.dumps({
-        **CHART_2D, "name": "scaled", "dim": len(periods), "periods": periods, "frame": frame,
-    }))
-    argv = ["green-check", str(path), "--field", write_field(tmp_path, "v.json", field)]
-    code, out, err = run_cli(*argv, "--grid", ",".join(map(str, resolution)), "--format", fmt)
-    assert (code, out) == (3, "")
-    assert err == (
-        f"error: cell volume {cell} of periods {tuple(periods)} at grid {resolution} "
-        "leaves the float range\n"
-    )
-
-
-def test_non_basic_field_exit_3(tmp_path):
-    field = write_field(tmp_path, "bad.json", ["0", "cos(2*pi*x1)"])
-    code, _, err = run_cli("taut-check", "torus-warped", "--field", field)
-    assert code == 3
-    assert "residual" in err
-
-
-def test_non_basic_mean_curvature_exit_3_with_one_line(tmp_path):
-    # the warp varies along the leaves, so kappa# = -f_y(x, y) E2 is not basic
-    path = tmp_path / "leafwise-warp.json"
-    path.write_text(
-        json.dumps(
-            {
-                "name": "leafwise-warp",
-                "kind": "chart",
-                "dim": 2,
-                "leaf_indices": [1],
-                "periods": [1.0, 1.0],
-                "frame": ["exp(-(0.3*sin(2*pi*x1)*sin(2*pi*x2)))", "0", "0", "1"],
-            }
-        )
-    )
-    code, out, err = run_cli("taut-check", str(path), "--field", "alvarez")
-    assert code == 3
-    assert out == ""
-    assert err.startswith("error: field is not basic: ") and err.count("\n") == 1
 
 
 WARPED_3D = {
@@ -914,12 +471,9 @@ def _sweep_id(subcommand, model, grid, points):
 def test_each_field_sweep_covers_each_point_once(
     monkeypatch, tmp_path, subcommand, model, grid, points
 ):
-    if model == "warped-3d":
-        path = tmp_path / "warped-3d.json"
-        path.write_text(json.dumps(WARPED_3D))
-        model = str(path)
+    argv = written(tmp_path, (subcommand, WARPED_3D if model == "warped-3d" else model, "--field", "alvarez"))
     built = block_runs(monkeypatch)
-    code, _, err = run_cli(subcommand, model, "--field", "alvarez", "--grid", grid)
+    code, _, err = run_cli(*argv, "--grid", grid)
     assert (code, err) == (0, "")
     assert sum(len(run.block) for run in built if run.field_spec is not None and run.structure) == points
 
@@ -963,11 +517,11 @@ _CHECK = td.CheckResult("basic_field", False, "residual", worst=1.0, worst_point
 )
 def test_exit_code_ladder(monkeypatch, exc, code):
     monkeypatch.setitem(cli._HANDLERS, "analyze", _raising(exc))
-    assert run_cli("analyze", "t3a") == (code, "", f"error: {exc}\n")
+    assert refused(run_cli("analyze", "t3a"), code, str(exc))
 
 
 def test_main_reuses_one_parser(monkeypatch, tmp_path):
-    field = write_field(tmp_path, "log.json", ["0", "ln(x2-2)"])
+    _, field = written(tmp_path, ["--field", {"components": ["0", "ln(x2-2)"]}])
     sequence = [
         ("spectral", "--matrix", "2,1;1,1"),
         ("taut-check", "t3a", "--field", "alvarez", "--grid", "0"),
@@ -994,76 +548,39 @@ def test_main_reuses_one_parser(monkeypatch, tmp_path):
     assert [run_cli(*argv) for argv in sequence] == shared
 
 
-def test_inadmissible_suspend_exit_3(tmp_path):
-    code, _, err = run_cli(
-        "suspend",
-        "--matrix",
-        "0,-1;1,0",
-        "--leaf",
-        "1",
-        "-o",
-        str(tmp_path / "nope.json"),
-    )
-    assert code == 3
-    assert "admissible" in err
-
-
 def test_analyze_reports_validation_failure_exit_3(tmp_path):
     # loads fine, but the stored constants break the Jacobi identity
-    bad = tmp_path / "nonjacobi.json"
-    bad.write_text(
-        json.dumps(
-            {
-                "name": "broken",
-                "kind": "constant_structure",
-                "dim": 3,
-                "leaf_indices": [3],
-                "structure_constants": [
-                    {"i": 1, "j": 2, "k": 2, "value": 1.0},
-                    {"i": 1, "j": 3, "k": 3, "value": 1.0},
-                    {"i": 2, "j": 3, "k": 1, "value": 1.0},
-                ],
-            }
-        )
-    )
-    code, out, _ = run_cli("analyze", str(bad))
+    model = {
+        "name": "broken",
+        "kind": "constant_structure",
+        "dim": 3,
+        "leaf_indices": [3],
+        "structure_constants": [
+            {"i": 1, "j": 2, "k": 2, "value": 1.0},
+            {"i": 1, "j": 3, "k": 3, "value": 1.0},
+            {"i": 2, "j": 3, "k": 1, "value": 1.0},
+        ],
+    }
+    code, out, _ = run_cli(*written(tmp_path, ("analyze", model)))
     assert code == 3
     assert "jacobi_identity: FAIL" in out
 
 
+def test_numeric_frame_entries_load_as_their_strings(tmp_path):
+    reports = []
+    for frame in (["exp(-0.3*sin(2*pi*x2))", 0, 0.5, 2], ["exp(-0.3*sin(2*pi*x2))", "0", "0.5", "2"]):
+        argv = written(tmp_path, ("taut-check", {**CHART_2D, "frame": frame}, "--field", "alvarez", "--grid", "8"))
+        code, out, err = run_cli(*argv, "--format", "json")
+        assert (code, err) == (0, "")
+        reports.append(out)
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["verdict"] == "MixedSign"
+
+
 # --- one-line refusals ---------------------------------------------------------------
 #
-# Every refusal below exits 1 with one error line and no report.
-
-@pytest.mark.parametrize("kind, argv", [
-    ("model", ("analyze", "{}")), ("field", ("taut-check", "torus-warped", "--field", "{}")),
-], ids=["model", "field"])
-@pytest.mark.parametrize("content, message", UNREADABLE.values(), ids=UNREADABLE)
-def test_an_unreadable_file_is_refused_with_one_line_naming_it(tmp_path, kind, argv, content, message):
-    path = tmp_path / "document.json"
-    path.write_bytes(content)
-    assert run_cli(*(arg.format(path) for arg in argv)) == (1, "", f"error: {kind} file {path} {message}\n")
-
-
-OPTION_REFUSALS = {
-    "tol": (("taut-check", "t3a", "--field", "alvarez", "--tol", "abc"), "argument --tol: expects a number, got 'abc'"),
-    "missing-field": (
-        ("taut-check", "torus-warped", "--field", "{tmp}/absent.json"),
-        "field file '{tmp}/absent.json' does not exist",
-    ),
-    "coord": (
-        ("cover", "torus-warped", "--field", "alvarez", "--coord", "0", "--fold", "2"),
-        "--coord must be in 1..2",
-    ),
-    "fold": (("cover", "torus-warped", "--field", "alvarez", "--coord", "1", "--fold", "0"), "--fold must be >= 1"),
-}
-
-
-@pytest.mark.parametrize("argv, message", OPTION_REFUSALS.values(), ids=OPTION_REFUSALS)
-def test_an_option_refusal_is_one_line(tmp_path, argv, message):
-    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
-    assert run_cli(*argv) == (1, "", f"error: {message.replace('{tmp}', str(tmp_path))}\n")
-
+# A refusal is an exit code of 1, 2 or 3, nothing on stdout and one
+# ``error:`` line on stderr (``generators.refused``).
 
 CONSTANT_3D = {
     "name": "heisenberg",
@@ -1072,9 +589,44 @@ CONSTANT_3D = {
     "leaf_indices": [3],
     "structure_constants": [{"i": 1, "j": 2, "k": 3, "value": 1.0}],
 }
+ALVAREZ = ("--field", "alvarez")
+#: ``suspend``'s output, which no refusal writes
+WRITTEN_MODEL = ("-o", "{dir}/model.json")
+JACOBI_OVERFLOW = "non-finite Jacobi residual |cyclic sum C_ij^m C_mk^l| at ()"
 
-#: Model documents that load_model refuses, each with its message
-MODEL_REFUSALS = {
+
+def field(*components) -> dict:
+    return {"components": list(components)}
+
+
+def constants(*entries) -> list[dict]:
+    """Structure-constant entries C_ij^k = value from (i, j, k, value)."""
+    return [{"i": i, "j": j, "k": k, "value": value} for i, j, k, value in entries]
+
+
+#: Values that int() reads but that are not integers of ASCII digits:
+#: "1_6" is 16 to int(), and "٣" (Arabic-Indic three) and "２"
+#: (fullwidth two) are 3 and 2; and 5000 digits, more than int() converts
+NOT_ASCII_INTEGERS = {"underscore": "1_6", "arabic-indic": "٣", "fullwidth": "２", "5000-digits": "9" * 5000}
+
+#: Each integer argument, as the argv that holds a value of it
+INTEGER_ARGUMENTS = {
+    "grid": lambda v: ("taut-check", "torus-warped", *ALVAREZ, "--grid", v),
+    "grid-entry": lambda v: ("taut-check", "torus-warped", *ALVAREZ, "--grid", f"4,{v}"),
+    "coord": lambda v: ("cover", "torus-warped", *ALVAREZ, "--coord", v, "--fold", "2", "--grid", "4"),
+    "fold": lambda v: ("cover", "torus-warped", *ALVAREZ, "--coord", "2", "--fold", v, "--grid", "4"),
+    "leaf": lambda v: ("suspend", "--matrix", "2,1;1,1", "--leaf", v, *WRITTEN_MODEL),
+}
+
+#: SL(3, Z) companion matrices of x^3 - 3 10^165 x^2 -+ 10^330 x - 1: det 1
+#: and real simple eigenvalues near 3.8e164 (or -3.0e164), 2.6e165 (or
+#: 3.3e165) and +-1e-330, whose float is a zero
+UNDERFLOWING = {
+    name: f"0,0,1;1,0,{sign}{10**330};0,1,{3 * 10**165}" for name, sign in (("positive", "-"), ("negative", ""))
+}
+
+#: Model documents that load_model refuses, each with its line
+MODEL_DOCUMENTS = {
     "list": ([CHART_2D], "model document must be an object, got <class 'list'>"),
     "dim-true": ({**CHART_2D, "dim": True}, "'dim' must be a positive integer, got True"),
     "dim-0": ({**CHART_2D, "dim": 0}, "'dim' must be a positive integer, got 0"),
@@ -1096,57 +648,365 @@ MODEL_REFUSALS = {
         "structure constant entries need exactly the keys i, j, k, value; got {'i': 1, 'j': 2, 'k': 3}",
     ),
     "undeclared": (
-        {**CONSTANT_3D, "parameters": {"p": 1.0}, "structure_constants": [{"i": 1, "j": 2, "k": 3, "value": "2*q"}]},
+        {**CONSTANT_3D, "parameters": {"p": 1.0}, "structure_constants": constants((1, 2, 3, "2*q"))},
         "structure-constant value '2*q' references undeclared ['q']",
     ),
     # the document's 1-based indices
     "duplicate": (
-        {**CONSTANT_3D, "structure_constants": [{"i": 1, "j": 2, "k": 2, "value": v} for v in (1.0, 2.0)]},
+        {**CONSTANT_3D, "structure_constants": constants((1, 2, 2, 1.0), (1, 2, 2, 2.0))},
         "duplicate structure constant (1,2,2)",
     ),
 }
 
-
-@pytest.mark.parametrize("document, message", MODEL_REFUSALS.values(), ids=MODEL_REFUSALS)
-def test_a_model_document_refusal_is_one_line(tmp_path, document, message):
-    path = tmp_path / "model.json"
-    path.write_text(json.dumps(document))
-    for argv in (("analyze", str(path)), ("taut-check", str(path), "--field", "alvarez")):
-        assert run_cli(*argv) == (1, "", f"error: {message}\n")
-
-
-#: Field documents that load_field refuses on a model, each with its message
-FIELD_REFUSALS = {
+#: Field documents that load_field refuses on a model, each with its line
+FIELD_DOCUMENTS = {
     "list": ("torus-warped", [0, 1], "field document must be an object, got <class 'list'>"),
     "unknown-key": ("torus-warped", {"components": [0, 1], "scale": 2}, "field document has unknown key(s) ['scale']"),
-    "count": ("torus-warped", {"components": [0, 1, 2]}, "field document has 3 components, model needs 2"),
-    "true": ("torus-warped", {"components": [True, 1]}, "field component 0 must be a number or string"),
-    "null": ("torus-warped", {"components": [0, None]}, "field component 1 must be a number or string"),
+    "count": ("torus-warped", field(0, 1, 2), "field document has 3 components, model needs 2"),
+    "true": ("torus-warped", field(True, 1), "field component 0 must be a number or string"),
+    "null": ("torus-warped", field(0, None), "field component 1 must be a number or string"),
     "string-on-constant": (
-        "t3a", {"components": [0, "1", 0]},
-        "constant-structure field components must be plain numbers; component 1 is '1'",
+        "t3a", field(0, "1", 0), "constant-structure field components must be plain numbers; component 1 is '1'",
+    ),
+}
+
+#: Documents that hold a number json writes but the loaders refuse: NaN
+#: and Infinity, which json.loads reads back as floats, and ints past the
+#: float range, which math.isfinite cannot convert; each with its field
+#: and its line
+NON_FINITE_NUMBERS = {
+    "nan-constant": (
+        {**CONSTANT_3D, "name": "nan-constant", "structure_constants": constants((1, 2, 2, math.nan))}, "alvarez",
+        "structure-constant value must be a finite number or string, got nan",
+    ),
+    "nan-field": (CHART_2D, field(0, math.nan), "field component 1 must be a finite number, got nan"),
+    "inf-field": (CHART_2D, field(math.inf, 0), "field component 0 must be a finite number, got inf"),
+    "inf-frame": (
+        {**CHART_2D, "frame": [math.inf, 0, 0, 1]}, "alvarez", "frame entry inf must be a string or finite number",
+    ),
+    **{
+        f"{sign}huge-{name}": case
+        for sign, huge in (("", 10**400), ("minus-", -(10**400)))
+        for name, case in {
+            "parameter": (
+                {**CHART_2D, "parameters": {"p": huge}}, "alvarez", f"parameter 'p': {huge} is not a finite number",
+            ),
+            "period": (
+                {**CHART_2D, "periods": [1.0, huge]}, "alvarez", "'periods' must list 2 positive finite numbers",
+            ),
+            "frame": (
+                {**CHART_2D, "frame": [huge, 0, 0, 1]}, "alvarez",
+                f"frame entry {huge} must be a string or finite number",
+            ),
+            "constant": (
+                {**CONSTANT_3D, "name": "huge-constant", "structure_constants": constants((1, 2, 3, huge))}, "alvarez",
+                f"structure-constant value must be a finite number or string, got {huge}",
+            ),
+            "field": (CHART_2D, field(0, huge), f"field component 1 must be a finite number, got {huge}"),
+        }.items()
+    },
+}
+
+#: Every one-line refusal: id -> (argv, exit code, line), run in text and
+#: in JSON.  A dict, list or bytes in argv is a model or field document,
+#: written by ``generators.written``; "{dir}" in argv and line is the
+#: directory that holds the documents.
+REFUSALS = {
+    # --- options
+    "option/missing-field": (("taut-check", "t3a"), 1, "the following arguments are required: --field"),
+    "option/tol-abc": (
+        ("taut-check", "t3a", *ALVAREZ, "--tol", "abc"), 1, "argument --tol: expects a number, got 'abc'",
+    ),
+    "option/tol-nan": (
+        ("taut-check", "t3a", *ALVAREZ, "--tol", "nan"), 1, "argument --tol: must be a finite number, got 'nan'",
+    ),
+    # a negative tolerance once called a one-point grid and an identically
+    # zero divergence MIXED SIGN, with exit code 0
+    **{
+        f"option/tol-negative-{name}": ((*argv, f"--tol={tol}"), 1, f"argument --tol: must be >= 0, got '{tol}'")
+        for name, argv, tol in (
+            ("t3a", ("taut-check", "t3a", *ALVAREZ), "-5"),
+            ("taut-check", ("taut-check", "flat-kronecker", *ALVAREZ, "--grid", "4"), "-1e-9"),
+            ("volume-check", ("volume-check", "flat-kronecker", *ALVAREZ, "--grid", "4"), "-1e-9"),
+            ("cover", ("cover", "torus-warped", *ALVAREZ, "--grid", "4"), "-1"),
+        )
+    },
+    "option/coord-0": (
+        ("cover", "torus-warped", *ALVAREZ, "--coord", "0", "--fold", "2"), 1, "--coord must be in 1..2",
+    ),
+    "option/fold-0": (("cover", "torus-warped", *ALVAREZ, "--coord", "1", "--fold", "0"), 1, "--fold must be >= 1"),
+    "option/grid-entry-0": (
+        ("taut-check", "t3a", *ALVAREZ, "--grid", "0,4"), 1, "argument --grid: entries must be >= 1, got '0,4'",
+    ),
+    "option/grid-entry-count": (
+        ("taut-check", "torus-warped", *ALVAREZ, "--grid", "4,4,4"), 1,
+        "resolution (4, 4, 4) does not match model dimension 2",
+    ),
+    # an integer argument is refused as a --matrix entry is, naming the argument
+    **{
+        f"option/{name}-{value_name}": (
+            argv(value), 1,
+            f"argument --grid: expects comma-separated integers, got {argv(value)[-1]!r}" if name.startswith("grid")
+            else f"argument --{name}: invalid int value: {value!r}",
+        )
+        for name, argv in INTEGER_ARGUMENTS.items()
+        for value_name, value in NOT_ASCII_INTEGERS.items()
+    },
+    "option/output-directory-missing": (
+        ("taut-check", "t3a", *ALVAREZ, "--output", "{dir}/missing-directory/report.json"), 1,
+        "[Errno 2] No such file or directory: '{dir}/missing-directory/report.json'",
+    ),
+    # --- lattices: a fold whose product with the period passes the float
+    # range, and a lattice with more points than NumPy can size
+    "lattice/fold-1e320": (
+        ("cover", "torus-warped", *ALVAREZ, "--coord", "1", "--fold", str(10**320)), 3,
+        "periods must be positive and finite, got (inf, 1.0)",
+    ),
+    "lattice/fold-1e400": (
+        ("cover", "torus-warped", *ALVAREZ, "--coord", "2", "--fold", str(10**400)), 3,
+        "periods must be positive and finite, got (1.0, inf)",
+    ),
+    **{
+        f"lattice/{name}": (
+            argv, 3, f"a lattice of resolution {resolution} has more points than a NumPy array can hold",
+        )
+        for name, argv, resolution in (
+            ("grid-1e19", ("taut-check", "torus-warped", *ALVAREZ, "--grid", f"{10**19},4"), f"({10**19}, 4)"),
+            ("green-grid-1e19", ("green-check", "torus-warped", *ALVAREZ, "--grid", f"4,{10**19}"), f"(4, {10**19})"),
+            ("grid-1e400", ("analyze", "torus-warped", "--grid", f"{10**400},4"), f"({10**400}, 4)"),
+        )
+    },
+    # (j + 0.5) * 1e308 / 4 passes the float range at j = 2 and 3, where
+    # the sweep once read x1 = inf, and printed IDENTICALLY ZERO (exit 0)
+    # since no expression reads x1; the cover's period is 1e308
+    **{
+        f"lattice/coordinates-{argv[0]}": (
+            (argv[0], {**CHART_2D, "name": "wide", "periods": periods}, *argv[1:], "--grid", "4"), 3,
+            f"lattice coordinates of periods {shown} pass the float range",
+        )
+        for argv, periods, shown in (
+            (("taut-check", *ALVAREZ), [1e308, 1.0], "(1e+308, 1.0)"),
+            (("green-check", *ALVAREZ), [1e308, 1.0], "(1e+308, 1.0)"),
+            (("volume-check", *ALVAREZ), [1e308, 1.0], "(1e+308, 1.0)"),
+            (("analyze",), [1e308, 1.0], "(1e+308, 1.0)"),
+            (("cover", *ALVAREZ, "--coord", "2", "--fold", "2"), [1.0, 5e307], "(1.0, 1e+308)"),
+        )
+    },
+    # the cell volume 1e-400 underflows to 0 and zeroed every term: lhs =
+    # rhs = 0 passed, where the integrals are about -9.5e-201
+    "lattice/green-cell-underflow": (
+        (
+            "green-check",
+            {
+                **CHART_2D, "name": "scaled", "periods": [1e-200] * 2,
+                "frame": ["exp(-(0.3*sin(2*pi*x2*1e200)))", "0", "0", "1"],
+            },
+            "--field", field("0", "cos(2*pi*x2*1e200)"), "--grid", "64,64",
+        ), 3,
+        "cell volume 0.0 of periods (1e-200, 1e-200) at grid (64, 64) leaves the float range",
+    ),
+    # the cell volume 1e360/64 overflows to inf, which made every finite
+    # term inf and was refused as a non-finite term
+    "lattice/green-cell-overflow": (
+        (
+            "green-check",
+            {
+                **CHART_2D, "name": "scaled", "dim": 3, "periods": [1e120] * 3,
+                "frame": ["exp(-(0.3*sin(2*pi*x3*1e-120)))", "0", "0", "0", "1", "0", "0", "0", "1"],
+            },
+            "--field", field("0", "0", "1e-100*cos(2*pi*x3*1e-120)"), "--grid", "4,4,64",
+        ), 3,
+        "cell volume inf of periods (1e+120, 1e+120, 1e+120) at grid (4, 4, 64) leaves the float range",
+    ),
+    # --- matrices
+    # int() reads "1_000" as 1000 and a fullwidth digit as 2, and refuses
+    # more than 4300 digits with ValueError
+    **{
+        f"matrix/{name}": (("spectral", "--matrix", matrix), 1, f"matrix entry {entry!r} is not an integer")
+        for name, matrix, entry in (
+            ("letter", "2,x;1,1", "x"), ("underscore", "1_000,1;999,1", "1_000"), ("fullwidth", "２,1;1,1", "２"),
+            ("5000-digits", "1" * 5000 + ",0;0,1", "1" * 5000),
+        )
+    },
+    "matrix/inadmissible": (
+        ("suspend", "--matrix", "0,-1;1,0", "--leaf", "1", *WRITTEN_MODEL), 3,
+        "matrix is not admissible (eigenvalues_real_simple: complex or repeated roots: only 0 real roots for "
+        "degree 2; trace_condition: trace = 0 (admissible 2x2 matrices have trace > 2))",
+    ),
+    # the eigenvalues are finite, their product is not
+    "matrix/inf-product": (
+        ("spectral", "--matrix", f"{10**200},0;0,{10**200 + 1}"), 2,
+        "report holds a non-finite value: eigenvalue_product",
+    ),
+    # det = 1 and real, simple, positive eigenvalues near 10^309 and 10^-309
+    **{
+        f"matrix/{argv[0]}-eigenvalue-above": (argv, 2, "an eigenvalue is beyond the float range (above 1.8e308)")
+        for argv in (
+            ("spectral", "--matrix", str(10**309)),
+            ("suspend", "--matrix", f"{10**309},1;{10**309 - 1},1", "--leaf", "1", *WRITTEN_MODEL),
+        )
+    },
+    # a nonzero eigenvalue whose float is 0 is refused: its check would
+    # report a false eigenvalues_positive: FAIL and a product of 0
+    **{
+        f"matrix/{subcommand}-eigenvalue-below-{name}": (
+            (subcommand, "--matrix", matrix, *extra), 2,
+            "an eigenvalue is below the float range (nonzero, rounds to 0)",
+        )
+        for subcommand, extra in (("spectral", ()), ("suspend", ("--leaf", "2", *WRITTEN_MODEL)))
+        for name, matrix in UNDERFLOWING.items()
+    },
+    # --- files and documents
+    "document/unknown-builtin": (
+        ("analyze", "moebius"), 1,
+        "'moebius' is neither a builtin name (t3a, suspension-3, torus-warped, flat-kronecker) "
+        "nor an existing model file",
+    ),
+    "document/field-file-missing": (
+        ("taut-check", "torus-warped", "--field", "{dir}/absent.json"), 1,
+        "field file '{dir}/absent.json' does not exist",
+    ),
+    "document/not-json": (
+        ("analyze", b"{not json"), 1,
+        "model file {dir}/model.json is not valid JSON: Expecting property name enclosed in double quotes: "
+        "line 1 column 2 (char 1)",
+    ),
+    **{
+        f"document/{kind}-{name}": (argv, 1, f"{kind} file {{dir}}/{kind}.json {message}")
+        for name, (content, message) in UNREADABLE.items()
+        for kind, argv in (
+            ("model", ("analyze", content)), ("field", ("taut-check", "torus-warped", "--field", content)),
+        )
+    },
+    "document/missing-key": (
+        ("analyze", {"name": "x", "kind": "chart"}), 1, "model document is missing required key 'dim'",
+    ),
+    **{
+        f"document/model-{name}-{argv[0]}": ((argv[0], document, *argv[1:]), 1, line)
+        for name, (document, line) in MODEL_DOCUMENTS.items()
+        for argv in (("analyze",), ("taut-check", *ALVAREZ))
+    },
+    # refused before any table is made: a dim-2000 document would ask
+    # NumPy for 8e9 values
+    **{
+        f"document/constant-dim-{dim}": (
+            ("analyze", {**CONSTANT_3D, "name": "wide", "dim": dim, "leaf_indices": [1]}), 1,
+            "model document for 'wide' is invalid: 'dim' must be at most 96 for a constant-structure model "
+            f"(its dim^3 table of C within BLOCK_VALUES = 900000 values), got {dim}",
+        )
+        for dim in (97, 2000)
+    },
+    **{
+        f"document/field-{name}-{subcommand}": ((subcommand, model, "--field", document, "--grid", "4"), 1, line)
+        for name, (model, document, line) in FIELD_DOCUMENTS.items()
+        for subcommand in ("taut-check", "volume-check", "green-check")
+    },
+    **{
+        f"document/{name}": (("taut-check", model, "--field", document), 1, line)
+        for name, (model, document, line) in NON_FINITE_NUMBERS.items()
+    },
+    **{
+        f"document/{name}": (
+            ("taut-check", "torus-warped", "--field", field("0", component)), 1,
+            f"field document is invalid: expression nested deeper than 64 levels (at offset {offset})",
+        )
+        for name, component, offset in (
+            ("300-parentheses", "(" * 300 + "x2" + ")" * 300, 64), ("600-term-sum", "+".join(["x2"] * 600), 0),
+        )
+    },
+    # --- sweeps
+    "sweep/ln-domain": (
+        ("taut-check", "torus-warped", "--field", field("0", "ln(x2-2)")), 2,
+        "ln of non-positive value -1.984375 in 'ln(x2-2.0)'",
+    ),
+    **{
+        f"sweep/non-finite-field-{name}": (
+            ("taut-check", "torus-warped", "--field", field("0", component)), 2, f"non-finite result inf in {read!r}",
+        )
+        for name, component, read in (
+            ("sin-overflow", "sin(1e200*1e200)", "1e+200*1e+200"),
+            ("inf-minus-inf", "1e200*1e200*x2 - 1e200*1e200*x2", "1e+200*1e+200"),
+            ("exp-1000", "exp(1000*x2)", "exp(1000.0*x2)*1000.0"),
+        )
+    },
+    "sweep/non-finite-covariant-derivative": (
+        ("taut-check", "torus-warped", "--field", field("0", "1.5e308 + x2"), "--grid", "4"), 2,
+        "non-finite covariant derivative at (0.125, 0.125)",
+    ),
+    # det A overflows at every grid point; the first is reported
+    "sweep/frame-determinant-overflow": (
+        (
+            "taut-check", {**CHART_2D, "name": "refused", "frame": ["1e200*(2+sin(2*pi*x2))", "0", "0", "1e200"]},
+            *ALVAREZ,
+        ), 2,
+        "non-finite frame determinant at (0.015625, 0.015625)",
+    ),
+    # a frame partial, not an entry, divides by zero at analyze's report
+    # point, where every record passes
+    **{
+        f"sweep/failing-frame-partial-{argv[0]}": (
+            (argv[0], {**CHART_2D, "name": "refused", "frame": ["1", "0", "0", "sqrt((x1-0.015625)*(x1-0.015625))+1"]},
+             *argv[1:]), 2,
+            "division by zero in '(x1-0.015625+(x1-0.015625))/(2.0*sqrt((x1-0.015625)*(x1-0.015625)))'",
+        )
+        for argv in (("analyze",), ("taut-check", *ALVAREZ))
+    },
+    # E2 = 1 + sqrt(1.5 - x1*x2) is real on the unit box, but not on its
+    # 2-fold cover along x2, whose x2 runs to 2
+    "sweep/cover-past-the-base-box": (
+        (
+            "cover", {**CHART_2D, "name": "sqrt-both", "frame": ["1", "0", "0", "1 + sqrt(1.5 - x1*x2)"]},
+            *ALVAREZ, "--coord", "2", "--fold", "2", "--grid", "16",
+        ), 2,
+        "sqrt of negative value -0.013671875 in 'sqrt(1.5-x1*x2)'",
+    ),
+    # C_12^2 C_13^3 overflows, so the Jacobi residual is inf - inf = nan,
+    # while the zero field's sweep is finite; and two tables whose
+    # constants overflow the connection coefficients too.  Each command
+    # judges the Jacobi record before any sweep.
+    **{
+        f"sweep/jacobi-{name}-{argv[0]}": ((argv[0], {**CONSTANT_3D, **document}, *argv[1:]), 2, JACOBI_OVERFLOW)
+        for name, document, field_argv in (
+            ("nan", {"name": "huge", "structure_constants": constants((1, 2, 2, 1e200), (1, 3, 3, -1e200))},
+             ("--field", field(0, 0, 0))),
+            ("2d-c1.7e308", {"name": "overflow-2d", "dim": 2, "leaf_indices": [1],
+                             "structure_constants": constants((1, 2, 2, 1.7e308))}, ALVAREZ),
+            ("so3-c1e308", {"name": "so3-1e308",
+                            "structure_constants": constants((1, 2, 3, 1e308), (2, 3, 1, 1e308), (1, 3, 2, -1e308))},
+             ALVAREZ),
+        )
+        for argv in (("analyze",), ("taut-check", *field_argv), ("volume-check", *field_argv))
+    },
+    # --- basic fields
+    "basic/cos-x1": (
+        ("taut-check", "torus-warped", "--field", field("0", "cos(2*pi*x1)")), 3,
+        "field is not basic: worst residual 8.428e+00 at (0.265625, 0.734375) (tolerance 1e-09)",
+    ),
+    "basic/worst-point": (
+        ("taut-check", "torus-warped", "--field", field("0", "x1*x1*x1"), "--grid", "4"), 3,
+        "field is not basic: worst residual 2.840e+00 at (0.875, 0.875) (tolerance 1e-09)",
+    ),
+    # the warp varies along the leaves, so kappa# = -f_y(x, y) E2 is not basic
+    "basic/leafwise-warp-alvarez": (
+        (
+            "taut-check",
+            {**CHART_2D, "name": "leafwise-warp", "frame": ["exp(-(0.3*sin(2*pi*x1)*sin(2*pi*x2)))", "0", "0", "1"]},
+            *ALVAREZ,
+        ), 3,
+        "field is not basic: worst residual 1.176e+01 at (0.015625, 0.515625) (tolerance 1e-09)",
     ),
 }
 
 
-@pytest.mark.parametrize("model, document, message", FIELD_REFUSALS.values(), ids=FIELD_REFUSALS)
-def test_a_field_document_refusal_is_one_line(tmp_path, model, document, message):
-    path = tmp_path / "field.json"
-    path.write_text(json.dumps(document))
-    for subcommand in ("taut-check", "volume-check", "green-check"):
-        assert run_cli(subcommand, model, "--field", str(path), "--grid", "4") == (1, "", f"error: {message}\n")
-
-
-def test_numeric_frame_entries_load_as_their_strings(tmp_path):
-    reports = []
-    for frame in (["exp(-0.3*sin(2*pi*x2))", 0, 0.5, 2], ["exp(-0.3*sin(2*pi*x2))", "0", "0.5", "2"]):
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps({**CHART_2D, "frame": frame}))
-        code, out, err = run_cli("taut-check", str(path), "--field", "alvarez", "--grid", "8", "--format", "json")
-        assert (code, err) == (0, "")
-        reports.append(out)
-    assert reports[0] == reports[1]
-    assert json.loads(reports[0])["verdict"] == "MixedSign"
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv, code, line", REFUSALS.values(), ids=REFUSALS)
+def test_a_refusal_is_one_line_and_writes_nothing(tmp_path, argv, code, line, fmt):
+    here = str(tmp_path)
+    argv = written(tmp_path, [arg.replace("{dir}", here) if isinstance(arg, str) else arg for arg in argv])
+    documents = sorted(os.listdir(tmp_path))
+    result = run_cli(*argv, "--format", fmt)
+    assert refused(result, code, line.replace("{dir}", here)), result
+    assert sorted(os.listdir(tmp_path)) == documents
 
 
 # --- expression nesting ------------------------------------------------------------
@@ -1169,44 +1029,18 @@ def deepest_accepted(build):
     raise AssertionError("no nesting bound found")
 
 
-@pytest.mark.parametrize(
-    "component",
-    ["(" * 300 + "x2" + ")" * 300, "+".join(["x2"] * 600)],
-    ids=["300-parentheses", "600-term-sum"],
-)
-def test_over_deep_field_exit_1_with_one_line(tmp_path, component):
-    field = write_field(tmp_path, "deep.json", ["0", component])
-    code, out, err = run_cli("taut-check", "torus-warped", "--field", field)
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "nested deeper than" in err
-
-
 @pytest.mark.parametrize("shape", sorted(DEEP_SHAPES))
 def test_deepest_accepted_expression_runs(tmp_path, shape):
     component = deepest_accepted(DEEP_SHAPES[shape])
-    field = write_field(tmp_path, "deep.json", ["0", component])
-    code, _, err = run_cli("taut-check", "torus-warped", "--field", field, "--grid", "4")
-    assert (code, err) == (0, "")
-    model = tmp_path / "deep-model.json"
-    model.write_text(
-        json.dumps(
-            {
-                "name": "deep",
-                "kind": "chart",
-                "dim": 2,
-                "leaf_indices": [1],
-                "periods": [1.0, 1.0],
-                "frame": [component, "0", "0", "1"],
-            }
-        )
-    )
-    code, _, err = run_cli("analyze", str(model), "--grid", "4")
-    assert (code, err) == (0, "")
+    model = {**CHART_2D, "name": "deep", "frame": [component, "0", "0", "1"]}
     # the mean-curvature candidate differentiates the frame twice
-    code, _, err = run_cli("taut-check", str(model), "--field", "alvarez", "--grid", "4")
-    assert (code, err) == (0, "")
+    for argv in (
+        ("taut-check", "torus-warped", "--field", {"components": ["0", component]}, "--grid", "4"),
+        ("analyze", model, "--grid", "4"),
+        ("taut-check", model, "--field", "alvarez", "--grid", "4"),
+    ):
+        code, _, err = run_cli(*written(tmp_path, argv))
+        assert (code, err) == (0, "")
 
 
 # --- module execution ------------------------------------------------------------------
@@ -1252,18 +1086,18 @@ def test_python_dash_m_entry_point():
 def test_model_files_are_read_as_utf_8_in_any_locale(tmp_path, io_encoding, output, report):
     # under the C locale, with its coercion and UTF-8 mode off, Python's
     # default encoding is ASCII: stdout escapes what it cannot write, as
-    # stderr does, and --output is written as UTF-8, as inputs are read
-    path, written = tmp_path / "model.json", tmp_path / "report.txt"
+    # stderr does, and --output is target as UTF-8, as inputs are read
+    path, target = tmp_path / "model.json", tmp_path / "report.txt"
     path.write_bytes(json.dumps({**CHART_2D, "name": "tore-\u00e9"}, ensure_ascii=False).encode("utf-8"))
     env = {**_child_env(), "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
     env.pop("PYTHONIOENCODING", None)
     env.update({"PYTHONIOENCODING": io_encoding} if io_encoding else {})
-    argv = ["analyze", str(path), "--grid", "2", *(["--output", str(written)] if output else [])]
+    argv = ["analyze", str(path), "--grid", "2", *(["--output", str(target)] if output else [])]
     completed = subprocess.run([sys.executable, "-m", "transdiv", *argv], capture_output=True, env=env)
     assert (completed.returncode, completed.stderr) == (0, b"")
     if output:
         assert completed.stdout == b""
-    assert (written.read_bytes() if output else completed.stdout).startswith(report)
+    assert (target.read_bytes() if output else completed.stdout).startswith(report)
 
 
 def test_fresh_run_holds_a_run_to_its_exit_code_and_line():
@@ -1301,17 +1135,17 @@ def test_cli_import_loads_no_numpy_and_no_sweep_layer():
 
 
 def test_suspend_loads_no_numpy_and_no_model_layer(tmp_path):
-    written = tmp_path / "t3a.json"
+    target = tmp_path / "t3a.json"
     result = _child_json(
         "import contextlib, io, json, sys\n"
         "from transdiv.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = main(['suspend', '--matrix', '2,1;1,1', '--leaf', '2', '-o', {str(written)!r}])\n"
+        f"    code = main(['suspend', '--matrix', '2,1;1,1', '--leaf', '2', '-o', {str(target)!r}])\n"
         "print(json.dumps([code, [name for name in ('numpy', 'transdiv.model') if name in sys.modules]]))\n"
     )
     assert result == [0, []]
     # the t3a builtin is this document, renamed
-    assert json.loads(written.read_text()) == {**td.builtin_document("t3a"), "name": "suspension(2,1;1,1)"}
+    assert json.loads(target.read_text()) == {**td.builtin_document("t3a"), "name": "suspension(2,1;1,1)"}
 
 
 #: 2x2, 3x3, an eigenvalue near 10^20 and one near 10^-20, and an
@@ -1347,15 +1181,17 @@ def test_spectral_runs_with_numpy_blocked():
     assert [code for code, _, _ in blocked] == [0] * len(argvs)
 
 
-#: The module each public name was imported from before the package
-#: resolved its names lazily.
+#: A module each public name can be imported from: the one that defined
+#: it before the records moved to ``records``, or ``records`` itself for
+#: EvalError and ExprError, which ``expr`` does not use.
 PUBLIC_HOMES = {
     "catalog": "BUILTIN_NAMES builtin_document builtin_model",
     "connection": "christoffel mean_curvature transverse_divergence",
     "expr": (
-        "DifferentiationError DomainError EvalError Expr ExprError ParseError "
+        "DifferentiationError DomainError Expr ParseError "
         "UnboundVariableError UnknownFunctionError differentiate evaluate parse to_string"
     ),
+    "records": "EvalError ExprError",
     "model": (
         "CheckResult FoliationSplit FrameModel Grid ModelError SchemaError "
         "SingularFrameError VectorFieldSpec chart_model check_basic "

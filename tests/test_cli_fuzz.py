@@ -4,26 +4,24 @@
 Expressions mix benign terms with overflow, NaN-producing and
 domain-error cases; documents may carry NaN or infinite numbers, or
 ints past the float range, and the examples add files that no JSON
-reader reads (``generators.UNREADABLE``); a fold or a grid may pass
-what a float or a NumPy array holds; matrices may be ragged, hold
+reader reads (``generators.UNREADABLE``); matrices may be ragged, hold
 entries far beyond the float range or entries that ``int()`` reads and
 the parser refuses.
 Whatever the input, ``main`` returns an exit code in 0..3 and never
-raises, a JSON report it writes is strict JSON (no NaN/Infinity), and
-the text format gives the same exit code and error line as JSON.
+raises, a JSON report it writes is strict JSON (no NaN/Infinity), a run
+that writes no report is a one-line refusal (``generators.refused``),
+and the text format gives the same exit code and error line as JSON.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import tempfile
 
-import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from generators import UNREADABLE, run_cli
+from generators import UNREADABLE, refused, run_cli, written
 
 BENIGN = ["x1", "x2", "1", "0", "0.5", "pi", "0.3*sin(2*pi*x2)", "cos(2*pi*x1)", "p"]
 HAZARDS = [
@@ -117,17 +115,6 @@ def invocations(draw):
     return model, field, subcommand, tol, coord
 
 
-def write(path, document):
-    """``document`` as JSON (NaN and inf become NaN / Infinity), or as it
-    stands if it is bytes, which json.dump cannot write."""
-    if isinstance(document, bytes):
-        with open(path, "wb") as handle:
-            handle.write(document)
-    else:
-        with open(path, "w") as handle:
-            json.dump(document, handle)
-
-
 def strict_json(text):
     def refuse(constant):
         raise AssertionError(f"report holds {constant}")
@@ -165,22 +152,16 @@ NOT_UTF_8, NESTED, DIGITS = (content for content, _ in UNREADABLE.values())
 @example(({**HUGE_CONSTANTS, "parameters": {}}, {"components": [0, 0, -(10**400)]}, "taut-check", "1e-9", "1"))
 def test_main_always_exits_0_to_3(case):
     model, field, subcommand, tol, coord = case
+    argv = [subcommand, model]
+    if subcommand != "analyze":
+        argv += ["--field", field]
+    argv += ["--grid", "2,3" if subcommand == "green-check" else "3"]
+    if subcommand in ("taut-check", "volume-check", "cover"):
+        argv += ["--tol", tol]
+    if subcommand == "cover":
+        argv += ["--coord", coord, "--fold", "2"]
     with tempfile.TemporaryDirectory() as directory:
-        model_path = os.path.join(directory, "model.json")
-        write(model_path, model)
-        argv = [subcommand, model_path]
-        if subcommand != "analyze":
-            if isinstance(field, str):
-                argv += ["--field", field]
-            else:
-                field_path = os.path.join(directory, "field.json")
-                write(field_path, field)
-                argv += ["--field", field_path]
-        argv += ["--grid", "2,3" if subcommand == "green-check" else "3"]
-        if subcommand in ("taut-check", "volume-check", "cover"):
-            argv += ["--tol", tol]
-        if subcommand == "cover":
-            argv += ["--coord", coord, "--fold", "2"]
+        argv = written(directory, argv)
         code, out, err = run_cli(*argv, "--format", "json")
         text_code, text_out, text_err = run_cli(*argv, "--format", "text")
     assert (text_code, text_err) == (code, err)
@@ -190,26 +171,7 @@ def test_main_always_exits_0_to_3(case):
         assert code in (0, 3)
         strict_json(out)
     else:
-        assert code != 0 and err.startswith("error: ") and err.count("\n") == 1
-
-
-@pytest.mark.parametrize("argv, refusal", [
-    (["cover", "torus-warped", "--field", "alvarez", "--coord", "1", "--fold", str(10**320)],
-     "error: periods must be positive and finite, got (inf, 1.0)\n"),
-    (["cover", "torus-warped", "--field", "alvarez", "--coord", "2", "--fold", str(10**400)],
-     "error: periods must be positive and finite, got (1.0, inf)\n"),
-    (["taut-check", "torus-warped", "--field", "alvarez", "--grid", f"{10**19},4"],
-     f"error: a lattice of resolution ({10**19}, 4) has more points than a NumPy array can hold\n"),
-    (["green-check", "torus-warped", "--field", "alvarez", "--grid", f"4,{10**19}"],
-     f"error: a lattice of resolution (4, {10**19}) has more points than a NumPy array can hold\n"),
-    (["analyze", "torus-warped", "--grid", f"{10**400},4"],
-     f"error: a lattice of resolution ({10**400}, 4) has more points than a NumPy array can hold\n"),
-], ids=["fold-1e320", "fold-1e400", "grid-1e19", "green-grid-1e19", "grid-1e400"])
-def test_a_fold_or_grid_past_what_a_float_or_an_array_holds_is_refused(argv, refusal):
-    # a fold whose product with the period passes the float range, and a
-    # lattice with more points than NumPy can size, exit 3
-    for form in ("json", "text"):
-        assert run_cli(*argv, "--format", form) == (3, "", refusal)
+        assert refused((code, out, err))
 
 
 # --- spectral and suspend on drawn --matrix text ------------------------------
@@ -249,7 +211,7 @@ def test_spectral_and_suspend_always_exit_0_to_3(subcommand, matrix, leaf):
     with tempfile.TemporaryDirectory() as directory:
         argv = [subcommand, f"--matrix={matrix}"]
         if subcommand == "suspend":
-            argv += ["--leaf", str(leaf), "-o", os.path.join(directory, "model.json")]
+            argv += ["--leaf", str(leaf), "-o", f"{directory}/model.json"]
         code, out, err = run_cli(*argv, "--format", "json")
         text_code, text_out, text_err = run_cli(*argv, "--format", "text")
     assert (text_code, text_err) == (code, err)
@@ -259,7 +221,7 @@ def test_spectral_and_suspend_always_exit_0_to_3(subcommand, matrix, leaf):
         assert code == 0
         strict_json(out)
     else:
-        assert code != 0 and err.startswith("error: ") and err.count("\n") == 1
+        assert refused((code, out, err))
 
 
 # --- one hypothesis gate for every verdict --------------------------------------
@@ -268,10 +230,11 @@ PAIRS = [(1, 2), (1, 3), (2, 3)]
 
 constant_tables = st.lists(
     st.tuples(st.sampled_from(PAIRS), st.sampled_from([1, 2, 3]),
-              st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 1e200])),
+              st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 1e200, 1.7e308, -1.7e308])),
     max_size=5,
     unique_by=lambda entry: (entry[0], entry[1]),
 )
+ZERO_FIELD = {"components": [0, 0, 0]}
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -279,9 +242,15 @@ constant_tables = st.lists(
 @example([((1, 2), 3, 1.0), ((2, 3), 1, 1.0), ((1, 3), 2, -1.0)])  # so(3)
 @example([((1, 2), 3, 1.0)])  # Heisenberg
 @example([((1, 2), 1, 1.0), ((1, 3), 2, 1.0)])  # Jacobi sum 1
+# constants that overflow the connection coefficients and the Jacobi
+# residual: C_12^2 = 1.7e308, and so(3) times 1e308
+@example([((1, 2), 2, 1.7e308)])
+@example([((1, 2), 3, 1e308), ((2, 3), 1, 1e308), ((1, 3), 2, -1e308)])
 def test_analyze_and_the_verdicts_refuse_the_same_tables(table):
     # the zero field is basic with div^Q = 0 on any table, so only the
-    # gate can refuse it
+    # gate can refuse it: the verdicts exit as analyze does, refuse with
+    # its line where it exits 2, and where it exits 3 with the failed
+    # record that its report prints
     model = {
         "name": "fuzz",
         "kind": "constant_structure",
@@ -292,18 +261,17 @@ def test_analyze_and_the_verdicts_refuse_the_same_tables(table):
         ],
     }
     with tempfile.TemporaryDirectory() as directory:
-        model_path = os.path.join(directory, "model.json")
-        field_path = os.path.join(directory, "zero.json")
-        with open(model_path, "w") as handle:
-            json.dump(model, handle)
-        with open(field_path, "w") as handle:
-            json.dump({"components": [0, 0, 0]}, handle)
-        codes = [
-            run_cli(*argv)[0]
+        (code, report, line), *verdicts = [
+            run_cli(*written(directory, argv))
             for argv in (
-                ["analyze", model_path],
-                ["taut-check", model_path, "--field", field_path],
-                ["volume-check", model_path, "--field", field_path],
+                ("analyze", model),
+                ("taut-check", model, "--field", ZERO_FIELD),
+                ("volume-check", model, "--field", ZERO_FIELD),
             )
         ]
-    assert len({code == 3 for code in codes}) == 1, codes
+    for verdict in verdicts:
+        assert verdict[0] == code, (verdict, code)
+        if code == 2:
+            assert verdict == (code, report, line)
+        elif code == 3:
+            assert refused(verdict, 3) and f"\n  {verdict[2].removeprefix('error: ')}" in report

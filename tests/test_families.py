@@ -41,10 +41,15 @@ mathematics requires:
 - aliases: ``torus-warped`` with s(x2) E2, div^Q = s' = 1 - F_32 (the
   Fejer kernel): refused at 16 points along x2, where the lattice sees
   s' = 1; ``MixedSign`` with min below -1 at 64, which resolve F_32;
+  drawn warped 2-tori with s' = c (1 - F_K) at N points along x2, 2N
+  dividing K: refused;
 - grid-basic: the field sin(2 pi x1) E2, not basic, on a grid whose x1
-  points are the zeros of its basic residual: refused;
-- dense claims: a flat torus of slope 1/2 claiming dense leaves, which
-  are closed: ``volume-check`` refuses it;
+  points are the zeros of its basic residual, and drawn warped 2- and
+  3-tori whose basic field gains b sin(2 pi k x1) E_t, on 2k points
+  along x1: refused;
+- dense claims: flat tori of slope 1/2 and of drawn rational slopes
+  claiming dense leaves, which are closed: ``volume-check`` refuses
+  them;
 - t3a charts: the chart of T^3_A, div^Q kappa = (ln lambda)^2 at every
   point, as on ``t3a``; with a warp its frame jumps across t = 1 ~ 0:
   refused.
@@ -81,7 +86,7 @@ from transdiv.catalog import SUSPENSION_3_MATRIX, T3A_MATRIX
 
 from generators import (
     BENCH_TORI, bench_torus_case, linear, pulled_back, random_admissible_matrix, rescaled_rows, rotated_rows,
-    run_cli, shear, trig_poly, two_leaf_torus_case, warped_torus_case,
+    refused, run_cli, shear, trig_poly, two_leaf_torus_case, warped_torus_case, written,
 )
 
 #: The outcomes a member can show: refused (exit 3), or a verdict class
@@ -117,18 +122,13 @@ class Case(NamedTuple):
 def shown(directory, case: Case) -> tuple[str, str, dict]:
     """The outcome ``case`` shows in text and in JSON, with the text report
     and the JSON one (volume-check's ``divergence_`` keys unprefixed)."""
-    model, field = case.model, case.field
-    if isinstance(model, dict):
-        model = directory / "model.json"
-        model.write_text(json.dumps(case.model))
-    if not isinstance(field, str):
-        field = directory / "field.json"
-        field.write_text(json.dumps({"components": case.field}))
-    argv = [case.command, str(model), "--field", str(field), *(["--grid", case.grid] if case.grid else [])]
-    (code, text, err), (json_code, out, json_err) = (run_cli(*argv, "--format", form) for form in ("text", "json"))
-    one_line = all(len(e.splitlines()) == 1 and e.startswith("error: ") for e in (err, json_err))
-    if code == json_code == 3 and text == out == "" and one_line:
-        return REFUSED, text, {}
+    field = case.field if isinstance(case.field, str) else {"components": case.field}
+    grid = ["--grid", case.grid] if case.grid else []
+    argv = written(directory, [case.command, case.model, "--field", field, *grid])
+    runs = [run_cli(*argv, "--format", form) for form in ("text", "json")]
+    if all(refused(run, 3) for run in runs):
+        return REFUSED, "", {}
+    (code, text, err), (json_code, out, json_err) = runs
     if code == json_code == 0:
         report = {key.removeprefix("divergence_"): value for key, value in json.loads(out).items()}
         verdicts = [VERDICT_LINES.get(line) for line in text.splitlines() if line.startswith("verdict: ")]
@@ -153,11 +153,19 @@ def drawn_case(required, model: td.FrameModel, split: td.FoliationSplit, field) 
 LAMBDA = (3 + math.sqrt(5)) / 2  # the larger eigenvalue of [[2, 1], [1, 1]]
 LOG_LAMBDA = math.log(LAMBDA)
 
-#: s(x2) = -sum_{k<32} (1 - k/32) sin(2 pi k x2) / (pi k), so that
-#: s' = 1 - F_32 with F_32 the Fejer kernel: smooth and periodic, with
-#: div^Q (s E2) = s' on torus-warped, which is 1 at every point of the
-#: 16-point lattice along x2
-FEJER = "-(" + " + ".join(f"{1 - k / 32!r}*sin(2*pi*{k}*x2)/(pi*{k})" for k in range(1, 32)) + ")"
+def fejer(order: int, scale: float = 1.0) -> str:
+    """s(x2) = -scale sum_{k<K} (1 - k/K) sin(2 pi k x2) / (pi k), K the
+    ``order``, so that s' = scale (1 - F_K) with F_K the Fejer kernel:
+    smooth and periodic.  F_K is 0 at x2 = m/K for every m that K does
+    not divide, so on a warped torus, where div^Q (s E2) = s', the
+    lattice of N cell centres along x2 sees s' = scale at every point
+    when 2N divides K."""
+    terms = " + ".join(f"{1 - k / order!r}*sin(2*pi*{k}*x2)/(pi*{k})" for k in range(1, order))
+    return f"-({terms})" if scale == 1.0 else f"-{scale!r}*({terms})"
+
+
+#: s' = 1 - F_32, which is 1 at every point of the 16-point lattice along x2
+FEJER = fejer(32)
 
 
 def chart(name: str, frame: list[str], leaf: list[int], dense_leaves: bool = False) -> dict:
@@ -202,6 +210,9 @@ POINTS = {2: 16, 3: 12}
 #: Draws of each taut torus, and of the admissible matrices of each size
 DRAWS = 3
 MATRIX_DRAWS = 2
+#: Draws of the aliased fields, of the fields basic at the grid's points
+#: (on warped 2- and 3-tori each) and of the false dense claims
+ALIAS_DRAWS = GRID_BASIC_DRAWS = DENSE_DRAWS = 3
 #: The homotheties of the suspensions, and of the taut tori
 SCALES = (1.0, 1e-3, 1e3)
 TORUS_SCALES = (1e-6, 1e-3, 1e3, 1e6)
@@ -330,6 +341,49 @@ def seam_member(carrier: str, dim: int, draw: int) -> Case:
     return drawn_case({REFUSED}, model, split, field)
 
 
+def alias_member(draw: int) -> Case:
+    """A drawn warped 2-torus with the field s E2 of ``fejer`` of a drawn
+    order K and scale, on a grid of N points along x2, 2N dividing K."""
+    rng = random.Random(f"aliases:{draw}")
+    model, split, _ = warped_torus_case(rng, 2)
+    points = rng.choice((4, 8, 16))
+    order = 2 * points * rng.choice([m for m in (1, 2, 4) if 2 * points * m <= 32])
+    scale = round(rng.uniform(0.2, 5.0), 6)
+    return drawn_case({REFUSED}, model, split, ["0", fejer(order, scale)])._replace(grid=f"{POINTS[2]},{points}")
+
+
+def grid_basic_member(dim: int, draw: int) -> Case:
+    """A drawn warped ``dim``-torus whose basic field gains b sin(2 pi k x1)
+    along a drawn transverse E_t: not basic, with a basic residual of
+    2 pi k b exp(-f) cos(2 pi k x1), which is 0 at each of the grid's 2k
+    points along x1."""
+    rng = random.Random(f"grid-basic:{dim}d:{draw}")
+    model, split, field = warped_torus_case(rng, dim)
+    t, k = rng.randint(2, dim), rng.randint(1, 3)
+    amplitude = round(rng.choice((-1.0, 1.0)) * rng.uniform(0.05, 1.0), 6)
+    wave = expr.FunctionCall("sin", expr.mul(expr.mul(expr.Literal(2.0 * k), expr.Constant("pi")), expr.Variable("x1")))
+    components = list(field.components)
+    components[t - 1] = expr.add(components[t - 1], expr.mul(expr.Literal(amplitude), wave))
+    case = drawn_case({REFUSED}, model, split, td.vector_field(components, model))
+    return case._replace(grid=",".join([str(2 * k), *[str(POINTS[dim])] * (dim - 1)]))
+
+
+#: The slopes p/q of the dense claims: coprime, 1 <= p, q <= 5
+SLOPES = [(p, q) for p in range(1, 6) for q in range(1, 6) if math.gcd(p, q) == 1]
+
+
+def dense_claim_member(draw: int) -> Case:
+    """A flat torus whose leaves have a drawn rational slope +-p/q, so they
+    are closed, claiming dense leaves, with a drawn constant field c E2."""
+    rng = random.Random(f"dense-claims:{draw}")
+    p, q = rng.choice(SLOPES)
+    p *= rng.choice((-1, 1))
+    norm = f"sqrt({p * p + q * q})"
+    frame = [f"{q}/{norm}", f"{p}/{norm}", f"{-p}/{norm}", f"{q}/{norm}"]
+    field = ["0", repr(round(rng.uniform(0.2, 2.0), 6))]
+    return Case({REFUSED}, chart(f"slope {p}/{q}", frame, [1], True), field, "8", command="volume-check")
+
+
 def orthogonal(rng: random.Random, size: int) -> list[list[float]]:
     """A drawn orthogonal matrix: Gram-Schmidt on Gaussian rows, in
     Python floats, so the same bits on every machine."""
@@ -426,15 +480,19 @@ KNOWN: dict[str, str] = {
     # the orthogonal frame) against an absolute tolerance of 1e-10
     "homotheties/orthogonal-frame-c1e-06": "19",
     **{f"homotheties/{kind}-{draw}-c1e-06": "19" for kind in TORI for draw in range(DRAWS)},
-    # NON-TAUT WITNESS, min = max = 1, on a taut builtin: the lattice
-    # aliases the Fejer kernel
+    # NON-TAUT WITNESS, min = max = 1 (the drawn: their scale), on a taut
+    # torus: the lattice aliases the Fejer kernel
     "aliases/fejer-alias": "15, 24",
-    # IDENTICALLY ZERO: the grid sits on the zeros of the basic residual
+    **{f"aliases/fejer-{draw}": "15, 24" for draw in range(ALIAS_DRAWS)},
+    # a verdict (the fixed two: IDENTICALLY ZERO): the grid sits on the
+    # zeros of the basic residual
     "grid-basic/warped-both-not-basic": "24",
     "grid-basic/flat-kronecker-not-basic": "24",
-    # "preserved: yes", "characterizes tautness": the leaves of slope 1/2
+    **{f"grid-basic/warped-{dim}d-{draw}": "24" for dim in (2, 3) for draw in range(GRID_BASIC_DRAWS)},
+    # "preserved: yes", "characterizes tautness": leaves of rational slope
     # are closed, not dense
     "dense-claims/false-dense-leaves": "8, 23",
+    **{f"dense-claims/rational-slope-{draw}": "8, 23" for draw in range(DENSE_DRAWS)},
     # MIXED SIGN, min -4.51, max 6.36, for a non-taut foliation (Carriere)
     "t3a-charts/warped-t3a-chart": "10, 11, 2",
 }
@@ -442,8 +500,8 @@ KNOWN: dict[str, str] = {
 #: Per family, its false verdicts (the strict xfails of KNOWN) and its members
 FALSE_VERDICTS = {
     "taut-tori": (0, 74), "one-leaf-suspensions": (1, 57), "outside-hypotheses": (18, 18), "seams": (14, 14),
-    "perfect-algebras": (26, 62), "homotheties": (22, 86), "aliases": (1, 2), "grid-basic": (2, 2),
-    "dense-claims": (1, 1), "t3a-charts": (1, 2),
+    "perfect-algebras": (26, 62), "homotheties": (22, 86), "aliases": (4, 5), "grid-basic": (8, 8),
+    "dense-claims": (4, 4), "t3a-charts": (1, 2),
 }
 
 #: Each family's members: (id, a Case or what builds it)
@@ -517,6 +575,7 @@ FAMILIES = {
         ("fejer-resolved", Case(
             {MIXED}, "torus-warped", ["0", FEJER], "64", holds=lambda text, report: report["min_value"] < -1,
         )),
+        *((f"fejer-{draw}", functools.partial(alias_member, draw)) for draw in range(ALIAS_DRAWS)),
     ],
     "grid-basic": [
         ("warped-both-not-basic", Case(
@@ -524,12 +583,17 @@ FAMILIES = {
             ["0", "sin(2*pi*x1)"], "2,24",
         )),
         ("flat-kronecker-not-basic", Case({REFUSED}, "flat-kronecker", ["0", "sin(2*pi*x1)"], "2,24")),
+        *(
+            (f"warped-{dim}d-{draw}", functools.partial(grid_basic_member, dim, draw))
+            for dim in (2, 3) for draw in range(GRID_BASIC_DRAWS)
+        ),
     ],
     "dense-claims": [
         ("false-dense-leaves", Case(
             {REFUSED}, chart("slope-half", ["2/sqrt(5)", "1/sqrt(5)", "-1/sqrt(5)", "2/sqrt(5)"], [1], True),
             ["0", "1"], "8", command="volume-check",
         )),
+        *((f"rational-slope-{draw}", functools.partial(dense_claim_member, draw)) for draw in range(DENSE_DRAWS)),
     ],
     "t3a-charts": [
         # div^Q kappa = (ln lambda)^2 at every point, as on t3a

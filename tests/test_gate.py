@@ -16,7 +16,7 @@ import transdiv as td
 from transdiv.model import Fold, _greatest, _lattice, _point
 from transdiv.records import CheckResult, check_line
 
-from generators import lattice_rows, run_cli, swept_rows
+from generators import lattice_rows, refused, run_cli, swept_rows, written
 
 # the cyclic Jacobi sum is 1 at (E1, E2, E3)
 NOJACOBI = {
@@ -76,22 +76,19 @@ MATRIX = [
 def test_every_verdict_refuses_a_failed_record_with_its_line(
     tmp_path, document, line, subcommand, fmt
 ):
-    path = tmp_path / "model.json"
-    path.write_text(json.dumps(document))
-    argv = [subcommand, str(path), *(GRID if subcommand == "analyze" else VERDICTS[subcommand])]
+    argv = written(tmp_path, (subcommand, document, *(GRID if subcommand == "analyze" else VERDICTS[subcommand])))
     code, out, err = run_cli(*argv, "--format", fmt)
-    assert code == 3
     if subcommand != "analyze":
-        assert (out, err) == ("", f"error: {line}\n")
+        assert refused((code, out, err), 3, line), (code, out, err)
     elif fmt == "text":
-        assert err == "" and f"\n  {line}\n" in out
+        assert code == 3 and err == "" and f"\n  {line}\n" in out
     else:
         (record,) = json.loads(out)["validation"]["checks"]
         check = CheckResult(
             record["name"], record["passed"], record["detail"],
             record["worst"], tuple(record["worst_point"]),
         )
-        assert err == "" and check_line(check) == line
+        assert (code, err) == (3, "") and check_line(check) == line
 
 
 @pytest.fixture
@@ -149,17 +146,16 @@ def assert_refused_with(argv, fmt, line, first):
     verdict refuses with it, and ``analyze`` prints it after the model's
     passing record ``first``."""
     code, out, err = run_cli(*argv, "--format", fmt)
-    assert code == 3
     if argv[0] != "analyze":
-        assert (out, err) == ("", f"error: {line}\n")
+        assert refused((code, out, err), 3, line), (code, out, err)
     elif fmt == "text":
-        assert err == "" and f"\n  {first}: pass (" in out and f"\n  {line}\n" in out
+        assert code == 3 and err == "" and f"\n  {first}: pass (" in out and f"\n  {line}\n" in out
     else:
         passed, record = json.loads(out)["validation"]["checks"]
         check = CheckResult(
             record["name"], record["passed"], record["detail"], record["worst"], tuple(record["worst_point"]),
         )
-        assert err == "" and passed["name"] == first and passed["passed"] and check_line(check) == line
+        assert (code, err) == (3, "") and passed["name"] == first and passed["passed"] and check_line(check) == line
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
